@@ -92,13 +92,17 @@ def extract_affected_subgraph(
     classification: WindowClassification | None = None,
     *,
     atol: float = 0.0,
+    union: tuple | None = None,
 ) -> AffectedSubgraph:
-    """Run the stable-rooted DFS and return the affected subgraph."""
+    """Run the stable-rooted DFS and return the affected subgraph.
+
+    ``union`` is the window's :func:`union_adjacency` pair when the
+    caller already has it (computed here otherwise)."""
     if classification is None:
         classification = classify_window(window, atol=atol)
     labels = classification.labels
     n = window.num_vertices
-    indptr, indices = union_adjacency(window)
+    indptr, indices = union_adjacency(window) if union is None else union
 
     expandable = labels != VertexClass.UNAFFECTED  # stable or affected
     visited = np.zeros(n, dtype=bool)

@@ -36,7 +36,7 @@ from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
 from ..analysis.subgraph import extract_affected_subgraph, union_adjacency
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import CSRSnapshot, aggregate_kernel
+from ..graphs.snapshot import CSRSnapshot, aggregate_kernel, segment_sum
 from ..models.base import DGNNModel
 from ..skipping.delta import DeltaCellCache
 from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
@@ -142,15 +142,16 @@ class ConcurrentEngine:
             if plan is not None:
                 plans.append(plan)
             classifications.append(cls)
+            union = self._window_union(window, plan)
             self._account_overhead(
-                m, window, self._subgraph_vertices(window, cls, plan)
+                m, window, self._subgraph_vertices(window, cls, union)
             )
 
             base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
             base_delta_nnz = m.delta_nnz
             t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
             with self._plan_context(plan):
-                zs = self._gnn_window(m, window, cls)
+                zs = self._gnn_window(m, window, cls, union)
 
                 for t, snap in enumerate(window):
                     z = zs[t]
@@ -243,18 +244,28 @@ class ConcurrentEngine:
             self.enable_overlap = prev_overlap
             self.policy = prev_policy
 
-    def _subgraph_vertices(self, window, cls, plan) -> int:
-        """Affected-subgraph size for overhead accounting.
+    def _window_union(self, window, plan):
+        """The window's union adjacency, computed once for both of its
+        readers (the DFS extraction and the changed-set masks).
 
-        The DFS extraction only feeds the OADL changed-set path, so under
-        a full-recompute plan it is *skipped entirely* (a real saving the
-        planner prices in) and the changed-vertex count stands in for the
-        accounting."""
+        Both only serve the OADL changed-set path, so under a
+        full-recompute plan the union — and with it the extraction — is
+        *skipped entirely* (a real saving the planner prices in): None."""
         from ..adaptive import KernelChoice
 
         if plan is not None and plan.kernel is not KernelChoice.DELTA_CONDENSED:
+            return None
+        return union_adjacency(window)
+
+    def _subgraph_vertices(self, window, cls, union) -> int:
+        """Affected-subgraph size for overhead accounting; the
+        changed-vertex count stands in when the plan skipped the DFS
+        (``union`` is None, see :meth:`_window_union`)."""
+        if union is None:
             return int((cls.labels != 0).sum())
-        return int(extract_affected_subgraph(window, cls).num_vertices)
+        return int(
+            extract_affected_subgraph(window, cls, union=union).num_vertices
+        )
 
     def _update_delta_probe(self, delta_cells: int, delta_nnz: int) -> None:
         """Refresh the running Condense-Unit sparsity probe from one
@@ -268,8 +279,11 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls) -> list[np.ndarray]:
-        """Multi-snapshot GNN with changed-set propagation (exact)."""
+    def _gnn_window(self, m, window, cls, union=None) -> list[np.ndarray]:
+        """Multi-snapshot GNN with changed-set propagation (exact).
+
+        ``union`` is the window's :func:`union_adjacency` when the caller
+        already has it (computed here otherwise)."""
         model = self.model
         if not self.enable_overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
@@ -304,15 +318,16 @@ class ConcurrentEngine:
 
         # --- changed-set masks per layer -------------------------------
         changed0 = cls.labels != 0  # stable or affected (VertexClass order)
-        u_indptr, u_indices = union_adjacency(window)
+        if union is None:
+            union = union_adjacency(window)
+        u_indptr, u_indices = union
+        src = np.repeat(
+            np.arange(window.num_vertices, dtype=np.int64), np.diff(u_indptr)
+        )
         masks = [changed0]
         for _ in range(len(model.gnn.layers) - 1):
             prev = masks[-1]
             grown = prev.copy()
-            src = np.repeat(
-                np.arange(window.num_vertices, dtype=np.int64),
-                np.diff(u_indptr),
-            )
             hit = prev[u_indices]
             if hit.any():
                 grown[src[hit]] = True
@@ -350,13 +365,6 @@ class ConcurrentEngine:
         representative; only those rows' combine outputs are recomputed —
         the rest reuse ``rep_y``.
         """
-        coeff = snap.mean_norm_coeffs()
-        src_all = np.repeat(
-            np.arange(snap.num_vertices, dtype=np.int64), snap.degrees
-        )
-        sel = mask[src_all]
-        tgt = snap.indices[sel]
-
         if layer.out_dim < layer.in_dim:
             y = rep_y.copy()
             rows = np.flatnonzero(in_changed)
@@ -364,25 +372,25 @@ class ConcurrentEngine:
             m.combination_macs += len(rows) * layer.in_dim * layer.out_dim
         else:
             y = x
-        out = np.zeros((snap.num_vertices, y.shape[1]), dtype=np.float32)
-        np.add.at(out, src_all[sel], y[tgt])
-        out[mask] += y[mask]
-        out *= coeff[:, None]
-        m.aggregation_macs += int(sel.sum()) * y.shape[1]
-        m.feature_words += int(sel.sum()) * y.shape[1]  # neighbour gathers
-        m.structure_words += int(mask.sum()) + int(sel.sum())
+        agg = segment_sum(snap.indptr, snap.indices, y, mask)
+        agg += y[mask]
+        agg *= snap.mean_norm_coeffs()[mask, None]
+        gathered = int(snap.degrees[mask].sum())  # edges of the masked rows
+        m.aggregation_macs += gathered * y.shape[1]
+        m.feature_words += gathered * y.shape[1]  # neighbour gathers
+        m.structure_words += len(agg) + gathered
 
-        agg = out[mask]
         if layer.out_dim < layer.in_dim:
             res = agg
         else:
             res = agg @ layer.weight + layer.bias
-            m.combination_macs += int(mask.sum()) * layer.in_dim * layer.out_dim
+            m.combination_macs += len(agg) * layer.in_dim * layer.out_dim
         return layer.act(res)
 
     def _account_full_gnn(self, m, snap) -> None:
         """Accounting of one full-GNN snapshot pass (the representative,
-        or every snapshot when overlap is disabled)."""
+        or every snapshot when overlap is disabled).  Weights are loaded
+        once per *window*, not per snapshot, so none are counted here."""
         n_present = snap.num_present
         e = snap.num_edges
         m.structure_words += (snap.num_vertices + 1) + e
@@ -391,8 +399,6 @@ class ConcurrentEngine:
             m.feature_words += n_present * layer.in_dim + e * agg_dim
             m.combination_macs += n_present * layer.in_dim * layer.out_dim
             m.aggregation_macs += e * agg_dim
-        # weights loaded once per *window*, not per snapshot
-        pass
 
     # ------------------------------------------------------------------
     # RNN phase
@@ -418,11 +424,12 @@ class ConcurrentEngine:
 
         if first or not self.enable_skipping or z_prev is None:
             rows = present_rows
-            h_rows, st_rows = model.cell_step_rows(z, state, rows, snap)
+            drive = model.recurrent_drive(state, snap)
+            h_rows, st_rows = model.cell_step_rows(z, state, rows, snap, drive)
             h_out[rows] = h_rows
             new_state = _splice_state(state, rows, st_rows)
             if cache is not None:
-                cache.refresh(rows, z, model.recurrent_drive(state, snap))
+                cache.refresh(rows, z, drive)
             m.cells_full += len(rows)
             m.cell_macs += len(rows) * model.cell.flops_per_vertex() // 2
             m.output_words += len(rows) * model.out_dim
@@ -460,7 +467,9 @@ class ConcurrentEngine:
         new_state = state
         drive = model.recurrent_drive(state, snap)
         if len(full_rows):
-            h_rows, st_rows = model.cell_step_rows(z, state, full_rows, snap)
+            h_rows, st_rows = model.cell_step_rows(
+                z, state, full_rows, snap, drive
+            )
             h_out[full_rows] = h_rows
             new_state = _splice_state(new_state, full_rows, st_rows)
             if cache is not None:

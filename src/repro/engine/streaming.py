@@ -220,8 +220,9 @@ class StreamingInference:
         import time
 
         engine = self._engine
+        union = engine._window_union(window, plan)
         engine._account_overhead(
-            m, window, engine._subgraph_vertices(window, cls, plan)
+            m, window, engine._subgraph_vertices(window, cls, union)
         )
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         base_delta_nnz = m.delta_nnz
@@ -229,7 +230,7 @@ class StreamingInference:
         decisions: list = []
         t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
         with engine._plan_context(plan):
-            zs = engine._gnn_window(m, window, cls)
+            zs = engine._gnn_window(m, window, cls, union)
             for t, snap in enumerate(window):
                 self._h_prev, self._state = engine._rnn_step(
                     m,

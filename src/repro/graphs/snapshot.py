@@ -33,6 +33,7 @@ __all__ = [
     "aggregate_kernel",
     "build_csr",
     "degrees_from_indptr",
+    "segment_sum",
     "set_aggregate_kernel",
 ]
 
@@ -113,15 +114,74 @@ def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
     return np.diff(indptr)
 
 
+@contract("(n+1,) i, (e,) i, (...) ?, ?(n,) b -> (...) ?")
+def segment_sum(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    x: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-row neighbour sums ``out[r] = ((0 + x[n0]) + x[n1]) + ...``.
+
+    ``n0, n1, ...`` are row ``r``'s CSR neighbours in ascending position:
+    exactly the additions, in exactly the order, that
+    ``np.add.at(zeros, row_of_edge, x[indices])`` performs, so the result
+    is bit-identical to that scatter (``tests/graphs/
+    test_segment_sum_property.py`` keeps it as the oracle) at a fraction
+    of its cost.  ``x`` is indexed by vertex along axis 0 (1-D or 2-D);
+    with ``mask`` only the selected rows are computed and returned, in
+    ascending row order — ``out[mask]`` of the full result.
+
+    Rows are walked in descending-degree order, so degree slot ``j`` is
+    one contiguous ``sums[a:b] += x[indices[starts[a:b] + j]]`` over the
+    rows that still have a ``j``-th neighbour.  The power-law tail would
+    need one near-empty slot per extra degree, so the few hub rows are
+    finished instead by a strictly sequential ``np.add.accumulate``; the
+    split minimises ``slots + hub_rows`` (the number of NumPy calls) over
+    the rows' own degree histogram.  ``np.add.reduce``/``reduceat`` are
+    not usable here: they sum pairwise (docs/performance.md).
+    """
+    degrees = degrees_from_indptr(indptr)
+    rows = np.arange(len(degrees)) if mask is None else np.flatnonzero(mask)
+    deg = degrees[rows]
+    out = np.zeros((len(rows),) + x.shape[1:], dtype=x.dtype)
+    # descending degree, ties in ascending row order; zero-degree rows
+    # sort last and keep their zeros
+    perm = np.argsort(-deg, kind="stable")[: np.count_nonzero(deg)]
+    if not len(perm):
+        return out
+    deg = deg[perm]
+    starts = indptr[rows[perm]]
+    # above[j] = rows with more than j neighbours = rows slot j touches
+    above = len(deg) - np.searchsorted(
+        deg[::-1], np.arange(deg[0] + 1), side="right"
+    )
+    slots = int(np.argmin(np.arange(len(above)) + above))
+    hubs = int(above[slots])
+    sums = np.zeros((len(deg),) + x.shape[1:], dtype=x.dtype)
+    # a 0-started sum is never -0.0, hence the "+ zero"
+    zero = x.dtype.type(0)
+    for i in range(hubs):  # repro: noqa R006 — one sequential accumulate per hub row; the slot/hub split keeps this to the power-law tail
+        nbrs = indices[starts[i] : starts[i] + deg[i]]
+        sums[i] = np.add.accumulate(x.take(nbrs, axis=0), axis=0)[-1] + zero
+    for j in range(slots):  # repro: noqa R006 — bounded by the slot count; each iteration is one contiguous vector op over all rows of degree > j
+        live = sums[hubs : above[j]]
+        live += x.take(indices.take(starts[hubs : above[j]] + j), axis=0)
+    out[perm] = sums
+    return out
+
+
 # ----------------------------------------------------------------------
 # aggregation kernel selection (repro.adaptive)
 # ----------------------------------------------------------------------
 #: The interchangeable aggregation kernels.  Both execute *exactly* the
 #: same additions in the same per-row order, so their outputs are
-#: bit-identical by construction (property-tested in tests/adaptive):
+#: bit-identical by construction (property-tested in tests/adaptive and
+#: tests/graphs/test_segment_sum_property.py):
 #:
-#: * ``scatter`` — one gather per edge + ``np.add.at`` over the CSR
-#:   (irregular access, work proportional to nnz);
+#: * ``scatter`` — :func:`segment_sum`: degree slots over the
+#:   degree-sorted rows plus a sequential finish for the hub rows (one
+#:   gather per edge, work proportional to nnz);
 #: * ``dense``  — neighbour ids padded into an ``(n, max_degree)``
 #:   rectangle, accumulated one degree-slot at a time with regular
 #:   full-width vector ops (gemm-style streaming; work proportional
@@ -304,8 +364,11 @@ class CSRSnapshot:
         :math:`\hat D^{-1}(A + I)\, x`.
 
         This is the GNN module's "aggregation" operation (paper Fig. 1(b)):
-        one gather per edge plus an ``np.add.at`` scatter — the exact access
-        pattern the accelerator's APE adder trees execute.
+        one gather per edge accumulated per row in ascending CSR position
+        — the access pattern the accelerator's APE adder trees execute —
+        by :func:`segment_sum` (or, under the ``dense`` kernel, by the
+        padded degree-slot walk; both perform the same additions in the
+        same order).
 
         Mean (random-walk) normalisation — rather than Kipf–Welling's
         symmetric :math:`\hat D^{-1/2}(A+I)\hat D^{-1/2}` — is load-bearing
@@ -320,15 +383,12 @@ class CSRSnapshot:
         if kernel is None:
             kernel = _active_aggregate_kernel
         coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
-        out = np.zeros_like(x)
-        if self.num_edges:
-            if kernel == "dense":
+        if kernel == "dense":
+            out = np.zeros_like(x)
+            if self.num_edges:
                 self._accumulate_dense(out, x)
-            else:
-                src = np.repeat(
-                    np.arange(self.num_vertices, dtype=VID_DTYPE), self.degrees
-                )
-                np.add.at(out, src, x[self.indices])
+        else:
+            out = segment_sum(self.indptr, self.indices, x)
         if add_self_loops:
             out += x
         out *= coeff[:, None]
@@ -341,8 +401,8 @@ class CSRSnapshot:
         rectangle and accumulated one degree slot at a time with regular
         full-width vector ops — the access pattern of a dense MAC array.
         Each row's additions happen in ascending CSR position, the exact
-        sequence ``np.add.at`` applies, so the result is bit-identical to
-        the scatter kernel by construction.
+        sequence :func:`segment_sum` applies, so the result is
+        bit-identical to the scatter kernel by construction.
         """
         deg = self.degrees
         max_deg = int(deg.max())
@@ -364,19 +424,18 @@ class CSRSnapshot:
         certainly* kept the same neighbour set; the classifier uses this as
         a fast pre-filter before exact row comparison.
         """
-        # Mix each neighbour id with a splitmix64-style finaliser, then sum
-        # per row (sum is order-independent; rows are sorted anyway).
-        x = self.indices.astype(np.uint64)
+        # Mix each vertex id with a splitmix64-style finaliser, then sum
+        # the mixed neighbour ids per row.  uint64 adds are exact modulo
+        # 2**64 in any order, so a row's sum is the difference of one
+        # wrapping prefix sum over the CSR at the row's two pointers.
+        x = np.arange(self.num_vertices, dtype=np.uint64)
         x = (x + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
         x ^= x >> np.uint64(27)
         x *= np.uint64(0x94D049BB133111EB)
         x ^= x >> np.uint64(31)
-        out = np.zeros(self.num_vertices, dtype=np.uint64)
-        if x.size:
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), self.degrees
-            )
-            np.add.at(out, src, x)
+        prefix = np.zeros(self.num_edges + 1, dtype=np.uint64)
+        np.cumsum(x.take(self.indices), out=prefix[1:])
+        out = prefix.take(self.indptr[1:]) - prefix.take(self.indptr[:-1])
         # Fold the degree in so "empty row" differs from "absent vertex".
         out += self.degrees.astype(np.uint64) * np.uint64(0xDA942042E4DD58B5)
         return out

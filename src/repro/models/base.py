@@ -97,13 +97,17 @@ class DGNNModel(abc.ABC):
         state,
         rows: np.ndarray,
         snap: CSRSnapshot | None = None,
+        drive: np.ndarray | None = None,
     ):
         """Cell update restricted to ``rows``.
 
         Returns ``(h_rows, state_rows)`` covering only ``rows`` — the
         engines splice them into the global state.  ``z``/``state`` are
         full-size.  Graph-aware cells override this (they need the whole
-        state for the recurrent convolution).
+        state for the recurrent convolution) and take ``drive``, the
+        caller's already-computed :meth:`recurrent_drive` of the same
+        ``(state, snap)``, instead of convolving a second time; plain
+        cells ignore it.
         """
         sub = type(state)(**{
             k: getattr(state, k)[rows] for k in vars(state) if not k.startswith("_")

@@ -3,8 +3,11 @@
 One GCN layer performs the two operations the accelerator's DCU splits
 between its processing elements (paper Section 4):
 
-* **aggregation** (APE, adder trees): :math:`\\hat A X` with symmetric
-  normalisation, executed by :meth:`CSRSnapshot.aggregate`;
+* **aggregation** (APE, adder trees): :math:`\\hat D^{-1}(A + I) X`
+  with *mean* (random-walk) normalisation, executed by
+  :meth:`CSRSnapshot.aggregate` — not Kipf–Welling's symmetric one: the
+  unaffected-vertex identity the engines rely on holds only under mean
+  normalisation (see that method's docstring);
 * **combination** (CPE, MAC arrays): the dense projection :math:`(\\cdot) W`.
 
 Weights are created once from a seed and then frozen (reservoir-style, see

@@ -83,12 +83,14 @@ class GCLSTM(DGNNModel):
             return self.cell.step(z, state)
         return self.cell.step_on_graph(z, state, snap)  # type: ignore[attr-defined]
 
-    def cell_step_rows(self, z, state, rows, snap: CSRSnapshot | None = None):
+    def cell_step_rows(
+        self, z, state, rows, snap: CSRSnapshot | None = None, drive=None
+    ):
         """Row-restricted GC-LSTM update: the recurrent convolution needs
         the full hidden state, the gates only the selected rows."""
         if snap is None:
             return super().cell_step_rows(z, state, rows)
-        h_conv = snap.aggregate(state.h)
+        h_conv = self.recurrent_drive(state, snap) if drive is None else drive
         cell = self.cell
         d = cell.hidden_dim
         pre = z[rows] @ cell.w_x + h_conv[rows] @ cell.w_h + cell.bias
@@ -98,8 +100,6 @@ class GCLSTM(DGNNModel):
         o = sigmoid(pre[:, 3 * d :])
         c = (f * state.c[rows] + i * g).astype(np.float32, copy=False)
         h = (o * tanh(c)).astype(np.float32, copy=False)
-        from .rnn import LSTMState
-
         return h, LSTMState(h, c)
 
     def recurrent_drive(self, state, snap: CSRSnapshot | None = None):
