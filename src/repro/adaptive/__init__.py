@@ -6,8 +6,8 @@ decision should be cost-model-driven.  This package is the analogue for
 the TaGNN reproduction: per window it
 
 1. measures the live workload into a :class:`WindowProfile`
-   (affected-subgraph density, event churn, Condense-Unit delta nnz,
-   feature sparsity — all from quantities the engine already computes);
+   (affected-subgraph density, event churn, feature sparsity — all from
+   quantities the engine already computes);
 2. consults a :class:`CostModel` — seeded offline by
    :func:`calibrate_cost_model` micro-benchmarks of the PR-6 kernels,
    refined online from exponentially-weighted observed window

@@ -1,8 +1,8 @@
 """Cheap per-window workload measurement.
 
 Everything in a :class:`WindowProfile` is either already computed by the
-engine (the window classification, the Condense-Unit ``delta_nnz``
-counter) or derivable in O(n + E) vectorised passes — profiling must
+engine (the window classification) or derivable in O(n + E) vectorised
+passes — profiling must
 cost a negligible fraction of the window it describes, or the planner
 eats its own win.  No wall clocks here: profiles are pure functions of
 the data, so planning decisions are reproducible for fixed inputs.
@@ -39,7 +39,6 @@ class WindowProfile:
     stable_frac: float
     affected_frac: float
     feature_density: float  # non-zero fraction of sampled feature rows
-    delta_nnz_ratio: float  # Condense-Unit survivors / delta capacity
     #: (in_dim, out_dim) of every GNN layer — the cost model prices MACs
     layer_dims: tuple[tuple[int, int], ...]
     cell_flops_per_vertex: int
@@ -79,24 +78,16 @@ class WindowProfile:
             "stable_frac": round(self.stable_frac, 4),
             "affected_frac": round(self.affected_frac, 4),
             "feature_density": round(self.feature_density, 4),
-            "delta_nnz_ratio": round(self.delta_nnz_ratio, 4),
             "subgraph_density": round(self.subgraph_density, 6),
         }
 
 
 def profile_window(
-    window: DynamicGraph,
-    cls: WindowClassification,
-    model: DGNNModel,
-    *,
-    delta_nnz_ratio: float = 0.0,
+    window: DynamicGraph, cls: WindowClassification, model: DGNNModel
 ) -> WindowProfile:
     """Measure one window into a :class:`WindowProfile`.
 
-    ``cls`` is the classification the engine computed anyway;
-    ``delta_nnz_ratio`` is the caller's running Condense-Unit probe
-    (``ExecutionMetrics.delta_nnz`` over delta capacity) — the planner
-    carries it across windows as an EWMA.
+    ``cls`` is the classification the engine computed anyway.
     """
     n = window.num_vertices
     snaps = window.snapshots
@@ -128,7 +119,6 @@ def profile_window(
         stable_frac=counts["stable"] / denom,
         affected_frac=counts["affected"] / denom,
         feature_density=feature_density,
-        delta_nnz_ratio=float(delta_nnz_ratio),
         layer_dims=tuple(
             (layer.in_dim, layer.out_dim) for layer in model.gnn.layers
         ),

@@ -1,0 +1,107 @@
+"""What one window hands to the next.
+
+The paper's execution loop runs a K-snapshot window and passes the
+recurrent state on to the next batch; :class:`Carry` is that hand-off,
+explicit.  Both engines' ``step(carry, window, ...)`` take one and return
+its successor, so a batch run is a fold over it, a stream holds exactly
+one, a rollback point is a :meth:`Carry.copy`, and a checkpoint
+(:mod:`repro.resilience.checkpoint`) is its fields written out.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from ..graphs.snapshot import CSRSnapshot
+from ..models.rnn import IdentityCell
+from ..skipping.delta import DeltaCellCache
+from .metrics import ExecutionMetrics
+
+__all__ = ["Carry"]
+
+
+def _copied(value):
+    return None if value is None else value.copy()
+
+
+@dataclass
+class Carry:
+    """Everything carried across a window boundary.
+
+    The first group is the stream position (only
+    :class:`~repro.engine.streaming.StreamingInference` moves
+    ``pending`` and ``metrics``); the second is the recurrent hand-off,
+    all ``None`` until the first window ran.  A ``step`` replaces every
+    array it advances and never writes into its input carry — with one
+    exception: ``cache`` is updated **in place**, so a caller that may
+    roll back takes :meth:`copy` first.
+    """
+
+    window_size: int
+    pending: list[CSRSnapshot] = field(default_factory=list)
+    timestamp: int = 0  # snapshots executed so far
+    window_index: int = 0  # drives weight evolution (advance_window)
+    num_vertices: int | None = None  # pinned by the first snapshot
+    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+
+    state: object = None  # LSTMState / GRUState
+    #: similarity-cache pre-activations; the concurrent engine's only —
+    #: the reference path never allocates one
+    cache: DeltaCellCache | None = None
+    h_prev: np.ndarray | None = None  # last released output
+    z_prev: np.ndarray | None = None  # last GNN output (delta baseline)
+    snap_prev: CSRSnapshot | None = None
+    first: bool = True  # no snapshot executed yet
+
+    def begin(self, model, n: int):
+        """Open this carry's next window on ``model``; returns the
+        ``(state, h_prev)`` it starts from (the model's initial state
+        before the first window).  Weight-evolving (RNN-free) models
+        advance per batch — idempotently, so replaying a window from a
+        copied carry leaves nothing behind."""
+        if hasattr(model, "advance_window"):
+            model.advance_window(self.window_index)
+        if self.state is None:
+            zeros = np.zeros((n, model.out_dim), dtype=np.float32)
+            return model.init_state(n), zeros
+        return self.state, self.h_prev
+
+    def delta_cache(self, cell, n: int) -> DeltaCellCache | None:
+        """The carried delta cache, created on first need.  RNN-free
+        models (IdentityCell) have no delta-cache machinery: their
+        "cell update" is free and always exact."""
+        if self.cache is not None or isinstance(cell, IdentityCell):
+            return self.cache
+        return DeltaCellCache(cell, n)
+
+    def advance(self, snaps, state, h_prev, z_prev, cache) -> "Carry":
+        """The successor after ``snaps`` executed: position moved on by
+        one window, hand-off replaced (``self`` is left as it was)."""
+        return replace(
+            self,
+            timestamp=self.timestamp + len(snaps),
+            window_index=self.window_index + 1,
+            num_vertices=snaps[-1].num_vertices,
+            state=state,
+            cache=cache,
+            h_prev=h_prev,
+            z_prev=z_prev,
+            snap_prev=snaps[-1],
+            first=False,
+        )
+
+    def copy(self) -> "Carry":
+        """Deep copy, fully detached (every array fresh): installing it
+        later resumes from exactly this point whatever ran in between."""
+        return replace(
+            self,
+            pending=[s.copy() for s in self.pending],
+            metrics=ExecutionMetrics(**self.metrics.as_dict()),
+            state=_copied(self.state),
+            cache=_copied(self.cache),
+            h_prev=_copied(self.h_prev),
+            z_prev=_copied(self.z_prev),
+            snap_prev=_copied(self.snap_prev),
+        )

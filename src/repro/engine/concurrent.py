@@ -27,7 +27,6 @@ the bounded approximation the accuracy benches quantify.
 
 from __future__ import annotations
 
-import contextlib
 import time
 
 import numpy as np
@@ -36,18 +35,18 @@ from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
 from ..analysis.subgraph import extract_affected_subgraph, union_adjacency
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import CSRSnapshot, aggregate_kernel, segment_sum
+from ..graphs.snapshot import (
+    active_aggregate_kernel,
+    aggregate_kernel,
+    segment_sum,
+)
 from ..models.base import DGNNModel
-from ..skipping.delta import DeltaCellCache
 from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
+from .carry import Carry
 from .metrics import ExecutionMetrics
 from .reference import EngineResult
 
 __all__ = ["ConcurrentEngine"]
-
-#: EWMA smoothing for the engine's running Condense-Unit sparsity probe
-#: (``delta_nnz`` over delta capacity), fed to the planner's profiles.
-_DELTA_PROBE_ALPHA = 0.3
 
 
 class ConcurrentEngine:
@@ -103,99 +102,137 @@ class ConcurrentEngine:
         #: over prolonged skipping (ablated by the design benches)
         self.refresh_each_window = refresh_each_window
         self.planner = planner
-        #: running Condense-Unit sparsity probe (delta nnz over capacity)
-        self._delta_probe = 0.0
 
     # ------------------------------------------------------------------
     def run(self, graph: DynamicGraph) -> EngineResult:
-        n = graph.num_vertices
+        """Batch inference: a fold of :meth:`step` over ``graph``'s
+        disjoint K-snapshot windows."""
         m = ExecutionMetrics()
-        model = self.model
-        state = model.init_state(n)
-        # RNN-free models (IdentityCell) have no delta-cache machinery:
-        # their "cell update" is free and always exact
-        from ..models.rnn import IdentityCell
-
-        cache = (
-            None
-            if isinstance(model.cell, IdentityCell)
-            else DeltaCellCache(model.cell, n)
-        )
+        carry = Carry(window_size=self.window_size)
         outputs: list[np.ndarray] = []
-        decisions = []
+        decisions: list = []
         classifications = []
-        h_prev = np.zeros((n, model.out_dim), dtype=np.float32)
-        z_prev: np.ndarray | None = None
-        snap_prev: CSRSnapshot | None = None
-        first_snapshot = True
-
-        k = self.window_size
         plans = []
-        starts = list(range(0, graph.num_snapshots, k))
-        for start in starts:
-            size = min(k, graph.num_snapshots - start)
-            window = graph.window(start, size)
-            if hasattr(self.model, "advance_window"):
-                self.model.advance_window(start // k)
+        k = self.window_size
+        for start in range(0, graph.num_snapshots, k):
+            window = graph.window(start, min(k, graph.num_snapshots - start))
             cls = classify_window(window)
             plan = self.plan_window(m, window, cls)
             if plan is not None:
                 plans.append(plan)
             classifications.append(cls)
-            union = self._window_union(window, plan)
-            self._account_overhead(
-                m, window, self._subgraph_vertices(window, cls, union)
+            carry, outs = self.step(
+                carry, window, cls, plan, m, decisions=decisions
             )
-
-            base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
-            base_delta_nnz = m.delta_nnz
-            t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
-            with self._plan_context(plan):
-                zs = self._gnn_window(m, window, cls, union)
-
-                for t, snap in enumerate(window):
-                    z = zs[t]
-                    # The first snapshot of every batch takes the full cell
-                    # update: the paper "recalculates similarity scores for
-                    # each vertex in the new batch, rather than reusing scores
-                    # and skipping decisions" to stop error accumulating over
-                    # prolonged skipping — a periodic state refresh is what
-                    # bounds the drift (and what keeps Table 5's loss < 1%).
-                    h_prev, state = self._rnn_step(
-                        m,
-                        snap,
-                        z,
-                        z_prev,
-                        snap_prev,
-                        state,
-                        cache,
-                        cls,
-                        h_prev,
-                        first=first_snapshot
-                        or (t == 0 and self.refresh_each_window),
-                        decisions=decisions,
-                    )
-                    outputs.append(h_prev.copy())
-                    z_prev, snap_prev = z, snap
-                    first_snapshot = False
-                    m.snapshots_processed += 1
-            if plan is not None:
-                elapsed = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
-                self.planner.observe(plan, elapsed)
-            m.record_window_modes(
-                m.cells_full - base_modes[0],
-                m.cells_delta - base_modes[1],
-                m.cells_skipped - base_modes[2],
-            )
-            self._update_delta_probe(
-                m.cells_delta - base_modes[1], m.delta_nnz - base_delta_nnz
-            )
-            m.windows_processed += 1
+            outputs.extend(outs)
 
         extra = {"decisions": decisions, "classifications": classifications}
         if self.planner is not None:
             extra["plans"] = plans
         return EngineResult(outputs, m, extra=extra)
+
+    def step(
+        self,
+        carry: Carry,
+        window: DynamicGraph,
+        cls,
+        plan,
+        m: ExecutionMetrics,
+        *,
+        observe: bool = True,
+        decisions: list | None = None,
+    ) -> tuple[Carry, list[np.ndarray]]:
+        """Execute one classified window from ``carry`` — the only copy
+        of the window body; returns ``(successor, outputs)``.
+
+        ``plan`` (None = the static configuration) is an argument, never
+        ambient state: ``delta-condensed`` keeps the OADL changed-set
+        path; the two full-recompute kernels disable overlap and differ
+        only in the aggregation kernel (scatter vs dense slots) — all
+        three are bit-identical by construction (tests/adaptive).
+        ``observe`` feeds the realized latency back to the planner (a
+        drift probe's discarded replay passes False).
+
+        ``carry`` is left as it was except for its delta cache, updated
+        **in place** (a copy per window would tax every plain stream): a
+        caller that may roll back takes ``carry.copy()`` first.
+        """
+        model = self.model
+        n = window.num_vertices
+        overlap, policy, kernel = (
+            self.enable_overlap, self.policy, active_aggregate_kernel()
+        )
+        if plan is not None:
+            from ..adaptive import KernelChoice
+
+            overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
+            policy = SkippingPolicy(plan.thresholds)
+            if plan.kernel is KernelChoice.DENSE_GEMM:
+                kernel = "dense"
+        if decisions is None:
+            decisions = []
+        state, h_prev = carry.begin(model, n)
+        z_prev, snap_prev, first = carry.z_prev, carry.snap_prev, carry.first
+        cache = carry.delta_cache(model.cell, n)
+
+        # The union adjacency is computed once for both of its readers
+        # (the DFS extraction and the changed-set masks).  Both only
+        # serve the OADL changed-set path, so under a full-recompute
+        # plan the union — and with it the extraction — is *skipped
+        # entirely* (a real saving the planner prices in) and the
+        # changed-vertex count stands in for the subgraph size.
+        union, changed = None, (cls.labels != 0).sum()
+        if plan is None or overlap:
+            union = union_adjacency(window)
+            subgraph = extract_affected_subgraph(window, cls, union=union)
+            changed = subgraph.num_vertices
+        self._account_overhead(m, window, changed)
+
+        base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
+        outputs: list[np.ndarray] = []
+        t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
+        # the one remaining scope: the kernel choice is consumed three
+        # calls down, in models/ (CSRSnapshot.aggregate)
+        with aggregate_kernel(kernel):
+            zs = self._gnn_window(m, window, cls, union, overlap)
+            for t, snap in enumerate(window):
+                # The first snapshot of every batch takes the full cell
+                # update: the paper "recalculates similarity scores for
+                # each vertex in the new batch, rather than reusing scores
+                # and skipping decisions" to stop error accumulating over
+                # prolonged skipping — a periodic state refresh is what
+                # bounds the drift (and what keeps Table 5's loss < 1%).
+                h_prev, state = self._rnn_step(
+                    m,
+                    snap,
+                    zs[t],
+                    z_prev,
+                    snap_prev,
+                    state,
+                    cache,
+                    cls,
+                    h_prev,
+                    first=first or (t == 0 and self.refresh_each_window),
+                    policy=policy,
+                    decisions=decisions,
+                )
+                outputs.append(h_prev.copy())
+                z_prev, snap_prev = zs[t], snap
+                first = False
+        if observe and plan is not None:
+            elapsed = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
+            self.planner.observe(plan, elapsed)
+        m.record_window_modes(
+            m.cells_full - base_modes[0],
+            m.cells_delta - base_modes[1],
+            m.cells_skipped - base_modes[2],
+        )
+        m.snapshots_processed += len(outputs)
+        m.windows_processed += 1
+        successor = carry.advance(
+            window.snapshots, state, h_prev, z_prev, cache
+        )
+        return successor, outputs
 
     # ------------------------------------------------------------------
     # adaptive planning support (repro.adaptive)
@@ -207,85 +244,22 @@ class ConcurrentEngine:
             return None
         from ..adaptive import profile_window
 
-        profile = profile_window(
-            window, cls, self.model, delta_nnz_ratio=self._delta_probe
-        )
         prev_switches = self.planner.kernel_switches
-        plan = self.planner.plan(profile)
+        plan = self.planner.plan(profile_window(window, cls, self.model))
         m.windows_planned += 1
         m.plan_kernel_switches += self.planner.kernel_switches - prev_switches
         return plan
 
-    @contextlib.contextmanager
-    def _plan_context(self, plan):
-        """Apply one plan's kernel + threshold choices for a window.
-
-        ``delta-condensed`` keeps the OADL changed-set path; the two full
-        recompute kernels disable overlap and differ only in the
-        aggregation kernel (scatter vs dense slots) — all three are
-        bit-identical by construction (tests/adaptive).
-        """
-        if plan is None:
-            yield
-            return
-        from ..adaptive import KernelChoice
-
-        prev_overlap = self.enable_overlap
-        prev_policy = self.policy
-        self.enable_overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
-        self.policy = SkippingPolicy(plan.thresholds)
-        try:
-            if plan.kernel is KernelChoice.DENSE_GEMM:
-                with aggregate_kernel("dense"):
-                    yield
-            else:
-                yield
-        finally:
-            self.enable_overlap = prev_overlap
-            self.policy = prev_policy
-
-    def _window_union(self, window, plan):
-        """The window's union adjacency, computed once for both of its
-        readers (the DFS extraction and the changed-set masks).
-
-        Both only serve the OADL changed-set path, so under a
-        full-recompute plan the union — and with it the extraction — is
-        *skipped entirely* (a real saving the planner prices in): None."""
-        from ..adaptive import KernelChoice
-
-        if plan is not None and plan.kernel is not KernelChoice.DELTA_CONDENSED:
-            return None
-        return union_adjacency(window)
-
-    def _subgraph_vertices(self, window, cls, union) -> int:
-        """Affected-subgraph size for overhead accounting; the
-        changed-vertex count stands in when the plan skipped the DFS
-        (``union`` is None, see :meth:`_window_union`)."""
-        if union is None:
-            return int((cls.labels != 0).sum())
-        return int(
-            extract_affected_subgraph(window, cls, union=union).num_vertices
-        )
-
-    def _update_delta_probe(self, delta_cells: int, delta_nnz: int) -> None:
-        """Refresh the running Condense-Unit sparsity probe from one
-        window's delta counters (survivor nnz over delta capacity)."""
-        if delta_cells <= 0:
-            return
-        capacity = delta_cells * max(self.model.out_dim, 1)
-        ratio = min(1.0, delta_nnz / capacity)
-        self._delta_probe += _DELTA_PROBE_ALPHA * (ratio - self._delta_probe)
-
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls, union=None) -> list[np.ndarray]:
+    def _gnn_window(self, m, window, cls, union, overlap) -> list[np.ndarray]:
         """Multi-snapshot GNN with changed-set propagation (exact).
 
-        ``union`` is the window's :func:`union_adjacency` when the caller
-        already has it (computed here otherwise)."""
+        ``union`` is the window's :func:`union_adjacency` (read only
+        when ``overlap``)."""
         model = self.model
-        if not self.enable_overlap:
+        if not overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
             # the window kernel
             zs = model.gnn_forward_window(window.snapshots)
@@ -318,8 +292,6 @@ class ConcurrentEngine:
 
         # --- changed-set masks per layer -------------------------------
         changed0 = cls.labels != 0  # stable or affected (VertexClass order)
-        if union is None:
-            union = union_adjacency(window)
         u_indptr, u_indices = union
         src = np.repeat(
             np.arange(window.num_vertices, dtype=np.int64), np.diff(u_indptr)
@@ -416,6 +388,7 @@ class ConcurrentEngine:
         h_prev,
         *,
         first: bool,
+        policy: SkippingPolicy,
         decisions: list,
     ):
         model = self.model
@@ -452,7 +425,7 @@ class ConcurrentEngine:
         )
         theta = similarity_scores(z_prev, z, snap_prev, snap, scored, feat_stable)
         m.overhead_ops += len(scored) * (z.shape[1] + 8)
-        decision = self.policy.decide(scored, theta)
+        decision = policy.decide(scored, theta)
         decisions.append(decision)
 
         full_rows = decision.rows(CellUpdateMode.FULL)

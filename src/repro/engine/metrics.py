@@ -55,7 +55,7 @@ class ExecutionMetrics:
     cells_delta: int = 0
     cells_skipped: int = 0
     #: Condense-Unit output size: total surviving non-zeros across every
-    #: DELTA-mode partial update (the planner's delta-sparsity probe).
+    #: DELTA-mode partial update (the delta-mode MAC accounting reads it).
     delta_nnz: int = 0
 
     # --- per-window trajectory (one entry per processed window) ---------

@@ -17,6 +17,7 @@ import numpy as np
 from ..analysis.classify import classify_window
 from ..graphs.dynamic import DynamicGraph
 from ..models.base import DGNNModel
+from .carry import Carry
 from .metrics import ExecutionMetrics
 
 __all__ = ["EngineResult", "ReferenceEngine"]
@@ -56,39 +57,48 @@ class ReferenceEngine:
         """Run inference over every snapshot; returns exact outputs and
         the traffic/compute counters of the conventional pattern."""
         m = ExecutionMetrics()
-        n = graph.num_vertices
-        state = self.model.init_state(n)
-        h_out = np.zeros((n, self.model.out_dim), dtype=np.float32)
+        carry = Carry(window_size=self.window_size)
         outputs: list[np.ndarray] = []
-        # GNN passes run one window at a time through the window kernel;
-        # the cell updates stay sequential because each consumes the
-        # previous state.
         for start in range(0, len(graph), self.window_size):
-            # weight-evolving (RNN-free) models advance per batch
-            if hasattr(self.model, "advance_window"):
-                self.model.advance_window(start // self.window_size)
-            snaps = graph.snapshots[start : start + self.window_size]
-            zs = self.model.gnn_forward_window(snaps)
             base_full = m.cells_full
-            for snap, z in zip(snaps, zs):
-                h, new_state = self.model.cell_step(z, state, snap)
-                # absent vertices are not computed: freeze their output
-                # and recurrent state (systems do not schedule absent
-                # vertices)
-                absent = np.flatnonzero(~snap.present)
-                if absent.size:
-                    h[absent] = h_out[absent]
-                    new_state.select_rows(absent, state)
-                h_out = h
-                state = new_state
-                outputs.append(h_out.copy())
-                self._account_snapshot(m, snap)
+            carry, outs = self.step(
+                carry, graph.snapshots[start : start + self.window_size], m
+            )
+            outputs.extend(outs)
             # conventional pattern: every present vertex takes the full
             # cell update — the trajectory is all-FULL by construction
             m.record_window_modes(m.cells_full - base_full, 0, 0)
-        m.snapshots_processed = len(graph)
         self._account_redundancy(m, graph)
         return EngineResult(outputs, m)
+
+    def step(self, carry: Carry, snaps, m: ExecutionMetrics):
+        """Execute one window exactly; returns ``(successor, outputs)``.
+
+        The GNN passes run through the window kernel; the cell updates
+        stay sequential because each consumes the previous state.
+        ``carry`` is not written to and its ``cache`` is passed through
+        untouched (this path needs none).  The resilience supervisor
+        degrades a failed window to this same method.
+        """
+        model = self.model
+        state, h_out = carry.begin(model, snaps[0].num_vertices)
+        zs = model.gnn_forward_window(snaps)
+        outputs: list[np.ndarray] = []
+        for snap, z in zip(snaps, zs):
+            h, new_state = model.cell_step(z, state, snap)
+            # absent vertices are not computed: freeze their output
+            # and recurrent state (systems do not schedule absent
+            # vertices)
+            absent = np.flatnonzero(~snap.present)
+            if absent.size:
+                h[absent] = h_out[absent]
+                new_state.select_rows(absent, state)
+            h_out = h
+            state = new_state
+            outputs.append(h_out.copy())
+            self._account_snapshot(m, snap)
+        m.snapshots_processed += len(snaps)
+        return carry.advance(snaps, state, h_out, zs[-1], carry.cache), outputs
 
     # ------------------------------------------------------------------
     def _account_snapshot(self, m: ExecutionMetrics, snap) -> None:

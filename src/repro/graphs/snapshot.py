@@ -455,7 +455,8 @@ class CSRSnapshot:
         return np.stack([src, self.indices], axis=1)
 
     def to_networkx(self):
-        """Export present vertices/edges to a ``networkx.DiGraph`` (tests only)."""
+        """Export present vertices/edges to a ``networkx.DiGraph`` (tests
+        only: ``networkx`` comes with the ``dev`` extra)."""
         import networkx as nx
 
         g = nx.DiGraph()

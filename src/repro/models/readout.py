@@ -14,7 +14,7 @@ DESIGN.md, we reproduce that with a reservoir protocol:
    embeddings over training vertices and evaluated on held-out vertices.
 
 Degrading the embeddings degrades exactly the quantity Table 5 reports,
-without requiring end-to-end backprop (scipy's solvers keep this fast).
+without requiring end-to-end backprop (the readout is one NumPy solve).
 """
 
 from __future__ import annotations

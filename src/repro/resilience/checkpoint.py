@@ -1,15 +1,19 @@
 """Checkpoint/replay for the streaming engine's carry state.
 
-:class:`~repro.engine.streaming.StreamingInference` carries five things
-across window boundaries: the pending (not yet processed) snapshots, the
-per-vertex recurrent state, the previous window's last GNN output and
-snapshot (the delta baseline), the similarity cache pre-activations, and
-the window index that drives weight evolution.  A crash loses all of it —
-re-pushing the remaining feed from scratch would produce *different*
-outputs, because the recurrent state is path-dependent.
+:class:`~repro.engine.streaming.StreamingInference` hands one
+:class:`~repro.engine.carry.Carry` from window to window: the stream
+position (``pending`` snapshots, ``timestamp``, ``num_vertices``,
+cumulative ``metrics``, ``window_size``), the per-vertex recurrent
+``state``, the last output, GNN result and snapshot (``h_prev`` /
+``z_prev`` / ``snap_prev`` — the delta baseline), the similarity
+``cache`` pre-activations, the ``first`` flag, and the ``window_index``
+that drives weight evolution.  A crash loses all of it — re-pushing the
+remaining feed from scratch would produce *different* outputs, because
+the recurrent state is path-dependent.
 
-This module serialises that carry bundle so a stream can resume
-**bit-identically** from any event boundary.  Design points:
+This module writes a ``Carry``'s fields out and builds one back, so a
+stream can resume **bit-identically** from any event boundary.  Design
+points:
 
 * **No pickle.**  Everything is flattened into a ``str -> ndarray``
   mapping written with :func:`numpy.savez_compressed`; strings travel as
@@ -18,23 +22,26 @@ This module serialises that carry bundle so a stream can resume
   ``meta/state_kind`` records the recurrent-state class (``lstm`` /
   ``gru`` / ``none``); optional sections (cache, previous window,
   pending snapshots) are present only when the stream carried them.
+* **No model needed to load.**  A loaded ``Carry``'s cache holds bare
+  arrays; :meth:`StreamingInference.restore_carry` checks them against
+  the model's cell and binds it.
 * **Weight evolution needs only the window index.**  Evolving models
   (EvolveGCN-style) derive window ``i`` weights from their initial
   weights idempotently via ``advance_window(i)``, so restoring
   ``meta/window_index`` restores the weight trajectory; no weight
   tensors are stored.
 
-The key layout (format 1)::
+The key layout (format 1), by ``Carry`` field::
 
     meta/{format,window_size,timestamp,window_index,first,
           num_vertices,num_pending,state_kind}
     metrics/<field>            one int64 per scalar ExecutionMetrics field
     metrics/window_modes       (W, 3) int64 per-window (full, delta, skip)
-    state/h [, state/c]        recurrent state (by meta/state_kind)
-    cache/{zx,zh,z_input}      similarity-cache pre-activations (optional)
-    carry/{h_prev,z_prev}      last outputs / GNN result (optional)
-    snap_prev/<field>          delta-baseline snapshot (optional)
-    pending/<i>/<field>        buffered snapshots, i < meta/num_pending
+    state/h [, state/c]        ``state`` (by meta/state_kind)
+    cache/{zx,zh,z_input}      ``cache`` pre-activations (optional)
+    carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)
+    snap_prev/<field>          ``snap_prev`` (optional)
+    pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
 """
 
 from __future__ import annotations
@@ -46,10 +53,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..engine.carry import Carry
 from ..engine.metrics import SCALAR_FIELDS, ExecutionMetrics
 from ..engine.streaming import StreamingInference
 from ..graphs.snapshot import CSRSnapshot
 from ..models.rnn import GRUState, LSTMState
+from ..skipping.delta import DeltaCellCache
 from .faults import TransientStorageError
 
 __all__ = [
@@ -66,6 +75,7 @@ __all__ = [
 CHECKPOINT_FORMAT = 1
 
 _SNAP_FIELDS = ("indptr", "indices", "features", "present")
+_CACHE_FIELDS = ("zx", "zh", "z_input")
 
 
 def _snapshot_arrays(prefix: str, snap: CSRSnapshot) -> dict:
@@ -85,28 +95,28 @@ def _snapshot_from(data, prefix: str) -> CSRSnapshot:
 
 
 # ----------------------------------------------------------------------
-def carry_to_arrays(carry: dict) -> dict:
-    """Flatten a ``StreamingInference.carry_state()`` mapping into the
-    ``str -> ndarray`` checkpoint layout documented above."""
-    num_vertices = carry["num_vertices"]
+def carry_to_arrays(carry: Carry) -> dict:
+    """Flatten a :class:`Carry` (``StreamingInference.carry_state()``)
+    into the ``str -> ndarray`` checkpoint layout documented above."""
+    num_vertices = carry.num_vertices
     arrays: dict = {
         "meta/format": np.int64(CHECKPOINT_FORMAT),
-        "meta/window_size": np.int64(carry["window_size"]),
-        "meta/timestamp": np.int64(carry["timestamp"]),
-        "meta/window_index": np.int64(carry["window_index"]),
-        "meta/first": np.bool_(carry["first"]),
+        "meta/window_size": np.int64(carry.window_size),
+        "meta/timestamp": np.int64(carry.timestamp),
+        "meta/window_index": np.int64(carry.window_index),
+        "meta/first": np.bool_(carry.first),
         "meta/num_vertices": np.int64(
             -1 if num_vertices is None else num_vertices
         ),
-        "meta/num_pending": np.int64(len(carry["pending"])),
+        "meta/num_pending": np.int64(len(carry.pending)),
     }
-    metrics = carry["metrics"]
+    metrics = carry.metrics
     for name in SCALAR_FIELDS:
         arrays[f"metrics/{name}"] = np.int64(getattr(metrics, name))
     arrays["metrics/window_modes"] = np.asarray(
         metrics.window_modes, dtype=np.int64
     ).reshape(-1, 3)
-    state = carry["state"]
+    state = carry.state
     if state is None:
         arrays["meta/state_kind"] = np.str_("none")
     elif isinstance(state, LSTMState):
@@ -120,21 +130,21 @@ def carry_to_arrays(carry: dict) -> dict:
         raise ValueError(
             f"cannot checkpoint recurrent state of type {type(state).__name__}"
         )
-    if carry["cache"] is not None:
-        for name in ("zx", "zh", "z_input"):
-            arrays[f"cache/{name}"] = carry["cache"][name]
+    if carry.cache is not None:
+        for name in _CACHE_FIELDS:
+            arrays[f"cache/{name}"] = getattr(carry.cache, name)
     for name in ("h_prev", "z_prev"):
-        if carry[name] is not None:
-            arrays[f"carry/{name}"] = carry[name]
-    if carry["snap_prev"] is not None:
-        arrays.update(_snapshot_arrays("snap_prev", carry["snap_prev"]))
-    for i, snap in enumerate(carry["pending"]):
+        if getattr(carry, name) is not None:
+            arrays[f"carry/{name}"] = getattr(carry, name)
+    if carry.snap_prev is not None:
+        arrays.update(_snapshot_arrays("snap_prev", carry.snap_prev))
+    for i, snap in enumerate(carry.pending):
         arrays.update(_snapshot_arrays(f"pending/{i}", snap))
     return arrays
 
 
-def arrays_to_carry(data) -> dict:
-    """Rebuild a carry mapping from the flat checkpoint layout.
+def arrays_to_carry(data) -> Carry:
+    """Rebuild a :class:`Carry` from the flat checkpoint layout.
 
     ``data`` is anything indexable by key with a ``files``/key listing —
     an :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Snapshots are
@@ -171,38 +181,37 @@ def arrays_to_carry(data) -> dict:
         state = GRUState(np.asarray(data["state/h"]))
     else:
         raise ValueError(f"unknown checkpoint state kind {state_kind!r}")
+
+    def optional(key):
+        return np.asarray(data[key]) if key in keys else None
+
     cache = None
     if "cache/zx" in keys:
-        cache = {
-            name: np.asarray(data[f"cache/{name}"])
-            for name in ("zx", "zh", "z_input")
-        }
+        cache = DeltaCellCache.from_arrays(
+            *(np.asarray(data[f"cache/{name}"]) for name in _CACHE_FIELDS)
+        )
     raw_n = int(data["meta/num_vertices"])
-    return {
-        "window_size": int(data["meta/window_size"]),
-        "pending": [
+    return Carry(
+        window_size=int(data["meta/window_size"]),
+        pending=[
             _snapshot_from(data, f"pending/{i}")
             for i in range(int(data["meta/num_pending"]))
         ],
-        "timestamp": int(data["meta/timestamp"]),
-        "window_index": int(data["meta/window_index"]),
-        "metrics": metrics,
-        "state": state,
-        "cache": cache,
-        "h_prev": (
-            np.asarray(data["carry/h_prev"]) if "carry/h_prev" in keys else None
-        ),
-        "z_prev": (
-            np.asarray(data["carry/z_prev"]) if "carry/z_prev" in keys else None
-        ),
-        "snap_prev": (
+        timestamp=int(data["meta/timestamp"]),
+        window_index=int(data["meta/window_index"]),
+        num_vertices=None if raw_n < 0 else raw_n,
+        metrics=metrics,
+        state=state,
+        cache=cache,
+        h_prev=optional("carry/h_prev"),
+        z_prev=optional("carry/z_prev"),
+        snap_prev=(
             _snapshot_from(data, "snap_prev")
             if "snap_prev/indptr" in keys
             else None
         ),
-        "first": bool(data["meta/first"]),
-        "num_vertices": None if raw_n < 0 else raw_n,
-    }
+        first=bool(data["meta/first"]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +221,8 @@ def save_checkpoint(stream: StreamingInference, path) -> None:
     np.savez_compressed(path, **carry_to_arrays(stream.carry_state()))
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into a carry mapping ready for
+def load_checkpoint(path) -> Carry:
+    """Read a checkpoint back into a :class:`Carry` ready for
     :meth:`StreamingInference.restore_carry`."""
     with np.load(path, allow_pickle=False) as data:
         return arrays_to_carry(data)
@@ -297,8 +306,8 @@ class CheckpointStore:
             self._delete(stale)
         return key
 
-    def load(self, key: str) -> dict:
-        """Read one checkpoint back into a carry mapping.
+    def load(self, key: str) -> Carry:
+        """Read one checkpoint back into a :class:`Carry`.
 
         Raises :class:`TransientStorageError` when a scheduled transient
         failure is pending (retryable) and :class:`CorruptCheckpointError`

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..check.sanitizer import SanitizerViolation
+from ..engine.carry import Carry
 from ..engine.metrics import ExecutionMetrics
 from ..engine.reference import ReferenceEngine
 from ..engine.streaming import StreamingInference, StreamResult
@@ -176,10 +175,10 @@ class ResilientStreamingInference:
         nothing happened, with the incident recorded.
         """
         self._check_circuit()
-        step = self.stream._timestamp + self.stream.pending
+        step = self.stream.timestamp + self.stream.pending
         reason = snapshot_violation(
             snapshot,
-            num_vertices=self.stream._num_vertices,
+            num_vertices=self.stream.num_vertices,
             dim=self.model.in_dim,
         )
         if reason is not None:
@@ -187,32 +186,29 @@ class ResilientStreamingInference:
             return None
         if self.stream.pending + 1 < self.stream.window_size:
             return self.stream.push(snapshot)  # pure buffering: no risk
-        carry = self.stream.carry_state()
-        self._own.checkpoints_taken += 1
-        window = [s.copy() for s in carry["pending"]] + [snapshot]
-        try:
-            if self._queued_faults:
-                raise self._queued_faults.pop(0)
-            result = self.stream.push(snapshot)
-        except (SanitizerViolation, FloatingPointError, RuntimeError) as exc:
-            return self._recover(carry, window, exc)
-        self._consecutive_failures = 0
-        return result
+        return self._guarded(self.stream.push, snapshot)
 
     def flush(self) -> StreamResult | None:
         """Guarded :meth:`StreamingInference.flush`."""
         self._check_circuit()
         if self.stream.pending == 0:
             return None
-        carry = self.stream.carry_state()
+        return self._guarded(self.stream.flush)
+
+    def _guarded(self, call, *arriving) -> StreamResult:
+        """Run the window-completing ``call(*arriving)`` behind a
+        rollback point.  The copy taken here is the one value stored to
+        recover from a fault: on failure it is installed as is and its
+        pending snapshots (plus the arriving one) are the window to
+        re-execute."""
+        saved = self.stream.carry_state()
         self._own.checkpoints_taken += 1
-        window = [s.copy() for s in carry["pending"]]
         try:
             if self._queued_faults:
                 raise self._queued_faults.pop(0)
-            result = self.stream.flush()
+            result = call(*arriving)
         except (SanitizerViolation, FloatingPointError, RuntimeError) as exc:
-            return self._recover(carry, window, exc)
+            return self._recover(saved, saved.pending + list(arriving), exc)
         self._consecutive_failures = 0
         return result
 
@@ -238,7 +234,7 @@ class ResilientStreamingInference:
         self._own.incidents += 1
         self.incidents.append(
             Incident(
-                window_index=self.stream._window_index,
+                window_index=self.stream.window_index,
                 step=step,
                 kind="poison-snapshot",
                 action="dead-lettered",
@@ -247,10 +243,10 @@ class ResilientStreamingInference:
         )
         self._note_failure()
 
-    def _recover(self, carry: dict, window, exc: Exception) -> StreamResult:
+    def _recover(self, saved: Carry, window, exc: Exception) -> StreamResult:
         """Roll back to the pre-window carry, then re-execute the window
         on the reference path."""
-        self.stream.restore_carry(carry)
+        self.stream.restore_carry(saved)
         self._own.restores += 1
         self._own.incidents += 1
         kind = (
@@ -260,8 +256,8 @@ class ResilientStreamingInference:
         )
         self.incidents.append(
             Incident(
-                window_index=carry["window_index"],
-                step=carry["timestamp"],
+                window_index=saved.window_index,
+                step=saved.timestamp,
                 kind=kind,
                 action="degraded",
                 detail=str(exc),
@@ -269,54 +265,29 @@ class ResilientStreamingInference:
                 or type(exc).__name__,
             )
         )
-        result = self._degrade(carry, window)
+        result = self._degrade(saved, window)
         self._note_failure()
         return result
 
-    def _degrade(self, carry: dict, window) -> StreamResult:
+    def _degrade(self, saved: Carry, window) -> StreamResult:
         """Re-execute ``window`` with exact reference-engine semantics.
 
-        This is the per-snapshot body of :meth:`ReferenceEngine.run`
-        seeded with the carried state: GNN forward, cell step, absent
-        rows frozen, idempotent weight-evolution advance — so a degraded
+        :meth:`ReferenceEngine.step` from the rolled-back carry is the
+        very loop body of :meth:`ReferenceEngine.run`, so a degraded
         window's outputs are bit-identical to what the reference engine
         would have produced at this position in the stream.  Accounting
         uses the reference engine's conventional (everything-moved)
         pattern: degradation is correct but slower, and the metrics say
         so.
         """
-        model = self.model
-        n = window[0].num_vertices
-        state = carry["state"]
-        state = model.init_state(n) if state is None else state.copy()
-        h_out = carry["h_prev"]
-        h_out = (
-            np.zeros((n, model.out_dim), dtype=np.float32)
-            if h_out is None
-            else h_out.copy()
-        )
-        if hasattr(model, "advance_window"):
-            model.advance_window(carry["window_index"])
-        ref = ReferenceEngine(model, window_size=self.stream.window_size)
-        m = ExecutionMetrics()
-        outputs: list[np.ndarray] = []
-        z = None
         for off, snap in enumerate(window):
-            snap.timestamp = carry["timestamp"] + off
-            z = model.gnn_forward(snap)
-            h, new_state = model.cell_step(z, state, snap)
-            absent = np.flatnonzero(~snap.present)
-            if absent.size:
-                h[absent] = h_out[absent]
-                new_state.select_rows(absent, state)
-            h_out = h
-            state = new_state
-            outputs.append(h_out.copy())
-            ref._account_snapshot(m, snap)
-            m.snapshots_processed += 1
+            snap.timestamp = saved.timestamp + off
+        ref = ReferenceEngine(self.model, window_size=self.stream.window_size)
+        m = ExecutionMetrics()
+        carry, outputs = ref.step(saved, window, m)
         m.windows_processed += 1
         m.fallback_windows += 1
-        return self.stream.adopt_window(window, outputs, state, z, m)
+        return self.stream.adopt_window(carry, outputs, m)
 
 
 # ----------------------------------------------------------------------

@@ -229,7 +229,7 @@ class ShardWorker:
                     exhausted += 1
                     continue
                 sup.stream.restore_carry(carry)
-                start = carry["timestamp"] + len(carry["pending"])
+                start = carry.timestamp + len(carry.pending)
                 outcome = key
                 break
             replayed = history.get(name, [])[start:]

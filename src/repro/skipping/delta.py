@@ -65,7 +65,7 @@ class CondensedDelta:
 
     @property
     def nnz(self) -> int:
-        """Surviving non-zeros — the planner's delta-sparsity probe."""
+        """Surviving non-zeros (drives the delta-mode MAC accounting)."""
         return int(sum(len(v) for v in self.values))
 
     def density(self) -> float:
@@ -133,6 +133,34 @@ class DeltaCellCache:
         self.zx = np.zeros((n, width), dtype=np.float32)  # cached x @ w_x
         self.zh = np.zeros((n, width), dtype=np.float32)  # cached h @ w_h
         self.z_input = np.zeros((n, cell.input_dim), dtype=np.float32)
+
+    @classmethod
+    def from_arrays(
+        cls, zx: np.ndarray, zh: np.ndarray, z_input: np.ndarray, cell=None
+    ) -> "DeltaCellCache":
+        """Wrap existing pre-activation arrays.  A checkpoint is loaded
+        without a model, so ``cell`` may stay None until :meth:`bind`."""
+        cache = cls.__new__(cls)
+        cache.cell, cache.zx, cache.zh, cache.z_input = cell, zx, zh, z_input
+        return cache
+
+    def copy(self) -> "DeltaCellCache":
+        """Detached cache over the same cell (fresh arrays)."""
+        return DeltaCellCache.from_arrays(
+            self.zx.copy(), self.zh.copy(), self.z_input.copy(), self.cell
+        )
+
+    def bind(self, cell: RecurrentCell) -> None:
+        """Attach ``cell`` after checking the cached pre-activations are
+        as wide as its weights make them (``x @ w_x``, ``h @ w_h``)."""
+        widths = (self.zx.shape[1], self.zh.shape[1], self.z_input.shape[1])
+        fits = (cell.w_x.shape[1], cell.w_h.shape[1], cell.w_x.shape[0])
+        if widths != fits:
+            raise ValueError(
+                f"delta cache widths {widths} do not fit a"
+                f" {type(cell).__name__} with widths {fits}"
+            )
+        self.cell = cell
 
     # ------------------------------------------------------------------
     def refresh(self, rows: np.ndarray, x: np.ndarray, h_prev: np.ndarray) -> None:

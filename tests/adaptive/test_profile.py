@@ -81,7 +81,6 @@ class TestProfileWindow:
             stable_frac=0.0,
             affected_frac=0.0,
             feature_density=0.0,
-            delta_nnz_ratio=0.0,
             layer_dims=((4, 8),),
             cell_flops_per_vertex=10,
         )

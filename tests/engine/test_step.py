@@ -1,0 +1,296 @@
+"""One window executor per engine: ``step(carry, window, ...)``.
+
+Batch ``run``, the pushed stream, the drift probe, the supervisor's
+rollback and the degraded path are all callers of the two ``step``
+methods, so these tests pin the contracts the callers lean on: a
+hand-written fold equals ``run`` equals the stream byte for byte, a plan
+is an argument (nothing ambient is touched, nothing leaks when a window
+raises), and replaying a window from a copied carry is exact.
+"""
+
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from repro.adaptive import AdaptiveConfig, AdaptivePlanner, KernelChoice
+from repro.analysis.classify import classify_window
+from repro.engine import (
+    Carry,
+    ConcurrentEngine,
+    ExecutionMetrics,
+    ReferenceEngine,
+    StreamingInference,
+)
+from repro.graphs import load_dataset
+from repro.graphs.snapshot import active_aggregate_kernel
+from repro.models import make_model
+from repro.resilience import load_checkpoint, save_checkpoint
+from repro.skipping.policy import SkippingPolicy
+
+SEED = 3
+WINDOW = 4
+
+
+@pytest.fixture(scope="module")
+def graph():
+    # 7 snapshots: not a multiple of K, so the last window is partial
+    return load_dataset("GT", num_snapshots=7, seed=SEED)
+
+
+def _model(graph, name="T-GCN"):
+    return make_model(name, graph.dim, hidden_dim=16, seed=SEED)
+
+
+def forced_planner(kernel):
+    planner = AdaptivePlanner(
+        AdaptiveConfig(explore_min_obs=0, tune_thresholds=False)
+    )
+    for k in KernelChoice:
+        planner.cost_model.observe(k, 1e-9 if k is kernel else 1e3)
+    return planner
+
+
+def _windows(graph, k=WINDOW):
+    for start in range(0, graph.num_snapshots, k):
+        yield graph.window(start, min(k, graph.num_snapshots - start))
+
+
+def _fold(engine, graph):
+    """``ConcurrentEngine.run`` written out by hand."""
+    m = ExecutionMetrics()
+    carry = Carry(window_size=engine.window_size)
+    outputs = []
+    for window in _windows(graph, engine.window_size):
+        cls = classify_window(window)
+        plan = engine.plan_window(m, window, cls)
+        carry, outs = engine.step(carry, window, cls, plan, m)
+        outputs.extend(outs)
+    return outputs, m, carry
+
+
+def _pushed(stream, graph):
+    outs = []
+    for snap in graph:
+        r = stream.push(snap.copy())
+        if r is not None:
+            outs.extend(r.outputs)
+    r = stream.flush()
+    if r is not None:
+        outs.extend(r.outputs)
+    return outs
+
+
+def _assert_bytes_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def _assert_carry_equal(a: Carry, b: Carry):
+    """Field by field over ``dataclasses.fields`` so a field added later
+    is compared (or fails here) by construction."""
+    for f in dataclasses.fields(Carry):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or y is None:
+            assert x is y, f.name
+        elif f.name == "pending":
+            assert len(x) == len(y)
+            for s, t in zip(x, y):
+                _assert_snapshot_equal(s, t)
+        elif f.name == "snap_prev":
+            _assert_snapshot_equal(x, y)
+        elif f.name == "metrics":
+            assert x.as_dict() == y.as_dict()
+        elif f.name == "state":
+            assert type(x) is type(y)
+            for k in vars(x):
+                assert getattr(x, k).tobytes() == getattr(y, k).tobytes(), k
+        elif f.name == "cache":
+            for k in ("zx", "zh", "z_input"):
+                assert getattr(x, k).tobytes() == getattr(y, k).tobytes(), k
+        elif isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def _assert_snapshot_equal(s, t):
+    assert s.timestamp == t.timestamp
+    for k in ("indptr", "indices", "features", "present"):
+        assert getattr(s, k).tobytes() == getattr(t, k).tobytes(), k
+
+
+class TestRunIsAFoldOfStep:
+    @pytest.mark.parametrize("kernel", [None, *KernelChoice])
+    def test_run_equals_fold_equals_stream(self, graph, kernel):
+        def planner():
+            return None if kernel is None else forced_planner(kernel)
+
+        ran = ConcurrentEngine(
+            _model(graph), window_size=WINDOW, planner=planner()
+        ).run(graph)
+        folded, m, carry = _fold(
+            ConcurrentEngine(
+                _model(graph), window_size=WINDOW, planner=planner()
+            ),
+            graph,
+        )
+        pushed = _pushed(
+            StreamingInference(
+                _model(graph), window_size=WINDOW, planner=planner()
+            ),
+            graph,
+        )
+        assert len(ran.outputs) == graph.num_snapshots
+        _assert_bytes_equal(ran.outputs, folded)
+        _assert_bytes_equal(ran.outputs, pushed)
+        assert ran.metrics.as_dict() == m.as_dict()
+        assert carry.timestamp == graph.num_snapshots
+        assert carry.window_index == 2 and not carry.first
+
+    def test_second_run_on_one_engine_repeats_the_first(self, graph):
+        """Nothing survives a run on the engine itself (the deleted
+        delta-sparsity probe did): run twice, get the same plans."""
+        engine = ConcurrentEngine(
+            _model(graph),
+            window_size=WINDOW,
+            planner=forced_planner(KernelChoice.DELTA_CONDENSED),
+        )
+        a, b = engine.run(graph), engine.run(graph)
+        _assert_bytes_equal(a.outputs, b.outputs)
+        assert a.metrics.as_dict() == b.metrics.as_dict()
+        profiles = [rec.profile for rec in engine.planner.records]
+        assert profiles[:2] == profiles[2:]
+
+
+class TestNoAmbientState:
+    def test_engine_attributes_untouched_inside_a_planned_window(
+        self, graph, monkeypatch
+    ):
+        engine = ConcurrentEngine(
+            _model(graph),
+            window_size=WINDOW,
+            enable_overlap=True,
+            planner=forced_planner(KernelChoice.BATCHED_SPMM),
+        )
+        policy = engine.policy
+        seen = []
+        decide = SkippingPolicy.decide
+
+        def spying_decide(self, scored, theta):
+            seen.append((engine.enable_overlap, engine.policy))
+            return decide(self, scored, theta)
+
+        monkeypatch.setattr(SkippingPolicy, "decide", spying_decide)
+        engine.run(graph)
+        assert seen, "the planned windows must have scored something"
+        # BATCHED_SPMM disables overlap *for the window*, as a local
+        assert all(overlap is True and p is policy for overlap, p in seen)
+
+    def test_kernel_scope_closes_when_a_planned_window_raises(
+        self, graph, monkeypatch
+    ):
+        import repro.engine.concurrent as concurrent
+
+        def boom(*args, **kwargs):
+            assert active_aggregate_kernel() == "dense"
+            raise RuntimeError("mid-window fault")
+
+        monkeypatch.setattr(concurrent, "similarity_scores", boom)
+        engine = ConcurrentEngine(
+            _model(graph),
+            window_size=WINDOW,
+            planner=forced_planner(KernelChoice.DENSE_GEMM),
+        )
+        assert active_aggregate_kernel() == "scatter"
+        with pytest.raises(RuntimeError, match="mid-window"):
+            engine.run(graph)
+        assert active_aggregate_kernel() == "scatter"
+
+
+class TestRollbackExactness:
+    @pytest.mark.parametrize("name", ["GC-LSTM", "T-GCN", "EvolveGCN"])
+    def test_replay_from_copied_carry_is_exact(self, graph, name):
+        """LSTM, GRU and identity-cell models: ``c0 = carry.copy()``,
+        run a window from ``carry`` (updating its cache in place), run
+        it again from ``c0`` — equal outputs, equal successors."""
+        engine = ConcurrentEngine(_model(graph, name), window_size=WINDOW)
+        first, second = _windows(graph)
+        carry, _ = engine.step(
+            Carry(window_size=WINDOW),
+            first,
+            classify_window(first),
+            None,
+            ExecutionMetrics(),
+        )
+        assert (carry.cache is None) == (name == "EvolveGCN")
+        c0 = carry.copy()
+        _assert_carry_equal(carry, c0)
+        cls = classify_window(second)
+        m_a, m_b = ExecutionMetrics(), ExecutionMetrics()
+        succ_a, outs_a = engine.step(carry, second, cls, None, m_a)
+        succ_b, outs_b = engine.step(c0, second, cls, None, m_b)
+        _assert_bytes_equal(outs_a, outs_b)
+        _assert_carry_equal(succ_a, succ_b)
+        assert m_a.as_dict() == m_b.as_dict()
+        if name != "EvolveGCN":
+            assert succ_a.cache is carry.cache  # updated in place
+            assert succ_b.cache is not succ_a.cache
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("name", ["T-GCN", "EvolveGCN"])
+    def test_fold_equals_run_and_allocates_no_cache(self, graph, name):
+        ran = ReferenceEngine(_model(graph, name), window_size=WINDOW).run(
+            graph
+        )
+        engine = ReferenceEngine(_model(graph, name), window_size=WINDOW)
+        m = ExecutionMetrics()
+        carry = Carry(window_size=WINDOW)
+        outputs = []
+        for window in _windows(graph):
+            before = carry
+            carry, outs = engine.step(carry, window.snapshots, m)
+            outputs.extend(outs)
+            assert carry.cache is None
+            assert before.window_index + 1 == carry.window_index
+        _assert_bytes_equal(ran.outputs, outputs)
+        # run adds only the per-window trajectory and the redundancy
+        # audit on top of the step's counters
+        for field in (
+            "feature_words",
+            "structure_words",
+            "weight_words",
+            "output_words",
+            "aggregation_macs",
+            "combination_macs",
+            "cell_macs",
+            "cells_full",
+            "snapshots_processed",
+        ):
+            assert getattr(ran.metrics, field) == getattr(m, field), field
+        assert carry.timestamp == graph.num_snapshots
+
+
+class TestCheckpointCoversEveryCarryField:
+    @pytest.mark.parametrize("name", ["GC-LSTM", "T-GCN", "EvolveGCN"])
+    @pytest.mark.parametrize("pushes", [0, 2, 5])
+    def test_round_trip_compares_every_field(self, graph, name, pushes):
+        """save → load → restore_carry → carry_state(), compared over
+        ``dataclasses.fields(Carry)``: a field added without
+        serialisation comes back at its default and fails here."""
+        stream = StreamingInference(_model(graph, name), window_size=WINDOW)
+        for snap in list(graph)[:pushes]:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        buf.seek(0)
+        resumed = StreamingInference(_model(graph, name), window_size=WINDOW)
+        resumed.restore_carry(load_checkpoint(buf))
+        _assert_carry_equal(stream.carry_state(), resumed.carry_state())
+        if pushes == 5 and name != "EvolveGCN":
+            # loaded without a model; bound to this stream's cell
+            assert resumed.carry_state().cache.cell is resumed.model.cell

@@ -195,7 +195,7 @@ class TestCheckpointStore:
         carry = store.load(store.keys()[0])
         resumed = StreamingInference(_model(graph), window_size=WINDOW)
         resumed.restore_carry(carry)
-        start = carry["timestamp"] + len(carry["pending"])
+        start = carry.timestamp + len(carry.pending)
         replayed = _run(resumed, list(graph)[start:])
         assert replayed
         for a, b in zip(replayed, expected[len(expected) - len(replayed):]):
@@ -207,7 +207,7 @@ class TestCheckpointStore:
         )
         assert len(list((tmp_path / "ckpts").glob("ckpt-*.npz"))) == 2
         carry = store.load(store.keys()[-1])
-        assert carry["timestamp"] == stream.carry_state()["timestamp"]
+        assert carry.timestamp == stream.carry_state().timestamp
 
     def test_corrupt_latest_falls_back_to_older(self, graph):
         from repro.resilience import CorruptCheckpointError
@@ -218,7 +218,7 @@ class TestCheckpointStore:
             store.load(torn)
         older = store.keys()[-2]
         carry = store.load(older)  # the older checkpoint still works
-        assert carry["timestamp"] >= 0
+        assert carry.timestamp >= 0
 
     def test_flaked_load_is_retryable(self, graph):
         from repro.engine import ExecutionMetrics
@@ -233,7 +233,7 @@ class TestCheckpointStore:
             policy=RetryPolicy(max_attempts=3, seed=1),
             metrics=m,
         )
-        assert carry["timestamp"] >= 0
+        assert carry.timestamp >= 0
         assert len(delays) == 2
         assert m.retries == 2
 
