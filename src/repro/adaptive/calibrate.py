@@ -2,8 +2,8 @@
 
 ``calibrate_cost_model`` times the primitive operations the cost model
 prices — scatter aggregation, dense-slot aggregation, dense combination,
-cell-style flops, window classification, affected-subgraph extraction —
-on synthetic seeded inputs, and returns a :class:`CalibrationTable`
+cell-style flops, window classification, changed-set masking — on
+synthetic seeded inputs, and returns a :class:`CalibrationTable`
 whose per-unit constants reflect *this* machine.  The bench harness runs
 it once per perf session (``repro perf --adaptive``); everything else
 falls back to the baked defaults.
@@ -41,7 +41,7 @@ def _best_seconds(fn, repeats: int) -> float:
 
 def _synthetic_window(rng, n: int, avg_degree: int, dim: int) -> DynamicGraph:
     """Two-snapshot window with a perturbed second snapshot, so the
-    classification and subgraph passes see realistic mixed classes."""
+    classification pass sees realistic mixed classes."""
     m = n * avg_degree // 2
     edges = rng.integers(0, n, size=(m, 2), dtype=np.int64)
     feats = rng.standard_normal((n, dim)).astype(np.float32)
@@ -70,7 +70,6 @@ def calibrate_cost_model(
     measured seconds of course are not — they are the whole point.
     """
     from ..analysis.classify import classify_window
-    from ..analysis.subgraph import extract_affected_subgraph
 
     rng = np.random.default_rng(seed)
     window = _synthetic_window(rng, num_vertices, avg_degree, dim)
@@ -101,12 +100,6 @@ def calibrate_cost_model(
     classify = _best_seconds(lambda: classify_window(window), repeats)
     classify_unit = classify / max(n * window.num_snapshots, 1)
 
-    cls = classify_window(window)
-    subgraph = _best_seconds(
-        lambda: extract_affected_subgraph(window, cls), repeats
-    )
-    subgraph_unit = subgraph / max(edges + n, 1)
-
     # -- changed-set masking ------------------------------------------------
     mask = np.zeros(n, dtype=bool)
     mask[rng.integers(0, n, size=n // 4)] = True
@@ -120,7 +113,6 @@ def calibrate_cost_model(
         combine_seconds_per_mac=combine_unit,
         cell_seconds_per_flop=cell_unit,
         classify_seconds_per_vertex=classify_unit,
-        subgraph_seconds_per_edge=subgraph_unit,
         mask_seconds_per_vertex=mask_unit,
         window_fixed_seconds=defaults.window_fixed_seconds,
         source="calibrated",

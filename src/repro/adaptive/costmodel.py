@@ -5,7 +5,7 @@ Two halves, matching the two decision axes that need pricing:
 * **kernel seconds** — closed-form operation counts from a
   :class:`~repro.adaptive.profile.WindowProfile` (edges × dims for
   aggregation, MACs for combination, flops for the RNN cell, plus the
-  classification / subgraph-extraction overheads each kernel does or
+  classification / changed-set masking overheads each kernel does or
   does not pay), scaled by per-unit constants in a
   :class:`CalibrationTable`.  The table defaults are baked from offline
   micro-benchmarks of the PR-6 kernels (see
@@ -57,10 +57,6 @@ class CalibrationTable:
     #: window classification: per vertex per snapshot (fingerprints,
     #: row compares, feature compares).
     classify_seconds_per_vertex: float = 1.1e-8
-    #: affected-subgraph extraction: per (edge + vertex) of the first
-    #: snapshot (union adjacency + reach pass) — only paid by kernels
-    #: that consume the subgraph.
-    subgraph_seconds_per_edge: float = 6.0e-9
     #: changed-set masking / task regeneration per vertex per snapshot —
     #: only paid by the delta-condensed (OADL) kernel.
     mask_seconds_per_vertex: float = 6.0e-9
@@ -117,8 +113,7 @@ class CostModel:
         if kernel is KernelChoice.DELTA_CONDENSED:
             # OADL: the representative snapshot pays the full GNN, the
             # remaining K-1 snapshots recompute only changed rows — plus
-            # per-snapshot changed-set masking, plus the affected-subgraph
-            # extraction that feeds the changed sets.
+            # per-snapshot changed-set masking.
             changed = max(profile.changed_frac, 1.0 / max(n, 1))
             full = (
                 t.scatter_seconds_per_edge_dim * profile.edges_first * agg_dims
@@ -130,7 +125,6 @@ class CostModel:
             )
             seconds += full + incremental
             seconds += t.mask_seconds_per_vertex * n * K
-            seconds += t.subgraph_seconds_per_edge * (E / K + n)
         elif kernel is KernelChoice.BATCHED_SPMM:
             seconds += t.scatter_seconds_per_edge_dim * E * agg_dims
             seconds += t.combine_seconds_per_mac * n * macs * K

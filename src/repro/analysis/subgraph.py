@@ -22,7 +22,7 @@ import numpy as np
 from ..check.shapes import contract
 from ..formats.base import WindowSelection
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import build_csr
+from ..graphs.snapshot import PTR_DTYPE, VID_DTYPE
 from .classify import VertexClass, WindowClassification, classify_window
 
 __all__ = ["AffectedSubgraph", "extract_affected_subgraph", "union_adjacency"]
@@ -35,9 +35,16 @@ def union_adjacency(window: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
     keys = []
     for s in window:
         src = np.repeat(np.arange(n, dtype=np.int64), s.degrees)
-        keys.append(src * n + s.indices.astype(np.int64))
-    merged = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64)
-    return build_csr(n, merged // n, merged % n)
+        keys.append(src * n + s.indices)
+    # each snapshot's (src, dst) keys are already ascending, so a stable
+    # sort of the concatenation is a merge of K sorted runs
+    key = np.sort(np.concatenate(keys), kind="stable")
+    keep = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    indptr = np.zeros(n + 1, dtype=PTR_DTYPE)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, (key % n).astype(VID_DTYPE)
 
 
 @dataclass
@@ -92,17 +99,13 @@ def extract_affected_subgraph(
     classification: WindowClassification | None = None,
     *,
     atol: float = 0.0,
-    union: tuple | None = None,
 ) -> AffectedSubgraph:
-    """Run the stable-rooted DFS and return the affected subgraph.
-
-    ``union`` is the window's :func:`union_adjacency` pair when the
-    caller already has it (computed here otherwise)."""
+    """Run the stable-rooted DFS and return the affected subgraph."""
     if classification is None:
         classification = classify_window(window, atol=atol)
     labels = classification.labels
     n = window.num_vertices
-    indptr, indices = union_adjacency(window) if union is None else union
+    indptr, indices = union_adjacency(window)
 
     expandable = labels != VertexClass.UNAFFECTED  # stable or affected
     visited = np.zeros(n, dtype=bool)
@@ -125,12 +128,11 @@ def extract_affected_subgraph(
                     visited[u] = True
                     stack.append(u)
 
-    for r in roots.tolist():
+    # stable roots first; an affected component no stable root reaches
+    # is then rooted at its lowest id (and visited once)
+    for r in np.concatenate([roots, np.flatnonzero(expandable)]).tolist():
         if not visited[r]:
             dfs(r)
-    # isolated affected components: add them as their own roots
-    for v in np.flatnonzero(expandable & ~visited).tolist():
-        dfs(v)
 
     order = np.asarray(dfs_order, dtype=np.int64)
     return AffectedSubgraph(

@@ -4,13 +4,15 @@ This is the paper's approach in software form (evaluated as *TaGNN-S* in
 Figs. 8–9):
 
 1. **Window classification** — vertices of a K-snapshot window are split
-   into unaffected / stable / affected (:mod:`repro.analysis.classify`)
-   and the affected subgraph is extracted by the stable-rooted DFS.
+   into unaffected / stable / affected (:mod:`repro.analysis.classify`).
+   The engine's unit of recomputation is the per-layer row mask grown
+   from those labels; the stable-rooted DFS order is the O-CSR layout
+   order, consumed by the accelerator model only (:mod:`repro.accel`).
 2. **Multi-snapshot GNN** — snapshot 0 of the window is computed once as
    the *representative*; for later snapshots only the per-layer *changed
    sets* are recomputed.  The changed set of layer ``i`` is the closed
-   (i-1)-hop neighbourhood of the stable∪affected set over the union
-   adjacency: an unaffected vertex's layer-1 output is provably identical
+   (i-1)-hop neighbourhood of the stable∪affected set over the window's
+   snapshots: an unaffected vertex's layer-1 output is provably identical
    across the window, but deeper layers see change leaking in one hop per
    layer.  This makes the GNN phase *exact* while loading/computing
    unaffected vertices once per layer, as the paper claims.
@@ -33,13 +35,8 @@ import numpy as np
 
 from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
-from ..analysis.subgraph import extract_affected_subgraph, union_adjacency
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import (
-    active_aggregate_kernel,
-    aggregate_kernel,
-    segment_sum,
-)
+from ..graphs.snapshot import active_aggregate_kernel, aggregate_kernel
 from ..models.base import DGNNModel
 from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
 from .carry import Carry
@@ -175,18 +172,7 @@ class ConcurrentEngine:
         z_prev, snap_prev, first = carry.z_prev, carry.snap_prev, carry.first
         cache = carry.delta_cache(model.cell, n)
 
-        # The union adjacency is computed once for both of its readers
-        # (the DFS extraction and the changed-set masks).  Both only
-        # serve the OADL changed-set path, so under a full-recompute
-        # plan the union — and with it the extraction — is *skipped
-        # entirely* (a real saving the planner prices in) and the
-        # changed-vertex count stands in for the subgraph size.
-        union, changed = None, (cls.labels != 0).sum()
-        if plan is None or overlap:
-            union = union_adjacency(window)
-            subgraph = extract_affected_subgraph(window, cls, union=union)
-            changed = subgraph.num_vertices
-        self._account_overhead(m, window, changed)
+        self._account_overhead(m, window, cls)
 
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
@@ -194,7 +180,7 @@ class ConcurrentEngine:
         # the one remaining scope: the kernel choice is consumed three
         # calls down, in models/ (CSRSnapshot.aggregate)
         with aggregate_kernel(kernel):
-            zs = self._gnn_window(m, window, cls, union, overlap)
+            zs = self._gnn_window(m, window, cls, overlap)
             for t, snap in enumerate(window):
                 # The first snapshot of every batch takes the full cell
                 # update: the paper "recalculates similarity scores for
@@ -253,11 +239,8 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls, union, overlap) -> list[np.ndarray]:
-        """Multi-snapshot GNN with changed-set propagation (exact).
-
-        ``union`` is the window's :func:`union_adjacency` (read only
-        when ``overlap``)."""
+    def _gnn_window(self, m, window, cls, overlap) -> list[np.ndarray]:
+        """Multi-snapshot GNN with changed-set propagation (exact)."""
         model = self.model
         if not overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
@@ -290,64 +273,45 @@ class ConcurrentEngine:
         if window.num_snapshots == 1:
             return zs
 
-        # --- changed-set masks per layer -------------------------------
-        changed0 = cls.labels != 0  # stable or affected (VertexClass order)
-        u_indptr, u_indices = union
-        src = np.repeat(
-            np.arange(window.num_vertices, dtype=np.int64), np.diff(u_indptr)
-        )
-        masks = [changed0]
-        for _ in range(len(model.gnn.layers) - 1):
-            prev = masks[-1]
-            grown = prev.copy()
-            hit = prev[u_indices]
-            if hit.any():
-                grown[src[hit]] = True
-            masks.append(grown)
+        # stable or affected (VertexClass order)
+        layer_rows = _changed_rows(window, cls.labels != 0, len(model.gnn.layers))
 
-        # --- later snapshots: recompute only the masked rows -----------
+        # --- later snapshots: recompute only the changed rows ----------
         for t in range(1, window.num_snapshots):
             snap = window[t]
             x = rep_inputs[0].copy()
-            diff_rows = np.flatnonzero(
+            in_rows = np.flatnonzero(
                 (snap.features != rep_inputs[0]).any(axis=1)
             )
-            x[diff_rows] = snap.features[diff_rows]
-            m.feature_words += len(diff_rows) * window.dim  # only churned rows
-            in_changed = np.zeros(window.num_vertices, dtype=bool)
-            in_changed[diff_rows] = True
+            x[in_rows] = snap.features[in_rows]
+            m.feature_words += len(in_rows) * window.dim  # only churned rows
             for li, layer in enumerate(model.gnn.layers):
-                mask = masks[li]
+                rows = layer_rows[li]
                 out = rep_inputs[li + 1].copy()
-                out[mask] = self._layer_rows(
-                    m, layer, snap, x, mask, in_changed, rep_combined[li]
+                out[rows] = self._layer_rows(
+                    m, layer, snap, x, rows, in_rows, rep_combined[li]
                 )
                 x = out
-                in_changed = mask  # next layer's inputs changed on `mask`
+                in_rows = rows  # next layer's inputs changed on `rows`
             zs.append(x)
         return zs
 
-    def _layer_rows(
-        self, m, layer, snap, x, mask, in_changed, rep_y
-    ) -> np.ndarray:
-        """One GCN layer restricted to ``mask`` rows (exact under the
+    def _layer_rows(self, m, layer, snap, x, rows, in_rows, rep_y) -> np.ndarray:
+        """One GCN layer restricted to ``rows`` (exact under the
         mean-normalised aggregation, see :meth:`CSRSnapshot.aggregate`).
 
-        ``in_changed`` marks rows whose *input* differs from the
+        ``in_rows`` are the rows whose *input* differs from the
         representative; only those rows' combine outputs are recomputed —
         the rest reuse ``rep_y``.
         """
         if layer.out_dim < layer.in_dim:
             y = rep_y.copy()
-            rows = np.flatnonzero(in_changed)
-            y[rows] = x[rows] @ layer.weight + layer.bias
-            m.combination_macs += len(rows) * layer.in_dim * layer.out_dim
+            y[in_rows] = x[in_rows] @ layer.weight + layer.bias
+            m.combination_macs += len(in_rows) * layer.in_dim * layer.out_dim
         else:
             y = x
-        agg = segment_sum(snap.indptr, snap.indices, y, mask)
-        agg += y[mask]
-        agg *= snap.mean_norm_coeffs()[mask, None]
-        gathered = int(snap.degrees[mask].sum())  # edges of the masked rows
+        agg = snap.aggregate(y, rows=rows)
+        gathered = int(snap.degrees[rows].sum())  # edges of the changed rows
         m.aggregation_macs += gathered * y.shape[1]
         m.feature_words += gathered * y.shape[1]  # neighbour gathers
         m.structure_words += len(agg) + gathered
@@ -392,12 +356,11 @@ class ConcurrentEngine:
         decisions: list,
     ):
         model = self.model
-        present_rows = np.flatnonzero(snap.present)
         h_out = h_prev.copy()
 
         if first or not self.enable_skipping or z_prev is None:
-            rows = present_rows
-            drive = model.recurrent_drive(state, snap)
+            rows = np.flatnonzero(snap.present)
+            drive = model.recurrent_drive(state, snap, rows)
             h_rows, st_rows = model.cell_step_rows(z, state, rows, snap, drive)
             h_out[rows] = h_rows
             new_state = _splice_state(state, rows, st_rows)
@@ -438,8 +401,8 @@ class ConcurrentEngine:
             delta_rows = np.empty(0, dtype=np.int64)
 
         new_state = state
-        drive = model.recurrent_drive(state, snap)
         if len(full_rows):
+            drive = model.recurrent_drive(state, snap, full_rows)
             h_rows, st_rows = model.cell_step_rows(
                 z, state, full_rows, snap, drive
             )
@@ -472,22 +435,47 @@ class ConcurrentEngine:
         return h_out, new_state
 
     # ------------------------------------------------------------------
-    def _account_overhead(self, m, window, subgraph_vertices: int) -> None:
+    def _account_overhead(self, m, window, cls) -> None:
         """Runtime overhead of the topology analysis itself — the cost
         that makes TaGNN-S only modestly faster than PiPAD (Fig. 8(a))
-        and that the accelerator's MSDL pipelines absorb.
-
-        ``subgraph_vertices`` is the affected-subgraph vertex count (or
-        the changed-vertex estimate when a plan skipped the DFS)."""
+        and that the accelerator's MSDL pipelines absorb.  The DFS is
+        modelled here (and in :mod:`repro.accel`), not run: the host
+        computes from per-layer row masks and never reads its order."""
         n = window.num_vertices
         e_total = sum(s.num_edges for s in window)
         # classification: feature compares + fingerprints + scatter
         m.overhead_ops += window.num_snapshots * n * window.dim
         m.overhead_ops += e_total
-        # DFS traversal of the union adjacency
-        m.overhead_ops += int(subgraph_vertices) + e_total
+        # DFS traversal of the union adjacency; it reaches every stable
+        # or affected vertex and nothing else, so the label count is
+        # the affected subgraph's size
+        m.overhead_ops += int((cls.labels != 0).sum()) + e_total
         # structure reads for the analysis
         m.structure_words += e_total + (n + 1) * window.num_snapshots
+
+
+def _changed_rows(window, changed, num_layers) -> list[np.ndarray]:
+    """Ascending ids of the rows each GCN layer recomputes at the
+    window's later snapshots: ``changed`` (a mask) for the first layer,
+    one more hop over the window's edges per layer after it.
+
+    A row joins the next layer's set when any snapshot's row holds a
+    neighbour in the previous one: the same set as one hop over the
+    union of the window's edges, without building it.
+    """
+    layer_rows = [np.flatnonzero(changed)]
+    for _ in range(num_layers - 1):
+        grown = changed.copy()
+        for snap in window:
+            # the non-empty rows' pointers cut the edge array into
+            # exactly those rows' neighbour lists
+            rows = np.flatnonzero(snap.degrees)
+            grown[rows] |= np.logical_or.reduceat(
+                changed[snap.indices], snap.indptr[rows]
+            )
+        changed = grown
+        layer_rows.append(np.flatnonzero(changed))
+    return layer_rows
 
 
 def _splice_state(state, rows, row_state):

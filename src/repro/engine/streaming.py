@@ -246,10 +246,11 @@ class StreamingInference:
         last = carry.snap_prev
         carry.cache = carry.delta_cache(self.model.cell, last.num_vertices)
         if carry.cache is not None:
+            rows = np.flatnonzero(last.present)
             carry.cache.refresh(
-                np.flatnonzero(last.present),
+                rows,
                 carry.z_prev,
-                self.model.recurrent_drive(carry.state, last),
+                self.model.recurrent_drive(carry.state, last, rows),
             )
         carry.pending = []
         return self._commit(carry, outputs, metrics)

@@ -114,12 +114,12 @@ def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
     return np.diff(indptr)
 
 
-@contract("(n+1,) i, (e,) i, (...) ?, ?(n,) b -> (...) ?")
+@contract("(n+1,) i, (e,) i, (...) ?, ?(r,) i -> (...) ?")
 def segment_sum(
     indptr: np.ndarray,
     indices: np.ndarray,
     x: np.ndarray,
-    mask: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row neighbour sums ``out[r] = ((0 + x[n0]) + x[n1]) + ...``.
 
@@ -129,8 +129,8 @@ def segment_sum(
     is bit-identical to that scatter (``tests/graphs/
     test_segment_sum_property.py`` keeps it as the oracle) at a fraction
     of its cost.  ``x`` is indexed by vertex along axis 0 (1-D or 2-D);
-    with ``mask`` only the selected rows are computed and returned, in
-    ascending row order — ``out[mask]`` of the full result.
+    with ``rows`` (vertex ids) only those rows are computed and
+    returned, in the order given — ``out[rows]`` of the full result.
 
     Rows are walked in descending-degree order, so degree slot ``j`` is
     one contiguous ``sums[a:b] += x[indices[starts[a:b] + j]]`` over the
@@ -142,7 +142,8 @@ def segment_sum(
     not usable here: they sum pairwise (docs/performance.md).
     """
     degrees = degrees_from_indptr(indptr)
-    rows = np.arange(len(degrees)) if mask is None else np.flatnonzero(mask)
+    if rows is None:
+        rows = np.arange(len(degrees))
     deg = degrees[rows]
     out = np.zeros((len(rows),) + x.shape[1:], dtype=x.dtype)
     # descending degree, ties in ascending row order; zero-degree rows
@@ -353,12 +354,14 @@ class CSRSnapshot:
         coeff[~self.present] = 0.0
         return coeff
 
+    @contract("(n, f) ?, bool, _, ?(r,) i -> (*, f) ?")
     def aggregate(
         self,
         x: np.ndarray,
         *,
         add_self_loops: bool = True,
         kernel: str | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         r"""Mean-normalised neighbourhood aggregation
         :math:`\hat D^{-1}(A + I)\, x`.
@@ -369,6 +372,11 @@ class CSRSnapshot:
         by :func:`segment_sum` (or, under the ``dense`` kernel, by the
         padded degree-slot walk; both perform the same additions in the
         same order).
+
+        With ``rows`` (vertex ids) only those rows are computed and
+        returned — ``aggregate(x)[rows]`` bit for bit, at the cost of
+        those rows' edges.  A row subset always takes the segment walk:
+        the dense rectangle is full-height by construction.
 
         Mean (random-walk) normalisation — rather than Kipf–Welling's
         symmetric :math:`\hat D^{-1/2}(A+I)\hat D^{-1/2}` — is load-bearing
@@ -383,7 +391,10 @@ class CSRSnapshot:
         if kernel is None:
             kernel = _active_aggregate_kernel
         coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
-        if kernel == "dense":
+        if rows is not None:
+            out = segment_sum(self.indptr, self.indices, x, rows)
+            x, coeff = x[rows], coeff[rows]
+        elif kernel == "dense":
             out = np.zeros_like(x)
             if self.num_edges:
                 self._accumulate_dense(out, x)

@@ -105,19 +105,24 @@ class DGNNModel(abc.ABC):
         engines splice them into the global state.  ``z``/``state`` are
         full-size.  Graph-aware cells override this (they need the whole
         state for the recurrent convolution) and take ``drive``, the
-        caller's already-computed :meth:`recurrent_drive` of the same
-        ``(state, snap)``, instead of convolving a second time; plain
-        cells ignore it.
+        caller's already-computed ``recurrent_drive(state, snap, rows)``,
+        instead of convolving a second time; plain cells ignore it.
         """
         sub = type(state)(**{
             k: getattr(state, k)[rows] for k in vars(state) if not k.startswith("_")
         })
         return self.cell.step(z[rows], sub)
 
-    def recurrent_drive(self, state, snap: CSRSnapshot | None = None) -> np.ndarray:
+    def recurrent_drive(
+        self,
+        state,
+        snap: CSRSnapshot | None = None,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
         """The tensor actually multiplied by ``w_h`` in the cell — plain
-        ``state.h`` for standard cells; graph-aware cells override."""
-        return state.h
+        ``state.h`` for standard cells; graph-aware cells override.
+        With ``rows`` (vertex ids) only those rows of it."""
+        return state.h if rows is None else state.h[rows]
 
     # ------------------------------------------------------------------
     def forward_window(self, window: DynamicGraph, state=None):

@@ -86,14 +86,15 @@ class GCLSTM(DGNNModel):
     def cell_step_rows(
         self, z, state, rows, snap: CSRSnapshot | None = None, drive=None
     ):
-        """Row-restricted GC-LSTM update: the recurrent convolution needs
-        the full hidden state, the gates only the selected rows."""
+        """Row-restricted GC-LSTM update: the recurrent convolution reads
+        the full hidden state, but only for ``rows``' neighbourhoods."""
         if snap is None:
             return super().cell_step_rows(z, state, rows)
-        h_conv = self.recurrent_drive(state, snap) if drive is None else drive
+        if drive is None:
+            drive = self.recurrent_drive(state, snap, rows)
         cell = self.cell
         d = cell.hidden_dim
-        pre = z[rows] @ cell.w_x + h_conv[rows] @ cell.w_h + cell.bias
+        pre = z[rows] @ cell.w_x + drive @ cell.w_h + cell.bias
         i = sigmoid(pre[:, :d])
         f = sigmoid(pre[:, d : 2 * d])
         g = tanh(pre[:, 2 * d : 3 * d])
@@ -102,10 +103,10 @@ class GCLSTM(DGNNModel):
         h = (o * tanh(c)).astype(np.float32, copy=False)
         return h, LSTMState(h, c)
 
-    def recurrent_drive(self, state, snap: CSRSnapshot | None = None):
+    def recurrent_drive(self, state, snap: CSRSnapshot | None = None, rows=None):
         if snap is None:
-            return state.h
-        return snap.aggregate(state.h)
+            return super().recurrent_drive(state, None, rows)
+        return snap.aggregate(state.h, rows=rows)
 
 
 class TGCN(DGNNModel):

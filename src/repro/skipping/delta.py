@@ -163,15 +163,17 @@ class DeltaCellCache:
         self.cell = cell
 
     # ------------------------------------------------------------------
-    def refresh(self, rows: np.ndarray, x: np.ndarray, h_prev: np.ndarray) -> None:
+    @contract("(r,) i, (n, *) f, (r, *) f -> none")
+    def refresh(self, rows: np.ndarray, x: np.ndarray, drive: np.ndarray) -> None:
         """Record the pre-activations of a FULL update for ``rows``.
 
-        ``x``/``h_prev`` are full (n, d) matrices; only ``rows`` are read.
+        ``x`` is the full (n, d) cell input, read at ``rows`` only;
+        ``drive`` is row-local: ``recurrent_drive(state, snap, rows)``.
         """
         if len(rows) == 0:
             return
         self.zx[rows] = x[rows] @ self.cell.w_x
-        self.zh[rows] = h_prev[rows] @ self.cell.w_h
+        self.zh[rows] = drive @ self.cell.w_h
         self.z_input[rows] = x[rows]
 
     def partial_step(

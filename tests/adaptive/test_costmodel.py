@@ -87,7 +87,6 @@ class TestCalibration:
         assert table.combine_seconds_per_mac > 0.0
         assert table.cell_seconds_per_flop > 0.0
         assert table.classify_seconds_per_vertex > 0.0
-        assert table.subgraph_seconds_per_edge > 0.0
         assert table.mask_seconds_per_vertex > 0.0
 
     def test_with_source(self):

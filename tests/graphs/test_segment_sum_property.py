@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from repro.engine import ConcurrentEngine, ReferenceEngine
 from repro.engine.metrics import ExecutionMetrics
 from repro.graphs import CSRSnapshot, DynamicGraph
-from repro.graphs.snapshot import build_csr, segment_sum
+from repro.graphs.snapshot import (
+    AGGREGATE_KERNELS,
+    aggregate_kernel,
+    build_csr,
+    segment_sum,
+)
 from repro.models import make_model
 from repro.models.layers import GCNLayer
 
@@ -100,8 +105,9 @@ class TestSegmentSumMatchesScatter:
         indptr, indices = make_csr(shape, n, rng)
         x = make_values(values, n, width, dtype, rng)
         m = make_mask(mask, n, rng)
+        rows = None if m is None else np.flatnonzero(m)
         assert_same_bytes(
-            segment_sum(indptr, indices, x, m),
+            segment_sum(indptr, indices, x, rows),
             scatter_oracle(indptr, indices, x, m),
         )
 
@@ -129,7 +135,7 @@ class TestSegmentSumMatchesScatter:
         indptr, indices = build_csr(5, np.array([]), np.array([]))
         x = np.ones((5, 3), dtype=np.float32)
         assert_same_bytes(segment_sum(indptr, indices, x), np.zeros_like(x))
-        assert segment_sum(indptr, indices, x, np.zeros(5, bool)).shape == (0, 3)
+        assert segment_sum(indptr, indices, x, np.arange(0)).shape == (0, 3)
 
 
 class TestRowFingerprints:
@@ -188,25 +194,53 @@ class TestAggregateKernels:
             snap.aggregate(x, add_self_loops=loops),
         )
 
+    @given(
+        seed=st.integers(0, 10_000),
+        loops=st.booleans(),
+        kernel=st.sampled_from(AGGREGATE_KERNELS),
+        pick=st.sampled_from(["random", "empty", "all", "absent", "repeated"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_row_restricted_equals_rows_of_full(self, seed, loops, kernel, pick):
+        """``aggregate(x, rows=r)`` is ``aggregate(x)[r]`` to the bit,
+        whichever kernel the scope selects for the full one."""
+        snap = hub_snapshot(seed)
+        rng = np.random.default_rng(seed + 2)
+        x = make_values("signed-zero", snap.num_vertices, 4, np.float32, rng)
+        if pick == "absent":
+            rows = np.flatnonzero(~snap.present)
+        elif pick == "repeated":  # any order, any multiplicity
+            rows = rng.integers(0, snap.num_vertices, size=snap.num_vertices)
+        else:
+            rows = np.flatnonzero(make_mask(pick, snap.num_vertices, rng))
+            if pick == "random":
+                rows = np.union1d(rows, [0, 1])  # always both hubs
+        with aggregate_kernel(kernel):
+            got = snap.aggregate(x, add_self_loops=loops, rows=rows)
+            want = snap.aggregate(x, add_self_loops=loops)[rows]
+        assert_same_bytes(got, want)
+
     @given(seed=st.integers(0, 10_000), shrink=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_layer_rows_equal_rows_of_full_aggregate(self, seed, shrink):
-        """The engine's masked layer == the same rows of the full one."""
+        """The engine's row-restricted layer == the same rows of the
+        full one."""
         snap = hub_snapshot(seed)
         rng = np.random.default_rng(seed + 1)
         layer = GCNLayer.create(snap.dim, 3 if shrink else 7, seed=seed)
         mask = rng.random(snap.num_vertices) < 0.5
         mask[0] = True  # always include the big hub
+        rows = np.flatnonzero(mask)
         engine = ConcurrentEngine(make_model("T-GCN", snap.dim, 4))
         x = snap.features
         got = engine._layer_rows(
-            ExecutionMetrics(), layer, snap, x, mask,
-            np.ones(snap.num_vertices, dtype=bool), layer.combine(x),
+            ExecutionMetrics(), layer, snap, x, rows,
+            np.arange(snap.num_vertices), layer.combine(x),
         )
         if shrink:
-            want = layer.act(snap.aggregate(layer.combine(x))[mask])
+            want = layer.act(snap.aggregate(layer.combine(x))[rows])
         else:
-            want = layer.act(layer.combine(snap.aggregate(x)[mask]))
+            want = layer.act(layer.combine(snap.aggregate(x)[rows]))
         assert_same_bytes(got, want)
 
 

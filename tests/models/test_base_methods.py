@@ -75,6 +75,35 @@ class TestRecurrentDrive:
         state = model.init_state(graph.num_vertices)
         assert model.recurrent_drive(state, None) is state.h
 
+    @pytest.mark.parametrize("name", ["T-GCN", "GC-LSTM"])
+    def test_rows_are_rows_of_the_full_drive(self, graph, name):
+        """``rows=`` returns exactly those rows of the full drive — of
+        ``state.h`` for plain cells, of the convolved state for GC-LSTM."""
+        model = make_model(name, graph.dim, 16, seed=2)
+        state = model.init_state(graph.num_vertices)
+        _, state = model.cell_step(model.gnn_forward(graph[0]), state, graph[0])
+        rows = np.array([0, 3, 17, 250, 800])
+        for snap in (graph[1], None):
+            got = model.recurrent_drive(state, snap, rows)
+            want = model.recurrent_drive(state, snap)[rows]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        if name == "T-GCN":
+            assert want.tobytes() == state.h[rows].tobytes()
+
+    def test_gclstm_rows_take_the_row_local_drive(self, graph):
+        """``cell_step_rows`` given the row-local drive == computing it."""
+        model = make_model("GC-LSTM", graph.dim, 16, seed=2)
+        state = model.init_state(graph.num_vertices)
+        _, state = model.cell_step(model.gnn_forward(graph[0]), state, graph[0])
+        z1 = model.gnn_forward(graph[1])
+        rows = np.array([3, 17, 250, 800])
+        drive = model.recurrent_drive(state, graph[1], rows)
+        assert drive.shape == (len(rows), model.out_dim)
+        passed, _ = model.cell_step_rows(z1, state, rows, graph[1], drive)
+        computed, _ = model.cell_step_rows(z1, state, rows, graph[1])
+        assert passed.tobytes() == computed.tobytes()
+
 
 class TestForwardWindow:
     def test_state_chaining(self, graph):

@@ -190,7 +190,8 @@ class TestDeltaCellCache:
 
     def test_refresh_subset_only(self, cell_cls):
         cell, cache, x, state = self._setup(cell_cls)
-        cache.refresh(np.array([0, 2]), x, state.h)
+        rows = np.array([0, 2])
+        cache.refresh(rows, x, state.h[rows])
         assert np.all(cache.z_input[1] == 0)
         assert np.any(cache.z_input[0] != 0)
 
