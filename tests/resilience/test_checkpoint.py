@@ -7,6 +7,8 @@ bit-identical to the uninterrupted run.
 """
 
 import io
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from repro.engine import StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.resilience import (
+    CheckpointStore,
+    CorruptCheckpointError,
     arrays_to_carry,
     carry_to_arrays,
     load_checkpoint,
@@ -52,6 +56,33 @@ def _uninterrupted(graph, name="T-GCN"):
         StreamingInference(_model(graph, name), window_size=WINDOW),
         list(graph),
     )
+
+
+def _parent_blob(carry) -> bytes:
+    """The deflated archive the writer produced before it stored its
+    members — kept as the compatibility oracle."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **carry_to_arrays(carry))
+    return buf.getvalue()
+
+
+def _byte_bound(carry) -> int:
+    """Payload bytes plus 400 B of zip + npy framing per member."""
+    arrays = carry_to_arrays(carry)
+    return sum(np.asarray(a).nbytes + 400 for a in arrays.values())
+
+
+def _get_blob(store, key) -> bytes:
+    if store.directory is None:
+        return store._blobs[key]
+    return (store.directory / key).read_bytes()
+
+
+def _put_blob(store, key, blob) -> None:
+    if store.directory is None:
+        store._blobs[key] = blob
+    else:
+        (store.directory / key).write_bytes(blob)
 
 
 class TestCrashConsistency:
@@ -249,3 +280,117 @@ class TestCheckpointStore:
         store = CheckpointStore()
         with pytest.raises(KeyError):
             store.load("ckpt-00000001.npz")
+
+
+class TestStoredArchive:
+    """The archive is stored, not deflated — and loses no safety net:
+    size, CRC and torn-write detection are pinned here."""
+
+    @pytest.fixture(params=["memory", "directory"])
+    def saved(self, request, graph, tmp_path):
+        """A store holding two checkpoints, and the newest one's carry."""
+        directory = tmp_path / "ckpts" if request.param == "directory" else None
+        store = CheckpointStore(directory, keep_last=2)
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[:5]:
+            stream.push(snap.copy())
+            store.save(stream)
+        return store, stream.carry_state()
+
+    def test_members_stored_within_byte_bound(self, saved):
+        store, carry = saved
+        blob = _get_blob(store, store.keys()[-1])
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            infos = zf.infolist()
+        assert len(infos) == len(carry_to_arrays(carry))
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+        assert len(blob) <= _byte_bound(carry)
+
+    def test_flipped_payload_byte_fails_the_crc(self, saved):
+        store, _ = saved
+        key = store.keys()[-1]
+        blob = bytearray(_get_blob(store, key))
+        with zipfile.ZipFile(io.BytesIO(bytes(blob))) as zf:
+            info = zf.getinfo("state/h.npy")
+        name_len, extra_len = struct.unpack_from(
+            "<HH", blob, info.header_offset + 26
+        )
+        payload_end = (
+            info.header_offset + 30 + name_len + extra_len + info.compress_size
+        )
+        blob[payload_end - 1] ^= 0x01  # last byte of the float data
+        _put_blob(store, key, bytes(blob))
+        with pytest.raises(
+            CorruptCheckpointError, match=r"CRC-32 for file 'state/h\.npy'"
+        ):
+            store.load(key)
+        assert store.load(store.keys()[-2]).timestamp >= 0
+
+    def test_every_tear_is_detected(self, saved):
+        store, carry = saved
+        key = store.keys()[-1]
+        blob = _get_blob(store, key)
+        cuts = [len(blob) * k // 8 for k in range(1, 8)] + [len(blob) - 1]
+        for cut in cuts:
+            _put_blob(store, key, blob[:cut])
+            with pytest.raises(CorruptCheckpointError):
+                store.load(key)
+        _put_blob(store, key, blob)
+        assert store.load(key).timestamp == carry.timestamp
+
+    def test_memory_store_is_bounded(self, graph):
+        store = CheckpointStore(keep_last=3)
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for i in range(20):
+            stream.push(graph[i % graph.num_snapshots].copy())
+            store.save(stream)
+        assert len(store._blobs) == store.keep_last
+        held = sum(len(b) for b in store._blobs.values())
+        assert held <= store.keep_last * _byte_bound(stream.carry_state())
+
+
+class TestParentFormatCompatibility:
+    """Deflated (parent-written) and stored archives are one format."""
+
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
+    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
+    def test_parent_blob_resumes_bit_identically(
+        self, graph, model_name, crash_at
+    ):
+        expected = _uninterrupted(graph, model_name)
+        first = StreamingInference(
+            _model(graph, model_name), window_size=WINDOW
+        )
+        for snap in list(graph)[:crash_at]:
+            first.push(snap.copy())
+        assert first.pending == crash_at % WINDOW
+        blob = _parent_blob(first.carry_state())
+        store = CheckpointStore()
+        _put_blob(store, "ckpt-00000001.npz", blob)
+        for carry in (
+            load_checkpoint(io.BytesIO(blob)),
+            store.load("ckpt-00000001.npz"),
+        ):
+            resumed = StreamingInference(
+                _model(graph, model_name), window_size=WINDOW
+            )
+            resumed.restore_carry(carry)
+            late = _run(resumed, list(graph)[crash_at:])
+            tail = expected[len(expected) - len(late):]
+            assert late and len(late) == len(tail)
+            for a, b in zip(tail, late):
+                assert a.tobytes() == b.tobytes()
+
+    def test_both_writers_decode_to_equal_arrays(self, graph):
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[:4]:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        with np.load(io.BytesIO(buf.getvalue())) as new, np.load(
+            io.BytesIO(_parent_blob(stream.carry_state()))
+        ) as old:
+            assert new.files == old.files
+            for key in new.files:
+                assert new[key].dtype == old[key].dtype, key
+                assert np.array_equal(new[key], old[key]), key

@@ -1,5 +1,7 @@
 """Tests for supervised streaming: degradation, breaker, chaos campaign."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.resilience import (
     Incident,
     ResilientStreamingInference,
     RetryPolicy,
+    load_checkpoint,
     run_chaos_campaign,
+    save_checkpoint,
     with_retry,
 )
 
@@ -141,6 +145,28 @@ class TestGracefulDegradation:
         assert sup.metrics.fallback_windows == 1
         for a, b in zip(ref.outputs, outs):
             np.testing.assert_array_equal(a, b)
+
+    def test_degraded_window_records_its_trajectory_entry(self, graph):
+        """One trajectory entry per processed window, degraded ones
+        included (all-FULL, as ``ReferenceEngine.run`` records them) —
+        and every later checkpoint carries the full-length array."""
+        sup = ResilientStreamingInference(
+            _model(graph), window_size=WINDOW, failure_threshold=0
+        )
+        sup.inject_fault(RuntimeError("injected engine fault"))
+        for snap in list(graph)[: 2 * WINDOW]:
+            sup.push(snap.copy())
+        m = sup.stream.metrics
+        assert m.fallback_windows == 1 and m.windows_processed == 2
+        assert len(m.window_modes) == m.windows_processed
+        ref = ReferenceEngine(_model(graph), window_size=WINDOW).run(graph)
+        assert m.window_modes[0] == ref.metrics.window_modes[0]
+        buf = io.BytesIO()
+        save_checkpoint(sup.stream, buf)
+        buf.seek(0)
+        loaded = load_checkpoint(buf).metrics
+        assert loaded.window_modes == m.window_modes
+        assert len(loaded.window_modes) == loaded.windows_processed
 
 
 class TestPoisonSnapshots:

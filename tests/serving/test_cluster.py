@@ -1,5 +1,8 @@
 """Tests for the supervised shard cluster: identity, recovery, shedding."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,19 @@ def serve(cluster, tenant, graph):
         cluster.push(tenant, snap.copy())
     cluster.flush(tenant)
     return cluster.released(tenant)
+
+
+def deflated(blob: bytes) -> bytes:
+    """Re-encode a checkpoint archive the way the writer did before it
+    stored its members (``np.savez_compressed``)."""
+    buf = io.BytesIO()
+    with np.load(io.BytesIO(blob)) as data:
+        np.savez_compressed(buf, **data)
+    with zipfile.ZipFile(buf) as zf:
+        assert all(
+            i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist()
+        )
+    return buf.getvalue()
 
 
 def assert_identical(got, expected):
@@ -121,6 +137,29 @@ class TestRecovery:
         restarted = [i for i in cluster.incidents if i.action == "restarted"]
         assert all(i.shard == 1 for i in restarted)
         assert all(i.tenant == "t0" for i in restarted)
+
+    def test_recovers_from_parent_format_checkpoints(self, graph):
+        """A shard whose store holds deflated archives — what the writer
+        produced before it stored its members — recovers from them."""
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=WINDOW,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == 4:
+                blobs = cluster.workers[1].stores["t0"]._blobs
+                assert blobs
+                for key in blobs:
+                    blobs[key] = deflated(blobs[key])
+                cluster.workers[1].crash()
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        assert_identical(cluster.released("t0"), reference_outputs(graph))
+        restarted = [i for i in cluster.incidents if i.action == "restarted"]
+        assert restarted and all(
+            "resumed from ckpt-" in i.detail for i in restarted
+        )
 
     def test_stall_recovery_is_bit_identical(self, graph):
         cluster = ShardCluster(
