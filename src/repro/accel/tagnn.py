@@ -70,13 +70,10 @@ class TaGNNSimulator:
         engine_result: EngineResult | None = None,
         workload: WorkloadStats | None = None,
         hbm: HBMModel | None = None,
-        plan=None,
     ) -> SimulationReport:
         # ``hbm`` overrides the config's memory model; the resilience
         # fault injector passes a wrapper that raises transient storage
-        # errors on selected requests.  ``plan`` is an optional adaptive
-        # :class:`~repro.adaptive.plan.ExecutionPlan` whose dataflow hint
-        # overrides the configured GSPM partition strategy.
+        # errors on selected requests.
         cfg = self.config
         if engine_result is None:
             engine_result = self.run_engine(model, graph)
@@ -88,13 +85,7 @@ class TaGNNSimulator:
 
         # --- off-chip traffic -------------------------------------------
         words, randoms, gspm_windows = self._offchip_traffic(
-            model,
-            graph,
-            workload,
-            metrics,
-            partition_strategy=(
-                plan.partition_strategy if plan is not None else None
-            ),
+            model, graph, workload, metrics
         )
         hbm_cycles = hbm.cycles(words=words) + (
             randoms * _RANDOM_NS * 1e-9 * cfg.frequency_mhz * 1e6
@@ -188,11 +179,7 @@ class TaGNNSimulator:
                 "imbalance": imbalance,
                 "utilization": min(1.0, dcu_cycles / total) if total else 0.0,
                 "skip_ratio": metrics.skip_ratio(),
-                "partition_strategy": (
-                    plan.partition_strategy
-                    if plan is not None
-                    else cfg.partition_strategy
-                ),
+                "partition_strategy": cfg.partition_strategy,
             },
         )
 
@@ -203,14 +190,10 @@ class TaGNNSimulator:
         graph,
         workload: WorkloadStats,
         metrics,
-        partition_strategy: str | None = None,
     ) -> tuple[float, float, int]:
         """Off-chip (words, random accesses, windows that needed GSPM
-        partitioning) under the configured loader.  ``partition_strategy``
-        overrides the config's GSPM strategy (adaptive plans feed their
-        dataflow hint through here)."""
+        partitioning) under the configured loader."""
         cfg = self.config
-        strategy = partition_strategy or cfg.partition_strategy
         dim = graph.dim
         weight_words = sum(
             l.weight.size + l.bias.size for l in model.gnn.layers
@@ -253,7 +236,7 @@ class TaGNNSimulator:
                     start, min(cfg.window_size, graph.num_snapshots - start)
                 )
                 plan = GSPM(win, budget_words=budget).plan(
-                    PartitionStrategy(strategy)
+                    PartitionStrategy(cfg.partition_strategy)
                 )
                 words += plan.extra_words(dim)
         words += metrics.output_words

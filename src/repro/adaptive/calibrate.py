@@ -1,10 +1,10 @@
 """Offline calibration: micro-benchmark the PR-6 kernels into a table.
 
 ``calibrate_cost_model`` times the primitive operations the cost model
-prices — scatter aggregation, dense-slot aggregation, dense combination,
-cell-style flops, window classification, changed-set masking — on
-synthetic seeded inputs, and returns a :class:`CalibrationTable`
-whose per-unit constants reflect *this* machine.  The bench harness runs
+prices — scatter aggregation, dense combination, cell-style flops,
+window classification, changed-set masking — on synthetic seeded
+inputs, and returns a :class:`CalibrationTable` whose per-unit
+constants reflect *this* machine.  The bench harness runs
 it once per perf session (``repro perf --adaptive``); everything else
 falls back to the baked defaults.
 
@@ -78,13 +78,9 @@ def calibrate_cost_model(
     n = num_vertices
     edges = snap.num_edges
 
-    # -- aggregation kernels ------------------------------------------------
-    scatter = _best_seconds(lambda: snap.aggregate(x, kernel="scatter"), repeats)
+    # -- aggregation --------------------------------------------------------
+    scatter = _best_seconds(lambda: snap.aggregate(x), repeats)
     scatter_unit = scatter / max(edges * dim, 1)
-
-    dense = _best_seconds(lambda: snap.aggregate(x, kernel="dense"), repeats)
-    slots = n * max(int(snap.degrees.max()), 1)
-    dense_unit = dense / max(slots * dim, 1)
 
     # -- combination (dense MAC) -------------------------------------------
     w = rng.standard_normal((dim, dim)).astype(np.float32)
@@ -109,7 +105,6 @@ def calibrate_cost_model(
     defaults = CalibrationTable()
     return CalibrationTable(
         scatter_seconds_per_edge_dim=scatter_unit,
-        dense_seconds_per_slot_dim=dense_unit,
         combine_seconds_per_mac=combine_unit,
         cell_seconds_per_flop=cell_unit,
         classify_seconds_per_vertex=classify_unit,

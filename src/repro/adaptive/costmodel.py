@@ -1,28 +1,20 @@
 """Calibrated cost model behind the adaptive planner.
 
-Two halves, matching the two decision axes that need pricing:
+It prices the one decision that needs pricing, **kernel seconds**:
+closed-form operation counts from a
+:class:`~repro.adaptive.profile.WindowProfile` (edges × dims for
+aggregation, MACs for combination, flops for the RNN cell, plus the
+classification / changed-set masking overheads each kernel does or
+does not pay), scaled by per-unit constants in a
+:class:`CalibrationTable`.  The table defaults are baked from offline
+micro-benchmarks of the PR-6 kernels (see
+:func:`~repro.adaptive.calibrate.calibrate_cost_model`, which re-bakes
+them on the current machine) and are *refined online*: observed window
+latencies feed an exponentially-weighted moving average per kernel,
+and the planner trusts the EWMA over the prediction once one exists.
 
-* **kernel seconds** — closed-form operation counts from a
-  :class:`~repro.adaptive.profile.WindowProfile` (edges × dims for
-  aggregation, MACs for combination, flops for the RNN cell, plus the
-  classification / changed-set masking overheads each kernel does or
-  does not pay), scaled by per-unit constants in a
-  :class:`CalibrationTable`.  The table defaults are baked from offline
-  micro-benchmarks of the PR-6 kernels (see
-  :func:`~repro.adaptive.calibrate.calibrate_cost_model`, which re-bakes
-  them on the current machine) and are *refined online*: observed window
-  latencies feed an exponentially-weighted moving average per kernel,
-  and the planner trusts the EWMA over the prediction once one exists.
-
-* **storage cycles** — closed-form mirrors of the formats'
-  ``scan_cost()`` accounting under the shared
-  ``RANDOM_ACCESS_CYCLES`` / ``WORDS_PER_CYCLE`` constants of
-  :mod:`repro.formats.base`, so format-level and planner-level numbers
-  are commensurable without materialising four storage objects per
-  window.
-
-The model predicts *costs only* — it can never affect results.  Kernel
-and format alternatives are bit-identical by construction; a wrong
+The model predicts *costs only* — it can never affect results.  The
+kernel alternatives are bit-identical by construction; a wrong
 prediction costs time, not correctness.
 """
 
@@ -30,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..formats.base import RANDOM_ACCESS_CYCLES, WORDS_PER_CYCLE
-from .plan import KernelChoice, StorageChoice
+from .plan import KernelChoice
 from .profile import WindowProfile
 
 __all__ = ["CalibrationTable", "CostModel"]
@@ -48,8 +39,6 @@ class CalibrationTable:
 
     #: scatter aggregation: one gather+add per (edge, feature) pair.
     scatter_seconds_per_edge_dim: float = 2.4e-10
-    #: dense-slot aggregation: one padded MAC per (vertex, slot, feature).
-    dense_seconds_per_slot_dim: float = 1.1e-10
     #: layer combination: one MAC of the dense ``x @ W``.
     combine_seconds_per_mac: float = 1.6e-11
     #: RNN cell update: one flop of the cell's per-vertex count.
@@ -70,7 +59,7 @@ class CalibrationTable:
 
 
 class CostModel:
-    """Predicts per-window kernel seconds and storage scan cycles.
+    """Predicts per-window kernel seconds.
 
     ``observe()`` folds realized window latencies into a per-kernel EWMA;
     ``kernel_seconds()`` returns the EWMA when available (online
@@ -90,8 +79,6 @@ class CostModel:
         self._observed: dict[str, float] = {}
         self._observations: dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # kernel axis (seconds)
     # ------------------------------------------------------------------
     def predict_kernel_seconds(
         self, profile: WindowProfile, kernel: KernelChoice
@@ -128,10 +115,6 @@ class CostModel:
         elif kernel is KernelChoice.BATCHED_SPMM:
             seconds += t.scatter_seconds_per_edge_dim * E * agg_dims
             seconds += t.combine_seconds_per_mac * n * macs * K
-        elif kernel is KernelChoice.DENSE_GEMM:
-            slots = n * max(profile.max_degree, 1)
-            seconds += t.dense_seconds_per_slot_dim * slots * agg_dims * K
-            seconds += t.combine_seconds_per_mac * n * macs * K
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown kernel {kernel!r}")
         return seconds
@@ -162,48 +145,6 @@ class CostModel:
         if observed is not None:
             return observed
         return self.predict_kernel_seconds(profile, kernel)
-
-    # ------------------------------------------------------------------
-    # storage axis (cycles)
-    # ------------------------------------------------------------------
-    def predict_storage_cycles(
-        self, profile: WindowProfile, storage: StorageChoice
-    ) -> float:
-        """Closed-form mirror of each format's ``scan_cost()`` over the
-        affected-window selection described by ``profile``."""
-        n = max(profile.num_vertices, 1)
-        K = max(profile.num_snapshots, 1)
-        d = max(profile.dim, 1)
-        churn = min(1.0, max(profile.changed_frac, 1.0 / n))
-        sources = max(1.0, churn * n)
-        # selection keeps edges incident to changed sources
-        e_sel = max(1.0, profile.edges_total * churn)
-        touched = min(float(n), sources * (1.0 + profile.avg_degree))
-        # distinct feature versions: snapshot 0 plus churn-driven updates
-        versions = touched * (1.0 + profile.affected_frac * (K - 1))
-
-        if storage is StorageChoice.DENSE:
-            randoms = 2.0
-            words = (K * sources * n + 31) // 32 + K * touched * d
-        elif storage is StorageChoice.CSR:
-            # one row open per (source, snapshot); per-snapshot feature
-            # rows are duplicated (no version sharing).
-            randoms = K * sources + K * touched
-            words = e_sel + K * touched * d
-        elif storage is StorageChoice.OCSR:
-            # overlapped rows: one open per source, features deduplicated
-            # into versions.
-            randoms = sources + touched
-            words = e_sel + sources * K + versions * d
-        elif storage is StorageChoice.PMA:
-            # gapped segments stream ~1.3x the payload; feature rows
-            # deduplicated like O-CSR but one extra open per source for
-            # the PMA index.
-            randoms = 2.0 * sources + touched
-            words = 1.3 * e_sel + versions * d
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown storage {storage!r}")
-        return randoms * RANDOM_ACCESS_CYCLES + words / WORDS_PER_CYCLE
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

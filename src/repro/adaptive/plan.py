@@ -1,10 +1,10 @@
 """The planner's output: one :class:`ExecutionPlan` per window.
 
-A plan is a *complete, auditable* decision record: the three choices
-(storage format, propagation kernel, skip thresholds), the dataflow hint
-for the cycle simulator, the cost model's expectations for every
-candidate it rejected, and human-readable reasons.  The engines execute
-plans; they never decide.
+A plan holds exactly what :meth:`ConcurrentEngine.step
+<repro.engine.concurrent.ConcurrentEngine.step>` executes — the
+propagation kernel and the skip thresholds — plus its audit trail: the
+cost model's expectation for every kernel candidate and human-readable
+reasons.  The engines execute plans; they never decide.
 """
 
 from __future__ import annotations
@@ -14,32 +14,20 @@ from dataclasses import dataclass, field
 
 from ..skipping.policy import SkipThresholds
 
-__all__ = ["ExecutionPlan", "KernelChoice", "StorageChoice"]
+__all__ = ["ExecutionPlan", "KernelChoice"]
 
 
 class KernelChoice(str, enum.Enum):
-    """Propagation kernel alternatives — all bit-identical by
-    construction (same additions, same order; see tests/adaptive)."""
+    """Propagation kernel alternatives — bit-identical by construction
+    (same additions, same order; see tests/adaptive)."""
 
     #: OADL changed-set propagation: snapshot 0 computed once as the
     #: representative, later snapshots recompute only the per-layer
     #: changed sets (wins when the window is mostly unaffected).
     DELTA_CONDENSED = "delta-condensed"
-    #: Full per-snapshot recompute through the CSR scatter kernel
-    #: (wins when churn is high and masking overhead is wasted work).
+    #: Full per-snapshot recompute (wins when churn is high and masking
+    #: overhead is wasted work).
     BATCHED_SPMM = "batched-spmm"
-    #: Full recompute through the padded dense-slot kernel (regular
-    #: access; wins on small, degree-regular, dense windows).
-    DENSE_GEMM = "dense-gemm"
-
-
-class StorageChoice(str, enum.Enum):
-    """Multi-snapshot storage formats (keys of ``repro.formats.FORMATS``)."""
-
-    DENSE = "DENSE"
-    CSR = "CSR"
-    OCSR = "O-CSR"
-    PMA = "PMA"
 
 
 @dataclass(frozen=True)
@@ -47,33 +35,21 @@ class ExecutionPlan:
     """One window's execution decision (immutable once emitted)."""
 
     kernel: KernelChoice
-    storage: StorageChoice
     thresholds: SkipThresholds
-    #: GSPM dataflow hint for the cycle simulator
-    #: ("range" | "balanced" | "locality").
-    partition_strategy: str = "locality"
     #: cost-model expectation (seconds) for every kernel candidate —
     #: the chosen kernel minimises this after online refinement.
     expected_kernel_seconds: dict = field(default_factory=dict)
-    #: modeled scan cycles for every storage candidate.
-    expected_storage_cycles: dict = field(default_factory=dict)
     reasons: tuple = ()
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         return {
             "kernel": self.kernel.value,
-            "storage": self.storage.value,
             "theta_s": self.thresholds.theta_s,
             "theta_e": self.thresholds.theta_e,
-            "partition_strategy": self.partition_strategy,
             "expected_kernel_seconds": {
                 k: round(v, 9)
                 for k, v in self.expected_kernel_seconds.items()
-            },
-            "expected_storage_cycles": {
-                k: round(v, 3)
-                for k, v in self.expected_storage_cycles.items()
             },
         }
 
@@ -81,10 +57,8 @@ class ExecutionPlan:
         """Human-readable audit trail (``repro plan --explain``)."""
         lines = [
             f"kernel    : {self.kernel.value}",
-            f"storage   : {self.storage.value}",
             f"thresholds: theta_s={self.thresholds.theta_s:+.2f}"
             f" theta_e={self.thresholds.theta_e:+.2f}",
-            f"dataflow  : {self.partition_strategy}",
         ]
         if self.expected_kernel_seconds:
             ranked = sorted(
@@ -92,13 +66,6 @@ class ExecutionPlan:
             )
             lines.append("kernel expectations (s): " + ", ".join(
                 f"{k}={v:.2e}" for k, v in ranked
-            ))
-        if self.expected_storage_cycles:
-            ranked = sorted(
-                self.expected_storage_cycles.items(), key=lambda kv: kv[1]
-            )
-            lines.append("storage scan (cycles): " + ", ".join(
-                f"{k}={v:,.0f}" for k, v in ranked
             ))
         for r in self.reasons:
             lines.append(f"  - {r}")

@@ -7,8 +7,6 @@
   seconds, with optimistic exploration: a kernel that has never run and
   whose *predicted* cost is within ``explore_margin`` of the best gets
   one shot, so online refinement has data for every plausible candidate.
-* **storage** — argmin of the modeled scan cycles (a pure cost decision;
-  all formats hold identical content).
 * **thresholds** — :math:`(\\theta_s, \\theta_e)` interpolated between
   the paper's defaults and the configured aggressive bounds by an
   *aggressiveness* scalar ``a ∈ [0, 1]``.  ``a`` moves under a
@@ -19,9 +17,6 @@
   hard configuration knob — auto-tuning can never push divergence past
   it unnoticed, because the probes that raise ``a`` are the same
   mechanism that measures the divergence.
-* **dataflow** — a partition-strategy hint for the cycle simulator
-  (skewed degree distributions want load-balanced partitions; mostly
-  quiet windows keep locality).
 
 The planner is deliberately *stateful across windows* (EWMA costs,
 exploration history, aggressiveness) and deliberately *stateless within
@@ -38,7 +33,7 @@ import numpy as np
 from ..check.shapes import contract
 from ..skipping.policy import SkipThresholds
 from .costmodel import CostModel
-from .plan import ExecutionPlan, KernelChoice, StorageChoice
+from .plan import ExecutionPlan, KernelChoice
 from .profile import WindowProfile
 
 __all__ = ["AdaptiveConfig", "AdaptivePlanner", "PlanRecord", "relative_drift"]
@@ -67,7 +62,6 @@ class AdaptiveConfig:
 
     #: master switches per decision axis
     choose_kernel: bool = True
-    choose_storage: bool = True
     tune_thresholds: bool = True
     #: hard bound on relative output divergence vs the default-threshold
     #: pipeline (measured by drift probes; see :meth:`AdaptivePlanner.observe_drift`)
@@ -249,19 +243,6 @@ class AdaptivePlanner:
             kernel = KernelChoice.DELTA_CONDENSED
             reasons.append("kernel choice disabled: static delta-condensed")
 
-        storage_costs = {
-            s.value: model.predict_storage_cycles(profile, s)
-            for s in StorageChoice
-        }
-        if cfg.choose_storage:
-            storage = min(StorageChoice, key=lambda s: storage_costs[s.value])
-            reasons.append(
-                f"storage {storage.value} minimises modeled scan cycles"
-            )
-        else:
-            storage = StorageChoice.OCSR
-            reasons.append("storage choice disabled: static O-CSR")
-
         thresholds = self.thresholds()
         if cfg.tune_thresholds and self._aggressiveness > 0.0:
             reasons.append(
@@ -270,29 +251,10 @@ class AdaptivePlanner:
                 f" <= budget {cfg.drift_budget})"
             )
 
-        if profile.degree_cv > 1.0:
-            partition = "balanced"
-            reasons.append(
-                f"degree CV {profile.degree_cv:.2f} > 1: load-balanced"
-                " partitions"
-            )
-        elif profile.changed_frac < 0.5:
-            partition = "locality"
-            reasons.append(
-                f"changed fraction {profile.changed_frac:.2f} < 0.5:"
-                " locality partitions"
-            )
-        else:
-            partition = "range"
-            reasons.append("high churn, regular degrees: range partitions")
-
         plan = ExecutionPlan(
             kernel=kernel,
-            storage=storage,
             thresholds=thresholds,
-            partition_strategy=partition,
             expected_kernel_seconds=kernel_costs,
-            expected_storage_cycles=storage_costs,
             reasons=tuple(reasons),
         )
         if self._last_kernel is not None and kernel is not self._last_kernel:
@@ -330,10 +292,9 @@ class AdaptivePlanner:
             )
             lines.append(
                 f"window {rec.window_index:3d}: {rec.plan.kernel.value:16s}"
-                f" {rec.plan.storage.value:5s}"
                 f" theta=({rec.plan.thresholds.theta_s:+.2f},"
                 f"{rec.plan.thresholds.theta_e:+.2f})"
-                f" {rec.plan.partition_strategy:8s} {obs}{drift}"
+                f" {obs}{drift}"
             )
         lines.append("")
         lines.append("latest plan:")

@@ -277,12 +277,8 @@ def bench_streaming_adaptive(
         rep_p50_ms.append(_percentile(lats, 50) * 1e3)
 
     kernels: dict[str, int] = {}
-    storages: dict[str, int] = {}
     for rec in planner.records:
         kernels[rec.plan.kernel.value] = kernels.get(rec.plan.kernel.value, 0) + 1
-        storages[rec.plan.storage.value] = (
-            storages.get(rec.plan.storage.value, 0) + 1
-        )
     thr = planner.thresholds()
     static_p50 = _percentile(static, 50)
     adaptive_p50 = _percentile(adaptive, 50)
@@ -302,10 +298,6 @@ def bench_streaming_adaptive(
         "speedup_p50": static_p50 / adaptive_p50 if adaptive_p50 else 0.0,
         "plan": {
             "kernels": kernels,
-            "storages": storages,
-            "partition": planner.records[-1].plan.partition_strategy
-            if planner.records
-            else None,
             "thresholds": {"theta_s": thr.theta_s, "theta_e": thr.theta_e},
             "aggressiveness": planner.aggressiveness,
             "kernel_switches": planner.kernel_switches,

@@ -36,7 +36,6 @@ import numpy as np
 from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import active_aggregate_kernel, aggregate_kernel
 from ..models.base import DGNNModel
 from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
 from .carry import Carry
@@ -143,12 +142,13 @@ class ConcurrentEngine:
         of the window body; returns ``(successor, outputs)``.
 
         ``plan`` (None = the static configuration) is an argument, never
-        ambient state: ``delta-condensed`` keeps the OADL changed-set
-        path; the two full-recompute kernels disable overlap and differ
-        only in the aggregation kernel (scatter vs dense slots) — all
-        three are bit-identical by construction (tests/adaptive).
-        ``observe`` feeds the realized latency back to the planner (a
-        drift probe's discarded replay passes False).
+        ambient state, and reaches the window body as two locals:
+        ``overlap`` (``delta-condensed`` keeps the OADL changed-set path,
+        ``batched-spmm`` recomputes every snapshot in full — bit-identical
+        by construction, tests/adaptive) and ``policy`` (the plan's
+        thresholds).  ``observe`` feeds the realized latency back to the
+        engine's planner, when it has one (a drift probe's discarded
+        replay passes False).
 
         ``carry`` is left as it was except for its delta cache, updated
         **in place** (a copy per window would tax every plain stream): a
@@ -156,16 +156,12 @@ class ConcurrentEngine:
         """
         model = self.model
         n = window.num_vertices
-        overlap, policy, kernel = (
-            self.enable_overlap, self.policy, active_aggregate_kernel()
-        )
+        overlap, policy = self.enable_overlap, self.policy
         if plan is not None:
             from ..adaptive import KernelChoice
 
             overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
             policy = SkippingPolicy(plan.thresholds)
-            if plan.kernel is KernelChoice.DENSE_GEMM:
-                kernel = "dense"
         if decisions is None:
             decisions = []
         state, h_prev = carry.begin(model, n)
@@ -177,35 +173,32 @@ class ConcurrentEngine:
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
         t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
-        # the one remaining scope: the kernel choice is consumed three
-        # calls down, in models/ (CSRSnapshot.aggregate)
-        with aggregate_kernel(kernel):
-            zs = self._gnn_window(m, window, cls, overlap)
-            for t, snap in enumerate(window):
-                # The first snapshot of every batch takes the full cell
-                # update: the paper "recalculates similarity scores for
-                # each vertex in the new batch, rather than reusing scores
-                # and skipping decisions" to stop error accumulating over
-                # prolonged skipping — a periodic state refresh is what
-                # bounds the drift (and what keeps Table 5's loss < 1%).
-                h_prev, state = self._rnn_step(
-                    m,
-                    snap,
-                    zs[t],
-                    z_prev,
-                    snap_prev,
-                    state,
-                    cache,
-                    cls,
-                    h_prev,
-                    first=first or (t == 0 and self.refresh_each_window),
-                    policy=policy,
-                    decisions=decisions,
-                )
-                outputs.append(h_prev.copy())
-                z_prev, snap_prev = zs[t], snap
-                first = False
-        if observe and plan is not None:
+        zs = self._gnn_window(m, window, cls, overlap)
+        for t, snap in enumerate(window):
+            # The first snapshot of every batch takes the full cell
+            # update: the paper "recalculates similarity scores for
+            # each vertex in the new batch, rather than reusing scores
+            # and skipping decisions" to stop error accumulating over
+            # prolonged skipping — a periodic state refresh is what
+            # bounds the drift (and what keeps Table 5's loss < 1%).
+            h_prev, state = self._rnn_step(
+                m,
+                snap,
+                zs[t],
+                z_prev,
+                snap_prev,
+                state,
+                cache,
+                cls,
+                h_prev,
+                first=first or (t == 0 and self.refresh_each_window),
+                policy=policy,
+                decisions=decisions,
+            )
+            outputs.append(h_prev.copy())
+            z_prev, snap_prev = zs[t], snap
+            first = False
+        if observe and plan is not None and self.planner is not None:
             elapsed = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
             self.planner.observe(plan, elapsed)
         m.record_window_modes(

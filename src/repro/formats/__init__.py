@@ -1,11 +1,10 @@
-"""Multi-snapshot storage formats: CSR, O-CSR, PMA, and dense bitmaps.
+"""Multi-snapshot storage formats: CSR, O-CSR and PMA.
 
-CSR/O-CSR/PMA are the three formats the paper compares in Fig. 13(b);
-DENSE is the planner's fourth axis point (Dynasparse's dense end — see
-:mod:`repro.adaptive`).  All implement
+The three formats the paper compares in Fig. 13(b).  All implement
 :class:`~repro.formats.base.MultiSnapshotStorage` over a
-:class:`~repro.formats.base.WindowSelection`, so they can be swapped
-freely inside the engines, the planner, and the benches.
+:class:`~repro.formats.base.WindowSelection`, so the benches can swap
+them freely.  They are a measurement artefact: no engine stores a
+window in them and the adaptive planner has no storage decision.
 """
 
 from .base import (
@@ -16,12 +15,10 @@ from .base import (
     WindowSelection,
 )
 from .csr import SnapshotCSRStorage
-from .dense import DenseWindowStorage
 from .ocsr import OCSRStorage
 from .pma import PackedMemoryArray, PMAStorage
 
 FORMATS = {
-    "DENSE": DenseWindowStorage,
     "CSR": SnapshotCSRStorage,
     "O-CSR": OCSRStorage,
     "PMA": PMAStorage,
@@ -33,7 +30,6 @@ __all__ = [
     "WindowSelection",
     "RANDOM_ACCESS_CYCLES",
     "WORDS_PER_CYCLE",
-    "DenseWindowStorage",
     "SnapshotCSRStorage",
     "OCSRStorage",
     "PackedMemoryArray",

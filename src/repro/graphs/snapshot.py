@@ -15,7 +15,6 @@ copies).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,17 +23,13 @@ import numpy as np
 from ..check.shapes import contract
 
 __all__ = [
-    "AGGREGATE_KERNELS",
     "CSRSnapshot",
     "FEAT_DTYPE",
     "PTR_DTYPE",
     "VID_DTYPE",
-    "active_aggregate_kernel",
-    "aggregate_kernel",
     "build_csr",
     "degrees_from_indptr",
     "segment_sum",
-    "set_aggregate_kernel",
 ]
 
 # dtype conventions used across the whole package
@@ -172,53 +167,6 @@ def segment_sum(
     return out
 
 
-# ----------------------------------------------------------------------
-# aggregation kernel selection (repro.adaptive)
-# ----------------------------------------------------------------------
-#: The interchangeable aggregation kernels.  Both execute *exactly* the
-#: same additions in the same per-row order, so their outputs are
-#: bit-identical by construction (property-tested in tests/adaptive and
-#: tests/graphs/test_segment_sum_property.py):
-#:
-#: * ``scatter`` — :func:`segment_sum`: degree slots over the
-#:   degree-sorted rows plus a sequential finish for the hub rows (one
-#:   gather per edge, work proportional to nnz);
-#: * ``dense``  — neighbour ids padded into an ``(n, max_degree)``
-#:   rectangle, accumulated one degree-slot at a time with regular
-#:   full-width vector ops (gemm-style streaming; work proportional
-#:   to ``n * max_degree``, profitable on dense/regular subgraphs).
-AGGREGATE_KERNELS = ("scatter", "dense")
-
-_active_aggregate_kernel = "scatter"
-
-
-def set_aggregate_kernel(name: str) -> str:
-    """Select the process-wide default aggregation kernel; returns the
-    previous one.  The adaptive planner flips this per window."""
-    global _active_aggregate_kernel
-    if name not in AGGREGATE_KERNELS:
-        raise ValueError(
-            f"unknown aggregate kernel {name!r}; choose from {AGGREGATE_KERNELS}"
-        )
-    prev = _active_aggregate_kernel
-    _active_aggregate_kernel = name
-    return prev
-
-
-def active_aggregate_kernel() -> str:
-    return _active_aggregate_kernel
-
-
-@contextlib.contextmanager
-def aggregate_kernel(name: str):
-    """Scoped kernel override: restores the previous kernel on exit."""
-    prev = set_aggregate_kernel(name)
-    try:
-        yield
-    finally:
-        set_aggregate_kernel(prev)
-
-
 @dataclass
 class CSRSnapshot:
     """One graph snapshot :math:`G_t = (V_t, E_t, X_t)` in CSR form.
@@ -354,13 +302,12 @@ class CSRSnapshot:
         coeff[~self.present] = 0.0
         return coeff
 
-    @contract("(n, f) ?, bool, _, ?(r,) i -> (*, f) ?")
+    @contract("(n, f) ?, bool, ?(r,) i -> (*, f) ?")
     def aggregate(
         self,
         x: np.ndarray,
         *,
         add_self_loops: bool = True,
-        kernel: str | None = None,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
         r"""Mean-normalised neighbourhood aggregation
@@ -369,14 +316,11 @@ class CSRSnapshot:
         This is the GNN module's "aggregation" operation (paper Fig. 1(b)):
         one gather per edge accumulated per row in ascending CSR position
         — the access pattern the accelerator's APE adder trees execute —
-        by :func:`segment_sum` (or, under the ``dense`` kernel, by the
-        padded degree-slot walk; both perform the same additions in the
-        same order).
+        by :func:`segment_sum`.
 
         With ``rows`` (vertex ids) only those rows are computed and
         returned — ``aggregate(x)[rows]`` bit for bit, at the cost of
-        those rows' edges.  A row subset always takes the segment walk:
-        the dense rectangle is full-height by construction.
+        those rows' edges.
 
         Mean (random-walk) normalisation — rather than Kipf–Welling's
         symmetric :math:`\hat D^{-1/2}(A+I)\hat D^{-1/2}` — is load-bearing
@@ -388,42 +332,14 @@ class CSRSnapshot:
         the vertex's output, so "compute unaffected vertices once per
         layer" would be an approximation instead of an identity.
         """
-        if kernel is None:
-            kernel = _active_aggregate_kernel
         coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
+        out = segment_sum(self.indptr, self.indices, x, rows)
         if rows is not None:
-            out = segment_sum(self.indptr, self.indices, x, rows)
             x, coeff = x[rows], coeff[rows]
-        elif kernel == "dense":
-            out = np.zeros_like(x)
-            if self.num_edges:
-                self._accumulate_dense(out, x)
-        else:
-            out = segment_sum(self.indptr, self.indices, x)
         if add_self_loops:
             out += x
         out *= coeff[:, None]
         return out.astype(x.dtype, copy=False)
-
-    def _accumulate_dense(self, out: np.ndarray, x: np.ndarray) -> None:
-        """Dense-gemm-style neighbour accumulation into ``out``.
-
-        Neighbour ids are padded row-major into an ``(n, max_degree)``
-        rectangle and accumulated one degree slot at a time with regular
-        full-width vector ops — the access pattern of a dense MAC array.
-        Each row's additions happen in ascending CSR position, the exact
-        sequence :func:`segment_sum` applies, so the result is
-        bit-identical to the scatter kernel by construction.
-        """
-        deg = self.degrees
-        max_deg = int(deg.max())
-        n = self.num_vertices
-        nbr = np.zeros((n, max_deg), dtype=np.int64)
-        slot_valid = np.arange(max_deg)[None, :] < deg[:, None]
-        nbr[slot_valid] = self.indices  # row-major fill == CSR order
-        for j in range(max_deg):  # repro: noqa R006 — bounded by max degree; each iteration is a full-width vector op, not per-element work
-            sel = slot_valid[:, j]
-            out[sel] += x[nbr[sel, j]]
 
     # ------------------------------------------------------------------
     # structural comparisons (used by vertex classification)

@@ -6,7 +6,6 @@ from repro.adaptive import (
     CalibrationTable,
     CostModel,
     KernelChoice,
-    StorageChoice,
     calibrate_cost_model,
     profile_window,
 )
@@ -38,7 +37,7 @@ class TestKernelPredictions:
         assert model.kernel_seconds(profile, k) == pytest.approx(1.5)
         assert model.observation_count(k) == 2
         # other kernels still use the closed form
-        other = KernelChoice.DENSE_GEMM
+        other = KernelChoice.DELTA_CONDENSED
         assert model.observed_seconds(other) is None
         assert model.kernel_seconds(
             profile, other
@@ -61,21 +60,6 @@ class TestKernelPredictions:
         assert snap["observations"] == {"delta-condensed": 1}
 
 
-class TestStoragePredictions:
-    def test_all_formats_priced_positive(self, profile):
-        model = CostModel()
-        for storage in StorageChoice:
-            assert model.predict_storage_cycles(profile, storage) > 0.0
-
-    def test_ocsr_beats_csr_on_multi_snapshot_windows(self, profile):
-        """Version sharing is O-CSR's whole point: on a window with
-        more than one snapshot it must price below plain CSR."""
-        model = CostModel()
-        assert model.predict_storage_cycles(
-            profile, StorageChoice.OCSR
-        ) < model.predict_storage_cycles(profile, StorageChoice.CSR)
-
-
 class TestCalibration:
     def test_calibrated_table_positive_and_sourced(self):
         table = calibrate_cost_model(
@@ -83,7 +67,6 @@ class TestCalibration:
         )
         assert table.source == "calibrated"
         assert table.scatter_seconds_per_edge_dim > 0.0
-        assert table.dense_seconds_per_slot_dim > 0.0
         assert table.combine_seconds_per_mac > 0.0
         assert table.cell_seconds_per_flop > 0.0
         assert table.classify_seconds_per_vertex > 0.0

@@ -1,88 +1,22 @@
-"""Partition-hint sensitivity sweep (the paper's Fig.-14 experiment).
+"""Partition sensitivity sweep (the paper's Fig.-14 experiment).
 
-Two pinned regressions:
-
-* the planner's dataflow hint as a function of the workload shape — a
-  matrix over (degree skew, churn) whose cells must not drift; and
-* the GSPM cut-fraction sweep over on-chip budgets — the
-  topology-aware DFS strategy must beat naive vertex ranges at every
-  budget that forces multiple partitions, with the exact fractions
-  pinned for fixed seeds so a silent regression in any strategy shows
-  up as a number change, not just a flipped inequality.
+The GSPM cut-fraction sweep over on-chip budgets — the topology-aware
+DFS strategy must beat naive vertex ranges at every budget that forces
+multiple partitions, with the exact fractions pinned for fixed seeds so
+a silent regression in any strategy shows up as a number change, not
+just a flipped inequality.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.accel import GSPM, PartitionStrategy
-from repro.adaptive import AdaptivePlanner, profile_window
-from repro.analysis import classify_window
+from repro.accel import GSPM
 from repro.graphs import (
     CSRSnapshot,
     DynamicGraph,
     DynamicGraphSpec,
     generate_dynamic_graph,
-    load_dataset,
 )
-from repro.models import make_model
-
-
-# ----------------------------------------------------------------------
-# planner hint matrix
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def base_profile():
-    graph = load_dataset("GT", num_snapshots=8, seed=3)
-    window = graph.window(0, 4)
-    model = make_model("T-GCN", graph.dim, 16, seed=3)
-    return profile_window(window, classify_window(window), model)
-
-
-@pytest.mark.parametrize(
-    "degree_cv, changed_frac, expected",
-    [
-        # skew dominates: any churn level gets load-balanced blocks
-        (1.5, 0.1, "balanced"),
-        (1.5, 0.9, "balanced"),
-        (2.5, 0.5, "balanced"),
-        # regular degrees, quiet window: keep locality
-        (0.5, 0.1, "locality"),
-        (0.5, 0.49, "locality"),
-        (0.0, 0.0, "locality"),
-        # regular degrees, high churn: trivial ranges
-        (0.5, 0.5, "range"),  # boundary — churn test is strict <
-        (0.5, 0.9, "range"),
-        (1.0, 0.8, "range"),  # boundary — skew test is strict >
-    ],
-)
-def test_dataflow_hint_matrix(base_profile, degree_cv, changed_frac, expected):
-    profile = dataclasses.replace(
-        base_profile,
-        degree_cv=degree_cv,
-        stable_frac=changed_frac,
-        affected_frac=0.0,
-        unaffected_frac=1.0 - changed_frac,
-    )
-    assert profile.changed_frac == pytest.approx(changed_frac)
-    plan = AdaptivePlanner().plan(profile)
-    assert plan.partition_strategy == expected
-    # the hint is always one the GSPM can execute
-    assert plan.partition_strategy in {s.value for s in PartitionStrategy}
-
-
-def test_hint_is_explained(base_profile):
-    profile = dataclasses.replace(base_profile, degree_cv=1.5)
-    plan = AdaptivePlanner().plan(profile)
-    assert any("load-balanced" in r for r in plan.reasons)
-
-
-# ----------------------------------------------------------------------
-# GSPM cut-fraction sweep
-# ----------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")

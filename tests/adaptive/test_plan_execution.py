@@ -1,30 +1,40 @@
 """The adaptive correctness contract, property-tested.
 
-Two halves:
+Three parts:
 
-* **bit-identity by construction** — whatever kernel or storage format
-  the planner picks, the outputs are *exactly* the static pipeline's
-  (all kernels apply the same additions in the same order; all formats
-  hold the same canonical content).  Only thresholds may change results.
+* **a plan is what the engine executes** — ``ExecutionPlan`` has two
+  decision fields and each one moves a counter of one ``step``; a field
+  nothing executes fails here.
+* **bit-identity by construction** — whichever kernel the planner
+  picks, the outputs are *exactly* the static pipeline's (both kernels
+  apply the same additions in the same order).  Only thresholds may
+  change results.
 * **bounded drift** — the one accuracy-affecting knob, auto-tuned
   :math:`(\\theta_s, \\theta_e)`, stays inside the configured drift
   budget at every probe, and a zero budget degenerates to the exact
   default-threshold pipeline.
 """
 
+from dataclasses import fields
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import (
     AdaptiveConfig,
     AdaptivePlanner,
+    ExecutionPlan,
     KernelChoice,
-    StorageChoice,
     relative_drift,
 )
-from repro.engine import ConcurrentEngine, StreamingInference
+from repro.analysis import classify_window
+from repro.engine import (
+    Carry,
+    ConcurrentEngine,
+    ExecutionMetrics,
+    StreamingInference,
+)
 from repro.formats import FORMATS, WindowSelection
 from repro.graphs import (
     ChurnConfig,
@@ -33,6 +43,7 @@ from repro.graphs import (
     load_dataset,
 )
 from repro.models import make_model
+from repro.skipping import SkipThresholds
 
 SEED = 3
 
@@ -51,17 +62,6 @@ def random_graph(seed, n=60, t=6, churn_scale=1.0):
     )
 
 
-def forced_planner(kernel: KernelChoice) -> AdaptivePlanner:
-    """A planner that always picks ``kernel`` and never tunes thresholds
-    (observed latencies rig the argmin; exploration is disabled)."""
-    planner = AdaptivePlanner(
-        AdaptiveConfig(explore_min_obs=0, tune_thresholds=False)
-    )
-    for k in KernelChoice:
-        planner.cost_model.observe(k, 1e-9 if k is kernel else 1e3)
-    return planner
-
-
 def run_stream(model, graph, planner=None, window=4):
     stream = StreamingInference(model, window_size=window, planner=planner)
     outs = []
@@ -75,6 +75,42 @@ def run_stream(model, graph, planner=None, window=4):
     return outs, stream
 
 
+class TestPlanIsWhatTheEngineExecutes:
+    def test_every_decision_field_moves_a_step_counter(self):
+        """The axis list, kept honest: two decision fields plus the
+        audit trail, and one ``step`` of a fixed low-churn window counts
+        differently under each value of each decision."""
+        assert {f.name for f in fields(ExecutionPlan)} == {
+            "kernel", "thresholds", "expected_kernel_seconds", "reasons",
+        }
+        graph = random_graph(SEED, t=4, churn_scale=0.5)
+        window = graph.window(0, 4)
+        cls = classify_window(window)
+        assert cls.counts()["unaffected"] > 0  # reuse has rows to act on
+
+        def counters(kernel, thresholds):
+            m = ExecutionMetrics()
+            # an engine without a planner: a plan needs none to execute
+            ConcurrentEngine(
+                make_model("T-GCN", graph.dim, 8, seed=SEED), window_size=4
+            ).step(
+                Carry(window_size=4), window, cls,
+                ExecutionPlan(kernel, thresholds), m,
+            )
+            return m
+
+        cfg = AdaptiveConfig()  # the controller's a = 0 and a = 1 ends
+        default = SkipThresholds()
+        aggressive = SkipThresholds(cfg.theta_s_min, cfg.theta_e_min)
+        delta = counters(KernelChoice.DELTA_CONDENSED, default)
+        spmm = counters(KernelChoice.BATCHED_SPMM, default)
+        assert delta.aggregation_macs < spmm.aggregation_macs
+        assert delta.cells_skipped == spmm.cells_skipped
+        eager = counters(KernelChoice.DELTA_CONDENSED, aggressive)
+        assert eager.cells_skipped > delta.cells_skipped
+        assert eager.aggregation_macs == delta.aggregation_macs
+
+
 class TestKernelBitIdentity:
     @given(
         seed=st.integers(min_value=0, max_value=5_000),
@@ -84,7 +120,7 @@ class TestKernelBitIdentity:
     )
     @settings(max_examples=24, deadline=None)
     def test_forced_kernel_matches_static_engine(
-        self, seed, model_name, kernel, churn
+        self, forced_planner, seed, model_name, kernel, churn
     ):
         """Any kernel the planner can pick yields the static engine's
         outputs bit-for-bit, for arbitrary random workloads."""
@@ -108,7 +144,9 @@ class TestKernelBitIdentity:
         kernel=st.sampled_from(list(KernelChoice)),
     )
     @settings(max_examples=9, deadline=None)
-    def test_forced_kernel_matches_static_streaming(self, seed, kernel):
+    def test_forced_kernel_matches_static_streaming(
+        self, forced_planner, seed, kernel
+    ):
         g = random_graph(seed)
         static, _ = run_stream(make_model("T-GCN", g.dim, 8, seed=seed), g)
         adaptive, _ = run_stream(
@@ -121,8 +159,8 @@ class TestKernelBitIdentity:
             np.testing.assert_array_equal(a, b)
 
     def test_untuned_planner_is_bit_identical_end_to_end(self):
-        """Free kernel/storage choice with threshold tuning off: the
-        planner may reorder *work*, never *results*."""
+        """Free kernel choice with threshold tuning off: the planner may
+        reorder *work*, never *results*."""
         g = load_dataset("GT", num_snapshots=10, seed=SEED)
         static, _ = run_stream(make_model("T-GCN", g.dim, 16, seed=SEED), g)
         planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
@@ -138,8 +176,8 @@ class TestStorageContentIdentity:
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=10, deadline=None)
     def test_all_formats_hold_identical_content(self, seed):
-        """Every storage the planner can pick returns the same canonical
-        edge set — the format axis cannot affect results."""
+        """Every Fig. 13(b) format returns the same canonical edge
+        set."""
         g = random_graph(seed, t=4)
         rng = np.random.default_rng(seed)
         sources = np.unique(
@@ -149,7 +187,6 @@ class TestStorageContentIdentity:
         edges = {
             name: cls(sel).all_edges() for name, cls in FORMATS.items()
         }
-        assert set(edges) == {s.value for s in StorageChoice}
         ref = edges["O-CSR"]
         for name, e in edges.items():
             np.testing.assert_array_equal(e, ref)

@@ -8,7 +8,6 @@ from repro.adaptive import (
     AdaptivePlanner,
     CostModel,
     KernelChoice,
-    StorageChoice,
     profile_window,
     relative_drift,
 )
@@ -144,7 +143,6 @@ class TestKernelSelection:
             {
                 KernelChoice.DELTA_CONDENSED: 0.030,
                 KernelChoice.BATCHED_SPMM: 0.010,
-                KernelChoice.DENSE_GEMM: 0.050,
             }
         )
         plan = planner.plan(profile)
@@ -156,7 +154,7 @@ class TestKernelSelection:
         cfg = AdaptiveConfig(explore_min_obs=1, explore_margin=1000.0)
         planner = AdaptivePlanner(cfg)
         first = planner.plan(profile).kernel
-        planner.cost_model.observe(first, 0.01)  # observed once, now best
+        planner.cost_model.observe(first, 1e-4)  # observed once, now best
         second = planner.plan(profile).kernel
         assert second is not first  # explored, not exploited
         assert any("exploring" in r for r in planner.records[-1].plan.reasons)
@@ -165,17 +163,14 @@ class TestKernelSelection:
         planner = self._observed({KernelChoice.BATCHED_SPMM: 1e-6})
         planner.plan(profile)
         assert planner.kernel_switches == 0
-        planner.cost_model.observe(KernelChoice.DENSE_GEMM, 1e-9)
+        planner.cost_model.observe(KernelChoice.DELTA_CONDENSED, 1e-9)
         planner.plan(profile)
         assert planner.kernel_switches == 1
 
     def test_choice_disabled_is_static(self, profile):
-        planner = AdaptivePlanner(
-            AdaptiveConfig(choose_kernel=False, choose_storage=False)
-        )
+        planner = AdaptivePlanner(AdaptiveConfig(choose_kernel=False))
         plan = planner.plan(profile)
         assert plan.kernel is KernelChoice.DELTA_CONDENSED
-        assert plan.storage is StorageChoice.OCSR
 
 
 class TestAudit:

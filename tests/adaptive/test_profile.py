@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.adaptive import WindowProfile, profile_window
+from repro.adaptive import (
+    CostModel,
+    KernelChoice,
+    WindowProfile,
+    profile_window,
+)
 from repro.analysis import classify_window
 from repro.graphs import load_dataset
 from repro.models import make_model
@@ -24,12 +29,10 @@ class TestProfileWindow:
     def test_geometry(self, graph, profile):
         assert profile.num_vertices == graph.num_vertices
         assert profile.num_snapshots == 4
-        assert profile.dim == graph.dim
         assert profile.edges_total == sum(
             graph[t].num_edges for t in range(4)
         )
         assert profile.edges_first == graph[0].num_edges
-        assert profile.max_degree >= 1
 
     def test_class_fractions_partition_unity(self, profile):
         total = (
@@ -43,10 +46,7 @@ class TestProfileWindow:
         )
 
     def test_derived_quantities_bounded(self, profile):
-        assert 0.0 < profile.feature_density <= 1.0
-        assert 0.0 <= profile.subgraph_density <= 1.0
-        assert profile.avg_degree > 0.0
-        assert profile.degree_cv >= 0.0
+        assert 0.0 < profile.changed_frac <= 1.0
 
     def test_model_shape_capture(self, graph, profile):
         model = make_model("T-GCN", graph.dim, 16, seed=3)
@@ -69,20 +69,20 @@ class TestProfileWindow:
         assert a == b
 
     def test_zero_vertices_degenerate(self):
+        """An empty window is still priced: no division by its size."""
         p = WindowProfile(
             num_vertices=0,
             num_snapshots=1,
-            dim=4,
             edges_total=0,
             edges_first=0,
-            max_degree=0,
-            degree_cv=0.0,
             unaffected_frac=0.0,
             stable_frac=0.0,
             affected_frac=0.0,
-            feature_density=0.0,
             layer_dims=((4, 8),),
             cell_flops_per_vertex=10,
         )
-        assert p.avg_degree == 0.0
-        assert p.subgraph_density == 0.0
+        assert p.changed_frac == 0.0
+        model = CostModel()
+        fixed = model.table.window_fixed_seconds
+        for kernel in KernelChoice:
+            assert model.predict_kernel_seconds(p, kernel) >= fixed

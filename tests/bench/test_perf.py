@@ -6,6 +6,7 @@ result documents and a monkeypatched ``run_perf``.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,8 +63,6 @@ def canned_adaptive_cell(speedup=1.3, static_p50=2.0):
         "speedup_p50": speedup,
         "plan": {
             "kernels": {"batched-spmm": 3, "delta-condensed": 1},
-            "storages": {"DENSE": 4},
-            "partition": "balanced",
             "thresholds": {"theta_s": -0.65, "theta_e": 0.35},
             "aggressiveness": 0.5,
             "kernel_switches": 2,
@@ -236,3 +235,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Delta vs baseline" in out
         assert (tmp_path / "BENCH_20260808T120000Z.json").exists()
+
+    def test_committed_baseline_with_dropped_plan_keys_still_loads(
+        self, capsys, monkeypatch
+    ):
+        """The archived PR-7 document carries the ``storages`` /
+        ``partition`` plan keys this suite no longer writes; it must
+        stay usable as ``--baseline`` and renderable on its own."""
+        import repro.bench.perf as perf_mod
+        from repro.cli import main
+
+        baseline = (
+            Path(__file__).parents[2] / "BENCH_20260809T004858Z.json"
+        )
+        archived = json.loads(baseline.read_text())
+        plan = archived["adaptive"]["cells"][0]["plan"]
+        assert "storages" in plan and "partition" in plan
+        assert "Adaptive planning" in render_perf_tables(archived)
+
+        current = canned_result()
+        current["streaming"][0]["model"] = "CD-GCN"
+        cell = canned_adaptive_cell()
+        cell["model"] = "CD-GCN"
+        current["adaptive"] = {"calibration": {}, "cells": [cell]}
+        monkeypatch.setattr(perf_mod, "run_perf", lambda cfg: current)
+        rc = main(
+            ["perf", "--smoke", "--no-write", "--baseline", str(baseline)]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Delta vs baseline" in out
+        assert "adaptive CD-GCN/GT p50" in out

@@ -4,8 +4,8 @@ Batch ``run``, the pushed stream, the drift probe, the supervisor's
 rollback and the degraded path are all callers of the two ``step``
 methods, so these tests pin the contracts the callers lean on: a
 hand-written fold equals ``run`` equals the stream byte for byte, a plan
-is an argument (nothing ambient is touched, nothing leaks when a window
-raises), and replaying a window from a copied carry is exact.
+is an argument (nothing ambient is touched), and replaying a window from
+a copied carry is exact.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveConfig, AdaptivePlanner, KernelChoice
+from repro.adaptive import KernelChoice
 from repro.analysis.classify import classify_window
 from repro.engine import (
     Carry,
@@ -24,7 +24,6 @@ from repro.engine import (
     StreamingInference,
 )
 from repro.graphs import load_dataset
-from repro.graphs.snapshot import active_aggregate_kernel
 from repro.models import make_model
 from repro.resilience import load_checkpoint, save_checkpoint
 from repro.skipping.policy import SkippingPolicy
@@ -41,15 +40,6 @@ def graph():
 
 def _model(graph, name="T-GCN"):
     return make_model(name, graph.dim, hidden_dim=16, seed=SEED)
-
-
-def forced_planner(kernel):
-    planner = AdaptivePlanner(
-        AdaptiveConfig(explore_min_obs=0, tune_thresholds=False)
-    )
-    for k in KernelChoice:
-        planner.cost_model.observe(k, 1e-9 if k is kernel else 1e3)
-    return planner
 
 
 def _windows(graph, k=WINDOW):
@@ -125,7 +115,9 @@ def _assert_snapshot_equal(s, t):
 
 class TestRunIsAFoldOfStep:
     @pytest.mark.parametrize("kernel", [None, *KernelChoice])
-    def test_run_equals_fold_equals_stream(self, graph, kernel):
+    def test_run_equals_fold_equals_stream(
+        self, graph, forced_planner, kernel
+    ):
         def planner():
             return None if kernel is None else forced_planner(kernel)
 
@@ -151,7 +143,9 @@ class TestRunIsAFoldOfStep:
         assert carry.timestamp == graph.num_snapshots
         assert carry.window_index == 2 and not carry.first
 
-    def test_second_run_on_one_engine_repeats_the_first(self, graph):
+    def test_second_run_on_one_engine_repeats_the_first(
+        self, graph, forced_planner
+    ):
         """Nothing survives a run on the engine itself (the deleted
         delta-sparsity probe did): run twice, get the same plans."""
         engine = ConcurrentEngine(
@@ -168,7 +162,7 @@ class TestRunIsAFoldOfStep:
 
 class TestNoAmbientState:
     def test_engine_attributes_untouched_inside_a_planned_window(
-        self, graph, monkeypatch
+        self, graph, forced_planner, monkeypatch
     ):
         engine = ConcurrentEngine(
             _model(graph),
@@ -189,26 +183,6 @@ class TestNoAmbientState:
         assert seen, "the planned windows must have scored something"
         # BATCHED_SPMM disables overlap *for the window*, as a local
         assert all(overlap is True and p is policy for overlap, p in seen)
-
-    def test_kernel_scope_closes_when_a_planned_window_raises(
-        self, graph, monkeypatch
-    ):
-        import repro.engine.concurrent as concurrent
-
-        def boom(*args, **kwargs):
-            assert active_aggregate_kernel() == "dense"
-            raise RuntimeError("mid-window fault")
-
-        monkeypatch.setattr(concurrent, "similarity_scores", boom)
-        engine = ConcurrentEngine(
-            _model(graph),
-            window_size=WINDOW,
-            planner=forced_planner(KernelChoice.DENSE_GEMM),
-        )
-        assert active_aggregate_kernel() == "scatter"
-        with pytest.raises(RuntimeError, match="mid-window"):
-            engine.run(graph)
-        assert active_aggregate_kernel() == "scatter"
 
 
 class TestRollbackExactness:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import ExecutionPlan, KernelChoice, StorageChoice
+from repro.adaptive import ExecutionPlan, KernelChoice
 from repro.analysis import (
     classify_window,
     extract_affected_subgraph,
@@ -171,11 +171,9 @@ class TestDeadWorkStaysDead:
     def test_planned_delta_condensed_window_runs(self, no_subgraph_work):
         graph = load_dataset("GT", num_snapshots=4, seed=3)
         engine = ConcurrentEngine(make_model("GC-LSTM", graph.dim, 16, seed=3))
-        plan = ExecutionPlan(
-            KernelChoice.DELTA_CONDENSED, StorageChoice.OCSR, SkipThresholds()
-        )
+        plan = ExecutionPlan(KernelChoice.DELTA_CONDENSED, SkipThresholds())
         _, outputs = engine.step(
             Carry(window_size=4), graph, classify_window(graph), plan,
-            ExecutionMetrics(), observe=False,
+            ExecutionMetrics(),
         )
         assert len(outputs) == 4

@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 from repro.engine import ConcurrentEngine, ReferenceEngine
 from repro.engine.metrics import ExecutionMetrics
 from repro.graphs import CSRSnapshot, DynamicGraph
-from repro.graphs.snapshot import (
-    AGGREGATE_KERNELS,
-    aggregate_kernel,
-    build_csr,
-    segment_sum,
-)
+from repro.graphs.snapshot import build_csr, segment_sum
 from repro.models import make_model
 from repro.models.layers import GCNLayer
 
@@ -181,29 +176,14 @@ def hub_snapshot(seed: int, n: int = 48, dim: int = 5) -> CSRSnapshot:
 
 
 class TestAggregateKernels:
-    @given(seed=st.integers(0, 10_000), loops=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_dense_equals_default(self, seed, loops):
-        snap = hub_snapshot(seed)
-        x = make_values(
-            "signed-zero", snap.num_vertices, 4, np.float32,
-            np.random.default_rng(seed),
-        )
-        assert_same_bytes(
-            snap.aggregate(x, add_self_loops=loops, kernel="dense"),
-            snap.aggregate(x, add_self_loops=loops),
-        )
-
     @given(
         seed=st.integers(0, 10_000),
         loops=st.booleans(),
-        kernel=st.sampled_from(AGGREGATE_KERNELS),
         pick=st.sampled_from(["random", "empty", "all", "absent", "repeated"]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_row_restricted_equals_rows_of_full(self, seed, loops, kernel, pick):
-        """``aggregate(x, rows=r)`` is ``aggregate(x)[r]`` to the bit,
-        whichever kernel the scope selects for the full one."""
+    def test_row_restricted_equals_rows_of_full(self, seed, loops, pick):
+        """``aggregate(x, rows=r)`` is ``aggregate(x)[r]`` to the bit."""
         snap = hub_snapshot(seed)
         rng = np.random.default_rng(seed + 2)
         x = make_values("signed-zero", snap.num_vertices, 4, np.float32, rng)
@@ -215,9 +195,8 @@ class TestAggregateKernels:
             rows = np.flatnonzero(make_mask(pick, snap.num_vertices, rng))
             if pick == "random":
                 rows = np.union1d(rows, [0, 1])  # always both hubs
-        with aggregate_kernel(kernel):
-            got = snap.aggregate(x, add_self_loops=loops, rows=rows)
-            want = snap.aggregate(x, add_self_loops=loops)[rows]
+        got = snap.aggregate(x, add_self_loops=loops, rows=rows)
+        want = snap.aggregate(x, add_self_loops=loops)[rows]
         assert_same_bytes(got, want)
 
     @given(seed=st.integers(0, 10_000), shrink=st.booleans())
