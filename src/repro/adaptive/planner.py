@@ -26,7 +26,7 @@ statistics, so a plan can be recomputed and explained offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -299,7 +299,7 @@ class ConcurrentEngine:
         """
         if layer.out_dim < layer.in_dim:
             y = rep_y.copy()
-            y[in_rows] = x[in_rows] @ layer.weight + layer.bias
+            y[in_rows] = layer.combine(x[in_rows])
             m.combination_macs += len(in_rows) * layer.in_dim * layer.out_dim
         else:
             y = x
@@ -312,7 +312,7 @@ class ConcurrentEngine:
         if layer.out_dim < layer.in_dim:
             res = agg
         else:
-            res = agg @ layer.weight + layer.bias
+            res = layer.combine(agg)
             m.combination_macs += len(agg) * layer.in_dim * layer.out_dim
         return layer.act(res)
 
@@ -406,15 +406,15 @@ class ConcurrentEngine:
             m.cells_full += len(full_rows)
             m.cell_macs += len(full_rows) * model.cell.flops_per_vertex() // 2
         if len(delta_rows):
-            h_rows, st_rows, packed = cache.partial_step(
+            h_rows, st_rows, nnz = cache.partial_step(
                 delta_rows, z, state, epsilon=self.epsilon
             )
             h_out[delta_rows] = h_rows
             new_state = _splice_state(new_state, delta_rows, st_rows)
             full_cost = len(delta_rows) * model.cell.flops_per_vertex() // 2
-            delta_cost = packed.nnz * model.cell.w_x.shape[1]
+            delta_cost = nnz * model.cell.w_x.shape[1]
             m.cells_delta += len(delta_rows)
-            m.delta_nnz += packed.nnz
+            m.delta_nnz += nnz
             m.cell_macs += min(delta_cost, full_cost)
             m.cell_macs_saved += max(full_cost - delta_cost, 0)
         # skip rows + unaffected vertices: reuse previous output and state

@@ -131,10 +131,19 @@ def segment_sum(
     one contiguous ``sums[a:b] += x[indices[starts[a:b] + j]]`` over the
     rows that still have a ``j``-th neighbour.  The power-law tail would
     need one near-empty slot per extra degree, so the few hub rows are
-    finished instead by a strictly sequential ``np.add.accumulate``; the
-    split minimises ``slots + hub_rows`` (the number of NumPy calls) over
-    the rows' own degree histogram.  ``np.add.reduce``/``reduceat`` are
-    not usable here: they sum pairwise (docs/performance.md).
+    finished instead one reduction each; the split minimises
+    ``slots + hub_rows`` (the number of NumPy calls) over the rows' own
+    degree histogram.
+
+    A hub's gather ``x.take(nbrs, axis=0)`` is a fresh C-contiguous
+    ``(deg, d)`` array; for ``d >= 2`` ``np.add.reduce(..., axis=0)``
+    does not reduce along the fast axis, so NumPy adds it row by row —
+    CSR order, ``d`` lanes at a time.  That order is pinned by
+    ``test_segment_sum_property.py``, not by NumPy's documentation.
+    Where the reduced axis *is* the fast one (1-D ``x``, width 1)
+    ``reduce`` sums pairwise, so those keep the strictly sequential
+    ``accumulate``; ``reduceat`` is pairwise everywhere
+    (docs/performance.md).
     """
     degrees = degrees_from_indptr(indptr)
     if rows is None:
@@ -157,9 +166,13 @@ def segment_sum(
     sums = np.zeros((len(deg),) + x.shape[1:], dtype=x.dtype)
     # a 0-started sum is never -0.0, hence the "+ zero"
     zero = x.dtype.type(0)
-    for i in range(hubs):  # repro: noqa R006 — one sequential accumulate per hub row; the slot/hub split keeps this to the power-law tail
-        nbrs = indices[starts[i] : starts[i] + deg[i]]
-        sums[i] = np.add.accumulate(x.take(nbrs, axis=0), axis=0)[-1] + zero
+    lanes = x.ndim == 2 and x.shape[1] >= 2  # reduce(axis=0) is row-by-row
+    for i in range(hubs):  # repro: noqa R006 — one in-order reduction per hub row; the slot/hub split keeps this to the power-law tail
+        g = x.take(indices[starts[i] : starts[i] + deg[i]], axis=0)
+        if lanes:
+            sums[i] = np.add.reduce(g, axis=0) + zero
+        else:
+            sums[i] = np.add.accumulate(g, axis=0)[-1] + zero
     for j in range(slots):  # repro: noqa R006 — bounded by the slot count; each iteration is one contiguous vector op over all rows of degree > j
         live = sums[hubs : above[j]]
         live += x.take(indices.take(starts[hubs : above[j]] + j), axis=0)

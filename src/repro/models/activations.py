@@ -17,13 +17,18 @@ __all__ = ["sigmoid", "tanh", "relu", "softmax", "ACTIVATIONS"]
 
 @contract("(...) f -> (...) f")
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, computed stably for large |x|."""
-    out = np.empty_like(x, dtype=np.float64)
+    """Logistic sigmoid, computed stably for large |x|.
+
+    Branch-free and in the input's own dtype: with ``e = exp(-|x|)`` the
+    result is ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)``
+    elsewhere, selected by multiplying with the 0/1 mask rather than by
+    gathering each side (``tests/models/test_activations.py`` keeps the
+    gather/scatter formula as the bit-for-bit oracle).  ``-|x|`` is
+    spelled ``minimum(x, -x)`` because that keeps a NaN's sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.astype(x.dtype, copy=False)
+    return (e * ~pos + pos) / (1 + e)
 
 
 @contract("(...) f -> (...) f")

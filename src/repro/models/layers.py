@@ -36,6 +36,21 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
+def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` whose row ``i`` has the bits it has in any taller
+    product holding the same row.
+
+    BLAS sends a one-row product through gemv, which from an inner
+    dimension of 64 rounds differently from the gemm every product of
+    two or more rows gets — so ``a[[r]] @ w`` is not ``(a @ w)[[r]]``.
+    Every product a row-restricted path shares with a full-height one
+    goes through here, and a single row is multiplied as two.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ w)[:1]
+    return a @ w
+
+
 @dataclass
 class GCNLayer:
     """One graph-convolution layer ``act(Â X W + b)``."""
@@ -76,7 +91,7 @@ class GCNLayer:
     @contract("(n, *) f -> (n, *) f")
     def combine(self, x: np.ndarray) -> np.ndarray:
         """The dense half (CPE): ``x @ W + b`` without the activation."""
-        return x @ self.weight + self.bias
+        return _matmul_rows(x, self.weight) + self.bias
 
     @contract("_, (n, *) f -> (n, *) f")
     def forward(self, snap: CSRSnapshot, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import sigmoid, tanh
-from .layers import glorot
+from .layers import _matmul_rows, glorot
 
 __all__ = [
     "LSTMState",
@@ -118,7 +118,7 @@ class LSTMCell(RecurrentCell):
 
     def step(self, x: np.ndarray, state: LSTMState) -> tuple[np.ndarray, LSTMState]:
         d = self.hidden_dim
-        z = x @ self.w_x + state.h @ self.w_h + self.bias
+        z = _matmul_rows(x, self.w_x) + _matmul_rows(state.h, self.w_h) + self.bias
         i = sigmoid(z[:, :d])
         f = sigmoid(z[:, d : 2 * d])
         g = tanh(z[:, 2 * d : 3 * d])
@@ -160,7 +160,9 @@ class ElmanCell(RecurrentCell):
         return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
 
     def step(self, x: np.ndarray, state: GRUState) -> tuple[np.ndarray, GRUState]:
-        h = np.tanh(x @ self.w_x + state.h @ self.w_h + self.bias)
+        h = np.tanh(
+            _matmul_rows(x, self.w_x) + _matmul_rows(state.h, self.w_h) + self.bias
+        )
         return h, GRUState(h)
 
     def flops_per_vertex(self) -> int:
@@ -231,8 +233,8 @@ class GRUCell(RecurrentCell):
 
     def step(self, x: np.ndarray, state: GRUState) -> tuple[np.ndarray, GRUState]:
         d = self.hidden_dim
-        zx = x @ self.w_x + self.bias
-        zh = state.h @ self.w_h
+        zx = _matmul_rows(x, self.w_x) + self.bias
+        zh = _matmul_rows(state.h, self.w_h)
         r = sigmoid(zx[:, :d] + zh[:, :d])
         z = sigmoid(zx[:, d : 2 * d] + zh[:, d : 2 * d])
         n = tanh(zx[:, 2 * d :] + r * zh[:, 2 * d :])

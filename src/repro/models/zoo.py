@@ -20,7 +20,7 @@ import numpy as np
 
 from ..graphs.snapshot import CSRSnapshot
 from .base import DGNNModel
-from .layers import GCNStack, glorot
+from .layers import GCNStack, _matmul_rows, glorot
 from .rnn import ElmanCell, GRUCell, IdentityCell, LSTMCell, LSTMState
 from .activations import sigmoid, tanh
 
@@ -56,7 +56,7 @@ class GraphLSTMCell(LSTMCell):
     ) -> tuple[np.ndarray, LSTMState]:
         d = self.hidden_dim
         h_conv = snap.aggregate(state.h)
-        z = x @ self.w_x + h_conv @ self.w_h + self.bias
+        z = _matmul_rows(x, self.w_x) + _matmul_rows(h_conv, self.w_h) + self.bias
         i = sigmoid(z[:, :d])
         f = sigmoid(z[:, d : 2 * d])
         g = tanh(z[:, 2 * d : 3 * d])
@@ -94,7 +94,11 @@ class GCLSTM(DGNNModel):
             drive = self.recurrent_drive(state, snap, rows)
         cell = self.cell
         d = cell.hidden_dim
-        pre = z[rows] @ cell.w_x + drive @ cell.w_h + cell.bias
+        pre = (
+            _matmul_rows(z[rows], cell.w_x)
+            + _matmul_rows(drive, cell.w_h)
+            + cell.bias
+        )
         i = sigmoid(pre[:, :d])
         f = sigmoid(pre[:, d : 2 * d])
         g = tanh(pre[:, 2 * d : 3 * d])

@@ -6,11 +6,18 @@ Instead:
 1. the **Delta Generation** module computes
    :math:`\Delta = Z^t - Z^{t-1}` and zeroes near-zero components (the
    similarity gate guarantees most components are near zero);
-2. the **Condense Unit** packs the surviving non-zeros into a dense
-   buffer with a mask + address list (modelled by :func:`condense`);
+2. the **Condense Unit** packs the surviving non-zeros into one dense
+   buffer plus one address register, cut into rows by a row pointer
+   (modelled by :func:`condense` / :class:`CondensedDelta`);
 3. the DCU applies only the non-zero columns to the cached input
    pre-activations, the gates are re-evaluated, and the result is merged
    with the previous snapshot's state.
+
+On the host step 3 is the dense ``delta @ w_x`` — the zeros contribute
+nothing — so a window never builds the packing: the engine's accounting
+needs only the surviving count, which :meth:`DeltaCellCache.partial_step`
+returns.  :func:`condense` is for the ablation that studies the packing
+itself and for tests.
 
 The partial update is therefore first-order exact in the input path and
 freezes the recurrent contribution (whose drift is bounded by the
@@ -20,12 +27,13 @@ pre-activations for LSTM and GRU cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..check.shapes import contract
 from ..models.activations import sigmoid, tanh
+from ..models.layers import _matmul_rows
 from ..models.rnn import (
     ElmanCell,
     GRUCell,
@@ -53,20 +61,21 @@ def generate_delta(
 class CondensedDelta:
     """Dense packing of a sparse delta matrix (the Condense Unit output).
 
-    ``values[i]`` holds the non-zero entries of row ``rows[i]`` and
-    ``addresses[i]`` their column indices — exactly the (Dense Buffer,
-    Address Register) pair of paper Fig. 7(b).
+    One flat (Dense Buffer, Address Register) pair — paper Fig. 7(b) —
+    cut into rows by a row pointer: the non-zeros of row ``rows[i]`` are
+    ``values[indptr[i]:indptr[i + 1]]`` and their column indices the
+    same slice of ``addresses``, both in row-major order.
     """
 
-    rows: np.ndarray  # (r,) row ids with at least one non-zero
-    addresses: list[np.ndarray]  # per row: column indices
-    values: list[np.ndarray]  # per row: packed non-zero values
+    rows: np.ndarray  # (r,) ascending ids of the rows with a non-zero
+    indptr: np.ndarray  # (r + 1,) row pointer into addresses / values
+    addresses: np.ndarray  # (nnz,) column indices
+    values: np.ndarray  # (nnz,) packed non-zero values
     dense_shape: tuple[int, int]
+    nnz: int = field(init=False)  # surviving non-zeros
 
-    @property
-    def nnz(self) -> int:
-        """Surviving non-zeros (drives the delta-mode MAC accounting)."""
-        return int(sum(len(v) for v in self.values))
+    def __post_init__(self) -> None:
+        self.nnz = len(self.values)
 
     def density(self) -> float:
         """``nnz / (rows * cols)``; 0.0 for degenerate (zero-row or
@@ -77,17 +86,10 @@ class CondensedDelta:
         return self.nnz / total
 
     def expand(self) -> np.ndarray:
-        """Reconstruct the sparse delta matrix (tests / verification).
-
-        Degenerate packings — zero-row ``dense_shape``, or row entries
-        whose address lists are all empty — expand to the all-zero
-        matrix without tripping numpy's empty-concatenate path.
-        """
+        """Reconstruct the sparse delta matrix (tests / verification);
+        the all-zero matrix for an empty or degenerate packing."""
         out = np.zeros(self.dense_shape, dtype=np.float32)
-        if len(self.rows) and self.addresses and self.nnz:
-            counts = [len(a) for a in self.addresses]
-            rr = np.repeat(self.rows, counts)
-            out[rr, np.concatenate(self.addresses)] = np.concatenate(self.values)
+        out[np.repeat(self.rows, np.diff(self.indptr)), self.addresses] = self.values
         return out
 
 
@@ -95,19 +97,15 @@ class CondensedDelta:
 def condense(delta: np.ndarray) -> CondensedDelta:
     """Multi-level zero-value filtering: mask generation + packing.
 
-    One ``nonzero`` pass packs every row at once; row-major order means
-    the flattened columns/values split cleanly into per-row arrays.
+    One row-major ``nonzero`` pass yields the flat address and value
+    arrays; the per-row counts give the occupied rows and their pointer.
     """
-    mask = delta != 0.0
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return CondensedDelta(rows, [], [], delta.shape)
-    sub = mask[rows]
-    r_nz, c_nz = np.nonzero(sub)
-    splits = np.cumsum(np.bincount(r_nz, minlength=rows.size))[:-1]
-    addresses = np.split(c_nz.astype(np.int64), splits)
-    values = np.split(delta[rows][sub], splits)
-    return CondensedDelta(rows, addresses, values, delta.shape)
+    r_nz, c_nz = np.nonzero(delta)
+    counts = np.bincount(r_nz, minlength=delta.shape[0])
+    rows = np.flatnonzero(counts)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts[rows], out=indptr[1:])
+    return CondensedDelta(rows, indptr, c_nz, delta[r_nz, c_nz], delta.shape)
 
 
 class DeltaCellCache:
@@ -172,8 +170,8 @@ class DeltaCellCache:
         """
         if len(rows) == 0:
             return
-        self.zx[rows] = x[rows] @ self.cell.w_x
-        self.zh[rows] = drive @ self.cell.w_h
+        self.zx[rows] = _matmul_rows(x[rows], self.cell.w_x)
+        self.zh[rows] = _matmul_rows(drive, self.cell.w_h)
         self.z_input[rows] = x[rows]
 
     def partial_step(
@@ -186,17 +184,17 @@ class DeltaCellCache:
     ):
         """DELTA-mode update for ``rows``.
 
-        Returns ``(h_rows, state_rows, condensed)`` where ``h_rows`` /
-        ``state_rows`` cover only ``rows`` and ``condensed`` is the
-        Condense-Unit packing actually applied (its ``nnz`` drives the
-        compute-savings accounting).
+        Returns ``(h_rows, state_rows, nnz)`` where ``h_rows`` /
+        ``state_rows`` cover only ``rows`` and ``nnz`` counts the delta
+        components that survived the threshold — what the Condense Unit
+        would pack, and what drives the compute-savings accounting.
         """
         if len(rows) == 0:
             raise ValueError("partial_step needs at least one row")
         delta = generate_delta(z_curr[rows], self.z_input[rows], epsilon=epsilon)
-        packed = condense(delta)
+        nnz = int(np.count_nonzero(delta))
         # apply only the surviving delta columns to the cached input path
-        self.zx[rows] += delta @ self.cell.w_x
+        self.zx[rows] += _matmul_rows(delta, self.cell.w_x)
         self.z_input[rows] += delta
         pre = self.zx[rows] + self.zh[rows] + self.cell.bias
         if isinstance(self.cell, LSTMCell):
@@ -207,10 +205,10 @@ class DeltaCellCache:
             o = sigmoid(pre[:, 3 * d :])
             c = (f * state_prev.c[rows] + i * g).astype(np.float32)
             h = (o * tanh(c)).astype(np.float32)
-            return h, LSTMState(h, c), packed
+            return h, LSTMState(h, c), nnz
         if isinstance(self.cell, ElmanCell):
             h = np.tanh(pre).astype(np.float32)
-            return h, GRUState(h), packed
+            return h, GRUState(h), nnz
         # GRU
         d = self.cell.hidden_dim
         zh = self.zh[rows]
@@ -221,4 +219,4 @@ class DeltaCellCache:
         zx_n = self.zx[rows][:, 2 * d :] + self.cell.bias[2 * d :]
         n_gate = tanh(zx_n + r * zh[:, 2 * d :])
         h = ((1.0 - z) * n_gate + z * state_prev.h[rows]).astype(np.float32)
-        return h, GRUState(h), packed
+        return h, GRUState(h), nnz

@@ -87,7 +87,9 @@ def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 class TestSegmentSumMatchesScatter:
     @given(
         seed=st.integers(0, 10_000),
-        n=st.integers(1, 60),
+        # small graphs, and hub-heavy ones: star / power-law hubs of
+        # degree in the hundreds run through the lane-wise hub finish
+        n=st.one_of(st.integers(1, 60), st.integers(150, 500)),
         shape=st.sampled_from(SHAPES),
         width=st.sampled_from(WIDTHS),
         dtype=st.sampled_from([np.float32, np.float64]),
@@ -104,6 +106,38 @@ class TestSegmentSumMatchesScatter:
         assert_same_bytes(
             segment_sum(indptr, indices, x, rows),
             scatter_oracle(indptr, indices, x, m),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [2, 3, 4, 8, 32])
+    def test_numpy_reduces_axis0_of_a_c_contiguous_gather_row_by_row(
+        self, width, dtype
+    ):
+        """The order the hub finish leans on, pinned here because NumPy
+        does not document it: reducing a C-contiguous ``(deg, width)``
+        array over axis 0 (``width >= 2``, so never the fast axis) adds
+        row 0, 1, 2, ... in turn, as ``accumulate`` does by definition.
+        A NumPy that changes this fails *this* test, by name."""
+        rng = np.random.default_rng(width)
+        degrees = list(range(2, 140)) + [255, 256, 257, 511, 512, 999, 1000]
+        for deg in degrees:
+            x = rng.standard_normal((deg + 5, width)).astype(dtype)
+            g = x.take(rng.integers(0, len(x), size=deg), axis=0)
+            assert g.flags.c_contiguous
+            assert_same_bytes(
+                np.add.reduce(g, axis=0), np.add.accumulate(g, axis=0)[-1]
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [None, 1])
+    def test_hubs_of_one_lane_do_not_rely_on_reduce_order(self, width, dtype):
+        """1-D ``x`` and width 1 reduce along the fast axis, where NumPy
+        sums pairwise: their hubs must keep the sequential finish."""
+        rng = np.random.default_rng(5)
+        indptr, indices = make_csr("star", 400, rng)
+        x = rng.standard_normal(400 if width is None else (400, 1)).astype(dtype)
+        assert_same_bytes(
+            segment_sum(indptr, indices, x), scatter_oracle(indptr, indices, x)
         )
 
     @given(seed=st.integers(0, 10_000), shape=st.sampled_from(SHAPES))

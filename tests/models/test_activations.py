@@ -1,6 +1,7 @@
 """Tests for activation functions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,6 +13,54 @@ FLOATS = hnp.arrays(
     st.integers(min_value=1, max_value=50),
     elements=st.floats(min_value=-500, max_value=500),
 )
+
+
+# forced into every property example: signed zeros, infinities, NaNs, the
+# f32 denormal floor, the f32 / f64 exp under- and overflow edges
+EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45, 88.7, -88.7,
+    103.9, -103.9, 745.0, -745.0,
+]
+
+
+def retained_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The gather/scatter formula :func:`sigmoid` replaced, kept as the
+    bit-for-bit oracle (it is on the engine–accel agreement contract)."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out.astype(x.dtype, copy=False)
+
+
+class TestSigmoidMatchesRetainedFormula:
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 40),
+        exponent=st.integers(-30, 30),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        sliced=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, seed, rows, exponent, dtype, sliced):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):  # 1e30-scale f32 inputs may be inf
+            x = (rng.standard_normal((rows, 16)) * 10.0**exponent).astype(dtype)
+        x.flat[rng.permutation(x.size)[: len(EDGES)]] = EDGES
+        if sliced:  # a gate slice of a wider pre-activation: strided
+            x = x[:, 4:12]
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        want = retained_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_edge_value(self, dtype):
+        x = np.array(EDGES, dtype=dtype)
+        assert sigmoid(x).tobytes() == retained_sigmoid(x).tobytes()
 
 
 class TestSigmoid:

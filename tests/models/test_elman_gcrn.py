@@ -39,9 +39,9 @@ class TestElmanCell:
         state = cell.init_state(6)
         h_full, _ = cell.step(x, state)
         cache.refresh(np.arange(6), x, state.h)
-        h_part, _, packed = cache.partial_step(np.arange(6), x, state)
+        h_part, _, nnz = cache.partial_step(np.arange(6), x, state)
         np.testing.assert_allclose(h_part, h_full, rtol=1e-5, atol=1e-6)
-        assert packed.nnz == 0
+        assert nnz == 0
 
     @pytest.mark.parametrize("name", ["TaGNN-DR", "TaGNN-AM", "TaGNN-AS"])
     def test_approximators_support_elman(self, name):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import GRUCell, LSTMCell
+from repro.models import ElmanCell, GRUCell, LSTMCell
 from repro.skipping import (
     CellUpdateMode,
     DeltaCellCache,
@@ -104,9 +104,19 @@ class TestDeltaGeneration:
         rng = np.random.default_rng(0)
         delta = rng.standard_normal((6, 8)).astype(np.float32)
         delta[np.abs(delta) < 0.8] = 0.0
+        delta[3] = 0.0  # an empty row between occupied ones
         packed = condense(delta)
         np.testing.assert_array_equal(packed.expand(), delta)
         assert packed.nnz == int((delta != 0).sum())
+        # one flat buffer + address register, cut by the row pointer
+        assert packed.rows.tolist() == [0, 1, 2, 4, 5]
+        assert packed.indptr[0] == 0 and packed.indptr[-1] == packed.nnz
+        assert len(packed.addresses) == len(packed.values) == packed.nnz
+        for i, r in enumerate(packed.rows):
+            lo, hi = packed.indptr[i], packed.indptr[i + 1]
+            cols = np.flatnonzero(delta[r])
+            np.testing.assert_array_equal(packed.addresses[lo:hi], cols)
+            np.testing.assert_array_equal(packed.values[lo:hi], delta[r, cols])
 
     def test_condense_density(self):
         delta = np.zeros((4, 5), dtype=np.float32)
@@ -132,14 +142,15 @@ class TestDeltaGeneration:
         assert expanded.size == 0
 
     def test_expand_with_empty_address_lists(self):
-        """A packing whose rows all carry empty address lists expands to
-        the all-zero matrix."""
+        """A packing whose rows all carry empty address slices expands
+        to the all-zero matrix."""
         from repro.skipping.delta import CondensedDelta
 
         packed = CondensedDelta(
             rows=np.array([1], dtype=np.int64),
-            addresses=[np.array([], dtype=np.int64)],
-            values=[np.array([], dtype=np.float32)],
+            indptr=np.array([0, 0], dtype=np.int64),
+            addresses=np.array([], dtype=np.int64),
+            values=np.array([], dtype=np.float32),
             dense_shape=(3, 4),
         )
         assert packed.nnz == 0
@@ -147,6 +158,25 @@ class TestDeltaGeneration:
         np.testing.assert_array_equal(
             packed.expand(), np.zeros((3, 4), dtype=np.float32)
         )
+
+
+@pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell, ElmanCell])
+def test_partial_step_count_is_the_thresholded_delta_nonzeros(cell_cls):
+    """The third return value is what the Condense Unit would pack: the
+    non-zeros of ``generate_delta`` over the asked-for rows, as an int."""
+    cell = cell_cls(5, 4, seed=0)
+    cache = DeltaCellCache(cell, 8)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((8, 5)).astype(np.float32)
+    state = cell.init_state(8)
+    cache.refresh(np.arange(8), x, state.h)
+    x2 = x + (rng.standard_normal((8, 5)) * 2e-3).astype(np.float32)
+    rows = np.array([1, 2, 5, 7])
+    want = generate_delta(x2[rows], x[rows], epsilon=1e-3)
+    assert 0 < np.count_nonzero(want) < want.size  # the threshold bites
+    _, _, nnz = cache.partial_step(rows, x2, state, epsilon=1e-3)
+    assert type(nnz) is int
+    assert nnz == np.count_nonzero(want) == condense(want).nnz
 
 
 @pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell])
@@ -166,9 +196,9 @@ class TestDeltaCellCache:
         cell, cache, x, state = self._setup(cell_cls)
         h_full, st_full = cell.step(x, state)
         cache.refresh(np.arange(6), x, state.h)
-        h_part, st_part, packed = cache.partial_step(np.arange(6), x, state)
+        h_part, st_part, nnz = cache.partial_step(np.arange(6), x, state)
         np.testing.assert_allclose(h_part, h_full, rtol=1e-5, atol=1e-6)
-        assert packed.nnz == 0
+        assert nnz == 0
 
     def test_partial_step_tracks_small_changes(self, cell_cls):
         """Small input deltas above epsilon are applied through the
@@ -178,10 +208,10 @@ class TestDeltaCellCache:
         x2 = x.copy()
         x2[:, 0] += 0.5  # one changed column
         h_ref, _ = cell.step(x2, state)
-        h_part, _, packed = cache.partial_step(np.arange(6), x2, state, epsilon=1e-4)
+        h_part, _, nnz = cache.partial_step(np.arange(6), x2, state, epsilon=1e-4)
         # input path is exact (recurrent path unchanged from cache):
         np.testing.assert_allclose(h_part, h_ref, rtol=1e-4, atol=1e-5)
-        assert packed.nnz == 6  # one column per row survived
+        assert nnz == 6  # one column per row survived
 
     def test_partial_step_empty_rows_raises(self, cell_cls):
         cell, cache, x, state = self._setup(cell_cls)
