@@ -20,6 +20,12 @@ Everything is vectorised: feature stability is one stacked comparison,
 topology stability uses the order-independent row fingerprints from
 :meth:`CSRSnapshot.row_fingerprints`, and neighbour-feature stability is
 one masked min-scatter over the first snapshot's CSR.
+
+"Neighbour lists identical" means equal degree and equal 64-bit
+fingerprint; the rows themselves are never compared, so the engine's
+exactness contract rests on that hash (collision bound in
+:meth:`CSRSnapshot.row_fingerprints`; docs/performance.md, "The
+exactness contract").
 """
 
 from __future__ import annotations

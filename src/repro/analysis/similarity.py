@@ -58,11 +58,10 @@ def _gather_rows(snap: CSRSnapshot, vertices: np.ndarray, deg: np.ndarray) -> np
     """Concatenated neighbour lists of ``vertices`` (each row sorted)."""
     total = int(deg.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
-    first = np.repeat(snap.indptr[vertices].astype(np.int64), deg)
-    run_start = np.repeat(np.cumsum(deg) - deg, deg)
-    idx = first + (np.arange(total, dtype=np.int64) - run_start)
-    return snap.indices[idx].astype(np.int64)
+        return np.empty(0, dtype=snap.indices.dtype)
+    # entry j of row i sits at indptr[v_i] + (j - start_i): one repeat
+    shift = snap.indptr[vertices] - (np.cumsum(deg) - deg)
+    return snap.indices.take(np.repeat(shift, deg) + np.arange(total))
 
 
 @contract("_, _, (r,) i, (n,) b -> (r,) f64")
@@ -79,20 +78,57 @@ def neighbor_stability_weights(
     ``feature_stable`` marks vertices whose own features are unchanged
     between the two snapshots (the paper's inclusive stable set).
 
+    A row whose neighbour list is the same in both snapshots — equal
+    degree and equal :meth:`~repro.graphs.snapshot.CSRSnapshot.
+    row_fingerprints`, the test ``classify_window`` trusts — has every
+    neighbour in common, so its weight is the stable share of its own
+    list: one gather and one segmented integer sum.  Only the remaining
+    rows pay for the intersection.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    deg = snap_t.degrees[vertices]
+    same = (deg == snap_t1.degrees[vertices]) & (
+        snap_t.row_fingerprints()[vertices]
+        == snap_t1.row_fingerprints()[vertices]
+    )
+    out = np.ones(vertices.size, dtype=np.float64)  # kept an empty row
+    kept = same & (deg > 0)
+    kept_deg = deg[kept]
+    stable = feature_stable.take(_gather_rows(snap_t, vertices[kept], kept_deg))
+    # no kept row is empty, so every reduceat segment is a whole row;
+    # integer-valued float64 ratio: identical to the intersection's
+    out[kept] = (
+        np.add.reduceat(stable, np.cumsum(kept_deg) - kept_deg, dtype=np.int64)
+        / kept_deg
+    )
+    if not same.all():
+        out[~same] = _intersection_weights(
+            snap_t, snap_t1, vertices[~same], feature_stable
+        )
+    return out
+
+
+def _intersection_weights(
+    snap_t: CSRSnapshot,
+    snap_t1: CSRSnapshot,
+    vertices: np.ndarray,
+    feature_stable: np.ndarray,
+) -> np.ndarray:
+    """:func:`neighbor_stability_weights` for rows whose neighbour list
+    changed (at least one side is non-empty, so an empty intersection
+    scores 0).
+
     All rows are intersected at once: neighbour lists are sorted (a
     :func:`~repro.graphs.snapshot.build_csr` invariant), so tagging each
     entry with its owner's rank yields two strictly increasing composite
     keys whose common elements fall out of one ``searchsorted`` pass.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
     r = vertices.size
     out = np.zeros(r, dtype=np.float64)
-    if r == 0:
-        return out
-    deg_a = snap_t.degrees[vertices].astype(np.int64)
-    deg_b = snap_t1.degrees[vertices].astype(np.int64)
-    # both neighbourhoods empty and equal -> perfectly consistent
-    out[(deg_a == 0) & (deg_b == 0)] = 1.0
+    deg_a = snap_t.degrees[vertices]
+    deg_b = snap_t1.degrees[vertices]
     nb_a = _gather_rows(snap_t, vertices, deg_a)
     nb_b = _gather_rows(snap_t1, vertices, deg_b)
     if nb_a.size == 0 or nb_b.size == 0:
@@ -101,17 +137,13 @@ def neighbor_stability_weights(
     owner_a = np.repeat(np.arange(r, dtype=np.int64), deg_a)
     key_a = owner_a * n + nb_a
     key_b = np.repeat(np.arange(r, dtype=np.int64), deg_b) * n + nb_b
-    pos = np.searchsorted(key_b, key_a)
-    pos_c = np.minimum(pos, key_b.size - 1)
-    hit = (pos < key_b.size) & (key_b[pos_c] == key_a)
+    # a key past the end of key_b clips onto its last, smaller, element
+    hit = key_b.take(np.searchsorted(key_b, key_a), mode="clip") == key_a
     owners = owner_a[hit]
-    common = nb_a[hit]
     cnt = np.bincount(owners, minlength=r)
-    stable = np.bincount(
-        owners, weights=feature_stable[common].astype(np.float64), minlength=r
-    )
+    stable = np.bincount(owners[feature_stable[nb_a[hit]]], minlength=r)
     has = cnt > 0
-    # integer-valued float64 sums: identical to feature_stable[common].mean()
+    # integer counts: identical to feature_stable[common].mean()
     out[has] = stable[has] / cnt[has]
     return out
 

@@ -196,10 +196,16 @@ class StreamingInference:
     # ------------------------------------------------------------------
     # carry-state checkpointing (repro.resilience.checkpoint)
     # ------------------------------------------------------------------
+    @property
+    def carry(self) -> Carry:
+        """The live carry, for readers that finish with it before the
+        next push (:mod:`repro.resilience.checkpoint` serialises it);
+        anything kept across a push takes :meth:`carry_state`."""
+        return self._carry
+
     def carry_state(self) -> Carry:
         """Deep copy of everything carried across windows, fully
-        detached from the live stream: a rollback point, and what
-        :mod:`repro.resilience.checkpoint` serialises."""
+        detached from the live stream: a rollback point."""
         return self._carry.copy()
 
     def restore_carry(self, carry: Carry) -> None:

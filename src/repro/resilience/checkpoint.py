@@ -16,16 +16,29 @@ stream can resume **bit-identically** from any event boundary.  Design
 points:
 
 * **No pickle.**  Everything is flattened into a ``str -> ndarray``
-  mapping written with :func:`numpy.savez`; strings travel as 0-d
-  unicode arrays.  Loading a checkpoint never executes code.
+  mapping written with :func:`numpy.savez`; the one string travels as a
+  fixed-width unicode field.  Loading a checkpoint never executes code.
+* **Members cost, bytes do not.**  A zip member is ~25 us of
+  ``zipfile`` + ``.npy``-header work whatever it holds, and 40 of
+  format 1's 51 members held one 8-byte integer each.  Format 2 keeps
+  every scalar as one field of a single 0-d structured record (its
+  ``.npy`` header names and types the fields, so it is as
+  self-describing as the members it replaces): 13 members, a third of
+  the save time.
 * **Stored, not deflated.**  float32 state barely compresses (-17 %)
   and deflate cost 13 ms a save against 1-2 ms stored.  Integrity is
   the zip's per-member CRC-32 (flipped byte) and central directory
   (torn write), not the codec; deflated archives still load.
-* **Self-describing.**  ``meta/format`` versions the layout;
-  ``meta/state_kind`` records the recurrent-state class (``lstm`` /
-  ``gru`` / ``none``); optional sections (cache, previous window,
-  pending snapshots) are present only when the stream carried them.
+* **Self-describing.**  ``meta/format`` versions the layout and is
+  always its own member, so reading the version never depends on the
+  layout it versions; ``meta/state_kind`` records the recurrent-state
+  class (``lstm`` / ``gru`` / ``none``); optional sections (cache,
+  previous window, pending snapshots) are present only when the stream
+  carried them.
+* **New reads old.**  This build writes format 2 only and reads 1 and
+  2 (a live store can hold both across an upgrade); a format-1 build
+  refuses a format-2 archive with its "unsupported checkpoint format"
+  message.
 * **No model needed to load.**  A loaded ``Carry``'s cache holds bare
   arrays; :meth:`StreamingInference.restore_carry` checks them against
   the model's cell and binds it.
@@ -35,17 +48,21 @@ points:
   ``meta/window_index`` restores the weight trajectory; no weight
   tensors are stored.
 
-The key layout (format 1), by ``Carry`` field::
+The key layout, by ``Carry`` field.  In format 1 every line below is
+a zip member; in format 2 the lines marked ``*`` are fields of the
+``meta/scalars`` record, under the same names::
 
-    meta/{format,window_size,timestamp,window_index,first,
+    meta/format                the layout version (always a member)
+    meta/{window_size,timestamp,window_index,first,             *
           num_vertices,num_pending,state_kind}
-    metrics/<field>            one int64 per scalar ExecutionMetrics field
+    metrics/<field>            one int64 per scalar ExecutionMetrics field  *
     metrics/window_modes       (W, 3) int64 per-window (full, delta, skip)
     state/h [, state/c]        ``state`` (by meta/state_kind)
     cache/{zx,zh,z_input}      ``cache`` pre-activations (optional)
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)
-    snap_prev/<field>          ``snap_prev`` (optional)
+    snap_prev/<field>          ``snap_prev`` (optional; ``timestamp`` *)
     pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
+                               (``timestamp`` *)
 """
 
 from __future__ import annotations
@@ -76,59 +93,64 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+_READABLE_FORMATS = (1, 2)
 
 _SNAP_FIELDS = ("indptr", "indices", "features", "present")
 _CACHE_FIELDS = ("zx", "zh", "z_input")
+_SCALARS = "meta/scalars"
+#: record fields that are not int64
+_SCALAR_DTYPES = {"meta/first": np.bool_, "meta/state_kind": "U4"}
 
 
-def _snapshot_arrays(prefix: str, snap: CSRSnapshot) -> dict:
-    out = {f"{prefix}/{name}": getattr(snap, name) for name in _SNAP_FIELDS}
-    out[f"{prefix}/timestamp"] = np.int64(snap.timestamp)
-    return out
+def _put_snapshot(arrays: dict, scalars: dict, prefix: str, snap) -> None:
+    for name in _SNAP_FIELDS:
+        arrays[f"{prefix}/{name}"] = getattr(snap, name)
+    scalars[f"{prefix}/timestamp"] = snap.timestamp
 
 
-def _snapshot_from(data, prefix: str) -> CSRSnapshot:
+def _snapshot_from(data, scalars: dict, prefix: str) -> CSRSnapshot:
     return CSRSnapshot(
         indptr=np.asarray(data[f"{prefix}/indptr"]),
         indices=np.asarray(data[f"{prefix}/indices"]),
         features=np.asarray(data[f"{prefix}/features"]),
         present=np.asarray(data[f"{prefix}/present"]),
-        timestamp=int(data[f"{prefix}/timestamp"]),
+        timestamp=int(scalars[f"{prefix}/timestamp"]),
     )
 
 
 # ----------------------------------------------------------------------
 def carry_to_arrays(carry: Carry) -> dict:
-    """Flatten a :class:`Carry` (``StreamingInference.carry_state()``)
-    into the ``str -> ndarray`` checkpoint layout documented above."""
+    """Flatten a :class:`Carry` into the ``str -> ndarray`` checkpoint
+    layout documented above (format 2).  The arrays are the carry's own,
+    not copies: write them out before the stream moves on."""
     num_vertices = carry.num_vertices
-    arrays: dict = {
-        "meta/format": np.int64(CHECKPOINT_FORMAT),
-        "meta/window_size": np.int64(carry.window_size),
-        "meta/timestamp": np.int64(carry.timestamp),
-        "meta/window_index": np.int64(carry.window_index),
-        "meta/first": np.bool_(carry.first),
-        "meta/num_vertices": np.int64(
-            -1 if num_vertices is None else num_vertices
-        ),
-        "meta/num_pending": np.int64(len(carry.pending)),
+    scalars: dict = {
+        "meta/window_size": carry.window_size,
+        "meta/timestamp": carry.timestamp,
+        "meta/window_index": carry.window_index,
+        "meta/first": carry.first,
+        "meta/num_vertices": -1 if num_vertices is None else num_vertices,
+        "meta/num_pending": len(carry.pending),
     }
     metrics = carry.metrics
     for name in SCALAR_FIELDS:
-        arrays[f"metrics/{name}"] = np.int64(getattr(metrics, name))
-    arrays["metrics/window_modes"] = np.asarray(
-        metrics.window_modes, dtype=np.int64
-    ).reshape(-1, 3)
+        scalars[f"metrics/{name}"] = getattr(metrics, name)
+    arrays: dict = {
+        "meta/format": np.int64(CHECKPOINT_FORMAT),
+        "metrics/window_modes": np.asarray(
+            metrics.window_modes, dtype=np.int64
+        ).reshape(-1, 3),
+    }
     state = carry.state
     if state is None:
-        arrays["meta/state_kind"] = np.str_("none")
+        scalars["meta/state_kind"] = "none"
     elif isinstance(state, LSTMState):
-        arrays["meta/state_kind"] = np.str_("lstm")
+        scalars["meta/state_kind"] = "lstm"
         arrays["state/h"] = state.h
         arrays["state/c"] = state.c
     elif isinstance(state, GRUState):
-        arrays["meta/state_kind"] = np.str_("gru")
+        scalars["meta/state_kind"] = "gru"
         arrays["state/h"] = state.h
     else:
         raise ValueError(
@@ -141,14 +163,37 @@ def carry_to_arrays(carry: Carry) -> dict:
         if getattr(carry, name) is not None:
             arrays[f"carry/{name}"] = getattr(carry, name)
     if carry.snap_prev is not None:
-        arrays.update(_snapshot_arrays("snap_prev", carry.snap_prev))
+        _put_snapshot(arrays, scalars, "snap_prev", carry.snap_prev)
     for i, snap in enumerate(carry.pending):
-        arrays.update(_snapshot_arrays(f"pending/{i}", snap))
+        _put_snapshot(arrays, scalars, f"pending/{i}", snap)
+    arrays[_SCALARS] = np.array(
+        tuple(scalars.values()),
+        dtype=[(key, _SCALAR_DTYPES.get(key, np.int64)) for key in scalars],
+    )
     return arrays
 
 
+def _read_scalars(data, keys: set, fmt: int) -> dict:
+    """Every scalar of a checkpoint as ``key -> Python value``: the
+    fields of the one record (format 2), or the 0-d members the record
+    replaced (format 1)."""
+    if fmt == 1:
+        return {
+            key: np.asarray(data[key]).item()
+            for key in keys
+            if key.startswith("meta/")
+            or key.endswith("/timestamp")
+            or (key.startswith("metrics/") and key != "metrics/window_modes")
+        }
+    record = np.asarray(data[_SCALARS])
+    if record.ndim != 0 or record.dtype.names is None:
+        raise ValueError(f"{_SCALARS} is not a 0-d structured record")
+    return dict(zip(record.dtype.names, record.item()))
+
+
 def arrays_to_carry(data) -> Carry:
-    """Rebuild a :class:`Carry` from the flat checkpoint layout.
+    """Rebuild a :class:`Carry` from the flat checkpoint layout, format
+    1 or 2.
 
     ``data`` is anything indexable by key with a ``files``/key listing —
     an :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Snapshots are
@@ -157,24 +202,23 @@ def arrays_to_carry(data) -> Carry:
     """
     keys = set(data.files) if hasattr(data, "files") else set(data)
     fmt = int(data["meta/format"])
-    if fmt != CHECKPOINT_FORMAT:
+    if fmt not in _READABLE_FORMATS:
         raise ValueError(
-            f"unsupported checkpoint format {fmt}"
-            f" (this build reads format {CHECKPOINT_FORMAT})"
+            f"unsupported checkpoint format {fmt} (this build reads"
+            f" formats {' and '.join(map(str, _READABLE_FORMATS))})"
         )
+    scalars = _read_scalars(data, keys, fmt)
     metrics = ExecutionMetrics(
         **{
-            name: int(data[f"metrics/{name}"])
+            name: int(scalars[f"metrics/{name}"])
             for name in SCALAR_FIELDS
-            if f"metrics/{name}" in keys
+            if f"metrics/{name}" in scalars
         }
     )
     if "metrics/window_modes" in keys:
         modes = np.asarray(data["metrics/window_modes"], dtype=np.int64)
-        metrics.window_modes = [
-            (int(f), int(d), int(s)) for f, d, s in modes.reshape(-1, 3)
-        ]
-    state_kind = np.asarray(data["meta/state_kind"]).item()
+        metrics.window_modes = list(map(tuple, modes.reshape(-1, 3).tolist()))
+    state_kind = scalars["meta/state_kind"]
     if state_kind == "none":
         state = None
     elif state_kind == "lstm":
@@ -194,15 +238,15 @@ def arrays_to_carry(data) -> Carry:
         cache = DeltaCellCache.from_arrays(
             *(np.asarray(data[f"cache/{name}"]) for name in _CACHE_FIELDS)
         )
-    raw_n = int(data["meta/num_vertices"])
+    raw_n = int(scalars["meta/num_vertices"])
     return Carry(
-        window_size=int(data["meta/window_size"]),
+        window_size=int(scalars["meta/window_size"]),
         pending=[
-            _snapshot_from(data, f"pending/{i}")
-            for i in range(int(data["meta/num_pending"]))
+            _snapshot_from(data, scalars, f"pending/{i}")
+            for i in range(int(scalars["meta/num_pending"]))
         ],
-        timestamp=int(data["meta/timestamp"]),
-        window_index=int(data["meta/window_index"]),
+        timestamp=int(scalars["meta/timestamp"]),
+        window_index=int(scalars["meta/window_index"]),
         num_vertices=None if raw_n < 0 else raw_n,
         metrics=metrics,
         state=state,
@@ -210,19 +254,22 @@ def arrays_to_carry(data) -> Carry:
         h_prev=optional("carry/h_prev"),
         z_prev=optional("carry/z_prev"),
         snap_prev=(
-            _snapshot_from(data, "snap_prev")
+            _snapshot_from(data, scalars, "snap_prev")
             if "snap_prev/indptr" in keys
             else None
         ),
-        first=bool(data["meta/first"]),
+        first=bool(scalars["meta/first"]),
     )
 
 
 # ----------------------------------------------------------------------
 def save_checkpoint(stream: StreamingInference, path) -> None:
-    """Capture ``stream``'s carry state into a ``.npz`` checkpoint at
-    ``path`` (a filesystem path or writable binary file object)."""
-    np.savez(path, **carry_to_arrays(stream.carry_state()))
+    """Write ``stream``'s carry state into a ``.npz`` checkpoint at
+    ``path`` (a filesystem path or writable binary file object).  The
+    live carry is serialised as it stands — written out, never written
+    to — so a save costs no second deep copy beside the supervisor's
+    rollback point."""
+    np.savez(path, **carry_to_arrays(stream.carry))
 
 
 def load_checkpoint(path) -> Carry:
@@ -247,7 +294,8 @@ def restore_stream(stream: StreamingInference, path) -> StreamingInference:
 # rotating checkpoint store (keep-last-K retention)
 # ----------------------------------------------------------------------
 class CorruptCheckpointError(RuntimeError):
-    """A stored checkpoint failed to deserialise (torn write)."""
+    """A stored checkpoint failed to deserialise (torn write, failed
+    CRC, missing member, unknown format)."""
 
 
 class CheckpointStore:
@@ -314,25 +362,28 @@ class CheckpointStore:
         """Read one checkpoint back into a :class:`Carry`.
 
         Raises :class:`TransientStorageError` when a scheduled transient
-        failure is pending (retryable) and :class:`CorruptCheckpointError`
-        when the blob does not deserialise (permanent for this key).
+        failure is pending (retryable), :class:`KeyError` when the store
+        holds no such key, and :class:`CorruptCheckpointError` when the
+        blob does not deserialise — torn, failing a CRC, of an unknown
+        format, or a well-formed archive that lacks a member (permanent
+        for this key).
         """
         if self._transient_failures > 0:
             self._transient_failures -= 1
             raise TransientStorageError(
                 f"injected transient failure loading {key}"
             )
+        if self.directory is None:
+            data = io.BytesIO(self._blobs[key])
+        else:
+            data = self.directory / key
+            if not os.path.exists(data):
+                raise KeyError(key)
         try:
-            if self.directory is None:
-                data = io.BytesIO(self._blobs[key])
-            else:
-                data = self.directory / key
-                if not os.path.exists(data):
-                    raise KeyError(key)
             return load_checkpoint(data)
-        except KeyError:
-            raise
-        except (ValueError, OSError, zipfile.BadZipFile, EOFError) as exc:
+        except (
+            KeyError, ValueError, OSError, zipfile.BadZipFile, EOFError
+        ) as exc:
             raise CorruptCheckpointError(
                 f"checkpoint {key} failed to deserialise: {exc}"
             ) from exc

@@ -254,14 +254,20 @@ class GuardedIngest:
         # Fast path: the batched validator proves the whole batch clean
         # without replaying it event by event.  Any anomaly — a malformed
         # payload or any strict-replay violation — drops to the exact
-        # sequential walk below, which dead-letters poison events in
-        # arrival order with the same reasons as before.
+        # sequential walk, which dead-letters poison events in arrival
+        # order with the same reasons as before.
         events = list(events)
         dec = _decode_events(events, snap.num_vertices, snap.dim)
         if dec is not None and not _decoded_violation(
             snap, dec, _edge_keys_sorted(snap)
         ):
             return events, []
+        return self._walk(snap, events, step)
+
+    def _walk(self, snap: CSRSnapshot, events: list, step: int):
+        """The exact sequential split: replay ``events`` one by one
+        against the evolving state, dead-lettering each one the strict
+        replay would raise on."""
         n = snap.num_vertices
         present = snap.present.copy()
         src = np.repeat(np.arange(n, dtype=np.int64), snap.degrees)
@@ -298,9 +304,20 @@ class GuardedIngest:
     def apply(
         self, snap: CSRSnapshot, events, *, step: int = 0
     ) -> CSRSnapshot:
-        """Quarantine poison events, then apply the clean remainder."""
-        clean, _ = self.filter_events(snap, events, step=step)
-        return apply_events(snap, clean)
+        """Quarantine poison events, then apply the clean remainder.
+
+        Optimistic: the strict replay *is* the validator, so a clean
+        batch is decoded and validated once, inside ``apply_events``.
+        Only when that raises — it raises exactly when the walk has
+        something to quarantine — is the batch walked and the surviving
+        events applied.
+        """
+        events = list(events)
+        try:
+            return apply_events(snap, events)
+        except ValueError:
+            clean, _ = self._walk(snap, events, step)
+            return apply_events(snap, clean)
 
 
 # ----------------------------------------------------------------------

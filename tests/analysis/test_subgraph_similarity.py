@@ -129,6 +129,49 @@ class TestCosineRows:
         assert np.all((c >= -1.0) & (c <= 1.0))
 
 
+def _full_intersection_oracle(snap_t, snap_t1, vertices, feature_stable):
+    """``neighbor_stability_weights`` as it was before same-list rows got
+    a shortcut: every row gathered from both snapshots and intersected.
+    Frozen here as the oracle — do not share code with the function."""
+
+    def gather(snap, deg):
+        total = int(deg.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        first = np.repeat(snap.indptr[vertices].astype(np.int64), deg)
+        run_start = np.repeat(np.cumsum(deg) - deg, deg)
+        idx = first + (np.arange(total, dtype=np.int64) - run_start)
+        return snap.indices[idx].astype(np.int64)
+
+    vertices = np.asarray(vertices, dtype=np.int64)
+    r = vertices.size
+    out = np.zeros(r, dtype=np.float64)
+    if r == 0:
+        return out
+    deg_a = snap_t.degrees[vertices].astype(np.int64)
+    deg_b = snap_t1.degrees[vertices].astype(np.int64)
+    out[(deg_a == 0) & (deg_b == 0)] = 1.0
+    nb_a, nb_b = gather(snap_t, deg_a), gather(snap_t1, deg_b)
+    if nb_a.size == 0 or nb_b.size == 0:
+        return out
+    n = np.int64(snap_t.num_vertices)
+    owner_a = np.repeat(np.arange(r, dtype=np.int64), deg_a)
+    key_a = owner_a * n + nb_a
+    key_b = np.repeat(np.arange(r, dtype=np.int64), deg_b) * n + nb_b
+    pos = np.searchsorted(key_b, key_a)
+    pos_c = np.minimum(pos, key_b.size - 1)
+    hit = (pos < key_b.size) & (key_b[pos_c] == key_a)
+    owners = owner_a[hit]
+    common = nb_a[hit]
+    cnt = np.bincount(owners, minlength=r)
+    stable = np.bincount(
+        owners, weights=feature_stable[common].astype(np.float64), minlength=r
+    )
+    has = cnt > 0
+    out[has] = stable[has] / cnt[has]
+    return out
+
+
 class TestNeighborStability:
     def _pair(self):
         n = 6
@@ -163,6 +206,46 @@ class TestNeighborStability:
         s1 = CSRSnapshot.from_edges(n, np.array([[0, 2]]), f.copy())
         w = neighbor_stability_weights(s0, s1, np.array([0]), np.ones(n, bool))
         assert w[0] == 0.0
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        churn=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
+        picks=st.lists(st.integers(0, 29), max_size=45),
+    )
+    def test_matches_full_intersection(self, seed, churn, picks):
+        """Same-list rows take the segmented-sum shortcut; intersecting
+        every row — the body this function used to be — is the oracle.
+        Covers empty rows, absent vertices, duplicate and unsorted
+        ``vertices``, all-same (churn 0) and none-same (churn 1) pairs."""
+        n = 30
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(rng.integers(0, 120), 2))
+        present = rng.random(n) < 0.85
+        edges = edges[present[edges[:, 0]] & present[edges[:, 1]]]
+        feats = np.zeros((n, 1), dtype=np.float32)
+        s0 = CSRSnapshot.from_edges(n, edges, feats, present=present)
+        keep = rng.random(len(edges)) >= churn
+        fresh = rng.integers(0, n, size=(int((~keep).sum()), 2))
+        fresh = fresh[present[fresh[:, 0]] & present[fresh[:, 1]]]
+        s1 = CSRSnapshot.from_edges(
+            n, np.concatenate([edges[keep], fresh]), feats.copy(),
+            present=present,
+        )
+        stable = rng.random(n) < 0.6
+        vertices = np.asarray(picks, dtype=np.int64)
+        got = neighbor_stability_weights(s0, s1, vertices, stable)
+        want = _full_intersection_oracle(s0, s1, vertices, stable)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        if churn == 0.0:
+            assert np.array_equal(s0.indices, s1.indices)
+
+    def test_fingerprints_are_cached_not_copied(self):
+        s0, _ = self._pair()
+        assert s0.row_fingerprints() is s0.row_fingerprints()
+        assert s0.copy()._fingerprints is None
 
 
 class TestSimilarityScores:

@@ -177,3 +177,32 @@ def test_guarded_ingest_dlq_matches_sequential_walk(seed, n_events, hostility):
         apply_events(snap, clean_fast),
         apply_events_reference(snap, clean_slow),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=5000),
+    n_events=st.integers(min_value=0, max_value=50),
+    hostility=st.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_guarded_apply_matches_filter_then_apply(seed, n_events, hostility):
+    """``GuardedIngest.apply`` tries the strict replay first and walks
+    the batch only when it raises; the composition it replaced —
+    ``filter_events`` then ``apply_events`` — is the oracle."""
+    snap = base_snapshot(seed)
+    events = random_events(snap, np.random.default_rng(seed + 3), n_events,
+                           hostility)
+
+    oracle = GuardedIngest(dlq=DeadLetterQueue())
+    clean, _ = oracle.filter_events(snap, events, step=7)
+    expected = apply_events(snap, clean)
+
+    guard = GuardedIngest(dlq=DeadLetterQueue())
+    got = guard.apply(snap, events, step=7)
+
+    assert_snapshots_identical(got, expected)
+    assert len(guard.dlq) == len(oracle.dlq)
+    for a, b in zip(guard.dlq.letters, oracle.dlq.letters):
+        assert (a.step, a.reason) == (b.step, b.reason)
+        assert a.payload is b.payload
+    assert guard.metrics.as_dict() == oracle.metrics.as_dict()

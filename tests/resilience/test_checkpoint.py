@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from repro.engine import StreamingInference
+from repro.engine.metrics import SCALAR_FIELDS
 from repro.graphs import load_dataset
 from repro.models import make_model
+from repro.models.rnn import GRUState, LSTMState
 from repro.resilience import (
+    CHECKPOINT_FORMAT,
     CheckpointStore,
     CorruptCheckpointError,
     arrays_to_carry,
@@ -58,12 +61,81 @@ def _uninterrupted(graph, name="T-GCN"):
     )
 
 
-def _parent_blob(carry) -> bytes:
-    """The deflated archive the writer produced before it stored its
-    members — kept as the compatibility oracle."""
+def _format1_arrays(carry) -> dict:
+    """The format-1 flattening, frozen as the parent's writer had it:
+    every scalar a 0-d member of its own.  The compatibility oracle —
+    do not route it through ``carry_to_arrays``."""
+    n = carry.num_vertices
+    arrays = {
+        "meta/format": np.int64(1),
+        "meta/window_size": np.int64(carry.window_size),
+        "meta/timestamp": np.int64(carry.timestamp),
+        "meta/window_index": np.int64(carry.window_index),
+        "meta/first": np.bool_(carry.first),
+        "meta/num_vertices": np.int64(-1 if n is None else n),
+        "meta/num_pending": np.int64(len(carry.pending)),
+    }
+    for name in SCALAR_FIELDS:
+        arrays[f"metrics/{name}"] = np.int64(getattr(carry.metrics, name))
+    arrays["metrics/window_modes"] = np.asarray(
+        carry.metrics.window_modes, dtype=np.int64
+    ).reshape(-1, 3)
+    state = carry.state
+    if state is None:
+        arrays["meta/state_kind"] = np.str_("none")
+    elif isinstance(state, LSTMState):
+        arrays["meta/state_kind"] = np.str_("lstm")
+        arrays["state/h"] = state.h
+        arrays["state/c"] = state.c
+    else:
+        assert isinstance(state, GRUState)
+        arrays["meta/state_kind"] = np.str_("gru")
+        arrays["state/h"] = state.h
+    if carry.cache is not None:
+        for name in ("zx", "zh", "z_input"):
+            arrays[f"cache/{name}"] = getattr(carry.cache, name)
+    for name in ("h_prev", "z_prev"):
+        if getattr(carry, name) is not None:
+            arrays[f"carry/{name}"] = getattr(carry, name)
+    snaps = [(f"pending/{i}", snap) for i, snap in enumerate(carry.pending)]
+    if carry.snap_prev is not None:
+        snaps.append(("snap_prev", carry.snap_prev))
+    for prefix, snap in snaps:
+        for name in ("indptr", "indices", "features", "present"):
+            arrays[f"{prefix}/{name}"] = getattr(snap, name)
+        arrays[f"{prefix}/timestamp"] = np.int64(snap.timestamp)
+    return arrays
+
+
+def _parent_blob(carry, writer=np.savez_compressed) -> bytes:
+    """A format-1 archive as a parent build wrote it: deflated before
+    the writer stored its members (``np.savez_compressed``), stored
+    after (``np.savez``)."""
     buf = io.BytesIO()
-    np.savez_compressed(buf, **carry_to_arrays(carry))
+    writer(buf, **_format1_arrays(carry))
     return buf.getvalue()
+
+
+def _set_scalar(arrays: dict, key: str, value) -> None:
+    """Overwrite one scalar of a flattened carry, wherever its format
+    keeps it: a member of its own (1) or a field of the record (2)."""
+    if int(arrays["meta/format"]) == 1:
+        arrays[key] = np.asarray(value)
+    else:
+        record = arrays["meta/scalars"].copy()
+        record[key] = value
+        arrays["meta/scalars"] = record
+
+
+def _array_members(carry) -> int:
+    """Members that hold an array: window_modes, the recurrent state,
+    cache, previous outputs, and four per snapshot."""
+    count = 1 + (2 if isinstance(carry.state, LSTMState) else 1)
+    count -= carry.state is None
+    count += 3 * (carry.cache is not None)
+    count += (carry.h_prev is not None) + (carry.z_prev is not None)
+    count += 4 * ((carry.snap_prev is not None) + len(carry.pending))
+    return count
 
 
 def _byte_bound(carry) -> int:
@@ -83,6 +155,15 @@ def _put_blob(store, key, blob) -> None:
         store._blobs[key] = blob
     else:
         (store.directory / key).write_bytes(blob)
+
+
+def _without_member(blob: bytes, member: str) -> bytes:
+    """``blob`` re-written as a valid archive that lacks ``member``."""
+    with np.load(io.BytesIO(blob)) as data:
+        arrays = {key: data[key] for key in data.files if key != member}
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 class TestCrashConsistency:
@@ -148,30 +229,43 @@ class TestCrashConsistency:
             np.testing.assert_array_equal(original[key], restored[key])
 
 
+FLATTENERS = {1: _format1_arrays, 2: carry_to_arrays}
+
+
 class TestTamperRejection:
-    def _arrays(self, graph, pushes=1):
+    def _arrays(self, graph, fmt, pushes=1):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in list(graph)[:pushes]:
             stream.push(snap.copy())
-        return carry_to_arrays(stream.carry_state())
+        return FLATTENERS[fmt](stream.carry_state())
 
+    # each tamper is tried on both layouts this build reads
     def test_unknown_format_rejected(self, graph):
-        arrays = self._arrays(graph)
-        arrays["meta/format"] = np.int64(999)
-        with pytest.raises(ValueError, match="format"):
-            arrays_to_carry(arrays)
+        for fmt in FLATTENERS:
+            arrays = self._arrays(graph, fmt)
+            arrays["meta/format"] = np.int64(999)
+            with pytest.raises(ValueError, match="format 999"):
+                arrays_to_carry(arrays)
 
     def test_unknown_state_kind_rejected(self, graph):
-        arrays = self._arrays(graph, pushes=4)
-        arrays["meta/state_kind"] = np.str_("quantum")
-        with pytest.raises(ValueError, match="state kind"):
-            arrays_to_carry(arrays)
+        for fmt in FLATTENERS:
+            arrays = self._arrays(graph, fmt, pushes=4)
+            _set_scalar(arrays, "meta/state_kind", "quantum")
+            with pytest.raises(ValueError, match="state kind"):
+                arrays_to_carry(arrays)
 
     def test_truncated_pending_snapshot_rejected(self, graph):
-        arrays = self._arrays(graph, pushes=1)  # window open: 1 pending
-        assert int(arrays["meta/num_pending"]) == 1
-        arrays["pending/0/indices"] = arrays["pending/0/indices"][:-3]
-        with pytest.raises(ValueError, match="indptr"):
+        for fmt in FLATTENERS:
+            arrays = self._arrays(graph, fmt, pushes=1)  # 1 pending
+            assert len(arrays_to_carry(arrays).pending) == 1
+            arrays["pending/0/indices"] = arrays["pending/0/indices"][:-3]
+            with pytest.raises(ValueError, match="indptr"):
+                arrays_to_carry(arrays)
+
+    def test_scalar_record_must_be_a_structured_scalar(self, graph):
+        arrays = self._arrays(graph, 2)
+        arrays["meta/scalars"] = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="structured record"):
             arrays_to_carry(arrays)
 
     def test_window_size_mismatch_rejected(self, graph):
@@ -281,6 +375,38 @@ class TestCheckpointStore:
         with pytest.raises(KeyError):
             store.load("ckpt-00000001.npz")
 
+    @pytest.mark.parametrize("backend", ["memory", "directory"])
+    def test_archive_lacking_a_member_is_corrupt_not_missing(
+        self, graph, tmp_path, backend
+    ):
+        """A well-formed zip without ``state/h`` is a corrupt checkpoint
+        (recovery falls back to the older key), not an unknown key."""
+        directory = tmp_path / "ckpts" if backend == "directory" else None
+        store, _ = self._filled(graph, keep_last=2, directory=directory)
+        newest = store.keys()[-1]
+        _put_blob(store, newest, _without_member(_get_blob(store, newest),
+                                                 "state/h"))
+        with pytest.raises(CorruptCheckpointError, match="state/h"):
+            store.load(newest)
+        assert store.load(store.keys()[-2]).timestamp >= 0
+        with pytest.raises(KeyError):
+            store.load("ckpt-99999999.npz")
+
+    def test_future_format_is_corrupt_with_the_format_message(self, graph):
+        store, _ = self._filled(graph, keep_last=2)
+        newest = store.keys()[-1]
+        with np.load(io.BytesIO(_get_blob(store, newest))) as data:
+            arrays = dict(data)
+        arrays["meta/format"] = np.int64(3)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        _put_blob(store, newest, buf.getvalue())
+        with pytest.raises(
+            CorruptCheckpointError, match="unsupported checkpoint format 3"
+        ):
+            store.load(newest)
+        assert store.load(store.keys()[-2]).timestamp >= 0
+
 
 class TestStoredArchive:
     """The archive is stored, not deflated — and loses no safety net:
@@ -302,7 +428,7 @@ class TestStoredArchive:
         blob = _get_blob(store, store.keys()[-1])
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             infos = zf.infolist()
-        assert len(infos) == len(carry_to_arrays(carry))
+        assert len(infos) == 2 + _array_members(carry) == 13 + 4 * 2
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
         assert len(blob) <= _byte_bound(carry)
 
@@ -349,13 +475,84 @@ class TestStoredArchive:
         assert held <= store.keep_last * _byte_bound(stream.carry_state())
 
 
-class TestParentFormatCompatibility:
-    """Deflated (parent-written) and stored archives are one format."""
+class TestFormat2Layout:
+    """Members cost, bytes do not: every scalar rides in one record."""
 
+    def _saved(self, graph, pushes, name="T-GCN"):
+        stream = StreamingInference(_model(graph, name), window_size=WINDOW)
+        for snap in list(graph)[:pushes]:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        return stream, buf.getvalue()
+
+    def test_writes_format_2(self, graph):
+        _, blob = self._saved(graph, WINDOW)
+        assert CHECKPOINT_FORMAT == 2
+        with np.load(io.BytesIO(blob)) as data:
+            assert int(data["meta/format"]) == 2
+
+    @pytest.mark.parametrize("pending", [0, 1, 2])
+    def test_member_count_is_two_plus_array_members(self, graph, pending):
+        stream, blob = self._saved(graph, WINDOW + pending)
+        assert stream.pending == pending
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            members = zf.namelist()
+        assert len(members) == 2 + _array_members(stream.carry)
+        assert len(members) == 13 + 4 * pending  # the T-GCN carry
+
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
+    @pytest.mark.parametrize("pushes", [0, 1, WINDOW, WINDOW + 1])
+    def test_no_scalar_but_the_format_has_its_own_member(
+        self, graph, model_name, pushes
+    ):
+        stream, blob = self._saved(graph, pushes, model_name)
+        with np.load(io.BytesIO(blob)) as data:
+            members = {key: data[key] for key in data.files}
+        lone = [
+            key
+            for key, value in members.items()
+            if value.ndim == 0 and value.dtype.names is None
+        ]
+        assert lone == ["meta/format"]
+        # the record holds exactly the scalars format 1 spread over
+        # members, under the same names
+        old = _format1_arrays(stream.carry)
+        scalars = {k for k, v in old.items() if np.ndim(v) == 0}
+        record = members["meta/scalars"]
+        assert record.shape == ()
+        assert set(record.dtype.names) == scalars - {"meta/format"}
+        for key in record.dtype.names:
+            assert record[key] == old[key], key
+        assert set(members) - {"meta/scalars"} == set(old) - scalars | {
+            "meta/format"
+        }
+
+    def test_save_leaves_the_live_carry_untouched(self, graph):
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[: WINDOW + 1]:
+            stream.push(snap.copy())
+        live = _format1_arrays(stream.carry)
+        before = {k: np.asarray(v).tobytes() for k, v in live.items()}
+        store = CheckpointStore()
+        store.save(stream)
+        after = _format1_arrays(stream.carry)
+        assert list(after) == list(before)
+        for key, value in after.items():
+            assert np.asarray(value).tobytes() == before[key], key
+            if key != "metrics/window_modes" and np.ndim(value):
+                assert value is live[key], key  # same arrays: not replaced
+
+
+class TestParentFormatCompatibility:
+    """Format-1 archives — deflated and stored, as two generations of
+    parent wrote them — resume exactly like this build's own."""
+
+    @pytest.mark.parametrize("writer", [np.savez_compressed, np.savez])
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
     @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
     def test_parent_blob_resumes_bit_identically(
-        self, graph, model_name, crash_at
+        self, graph, model_name, crash_at, writer
     ):
         expected = _uninterrupted(graph, model_name)
         first = StreamingInference(
@@ -364,7 +561,14 @@ class TestParentFormatCompatibility:
         for snap in list(graph)[:crash_at]:
             first.push(snap.copy())
         assert first.pending == crash_at % WINDOW
-        blob = _parent_blob(first.carry_state())
+        blob = _parent_blob(first.carry_state(), writer)
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            assert "meta/window_size.npy" in zf.namelist()  # format 1
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_DEFLATED
+                if writer is np.savez_compressed
+                else zipfile.ZIP_STORED
+            }
         store = CheckpointStore()
         _put_blob(store, "ckpt-00000001.npz", blob)
         for carry in (
@@ -387,10 +591,24 @@ class TestParentFormatCompatibility:
             stream.push(snap.copy())
         buf = io.BytesIO()
         save_checkpoint(stream, buf)
-        with np.load(io.BytesIO(buf.getvalue())) as new, np.load(
-            io.BytesIO(_parent_blob(stream.carry_state()))
-        ) as old:
-            assert new.files == old.files
-            for key in new.files:
-                assert new[key].dtype == old[key].dtype, key
-                assert np.array_equal(new[key], old[key]), key
+        new = carry_to_arrays(load_checkpoint(io.BytesIO(buf.getvalue())))
+        old = carry_to_arrays(
+            load_checkpoint(io.BytesIO(_parent_blob(stream.carry_state())))
+        )
+        assert list(new) == list(old)
+        for key in new:
+            assert new[key].dtype == old[key].dtype, key
+            assert new[key].tobytes() == old[key].tobytes(), key
+
+    def test_a_store_holding_both_formats_loads_both(self, graph):
+        """Across an upgrade a live store holds old and new archives."""
+        store = CheckpointStore(keep_last=3)
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[:WINDOW]:
+            stream.push(snap.copy())
+        old_key = store.save(stream)
+        _put_blob(store, old_key, _parent_blob(stream.carry_state()))
+        stream.push(graph[WINDOW].copy())
+        new_key = store.save(stream)
+        assert store.load(old_key).timestamp == WINDOW
+        assert len(store.load(new_key).pending) == 1

@@ -116,6 +116,73 @@ class TestGuardedIngest:
         apply_events(graph[0], clean)  # must not raise
 
 
+    def test_clean_batch_is_decoded_and_validated_once(self, graph):
+        """``apply`` lets the strict replay be the validator: one decode
+        and one validation per clean batch, inside ``apply_events``."""
+        import repro.graphs.updates as updates_mod
+        import repro.resilience.ingest as ingest_mod
+
+        calls = {"_decode_events": 0, "_decoded_violation": 0}
+
+        def counting(name):
+            real = getattr(updates_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        legit = event_stream(graph)[0]
+        guard = GuardedIngest()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                wrapper = counting(name)
+                mp.setattr(updates_mod, name, wrapper)
+                mp.setattr(ingest_mod, name, wrapper)
+            rebuilt = guard.apply(graph[0], iter(legit), step=1)
+        assert calls == {"_decode_events": 1, "_decoded_violation": 1}
+        assert len(guard.dlq) == 0
+        assert np.array_equal(rebuilt.indices, graph[1].indices)
+
+    def test_poison_batch_matches_filter_then_apply(self, graph):
+        """The oracle is the composition ``apply`` used to be: filter the
+        batch, then replay the survivors."""
+        plan = FaultPlan([], seed=0)
+        legit = list(event_stream(graph)[0])
+        poisons = [
+            plan.poison_event(FaultSpec(kind, 1), graph[1])
+            for kind in (FaultKind.NAN_FEATURE, FaultKind.CORRUPT_EVENT,
+                         FaultKind.DUPLICATE_EVENT)
+        ]
+        third = len(legit) // 3
+        batch = (
+            legit[:third] + poisons[:1] + legit[third:2 * third]
+            + poisons[1:] + legit[2 * third:]
+            + [UpdateEvent("garbage", 0), "not an event"]
+        )
+        oracle = GuardedIngest()
+        clean, rejected = oracle.filter_events(graph[0], batch, step=4)
+        expected = apply_events(graph[0], clean)
+        assert len(rejected) == len(poisons) + 2
+
+        guard = GuardedIngest()
+        got = guard.apply(graph[0], batch, step=4)
+        assert [(x.step, x.reason) for x in guard.dlq.letters] == [
+            (x.step, x.reason) for x in oracle.dlq.letters
+        ]
+        assert all(
+            a.payload is b.payload
+            for a, b in zip(guard.dlq.letters, oracle.dlq.letters)
+        )
+        assert guard.metrics.as_dict() == oracle.metrics.as_dict()
+        assert guard.metrics.dead_letter_events == len(rejected)
+        assert got.timestamp == expected.timestamp
+        for name in ("indptr", "indices", "features", "present"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestRetryPolicy:
     def test_delay_is_deterministic_and_grows(self):
         p = RetryPolicy(max_attempts=4, base_delay_s=0.01, factor=2.0,

@@ -202,6 +202,38 @@ class TestRecovery:
         torn = [i for i in cluster.incidents if i.kind == "torn-checkpoint"]
         assert torn and torn[0].action in ("rolled-back", "cold-start")
 
+    def test_checkpoint_lacking_a_member_rolls_back(self, graph):
+        """A newest checkpoint that is a valid archive without
+        ``state/h`` is skipped like a torn one: the shard resumes from
+        the older key instead of dying in recovery."""
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=2,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == 5:
+                blobs = cluster.workers[0].stores["t0"]._blobs
+                assert len(blobs) >= 2
+                newest = max(blobs)
+                with np.load(io.BytesIO(blobs[newest])) as data:
+                    kept = {k: data[k] for k in data.files if k != "state/h"}
+                assert len(kept) == len(data.files) - 1
+                buf = io.BytesIO()
+                np.savez(buf, **kept)
+                blobs[newest] = buf.getvalue()
+                cluster.workers[0].crash()
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        ref = ShardCluster(factory, num_shards=SHARDS, window_size=2,
+                           seed=SEED)
+        assert_identical(cluster.released("t0"), serve(ref, "t0", graph))
+        torn = [i for i in cluster.incidents if i.kind == "torn-checkpoint"]
+        assert len(torn) == 1 and torn[0].action == "rolled-back"
+        assert "1 torn checkpoint(s) skipped; resumed from ckpt-" in (
+            torn[0].detail
+        )
+
     def test_storage_flakes_are_retried_into_metrics(self, graph):
         cluster = ShardCluster(
             factory, num_shards=SHARDS, window_size=WINDOW,
