@@ -37,9 +37,16 @@ class Carry:
     array it advances and never writes into its input carry — with one
     exception: ``cache`` is updated **in place**, so a caller that may
     roll back takes :meth:`copy` first.
+
+    ``rows`` is ownership: the ascending ids of the rows this carry's
+    per-vertex arrays are about, which are the rows
+    :meth:`ConcurrentEngine.step` computes (None = every row).  Outside
+    them the arrays hold zeros or stale values that no owned row's
+    update reads.
     """
 
     window_size: int
+    rows: np.ndarray | None = None
     pending: list[CSRSnapshot] = field(default_factory=list)
     timestamp: int = 0  # snapshots executed so far
     window_index: int = 0  # drives weight evolution (advance_window)

@@ -150,12 +150,24 @@ class ConcurrentEngine:
         engine's planner, when it has one (a drift probe's discarded
         replay passes False).
 
+        ``carry.rows`` (None = every row) are the rows this window
+        computes: the last GCN layer, the cell update, the similarity
+        scores and the delta cache run on them alone, and every bit of
+        an owned row is the full engine's (``_owned_closure``).  A model
+        whose cell reads its neighbours' state runs every row whatever
+        the carry owns.
+
         ``carry`` is left as it was except for its delta cache, updated
         **in place** (a copy per window would tax every plain stream): a
         caller that may roll back takes ``carry.copy()`` first.
         """
         model = self.model
         n = window.num_vertices
+        owned = None if model.cell_reads_neighbours else carry.rows
+        owned_mask = None
+        if owned is not None:
+            owned_mask = np.zeros(n, dtype=bool)
+            owned_mask[owned] = True
         overlap, policy = self.enable_overlap, self.policy
         if plan is not None:
             from ..adaptive import KernelChoice
@@ -173,7 +185,7 @@ class ConcurrentEngine:
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
         t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
-        zs = self._gnn_window(m, window, cls, overlap)
+        zs = self._gnn_window(m, window, cls, overlap, owned)
         for t, snap in enumerate(window):
             # The first snapshot of every batch takes the full cell
             # update: the paper "recalculates similarity scores for
@@ -191,6 +203,7 @@ class ConcurrentEngine:
                 cache,
                 cls,
                 h_prev,
+                owned_mask,
                 first=first or (t == 0 and self.refresh_each_window),
                 policy=policy,
                 decisions=decisions,
@@ -232,16 +245,24 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls, overlap) -> list[np.ndarray]:
-        """Multi-snapshot GNN with changed-set propagation (exact)."""
+    def _gnn_window(self, m, window, cls, overlap, owned) -> list[np.ndarray]:
+        """Multi-snapshot GNN with changed-set propagation (exact).
+
+        With ``owned`` (ascending ids) layer ``l`` is computed on
+        ``need[l]`` only — :func:`_owned_closure` — and its other rows
+        are zeros nothing reads."""
         model = self.model
+        layers = model.gnn.layers
+        n = window.num_vertices
         if not overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
-            # the window kernel
+            # the window kernel, on every row (a superset is exact)
             zs = model.gnn_forward_window(window.snapshots)
             for snap in window:
-                self._account_full_gnn(m, snap)
+                self._account_full_gnn(m, snap, [None] * len(layers))
             return zs
+
+        need = _owned_closure(window, owned, len(layers))
 
         # --- representative pass on snapshot 0 of the window -----------
         # For shrinking layers the combine output (y = xW + b) is stashed:
@@ -251,23 +272,32 @@ class ConcurrentEngine:
         rep_inputs: list[np.ndarray] = [snap0.features]
         rep_combined: list[np.ndarray | None] = []
         h = snap0.features
-        for layer in model.gnn.layers:
+        for li, layer in enumerate(layers):
             if layer.out_dim < layer.in_dim:
-                y = layer.combine(h)
+                # the features are all here, so the first layer combines
+                # every row; a deeper one the rows the layer below made
+                src = need[li - 1] if li else None
+                y = _spread(layer.combine(h if src is None else h[src]), src, n)
                 rep_combined.append(y)
-                h = layer.act(snap0.aggregate(y))
+                h = layer.act(snap0.aggregate(y, rows=need[li]))
             else:
                 rep_combined.append(None)
-                h = layer.forward(snap0, h)
+                h = layer.forward(snap0, h, rows=need[li])
+            h = _spread(h, need[li], n)
             rep_inputs.append(h)
-        self._account_full_gnn(m, snap0)
+        self._account_full_gnn(m, snap0, need)
         zs = [rep_inputs[-1]]
 
         if window.num_snapshots == 1:
             return zs
 
         # stable or affected (VertexClass order)
-        layer_rows = _changed_rows(window, cls.labels != 0, len(model.gnn.layers))
+        layer_rows = _changed_rows(window, cls.labels != 0, len(layers))
+        if owned is not None:  # of the rows this window computes at all
+            layer_rows = [
+                np.intersect1d(changed, rows, assume_unique=True)
+                for changed, rows in zip(layer_rows, need)
+            ]
 
         # --- later snapshots: recompute only the changed rows ----------
         for t in range(1, window.num_snapshots):
@@ -278,7 +308,7 @@ class ConcurrentEngine:
             )
             x[in_rows] = snap.features[in_rows]
             m.feature_words += len(in_rows) * window.dim  # only churned rows
-            for li, layer in enumerate(model.gnn.layers):
+            for li, layer in enumerate(layers):
                 rows = layer_rows[li]
                 out = rep_inputs[li + 1].copy()
                 out[rows] = self._layer_rows(
@@ -316,18 +346,23 @@ class ConcurrentEngine:
             m.combination_macs += len(agg) * layer.in_dim * layer.out_dim
         return layer.act(res)
 
-    def _account_full_gnn(self, m, snap) -> None:
-        """Accounting of one full-GNN snapshot pass (the representative,
-        or every snapshot when overlap is disabled).  Weights are loaded
+    def _account_full_gnn(self, m, snap, need) -> None:
+        """Accounting of one GNN snapshot pass (the representative, or
+        every snapshot when overlap is disabled) that computed layer
+        ``l`` on ``need[l]`` (None = every row).  Weights are loaded
         once per *window*, not per snapshot, so none are counted here."""
-        n_present = snap.num_present
-        e = snap.num_edges
-        m.structure_words += (snap.num_vertices + 1) + e
-        for layer in self.model.gnn.layers:
+        works = [_work(snap, rows) for rows in need]
+        # need[0] is the widest set: the structure every layer walks
+        m.structure_words += (works[0][0] + 1) + works[0][2]
+        src_present = snap.num_present  # the features are all here
+        for layer, (_, n_present, e) in zip(self.model.gnn.layers, works):
+            # a shrinking layer combines its input rows, then aggregates
+            combined = src_present if layer.out_dim < layer.in_dim else n_present
             agg_dim = min(layer.in_dim, layer.out_dim)
-            m.feature_words += n_present * layer.in_dim + e * agg_dim
-            m.combination_macs += n_present * layer.in_dim * layer.out_dim
+            m.feature_words += combined * layer.in_dim + e * agg_dim
+            m.combination_macs += combined * layer.in_dim * layer.out_dim
             m.aggregation_macs += e * agg_dim
+            src_present = n_present
 
     # ------------------------------------------------------------------
     # RNN phase
@@ -343,6 +378,7 @@ class ConcurrentEngine:
         cache,
         cls,
         h_prev,
+        owned_mask,
         *,
         first: bool,
         policy: SkippingPolicy,
@@ -350,9 +386,11 @@ class ConcurrentEngine:
     ):
         model = self.model
         h_out = h_prev.copy()
+        # the rows whose cell this window updates, scores or skips
+        present = snap.present if owned_mask is None else snap.present & owned_mask
 
         if first or not self.enable_skipping or z_prev is None:
-            rows = np.flatnonzero(snap.present)
+            rows = np.flatnonzero(present)
             drive = model.recurrent_drive(state, snap, rows)
             h_rows, st_rows = model.cell_step_rows(z, state, rows, snap, drive)
             h_out[rows] = h_rows
@@ -365,11 +403,11 @@ class ConcurrentEngine:
             return h_out, new_state
 
         # --- scored set: stable + affected vertices present now ----------
-        scored_mask = (cls.labels != 0) & snap.present
+        scored_mask = (cls.labels != 0) & present
         if snap_prev is not None:
             scored_mask &= snap_prev.present  # arrivals have no history
-        arrivals = snap.present & ~(
-            snap_prev.present if snap_prev is not None else snap.present
+        arrivals = present & ~(
+            snap_prev.present if snap_prev is not None else present
         )
         scored = np.flatnonzero(scored_mask)
 
@@ -419,7 +457,7 @@ class ConcurrentEngine:
             m.cell_macs_saved += max(full_cost - delta_cost, 0)
         # skip rows + unaffected vertices: reuse previous output and state
         n_skip = len(skip_rows) + int(
-            ((cls.labels == 0) & snap.present).sum()
+            ((cls.labels == 0) & present).sum()
         )
         m.cells_skipped += n_skip
         m.cell_macs_saved += n_skip * model.cell.flops_per_vertex() // 2
@@ -445,6 +483,56 @@ class ConcurrentEngine:
         m.overhead_ops += int((cls.labels != 0).sum()) + e_total
         # structure reads for the analysis
         m.structure_words += e_total + (n + 1) * window.num_snapshots
+
+
+def _owned_closure(window, owned, num_layers) -> list:
+    """Per GCN layer, the ascending ids of the rows an owned-row window
+    computes that layer on (None = every row, the whole list when
+    ``owned`` is None).
+
+    Only the owned rows of the last layer are released; a layer reads
+    the layer below on its rows and their neighbours, so
+    ``need[L-1] = owned`` and ``need[l-1] = need[l] | N_t(need[l])``
+    over every snapshot ``t`` of the window — nothing to grow for one
+    layer.  The first layer's own input is the feature matrix, which
+    every stream holds whole.
+    """
+    need = [owned]
+    if owned is None:
+        return need * num_layers
+    for _ in range(num_layers - 1):
+        rows = need[0]
+        reads = [rows]
+        for snap in window:
+            # the rows' CSR slices, concatenated without a Python loop
+            deg = snap.degrees[rows]
+            ends = np.cumsum(deg)
+            at = np.repeat(snap.indptr[rows] - (ends - deg), deg)
+            reads.append(snap.indices[at + np.arange(at.size)])
+        need.insert(0, np.unique(np.concatenate(reads)))
+    return need
+
+
+def _spread(block, rows, n):
+    """``block`` (the values of ``rows``) as an ``n``-row matrix, zeros
+    elsewhere; itself when ``rows`` is None (it is every row)."""
+    if rows is None:
+        return block
+    out = np.zeros((n,) + block.shape[1:], dtype=block.dtype)
+    out[rows] = block
+    return out
+
+
+def _work(snap, rows) -> tuple[int, int, int]:
+    """``(rows, present rows, edges)`` of ``rows`` in ``snap`` — of the
+    whole snapshot for None."""
+    if rows is None:
+        return snap.num_vertices, snap.num_present, snap.num_edges
+    return (
+        len(rows),
+        int(np.count_nonzero(snap.present[rows])),
+        int(snap.degrees[rows].sum()),
+    )
 
 
 def _changed_rows(window, changed, num_layers) -> list[np.ndarray]:

@@ -50,7 +50,14 @@ class StreamResult:
 
 
 class StreamingInference:
-    """Push-based wrapper around the topology-aware concurrent engine."""
+    """Push-based wrapper around the topology-aware concurrent engine.
+
+    ``rows`` (vertex ids; None = all) makes this an *owned-row* stream,
+    one shard of a partitioned deployment: it reads whole snapshots but
+    computes, and releases valid output for, those rows only — each bit
+    for bit the unrestricted stream's (every other released row is zero
+    or stale).  The ownership rides in the :class:`Carry`.
+    """
 
     def __init__(
         self,
@@ -60,6 +67,7 @@ class StreamingInference:
         thresholds: SkipThresholds | None = None,
         enable_skipping: bool = True,
         planner=None,
+        rows=None,
     ):
         self.model = model
         self.window_size = window_size
@@ -70,7 +78,11 @@ class StreamingInference:
             enable_skipping=enable_skipping,
             planner=planner,
         )
-        self._carry = Carry(window_size=window_size)
+        if rows is not None:
+            rows = np.unique(np.asarray(rows, dtype=np.int64))
+            if rows.size and rows[0] < 0:
+                raise ValueError(f"owned row ids must be >= 0, got {rows[0]}")
+        self._carry = Carry(window_size=window_size, rows=rows)
 
     # ------------------------------------------------------------------
     @property
@@ -99,6 +111,11 @@ class StreamingInference:
         return self._carry.num_vertices
 
     @property
+    def rows(self) -> np.ndarray | None:
+        """Ascending ids of the rows this stream owns (None = all)."""
+        return self._carry.rows
+
+    @property
     def planner(self):
         """The adaptive planner driving this stream (None when static)."""
         return self._engine.planner
@@ -118,6 +135,12 @@ class StreamingInference:
                 f" model input dimension {self.model.in_dim}"
             )
         if carry.num_vertices is None:
+            owned = carry.rows
+            if owned is not None and owned.size and owned[-1] >= snapshot.num_vertices:
+                raise ValueError(
+                    f"owned row {owned[-1]} is outside the snapshot's"
+                    f" {snapshot.num_vertices} vertices"
+                )
             carry.num_vertices = snapshot.num_vertices
         elif snapshot.num_vertices != carry.num_vertices:
             raise ValueError(
@@ -214,9 +237,12 @@ class StreamingInference:
 
         The stream takes ownership (later windows update the carry's
         delta cache in place): pass ``carry.copy()`` to restore the same
-        point twice.  The model/config must match the one the carry was
-        captured from; a checkpoint is loaded without a model, so its
-        cache arrays are checked against and bound to the cell here.
+        point twice.  The stream keeps its own ``rows``; a carry whose
+        state does not cover them (it was captured by a stream owning
+        other rows) is refused.  The model/config must match the one the
+        carry was captured from; a checkpoint is loaded without a model,
+        so its cache arrays are checked against and bound to the cell
+        here.
         """
         if carry.window_size != self.window_size:
             raise ValueError(
@@ -229,8 +255,17 @@ class StreamingInference:
                 f"checkpoint output width {h_prev.shape[1]} does not"
                 f" match model out_dim {self.model.out_dim}"
             )
+        owned = self._carry.rows
+        if carry.rows is not None and (
+            owned is None or not np.isin(owned, carry.rows).all()
+        ):
+            raise ValueError(
+                f"checkpoint state is valid on {len(carry.rows)} owned rows"
+                " only and does not cover the rows this stream owns"
+            )
         if carry.cache is not None:
             carry.cache.bind(self.model.cell)  # an identity cell fits none
+        carry.rows = owned
         self._carry = carry
 
     # ------------------------------------------------------------------

@@ -31,6 +31,12 @@ class DGNNModel(abc.ABC):
 
     #: model name as used in the paper's figures
     name: str = "abstract"
+    #: a row's cell update reads *other* rows' recurrent state (a
+    #: graph-convolutional cell).  An owned-row window
+    #: (:class:`~repro.engine.carry.Carry` ``rows``) stops updating the
+    #: rows it does not own, so such a model would read stale state: the
+    #: engine runs it on every row instead.
+    cell_reads_neighbours: bool = False
 
     def __init__(self, gnn: GCNStack, cell: RecurrentCell):
         self.gnn = gnn

@@ -93,20 +93,24 @@ class GCNLayer:
         """The dense half (CPE): ``x @ W + b`` without the activation."""
         return _matmul_rows(x, self.weight) + self.bias
 
-    @contract("_, (n, *) f -> (n, *) f")
-    def forward(self, snap: CSRSnapshot, x: np.ndarray) -> np.ndarray:
+    @contract("_, (n, *) f, ?(r,) i -> (*, *) f")
+    def forward(
+        self, snap: CSRSnapshot, x: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """Full layer: aggregate over ``snap``, combine, activate.
 
         Combination runs *before* aggregation when it shrinks the width
         (``out_dim < in_dim``) — the standard FLOP-minimising order that
-        both the software engines and the accelerator use.
+        both the software engines and the accelerator use.  With ``rows``
+        (vertex ids) only those output rows are computed and returned —
+        ``forward(snap, x)[rows]`` bit for bit.
         """
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input width {x.shape[1]} != layer in_dim {self.in_dim}")
         if self.out_dim < self.in_dim:
-            h = snap.aggregate(self.combine(x))
+            h = snap.aggregate(self.combine(x), rows=rows)
         else:
-            h = self.combine(snap.aggregate(x))
+            h = self.combine(snap.aggregate(x, rows=rows))
         return self.act(h)
 
     def flops(self, num_vertices: int, num_edges: int) -> int:

@@ -70,6 +70,7 @@ class GCLSTM(DGNNModel):
     """GC-LSTM: 2 GCN layers + graph-convolutional LSTM (three layers)."""
 
     name = "GC-LSTM"
+    cell_reads_neighbours = True  # recurrent_drive convolves state.h
 
     def __init__(self, in_dim: int, hidden_dim: int = 32, *, seed: int = 0):
         gnn = GCNStack([in_dim, hidden_dim, hidden_dim], seed=seed)

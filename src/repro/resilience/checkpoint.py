@@ -35,10 +35,16 @@ points:
   class (``lstm`` / ``gru`` / ``none``); optional sections (cache,
   previous window, pending snapshots) are present only when the stream
   carried them.
-* **New reads old.**  This build writes format 2 only and reads 1 and
-  2 (a live store can hold both across an upgrade); a format-1 build
-  refuses a format-2 archive with its "unsupported checkpoint format"
-  message.
+* **New reads old.**  This build writes format 3 only and reads 1, 2
+  and 3 (a live store can hold them all across an upgrade); an older
+  build refuses a newer archive with its "unsupported checkpoint
+  format" message.
+* **State is valid where it is owned.**  An owned-row stream (one
+  shard) advances the per-vertex arrays on its ``Carry.rows`` only, so
+  format 3 records them (``carry/rows``; absent = every row, which is
+  all a format-1 or -2 writer could mean).  A stream resumes only from
+  an archive that covers the rows it owns: :meth:`CheckpointStore.
+  restore` refuses any other as it would a torn one.
 * **No model needed to load.**  A loaded ``Carry``'s cache holds bare
   arrays; :meth:`StreamingInference.restore_carry` checks them against
   the model's cell and binds it.
@@ -60,6 +66,7 @@ a zip member; in format 2 the lines marked ``*`` are fields of the
     state/h [, state/c]        ``state`` (by meta/state_kind)
     cache/{zx,zh,z_input}      ``cache`` pre-activations (optional)
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)
+    carry/rows                 ``rows`` (format 3; optional = every row)
     snap_prev/<field>          ``snap_prev`` (optional; ``timestamp`` *)
     pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
                                (``timestamp`` *)
@@ -93,8 +100,8 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 2
-_READABLE_FORMATS = (1, 2)
+CHECKPOINT_FORMAT = 3
+_READABLE_FORMATS = (1, 2, 3)
 
 _SNAP_FIELDS = ("indptr", "indices", "features", "present")
 _CACHE_FIELDS = ("zx", "zh", "z_input")
@@ -122,7 +129,7 @@ def _snapshot_from(data, scalars: dict, prefix: str) -> CSRSnapshot:
 # ----------------------------------------------------------------------
 def carry_to_arrays(carry: Carry) -> dict:
     """Flatten a :class:`Carry` into the ``str -> ndarray`` checkpoint
-    layout documented above (format 2).  The arrays are the carry's own,
+    layout documented above (format 3).  The arrays are the carry's own,
     not copies: write them out before the stream moves on."""
     num_vertices = carry.num_vertices
     scalars: dict = {
@@ -159,7 +166,7 @@ def carry_to_arrays(carry: Carry) -> dict:
     if carry.cache is not None:
         for name in _CACHE_FIELDS:
             arrays[f"cache/{name}"] = getattr(carry.cache, name)
-    for name in ("h_prev", "z_prev"):
+    for name in ("h_prev", "z_prev", "rows"):
         if getattr(carry, name) is not None:
             arrays[f"carry/{name}"] = getattr(carry, name)
     if carry.snap_prev is not None:
@@ -176,7 +183,7 @@ def carry_to_arrays(carry: Carry) -> dict:
 def _read_scalars(data, keys: set, fmt: int) -> dict:
     """Every scalar of a checkpoint as ``key -> Python value``: the
     fields of the one record (format 2), or the 0-d members the record
-    replaced (format 1)."""
+    replaced (format 1).  Formats 2 and 3 share the record."""
     if fmt == 1:
         return {
             key: np.asarray(data[key]).item()
@@ -193,7 +200,7 @@ def _read_scalars(data, keys: set, fmt: int) -> dict:
 
 def arrays_to_carry(data) -> Carry:
     """Rebuild a :class:`Carry` from the flat checkpoint layout, format
-    1 or 2.
+    1, 2 or 3.
 
     ``data`` is anything indexable by key with a ``files``/key listing —
     an :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Snapshots are
@@ -205,7 +212,7 @@ def arrays_to_carry(data) -> Carry:
     if fmt not in _READABLE_FORMATS:
         raise ValueError(
             f"unsupported checkpoint format {fmt} (this build reads"
-            f" formats {' and '.join(map(str, _READABLE_FORMATS))})"
+            f" formats 1 to {CHECKPOINT_FORMAT})"
         )
     scalars = _read_scalars(data, keys, fmt)
     metrics = ExecutionMetrics(
@@ -239,8 +246,17 @@ def arrays_to_carry(data) -> Carry:
             *(np.asarray(data[f"cache/{name}"]) for name in _CACHE_FIELDS)
         )
     raw_n = int(scalars["meta/num_vertices"])
+    rows = optional("carry/rows")
+    if rows is not None and not (
+        rows.ndim == 1
+        and rows.dtype.kind == "i"
+        and (np.diff(rows) > 0).all()
+        and (not rows.size or (rows[0] >= 0 and (raw_n < 0 or rows[-1] < raw_n)))
+    ):
+        raise ValueError("carry/rows is not an ascending list of vertex ids")
     return Carry(
         window_size=int(scalars["meta/window_size"]),
+        rows=rows,
         pending=[
             _snapshot_from(data, scalars, f"pending/{i}")
             for i in range(int(scalars["meta/num_pending"]))
@@ -294,8 +310,10 @@ def restore_stream(stream: StreamingInference, path) -> StreamingInference:
 # rotating checkpoint store (keep-last-K retention)
 # ----------------------------------------------------------------------
 class CorruptCheckpointError(RuntimeError):
-    """A stored checkpoint failed to deserialise (torn write, failed
-    CRC, missing member, unknown format)."""
+    """A stored checkpoint cannot be resumed from: it failed to
+    deserialise (torn write, failed CRC, missing member, unknown
+    format) or does not fit the restoring stream (its state does not
+    cover the rows the stream owns)."""
 
 
 class CheckpointStore:
@@ -387,6 +405,26 @@ class CheckpointStore:
             raise CorruptCheckpointError(
                 f"checkpoint {key} failed to deserialise: {exc}"
             ) from exc
+
+    def restore(self, stream: StreamingInference, key: str) -> Carry:
+        """:meth:`load` ``key`` and install it into ``stream``; returns
+        the installed carry.
+
+        A checkpoint the stream refuses — captured at another window
+        size or width, or by a stream whose owned rows do not cover this
+        one's, so part of the state it would resume from was never
+        computed — is as unusable as a torn one and raises the same
+        :class:`CorruptCheckpointError`: the caller falls back to an
+        older key or a cold start.
+        """
+        carry = self.load(key)
+        try:
+            stream.restore_carry(carry)
+        except ValueError as exc:
+            raise CorruptCheckpointError(
+                f"checkpoint {key} does not fit the stream: {exc}"
+            ) from exc
+        return carry
 
     # ------------------------------------------------------------------
     # chaos seams

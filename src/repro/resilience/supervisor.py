@@ -104,7 +104,7 @@ class ResilientStreamingInference:
 
     Parameters
     ----------
-    model, window_size, thresholds, enable_skipping:
+    model, window_size, thresholds, enable_skipping, rows:
         Forwarded to the wrapped :class:`StreamingInference`.
     failure_threshold:
         Consecutive incidents before the circuit breaker opens
@@ -121,6 +121,7 @@ class ResilientStreamingInference:
         window_size: int = 4,
         thresholds: SkipThresholds | None = None,
         enable_skipping: bool = True,
+        rows=None,
         failure_threshold: int = 5,
         dlq: DeadLetterQueue | None = None,
     ):
@@ -134,6 +135,7 @@ class ResilientStreamingInference:
             window_size=window_size,
             thresholds=thresholds,
             enable_skipping=enable_skipping,
+            rows=rows,
         )
         self.failure_threshold = failure_threshold
         self.dlq = dlq if dlq is not None else DeadLetterQueue()
@@ -278,7 +280,9 @@ class ResilientStreamingInference:
         would have produced at this position in the stream.  Accounting
         uses the reference engine's conventional (everything-moved)
         pattern: degradation is correct but slower, and the metrics say
-        so.
+        so.  An owned-row stream degrades on every row too: a superset
+        is exact, and a row-local cell never reads the stale state of
+        the rows the stream does not own.
         """
         for off, snap in enumerate(window):
             snap.timestamp = saved.timestamp + off

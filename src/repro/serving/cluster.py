@@ -31,6 +31,10 @@ shard degrade that window to the reference engine via ``adopt_window``
 (the shard streams are
 :class:`~repro.resilience.supervisor.ResilientStreamingInference`), so
 every degradation stays bit-identical to the unsharded run.
+
+Reads are replicated, compute is partitioned: every worker is fed every
+snapshot, and ``_pin`` hands worker *i* ``ShardMap.rows(i)`` — the rows
+its streams compute and the only ones ``_collect`` keeps.
 """
 
 from __future__ import annotations
@@ -409,8 +413,22 @@ class ShardCluster:
     def metrics(self) -> ExecutionMetrics:
         """Cluster-wide aggregate: the cluster's own counters (shed /
         stale / restarts / boundary words) merged with every shard's
-        engine counters (replication makes compute N×, and the metrics
-        say so) and the ingest guard's quarantine counters."""
+        engine counters and the ingest guard's quarantine counters.
+
+        What a shard does for the rows it owns is **additive by
+        ownership** — summed over the shards it equals the unsharded
+        stream's: the cell counters (``cells_full`` / ``cells_delta`` /
+        ``cells_skipped``, ``cell_macs``, ``cell_macs_saved``,
+        ``delta_nnz``), ``output_words`` and the GNN MACs of a model
+        whose one GCN layer aggregates before it combines (a deeper
+        stack, or a combine-first layer, repeats the lower work on each
+        shard's read closure, and the sum says so).  What every shard
+        does over the whole replicated snapshot stays **per shard**, so
+        the sum is N×: ``snapshots_processed``, ``windows_processed``,
+        ``window_modes`` (one entry per shard-window), classification's
+        ``overhead_ops`` and ``structure_words``.  A model whose cell
+        reads its neighbours' state (GC-LSTM) runs every row on every
+        shard: all of its counters are N×."""
         out = ExecutionMetrics(**self._own.as_dict())
         out = out.merge(self.guard.metrics)
         for worker in self.workers:
@@ -432,6 +450,8 @@ class ShardCluster:
             self.num_shards,
             strategy=self.strategy,
         )
+        for worker in self.workers:
+            worker.own(self.shard_map.rows(worker.index))
 
     def _reject(
         self, tenant: str, now: int, kind: str, detail: str, snapshot
@@ -481,7 +501,7 @@ class ShardCluster:
             return
         newest = self._latest[tenant].get(shard)
         for ts, full in zip(result.timestamps, result.outputs):
-            block = full[owned].copy()
+            block = full[owned]  # fancy indexing: already a fresh array
             if newest is None or ts > newest[0]:
                 newest = (ts, block)
             if ts >= self._next_release[tenant]:

@@ -1,27 +1,32 @@
 """Vertex ownership for the sharded serving cluster.
 
-The cluster follows a *replicated-structure, partitioned-ownership*
-design: every shard runs the full deterministic engine over every
-tenant's stream (structure and features are replicated, so no shard
-ever needs a remote neighbour to aggregate), but each shard is
-**authoritative** only for the embedding rows of the vertices it owns.
-The aggregator stitches one full output matrix per timestamp from the
-owned rows of every shard, so a shard that recovered incorrectly would
-produce divergent rows — recovery correctness is observable, not
-assumed.
+The cluster follows a *replicated-reads, partitioned-compute* design —
+the division of labour of the paper's GSPM, which hands each compute
+unit a vertex partition whose rows it computes while it merely reads
+its neighbours' features.  Every shard receives every tenant's whole
+snapshots (structure and features are replicated, so no shard ever
+waits on a remote neighbour to aggregate), but runs the engine's
+per-row work — the last GCN layer, the cell update, the similarity
+scores — for the vertices it **owns** only
+(:attr:`repro.engine.carry.Carry.rows`), and is authoritative for
+exactly those embedding rows.  The aggregator stitches one full output
+matrix per timestamp from the owned rows of every shard, so a shard
+that recovered incorrectly would produce divergent rows — recovery
+correctness is observable, not assumed.
 
 Ownership comes from :class:`~repro.accel.partition.GSPM` — the same
 topology-aware partitioner the accelerator uses for on-chip staging —
 so locality-ordered shards co-locate DFS neighbours and minimise the
-cut.  Cut edges are exactly the boundary traffic the aggregator pays
-when it exchanges owned rows across shards, surfaced as the
-``boundary_words`` counter of
-:class:`~repro.engine.metrics.ExecutionMetrics`.
+cut.  A cut edge is one remote feature row a shard reads to compute an
+owned row of a one-layer model: ``boundary_words`` (cut edges × width,
+the counter of :class:`~repro.engine.metrics.ExecutionMetrics`) is the
+traffic a deployment that did *not* replicate the features would pay
+per stitched timestamp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +44,8 @@ class ShardMap:
     num_vertices: int
     owner: np.ndarray  # int64[num_vertices], values in [0, num_shards)
     cut_edges: int  # edges whose endpoints live on different shards
+    _rows: list = field(init=False, repr=False, compare=False)
+    _active: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -64,6 +71,15 @@ class ShardMap:
                 f" [{owner.min()}, {owner.max()}]"
             )
         object.__setattr__(self, "owner", owner)
+        # every lookup below is per result, per shard and per tick on
+        # the serving path: computed once, handed out read-only
+        rows = [np.flatnonzero(owner == s) for s in range(self.num_shards)]
+        for block in rows:
+            block.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(
+            self, "_active", [s for s, block in enumerate(rows) if block.size]
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -78,8 +94,8 @@ class ShardMap:
 
         The GSPM budget is sized so the chosen strategy yields at most
         ``num_shards`` blocks over all vertices; when the partitioner
-        produces fewer (tiny graphs), the remaining shards simply own no
-        rows and act as pure replicas.
+        produces fewer (tiny graphs), the remaining shards own no rows
+        and compute none.
         """
         n = window.num_vertices
         if not 1 <= num_shards <= n:
@@ -103,20 +119,21 @@ class ShardMap:
 
     # ------------------------------------------------------------------
     def rows(self, shard: int) -> np.ndarray:
-        """Sorted vertex ids owned by ``shard``."""
+        """Sorted vertex ids owned by ``shard`` (read-only)."""
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard must be in [0, {self.num_shards}), got {shard}"
             )
-        return np.flatnonzero(self.owner == shard)
+        return self._rows[shard]
 
     def active_shards(self) -> list[int]:
         """Shards owning at least one vertex (the aggregation quorum)."""
-        return np.unique(self.owner).tolist()
+        return list(self._active)
 
     def boundary_words(self, dim: int) -> int:
-        """Words exchanged across shards per stitched timestamp: one
-        ``dim``-wide row per cut edge (the remote endpoint's feature)."""
+        """Remote words read per stitched timestamp: one ``dim``-wide
+        row per cut edge (the remote endpoint's feature, which a shard
+        computing its owned rows of a one-layer model reads)."""
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         return self.cut_edges * dim

@@ -1,7 +1,8 @@
 """One shard of the serving cluster.
 
-A :class:`ShardWorker` runs the full deterministic engine for every
-registered tenant (replicated structure — see
+A :class:`ShardWorker` runs the deterministic engine for every
+registered tenant over the whole replicated snapshots, computing the
+rows it owns (:meth:`ShardWorker.own` — see
 :mod:`repro.serving.sharding`), wrapped in
 :class:`~repro.resilience.supervisor.ResilientStreamingInference` so
 engine faults inside a shard degrade bit-identically to the reference
@@ -60,6 +61,7 @@ class ShardWorker:
         self.window_size = window_size
         self.enable_skipping = enable_skipping
         self.keep_last = keep_last
+        self.rows = None  # owned vertex ids; every row until own()
         self.streams: dict[str, ResilientStreamingInference] = {}
         self.stores: dict[str, CheckpointStore] = {}
         self._backlog: dict[str, list] = {}
@@ -77,8 +79,24 @@ class ShardWorker:
             self.model_factory(),
             window_size=self.window_size,
             enable_skipping=self.enable_skipping,
+            rows=self.rows,
             failure_threshold=0,  # the cluster runs per-tenant breakers
         )
+
+    def own(self, rows) -> None:
+        """Take ownership of ``rows`` (vertex ids): every stream of this
+        worker, fresh or recovered, computes those rows only.  The
+        cluster calls it once, when it pins its
+        :class:`~repro.serving.sharding.ShardMap` on the first admitted
+        snapshot — before any stream has been fed."""
+        if any(
+            sup.stream.timestamp or sup.stream.pending
+            for sup in self.streams.values()
+        ):
+            raise ValueError("cannot change the ownership of a fed shard")
+        self.rows = rows
+        for name in self.streams:
+            self.streams[name] = self._fresh_stream()
 
     def register(self, tenant: str) -> None:
         if tenant in self.stores:
@@ -186,7 +204,8 @@ class ShardWorker:
 
         For each tenant, walk the checkpoint store newest-first: load
         under ``with_retry`` (transient storage flakes are retried with
-        seeded backoff into ``metrics``), skip torn checkpoints
+        seeded backoff into ``metrics``), skip torn checkpoints and
+        ones whose state does not cover this shard's rows
         (:class:`CorruptCheckpointError`) and exhausted keys, restore
         the first usable carry, then replay the admitted ``history``
         from the checkpoint boundary.  When no checkpoint is usable the
@@ -218,7 +237,7 @@ class ShardWorker:
             for key in reversed(stored):
                 try:
                     carry, delays = with_retry(
-                        lambda k=key: store.load(k),
+                        lambda k=key: store.restore(sup.stream, k),
                         policy=policy,
                         metrics=metrics,
                     )
@@ -228,7 +247,6 @@ class ShardWorker:
                 except RetryExhaustedError:
                     exhausted += 1
                     continue
-                sup.stream.restore_carry(carry)
                 start = carry.timestamp + len(carry.pending)
                 outcome = key
                 break

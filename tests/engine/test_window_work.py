@@ -33,13 +33,13 @@ from repro.models import make_model
 from repro.skipping.policy import SkipThresholds
 
 
-def random_window(seed: int, n: int, k: int) -> DynamicGraph:
+def random_window(seed: int, n: int, k: int, dim: int = 3) -> DynamicGraph:
     """``k`` snapshots over ``n`` ids with vertex turnover, feature
     churn on a few rows, isolated vertices, and now and then a snapshot
     with no edges at all."""
     rng = np.random.default_rng(seed)
     present = rng.random(n) < 0.8
-    feats = rng.standard_normal((n, 3)).astype(np.float32)
+    feats = rng.standard_normal((n, dim)).astype(np.float32)
     edges = rng.integers(0, n, size=(2 * n, 2))
     snaps = []
     for t in range(k):

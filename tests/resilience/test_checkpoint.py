@@ -229,7 +229,16 @@ class TestCrashConsistency:
             np.testing.assert_array_equal(original[key], restored[key])
 
 
-FLATTENERS = {1: _format1_arrays, 2: carry_to_arrays}
+def _format2_arrays(carry) -> dict:
+    """Format 2 as the parent wrote it: format 3's layout before the
+    ownership member existed."""
+    arrays = carry_to_arrays(carry)
+    arrays["meta/format"] = np.int64(2)
+    arrays.pop("carry/rows", None)
+    return arrays
+
+
+FLATTENERS = {1: _format1_arrays, 2: _format2_arrays, 3: carry_to_arrays}
 
 
 class TestTamperRejection:
@@ -239,7 +248,7 @@ class TestTamperRejection:
             stream.push(snap.copy())
         return FLATTENERS[fmt](stream.carry_state())
 
-    # each tamper is tried on both layouts this build reads
+    # each tamper is tried on every layout this build reads
     def test_unknown_format_rejected(self, graph):
         for fmt in FLATTENERS:
             arrays = self._arrays(graph, fmt)
@@ -397,12 +406,12 @@ class TestCheckpointStore:
         newest = store.keys()[-1]
         with np.load(io.BytesIO(_get_blob(store, newest))) as data:
             arrays = dict(data)
-        arrays["meta/format"] = np.int64(3)
+        arrays["meta/format"] = np.int64(4)
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         _put_blob(store, newest, buf.getvalue())
         with pytest.raises(
-            CorruptCheckpointError, match="unsupported checkpoint format 3"
+            CorruptCheckpointError, match="unsupported checkpoint format 4"
         ):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
@@ -486,11 +495,11 @@ class TestFormat2Layout:
         save_checkpoint(stream, buf)
         return stream, buf.getvalue()
 
-    def test_writes_format_2(self, graph):
+    def test_writes_format_3(self, graph):
         _, blob = self._saved(graph, WINDOW)
-        assert CHECKPOINT_FORMAT == 2
+        assert CHECKPOINT_FORMAT == 3
         with np.load(io.BytesIO(blob)) as data:
-            assert int(data["meta/format"]) == 2
+            assert int(data["meta/format"]) == 3
 
     @pytest.mark.parametrize("pending", [0, 1, 2])
     def test_member_count_is_two_plus_array_members(self, graph, pending):
@@ -612,3 +621,117 @@ class TestParentFormatCompatibility:
         new_key = store.save(stream)
         assert store.load(old_key).timestamp == WINDOW
         assert len(store.load(new_key).pending) == 1
+
+
+class TestOwnedRowCheckpoints:
+    """Format 3: an owned-row stream's state is valid on its rows only,
+    the archive says which, and a stream resumes only from an archive
+    that covers the rows it owns."""
+
+    A = np.arange(0, 40)
+    B = np.arange(30, 60)  # not inside A
+
+    def _stream(self, graph, rows, name="T-GCN"):
+        return StreamingInference(
+            _model(graph, name), window_size=WINDOW, rows=rows
+        )
+
+    def _store(self, tmp_path, backend, **kwargs):
+        directory = tmp_path / "ckpts" if backend == "directory" else None
+        return CheckpointStore(directory, **kwargs)
+
+    def test_the_ownership_is_one_optional_member(self, graph):
+        owned = self._stream(graph, self.A)
+        whole = self._stream(graph, None)
+        blobs = []
+        for stream in (owned, whole):
+            for snap in list(graph)[:WINDOW]:
+                stream.push(snap.copy())
+            buf = io.BytesIO()
+            save_checkpoint(stream, buf)
+            blobs.append(buf.getvalue())
+        names = [set(zipfile.ZipFile(io.BytesIO(b)).namelist()) for b in blobs]
+        assert names[0] - names[1] == {"carry/rows.npy"}
+        assert names[1] <= names[0] and len(names[1]) == 13
+        assert load_checkpoint(io.BytesIO(blobs[0])).rows.tolist() == self.A.tolist()
+        assert load_checkpoint(io.BytesIO(blobs[1])).rows is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([3, 2, 7]),  # not ascending
+            np.array([2, 2, 7]),  # repeated
+            np.array([-1, 4]),
+            np.array([4, 10_000]),  # beyond num_vertices
+            np.array([[1, 2]]),
+            np.array([1.0, 2.0]),
+        ],
+    )
+    def test_a_tampered_ownership_member_is_rejected(self, graph, rows):
+        stream = self._stream(graph, self.A)
+        stream.push(graph[0].copy())
+        arrays = carry_to_arrays(stream.carry)
+        arrays["carry/rows"] = rows
+        with pytest.raises(ValueError, match="carry/rows"):
+            arrays_to_carry(arrays)
+
+    @pytest.mark.parametrize("backend", ["memory", "directory"])
+    def test_an_archive_that_does_not_cover_the_stream_is_refused(
+        self, graph, tmp_path, backend
+    ):
+        store = self._store(tmp_path, backend)
+        first = self._stream(graph, self.A)
+        for snap in list(graph)[:WINDOW]:
+            first.push(snap.copy())
+        key = store.save(first)
+        assert store.load(key).rows.tolist() == self.A.tolist()
+        for rows in (self.B, None):
+            resumed = self._stream(graph, rows)
+            with pytest.raises(CorruptCheckpointError, match="does not cover"):
+                store.restore(resumed, key)
+            assert resumed.timestamp == 0  # nothing was installed
+        # inside A it resumes, bit-identically on the rows it owns
+        inside = self.A[5:20]
+        resumed = self._stream(graph, inside)
+        carry = store.restore(resumed, key)
+        assert carry.timestamp == WINDOW and resumed.rows.tolist() == inside.tolist()
+        expected = _uninterrupted(graph)
+        late = _run(resumed, list(graph)[WINDOW:])
+        assert late
+        for got, want in zip(late, expected[WINDOW:]):
+            assert got[inside].tobytes() == want[inside].tobytes()
+
+    @pytest.mark.parametrize("backend", ["memory", "directory"])
+    @pytest.mark.parametrize("fmt", [1, 2])
+    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
+    def test_a_parent_written_archive_resumes_an_owned_row_stream(
+        self, graph, tmp_path, backend, fmt, crash_at
+    ):
+        """Every archive an older build wrote holds state for all rows,
+        so any shard may resume from it."""
+        expected = _uninterrupted(graph)
+        whole = self._stream(graph, None)
+        for snap in list(graph)[:crash_at]:
+            whole.push(snap.copy())
+        arrays = FLATTENERS[fmt](whole.carry_state())
+        assert "carry/rows" not in arrays
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        store = self._store(tmp_path, backend)
+        _put_blob(store, "ckpt-00000001.npz", buf.getvalue())
+        resumed = self._stream(graph, self.B)
+        store.restore(resumed, "ckpt-00000001.npz")
+        late = _run(resumed, list(graph)[crash_at:])
+        tail = expected[len(expected) - len(late):]
+        assert late and len(late) == len(tail)
+        for got, want in zip(late, tail):
+            assert got[self.B].tobytes() == want[self.B].tobytes()
+
+    def test_restore_turns_any_mismatch_into_a_corrupt_checkpoint(self, graph):
+        store = CheckpointStore()
+        stream = self._stream(graph, None)
+        stream.push(graph[0].copy())
+        key = store.save(stream)
+        other = StreamingInference(_model(graph), window_size=WINDOW + 1)
+        with pytest.raises(CorruptCheckpointError, match="window_size"):
+            store.restore(other, key)

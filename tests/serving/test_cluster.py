@@ -39,9 +39,9 @@ def test_fixture_geometry(graph, graph_b):
     assert graph.dim == DIM and graph_b.dim == DIM
 
 
-def reference_outputs(graph):
+def reference_outputs(graph, make=factory):
     stream = StreamingInference(
-        factory(), window_size=WINDOW, enable_skipping=True
+        make(), window_size=WINDOW, enable_skipping=True
     )
     outputs = []
     for snap in graph:
@@ -405,3 +405,211 @@ class TestMultiTenant:
         # and both equal the unsharded engine
         assert_identical(got_a, reference_outputs(graph))
         assert_identical(got_b, reference_outputs(graph_b))
+
+
+def unsharded_metrics(graph, make=factory):
+    stream = StreamingInference(make(), window_size=WINDOW)
+    for snap in graph:
+        stream.push(snap.copy())
+    stream.flush()
+    return stream.metrics
+
+
+class TestOwnedRowShards:
+    """Reads are replicated, compute is partitioned: every worker's
+    streams compute ``ShardMap.rows(i)`` and nothing else."""
+
+    def test_workers_own_the_shard_map_rows(self, graph):
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=WINDOW, seed=SEED
+        )
+        cluster.register_tenant("t0")
+        assert all(w.rows is None for w in cluster.workers)  # not pinned yet
+        for snap in graph:
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        seen = np.zeros(graph.num_vertices, dtype=int)
+        for worker in cluster.workers:
+            rows = cluster.shard_map.rows(worker.index)
+            assert not rows.flags.writeable
+            assert worker.rows is rows
+            stream = worker.streams["t0"].stream
+            assert stream.rows.tolist() == rows.tolist()
+            seen[rows] += 1
+            # a row nobody asked this shard for was never computed
+            others = np.setdiff1d(np.arange(graph.num_vertices), rows)
+            assert not stream.carry.h_prev[others].any()
+            assert stream.carry.h_prev[rows].any() == bool(rows.size)
+            with pytest.raises(ValueError, match="fed shard"):
+                worker.own(rows)
+        assert (seen == 1).all()
+
+    def test_engine_fault_degrades_one_owned_row_window(self, graph):
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=WINDOW, seed=SEED
+        )
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == WINDOW - 1:  # fires while the first window processes
+                cluster.workers[2].streams["t0"].inject_fault(
+                    RuntimeError("injected DCU fault")
+                )
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        # shard 2's rows are those of an unsharded stream degraded at
+        # the same window — that window on ReferenceEngine, the
+        # owned-row windows after it from the state it left — and every
+        # other row is the never-failed stream's
+        from repro.resilience import ResilientStreamingInference
+
+        faulted = ResilientStreamingInference(factory(), window_size=WINDOW)
+        faulted.inject_fault(RuntimeError("injected DCU fault"))
+        degraded = []
+        for snap in graph:
+            result = faulted.push(snap.copy())
+            if result is not None:
+                degraded.extend(result.outputs)
+        assert faulted.metrics.fallback_windows == 1
+        healthy = reference_outputs(graph)
+        rows = cluster.shard_map.rows(2)
+        others = np.setdiff1d(np.arange(graph.num_vertices), rows)
+        assert rows.size and others.size
+        got = cluster.released("t0")
+        assert len(got) == len(healthy) == len(degraded)
+        for out, want, clean in zip(got, degraded, healthy):
+            assert out[rows].tobytes() == want[rows].tobytes()
+            assert out[others].tobytes() == clean[others].tobytes()
+        assert any(
+            want[rows].tobytes() != clean[rows].tobytes()
+            for want, clean in zip(degraded, healthy)
+        )  # the fault is visible: the test would notice a shard that hid it
+        sup = cluster.workers[2].streams["t0"]
+        assert [i.kind for i in sup.incidents] == ["engine-fault"]
+        assert sup.metrics.fallback_windows == 1
+        assert sup.stream.rows.tolist() == rows.tolist()  # still owned-row
+        assert cluster.metrics.fallback_windows == 1
+
+    def test_degraded_window_is_exact_and_later_windows_identical(self, graph):
+        """With skipping off the reference window *is* the engine's, so
+        a fault must leave every released bit where it was."""
+        def make_cluster():
+            return ShardCluster(
+                factory, num_shards=SHARDS, window_size=WINDOW,
+                enable_skipping=False, seed=SEED,
+            )
+
+        cluster = make_cluster()
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == WINDOW - 1:
+                cluster.workers[1].streams["t0"].inject_fault(
+                    RuntimeError("injected DCU fault")
+                )
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        for a, b in zip(cluster.released("t0"), serve(make_cluster(), "t0", graph)):
+            assert a.tobytes() == b.tobytes()
+        assert cluster.metrics.fallback_windows == 1
+
+    def test_recovered_streams_and_their_checkpoints_carry_the_ownership(
+        self, graph
+    ):
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=WINDOW,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == 4:
+                cluster.workers[1].crash()
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        assert_identical(cluster.released("t0"), reference_outputs(graph))
+        assert cluster.supervisor.restarts == 1
+        rows = cluster.shard_map.rows(1)
+        worker = cluster.workers[1]
+        assert worker.streams["t0"].stream.rows.tolist() == rows.tolist()
+        store = worker.stores["t0"]
+        assert len(store) >= 2
+        for key in store.keys():
+            assert store.load(key).rows.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("backend", ["memory", "directory"])
+    def test_checkpoints_of_another_ownership_are_refused_then_cold_start(
+        self, graph, tmp_path, backend
+    ):
+        """A shard restarted owning rows its stored checkpoints do not
+        cover (a re-partitioned cluster over the same store) must not
+        resume from them: one incident, a cold start, the same bits."""
+        from repro.resilience import CheckpointStore
+
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=2,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        worker = cluster.workers[1]
+        if backend == "directory":
+            worker.stores["t0"] = CheckpointStore(tmp_path / "s1", keep_last=3)
+        for t, snap in enumerate(graph):
+            if t == 5:
+                assert len(worker.stores["t0"]) == 2
+                worker.crash()
+                mine = cluster.shard_map.rows(1)
+                grown = np.union1d(mine, cluster.shard_map.rows(2)[:3])
+                assert len(grown) == len(mine) + 3
+                worker.own(grown)  # a superset of what the cluster collects
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        ref = ShardCluster(factory, num_shards=SHARDS, window_size=2, seed=SEED)
+        for a, b in zip(cluster.released("t0"), serve(ref, "t0", graph)):
+            assert a.tobytes() == b.tobytes()
+        torn = [i for i in cluster.incidents if i.kind == "torn-checkpoint"]
+        assert len(torn) == 1 and torn[0].action == "cold-start"
+        assert "2 torn checkpoint(s) skipped" in torn[0].detail
+        restarted = [i for i in cluster.incidents if i.action == "restarted"]
+        assert len(restarted) == 1
+        assert "resumed from cold-start, replayed 6 snapshot(s)" in (
+            restarted[0].detail
+        )
+
+    def test_which_counters_add_up_by_ownership(self, graph):
+        """``ShardCluster.metrics``: per-row work sums to the unsharded
+        stream's, whole-snapshot work is done once per shard."""
+        def wide():  # hidden = in_dim: the layer aggregates first
+            return make_model("T-GCN", DIM, DIM, seed=SEED)
+
+        for make, gnn_additive in ((wide, True), (factory, False)):
+            cluster = ShardCluster(
+                make, num_shards=SHARDS, window_size=WINDOW, seed=SEED
+            )
+            serve(cluster, "t0", graph)
+            one, m = unsharded_metrics(graph, make), cluster.metrics
+            for name in (
+                "cells_full", "cells_delta", "cells_skipped", "cell_macs",
+                "cell_macs_saved", "delta_nnz", "output_words",
+            ):
+                assert getattr(m, name) == getattr(one, name), name
+            active = len(cluster.shard_map.active_shards())
+            assert active == SHARDS
+            for name in ("snapshots_processed", "windows_processed"):
+                assert getattr(m, name) == SHARDS * getattr(one, name), name
+            assert len(m.window_modes) == SHARDS * len(one.window_modes)
+            gnn = m.combination_macs + m.aggregation_macs
+            gnn_one = one.combination_macs + one.aggregation_macs
+            assert (gnn == gnn_one) == gnn_additive
+            assert gnn_one <= gnn < SHARDS * gnn_one
+
+    def test_a_neighbour_reading_cell_is_replicated(self, graph):
+        def make():
+            return make_model("GC-LSTM", DIM, 8, seed=SEED)
+
+        cluster = ShardCluster(
+            make, num_shards=SHARDS, window_size=WINDOW, seed=SEED
+        )
+        got = serve(cluster, "t0", graph)
+        for a, b in zip(got, reference_outputs(graph, make), strict=True):
+            assert a.tobytes() == b.tobytes()
+        one = unsharded_metrics(graph, make)
+        assert cluster.metrics.cells_full == SHARDS * one.cells_full
+        assert cluster.metrics.cell_macs == SHARDS * one.cell_macs

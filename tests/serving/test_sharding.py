@@ -50,6 +50,24 @@ class TestShardMap:
             seen[owned] = True
         assert seen.all()
 
+    def test_rows_and_quorum_are_computed_once(self):
+        """``rows`` / ``active_shards`` sit on the serving path (per
+        result, per shard per timestamp, per tick): one shared read-only
+        array per shard, equal to the scan they replaced."""
+        owner = np.array([2, 0, 2, 2, 0, 3])  # shard 1 owns nothing
+        smap = ShardMap(num_shards=4, num_vertices=6, owner=owner, cut_edges=0)
+        for shard in range(4):
+            rows = smap.rows(shard)
+            assert rows.tolist() == np.flatnonzero(owner == shard).tolist()
+            assert rows is smap.rows(shard)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[:1] = 0
+        assert smap.active_shards() == np.unique(owner).tolist() == [0, 2, 3]
+        smap.active_shards().append(9)  # a caller's copy, not the map's
+        assert smap.active_shards() == [0, 2, 3]
+        with pytest.raises(ValueError):
+            smap.rows(4)
+
     def test_build_is_deterministic(self, graph):
         a = ShardMap.build(graph.window(0, 1), 4)
         b = ShardMap.build(graph.window(0, 1), 4)
