@@ -151,10 +151,14 @@ class TaGNNSoftware:
         workload=None,
         window_size: int = 4,
     ) -> _SimulationReport:
+        classifications = None  # only this call's own run is known to fit
         if engine_result is None:
             engine_result = _ConcurrentEngine(model, window_size=window_size).run(graph)
+            classifications = engine_result.extra["classifications"]
         if workload is None:
-            workload = _WorkloadStats.analyze(graph, model, window_size)
+            workload = _WorkloadStats.analyze(
+                graph, model, window_size, classifications
+            )
         metrics = engine_result.metrics
 
         layers = len(model.gnn.layers)

@@ -75,10 +75,16 @@ class TaGNNSimulator:
         # fault injector passes a wrapper that raises transient storage
         # errors on selected requests.
         cfg = self.config
+        # only the run made here is known to be this graph's under
+        # cfg.window_size: a result handed in is priced from fresh labels
+        classifications = None
         if engine_result is None:
             engine_result = self.run_engine(model, graph)
+            classifications = engine_result.extra["classifications"]
         if workload is None:
-            workload = WorkloadStats.analyze(graph, model, cfg.window_size)
+            workload = WorkloadStats.analyze(
+                graph, model, cfg.window_size, classifications
+            )
         metrics = engine_result.metrics
         if hbm is None:
             hbm = cfg.hbm()

@@ -9,12 +9,12 @@ distribution is.  :class:`WorkloadStats` derives them once per
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.classify import classify_window
-from ..analysis.subgraph import extract_affected_subgraph
+from ..analysis.classify import VertexClass, WindowClassification, classify_window
 from ..graphs.dynamic import DynamicGraph
 from ..models.base import DGNNModel
 
@@ -46,34 +46,33 @@ class WorkloadStats:
 
     @classmethod
     def analyze(
-        cls, graph: DynamicGraph, model: DGNNModel, window_size: int = 4
+        cls, graph: DynamicGraph, model: DGNNModel, window_size: int = 4,
+        classifications: list[WindowClassification] | None = None,
     ) -> "WorkloadStats":
+        """Price every window from its labels and degrees: the stable-
+        rooted DFS reaches each stable or affected vertex and nothing
+        else, so the affected subgraph is a label count and a degree sum.
+        ``classifications`` are an engine run's per-window labels over
+        this graph and window size (classified here when not given)."""
         ws = cls(graph, model, window_size)
-        for start in range(0, graph.num_snapshots, window_size):
-            size = min(window_size, graph.num_snapshots - start)
-            window = graph.window(start, size)
-            c = classify_window(window)
-            sg = extract_affected_subgraph(window, c)
-            counts = c.counts()
-            sub_edges = 0
-            if sg.num_vertices:
-                mask = np.zeros(graph.num_vertices, dtype=bool)
-                mask[sg.vertices] = True
-                for snap in window:
-                    src = np.repeat(
-                        np.arange(snap.num_vertices, dtype=np.int64), snap.degrees
-                    )
-                    sub_edges += int(mask[src].sum())
+        starts = range(0, graph.num_snapshots, window_size)
+        if classifications is None:
+            classifications = [None] * len(starts)
+        for start, c in zip(starts, classifications, strict=True):
+            window = graph.window(start, min(window_size, graph.num_snapshots - start))
+            if c is None:
+                c = classify_window(window)
+            elif (c.window_size, len(c.labels)) != (len(window), graph.num_vertices):
+                raise ValueError(f"classification does not fit window {start}")
+            mask = c.labels != VertexClass.UNAFFECTED
             ws.windows.append(
                 WindowStats(
-                    num_snapshots=size,
+                    num_snapshots=len(window),
                     present_total=sum(s.num_present for s in window),
                     edges_total=sum(s.num_edges for s in window),
-                    unaffected=counts["unaffected"],
-                    stable=counts["stable"],
-                    affected=counts["affected"],
-                    subgraph_vertices=sg.num_vertices,
-                    subgraph_edges=sub_edges,
+                    **c.counts(),
+                    subgraph_vertices=int(mask.sum()),
+                    subgraph_edges=sum(int(s.degrees[mask].sum()) for s in window),
                 )
             )
         return ws
@@ -128,9 +127,11 @@ class WorkloadStats:
         if num_units <= 1 or degrees.sum() == 0:
             return 1.0
         if balanced:
-            loads = np.zeros(num_units, dtype=np.int64)
-            for d in -np.sort(-degrees):
-                loads[np.argmin(loads)] += d
+            # greedy LPT: the heap's root is the least-loaded, lowest-id unit
+            heap = [(0, unit) for unit in range(num_units)]
+            for d in (-np.sort(-degrees)).tolist():
+                heapq.heapreplace(heap, (heap[0][0] + d, heap[0][1]))
+            loads = np.array([load for load, _ in heap])
             mean = loads.mean()
             return float(loads.max() / mean) if mean else 1.0
 

@@ -391,12 +391,8 @@ class ConcurrentEngine:
 
         if first or not self.enable_skipping or z_prev is None:
             rows = np.flatnonzero(present)
-            drive = model.recurrent_drive(state, snap, rows)
-            h_rows, st_rows = model.cell_step_rows(z, state, rows, snap, drive)
-            h_out[rows] = h_rows
+            h_out[rows], st_rows = _full_update(model, cache, z, state, rows, snap)
             new_state = _splice_state(state, rows, st_rows)
-            if cache is not None:
-                cache.refresh(rows, z, drive)
             m.cells_full += len(rows)
             m.cell_macs += len(rows) * model.cell.flops_per_vertex() // 2
             m.output_words += len(rows) * model.out_dim
@@ -433,14 +429,10 @@ class ConcurrentEngine:
 
         new_state = state
         if len(full_rows):
-            drive = model.recurrent_drive(state, snap, full_rows)
-            h_rows, st_rows = model.cell_step_rows(
-                z, state, full_rows, snap, drive
+            h_out[full_rows], st_rows = _full_update(
+                model, cache, z, state, full_rows, snap
             )
-            h_out[full_rows] = h_rows
             new_state = _splice_state(new_state, full_rows, st_rows)
-            if cache is not None:
-                cache.refresh(full_rows, z, drive)
             m.cells_full += len(full_rows)
             m.cell_macs += len(full_rows) * model.cell.flops_per_vertex() // 2
         if len(delta_rows):
@@ -557,6 +549,16 @@ def _changed_rows(window, changed, num_layers) -> list[np.ndarray]:
         changed = grown
         layer_rows.append(np.flatnonzero(changed))
     return layer_rows
+
+
+def _full_update(model, cache, z, state, rows, snap):
+    """FULL cell update of ``rows``: ``(h_rows, state_rows)``.  The
+    delta cache (None for an RNN-free model) records the update's two
+    pre-activation products and the cell evaluates its gates on those
+    very blocks, so each is multiplied once."""
+    drive = model.recurrent_drive(state, snap, rows)
+    pre = None if cache is None else cache.refresh(rows, z, drive)
+    return model.cell_step_rows(z, state, rows, snap, drive, pre)
 
 
 def _splice_state(state, rows, row_state):

@@ -104,6 +104,7 @@ class DGNNModel(abc.ABC):
         rows: np.ndarray,
         snap: CSRSnapshot | None = None,
         drive: np.ndarray | None = None,
+        pre: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         """Cell update restricted to ``rows``.
 
@@ -113,11 +114,18 @@ class DGNNModel(abc.ABC):
         state for the recurrent convolution) and take ``drive``, the
         caller's already-computed ``recurrent_drive(state, snap, rows)``,
         instead of convolving a second time; plain cells ignore it.
+        ``pre`` is the caller's already-multiplied
+        ``(z[rows] @ w_x, drive @ w_h)`` — what
+        :meth:`DeltaCellCache.refresh` just stored — so a FULL update
+        that feeds the delta cache multiplies once; the cell uses the
+        first block as scratch (:meth:`RecurrentCell.step_pre`).
         """
         sub = type(state)(**{
             k: getattr(state, k)[rows] for k in vars(state) if not k.startswith("_")
         })
-        return self.cell.step(z[rows], sub)
+        if pre is None:
+            return self.cell.step(z[rows], sub)
+        return self.cell.step_pre(*pre, sub)
 
     def recurrent_drive(
         self,

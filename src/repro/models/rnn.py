@@ -70,9 +70,23 @@ class RecurrentCell:
     def init_state(self, num_vertices: int):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def step(self, x: np.ndarray, state):  # pragma: no cover - interface
+    def step(self, x: np.ndarray, state):
         """One cell update for a batch of vertices; returns
         ``(output, new_state)`` without mutating ``state``."""
+        return self.step_pre(
+            _matmul_rows(x, self.w_x), _matmul_rows(state.h, self.w_h), state
+        )
+
+    def step_pre(
+        self, zx: np.ndarray, zh: np.ndarray, state
+    ):  # pragma: no cover - interface
+        """:meth:`step` from its two pre-activation blocks ``x @ w_x``
+        and ``h @ w_h`` (bias not yet added) — the products a FULL update
+        shares with the delta cache's refresh.  ``zx`` is scratch: the
+        sums are formed in it, as NumPy formed them in the product's own
+        temporary when :meth:`step` multiplied inline (a third live
+        block per update is enough to make glibc trim and re-fault the
+        heap every window; docs/performance.md)."""
         raise NotImplementedError
 
     def flops_per_vertex(self) -> int:  # pragma: no cover - interface
@@ -116,9 +130,13 @@ class LSTMCell(RecurrentCell):
         z = np.zeros((num_vertices, self.hidden_dim), dtype=np.float32)
         return LSTMState(z.copy(), z.copy())
 
-    def step(self, x: np.ndarray, state: LSTMState) -> tuple[np.ndarray, LSTMState]:
+    def step_pre(
+        self, zx: np.ndarray, zh: np.ndarray, state: LSTMState
+    ) -> tuple[np.ndarray, LSTMState]:
         d = self.hidden_dim
-        z = _matmul_rows(x, self.w_x) + _matmul_rows(state.h, self.w_h) + self.bias
+        z = zx
+        z += zh
+        z += self.bias
         i = sigmoid(z[:, :d])
         f = sigmoid(z[:, d : 2 * d])
         g = tanh(z[:, 2 * d : 3 * d])
@@ -159,10 +177,12 @@ class ElmanCell(RecurrentCell):
     def init_state(self, num_vertices: int) -> GRUState:
         return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
 
-    def step(self, x: np.ndarray, state: GRUState) -> tuple[np.ndarray, GRUState]:
-        h = np.tanh(
-            _matmul_rows(x, self.w_x) + _matmul_rows(state.h, self.w_h) + self.bias
-        )
+    def step_pre(
+        self, zx: np.ndarray, zh: np.ndarray, state: GRUState
+    ) -> tuple[np.ndarray, GRUState]:
+        zx += zh
+        zx += self.bias
+        h = np.tanh(zx)
         return h, GRUState(h)
 
     def flops_per_vertex(self) -> int:
@@ -231,10 +251,11 @@ class GRUCell(RecurrentCell):
     def init_state(self, num_vertices: int) -> GRUState:
         return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
 
-    def step(self, x: np.ndarray, state: GRUState) -> tuple[np.ndarray, GRUState]:
+    def step_pre(
+        self, zx: np.ndarray, zh: np.ndarray, state: GRUState
+    ) -> tuple[np.ndarray, GRUState]:
         d = self.hidden_dim
-        zx = _matmul_rows(x, self.w_x) + self.bias
-        zh = _matmul_rows(state.h, self.w_h)
+        zx += self.bias
         r = sigmoid(zx[:, :d] + zh[:, :d])
         z = sigmoid(zx[:, d : 2 * d] + zh[:, d : 2 * d])
         n = tanh(zx[:, 2 * d :] + r * zh[:, 2 * d :])

@@ -22,7 +22,6 @@ from ..graphs.snapshot import CSRSnapshot
 from .base import DGNNModel
 from .layers import GCNStack, _matmul_rows, glorot
 from .rnn import ElmanCell, GRUCell, IdentityCell, LSTMCell, LSTMState
-from .activations import sigmoid, tanh
 
 __all__ = [
     "CDGCN",
@@ -54,16 +53,10 @@ class GraphLSTMCell(LSTMCell):
     def step_on_graph(
         self, x: np.ndarray, state: LSTMState, snap: CSRSnapshot
     ) -> tuple[np.ndarray, LSTMState]:
-        d = self.hidden_dim
         h_conv = snap.aggregate(state.h)
-        z = _matmul_rows(x, self.w_x) + _matmul_rows(h_conv, self.w_h) + self.bias
-        i = sigmoid(z[:, :d])
-        f = sigmoid(z[:, d : 2 * d])
-        g = tanh(z[:, 2 * d : 3 * d])
-        o = sigmoid(z[:, 3 * d :])
-        c = (f * state.c + i * g).astype(np.float32, copy=False)
-        h = (o * tanh(c)).astype(np.float32, copy=False)
-        return h, LSTMState(h, c)
+        return self.step_pre(
+            _matmul_rows(x, self.w_x), _matmul_rows(h_conv, self.w_h), state
+        )
 
 
 class GCLSTM(DGNNModel):
@@ -85,28 +78,18 @@ class GCLSTM(DGNNModel):
         return self.cell.step_on_graph(z, state, snap)  # type: ignore[attr-defined]
 
     def cell_step_rows(
-        self, z, state, rows, snap: CSRSnapshot | None = None, drive=None
+        self, z, state, rows, snap: CSRSnapshot | None = None, drive=None, pre=None
     ):
         """Row-restricted GC-LSTM update: the recurrent convolution reads
         the full hidden state, but only for ``rows``' neighbourhoods."""
         if snap is None:
             return super().cell_step_rows(z, state, rows)
-        if drive is None:
-            drive = self.recurrent_drive(state, snap, rows)
         cell = self.cell
-        d = cell.hidden_dim
-        pre = (
-            _matmul_rows(z[rows], cell.w_x)
-            + _matmul_rows(drive, cell.w_h)
-            + cell.bias
-        )
-        i = sigmoid(pre[:, :d])
-        f = sigmoid(pre[:, d : 2 * d])
-        g = tanh(pre[:, 2 * d : 3 * d])
-        o = sigmoid(pre[:, 3 * d :])
-        c = (f * state.c[rows] + i * g).astype(np.float32, copy=False)
-        h = (o * tanh(c)).astype(np.float32, copy=False)
-        return h, LSTMState(h, c)
+        if pre is None:
+            if drive is None:
+                drive = self.recurrent_drive(state, snap, rows)
+            pre = _matmul_rows(z[rows], cell.w_x), _matmul_rows(drive, cell.w_h)
+        return cell.step_pre(*pre, LSTMState(state.h[rows], state.c[rows]))
 
     def recurrent_drive(self, state, snap: CSRSnapshot | None = None, rows=None):
         if snap is None:

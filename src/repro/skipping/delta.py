@@ -161,18 +161,26 @@ class DeltaCellCache:
         self.cell = cell
 
     # ------------------------------------------------------------------
-    @contract("(r,) i, (n, *) f, (r, *) f -> none")
-    def refresh(self, rows: np.ndarray, x: np.ndarray, drive: np.ndarray) -> None:
-        """Record the pre-activations of a FULL update for ``rows``.
+    @contract("(r,) i, (n, *) f, (r, *) f -> (r, *) f, (r, *) f")
+    def refresh(
+        self, rows: np.ndarray, x: np.ndarray, drive: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Record the pre-activations of a FULL update for ``rows`` and
+        return them, ``(x[rows] @ w_x, drive @ w_h)``: the same two
+        products the update itself consumes
+        (:meth:`DGNNModel.cell_step_rows` ``pre``).  They are fresh
+        arrays, not views of the cache: the cell may overwrite them.
 
         ``x`` is the full (n, d) cell input, read at ``rows`` only;
         ``drive`` is row-local: ``recurrent_drive(state, snap, rows)``.
         """
-        if len(rows) == 0:
-            return
-        self.zx[rows] = _matmul_rows(x[rows], self.cell.w_x)
-        self.zh[rows] = _matmul_rows(drive, self.cell.w_h)
-        self.z_input[rows] = x[rows]
+        x_rows = x[rows]
+        zx = _matmul_rows(x_rows, self.cell.w_x)
+        zh = _matmul_rows(drive, self.cell.w_h)
+        self.zx[rows] = zx
+        self.zh[rows] = zh
+        self.z_input[rows] = x_rows
+        return zx, zh
 
     def partial_step(
         self,

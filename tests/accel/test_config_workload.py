@@ -63,7 +63,7 @@ class TestWorkloadStats:
     def test_window_stats_consistent(self, workload):
         for w in workload.windows:
             assert w.unaffected + w.stable + w.affected == workload.graph.num_vertices
-            assert w.subgraph_vertices <= w.stable + w.affected
+            assert w.subgraph_vertices == w.stable + w.affected
             assert w.subgraph_edges <= w.edges_total
 
     def test_random_access_orders(self, workload):
