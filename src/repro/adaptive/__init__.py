@@ -7,16 +7,16 @@ analogue for the TaGNN reproduction: per window it
 1. measures the live workload into a :class:`WindowProfile` (class
    fractions, edge counts, layer shapes — all counts the engine already
    has);
-2. consults a :class:`CostModel` — seeded offline by
-   :func:`calibrate_cost_model` micro-benchmarks of the PR-6 kernels,
-   refined online from exponentially-weighted observed window
-   latencies — to pick the propagation kernel (delta-condensed /
-   batched spmm, i.e. OADL overlap on or off) and auto-tuned skip
-   thresholds :math:`(\\theta_s, \\theta_e)`;
+2. picks the propagation kernel (delta-condensed / batched spmm, i.e.
+   OADL overlap on or off) by one rule on the profile's changed share,
+   and auto-tuned skip thresholds :math:`(\\theta_s, \\theta_e)` from
+   the drift-probe controller;
 3. emits an :class:`ExecutionPlan` that
    :meth:`ConcurrentEngine.step <repro.engine.ConcurrentEngine.step>`
-   executes field for field, with every decision and realized cost
-   recorded for audit.
+   executes field for field, with every decision, a :class:`CostModel`
+   prediction (seeded by :func:`calibrate_cost_model` micro-benchmarks)
+   and the realized latency recorded for audit — no decision reads a
+   clock.
 
 Correctness contract: the kernel choice is **bit-identical by
 construction** (both kernels apply the same additions in the same

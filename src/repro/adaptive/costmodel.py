@@ -9,18 +9,20 @@ does not pay), scaled by per-unit constants in a
 :class:`CalibrationTable`.  The table defaults are baked from offline
 micro-benchmarks of the PR-6 kernels (see
 :func:`~repro.adaptive.calibrate.calibrate_cost_model`, which re-bakes
-them on the current machine) and are *refined online*: observed window
-latencies feed an exponentially-weighted moving average per kernel,
-and the planner trusts the EWMA over the prediction once one exists.
+them on the current machine).
 
-The model predicts *costs only* — it can never affect results.  The
-kernel alternatives are bit-identical by construction; a wrong
-prediction costs time, not correctness.
+The model predicts *costs only*, for audit: every plan carries its
+prediction for each kernel, and perfbench's ``adaptive.cost_residual``
+checks it against the traced window time.  No decision reads it — the
+kernel is a rule on the profile's changed share
+(:meth:`~repro.adaptive.planner.AdaptivePlanner.kernel_for`), because the
+closed form prices every layer at the first layer's changed share and
+so cannot see that deeper layers leave nothing to reuse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .plan import KernelChoice
 from .profile import WindowProfile
@@ -54,30 +56,12 @@ class CalibrationTable:
     #: provenance of the constants ("default" | "calibrated").
     source: str = "default"
 
-    def with_source(self, source: str) -> "CalibrationTable":
-        return replace(self, source=source)
-
 
 class CostModel:
-    """Predicts per-window kernel seconds.
+    """Predicts per-window kernel seconds from a :class:`CalibrationTable`."""
 
-    ``observe()`` folds realized window latencies into a per-kernel EWMA;
-    ``kernel_seconds()`` returns the EWMA when available (online
-    refinement) and the closed-form prediction otherwise.
-    """
-
-    def __init__(
-        self,
-        table: CalibrationTable | None = None,
-        *,
-        ewma_alpha: float = 0.3,
-    ):
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
+    def __init__(self, table: CalibrationTable | None = None):
         self.table = table or CalibrationTable()
-        self.ewma_alpha = ewma_alpha
-        self._observed: dict[str, float] = {}
-        self._observations: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def predict_kernel_seconds(
@@ -119,39 +103,8 @@ class CostModel:
             raise ValueError(f"unknown kernel {kernel!r}")
         return seconds
 
-    def observe(self, kernel: KernelChoice, seconds: float) -> None:
-        """Fold one realized window latency into the kernel's EWMA."""
-        key = kernel.value
-        prev = self._observed.get(key)
-        if prev is None:
-            self._observed[key] = float(seconds)
-        else:
-            a = self.ewma_alpha
-            self._observed[key] = a * float(seconds) + (1.0 - a) * prev
-        self._observations[key] = self._observations.get(key, 0) + 1
-
-    def observed_seconds(self, kernel: KernelChoice) -> float | None:
-        return self._observed.get(kernel.value)
-
-    def observation_count(self, kernel: KernelChoice) -> int:
-        return self._observations.get(kernel.value, 0)
-
-    def kernel_seconds(
-        self, profile: WindowProfile, kernel: KernelChoice
-    ) -> float:
-        """EWMA-refined estimate: observed latency when the kernel has
-        run at least once, the closed-form prediction otherwise."""
-        observed = self._observed.get(kernel.value)
-        if observed is not None:
-            return observed
-        return self.predict_kernel_seconds(profile, kernel)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Serializable view of the model's online state (for benches)."""
-        return {
-            "table_source": self.table.source,
-            "ewma_alpha": self.ewma_alpha,
-            "observed_seconds": dict(self._observed),
-            "observations": dict(self._observations),
-        }
+        """Serializable view of the model (for benches): the table's
+        provenance."""
+        return {"table_source": self.table.source}

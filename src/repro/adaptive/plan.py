@@ -3,7 +3,7 @@
 A plan holds exactly what :meth:`ConcurrentEngine.step
 <repro.engine.concurrent.ConcurrentEngine.step>` executes — the
 propagation kernel and the skip thresholds — plus its audit trail: the
-cost model's expectation for every kernel candidate and human-readable
+cost model's prediction for every kernel candidate and human-readable
 reasons.  The engines execute plans; they never decide.
 """
 
@@ -36,8 +36,9 @@ class ExecutionPlan:
 
     kernel: KernelChoice
     thresholds: SkipThresholds
-    #: cost-model expectation (seconds) for every kernel candidate —
-    #: the chosen kernel minimises this after online refinement.
+    #: cost-model prediction (seconds) for every kernel candidate —
+    #: audit only, checked against the trace; the kernel rule does not
+    #: read it.
     expected_kernel_seconds: dict = field(default_factory=dict)
     reasons: tuple = ()
 

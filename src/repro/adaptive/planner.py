@@ -3,10 +3,11 @@
 :class:`AdaptivePlanner` turns a :class:`WindowProfile` into an
 :class:`ExecutionPlan`:
 
-* **kernel** — argmin of the cost model's EWMA-refined per-kernel
-  seconds, with optimistic exploration: a kernel that has never run and
-  whose *predicted* cost is within ``explore_margin`` of the best gets
-  one shot, so online refinement has data for every plausible candidate.
+* **kernel** — one rule on the profile (:meth:`AdaptivePlanner.kernel_for`):
+  full recompute (``batched-spmm``) once at least
+  :data:`RECOMPUTE_SHARE` of the window's vertices changed, OADL
+  changed-set reuse (``delta-condensed``) below it.  No clock is read:
+  the same window always gets the same kernel.
 * **thresholds** — :math:`(\\theta_s, \\theta_e)` interpolated between
   the paper's defaults and the configured aggressive bounds by an
   *aggressiveness* scalar ``a ∈ [0, 1]``.  ``a`` moves under a
@@ -18,10 +19,11 @@
   it unnoticed, because the probes that raise ``a`` are the same
   mechanism that measures the divergence.
 
-The planner is deliberately *stateful across windows* (EWMA costs,
-exploration history, aggressiveness) and deliberately *stateless within
-one* — ``plan()`` is a pure function of the profile and the accumulated
-statistics, so a plan can be recomputed and explained offline.
+The planner's only state across windows is the threshold controller
+(aggressiveness, probes done) and the audit trail; ``plan()`` is a pure
+function of the profile and that state, so a plan can be recomputed and
+explained offline.  Observed window latency is recorded on the
+:class:`PlanRecord` for audit and read by no decision.
 """
 
 from __future__ import annotations
@@ -36,9 +38,26 @@ from .costmodel import CostModel
 from .plan import ExecutionPlan, KernelChoice
 from .profile import WindowProfile
 
-__all__ = ["AdaptiveConfig", "AdaptivePlanner", "PlanRecord", "relative_drift"]
+__all__ = [
+    "AdaptiveConfig",
+    "AdaptivePlanner",
+    "PlanRecord",
+    "RECOMPUTE_SHARE",
+    "relative_drift",
+]
 
 _DEFAULTS = SkipThresholds()
+
+#: Changed share (``WindowProfile.changed_frac``) at or above which a
+#: window runs ``batched-spmm`` instead of ``delta-condensed``.  Batched
+#: ÷ delta stream time on the GT generator at churn ×0.1 / ×0.25 / ×1 /
+#: ×3 (changed share 0.21 / 0.56 / 0.98 / 1.00), two seeds: CD-GCN
+#: 1.00–1.01 / 0.96–0.97 / 0.93 / 0.94–0.96, GC-LSTM 1.06–1.13 /
+#: 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 / 1.03–1.05 / 0.96–0.97 / 0.96 —
+#: reuse wins only where most rows are reusable, because past layer 1
+#: the changed set's closure is the whole graph (docs/performance.md,
+#: "The kernel is the profile's call", has the method and every cell).
+RECOMPUTE_SHARE = 0.5
 
 
 @contract("_, _ -> float")
@@ -58,25 +77,16 @@ def relative_drift(baseline: list, outputs: list) -> float:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Planner knobs; everything defaults to the safe/productive middle."""
+    """Threshold-controller knobs; everything defaults to the
+    safe/productive middle."""
 
-    #: master switches per decision axis
-    choose_kernel: bool = True
-    tune_thresholds: bool = True
     #: hard bound on relative output divergence vs the default-threshold
-    #: pipeline (measured by drift probes; see :meth:`AdaptivePlanner.observe_drift`)
+    #: pipeline (measured by drift probes; see
+    #: :meth:`AdaptivePlanner.observe_drift`) — 0 pins the defaults
     drift_budget: float = 0.02
     #: probes run at exponentially-spaced planner windows (2, 4, 8, ...)
     #: up to this many — overhead decays to zero on long streams
     max_probes: int = 6
-    #: EWMA smoothing for observed kernel latencies
-    ewma_alpha: float = 0.3
-    #: an under-observed kernel is tried when predicted within this
-    #: margin of the best candidate
-    explore_margin: float = 0.25
-    #: observed-latency samples required per candidate before the EWMA is
-    #: trusted exclusively (one sample can be a cold-start outlier)
-    explore_min_obs: int = 2
     #: aggressive ends of the threshold interpolation (defaults are the
     #: paper's Fig. 14(a) optimum, these are the far ends the controller
     #: may approach at a = 1)
@@ -88,12 +98,6 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if self.drift_budget < 0.0:
             raise ValueError(f"drift_budget must be >= 0, got {self.drift_budget}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.explore_margin < 0.0:
-            raise ValueError("explore_margin must be >= 0")
-        if self.explore_min_obs < 0:
-            raise ValueError("explore_min_obs must be >= 0")
         if not -1.0 <= self.theta_s_min <= _DEFAULTS.theta_s:
             raise ValueError(
                 f"theta_s_min must lie in [-1, {_DEFAULTS.theta_s}],"
@@ -128,9 +132,7 @@ class AdaptivePlanner:
         cost_model: CostModel | None = None,
     ):
         self.config = config or AdaptiveConfig()
-        self.cost_model = cost_model or CostModel(
-            ewma_alpha=self.config.ewma_alpha
-        )
+        self.cost_model = cost_model or CostModel()
         self.records: list[PlanRecord] = []
         self.kernel_switches = 0
         self.max_observed_drift = 0.0
@@ -153,8 +155,6 @@ class AdaptivePlanner:
     def thresholds(self) -> SkipThresholds:
         """Current auto-tuned thresholds: defaults at a = 0, the
         configured aggressive bounds at a = 1."""
-        if not self.config.tune_thresholds:
-            return _DEFAULTS
         a = self._aggressiveness
         return SkipThresholds(
             theta_s=_DEFAULTS.theta_s
@@ -172,8 +172,6 @@ class AdaptivePlanner:
         safe, and the probe overhead (one extra window execution each)
         decays to zero on long streams.
         """
-        if not self.config.tune_thresholds:
-            return False
         if self._probes_done >= self.config.max_probes:
             return False
         return self._window_index >= 2 ** (self._probes_done + 1)
@@ -202,59 +200,35 @@ class AdaptivePlanner:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def plan(self, profile: WindowProfile) -> ExecutionPlan:
-        cfg = self.config
-        model = self.cost_model
-        reasons: list[str] = []
+    def kernel_for(self, profile: WindowProfile) -> KernelChoice:
+        """The kernel rule: full recompute once the changed share reaches
+        :data:`RECOMPUTE_SHARE`, changed-set reuse below it."""
+        if profile.changed_frac >= RECOMPUTE_SHARE:
+            return KernelChoice.BATCHED_SPMM
+        return KernelChoice.DELTA_CONDENSED
 
-        kernel_costs = {
-            k.value: model.kernel_seconds(profile, k) for k in KernelChoice
-        }
-        if cfg.choose_kernel:
-            best = min(KernelChoice, key=lambda k: kernel_costs[k.value])
-            kernel = best
-            # optimistic exploration: give near-best kernels a few
-            # observed windows each so one cold-start sample can't bury
-            # a candidate forever
-            bar = kernel_costs[best.value] * (1.0 + cfg.explore_margin)
-            for cand in sorted(
-                KernelChoice, key=lambda k: model.observation_count(k)
-            ):
-                if (
-                    model.observation_count(cand) < cfg.explore_min_obs
-                    and kernel_costs[cand.value] <= bar
-                    and cand is not best
-                ):
-                    kernel = cand
-                    reasons.append(
-                        f"exploring kernel {cand.value}"
-                        f" ({model.observation_count(cand)} observations,"
-                        f" predicted within {cfg.explore_margin:.0%} of best)"
-                    )
-                    break
-            else:
-                src = (
-                    "observed EWMA"
-                    if model.observed_seconds(kernel) is not None
-                    else "calibrated prediction"
-                )
-                reasons.append(f"kernel {kernel.value} minimises {src}")
-        else:
-            kernel = KernelChoice.DELTA_CONDENSED
-            reasons.append("kernel choice disabled: static delta-condensed")
+    def plan(self, profile: WindowProfile) -> ExecutionPlan:
+        kernel = self.kernel_for(profile)
+        reasons = [
+            f"kernel {kernel.value}: changed share"
+            f" {profile.changed_frac:.3f} (recompute at >= {RECOMPUTE_SHARE})"
+        ]
 
         thresholds = self.thresholds()
-        if cfg.tune_thresholds and self._aggressiveness > 0.0:
+        if self._aggressiveness > 0.0:
             reasons.append(
                 f"thresholds at aggressiveness {self._aggressiveness:.2f}"
                 f" (max probed drift {self.max_observed_drift:.4f}"
-                f" <= budget {cfg.drift_budget})"
+                f" <= budget {self.config.drift_budget})"
             )
 
         plan = ExecutionPlan(
             kernel=kernel,
             thresholds=thresholds,
-            expected_kernel_seconds=kernel_costs,
+            expected_kernel_seconds={
+                k.value: self.cost_model.predict_kernel_seconds(profile, k)
+                for k in KernelChoice
+            },
             reasons=tuple(reasons),
         )
         if self._last_kernel is not None and kernel is not self._last_kernel:
@@ -267,8 +241,11 @@ class AdaptivePlanner:
         return plan
 
     def observe(self, plan: ExecutionPlan, seconds: float) -> None:
-        """Fold one executed plan's realized latency into the model."""
-        self.cost_model.observe(plan.kernel, float(seconds))
+        """Record one executed plan's realized latency on its
+        :class:`PlanRecord` (audit only: no decision reads it).  Only the
+        record holding this very ``plan`` object is written, so a drift
+        probe's replay — a copy made by ``dataclasses.replace`` — records
+        nothing."""
         for rec in reversed(self.records):
             if rec.plan is plan:
                 rec.observed_seconds = float(seconds)

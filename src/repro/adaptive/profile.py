@@ -1,8 +1,10 @@
 """Cheap per-window workload measurement.
 
-A :class:`WindowProfile` holds what
-:meth:`CostModel.predict_kernel_seconds
-<repro.adaptive.costmodel.CostModel.predict_kernel_seconds>` reads, and
+A :class:`WindowProfile` holds what the kernel rule
+(:meth:`AdaptivePlanner.kernel_for
+<repro.adaptive.planner.AdaptivePlanner.kernel_for>`: the changed share)
+and :meth:`CostModel.predict_kernel_seconds
+<repro.adaptive.costmodel.CostModel.predict_kernel_seconds>` read, and
 all of it is a count the engine already has (the window classification,
 the snapshots' edge counts, the model's layer shapes) — profiling must
 cost a negligible fraction of the window it describes, or the planner

@@ -251,11 +251,12 @@ def bench_streaming_adaptive(
 
     The static side is the PR-6 configuration (delta-condensed kernel,
     default thresholds); the adaptive side shares one
-    :class:`AdaptivePlanner` across all repeats so its EWMA cost model
-    and threshold controller converge the way a long-lived stream
-    would.  ``table`` is an optional pre-computed
-    :class:`CalibrationTable` (the suite calibrates once and reuses it
-    for every cell).
+    :class:`AdaptivePlanner` across all repeats so its threshold
+    controller ramps the way a long-lived stream's would (the kernel
+    is a rule on each window's profile and needs no warm-up).
+    ``table`` is an optional pre-computed :class:`CalibrationTable` (the
+    suite calibrates once and reuses it for every cell); the cell
+    records its provenance.
     """
     from ..adaptive import AdaptivePlanner, CostModel
 
@@ -293,7 +294,7 @@ def bench_streaming_adaptive(
         "static_p95_ms": _percentile(static, 95) * 1e3,
         "adaptive_p50_ms": adaptive_p50 * 1e3,
         "adaptive_p95_ms": _percentile(adaptive, 95) * 1e3,
-        #: per-repeat trajectory — shows the convergence, not just the pool
+        #: per-repeat trajectory — shows the threshold ramp, not just the pool
         "adaptive_rep_p50_ms": rep_p50_ms,
         "speedup_p50": static_p50 / adaptive_p50 if adaptive_p50 else 0.0,
         "plan": {

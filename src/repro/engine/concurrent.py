@@ -68,7 +68,8 @@ class ConcurrentEngine:
         Optional :class:`~repro.adaptive.AdaptivePlanner`.  When set,
         each window is profiled and executed under the planner's
         :class:`~repro.adaptive.ExecutionPlan` — kernel and threshold
-        choices per window — with realized latencies fed back online.
+        choices per window — with each window's realized latency
+        recorded on the planner's audit trail.
     """
 
     name = "TaGNN-S"
@@ -135,7 +136,6 @@ class ConcurrentEngine:
         plan,
         m: ExecutionMetrics,
         *,
-        observe: bool = True,
         decisions: list | None = None,
     ) -> tuple[Carry, list[np.ndarray]]:
         """Execute one classified window from ``carry`` — the only copy
@@ -146,9 +146,8 @@ class ConcurrentEngine:
         ``overlap`` (``delta-condensed`` keeps the OADL changed-set path,
         ``batched-spmm`` recomputes every snapshot in full — bit-identical
         by construction, tests/adaptive) and ``policy`` (the plan's
-        thresholds).  ``observe`` feeds the realized latency back to the
-        engine's planner, when it has one (a drift probe's discarded
-        replay passes False).
+        thresholds).  The elapsed time goes to the planner's audit trail
+        (a drift probe's replayed plan is a copy and matches no record).
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
@@ -184,7 +183,7 @@ class ConcurrentEngine:
 
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
-        t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
+        t0 = time.perf_counter()  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
         zs = self._gnn_window(m, window, cls, overlap, owned)
         for t, snap in enumerate(window):
             # The first snapshot of every batch takes the full cell
@@ -211,8 +210,8 @@ class ConcurrentEngine:
             outputs.append(h_prev.copy())
             z_prev, snap_prev = zs[t], snap
             first = False
-        if observe and plan is not None and self.planner is not None:
-            elapsed = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
+        if plan is not None and self.planner is not None:
+            elapsed = time.perf_counter() - t0  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
             self.planner.observe(plan, elapsed)
         m.record_window_modes(
             m.cells_full - base_modes[0],

@@ -188,7 +188,6 @@ class StreamingInference:
                 cls,
                 replace(plan, thresholds=SkipThresholds()),
                 ExecutionMetrics(),
-                observe=False,
             )
 
         carry, outputs = engine.step(carry, window, cls, plan, m)

@@ -28,36 +28,14 @@ class TestKernelPredictions:
         for kernel in KernelChoice:
             assert model.predict_kernel_seconds(profile, kernel) > 0.0
 
-    def test_ewma_overrides_prediction(self, profile):
-        model = CostModel(ewma_alpha=0.5)
-        k = KernelChoice.BATCHED_SPMM
-        model.observe(k, 1.0)
-        assert model.kernel_seconds(profile, k) == 1.0
-        model.observe(k, 2.0)
-        assert model.kernel_seconds(profile, k) == pytest.approx(1.5)
-        assert model.observation_count(k) == 2
-        # other kernels still use the closed form
-        other = KernelChoice.DELTA_CONDENSED
-        assert model.observed_seconds(other) is None
-        assert model.kernel_seconds(
-            profile, other
-        ) == model.predict_kernel_seconds(profile, other)
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            CostModel(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            CostModel(ewma_alpha=1.5)
-
     def test_snapshot_serializable(self, profile):
         import json
 
-        model = CostModel()
-        model.observe(KernelChoice.DELTA_CONDENSED, 0.01)
-        snap = model.snapshot()
+        snap = CostModel().snapshot()
         json.dumps(snap)
-        assert snap["table_source"] == "default"
-        assert snap["observations"] == {"delta-condensed": 1}
+        assert snap == {"table_source": "default"}
+        calibrated = CalibrationTable(source="calibrated")
+        assert CostModel(calibrated).snapshot()["table_source"] == "calibrated"
 
 
 class TestCalibration:
@@ -71,11 +49,3 @@ class TestCalibration:
         assert table.cell_seconds_per_flop > 0.0
         assert table.classify_seconds_per_vertex > 0.0
         assert table.mask_seconds_per_vertex > 0.0
-
-    def test_with_source(self):
-        table = CalibrationTable().with_source("calibrated")
-        assert table.source == "calibrated"
-        assert (
-            table.scatter_seconds_per_edge_dim
-            == CalibrationTable().scatter_seconds_per_edge_dim
-        )

@@ -1,6 +1,6 @@
 """The adaptive correctness contract, property-tested.
 
-Three parts:
+Four parts:
 
 * **a plan is what the engine executes** — ``ExecutionPlan`` has two
   decision fields and each one moves a counter of one ``step``; a field
@@ -13,11 +13,15 @@ Three parts:
   :math:`(\\theta_s, \\theta_e)`, stays inside the configured drift
   budget at every probe, and a zero budget degenerates to the exact
   default-threshold pipeline.
+* **a plan is a function of its window** — the kernel follows the
+  profile's changed share, and a clock running ten times faster changes
+  no plan; observed latency is audit only.
 """
 
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +32,7 @@ from repro.adaptive import (
     KernelChoice,
     relative_drift,
 )
+from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis import classify_window
 from repro.engine import (
     Carry,
@@ -38,6 +43,7 @@ from repro.engine import (
 from repro.formats import FORMATS, WindowSelection
 from repro.graphs import (
     ChurnConfig,
+    DynamicGraph,
     DynamicGraphSpec,
     generate_dynamic_graph,
     load_dataset,
@@ -60,6 +66,33 @@ def random_graph(seed, n=60, t=6, churn_scale=1.0):
             seed=seed,
         )
     )
+
+
+def churn_step_graph(windows=4):
+    """``windows`` windows at churn x0.1, then ``windows`` at x3.0 — two
+    graphs' snapshots spliced at a window boundary (classification reads
+    one window at a time, so the splice is never compared)."""
+    cut = 4 * windows
+    low, high = (
+        random_graph(SEED, t=2 * cut, churn_scale=c) for c in (0.1, 3.0)
+    )
+    return DynamicGraph(
+        low.snapshots[:cut] + high.snapshots[cut:], name="churn-step"
+    )
+
+
+class _FakeClock:
+    """``time.perf_counter`` stand-in: the n-th read advances the time
+    by n ticks, so no two intervals of one window are equal."""
+
+    def __init__(self, tick):
+        self.tick = tick
+        self.reads = []
+
+    def __call__(self):
+        last = self.reads[-1] if self.reads else 0.0
+        self.reads.append(last + self.tick * (len(self.reads) + 1))
+        return self.reads[-1]
 
 
 def run_stream(model, graph, planner=None, window=4):
@@ -159,11 +192,11 @@ class TestKernelBitIdentity:
             np.testing.assert_array_equal(a, b)
 
     def test_untuned_planner_is_bit_identical_end_to_end(self):
-        """Free kernel choice with threshold tuning off: the planner may
-        reorder *work*, never *results*."""
+        """Free kernel choice with a zero drift budget (threshold tuning
+        off): the planner may reorder *work*, never *results*."""
         g = load_dataset("GT", num_snapshots=10, seed=SEED)
         static, _ = run_stream(make_model("T-GCN", g.dim, 16, seed=SEED), g)
-        planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
+        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
         adaptive, stream = run_stream(
             make_model("T-GCN", g.dim, 16, seed=SEED), g, planner=planner
         )
@@ -234,7 +267,7 @@ class TestBoundedDrift:
 class TestPlanBookkeeping:
     def test_window_mode_trajectory_matches_totals(self):
         g = load_dataset("GT", num_snapshots=8, seed=SEED)
-        planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
+        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
         _, stream = run_stream(
             make_model("T-GCN", g.dim, 16, seed=SEED), g, planner=planner
         )
@@ -246,7 +279,7 @@ class TestPlanBookkeeping:
 
     def test_engine_result_carries_plans(self):
         g = load_dataset("GT", num_snapshots=8, seed=SEED)
-        planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
+        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
         result = ConcurrentEngine(
             make_model("T-GCN", g.dim, 16, seed=SEED),
             window_size=4,
@@ -255,3 +288,79 @@ class TestPlanBookkeeping:
         plans = result.extra["plans"]
         assert len(plans) == result.metrics.windows_processed
         assert all(p.kernel in KernelChoice for p in plans)
+
+
+class TestKernelRule:
+    def test_kernel_switches_where_the_changed_share_crosses(self):
+        g = churn_step_graph()
+        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
+        run_stream(make_model("CD-GCN", g.dim, 8, seed=SEED), g, planner)
+        shares = [rec.profile.changed_frac for rec in planner.records]
+        assert max(shares[:4]) < RECOMPUTE_SHARE <= min(shares[4:])
+        assert [rec.plan.kernel for rec in planner.records] == (
+            [KernelChoice.DELTA_CONDENSED] * 4 + [KernelChoice.BATCHED_SPMM] * 4
+        )
+        assert planner.kernel_switches == 1
+
+
+class TestPlansIgnoreTheClock:
+    def _planned(self, monkeypatch, tick):
+        monkeypatch.setattr(
+            "repro.engine.concurrent.time.perf_counter", _FakeClock(tick)
+        )
+        g = churn_step_graph()
+        planner = AdaptivePlanner()
+        outputs, _ = run_stream(
+            make_model("CD-GCN", g.dim, 8, seed=SEED), g, planner
+        )
+        return planner, outputs
+
+    def test_a_ten_times_faster_clock_changes_no_plan(self, monkeypatch):
+        slow, slow_out = self._planned(monkeypatch, 1e-3)
+        fast, fast_out = self._planned(monkeypatch, 1e-2)
+
+        def decisions(planner):
+            return [(r.plan.kernel, r.plan.thresholds) for r in planner.records]
+
+        assert decisions(slow) == decisions(fast)
+        assert slow.kernel_switches == fast.kernel_switches == 1
+        # not vacuous: both kernels ran and the thresholds moved
+        assert {k for k, _ in decisions(slow)} == set(KernelChoice)
+        assert len({t for _, t in decisions(slow)}) > 1
+        # the clock did reach the audit trail, ten times faster
+        for a, b in zip(slow.records, fast.records):
+            assert b.observed_seconds == pytest.approx(10 * a.observed_seconds)
+        for a, b in zip(slow_out, fast_out):
+            np.testing.assert_array_equal(a, b)
+
+    def test_probe_window_records_the_committed_latency(self, monkeypatch):
+        """A probe replays the window before committing it; the record
+        keeps the committed ``step``'s time, not the replay's or the
+        sum — the replay's plan is a copy, so it matches no record."""
+        clock = _FakeClock(1e-3)
+        monkeypatch.setattr("repro.engine.concurrent.time.perf_counter", clock)
+        g = churn_step_graph()
+        planner = AdaptivePlanner()
+        stream = StreamingInference(
+            make_model("CD-GCN", g.dim, 8, seed=SEED),
+            window_size=4,
+            planner=planner,
+        )
+        replayed = 0
+        for snap in g:
+            before = len(clock.reads)
+            if stream.push(snap) is None:
+                continue
+            reads = clock.reads[before:]
+            rec = planner.records[-1]
+            committed = reads[-1] - reads[-2]
+            assert rec.observed_seconds == committed
+            if len(reads) == 4:  # the probe's replay ran first
+                replayed += 1
+                assert rec.drift is not None
+                assert rec.plan.thresholds != SkipThresholds()
+                replay = reads[1] - reads[0]
+                assert rec.observed_seconds not in (replay, replay + committed)
+            else:
+                assert len(reads) == 2
+        assert replayed >= 1

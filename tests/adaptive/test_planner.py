@@ -1,4 +1,6 @@
-"""Unit tests for the planner: controller, exploration, probe schedule."""
+"""Unit tests for the planner: kernel rule, controller, probe schedule."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from repro.adaptive import (
     profile_window,
     relative_drift,
 )
+from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis import classify_window
+from repro.engine import ConcurrentEngine, ExecutionMetrics
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.skipping import SkipThresholds
@@ -33,15 +37,15 @@ class TestConfigValidation:
         "kw",
         [
             {"drift_budget": -0.1},
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
-            {"explore_margin": -1.0},
-            {"explore_min_obs": -1},
             {"theta_s_min": 0.0},  # must be <= default theta_s (-0.5)
             {"theta_s_min": -1.5},
             {"theta_e_min": 0.9},  # must be <= default theta_e (+0.5)
             {"theta_e_min": -1.5},
             {"max_probes": -1},
+            # a NaN bound fails every comparison: the range checks must
+            # be written so that this rejects rather than passes
+            {"theta_s_min": float("nan")},
+            {"theta_e_min": float("nan")},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -62,10 +66,15 @@ class TestThresholdController:
         assert thr.theta_s == pytest.approx(planner.config.theta_s_min)
         assert thr.theta_e == pytest.approx(planner.config.theta_e_min)
 
-    def test_tuning_disabled_pins_defaults(self):
-        planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
-        planner._aggressiveness = 1.0
-        assert planner.thresholds() == SkipThresholds()
+    def test_tuning_disabled_pins_defaults(self, profile):
+        """A zero budget is tuning switched off: across the whole probe
+        schedule every plan carries the default thresholds."""
+        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
+        for _ in range(70):  # probes at 2, 4, …, 64
+            assert planner.plan(profile).thresholds == SkipThresholds()
+            if planner.wants_probe():
+                planner.observe_drift(0.0)
+        assert planner.probes_done == planner.config.max_probes
 
     def test_low_drift_raises_aggressiveness(self):
         planner = AdaptivePlanner()
@@ -124,53 +133,59 @@ class TestProbeSchedule:
         assert planner.probes_done == 2
 
     def test_no_probes_when_tuning_disabled(self, profile):
-        planner = AdaptivePlanner(AdaptiveConfig(tune_thresholds=False))
+        planner = AdaptivePlanner(AdaptiveConfig(max_probes=0))
         for _ in range(10):
             planner.plan(profile)
             assert not planner.wants_probe()
 
 
+def _with_changed(profile, changed):
+    return replace(
+        profile,
+        unaffected_frac=1.0 - changed,
+        stable_frac=changed,
+        affected_frac=0.0,
+    )
+
+
 class TestKernelSelection:
-    def _observed(self, mapping, **cfg_kw):
-        cfg = AdaptiveConfig(explore_min_obs=0, **cfg_kw)
-        planner = AdaptivePlanner(cfg)
-        for kernel, seconds in mapping.items():
-            planner.cost_model.observe(kernel, seconds)
-        return planner
+    def test_changed_share_threshold_picks_the_kernel(self, profile):
+        assert RECOMPUTE_SHARE == 0.5
+        planner = AdaptivePlanner()
+        low = planner.plan(_with_changed(profile, 0.49))
+        high = planner.plan(_with_changed(profile, 0.50))
+        assert low.kernel is KernelChoice.DELTA_CONDENSED
+        assert high.kernel is KernelChoice.BATCHED_SPMM
+        assert "changed share 0.490" in low.reasons[0]
 
-    def test_argmin_of_observed_latency(self, profile):
-        planner = self._observed(
-            {
-                KernelChoice.DELTA_CONDENSED: 0.030,
-                KernelChoice.BATCHED_SPMM: 0.010,
-            }
-        )
+    def test_expectations_are_the_closed_form(self, profile):
+        """Every plan carries the calibrated prediction for each kernel,
+        whatever latencies were recorded before it."""
+        planner = AdaptivePlanner()
+        planner.observe(planner.plan(profile), 123.0)
         plan = planner.plan(profile)
-        assert plan.kernel is KernelChoice.BATCHED_SPMM
-
-    def test_exploration_revisits_under_observed_kernels(self, profile):
-        """A candidate with fewer than ``explore_min_obs`` samples and a
-        near-best prediction gets picked over the current argmin."""
-        cfg = AdaptiveConfig(explore_min_obs=1, explore_margin=1000.0)
-        planner = AdaptivePlanner(cfg)
-        first = planner.plan(profile).kernel
-        planner.cost_model.observe(first, 1e-4)  # observed once, now best
-        second = planner.plan(profile).kernel
-        assert second is not first  # explored, not exploited
-        assert any("exploring" in r for r in planner.records[-1].plan.reasons)
+        model = CostModel()
+        assert plan.expected_kernel_seconds == {
+            k.value: model.predict_kernel_seconds(profile, k)
+            for k in KernelChoice
+        }
 
     def test_kernel_switches_counted(self, profile):
-        planner = self._observed({KernelChoice.BATCHED_SPMM: 1e-6})
-        planner.plan(profile)
+        planner = AdaptivePlanner()
+        planner.plan(_with_changed(profile, 0.9))
+        planner.plan(_with_changed(profile, 0.8))
         assert planner.kernel_switches == 0
-        planner.cost_model.observe(KernelChoice.DELTA_CONDENSED, 1e-9)
-        planner.plan(profile)
+        planner.plan(_with_changed(profile, 0.1))
         assert planner.kernel_switches == 1
 
-    def test_choice_disabled_is_static(self, profile):
-        planner = AdaptivePlanner(AdaptiveConfig(choose_kernel=False))
-        plan = planner.plan(profile)
-        assert plan.kernel is KernelChoice.DELTA_CONDENSED
+    def test_choice_disabled_is_static(self):
+        """No planner is the static pipeline: no window is planned."""
+        graph = load_dataset("GT", num_snapshots=4, seed=3)
+        window = graph.window(0, 4)
+        engine = ConcurrentEngine(make_model("T-GCN", graph.dim, 16, seed=3))
+        m = ExecutionMetrics()
+        assert engine.plan_window(m, window, classify_window(window)) is None
+        assert m.windows_planned == 0
 
 
 class TestAudit:

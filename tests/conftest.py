@@ -20,19 +20,21 @@ def _repro_sanitizer():
         yield
 
 
+class _ForcedPlanner(AdaptivePlanner):
+    """A planner whose kernel rule always answers ``kernel``."""
+
+    def __init__(self, kernel: KernelChoice):
+        # a zero drift budget pins the default thresholds
+        super().__init__(AdaptiveConfig(drift_budget=0.0))
+        self.kernel = kernel
+
+    def kernel_for(self, profile) -> KernelChoice:
+        return self.kernel
+
+
 @pytest.fixture(scope="session")
 def forced_planner():
     """Factory for a planner that always picks ``kernel`` and never
-    tunes thresholds (observed latencies rig the argmin; exploration is
-    disabled).  Session-scoped — it is a pure function — so hypothesis
-    tests may take it."""
-
-    def make(kernel: KernelChoice) -> AdaptivePlanner:
-        planner = AdaptivePlanner(
-            AdaptiveConfig(explore_min_obs=0, tune_thresholds=False)
-        )
-        for k in KernelChoice:
-            planner.cost_model.observe(k, 1e-9 if k is kernel else 1e3)
-        return planner
-
-    return make
+    leaves the default thresholds.  Session-scoped — it is a pure
+    function — so hypothesis tests may take it."""
+    return _ForcedPlanner
