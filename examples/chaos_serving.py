@@ -10,8 +10,11 @@ releases an output for every timestamp:
 
 1. a seeded :class:`FaultPlan` schedules one fault of every kind;
 2. :func:`run_chaos_campaign` replays the graph's event stream through
-   guarded ingestion + the supervised streaming engine under that plan;
-3. the incident report reconciles what happened against the plan;
+   guarded ingestion + the supervised streaming engine under that plan
+   (a single stream is a one-shard, one-tenant serving cluster);
+3. the incident report reconciles what happened against the plan and
+   checks the released bits against an unsharded stream degraded at the
+   same window;
 4. a checkpoint taken mid-stream proves crash/replay resumes the
    uninterrupted outputs bit-identically.
 
@@ -25,12 +28,8 @@ import numpy as np
 from repro.engine import StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
-from repro.resilience import (
-    FaultPlan,
-    load_checkpoint,
-    run_chaos_campaign,
-    save_checkpoint,
-)
+from repro.resilience import FaultPlan, load_checkpoint, save_checkpoint
+from repro.serving import run_chaos_campaign
 
 WINDOW = 4
 SEED = 3
@@ -39,15 +38,20 @@ FAULT_SEED = 11
 
 def main() -> None:
     graph = load_dataset("GT", num_snapshots=8, seed=SEED)
-    model = make_model("T-GCN", graph.dim, hidden_dim=32, seed=SEED)
+
+    def factory():
+        return make_model("T-GCN", graph.dim, hidden_dim=32, seed=SEED)
 
     # --- 1-3: the chaos campaign -----------------------------------
     plan = FaultPlan.generate(seed=FAULT_SEED, num_steps=graph.num_snapshots)
     print(f"injecting {len(plan)} faults into {graph.num_snapshots} steps "
-          f"of {model.name} on GT:\n")
-    report = run_chaos_campaign(model, graph, plan, window_size=WINDOW)
+          f"of {factory().name} on GT:\n")
+    report = run_chaos_campaign(
+        factory, graph, plan, num_shards=1, window_size=WINDOW
+    )
     print(report.summary())
-    assert len(report.outputs) == graph.num_snapshots
+    assert len(report.outputs["tenant-0"]) == graph.num_snapshots
+    assert report.identical
     print(f"\nevery timestamp got an output despite {len(plan)} faults.")
 
     # --- 4: crash + checkpoint/replay ------------------------------
@@ -63,16 +67,11 @@ def main() -> None:
         return outs
 
     uninterrupted = run(
-        StreamingInference(make_model("T-GCN", graph.dim, hidden_dim=32,
-                                      seed=SEED), window_size=WINDOW),
-        list(graph),
+        StreamingInference(factory(), window_size=WINDOW), list(graph)
     )
 
     crash_at = 5
-    first = StreamingInference(
-        make_model("T-GCN", graph.dim, hidden_dim=32, seed=SEED),
-        window_size=WINDOW,
-    )
+    first = StreamingInference(factory(), window_size=WINDOW)
     early = []
     for snap in list(graph)[:crash_at]:
         r = first.push(snap.copy())
@@ -83,10 +82,7 @@ def main() -> None:
     del first  # the "crash": the process and its carry state are gone
 
     checkpoint.seek(0)
-    resumed = StreamingInference(
-        make_model("T-GCN", graph.dim, hidden_dim=32, seed=SEED),
-        window_size=WINDOW,
-    )
+    resumed = StreamingInference(factory(), window_size=WINDOW)
     resumed.restore_carry(load_checkpoint(checkpoint))
     late = run(resumed, list(graph)[crash_at:])
 

@@ -28,7 +28,7 @@ from repro.engine import StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.resilience import FaultPlan
-from repro.serving import ShardCluster, run_cluster_campaign
+from repro.serving import ShardCluster, run_chaos_campaign
 
 WINDOW = 3
 SEED = 3
@@ -92,7 +92,7 @@ def main() -> None:
     )
     print(f"\ninjecting {len(plan)} shard faults "
           f"(every shard x every kind):\n")
-    report = run_cluster_campaign(
+    report = run_chaos_campaign(
         factory, tenants, plan,
         num_shards=SHARDS, window_size=WINDOW, seed=SEED,
     )

@@ -32,12 +32,12 @@ Commands
     per-window decision audit (``--explain`` adds the latest plan's full
     rationale and the cost-model state).
 ``chaos``
-    Run a seeded fault-injection campaign through the resilient serving
-    path and print the incident report (see docs/resilience.md).
-    ``--cluster`` runs the campaign against the sharded serving layer
-    instead (shard crashes / stalls / slow shards / torn checkpoints,
-    see docs/serving.md) and verifies bit-identity against the
-    unsharded engine.
+    Run a seeded fault-injection campaign through the sharded serving
+    layer, print the incident report and verify bit-identity against
+    the unsharded stream (see docs/resilience.md, docs/serving.md).
+    The plan carries stream faults (poison events, torn snapshots,
+    engine faults, storage flakes); ``--cluster`` schedules shard
+    faults instead (crashes / stalls / slow shards / torn checkpoints).
 ``dlq``
     Inspect a ``DeadLetterQueue`` capture (written by ``--dlq-out`` or
     :meth:`DeadLetterQueue.save`) and optionally re-drain it back
@@ -117,13 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--faults-per-kind", type=int, default=1)
     ch.add_argument("--fault-seed", type=int, default=7)
     ch.add_argument("--cluster", action="store_true",
-                    help="run the campaign against the sharded serving"
-                         " layer (worker crash/stall/slow/torn-checkpoint"
-                         " faults, bit-identity verified)")
+                    help="schedule shard faults (worker crash/stall/slow/"
+                         "torn-checkpoint) instead of stream faults")
     ch.add_argument("--shards", type=int, default=4,
-                    help="shard count for --cluster (default 4)")
+                    help="shard count (default 4)")
     ch.add_argument("--tenants", type=int, default=1,
-                    help="tenant count for --cluster (default 1)")
+                    help="tenant count (default 1)")
     ch.add_argument("--smoke", action="store_true",
                     help="short CI-sized campaign (small model, few"
                          " snapshots)")
@@ -366,32 +365,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from .resilience import FaultPlan, run_chaos_campaign
-
-    if args.cluster:
-        return _chaos_cluster(args)
-    g, m = _make(args)
-    plan = FaultPlan.generate(
-        seed=args.fault_seed,
-        num_steps=g.num_snapshots,
-        per_kind=args.faults_per_kind,
-    )
-    report = run_chaos_campaign(m, g, plan, window_size=args.window)
-    print(f"{args.model} on {args.dataset}: {len(plan)} faults injected"
-          f" across {g.num_snapshots} steps (fault seed {args.fault_seed})")
-    print(report.summary())
-    complete = len(report.outputs) == g.num_snapshots
-    print(f"  stream complete     : {complete}")
-    return 0 if complete else 1
-
-
-def _chaos_cluster(args) -> int:
     import json
 
     from .graphs import load_dataset
     from .models import make_model
     from .resilience import DeadLetterQueue, FaultPlan
-    from .serving import run_cluster_campaign
+    from .serving import run_chaos_campaign
 
     snapshots = 6 if args.smoke else args.snapshots
     hidden = 8 if args.smoke else args.hidden
@@ -406,13 +385,20 @@ def _chaos_cluster(args) -> int:
     def factory():
         return make_model(args.model, dim, hidden, seed=args.seed)
 
-    plan = FaultPlan.generate_cluster(
-        seed=args.fault_seed,
-        num_steps=snapshots,
-        num_shards=args.shards,
-        per_shard=args.faults_per_kind,
-    )
-    report = run_cluster_campaign(
+    if args.cluster:
+        plan = FaultPlan.generate_cluster(
+            seed=args.fault_seed,
+            num_steps=snapshots,
+            num_shards=args.shards,
+            per_shard=args.faults_per_kind,
+        )
+    else:
+        plan = FaultPlan.generate(
+            seed=args.fault_seed,
+            num_steps=snapshots,
+            per_kind=args.faults_per_kind,
+        )
+    report = run_chaos_campaign(
         factory,
         graphs,
         plan,
@@ -421,8 +407,8 @@ def _chaos_cluster(args) -> int:
         seed=args.seed,
     )
     print(f"{args.model} on {args.dataset} x{len(graphs)} tenants:"
-          f" {len(plan)} shard faults across {args.shards} shards"
-          f" (fault seed {args.fault_seed})")
+          f" {len(plan)} {'shard' if args.cluster else 'stream'} faults"
+          f" across {args.shards} shards (fault seed {args.fault_seed})")
     print(report.summary())
     if args.report_out:
         with open(args.report_out, "w") as fh:

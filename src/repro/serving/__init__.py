@@ -7,7 +7,7 @@ owned rows back into full outputs — surviving worker crashes, stalls,
 slow shards and torn checkpoints with bit-identical recovery.
 """
 
-from .campaign import ClusterChaosReport, run_cluster_campaign
+from .campaign import ChaosReport, run_chaos_campaign
 from .clock import VirtualClock
 from .cluster import PushReceipt, ShardCluster, ShardSupervisor
 from .sharding import ShardMap
@@ -15,7 +15,7 @@ from .tenants import TenantGate
 from .worker import ShardWorker
 
 __all__ = [
-    "ClusterChaosReport",
+    "ChaosReport",
     "PushReceipt",
     "ShardCluster",
     "ShardMap",
@@ -23,5 +23,5 @@ __all__ = [
     "ShardWorker",
     "TenantGate",
     "VirtualClock",
-    "run_cluster_campaign",
+    "run_chaos_campaign",
 ]

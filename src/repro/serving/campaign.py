@@ -1,45 +1,69 @@
-"""Seeded shard-failure campaigns — the cluster's chaos proof.
+"""Seeded fault campaigns — the serving layer's chaos proof.
 
-:func:`run_cluster_campaign` drives one or more tenants' dynamic graphs
-through a :class:`~repro.serving.cluster.ShardCluster` while a
-:class:`~repro.resilience.faults.FaultPlan` injects shard-level faults
-(worker crash / stall / slow shard / torn checkpoint — typically from
-:meth:`~repro.resilience.faults.FaultPlan.generate_cluster`, which hits
-every shard with every kind) plus any scheduled stream-level faults.
-The report reconciles three guarantees:
+:func:`run_chaos_campaign` is the one chaos driver.  It drives one or
+more tenants' dynamic graphs through a
+:class:`~repro.serving.cluster.ShardCluster` while a
+:class:`~repro.resilience.faults.FaultPlan` injects its faults; a single
+stream is the one-shard, one-tenant cluster.  A plan has one of two
+shapes:
+
+* **shard faults** (worker crash / stall / slow shard / torn checkpoint,
+  from :meth:`~repro.resilience.faults.FaultPlan.generate_cluster`,
+  which hits every shard with every kind);
+* **stream faults** (poison events, torn snapshots, engine faults and
+  transient storage failures, from
+  :meth:`~repro.resilience.faults.FaultPlan.generate`), all on the first
+  tenant's feed.
+
+A plan never carries both engine and shard faults: a crash or a lagging
+backlog drops or moves the queued engine fault, so no oracle could know
+which window it degraded.  The report reconciles three guarantees:
 
 * **bit-identity** — after the campaign, each tenant's released outputs
-  are compared element-for-element against an unsharded
-  :class:`~repro.engine.streaming.StreamingInference` fed the same
-  admitted snapshots.  Crash recovery replays from checkpoints, torn
-  checkpoints roll back to older ones, engine faults degrade to the
-  reference engine — all of it must be invisible in the outputs;
+  are compared element-for-element against one unsharded
+  :class:`~repro.resilience.supervisor.ResilientStreamingInference` fed
+  the same admitted snapshots and raising the same engine faults at the
+  same steps (cell skipping makes a window's bits depend on the engine
+  that ran it, so the oracle must degrade where the campaign did).
+  Crash recovery replays from checkpoints, torn checkpoints roll back to
+  older ones — all of it must be invisible in the outputs;
 * **zero loss** — every admitted snapshot's output is released; the
   only events missing are the dead-lettered ones, and they are in the
   queue, not gone;
 * **structured incidents** — every recovery action appears as an
   :class:`~repro.resilience.supervisor.Incident` naming its shard.
+
+Transient storage faults exercise the accelerator path after serving:
+:class:`~repro.accel.tagnn.TaGNNSimulator` reads through a
+:class:`~repro.resilience.faults.FlakyHBM` under
+:func:`~repro.resilience.ingest.with_retry`, one retry per planned fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..accel.config import TaGNNConfig
+from ..accel.tagnn import TaGNNSimulator
 from ..engine.metrics import ExecutionMetrics
-from ..engine.streaming import StreamingInference
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.updates import event_stream
-from ..resilience.faults import STORAGE_FAULTS, FaultKind, FaultPlan
+from ..resilience.faults import ENGINE_FAULTS, FaultKind, FaultPlan, FlakyHBM
+from ..resilience.ingest import RetryPolicy, with_retry
+from ..resilience.supervisor import ResilientStreamingInference
 from .cluster import ShardCluster
 
-__all__ = ["ClusterChaosReport", "run_cluster_campaign"]
+__all__ = ["ChaosReport", "run_chaos_campaign"]
+
+#: staleness bound (virtual ticks) before the supervisor restarts a shard
+_HEARTBEAT_TIMEOUT = 2
 
 
 @dataclass
-class ClusterChaosReport:
-    """Everything one cluster campaign observed and verified."""
+class ChaosReport:
+    """Everything one chaos campaign observed and verified."""
 
     tenants: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)  # tenant -> [ndarray, ...]
@@ -53,6 +77,7 @@ class ClusterChaosReport:
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
     plan_counts: dict = field(default_factory=dict)
     shard_summaries: list = field(default_factory=list)
+    retry_delays: list = field(default_factory=list)  # storage backoffs
 
     def __post_init__(self) -> None:
         if self.lost < 0:
@@ -62,8 +87,7 @@ class ClusterChaosReport:
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
-        """Operator-readable report (the ``repro chaos --cluster``
-        output)."""
+        """Operator-readable report (the ``repro chaos`` output)."""
         m = self.metrics
         lines = [
             "cluster chaos campaign report",
@@ -97,9 +121,16 @@ class ClusterChaosReport:
                 where = f" shard {inc.shard}" if inc.shard >= 0 else ""
                 who = f" [{inc.tenant}]" if inc.tenant else ""
                 lines.append(
-                    f"    tick {inc.step:>4}{where}{who}:"
+                    f"    step {inc.step:>4}{where}{who}:"
                     f" {inc.kind} -> {inc.action}"
                 )
+        if self.dead_letters:
+            lines.append("  dead-letter reasons:")
+            seen: dict[str, int] = {}
+            for letter in self.dead_letters:
+                seen[letter.reason] = seen.get(letter.reason, 0) + 1
+            for reason in sorted(seen):
+                lines.append(f"    {seen[reason]}x {reason}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -127,6 +158,7 @@ class ClusterChaosReport:
                 for inc in self.incidents
             ],
             "dead_letters": len(self.dead_letters),
+            "retry_delays": list(self.retry_delays),
             "metrics": {
                 "incidents": self.metrics.incidents,
                 "dead_letter_events": self.metrics.dead_letter_events,
@@ -161,19 +193,40 @@ def _inject_shard_fault(cluster: ShardCluster, spec) -> None:
         raise ValueError(f"not a shard-level fault: {spec.kind}")
 
 
-def run_cluster_campaign(
+def _unsharded(model_factory, history, plan, faults, window_size) -> list:
+    """The oracle: one unsharded stream over the admitted ``history``,
+    raising each engine fault in ``faults`` where the campaign did —
+    before admitted snapshot ``spec.step`` (history index = step), or
+    at the final flush for a step past the tenant's last snapshot."""
+    stream = ResilientStreamingInference(
+        model_factory(), window_size=window_size
+    )
+    outputs: list[np.ndarray] = []
+    for t, snap in enumerate(history):
+        for spec in faults:
+            if spec.step == t:
+                stream.inject_fault(plan.violation(spec))
+        result = stream.push(snap.copy())
+        if result is not None:
+            outputs.extend(result.outputs)
+    for spec in faults:
+        if spec.step >= len(history):
+            stream.inject_fault(plan.violation(spec))
+    result = stream.flush()
+    if result is not None:
+        outputs.extend(result.outputs)
+    return outputs
+
+
+def run_chaos_campaign(
     model_factory,
     graphs,
     plan: FaultPlan,
     *,
     num_shards: int = 4,
     window_size: int = 4,
-    enable_skipping: bool = True,
-    heartbeat_timeout: int = 2,
-    keep_last: int = 3,
     seed: int = 0,
-    compare_reference: bool = True,
-) -> ClusterChaosReport:
+) -> ChaosReport:
     """Serve ``graphs`` through a shard cluster under ``plan``'s faults.
 
     ``graphs`` is one :class:`DynamicGraph` (a single tenant) or a
@@ -181,9 +234,18 @@ def run_cluster_campaign(
     vertex count and feature width (the shard map is cluster-wide).
     Tenants' feeds interleave round-robin, one snapshot per tenant per
     step, delivered as event batches through the cluster's guarded
-    ingest.  Shard faults fire at the virtual step the plan pins them
-    to; stream faults ride along (poison events / torn snapshots /
-    engine faults / storage flakes) on the first tenant's feed.
+    ingest.  Per step ``t``, on the first tenant's feed:
+
+    * shard faults fire on the worker the plan names;
+    * engine faults are queued on every shard's stream and fire while
+      the enclosing window processes, degrading it to the reference
+      engine — a sanitizer trip is a property of the window's data, and
+      every shard computes the window;
+    * snapshot faults deliver a torn copy first — the cluster
+      dead-letters it — and then the clean snapshot, as a replaying
+      feed would;
+    * event faults ride in step ``t``'s batch and are quarantined by
+      guarded ingest.
 
     The campaign never sheds (admission is unbounded here) so the
     zero-loss and bit-identity reconciliation is exact; bounded-queue
@@ -193,15 +255,20 @@ def run_cluster_campaign(
         graphs = {"tenant-0": graphs}
     if not graphs:
         raise ValueError("need at least one tenant graph")
+    engine_faults = [s for s in plan.specs if s.kind in ENGINE_FAULTS]
+    if engine_faults and plan.shards_touched():
+        raise ValueError(
+            "a plan carries engine faults or shard faults, not both:"
+            " a crash or a lagging backlog drops or moves a queued"
+            " engine fault"
+        )
     names = sorted(graphs)
     cluster = ShardCluster(
         model_factory,
         num_shards=num_shards,
         window_size=window_size,
-        enable_skipping=enable_skipping,
         max_backlog=None,  # campaigns must not shed: zero-loss is checked
-        heartbeat_timeout=heartbeat_timeout,
-        keep_last=keep_last,
+        heartbeat_timeout=_HEARTBEAT_TIMEOUT,
         seed=seed,
     )
     for name in names:
@@ -212,11 +279,8 @@ def run_cluster_campaign(
     for t in range(max_steps):
         for spec in plan.shard_specs(t):
             _inject_shard_fault(cluster, spec)
-        for _spec in plan.at(t, STORAGE_FAULTS):
-            cluster.workers[t % num_shards].flake_storage(1)
         for spec in plan.engine_specs(t):
-            worker = cluster.workers[spec.step % num_shards]
-            if worker.alive and first in worker.streams:
+            for worker in cluster.workers:
                 worker.streams[first].inject_fault(plan.violation(spec))
         for name in names:
             graph = graphs[name]
@@ -239,7 +303,7 @@ def run_cluster_campaign(
     for name in names:
         cluster.flush(name)
 
-    report = ClusterChaosReport(
+    report = ChaosReport(
         tenants=names,
         plan_counts=plan.counts(),
         restarts=cluster.supervisor.restarts,
@@ -252,7 +316,13 @@ def run_cluster_campaign(
     report.restarted_shards = sorted(
         {inc.shard for inc in cluster.incidents if inc.action == "restarted"}
     )
-    report.incidents = list(cluster.incidents)
+    # cluster-level incidents, then each shard stream's degraded windows
+    report.incidents = list(cluster.incidents) + [
+        replace(inc, shard=worker.index, tenant=name)
+        for worker in cluster.workers
+        for name in sorted(worker.streams)
+        for inc in worker.streams[name].incidents
+    ]
     report.dead_letters = list(cluster.dlq.letters)
     report.metrics = cluster.metrics
     report.shard_summaries = [
@@ -269,26 +339,30 @@ def run_cluster_campaign(
         for worker, m in zip(cluster.workers, cluster.shard_metrics())
     ]
 
-    identical = True
-    if compare_reference:
-        for name in names:
-            reference = StreamingInference(
-                model_factory(),
-                window_size=window_size,
-                enable_skipping=enable_skipping,
-            )
-            expected: list[np.ndarray] = []
-            for snap in cluster.history(name):
-                result = reference.push(snap.copy())
-                if result is not None:
-                    expected.extend(result.outputs)
-            result = reference.flush()
-            if result is not None:
-                expected.extend(result.outputs)
-            got = report.outputs[name]
-            if len(got) != len(expected) or not all(
-                np.array_equal(a, b) for a, b in zip(got, expected)
-            ):
-                identical = False
-    report.identical = identical and report.lost == 0
+    failures = plan.storage_failures()
+    if failures:
+        sim = TaGNNSimulator(TaGNNConfig(window_size=window_size))
+        flaky = FlakyHBM(sim.config.hbm(), failures=failures)
+        model = model_factory()
+        _, report.retry_delays = with_retry(
+            lambda: sim.simulate(model, graphs[first], "chaos", hbm=flaky),
+            policy=RetryPolicy(max_attempts=failures + 1, seed=plan.seed),
+            metrics=report.metrics,
+        )
+
+    identical = report.lost == 0
+    for name in names:
+        expected = _unsharded(
+            model_factory,
+            cluster.history(name),
+            plan,
+            engine_faults if name == first else [],
+            window_size,
+        )
+        got = report.outputs[name]
+        if len(got) != len(expected) or not all(
+            np.array_equal(a, b) for a, b in zip(got, expected)
+        ):
+            identical = False
+    report.identical = identical
     return report

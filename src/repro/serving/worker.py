@@ -80,7 +80,6 @@ class ShardWorker:
             window_size=self.window_size,
             enable_skipping=self.enable_skipping,
             rows=self.rows,
-            failure_threshold=0,  # the cluster runs per-tenant breakers
         )
 
     def own(self, rows) -> None:

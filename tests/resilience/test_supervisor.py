@@ -1,4 +1,5 @@
-"""Tests for supervised streaming: degradation, breaker, chaos campaign."""
+"""Tests for supervised streaming: degradation, poison snapshots, and the
+chaos campaign on a one-shard, one-tenant cluster."""
 
 import io
 
@@ -10,7 +11,6 @@ from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.resilience import (
     EVENT_FAULTS,
-    CircuitOpenError,
     FaultKind,
     FaultPlan,
     FaultSpec,
@@ -19,10 +19,10 @@ from repro.resilience import (
     ResilientStreamingInference,
     RetryPolicy,
     load_checkpoint,
-    run_chaos_campaign,
     save_checkpoint,
     with_retry,
 )
+from repro.serving import run_chaos_campaign
 
 WINDOW = 4
 SEED = 3
@@ -84,9 +84,7 @@ class TestGracefulDegradation:
         """Fault every window: the whole stream must still be bit-identical
         to the reference engine (skipping disabled by the fallback)."""
         model = _model(graph)
-        sup = ResilientStreamingInference(
-            model, window_size=WINDOW, failure_threshold=0
-        )
+        sup = ResilientStreamingInference(model, window_size=WINDOW)
         plan = FaultPlan([], seed=0)
         outs = []
         for t, snap in enumerate(graph):
@@ -122,8 +120,7 @@ class TestGracefulDegradation:
         """A fault in one window must not perturb later fault-free windows."""
         model = _model(graph)
         sup = ResilientStreamingInference(
-            model, window_size=WINDOW, enable_skipping=False,
-            failure_threshold=0,
+            model, window_size=WINDOW, enable_skipping=False
         )
         plan = FaultPlan([], seed=0)
         outs = []
@@ -150,9 +147,7 @@ class TestGracefulDegradation:
         """One trajectory entry per processed window, degraded ones
         included (all-FULL, as ``ReferenceEngine.run`` records them) —
         and every later checkpoint carries the full-length array."""
-        sup = ResilientStreamingInference(
-            _model(graph), window_size=WINDOW, failure_threshold=0
-        )
+        sup = ResilientStreamingInference(_model(graph), window_size=WINDOW)
         sup.inject_fault(RuntimeError("injected engine fault"))
         for snap in list(graph)[: 2 * WINDOW]:
             sup.push(snap.copy())
@@ -183,36 +178,24 @@ class TestPoisonSnapshots:
         assert sup.push(graph[0].copy()) is None  # buffered, no window yet
         assert sup.stream.pending == 1
 
-    def test_breaker_opens_and_resets(self, graph):
-        sup = ResilientStreamingInference(
-            _model(graph), window_size=WINDOW, failure_threshold=2
-        )
-        plan = FaultPlan([], seed=0)
-        for _ in range(2):
-            torn = plan.corrupt_snapshot(
-                FaultSpec(FaultKind.TRUNCATED_SNAPSHOT, 0), graph[0]
-            )
-            sup.push(torn)
-        assert sup.circuit_open
-        with pytest.raises(CircuitOpenError):
-            sup.push(graph[0].copy())
-        sup.reset_circuit()
-        assert not sup.circuit_open
-        assert sup.push(graph[0].copy()) is None  # accepted again
+
+def _campaign(graph, plan, window):
+    """The chaos driver on a one-shard, one-tenant cluster: one stream."""
+    return run_chaos_campaign(
+        lambda: _model(graph), graph, plan, num_shards=1, window_size=window
+    )
 
 
 class TestChaosCampaign:
     @pytest.fixture(scope="class")
     def report_and_plan(self, graph):
         plan = FaultPlan.generate(seed=7, num_steps=graph.num_snapshots)
-        report = run_chaos_campaign(
-            _model(graph), graph, plan, window_size=WINDOW
-        )
-        return report, plan
+        return _campaign(graph, plan, WINDOW), plan
 
     def test_all_outputs_released(self, graph, report_and_plan):
         report, _ = report_and_plan
-        assert len(report.outputs) == graph.num_snapshots
+        assert len(report.outputs["tenant-0"]) == graph.num_snapshots
+        assert report.identical
 
     def test_every_fault_accounted(self, report_and_plan):
         report, plan = report_and_plan
@@ -232,11 +215,10 @@ class TestChaosCampaign:
 
     def test_campaign_is_deterministic(self, graph, report_and_plan):
         report, plan = report_and_plan
-        again = run_chaos_campaign(
-            _model(graph), graph, plan, window_size=WINDOW
-        )
-        assert len(again.outputs) == len(report.outputs)
-        for a, b in zip(report.outputs, again.outputs):
+        again = _campaign(graph, plan, WINDOW)
+        got, want = again.outputs["tenant-0"], report.outputs["tenant-0"]
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
             np.testing.assert_array_equal(a, b)
         assert again.metrics.as_dict() == report.metrics.as_dict()
         assert again.retry_delays == report.retry_delays
@@ -248,7 +230,8 @@ class TestChaosCampaign:
         the stream as a whole still covers every timestamp exactly once."""
         report, _ = report_and_plan
         assert all(
-            o.shape == (graph.num_vertices, 16) for o in report.outputs
+            o.shape == (graph.num_vertices, 16)
+            for o in report.outputs["tenant-0"]
         )
 
     def test_summary_renders(self, report_and_plan):
@@ -257,16 +240,16 @@ class TestChaosCampaign:
         assert "chaos campaign report" in text
         assert f"planned faults      : {len(plan)}" in text
         assert "dead-letter reasons:" in text
+        assert "sanitizer-violation -> degraded" in text
 
     def test_heavier_plans_also_complete(self, graph):
         plan = FaultPlan.generate(
             seed=23, num_steps=graph.num_snapshots, per_kind=3
         )
-        report = run_chaos_campaign(
-            _model(graph), graph, plan, window_size=3
-        )
-        assert len(report.outputs) == graph.num_snapshots
+        report = _campaign(graph, plan, 3)
+        assert len(report.outputs["tenant-0"]) == graph.num_snapshots
         assert report.metrics.retries == plan.storage_failures()
+        assert report.identical
 
 
 class TestStorageRetrySeam:

@@ -1,4 +1,4 @@
-"""Tests for seeded cluster chaos campaigns — the sharding chaos proof."""
+"""Tests for seeded chaos campaigns — the sharding chaos proof."""
 
 import json
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.graphs import load_dataset
 from repro.models import make_model
-from repro.resilience import SHARD_FAULTS, FaultKind, FaultPlan
-from repro.serving import ClusterChaosReport, run_cluster_campaign
+from repro.resilience import SHARD_FAULTS, FaultKind, FaultPlan, FaultSpec
+from repro.serving import ChaosReport, run_chaos_campaign
 
 WINDOW = 3
 SEED = 3
@@ -38,7 +38,7 @@ def plan(graph):
 
 @pytest.fixture(scope="module")
 def report(graph, graph_b, plan):
-    return run_cluster_campaign(
+    return run_chaos_campaign(
         factory,
         {"a": graph, "b": graph_b},
         plan,
@@ -116,7 +116,7 @@ class TestClusterCampaign:
         assert len(back["incidents"]) == len(report.incidents)
 
     def test_campaign_is_deterministic(self, graph, plan, report):
-        again = run_cluster_campaign(
+        again = run_chaos_campaign(
             factory,
             {"a": graph},
             plan,
@@ -128,7 +128,7 @@ class TestClusterCampaign:
         assert again.restarted_shards == report.restarted_shards
 
     def test_single_graph_wraps_to_one_tenant(self, graph, plan):
-        got = run_cluster_campaign(
+        got = run_chaos_campaign(
             factory, graph, plan, num_shards=SHARDS,
             window_size=WINDOW, seed=SEED,
         )
@@ -137,6 +137,35 @@ class TestClusterCampaign:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            ClusterChaosReport(lost=-1)
+            ChaosReport(lost=-1)
         with pytest.raises(ValueError):
-            ClusterChaosReport(restarts=-1)
+            ChaosReport(restarts=-1)
+
+
+class TestStreamPlans:
+    """Stream-fault plans on 1 and 4 shards: every shard degrades the
+    faulted window, and the oracle degrades it too."""
+
+    @pytest.mark.parametrize("shards", [1, SHARDS])
+    def test_engine_faults_stay_bit_identical(self, graph, shards):
+        for fault_seed in range(12):
+            plan = FaultPlan.generate(
+                seed=fault_seed, num_steps=graph.num_snapshots
+            )
+            report = run_chaos_campaign(
+                factory, graph, plan, num_shards=shards,
+                window_size=WINDOW, seed=SEED,
+            )
+            assert report.identical, f"fault seed {fault_seed}"
+            n_engine = plan.counts()[FaultKind.SANITIZER_VIOLATION.value]
+            assert report.metrics.fallback_windows == shards * n_engine
+
+    def test_engine_and_shard_faults_do_not_mix(self, graph):
+        plan = FaultPlan(
+            [
+                FaultSpec(FaultKind.SANITIZER_VIOLATION, 2),
+                FaultSpec(FaultKind.WORKER_CRASH, 3, 0),
+            ]
+        )
+        with pytest.raises(ValueError, match="not both"):
+            run_chaos_campaign(factory, graph, plan, num_shards=SHARDS)

@@ -141,6 +141,26 @@ class TestChaosCluster:
 
         DeadLetterQueue.load(capture)  # round-trips
 
+    def test_stream_smoke_writes_artifacts(self, tmp_path, capsys):
+        import json
+
+        report = str(tmp_path / "stream.json")
+        capture = str(tmp_path / "dlq.npz")
+        assert main(
+            ["chaos", "--smoke", "--report-out", report, "--dlq-out", capture]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "stream faults" in out
+        assert "bit-identical       : yes" in out
+        with open(report) as fh:
+            blob = json.load(fh)
+        assert blob["identical"] is True and blob["lost"] == 0
+        assert blob["plan_counts"]["sanitizer_violation"] == 1
+        assert len(blob["retry_delays"]) == blob["metrics"]["retries"] == 1
+        from repro.resilience import DeadLetterQueue
+
+        assert len(DeadLetterQueue.load(capture)) == blob["dead_letters"] > 0
+
 
 class TestDlq:
     def _capture(self, tmp_path):
