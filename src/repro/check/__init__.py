@@ -5,8 +5,8 @@ Two halves (see docs/static_analysis.md):
 * **Static pass** — ``python -m repro.check src/`` runs the repo-specific
   AST rules R001 (determinism), R002 (frozen-model mutation), R003 (unit
   discipline), R004 (API hygiene), R005 (validation coverage), R006
-  (hot-path loops), R007 (contract consistency), and R008 (contract
-  coverage), and exits non-zero on any finding.
+  (hot-path loops) and R008 (contract coverage), and exits non-zero on
+  any finding.
 * **Runtime sanitizer** — ``REPRO_SANITIZE=1`` (or the
   :func:`sanitized` context manager) turns on conservation checks inside
   the cycle simulator, the memory models, O-CSR, and the energy

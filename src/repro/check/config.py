@@ -14,7 +14,7 @@ The block supports rule enable/disable and per-path excludes::
 polices; ``validation-paths`` names where R005 requires range-checked
 dataclass fields; ``hot-paths`` names the vectorised kernels rule R006
 keeps free of per-element Python loops; ``contract-paths`` names the
-packages whose public array kernels rules R007/R008 hold to declared
+packages whose public array kernels rule R008 requires to declare
 shape/dtype contracts.  All of them match path *parts* of the module's
 repo-relative path, so ``"hardware"`` covers every file under any
 ``hardware/`` directory (entries containing ``/`` match as path

@@ -35,9 +35,6 @@ class ProjectContext:
     #: names of ``@dataclass(frozen=True)`` classes defined anywhere in
     #: the scanned tree (plus the built-in simulator types)
     frozen_classes: frozenset[str] = frozenset()
-    #: shape/dtype contracts collected across the tree (a
-    #: :class:`~repro.check.shapes.index.ContractIndex`), for R007/R008
-    contracts: object | None = None
 
 
 @dataclass

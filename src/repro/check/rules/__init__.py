@@ -1,4 +1,4 @@
-"""Repo-specific rules R001-R008.
+"""Repo-specific rules R001-R006 and R008.
 
 Importing this package registers every rule in
 :data:`repro.check.registry.RULES`.

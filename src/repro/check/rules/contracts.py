@@ -1,21 +1,11 @@
-"""R007/R008 — shape/dtype contracts on the array hot paths.
+"""R008 — every public array kernel declares a shape/dtype contract.
 
-R007 (contract-consistency) abstractly interprets every function body
-in the configured contract paths (see
-:mod:`repro.check.shapes.abstract`): call sites into contracted kernels
-are checked by unifying the caller's abstract argument values against
-the callee's declared specs, and inside functions that themselves
-declare a contract the pass also verifies return statements against the
-declared returns and flags broadcasts/matmuls that can never succeed.
-Only *provable* conflicts are reported — unequal literal dimensions,
-the same symbol at different offsets, two distinct contract symbols
-forced equal, disjoint dtype kinds — so correct-but-dynamic code stays
-quiet.
-
-R008 (contract-coverage) requires public module-level kernels in those
-paths — functions exported via ``__all__`` whose signature mentions
-``ndarray`` — to declare a ``@contract``.  Methods and private helpers
-are exempt (the runtime half still covers any that opt in).
+R008 (contract-coverage) requires public module-level kernels in the
+configured contract paths — functions exported via ``__all__`` whose
+signature mentions ``ndarray`` — to declare a ``@contract``.  Methods
+and private helpers are exempt (the runtime check still covers any that
+opt in).  What a declared contract promises is enforced on live calls
+by :func:`repro.check.shapes.contract` under the sanitizer.
 """
 
 from __future__ import annotations
@@ -25,31 +15,28 @@ from typing import Iterator
 
 from ..findings import Finding
 from ..registry import ModuleContext, rule
-from ..shapes.abstract import FunctionInterpreter
-from ..shapes.index import (
-    ContractIndex,
-    ModuleResolver,
-    collect_contracts,
-    contract_decorator,
-    module_fullname,
-)
-from ..shapes.spec import ContractError, parse_contract
 
-__all__ = ["check_contract_consistency", "check_contract_coverage",
-           "module_functions", "public_array_kernels"]
+__all__ = ["check_contract_coverage", "contract_decorator",
+           "public_array_kernels"]
 
 
-def module_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef]]:
-    """(qualname, node) for every top-level function and method."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef):
-                    yield f"{node.name}.{sub.name}", sub
+def contract_decorator(fn: ast.FunctionDef) -> str | None:
+    """The contract text of a ``@contract("...")`` decorator, if the
+    function carries one."""
+    for deco in fn.decorator_list:
+        if not isinstance(deco, ast.Call):
+            continue
+        name = None
+        if isinstance(deco.func, ast.Name):
+            name = deco.func.id
+        elif isinstance(deco.func, ast.Attribute):
+            name = deco.func.attr
+        if name != "contract" or not deco.args:
+            continue
+        first = deco.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            return first.value
+    return None
 
 
 def _literal_all(tree: ast.Module) -> set[str]:
@@ -103,56 +90,6 @@ def public_array_kernels(tree: ast.Module) -> Iterator[ast.FunctionDef]:
             and _mentions_ndarray(node)
         ):
             yield node
-
-
-def _contract_index(ctx: ModuleContext) -> ContractIndex:
-    index = ctx.project.contracts
-    if isinstance(index, ContractIndex):
-        return index
-    # standalone rule invocation (tests): index just this module
-    return collect_contracts([ctx])
-
-
-@rule("R007", "contract-consistency",
-      "call sites and bodies must satisfy declared shape/dtype contracts")
-def check_contract_consistency(ctx: ModuleContext) -> Iterator[Finding]:
-    cfg = ctx.project.config
-    if not cfg.path_covered(ctx.relpath, cfg.contract_paths):
-        return
-    index = _contract_index(ctx)
-    resolver = ModuleResolver(ctx, index)
-    module = module_fullname(ctx.relpath)
-    seen: set[tuple[int, str]] = set()
-    findings: list[Finding] = []
-
-    for qualname, fn in module_functions(ctx.tree):
-        declared = contract_decorator(fn)
-        if declared is not None:
-            try:
-                parse_contract(declared[0])
-            except ContractError as exc:
-                findings.append(
-                    ctx.finding(declared[1], "R007", f"bad contract: {exc}")
-                )
-                continue
-        info = index.lookup(module, qualname)
-
-        def report(lineno: int, message: str, _q=qualname) -> None:
-            key = (lineno, message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(
-                    ctx.finding(lineno, "R007", f"in {_q}: {message}")
-                )
-
-        interp = FunctionInterpreter(
-            resolver,
-            report,
-            contract_spec=info.spec if info is not None else None,
-            params=list(info.params) if info is not None else None,
-        )
-        interp.run(fn)
-    yield from findings
 
 
 @rule("R008", "contract-coverage",

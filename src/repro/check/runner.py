@@ -26,7 +26,6 @@ from .findings import Finding
 from .registry import RULES, ModuleContext, ProjectContext
 from .reporting import RunStatistics, render_json, render_sarif
 from .rules.frozen import collect_frozen_classes
-from .shapes.index import collect_contracts
 
 __all__ = ["scan_paths", "iter_python_files", "filter_noqa", "main",
            "build_parser", "NOQA_PATTERN"]
@@ -127,11 +126,7 @@ def scan_paths(
         frozen.update(collect_frozen_classes(tree))
         lines_by_path[relpath] = ctx.lines
 
-    project = ProjectContext(
-        config=config,
-        frozen_classes=frozenset(frozen),
-        contracts=collect_contracts(modules),
-    )
+    project = ProjectContext(config=config, frozen_classes=frozenset(frozen))
     findings: list[Finding] = []
     seconds_by_rule: dict[str, float] = {}
     for ctx in modules:
@@ -161,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro.check",
         description="repo-specific static analysis for the TaGNN"
-        " reproduction (rules R001-R008)",
+        " reproduction (rules R001-R006, R008)",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to scan (default: src)")

@@ -1,21 +1,20 @@
 """Shape/dtype contracts for the array hot paths.
 
-One declaration drives two enforcement modes::
+One declaration per kernel::
 
     from repro.check.shapes import contract
 
     @contract("(n,f) f32, (e,) i64 -> (n,f) f32")
     def propagate(x, idx): ...
 
-* **Static** — ``repro check`` rules R007/R008 parse the same string,
-  abstractly interpret kernel bodies and call sites over symbolic
-  dimensions, and fail CI on provable violations
-  (:mod:`repro.check.shapes.abstract`, :mod:`repro.check.rules.contracts`).
-* **Runtime** — under ``REPRO_SANITIZE=1`` the decorator validates real
-  arguments and returns on every call, raising
-  :class:`~repro.check.sanitizer.SanitizerViolation` with the offending
-  dimension/dtype; disabled, it costs one truthiness test
-  (:mod:`repro.check.shapes.runtime`).
+Under ``REPRO_SANITIZE=1`` the decorator validates real arguments and
+returns on every call, raising
+:class:`~repro.check.sanitizer.SanitizerViolation` with the offending
+dimension/dtype; disabled, it costs one truthiness test
+(:mod:`repro.check.shapes.runtime`).  A malformed contract string fails
+at import, when the decorator parses it.  Rule R008
+(:mod:`repro.check.rules.contracts`) requires every public array kernel
+in the contract paths to declare one.
 
 See docs/static_analysis.md for the contract-authoring guide.
 """

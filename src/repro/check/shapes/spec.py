@@ -32,9 +32,8 @@ Dtypes: exact (``f16 f32 f64 i8 i16 i32 i64 u8 u16 u32 u64 b``), a
 kind class (``f`` any float, ``i`` any integer — signed or unsigned,
 ``u`` unsigned), or ``?`` (any dtype).
 
-The grammar is deliberately tiny: it has to be readable at the def site,
-checkable in O(rank) at runtime, and interpretable symbolically by the
-static pass (rules R007/R008 — see docs/static_analysis.md).
+The grammar is deliberately tiny: it has to be readable at the def site
+and checkable in O(rank) at runtime (see docs/static_analysis.md).
 """
 
 from __future__ import annotations

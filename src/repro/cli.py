@@ -19,7 +19,7 @@ Commands
 ``generate``
     Generate a synthetic dataset and save it as a ``.npz`` archive.
 ``check``
-    Run the repo's static-analysis pass (rules R001-R008, see
+    Run the repo's static-analysis pass (rules R001-R006 and R008, see
     docs/static_analysis.md); exits non-zero on any finding.
 ``perf``
     Run the hot-path performance suite (event-application throughput,

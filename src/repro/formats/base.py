@@ -221,20 +221,6 @@ class MultiSnapshotStorage(abc.ABC):
         layer executes."""
 
     # -- shared helpers ----------------------------------------------------
-    def all_edges(self) -> np.ndarray:
-        """Stored content as a canonical sorted ``(source, target,
-        timestamp)`` array — used by equivalence tests."""
-        rows = []
-        for s in self.selection.sources.tolist():  # repro: noqa R006 — test-only canonicaliser, exercises scalar gather()
-            tgt, ts = self.gather(s)
-            for t_, k_ in zip(tgt.tolist(), ts.tolist()):  # repro: noqa R006 — test-only canonicaliser
-                rows.append((s, t_, k_))
-        if not rows:
-            return np.empty((0, 3), dtype=np.int64)
-        e = np.array(rows, dtype=np.int64)
-        order = np.lexsort((e[:, 1], e[:, 2], e[:, 0]))
-        return e[order]
-
     def compression_vs(self, other: "MultiSnapshotStorage") -> float:
         """Storage reduction of ``self`` relative to ``other`` in
         [0, 1) — the metric of the paper's Fig. 13(b) discussion."""

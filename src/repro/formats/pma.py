@@ -172,7 +172,7 @@ class PackedMemoryArray:
         # root bound, i.e. while (m - 1) >= int(cap * ROOT_MAX); match it
         # exactly so bulk and sequential loads end at the same capacity.
         cap = self.capacity
-        while keys.size > int(cap * self.ROOT_MAX):  # repro: noqa R006 — O(log) capacity doubling, not per-element
+        while keys.size > int(cap * self.ROOT_MAX):
             cap *= 2
         if cap != self.capacity:
             self._alloc(cap)
@@ -189,7 +189,7 @@ class PackedMemoryArray:
         """Shift the run of occupied slots right (or left) by one to open
         ``slot``, counting moved words."""
         right = slot
-        while right < self.capacity and self.keys[right] != EMPTY:  # repro: noqa R006 — amortised single-insert shift scan (bulk path avoids it)
+        while right < self.capacity and self.keys[right] != EMPTY:
             right += 1
         if right < self.capacity:
             n = right - slot
@@ -200,7 +200,7 @@ class PackedMemoryArray:
             self.payload[slot] = payload
             return
         left = slot - 1
-        while left >= 0 and self.keys[left] != EMPTY:  # repro: noqa R006 — amortised single-insert shift scan (bulk path avoids it)
+        while left >= 0 and self.keys[left] != EMPTY:
             left -= 1
         if left < 0:  # pragma: no cover - prevented by root-density resize
             raise RuntimeError("PMA full despite density bound")

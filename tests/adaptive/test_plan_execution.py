@@ -51,6 +51,8 @@ from repro.graphs import (
 from repro.models import make_model
 from repro.skipping import SkipThresholds
 
+from ..storage import all_edges
+
 SEED = 3
 
 
@@ -218,7 +220,7 @@ class TestStorageContentIdentity:
         )
         sel = WindowSelection(g.window(0, 4), sources)
         edges = {
-            name: cls(sel).all_edges() for name, cls in FORMATS.items()
+            name: all_edges(cls(sel)) for name, cls in FORMATS.items()
         }
         ref = edges["O-CSR"]
         for name, e in edges.items():

@@ -4,11 +4,17 @@
 ``# repro: noqa`` suppression under ``src/repro`` and why it is there.
 This test rebuilds the ground truth from the tree and fails the moment
 a suppression is added, removed, or moved without the table keeping up
-— in either direction, with a diff naming the drifted entries.
+— in either direction, with a diff naming the drifted entries.  The
+same page's ``[tool.repro.check]`` example must show the path lists the
+repo's ``pyproject.toml`` actually configures.
 """
 
+import dataclasses
+import re
+import tomllib
 from pathlib import Path
 
+from repro.check.config import CheckConfig, load_config
 from repro.check.inventory import collect_noqa_inventory, parse_inventory_table
 
 REPO = Path(__file__).resolve().parents[2]
@@ -33,6 +39,23 @@ def test_documented_inventory_matches_tree():
         "suppression inventory drift — update the table in "
         "docs/static_analysis.md:\n" + _diff(actual, documented)
     )
+
+
+def test_documented_config_paths_match_pyproject():
+    text = DOC.read_text(encoding="utf-8")
+    block = re.search(r"```toml\n(\[tool\.repro\.check\].*?)```", text, re.S)
+    assert block, "no [tool.repro.check] toml block in the doc"
+    documented = tomllib.loads(block.group(1))["tool"]["repro"]["check"]
+    actual = load_config(REPO)
+    path_fields = {
+        f.name for f in dataclasses.fields(CheckConfig)
+        if f.name.endswith("_paths")
+    }
+    assert {k.replace("-", "_") for k in documented if k.endswith("-paths")} \
+        == path_fields
+    for name in sorted(path_fields):
+        key = name.replace("_", "-")
+        assert tuple(documented[key]) == getattr(actual, name), key
 
 
 def test_tree_has_no_bare_suppressions():

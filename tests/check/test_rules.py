@@ -24,7 +24,7 @@ def findings_for(relpath: str, code: str):
 
 def test_registry_has_all_rules():
     assert sorted(RULES) == [
-        "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+        "R001", "R002", "R003", "R004", "R005", "R006", "R008",
     ]
 
 
@@ -144,33 +144,6 @@ def test_r006_message_names_the_hot_noun():
     assert "'keys'" in by_line[31]
 
 
-def test_r007_contract_consistency_findings():
-    path = "graphs/bad_contracts.py"
-    found = scan_paths(
-        [FIXTURES / path], config=CheckConfig(), select=["R007"],
-        root=FIXTURES,
-    )
-    by_line = {f.line: f.message for f in found}
-    assert set(by_line) == {19, 24, 35, 45}
-    assert "return dtype f64 where f32 declared" in by_line[19]
-    assert "return rank 2 where rank 1 declared" in by_line[24]
-    assert "argument 'idx' dtype f32 where i64 declared" in by_line[35]
-    assert "bad contract" in by_line[45] and "q8" in by_line[45]
-    # clean_kernel and gather_rows produce nothing
-    assert all("clean_kernel" not in m and "in gather_rows" not in m
-               for m in by_line.values())
-
-
-def test_r007_only_fires_under_contract_paths():
-    src = (FIXTURES / "graphs" / "bad_contracts.py").read_text()
-    copy = FIXTURES / "relocated_contracts.py"
-    copy.write_text(src)
-    try:
-        assert findings_for("relocated_contracts.py", "R007") == set()
-    finally:
-        copy.unlink()
-
-
 def test_r008_contract_coverage_findings():
     path = "graphs/bad_coverage.py"
     found = scan_paths(
@@ -267,18 +240,19 @@ def test_cli_list_rules(capsys):
 
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("R001", "R002", "R003", "R004", "R005", "R006",
-                 "R007", "R008"):
-        assert code in out
+    codes = [line.split()[0] for line in out.splitlines()]
+    assert codes == ["R001", "R002", "R003", "R004", "R005", "R006", "R008"]
 
 
 def test_cli_unknown_select_code_is_an_error(capsys):
     from repro.check.runner import main
 
-    rc = main([str(FIXTURES / "clean.py"), "--select", "R999",
-               "--root", str(FIXTURES)])
-    assert rc == 2
-    assert "unknown rule code" in capsys.readouterr().err
+    # a deleted rule's code must not be silently accepted either
+    for code in ("R999", "R007"):
+        rc = main([str(FIXTURES / "clean.py"), "--select", code,
+                   "--root", str(FIXTURES)])
+        assert rc == 2
+        assert f"unknown rule code(s): {code}" in capsys.readouterr().err
 
 
 def test_cli_missing_path_is_a_clean_error(capsys):

@@ -198,16 +198,38 @@ def test_symbol_mismatch_across_args_raises():
         masked(x, np.zeros(5, bool))
 
 
+@contract("n, (e,) i64 -> (n+1,) i64, (e,) i64")
+def _short_indptr(n, where):
+    return np.zeros(n, dtype=np.int64), where  # n where n+1 declared
+
+
+@contract("(n, f) f32 -> (n, f) f32")
+def _widened(x):
+    return x.astype(np.float64)  # f64 where f32 declared
+
+
+@contract("(n,) f32 -> (n,) f32")
+def _outer(x):
+    return x[:, None] * x[None, :]  # rank 2 where rank 1 declared
+
+
 def test_multi_return_and_offset_enforced():
     indptr, srt = _histogram(3, np.array([0, 2, 2], dtype=np.int64))
     assert indptr.tolist() == [0, 1, 1, 3]
 
-    @contract("n, (e,) i64 -> (n+1,) i64, (e,) i64")
-    def broken(n, where):
-        return np.zeros(n, dtype=np.int64), where  # n where n+1 declared
-
-    with pytest.raises(SanitizerViolation, match=r"return\[0\]"):
-        broken(3, np.array([0], dtype=np.int64))
+    # each body breaks its declared return; the wrapper raises on the call
+    cases = [
+        (_short_indptr, (3, np.array([0], dtype=np.int64)), "return[0]",
+         "n+1"),
+        (_widened, (np.ones((2, 3), np.float32),), "return", "dtype float64"),
+        (_outer, (np.ones(3, np.float32),), "return", "rank 2"),
+    ]
+    for fn, args, quantity, detail in cases:
+        with pytest.raises(SanitizerViolation) as exc:
+            fn(*args)
+        assert exc.value.invariant == "contract-return", fn.__name__
+        assert exc.value.quantity == quantity, fn.__name__
+        assert detail in str(exc.value), fn.__name__
 
 
 def test_wrong_tuple_arity_raises():

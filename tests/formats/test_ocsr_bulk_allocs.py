@@ -13,6 +13,8 @@ import numpy as np
 from repro.formats import OCSRStorage, WindowSelection
 from repro.graphs import CSRSnapshot, DynamicGraph
 
+from ..storage import all_edges
+
 N = 64
 K = 3
 DIM = 2
@@ -35,7 +37,7 @@ def make_store(seed=0, stable_features=False):
 
 def fresh_edges(store, rng, count):
     """(src, tgt, ts) rows not currently stored."""
-    have = {tuple(e) for e in store.all_edges().tolist()}
+    have = {tuple(e) for e in all_edges(store).tolist()}
     out = []
     while len(out) < count:
         cand = (int(rng.integers(N)), int(rng.integers(N)), int(rng.integers(K)))
@@ -68,7 +70,7 @@ class TestBulkAllocationBudget:
     def test_delete_allocs_independent_of_batch_size(self):
         small = make_store(seed=2)
         big = make_store(seed=2)
-        stored = small.all_edges()
+        stored = all_edges(small)
         assert stored.shape[0] >= 20
         d_small = alloc_delta(
             small, lambda: small.delete_edges(stored[:1])
@@ -99,7 +101,7 @@ class TestBulkAllocationBudget:
 
     def test_noop_batches_allocate_nothing(self):
         store = make_store(seed=4)
-        stored = store.all_edges()
+        stored = all_edges(store)
         # duplicate insert, absent delete, in-place overwrite: all 0 allocs
         assert alloc_delta(store, lambda: store.insert_edges(stored[:5])) == 0
         gone = fresh_edges(store, np.random.default_rng(4), 5)

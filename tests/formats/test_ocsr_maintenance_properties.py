@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.formats import OCSRStorage, WindowSelection
 from repro.graphs import CSRSnapshot, DynamicGraph
 
+from ..storage import all_edges
+
 
 def tiny_window(n=8, k=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -54,7 +56,7 @@ class OCSRReference:
     """Ground truth: a plain set of (src, tgt, ts) plus a version dict."""
 
     def __init__(self, store: OCSRStorage):
-        self.edges = {tuple(e) for e in store.all_edges().tolist()}
+        self.edges = {tuple(e) for e in all_edges(store).tolist()}
         self.features: dict[tuple[int, int], np.ndarray] = {}
         for v, start in zip(store.fv_vertex.tolist(), store.fv_start.tolist()):
             self.features[(v, start)] = None  # values checked separately
@@ -82,7 +84,7 @@ class TestMaintenanceProperties:
             else:
                 store.update_feature(op[1], op[2], op[3])
             ref.apply(op)
-        got = {tuple(e) for e in store.all_edges().tolist()}
+        got = {tuple(e) for e in all_edges(store).tolist()}
         assert got == ref.edges
 
     @given(op_sequences())

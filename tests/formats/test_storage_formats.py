@@ -15,6 +15,8 @@ from repro.formats import (
 )
 from repro.graphs import DynamicGraphSpec, generate_dynamic_graph, load_dataset
 
+from ..storage import all_edges
+
 
 @pytest.fixture(scope="module")
 def selection():
@@ -59,7 +61,7 @@ class TestContentEquivalence:
     def test_all_formats_store_same_edges(self, selection, built):
         ref = selection.edges()
         for name, fmt in built.items():
-            assert np.array_equal(fmt.all_edges(), ref), name
+            assert np.array_equal(all_edges(fmt), ref), name
 
     def test_gather_ordering(self, selection, built):
         """gather() must return (timestamp, target)-ordered entries."""
@@ -280,4 +282,4 @@ class TestFormatsProperty:
         sel = WindowSelection(g.window(0, k), sources)
         ref = sel.edges()
         for cls in (SnapshotCSRStorage, OCSRStorage, PMAStorage):
-            assert np.array_equal(cls(sel).all_edges(), ref), cls.name
+            assert np.array_equal(all_edges(cls(sel)), ref), cls.name

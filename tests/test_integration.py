@@ -29,6 +29,8 @@ from repro.models import (
     make_teacher_labels,
 )
 
+from .storage import all_edges
+
 
 @pytest.fixture(scope="module")
 def stack():
@@ -46,7 +48,7 @@ class TestFullPipeline:
         sg = extract_affected_subgraph(window)
         store = OCSRStorage(sg.selection())
         csr = SnapshotCSRStorage(sg.selection())
-        assert np.array_equal(store.all_edges(), csr.all_edges())
+        assert np.array_equal(all_edges(store), all_edges(csr))
         assert store.storage_bytes() < csr.storage_bytes()
 
     def test_engines_agree_semantically(self, stack):
