@@ -4,8 +4,8 @@
 prices — scatter aggregation, dense combination, cell-style flops,
 window classification, changed-set masking — on synthetic seeded
 inputs, and returns a :class:`CalibrationTable` whose per-unit
-constants reflect *this* machine.  The bench harness runs
-it once per perf session (``repro perf --adaptive``); everything else
+constants reflect *this* machine.  perfbench's ``stream-adaptive``
+workload runs it each time it builds its planners; everything else
 falls back to the baked defaults.
 
 This module deliberately reads wall clocks: calibration measures real

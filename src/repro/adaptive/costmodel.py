@@ -102,9 +102,3 @@ class CostModel:
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown kernel {kernel!r}")
         return seconds
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Serializable view of the model (for benches): the table's
-        provenance."""
-        return {"table_source": self.table.source}

@@ -21,12 +21,6 @@ Commands
 ``check``
     Run the repo's static-analysis pass (rules R001-R006 and R008, see
     docs/static_analysis.md); exits non-zero on any finding.
-``perf``
-    Run the hot-path performance suite (event-application throughput,
-    streaming window latency, peak RSS; ``--adaptive`` adds the
-    static-vs-planner streaming comparison) and archive a
-    schema-versioned ``BENCH_<timestamp>.json`` (see
-    docs/performance.md).
 ``plan``
     Run one streaming cell under the adaptive planner and print the
     per-window decision audit (``--explain`` adds the latest plan's full
@@ -62,7 +56,6 @@ __all__ = [
     "cmd_datasets",
     "cmd_dlq",
     "cmd_generate",
-    "cmd_perf",
     "cmd_plan",
     "cmd_simulate",
     "cmd_stats",
@@ -143,30 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --redrain: write the still-poison"
                           " remainder to this capture")
 
-    perf = sub.add_parser("perf", help="run the hot-path performance suite")
-    perf.add_argument("--smoke", action="store_true",
-                      help="30-second CI subset (smaller cells, 3 repeats)")
-    perf.add_argument("--repeats", type=int, default=7,
-                      help="timed passes per cell (best/pooled, default 7)")
-    perf.add_argument("--out", default=".",
-                      help="directory for BENCH_<timestamp>.json (default .)")
-    perf.add_argument("--no-write", action="store_true",
-                      help="print tables only, skip the JSON artefact")
-    perf.add_argument("--baseline", metavar="JSON",
-                      help="prior BENCH_*.json to diff against (report-only)")
-    perf.add_argument("--adaptive", action="store_true",
-                      help="also run the static-vs-adaptive streaming "
-                           "comparison (calibrates the cost model first)")
-
     pl = sub.add_parser("plan", help="adaptive planner decision audit")
     _common(pl)
     pl.add_argument("--model", default="T-GCN")
     pl.add_argument("--window", type=int, default=4)
     pl.add_argument("--repeats", type=int, default=2,
                     help="stream passes sharing one planner (default 2)")
-    pl.add_argument("--calibrate", action="store_true",
-                    help="micro-benchmark the cost model on this machine "
-                         "instead of using the baked defaults")
     pl.add_argument("--explain", action="store_true",
                     help="print the per-window audit and the latest plan's "
                          "full rationale")
@@ -450,12 +425,11 @@ def cmd_dlq(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from .adaptive import AdaptivePlanner, CostModel, calibrate_cost_model
+    from .adaptive import AdaptivePlanner
     from .engine.streaming import StreamingInference
 
     g, m = _make(args)
-    table = calibrate_cost_model(seed=args.seed) if args.calibrate else None
-    planner = AdaptivePlanner(cost_model=CostModel(table))
+    planner = AdaptivePlanner()
     for _ in range(args.repeats):
         stream = StreamingInference(
             m, window_size=args.window, planner=planner
@@ -464,8 +438,7 @@ def cmd_plan(args) -> int:
             stream.push(snap)
         stream.flush()
     print(f"{args.model} on {args.dataset}: {len(planner.records)} windows "
-          f"planned across {args.repeats} passes "
-          f"(cost model: {planner.cost_model.table.source})")
+          f"planned across {args.repeats} passes")
     if args.explain:
         print(planner.explain())
     else:
@@ -482,32 +455,6 @@ def cmd_plan(args) -> int:
               f"{planner.max_observed_drift:.5f} "
               f"(budget {planner.config.drift_budget})")
         print("  (use --explain for the per-window audit)")
-    return 0
-
-
-def cmd_perf(args) -> int:
-    import json
-
-    from .bench.perf import (
-        PerfConfig,
-        render_delta_table,
-        render_perf_tables,
-        run_perf,
-        write_result,
-    )
-
-    config = PerfConfig(
-        smoke=args.smoke, repeats=args.repeats, adaptive=args.adaptive
-    )
-    result = run_perf(config)
-    print(render_perf_tables(result))
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        print(render_delta_table(result, baseline))
-    if not args.no_write:
-        path = write_result(result, args.out)
-        print(f"wrote {path}")
     return 0
 
 
@@ -534,7 +481,6 @@ COMMANDS = {
     "accuracy": cmd_accuracy,
     "generate": cmd_generate,
     "stats": cmd_stats,
-    "perf": cmd_perf,
     "plan": cmd_plan,
     "check": cmd_check,
     "chaos": cmd_chaos,

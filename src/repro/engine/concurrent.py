@@ -235,10 +235,8 @@ class ConcurrentEngine:
             return None
         from ..adaptive import profile_window
 
-        prev_switches = self.planner.kernel_switches
         plan = self.planner.plan(profile_window(window, cls, self.model))
         m.windows_planned += 1
-        m.plan_kernel_switches += self.planner.kernel_switches - prev_switches
         return plan
 
     # ------------------------------------------------------------------

@@ -76,7 +76,6 @@ class ExecutionMetrics:
     retry_backoff_ns: int = 0  # virtual backoff scheduled by with_retry (ns)
     fallback_windows: int = 0  # windows degraded to the reference engine
     dead_letter_events: int = 0  # poison events/snapshots dead-lettered
-    checkpoints_taken: int = 0  # carry-state checkpoints captured
     restores: int = 0  # carry-state rollbacks after a fault
 
     # --- sharded serving (repro.serving) ---------------------------------
@@ -87,7 +86,6 @@ class ExecutionMetrics:
 
     # --- adaptive execution (repro.adaptive) -----------------------------
     windows_planned: int = 0  # windows executed under a planner decision
-    plan_kernel_switches: int = 0  # windows whose kernel differed from prior
     drift_probes: int = 0  # exact-replay drift verifications run
 
     # ------------------------------------------------------------------

@@ -409,16 +409,6 @@ class CSRSnapshot:
         src = np.repeat(np.arange(self.num_vertices, dtype=VID_DTYPE), self.degrees)
         return np.stack([src, self.indices], axis=1)
 
-    def to_networkx(self):
-        """Export present vertices/edges to a ``networkx.DiGraph`` (tests
-        only: ``networkx`` comes with the ``dev`` extra)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(np.flatnonzero(self.present).tolist())
-        g.add_edges_from(map(tuple, self.edge_array().tolist()))
-        return g
-
     def memory_bytes(self) -> int:
         """Footprint of the snapshot's arrays (structure + features)."""
         return (

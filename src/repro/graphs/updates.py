@@ -477,9 +477,8 @@ def apply_events_reference(
 ) -> CSRSnapshot:
     """Per-event reference replay (the pre-vectorisation semantics).
 
-    Kept as the error-reporting fallback of :func:`apply_events`, the
-    oracle the batched-path property tests compare against, and the
-    baseline the ``repro perf`` event-application microbenchmark times.
+    Kept as the error-reporting fallback of :func:`apply_events` and the
+    oracle the batched-path property tests compare against.
     """
     n = snap.num_vertices
     present = snap.present.copy()

@@ -20,9 +20,9 @@ protocol a production serving path needs:
 
 Every absorbed anomaly is recorded twice: as a structured
 :class:`Incident` for operators, and in the ``incidents`` / ``retries`` /
-``fallback_windows`` / ``dead_letter_events`` / ``checkpoints_taken`` /
-``restores`` counters of :class:`~repro.engine.metrics.ExecutionMetrics`
-so resilience shows up in the same report as performance.
+``fallback_windows`` / ``dead_letter_events`` / ``restores`` counters
+of :class:`~repro.engine.metrics.ExecutionMetrics` so resilience shows
+up in the same report as performance.
 
 The stream never refuses work: the one circuit breaker is the serving
 cluster's per-tenant :class:`~repro.serving.tenants.TenantGate`, and the
@@ -162,7 +162,6 @@ class ResilientStreamingInference:
         pending snapshots (plus the arriving one) are the window to
         re-execute."""
         saved = self.stream.carry_state()
-        self._own.checkpoints_taken += 1
         try:
             if self._queued_faults:
                 raise self._queued_faults.pop(0)

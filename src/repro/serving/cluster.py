@@ -278,6 +278,9 @@ class ShardCluster:
         self.gate.register(tenant)
         for worker in self.workers:
             worker.register(tenant)
+        # the front door checks the width every shard stream checks, so a
+        # mis-sized snapshot is dead-lettered here and never admitted
+        self._dim = self.workers[0].streams[tenant].model.in_dim
         self._history[tenant] = []
         self._parts[tenant] = {}
         self._latest[tenant] = {}
@@ -444,7 +447,6 @@ class ShardCluster:
     # ------------------------------------------------------------------
     def _pin(self, snapshot) -> None:
         self._num_vertices = snapshot.num_vertices
-        self._dim = snapshot.dim
         self.shard_map = ShardMap.build(
             DynamicGraph([snapshot.copy()], name="shard-map-seed"),
             self.num_shards,

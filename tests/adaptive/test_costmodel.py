@@ -3,7 +3,6 @@
 import pytest
 
 from repro.adaptive import (
-    CalibrationTable,
     CostModel,
     KernelChoice,
     calibrate_cost_model,
@@ -27,15 +26,6 @@ class TestKernelPredictions:
         model = CostModel()
         for kernel in KernelChoice:
             assert model.predict_kernel_seconds(profile, kernel) > 0.0
-
-    def test_snapshot_serializable(self, profile):
-        import json
-
-        snap = CostModel().snapshot()
-        json.dumps(snap)
-        assert snap == {"table_source": "default"}
-        calibrated = CalibrationTable(source="calibrated")
-        assert CostModel(calibrated).snapshot()["table_source"] == "calibrated"
 
 
 class TestCalibration:

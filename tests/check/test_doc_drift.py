@@ -6,9 +6,12 @@ This test rebuilds the ground truth from the tree and fails the moment
 a suppression is added, removed, or moved without the table keeping up
 — in either direction, with a diff naming the drifted entries.  The
 same page's ``[tool.repro.check]`` example must show the path lists the
-repo's ``pyproject.toml`` actually configures.
+repo's ``pyproject.toml`` actually configures, and every ``repro
+<subcommand>`` the README and ``docs/`` name must be one the CLI
+registers (``CHANGES.md`` and ``ROADMAP.md`` are history, not usage).
 """
 
+import argparse
 import dataclasses
 import re
 import tomllib
@@ -16,10 +19,13 @@ from pathlib import Path
 
 from repro.check.config import CheckConfig, load_config
 from repro.check.inventory import collect_noqa_inventory, parse_inventory_table
+from repro.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 DOC = REPO / "docs" / "static_analysis.md"
+#: ``repro <word>``, also wrapped across a line; not ``repro.x`` or a path
+_COMMAND = re.compile(r"(?<![\w./-])repro\s+([a-z][\w-]*)")
 
 
 def _diff(actual: dict, documented: dict) -> str:
@@ -56,6 +62,35 @@ def test_documented_config_paths_match_pyproject():
     for name in sorted(path_fields):
         key = name.replace("_", "-")
         assert tuple(documented[key]) == getattr(actual, name), key
+
+
+def _subcommands() -> set:
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return set(sub.choices)
+
+
+def test_documented_commands_are_registered():
+    registered = _subcommands()
+    stale = []
+    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = doc.read_text(encoding="utf-8")
+        for m in _COMMAND.finditer(text):
+            if m.group(1) not in registered:
+                line = text.count("\n", 0, m.start()) + 1
+                stale.append(f"  {doc.relative_to(REPO)}:{line}: {m.group(0)!r}")
+    assert not stale, (
+        "docs name CLI subcommands `repro.cli.build_parser()` does not"
+        " register:\n" + "\n".join(stale)
+    )
+
+
+def test_command_pattern_reads_wrapped_mentions_only():
+    text = "run `python -m repro\n   plan`; see repro.bench and ./repro simulate"
+    assert [m.group(1) for m in _COMMAND.finditer(text)] == ["plan"]
+    assert {"plan", "check", "chaos"} <= _subcommands()
 
 
 def test_tree_has_no_bare_suppressions():

@@ -109,12 +109,6 @@ class TestSnapshotBasics:
         assert np.array_equal(rebuilt.indptr, s.indptr)
         assert np.array_equal(rebuilt.indices, s.indices)
 
-    def test_to_networkx(self):
-        s = small_snapshot()
-        g = s.to_networkx()
-        assert g.number_of_nodes() == 5
-        assert g.number_of_edges() == 8
-
     def test_memory_bytes_positive(self):
         s = small_snapshot()
         assert s.memory_bytes() > s.features.nbytes

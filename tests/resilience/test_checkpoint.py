@@ -609,6 +609,42 @@ class TestParentFormatCompatibility:
             assert new[key].dtype == old[key].dtype, key
             assert new[key].tobytes() == old[key].tobytes(), key
 
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
+    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
+    def test_a_record_with_retired_counters_resumes_bit_identically(
+        self, graph, model_name, crash_at
+    ):
+        """The parent's format-3 record still carries two counters this
+        build dropped (``checkpoints_taken``, ``plan_kernel_switches``):
+        the reader skips fields it does not know."""
+        expected = _uninterrupted(graph, model_name)
+        first = StreamingInference(
+            _model(graph, model_name), window_size=WINDOW
+        )
+        for snap in list(graph)[:crash_at]:
+            first.push(snap.copy())
+        arrays = carry_to_arrays(first.carry_state())
+        record = arrays["meta/scalars"]
+        retired = ("metrics/checkpoints_taken", "metrics/plan_kernel_switches")
+        assert not set(retired) & set(record.dtype.names)
+        arrays["meta/scalars"] = np.array(
+            record.item() + (2, 1),
+            dtype=record.dtype.descr + [(name, "<i8") for name in retired],
+        )
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        carry = load_checkpoint(io.BytesIO(buf.getvalue()))
+        assert carry.metrics == first.carry.metrics
+        resumed = StreamingInference(
+            _model(graph, model_name), window_size=WINDOW
+        )
+        resumed.restore_carry(carry)
+        late = _run(resumed, list(graph)[crash_at:])
+        tail = expected[len(expected) - len(late):]
+        assert late and len(late) == len(tail)
+        for a, b in zip(tail, late):
+            assert a.tobytes() == b.tobytes()
+
     def test_a_store_holding_both_formats_loads_both(self, graph):
         """Across an upgrade a live store holds old and new archives."""
         store = CheckpointStore(keep_last=3)

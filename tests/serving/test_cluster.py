@@ -341,6 +341,54 @@ class TestBackpressure:
         assert len(cluster.dlq) == 1
         assert len(cluster.history("t0")) == 1
 
+    def test_a_snapshot_the_model_cannot_read_is_dead_lettered(self, graph):
+        """The front door checks the model's input width: a snapshot the
+        shard streams would refuse is never admitted, so it lands in the
+        cluster's DLQ instead of vanishing into theirs."""
+
+        def wide():
+            return make_model("T-GCN", DIM + 1, 8, seed=SEED)
+
+        cluster = ShardCluster(
+            wide, num_shards=2, window_size=WINDOW, seed=SEED
+        )
+        cluster.register_tenant("t0")
+        receipts = [cluster.push("t0", snap.copy()) for snap in graph]
+        assert [r.shed_reason for r in receipts] == (
+            ["poison-snapshot"] * graph.num_snapshots
+        )
+        assert all(
+            f"!= expected {DIM + 1}" in r.incident.detail for r in receipts
+        )
+        assert len(cluster.dlq) == graph.num_snapshots
+        assert cluster.history("t0") == [] and cluster.flush("t0") == []
+        for worker in cluster.workers:
+            assert len(worker.streams["t0"].dlq) == 0
+
+    def test_reset_tenant_closes_an_open_breaker(self, graph):
+        """Lifecycle step 6: the breaker opens under a full backlog,
+        draining leaves it open, and once the operator resets the tenant
+        the next push is admitted."""
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=WINDOW,
+            max_backlog=1, breaker_threshold=2, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        cluster.workers[0].slow(50)  # a slow shard heartbeats: no restart
+        reasons = [
+            cluster.push("t0", graph[t].copy()).shed_reason for t in range(5)
+        ]
+        assert reasons == [
+            "", "", "backlog-full", "backlog-full", "circuit-open"
+        ]
+        cluster.drain_backlogs()
+        assert cluster.gate.breaker_open("t0")
+        cluster.reset_tenant("t0")
+        assert not cluster.gate.breaker_open("t0")
+        receipt = cluster.push("t0", graph[5].copy())
+        assert receipt.accepted and receipt.shed_reason == ""
+        assert len(cluster.history("t0")) == 3
+
     def test_unregistered_tenant_rejected(self, graph):
         cluster = ShardCluster(factory, num_shards=2, seed=SEED)
         with pytest.raises(ValueError):
