@@ -16,10 +16,11 @@ window (the heart of the topology-aware concurrent execution); stable
 vertices act as DFS roots bounding the affected subgraph; affected
 vertices get full per-snapshot treatment.
 
-Everything is vectorised: feature stability is one stacked comparison,
-topology stability uses the order-independent row fingerprints from
-:meth:`CSRSnapshot.row_fingerprints`, and neighbour-feature stability is
-one masked min-scatter over the first snapshot's CSR.
+Everything is vectorised: feature stability is one comparison per
+consecutive snapshot pair, topology stability uses the order-independent
+row fingerprints from :meth:`CSRSnapshot.row_fingerprints`, and
+neighbour-feature stability is one masked min-scatter over the first
+snapshot's CSR.
 
 "Neighbour lists identical" means equal degree and equal 64-bit
 fingerprint; the rows themselves are never compared, so the engine's
@@ -115,12 +116,7 @@ def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassif
     presence_changed = present.any(axis=0) & ~present_all
 
     # --- own-feature stability ------------------------------------------
-    feats = np.stack([s.features for s in snaps])  # (K, n, d)
-    if atol > 0.0:
-        feat_stable = np.isclose(feats[1:], feats[:-1], atol=atol).all(axis=(0, 2))
-    else:
-        feat_stable = (feats[1:] == feats[:-1]).all(axis=(0, 2))
-    feat_stable &= present_all
+    feat_stable = _features_stable(snaps, atol) & present_all
 
     # --- topology stability via row fingerprints ------------------------
     fps = np.stack([s.row_fingerprints() for s in snaps])
@@ -147,3 +143,18 @@ def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassif
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
     return WindowClassification(labels, len(snaps))
+
+
+def _features_stable(snaps, atol: float) -> np.ndarray:
+    """Rows whose features equal (``atol``: are close to) the previous
+    snapshot's in every consecutive pair of ``snaps``.  Pair by pair,
+    these are the booleans of one compare over the stacked ``(K, n, d)``
+    features, without the stack."""
+    stable = np.ones(len(snaps[0].features), dtype=bool)
+    for prev, cur in zip(snaps, snaps[1:]):
+        if atol > 0.0:
+            same = np.isclose(cur.features, prev.features, atol=atol)
+        else:
+            same = cur.features == prev.features
+        stable &= same.all(axis=1)
+    return stable

@@ -5,6 +5,7 @@ from .concurrent import ConcurrentEngine
 from .metrics import WORD_BYTES, ExecutionMetrics
 from .reference import EngineResult, ReferenceEngine
 from .streaming import StreamingInference, StreamResult
+from .workspace import WORKSPACE, Workspace
 
 __all__ = [
     "Carry",
@@ -15,4 +16,6 @@ __all__ = [
     "ReferenceEngine",
     "StreamingInference",
     "StreamResult",
+    "WORKSPACE",
+    "Workspace",
 ]

@@ -41,6 +41,7 @@ from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
 from .carry import Carry
 from .metrics import ExecutionMetrics
 from .reference import EngineResult
+from .workspace import WORKSPACE
 
 __all__ = ["ConcurrentEngine"]
 
@@ -159,6 +160,10 @@ class ConcurrentEngine:
         ``carry`` is left as it was except for its delta cache, updated
         **in place** (a copy per window would tax every plain stream): a
         caller that may roll back takes ``carry.copy()`` first.
+
+        The window body holds the lease on the process's scratch
+        :data:`~repro.engine.workspace.WORKSPACE`; its large temporaries
+        live there, and nothing it returns or carries aliases a block.
         """
         model = self.model
         n = window.num_vertices
@@ -184,32 +189,35 @@ class ConcurrentEngine:
         base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
         t0 = time.perf_counter()  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
-        zs = self._gnn_window(m, window, cls, overlap, owned)
-        for t, snap in enumerate(window):
-            # The first snapshot of every batch takes the full cell
-            # update: the paper "recalculates similarity scores for
-            # each vertex in the new batch, rather than reusing scores
-            # and skipping decisions" to stop error accumulating over
-            # prolonged skipping — a periodic state refresh is what
-            # bounds the drift (and what keeps Table 5's loss < 1%).
-            h_prev, state = self._rnn_step(
-                m,
-                snap,
-                zs[t],
-                z_prev,
-                snap_prev,
-                state,
-                cache,
-                cls,
-                h_prev,
-                owned_mask,
-                first=first or (t == 0 and self.refresh_each_window),
-                policy=policy,
-                decisions=decisions,
-            )
-            outputs.append(h_prev.copy())
-            z_prev, snap_prev = zs[t], snap
-            first = False
+        with WORKSPACE.lease() as ws:
+            zs = self._gnn_window(m, window, cls, overlap, owned, ws)
+            for t, snap in enumerate(window):
+                # The first snapshot of every batch takes the full cell
+                # update: the paper "recalculates similarity scores for
+                # each vertex in the new batch, rather than reusing
+                # scores and skipping decisions" to stop error
+                # accumulating over prolonged skipping — a periodic
+                # state refresh is what bounds the drift (and what
+                # keeps Table 5's loss < 1%).
+                h_prev, state = self._rnn_step(
+                    m,
+                    snap,
+                    zs[t],
+                    z_prev,
+                    snap_prev,
+                    state,
+                    cache,
+                    cls,
+                    h_prev,
+                    owned_mask,
+                    ws,
+                    first=first or (t == 0 and self.refresh_each_window),
+                    policy=policy,
+                    decisions=decisions,
+                )
+                outputs.append(h_prev.copy())
+                z_prev, snap_prev = zs[t], snap
+                first = False
         if plan is not None and self.planner is not None:
             elapsed = time.perf_counter() - t0  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
             self.planner.observe(plan, elapsed)
@@ -242,19 +250,21 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls, overlap, owned) -> list[np.ndarray]:
+    def _gnn_window(self, m, window, cls, overlap, owned, ws) -> list[np.ndarray]:
         """Multi-snapshot GNN with changed-set propagation (exact).
 
         With ``owned`` (ascending ids) layer ``l`` is computed on
         ``need[l]`` only — :func:`_owned_closure` — and its other rows
-        are zeros nothing reads."""
+        are zeros nothing reads.  At the later snapshots every layer's
+        input is a workspace block (``ws``); the GNN outputs are kept,
+        so they are allocated."""
         model = self.model
         layers = model.gnn.layers
         n = window.num_vertices
         if not overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
             # the window kernel, on every row (a superset is exact)
-            zs = model.gnn_forward_window(window.snapshots)
+            zs = model.gnn_forward_window(window.snapshots, ws=ws)
             for snap in window:
                 self._account_full_gnn(m, snap, [None] * len(layers))
             return zs
@@ -297,9 +307,10 @@ class ConcurrentEngine:
             ]
 
         # --- later snapshots: recompute only the changed rows ----------
+        last = len(layers) - 1
         for t in range(1, window.num_snapshots):
             snap = window[t]
-            x = rep_inputs[0].copy()
+            x = ws.take_copy("gnn.x", rep_inputs[0])
             in_rows = np.flatnonzero(
                 (snap.features != rep_inputs[0]).any(axis=1)
             )
@@ -307,16 +318,20 @@ class ConcurrentEngine:
             m.feature_words += len(in_rows) * window.dim  # only churned rows
             for li, layer in enumerate(layers):
                 rows = layer_rows[li]
-                out = rep_inputs[li + 1].copy()
+                rep = rep_inputs[li + 1]
+                if li == last:  # the GNN output: kept, so allocated
+                    out = rep.copy()
+                else:  # x, when a layer's input, is the other block
+                    out = ws.take_copy(f"gnn.h{li % 2}", rep)
                 out[rows] = self._layer_rows(
-                    m, layer, snap, x, rows, in_rows, rep_combined[li]
+                    m, layer, snap, x, rows, in_rows, rep_combined[li], ws
                 )
                 x = out
                 in_rows = rows  # next layer's inputs changed on `rows`
             zs.append(x)
         return zs
 
-    def _layer_rows(self, m, layer, snap, x, rows, in_rows, rep_y) -> np.ndarray:
+    def _layer_rows(self, m, layer, snap, x, rows, in_rows, rep_y, ws) -> np.ndarray:
         """One GCN layer restricted to ``rows`` (exact under the
         mean-normalised aggregation, see :meth:`CSRSnapshot.aggregate`).
 
@@ -325,7 +340,7 @@ class ConcurrentEngine:
         the rest reuse ``rep_y``.
         """
         if layer.out_dim < layer.in_dim:
-            y = rep_y.copy()
+            y = ws.take_copy("gnn.y", rep_y)
             y[in_rows] = layer.combine(x[in_rows])
             m.combination_macs += len(in_rows) * layer.in_dim * layer.out_dim
         else:
@@ -376,6 +391,7 @@ class ConcurrentEngine:
         cls,
         h_prev,
         owned_mask,
+        ws,
         *,
         first: bool,
         policy: SkippingPolicy,
@@ -388,8 +404,10 @@ class ConcurrentEngine:
 
         if first or not self.enable_skipping or z_prev is None:
             rows = np.flatnonzero(present)
-            h_out[rows], st_rows = _full_update(model, cache, z, state, rows, snap)
-            new_state = _splice_state(state, rows, st_rows)
+            h_out[rows], st_rows = _full_update(
+                model, cache, z, state, rows, snap, ws
+            )
+            new_state = _splice_rows(state.copy(), rows, st_rows)
             m.cells_full += len(rows)
             m.cell_macs += len(rows) * model.cell.flops_per_vertex() // 2
             m.output_words += len(rows) * model.out_dim
@@ -424,12 +442,13 @@ class ConcurrentEngine:
             full_rows = np.union1d(full_rows, delta_rows)
             delta_rows = np.empty(0, dtype=np.int64)
 
-        new_state = state
+        # one fresh state per snapshot; both modes read the old one
+        new_state = state.copy() if len(full_rows) or len(delta_rows) else state
         if len(full_rows):
             h_out[full_rows], st_rows = _full_update(
-                model, cache, z, state, full_rows, snap
+                model, cache, z, state, full_rows, snap, ws
             )
-            new_state = _splice_state(new_state, full_rows, st_rows)
+            _splice_rows(new_state, full_rows, st_rows)
             m.cells_full += len(full_rows)
             m.cell_macs += len(full_rows) * model.cell.flops_per_vertex() // 2
         if len(delta_rows):
@@ -437,7 +456,7 @@ class ConcurrentEngine:
                 delta_rows, z, state, epsilon=self.epsilon
             )
             h_out[delta_rows] = h_rows
-            new_state = _splice_state(new_state, delta_rows, st_rows)
+            _splice_rows(new_state, delta_rows, st_rows)
             full_cost = len(delta_rows) * model.cell.flops_per_vertex() // 2
             delta_cost = nnz * model.cell.w_x.shape[1]
             m.cells_delta += len(delta_rows)
@@ -548,21 +567,27 @@ def _changed_rows(window, changed, num_layers) -> list[np.ndarray]:
     return layer_rows
 
 
-def _full_update(model, cache, z, state, rows, snap):
+def _full_update(model, cache, z, state, rows, snap, ws):
     """FULL cell update of ``rows``: ``(h_rows, state_rows)``.  The
     delta cache (None for an RNN-free model) records the update's two
     pre-activation products and the cell evaluates its gates on those
-    very blocks, so each is multiplied once."""
+    very blocks, so each is multiplied once — into two workspace blocks
+    the cell then uses as scratch."""
     drive = model.recurrent_drive(state, snap, rows)
-    pre = None if cache is None else cache.refresh(rows, z, drive)
+    pre = None
+    if cache is not None:
+        r = len(rows)
+        w_x, w_h = cache.cell.w_x, cache.cell.w_h
+        zx = ws.take("cell.zx", (r, w_x.shape[1]), np.result_type(z, w_x))
+        zh = ws.take("cell.zh", (r, w_h.shape[1]), np.result_type(drive, w_h))
+        pre = cache.refresh(rows, z, drive, out=(zx, zh))
     return model.cell_step_rows(z, state, rows, snap, drive, pre)
 
 
-def _splice_state(state, rows, row_state):
-    """Return a copy of ``state`` with ``rows`` replaced by ``row_state``."""
-    new = state.copy()
+def _splice_rows(state, rows, row_state):
+    """Write ``row_state`` into ``rows`` of ``state``; returns ``state``."""
     for k in vars(row_state):
         if k.startswith("_"):
             continue
-        getattr(new, k)[rows] = getattr(row_state, k)
-    return new
+        getattr(state, k)[rows] = getattr(row_state, k)
+    return state

@@ -73,18 +73,21 @@ class DGNNModel(abc.ABC):
         self,
         snaps: list[CSRSnapshot],
         xs: list[np.ndarray] | None = None,
+        *,
+        ws=None,
     ) -> list[np.ndarray]:
         """GNN module over a window of snapshots at once.
 
         Returns ``[Z^t for each snapshot]``, bit-identical to calling
         :meth:`gnn_forward` per snapshot (see
-        :meth:`GCNStack.forward_window` for what is and is not batched).
+        :meth:`GCNStack.forward_window` for what is and is not batched,
+        and for the scratch workspace ``ws``).
         """
         if xs is None:
             xs = [s.features for s in snaps]
         if len(snaps) == 1:
             return [self.gnn_forward(snaps[0], xs[0])]
-        return self.gnn.forward_window(snaps, xs)
+        return self.gnn.forward_window(snaps, xs, ws=ws)
 
     def cell_step(self, z: np.ndarray, state, snap: CSRSnapshot | None = None):
         """RNN module cell update: returns ``(H^t, new_state)``.

@@ -36,7 +36,9 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
-def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _matmul_rows(
+    a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``a @ w`` whose row ``i`` has the bits it has in any taller
     product holding the same row.
 
@@ -45,10 +47,18 @@ def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     two or more rows gets — so ``a[[r]] @ w`` is not ``(a @ w)[[r]]``.
     Every product a row-restricted path shares with a full-height one
     goes through here, and a single row is multiplied as two.
+
+    With ``out`` the product is written there (the same gemm) and
+    ``out`` returned; the one-row case still forms its small two-row
+    product first.
     """
     if len(a) == 1:
-        return (np.concatenate([a, a]) @ w)[:1]
-    return a @ w
+        one = (np.concatenate([a, a]) @ w)[:1]
+        if out is None:
+            return one
+        out[...] = one
+        return out
+    return np.matmul(a, w, out=out)
 
 
 @dataclass
@@ -89,9 +99,14 @@ class GCNLayer:
         return self.weight.shape[1]
 
     @contract("(n, *) f -> (n, *) f")
-    def combine(self, x: np.ndarray) -> np.ndarray:
-        """The dense half (CPE): ``x @ W + b`` without the activation."""
-        return _matmul_rows(x, self.weight) + self.bias
+    def combine(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense half (CPE): ``x @ W + b`` without the activation,
+        into ``out`` when given (the same additions)."""
+        if out is None:
+            return _matmul_rows(x, self.weight) + self.bias
+        _matmul_rows(x, self.weight, out=out)
+        out += self.bias
+        return out
 
     @contract("_, (n, *) f, ?(r,) i -> (*, *) f")
     def forward(
@@ -150,7 +165,7 @@ class GCNStack:
         return h
 
     def forward_window(
-        self, snaps: list[CSRSnapshot], xs: list[np.ndarray]
+        self, snaps: list[CSRSnapshot], xs: list[np.ndarray], *, ws=None
     ) -> list[np.ndarray]:
         """Run every layer over a whole window of snapshots at once.
 
@@ -161,24 +176,36 @@ class GCNStack:
         row count, so a stacked ``(K*n, d) @ W`` would *not* reproduce
         the per-snapshot bits and engine outputs must not depend on how
         snapshots are windowed.
+
+        Each snapshot's layer output is written straight into its rows
+        of the block, and every layer but the last activates in place.
+        With ``ws`` (a leased :class:`~repro.engine.workspace.Workspace`)
+        those blocks are two of its blocks used in turn, so only the
+        returned last layer is allocated.
         """
         K = len(snaps)
+        n = len(xs[0])
         hs = list(xs)
-        for layer in self.layers:
+        for li, layer in enumerate(self.layers):
             if any(h.shape[1] != layer.in_dim for h in hs):
                 raise ValueError(
                     f"input width does not match layer in_dim {layer.in_dim}"
                 )
-            if layer.out_dim < layer.in_dim:
-                outs = [
-                    s.aggregate(layer.combine(h)) for s, h in zip(snaps, hs)
-                ]
-            else:
-                outs = [
-                    layer.combine(s.aggregate(h)) for s, h in zip(snaps, hs)
-                ]
-            hs = np.split(layer.act(np.concatenate(outs, axis=0)), K)
-        return [np.ascontiguousarray(h) for h in hs]
+            shape = (K * n, layer.out_dim)
+            dtype = np.result_type(*hs, layer.weight, layer.bias)
+            last = li == len(self.layers) - 1
+            if ws is None or last:
+                block = np.empty(shape, dtype)
+            else:  # the layer below reads the other block
+                block = ws.take(f"gnn.stack{li % 2}", shape, dtype)
+            for t, (s, h) in enumerate(zip(snaps, hs)):
+                rows = block[t * n : (t + 1) * n]
+                if layer.out_dim < layer.in_dim:
+                    rows[...] = s.aggregate(layer.combine(h))
+                else:
+                    layer.combine(s.aggregate(h), out=rows)
+            hs = np.split(layer.act(block, out=block), K)
+        return hs
 
     def flops(self, num_vertices: int, num_edges: int) -> int:
         return sum(l.flops(num_vertices, num_edges) for l in self.layers)

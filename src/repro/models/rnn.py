@@ -83,10 +83,10 @@ class RecurrentCell:
         """:meth:`step` from its two pre-activation blocks ``x @ w_x``
         and ``h @ w_h`` (bias not yet added) — the products a FULL update
         shares with the delta cache's refresh.  ``zx`` is scratch: the
-        sums are formed in it, as NumPy formed them in the product's own
-        temporary when :meth:`step` multiplied inline (a third live
-        block per update is enough to make glibc trim and re-fault the
-        heap every window; docs/performance.md)."""
+        sums are formed in it.  From :meth:`step` it is the product's own
+        temporary; in the engine's FULL update it is a view of the
+        process's scratch workspace (:mod:`repro.engine.workspace`), so
+        the sums cost no block at all."""
         raise NotImplementedError
 
     def flops_per_vertex(self) -> int:  # pragma: no cover - interface

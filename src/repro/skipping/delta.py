@@ -163,20 +163,28 @@ class DeltaCellCache:
     # ------------------------------------------------------------------
     @contract("(r,) i, (n, *) f, (r, *) f -> (r, *) f, (r, *) f")
     def refresh(
-        self, rows: np.ndarray, x: np.ndarray, drive: np.ndarray
+        self,
+        rows: np.ndarray,
+        x: np.ndarray,
+        drive: np.ndarray,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Record the pre-activations of a FULL update for ``rows`` and
         return them, ``(x[rows] @ w_x, drive @ w_h)``: the same two
         products the update itself consumes
-        (:meth:`DGNNModel.cell_step_rows` ``pre``).  They are fresh
-        arrays, not views of the cache: the cell may overwrite them.
+        (:meth:`DGNNModel.cell_step_rows` ``pre``).  They are not views
+        of the cache, so the cell may overwrite them: fresh arrays, or
+        with ``out`` the caller's two blocks, written by the same gemms
+        (the engine passes workspace blocks that live until its window
+        ends, :mod:`repro.engine.workspace`).
 
         ``x`` is the full (n, d) cell input, read at ``rows`` only;
         ``drive`` is row-local: ``recurrent_drive(state, snap, rows)``.
         """
+        zx_out, zh_out = (None, None) if out is None else out
         x_rows = x[rows]
-        zx = _matmul_rows(x_rows, self.cell.w_x)
-        zh = _matmul_rows(drive, self.cell.w_h)
+        zx = _matmul_rows(x_rows, self.cell.w_x, out=zx_out)
+        zh = _matmul_rows(drive, self.cell.w_h, out=zh_out)
         self.zx[rows] = zx
         self.zh[rows] = zh
         self.z_input[rows] = x_rows

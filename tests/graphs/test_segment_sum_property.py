@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ConcurrentEngine, ReferenceEngine
+from repro.engine import WORKSPACE, ConcurrentEngine, ReferenceEngine
 from repro.engine.metrics import ExecutionMetrics
 from repro.graphs import CSRSnapshot, DynamicGraph
 from repro.graphs.snapshot import build_csr, segment_sum
@@ -246,10 +246,11 @@ class TestAggregateKernels:
         rows = np.flatnonzero(mask)
         engine = ConcurrentEngine(make_model("T-GCN", snap.dim, 4))
         x = snap.features
-        got = engine._layer_rows(
-            ExecutionMetrics(), layer, snap, x, rows,
-            np.arange(snap.num_vertices), layer.combine(x),
-        )
+        with WORKSPACE.lease() as ws:
+            got = engine._layer_rows(
+                ExecutionMetrics(), layer, snap, x, rows,
+                np.arange(snap.num_vertices), layer.combine(x), ws,
+            )
         if shrink:
             want = layer.act(snap.aggregate(layer.combine(x))[rows])
         else:
