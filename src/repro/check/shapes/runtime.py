@@ -94,7 +94,8 @@ def validate_value(
     bindings: dict[str, int],
 ) -> tuple[bool, str]:
     """Check one value against one spec under the current symbol
-    bindings (mutated in place on successful binds)."""
+    bindings (mutated in place on successful binds).  The detail is
+    empty on success, so a passing check formats no message."""
     if isinstance(spec, AnySpec):
         return True, ""
     if isinstance(spec, ScalarSpec):
@@ -146,7 +147,7 @@ def _validate_args(
             ok,
             "contract-args",
             name,
-            detail or _describe(bound[name]),
+            detail,
             str(arg_spec),
             fn_name,
         )
@@ -175,16 +176,10 @@ def _validate_return(
             ok,
             "contract-return",
             f"return[{pos}]" if len(spec.returns) > 1 else "return",
-            detail or _describe(value),
+            detail,
             str(ret_spec),
             fn_name,
         )
-
-
-def _describe(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"ndarray{value.shape} {value.dtype}"
-    return f"{type(value).__name__}({value!r})"
 
 
 def contract(text: str):

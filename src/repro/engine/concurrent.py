@@ -403,73 +403,76 @@ class ConcurrentEngine:
         present = snap.present if owned_mask is None else snap.present & owned_mask
 
         if first or not self.enable_skipping or z_prev is None:
-            rows = np.flatnonzero(present)
-            h_out[rows], st_rows = _full_update(
-                model, cache, z, state, rows, snap, ws
-            )
-            new_state = _splice_rows(state.copy(), rows, st_rows)
-            m.cells_full += len(rows)
-            m.cell_macs += len(rows) * model.cell.flops_per_vertex() // 2
-            m.output_words += len(rows) * model.out_dim
-            return h_out, new_state
-
-        # --- scored set: stable + affected vertices present now ----------
-        scored_mask = (cls.labels != 0) & present
-        if snap_prev is not None:
-            scored_mask &= snap_prev.present  # arrivals have no history
-        arrivals = present & ~(
-            snap_prev.present if snap_prev is not None else present
-        )
-        scored = np.flatnonzero(scored_mask)
-
-        # pairwise feature stability between the two snapshots
-        feat_stable = (
-            (snap.features == snap_prev.features).all(axis=1)
-            & snap.present
-            & snap_prev.present
-        )
-        theta = similarity_scores(z_prev, z, snap_prev, snap, scored, feat_stable)
-        m.overhead_ops += len(scored) * (z.shape[1] + 8)
-        decision = policy.decide(scored, theta)
-        decisions.append(decision)
-
-        full_rows = decision.rows(CellUpdateMode.FULL)
-        full_rows = np.union1d(full_rows, np.flatnonzero(arrivals))
-        delta_rows = decision.rows(CellUpdateMode.DELTA)
-        skip_rows = decision.rows(CellUpdateMode.SKIP)
-        if cache is None:
-            # identity cell: the "partial" update is the full (free) one
-            full_rows = np.union1d(full_rows, delta_rows)
+            # every present row takes the FULL update, none is scored
+            full_rows = np.flatnonzero(present)
             delta_rows = np.empty(0, dtype=np.int64)
+            n_skip = 0
+        else:
+            # --- scored set: stable + affected vertices present now ------
+            scored_mask = (cls.labels != 0) & present
+            if snap_prev is not None:
+                scored_mask &= snap_prev.present  # arrivals have no history
+            arrivals = present & ~(
+                snap_prev.present if snap_prev is not None else present
+            )
+            scored = np.flatnonzero(scored_mask)
 
-        # one fresh state per snapshot; both modes read the old one
-        new_state = state.copy() if len(full_rows) or len(delta_rows) else state
+            # pairwise feature stability between the two snapshots
+            feat_stable = (
+                (snap.features == snap_prev.features).all(axis=1)
+                & snap.present
+                & snap_prev.present
+            )
+            theta = similarity_scores(
+                z_prev, z, snap_prev, snap, scored, feat_stable
+            )
+            m.overhead_ops += len(scored) * (z.shape[1] + 8)
+            decision = policy.decide(scored, theta)
+            decisions.append(decision)
+
+            full_rows = decision.rows(CellUpdateMode.FULL)
+            full_rows = np.union1d(full_rows, np.flatnonzero(arrivals))
+            delta_rows = decision.rows(CellUpdateMode.DELTA)
+            if cache is None:
+                # identity cell: the "partial" update is the full (free) one
+                full_rows = np.union1d(full_rows, delta_rows)
+                delta_rows = np.empty(0, dtype=np.int64)
+            # skip rows + unaffected vertices: reuse previous output and state
+            n_skip = len(decision.rows(CellUpdateMode.SKIP)) + int(
+                ((cls.labels == 0) & present).sum()
+            )
+
+        parts = []  # (rows, their new state); both modes read the old one
         if len(full_rows):
             h_out[full_rows], st_rows = _full_update(
                 model, cache, z, state, full_rows, snap, ws
             )
-            _splice_rows(new_state, full_rows, st_rows)
+            parts.append((full_rows, st_rows))
             m.cells_full += len(full_rows)
             m.cell_macs += len(full_rows) * model.cell.flops_per_vertex() // 2
         if len(delta_rows):
-            h_rows, st_rows, nnz = cache.partial_step(
-                delta_rows, z, state, epsilon=self.epsilon
+            # the FULL update is done with the two cell blocks
+            shape = (len(delta_rows), cache.zx.shape[1])
+            out = (
+                ws.take("cell.zx", shape, cache.zx.dtype),
+                ws.take("cell.zh", shape, cache.zh.dtype),
             )
-            h_out[delta_rows] = h_rows
-            _splice_rows(new_state, delta_rows, st_rows)
+            h_out[delta_rows], st_rows, nnz = cache.partial_step(
+                delta_rows, z, state, epsilon=self.epsilon, out=out
+            )
+            parts.append((delta_rows, st_rows))
             full_cost = len(delta_rows) * model.cell.flops_per_vertex() // 2
             delta_cost = nnz * model.cell.w_x.shape[1]
             m.cells_delta += len(delta_rows)
             m.delta_nnz += nnz
             m.cell_macs += min(delta_cost, full_cost)
             m.cell_macs_saved += max(full_cost - delta_cost, 0)
-        # skip rows + unaffected vertices: reuse previous output and state
-        n_skip = len(skip_rows) + int(
-            ((cls.labels == 0) & present).sum()
-        )
+        # one fresh state per snapshot, copied once the updates are done
+        new_state = state.copy() if parts else state
+        for rows, part in parts:
+            new_state.put(rows, part)
         m.cells_skipped += n_skip
         m.cell_macs_saved += n_skip * model.cell.flops_per_vertex() // 2
-
         m.output_words += (len(full_rows) + len(delta_rows)) * model.out_dim
         return h_out, new_state
 
@@ -583,11 +586,3 @@ def _full_update(model, cache, z, state, rows, snap, ws):
         pre = cache.refresh(rows, z, drive, out=(zx, zh))
     return model.cell_step_rows(z, state, rows, snap, drive, pre)
 
-
-def _splice_rows(state, rows, row_state):
-    """Write ``row_state`` into ``rows`` of ``state``; returns ``state``."""
-    for k in vars(row_state):
-        if k.startswith("_"):
-            continue
-        getattr(state, k)[rows] = getattr(row_state, k)
-    return state

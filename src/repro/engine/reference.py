@@ -92,7 +92,7 @@ class ReferenceEngine:
             absent = np.flatnonzero(~snap.present)
             if absent.size:
                 h[absent] = h_out[absent]
-                new_state.select_rows(absent, state)
+                new_state.put(absent, state.take(absent))
             h_out = h
             state = new_state
             outputs.append(h_out.copy())

@@ -20,6 +20,8 @@ from .readout import (
     test_vertex_accuracy,
 )
 from .rnn import (
+    EXACT_OPS,
+    CellOps,
     ElmanCell,
     GRUCell,
     GRUState,
@@ -51,6 +53,8 @@ __all__ = [
     "test_vertex_accuracy",
     "make_teacher_labels",
     "split_vertices",
+    "CellOps",
+    "EXACT_OPS",
     "ElmanCell",
     "GRUCell",
     "IdentityCell",

@@ -123,9 +123,7 @@ class DGNNModel(abc.ABC):
         that feeds the delta cache multiplies once; the cell uses the
         first block as scratch (:meth:`RecurrentCell.step_pre`).
         """
-        sub = type(state)(**{
-            k: getattr(state, k)[rows] for k in vars(state) if not k.startswith("_")
-        })
+        sub = state.take(rows)
         if pre is None:
             return self.cell.step(z[rows], sub)
         return self.cell.step_pre(*pre, sub)

@@ -7,13 +7,20 @@ against an ``(n, h)`` recurrent state.  The cell-update operation is the
 "update" cost in the paper's Fig. 2(a) breakdown and the target of the
 similarity-aware skipping strategy.
 
-States are plain dataclasses so skipping policies can splice per-vertex
-rows (reuse row ``v`` of the previous state when vertex ``v`` is skipped).
+States are plain dataclasses that own their rows (``take`` / ``put``),
+so skipping policies can splice per-vertex rows (reuse row ``v`` of the
+previous state when vertex ``v`` is skipped).
+
+Each cell's gate arithmetic lives in its :meth:`RecurrentCell.step_pre`
+and nowhere else: the FULL update, the delta cache's partial update and
+the Table 5 approximators all evaluate the gates there, the
+approximators by swapping the primitives of :class:`CellOps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +28,8 @@ from .activations import sigmoid, tanh
 from .layers import _matmul_rows, glorot
 
 __all__ = [
+    "CellOps",
+    "EXACT_OPS",
     "LSTMState",
     "GRUState",
     "LSTMCell",
@@ -41,11 +50,14 @@ class LSTMState:
     def copy(self) -> "LSTMState":
         return LSTMState(self.h.copy(), self.c.copy())
 
-    def select_rows(self, rows: np.ndarray, other: "LSTMState") -> None:
-        """Overwrite ``rows`` of this state with the same rows of
-        ``other`` (used to re-inject skipped vertices' previous state)."""
-        self.h[rows] = other.h[rows]
-        self.c[rows] = other.c[rows]
+    def take(self, rows: np.ndarray) -> "LSTMState":
+        """The state of ``rows`` alone (fresh arrays)."""
+        return LSTMState(self.h[rows], self.c[rows])
+
+    def put(self, rows: np.ndarray, part: "LSTMState") -> None:
+        """Overwrite ``rows`` with ``part``, the state of those rows."""
+        self.h[rows] = part.h
+        self.c[rows] = part.c
 
 
 @dataclass
@@ -57,18 +69,54 @@ class GRUState:
     def copy(self) -> "GRUState":
         return GRUState(self.h.copy())
 
-    def select_rows(self, rows: np.ndarray, other: "GRUState") -> None:
-        self.h[rows] = other.h[rows]
+    def take(self, rows: np.ndarray) -> "GRUState":
+        return GRUState(self.h[rows])
+
+    def put(self, rows: np.ndarray, part: "GRUState") -> None:
+        self.h[rows] = part.h
+
+
+@dataclass(frozen=True)
+class CellOps:
+    """The primitives a cell's gates are built from.
+
+    ``sig`` and ``th`` are the two activations, ``mul`` every elementwise
+    product and ``pre`` (None = none) a map applied to each pre-activation
+    block once its bias is added.  The defaults, :data:`EXACT_OPS`, are
+    the exact cell; the Table 5 approximators (:mod:`repro.skipping.approx`)
+    swap some of them.
+    """
+
+    sig: Callable = sigmoid
+    th: Callable = tanh
+    mul: Callable = np.multiply
+    pre: Callable | None = None
+
+
+#: The exact cell's primitives.
+EXACT_OPS = CellOps()
 
 
 class RecurrentCell:
-    """Common interface of LSTM/GRU cells."""
+    """Common interface of the recurrent cells.
 
-    hidden_dim: int
-    input_dim: int
+    A cell is its weights ``w_x`` (input → pre-activations), ``w_h``
+    (hidden state → pre-activations) and ``bias``, an :meth:`init_state`
+    and a :meth:`step_pre`; everything else derives from those.
+    """
 
-    def init_state(self, num_vertices: int):  # pragma: no cover - interface
-        raise NotImplementedError
+    @property
+    def input_dim(self) -> int:
+        return self.w_x.shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w_h.shape[0]
+
+    def init_state(self, num_vertices: int):
+        """Zero state of ``num_vertices`` rows: the hidden rows alone
+        (a cell with more state overrides this)."""
+        return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
 
     def step(self, x: np.ndarray, state):
         """One cell update for a batch of vertices; returns
@@ -78,19 +126,26 @@ class RecurrentCell:
         )
 
     def step_pre(
-        self, zx: np.ndarray, zh: np.ndarray, state
+        self, zx: np.ndarray, zh: np.ndarray, state, ops: CellOps = EXACT_OPS
     ):  # pragma: no cover - interface
         """:meth:`step` from its two pre-activation blocks ``x @ w_x``
-        and ``h @ w_h`` (bias not yet added) — the products a FULL update
-        shares with the delta cache's refresh.  ``zx`` is scratch: the
-        sums are formed in it.  From :meth:`step` it is the product's own
-        temporary; in the engine's FULL update it is a view of the
-        process's scratch workspace (:mod:`repro.engine.workspace`), so
-        the sums cost no block at all."""
+        and ``h @ w_h`` (bias not yet added) — the only gate arithmetic
+        of the cell.  Every caller multiplies and hands the products
+        here: :meth:`step`, the engine's FULL update (the products it
+        shares with the delta cache's refresh), the delta cache's partial
+        update (its cached blocks, the input one moved by the delta) and
+        the Table 5 approximators, which pass their own primitives as
+        ``ops`` (:class:`CellOps`; the exact ones by default).
+
+        ``zx`` is scratch: the sums are formed in it; ``zh`` is only
+        read.  From :meth:`step` it is the product's own temporary; in
+        the engine it is a view of the process's scratch workspace
+        (:mod:`repro.engine.workspace`), so the sums cost no block."""
         raise NotImplementedError
 
-    def flops_per_vertex(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
+    def flops_per_vertex(self) -> int:
+        """Operations of one row's update: its two products' MACs, x2."""
+        return 2 * (self.w_x.size + self.w_h.size)
 
 
 class LSTMCell(RecurrentCell):
@@ -116,8 +171,6 @@ class LSTMCell(RecurrentCell):
         state_bias: float = -1.0,
     ):
         rng = np.random.default_rng(seed)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.w_x = glorot(rng, input_dim, 4 * hidden_dim)
         self.w_h = glorot(rng, hidden_dim, 4 * hidden_dim) * np.float32(
             recurrent_scale
@@ -131,22 +184,21 @@ class LSTMCell(RecurrentCell):
         return LSTMState(z.copy(), z.copy())
 
     def step_pre(
-        self, zx: np.ndarray, zh: np.ndarray, state: LSTMState
+        self, zx: np.ndarray, zh: np.ndarray, state: LSTMState, ops=EXACT_OPS
     ) -> tuple[np.ndarray, LSTMState]:
         d = self.hidden_dim
         z = zx
         z += zh
         z += self.bias
-        i = sigmoid(z[:, :d])
-        f = sigmoid(z[:, d : 2 * d])
-        g = tanh(z[:, 2 * d : 3 * d])
-        o = sigmoid(z[:, 3 * d :])
-        c = f * state.c + i * g
-        h = o * tanh(c)
+        if ops.pre is not None:
+            z = ops.pre(z)
+        i = ops.sig(z[:, :d])
+        f = ops.sig(z[:, d : 2 * d])
+        g = ops.th(z[:, 2 * d : 3 * d])
+        o = ops.sig(z[:, 3 * d :])
+        c = ops.mul(f, state.c) + ops.mul(i, g)
+        h = ops.mul(o, ops.th(c))
         return h, LSTMState(h, c)
-
-    def flops_per_vertex(self) -> int:
-        return 2 * (self.input_dim + self.hidden_dim) * 4 * self.hidden_dim
 
 
 class ElmanCell(RecurrentCell):
@@ -166,27 +218,21 @@ class ElmanCell(RecurrentCell):
         recurrent_scale: float = 0.5,
     ):
         rng = np.random.default_rng(seed)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.w_x = glorot(rng, input_dim, hidden_dim)
         self.w_h = glorot(rng, hidden_dim, hidden_dim) * np.float32(
             recurrent_scale
         )
         self.bias = np.zeros(hidden_dim, dtype=np.float32)
 
-    def init_state(self, num_vertices: int) -> GRUState:
-        return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
-
     def step_pre(
-        self, zx: np.ndarray, zh: np.ndarray, state: GRUState
+        self, zx: np.ndarray, zh: np.ndarray, state: GRUState, ops=EXACT_OPS
     ) -> tuple[np.ndarray, GRUState]:
         zx += zh
         zx += self.bias
-        h = np.tanh(zx)
+        if ops.pre is not None:
+            zx = ops.pre(zx)
+        h = ops.th(zx)
         return h, GRUState(h)
-
-    def flops_per_vertex(self) -> int:
-        return 2 * (self.input_dim + self.hidden_dim) * self.hidden_dim
 
 
 class IdentityCell(RecurrentCell):
@@ -201,22 +247,14 @@ class IdentityCell(RecurrentCell):
     """
 
     def __init__(self, dim: int):
-        self.input_dim = dim
-        self.hidden_dim = dim
         # zero-size weight tensors keep the accounting code uniform
         self.w_x = np.zeros((dim, 0), dtype=np.float32)
         self.w_h = np.zeros((dim, 0), dtype=np.float32)
         self.bias = np.zeros(0, dtype=np.float32)
 
-    def init_state(self, num_vertices: int) -> GRUState:
-        return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
-
     def step(self, x: np.ndarray, state: GRUState) -> tuple[np.ndarray, GRUState]:
         h = x.astype(np.float32, copy=False)
         return h, GRUState(h.copy())
-
-    def flops_per_vertex(self) -> int:
-        return 0
 
 
 class GRUCell(RecurrentCell):
@@ -237,8 +275,6 @@ class GRUCell(RecurrentCell):
         state_bias: float = -1.0,
     ):
         rng = np.random.default_rng(seed)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.w_x = glorot(rng, input_dim, 3 * hidden_dim)
         self.w_h = glorot(rng, hidden_dim, 3 * hidden_dim) * np.float32(
             recurrent_scale
@@ -248,19 +284,15 @@ class GRUCell(RecurrentCell):
         # quickly instead of holding stale history
         self.bias[hidden_dim : 2 * hidden_dim] = state_bias
 
-    def init_state(self, num_vertices: int) -> GRUState:
-        return GRUState(np.zeros((num_vertices, self.hidden_dim), dtype=np.float32))
-
     def step_pre(
-        self, zx: np.ndarray, zh: np.ndarray, state: GRUState
+        self, zx: np.ndarray, zh: np.ndarray, state: GRUState, ops=EXACT_OPS
     ) -> tuple[np.ndarray, GRUState]:
         d = self.hidden_dim
         zx += self.bias
-        r = sigmoid(zx[:, :d] + zh[:, :d])
-        z = sigmoid(zx[:, d : 2 * d] + zh[:, d : 2 * d])
-        n = tanh(zx[:, 2 * d :] + r * zh[:, 2 * d :])
-        h = (1.0 - z) * n + z * state.h
+        if ops.pre is not None:
+            zx, zh = ops.pre(zx), ops.pre(zh)
+        r = ops.sig(zx[:, :d] + zh[:, :d])
+        z = ops.sig(zx[:, d : 2 * d] + zh[:, d : 2 * d])
+        n = ops.th(zx[:, 2 * d :] + ops.mul(r, zh[:, 2 * d :]))
+        h = ops.mul(1.0 - z, n) + ops.mul(z, state.h)
         return h, GRUState(h)
-
-    def flops_per_vertex(self) -> int:
-        return 2 * (self.input_dim + self.hidden_dim) * 3 * self.hidden_dim

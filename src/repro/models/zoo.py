@@ -89,7 +89,7 @@ class GCLSTM(DGNNModel):
             if drive is None:
                 drive = self.recurrent_drive(state, snap, rows)
             pre = _matmul_rows(z[rows], cell.w_x), _matmul_rows(drive, cell.w_h)
-        return cell.step_pre(*pre, LSTMState(state.h[rows], state.c[rows]))
+        return cell.step_pre(*pre, state.take(rows))
 
     def recurrent_drive(self, state, snap: CSRSnapshot | None = None, rows=None):
         if snap is None:

@@ -8,7 +8,6 @@ from .approx import (
     DeltaRNNApprox,
     ExactRNN,
     RNNApproximator,
-    generic_cell_step,
     hard_sigmoid,
     hard_tanh,
     quantize,
@@ -24,7 +23,6 @@ __all__ = [
     "DeltaRNNApprox",
     "ExactRNN",
     "RNNApproximator",
-    "generic_cell_step",
     "hard_sigmoid",
     "hard_tanh",
     "quantize",

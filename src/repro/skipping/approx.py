@@ -17,7 +17,11 @@ place of its similarity-aware skipping and measures the accuracy damage:
 
 All three apply to the RNN module only (the GNN module stays exact), per
 the papers they come from.  Each implements the same
-:class:`RNNApproximator` interface the accuracy benches drive.
+:class:`RNNApproximator` interface the accuracy benches drive, and none
+holds gate arithmetic of its own: each forms the two pre-activation
+products its way and hands them to the cell's
+:meth:`~repro.models.rnn.RecurrentCell.step_pre`, with its primitives
+as :class:`~repro.models.rnn.CellOps`.  So they run on any cell.
 """
 
 from __future__ import annotations
@@ -27,22 +31,13 @@ import abc
 import numpy as np
 
 from ..check.shapes import contract
-from ..models.activations import sigmoid, tanh
-from ..models.rnn import (
-    ElmanCell,
-    GRUCell,
-    GRUState,
-    LSTMCell,
-    LSTMState,
-    RecurrentCell,
-)
+from ..models.rnn import CellOps, RecurrentCell
 
 __all__ = [
     "hard_sigmoid",
     "hard_tanh",
     "truncate_mantissa",
     "quantize",
-    "generic_cell_step",
     "RNNApproximator",
     "ExactRNN",
     "DeltaRNNApprox",
@@ -87,54 +82,6 @@ def quantize(x: np.ndarray, step: float) -> np.ndarray:
     return (np.round(x / step) * step).astype(np.float32, copy=False)
 
 
-@contract("_, (n,*) f, _ -> (n,*) f32, _")
-def generic_cell_step(
-    cell: RecurrentCell,
-    x: np.ndarray,
-    state,
-    *,
-    matmul=np.matmul,
-    sig=sigmoid,
-    th=tanh,
-    pre_transform=None,
-):
-    """LSTM/GRU step parameterised by the arithmetic primitives.
-
-    The exact cells in :mod:`repro.models.rnn` are the special case
-    ``matmul=np.matmul, sig=sigmoid, th=tanh`` — a test invariant.
-    """
-    if isinstance(cell, LSTMCell):
-        d = cell.hidden_dim
-        pre = matmul(x, cell.w_x) + matmul(state.h, cell.w_h) + cell.bias
-        if pre_transform is not None:
-            pre = pre_transform(pre)
-        i = sig(pre[:, :d])
-        f = sig(pre[:, d : 2 * d])
-        g = th(pre[:, 2 * d : 3 * d])
-        o = sig(pre[:, 3 * d :])
-        c = (f * state.c + i * g).astype(np.float32, copy=False)
-        h = (o * th(c)).astype(np.float32, copy=False)
-        return h, LSTMState(h, c)
-    if isinstance(cell, GRUCell):
-        d = cell.hidden_dim
-        zx = matmul(x, cell.w_x) + cell.bias
-        zh = matmul(state.h, cell.w_h)
-        if pre_transform is not None:
-            zx, zh = pre_transform(zx), pre_transform(zh)
-        r = sig(zx[:, :d] + zh[:, :d])
-        z = sig(zx[:, d : 2 * d] + zh[:, d : 2 * d])
-        n = th(zx[:, 2 * d :] + r * zh[:, 2 * d :])
-        h = ((1.0 - z) * n + z * state.h).astype(np.float32, copy=False)
-        return h, GRUState(h)
-    if isinstance(cell, ElmanCell):
-        pre = matmul(x, cell.w_x) + matmul(state.h, cell.w_h) + cell.bias
-        if pre_transform is not None:
-            pre = pre_transform(pre)
-        h = th(pre).astype(np.float32, copy=False)
-        return h, GRUState(h)
-    raise TypeError(f"unsupported cell type {type(cell).__name__}")
-
-
 # ----------------------------------------------------------------------
 # the approximator interface + implementations
 # ----------------------------------------------------------------------
@@ -145,6 +92,8 @@ class RNNApproximator(abc.ABC):
 
     def start(self, cell: RecurrentCell, num_vertices: int) -> None:
         """Reset any per-window caches (called once per window)."""
+        if not isinstance(cell, RecurrentCell):
+            raise TypeError(f"not a RecurrentCell: {type(cell).__name__}")
 
     @abc.abstractmethod
     def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
@@ -172,6 +121,7 @@ class DeltaRNNApprox(RNNApproximator):
         self._zx = self._zh = self._x = self._h = None
 
     def start(self, cell: RecurrentCell, num_vertices: int) -> None:
+        super().start(cell, num_vertices)
         width = cell.w_x.shape[1]
         self._zx = np.zeros((num_vertices, width), dtype=np.float32)
         self._zh = np.zeros((num_vertices, width), dtype=np.float32)
@@ -190,28 +140,7 @@ class DeltaRNNApprox(RNNApproximator):
         self._zh += dh @ cell.w_h
         self._x += dx
         self._h += dh
-
-        if isinstance(cell, LSTMCell):
-            d = cell.hidden_dim
-            pre = self._zx + self._zh + cell.bias
-            i, f = sigmoid(pre[:, :d]), sigmoid(pre[:, d : 2 * d])
-            g, o = tanh(pre[:, 2 * d : 3 * d]), sigmoid(pre[:, 3 * d :])
-            c = (f * state.c + i * g).astype(np.float32)
-            h = (o * tanh(c)).astype(np.float32)
-            return h, LSTMState(h, c)
-        if isinstance(cell, GRUCell):
-            d = cell.hidden_dim
-            zx = self._zx + cell.bias
-            zh = self._zh
-            r = sigmoid(zx[:, :d] + zh[:, :d])
-            z = sigmoid(zx[:, d : 2 * d] + zh[:, d : 2 * d])
-            n = tanh(zx[:, 2 * d :] + r * zh[:, 2 * d :])
-            h = ((1.0 - z) * n + z * state.h).astype(np.float32)
-            return h, GRUState(h)
-        if isinstance(cell, ElmanCell):
-            h = tanh(self._zx + self._zh + cell.bias).astype(np.float32)
-            return h, GRUState(h)
-        raise TypeError(f"unsupported cell type {type(cell).__name__}")
+        return cell.step_pre(self._zx.copy(), self._zh, state)
 
 
 class ALSTMApprox(RNNApproximator):
@@ -223,14 +152,10 @@ class ALSTMApprox(RNNApproximator):
         self.quant_step = quant_step
 
     def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
-        return generic_cell_step(
-            cell,
-            x,
-            state,
-            sig=hard_sigmoid,
-            th=hard_tanh,
-            pre_transform=lambda p: quantize(p, self.quant_step),
+        ops = CellOps(
+            hard_sigmoid, hard_tanh, pre=lambda p: quantize(p, self.quant_step)
         )
+        return cell.step_pre(x @ cell.w_x, state.h @ cell.w_h, state, ops)
 
 
 class ATLASApprox(RNNApproximator):
@@ -261,29 +186,9 @@ class ATLASApprox(RNNApproximator):
         ) * truncate_mantissa(np.asarray(b, dtype=np.float32), self.mantissa_bits)
 
     def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
-        mul = self._mul
-        if isinstance(cell, LSTMCell):
-            d = cell.hidden_dim
-            pre = self._matmul(x, cell.w_x) + self._matmul(state.h, cell.w_h) + cell.bias
-            i, f = sigmoid(pre[:, :d]), sigmoid(pre[:, d : 2 * d])
-            g, o = tanh(pre[:, 2 * d : 3 * d]), sigmoid(pre[:, 3 * d :])
-            c = (mul(f, state.c) + mul(i, g)).astype(np.float32)
-            h = mul(o, tanh(c)).astype(np.float32)
-            return h, LSTMState(h, c)
-        if isinstance(cell, GRUCell):
-            d = cell.hidden_dim
-            zx = self._matmul(x, cell.w_x) + cell.bias
-            zh = self._matmul(state.h, cell.w_h)
-            r = sigmoid(zx[:, :d] + zh[:, :d])
-            z = sigmoid(zx[:, d : 2 * d] + zh[:, d : 2 * d])
-            n = tanh(zx[:, 2 * d :] + mul(r, zh[:, 2 * d :]))
-            h = (mul(1.0 - z, n) + mul(z, state.h)).astype(np.float32)
-            return h, GRUState(h)
-        if isinstance(cell, ElmanCell):
-            pre = self._matmul(x, cell.w_x) + self._matmul(state.h, cell.w_h)
-            h = tanh(pre + cell.bias).astype(np.float32)
-            return h, GRUState(h)
-        raise TypeError(f"unsupported cell type {type(cell).__name__}")
+        zx = self._matmul(x, cell.w_x)
+        zh = self._matmul(state.h, cell.w_h)
+        return cell.step_pre(zx, zh, state, CellOps(mul=self._mul))
 
 
 APPROXIMATORS: dict[str, type[RNNApproximator]] = {

@@ -22,7 +22,9 @@ itself and for tests.
 The partial update is therefore first-order exact in the input path and
 freezes the recurrent contribution (whose drift is bounded by the
 similarity gate).  :class:`DeltaCellCache` owns the cached
-pre-activations for LSTM and GRU cells.
+pre-activations of any recurrent cell; the gates are the cell's own
+:meth:`~repro.models.rnn.RecurrentCell.step_pre`, so with a zero delta a
+DELTA row is the FULL update bit for bit.
 """
 
 from __future__ import annotations
@@ -32,16 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.shapes import contract
-from ..models.activations import sigmoid, tanh
 from ..models.layers import _matmul_rows
-from ..models.rnn import (
-    ElmanCell,
-    GRUCell,
-    GRUState,
-    LSTMCell,
-    LSTMState,
-    RecurrentCell,
-)
+from ..models.rnn import RecurrentCell
 
 __all__ = ["generate_delta", "CondensedDelta", "condense", "DeltaCellCache"]
 
@@ -118,16 +112,11 @@ class DeltaCellCache:
     """
 
     def __init__(self, cell: RecurrentCell, num_vertices: int):
+        if not isinstance(cell, RecurrentCell):
+            raise TypeError(f"not a RecurrentCell: {type(cell).__name__}")
         self.cell = cell
         n = num_vertices
-        if isinstance(cell, LSTMCell):
-            width = 4 * cell.hidden_dim
-        elif isinstance(cell, GRUCell):
-            width = 3 * cell.hidden_dim
-        elif isinstance(cell, ElmanCell):
-            width = cell.hidden_dim
-        else:  # pragma: no cover - guarded by engine construction
-            raise TypeError(f"unsupported cell type {type(cell).__name__}")
+        width = cell.w_x.shape[1]
         self.zx = np.zeros((n, width), dtype=np.float32)  # cached x @ w_x
         self.zh = np.zeros((n, width), dtype=np.float32)  # cached h @ w_h
         self.z_input = np.zeros((n, cell.input_dim), dtype=np.float32)
@@ -197,6 +186,7 @@ class DeltaCellCache:
         state_prev,
         *,
         epsilon: float = 1e-3,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         """DELTA-mode update for ``rows``.
 
@@ -204,35 +194,23 @@ class DeltaCellCache:
         ``state_rows`` cover only ``rows`` and ``nnz`` counts the delta
         components that survived the threshold — what the Condense Unit
         would pack, and what drives the compute-savings accounting.
+
+        The cell evaluates its gates on the two cached blocks of
+        ``rows``, gathered into fresh arrays or, with ``out``, into the
+        caller's two blocks, as in :meth:`refresh`.
         """
         if len(rows) == 0:
             raise ValueError("partial_step needs at least one row")
         delta = generate_delta(z_curr[rows], self.z_input[rows], epsilon=epsilon)
         nnz = int(np.count_nonzero(delta))
+        zx_out, zh_out = (None, None) if out is None else out
         # apply only the surviving delta columns to the cached input path
-        self.zx[rows] += _matmul_rows(delta, self.cell.w_x)
+        # (``wrap`` indexes as ``[rows]`` does and, unlike ``raise``,
+        # writes into ``out`` without a buffer of its own)
+        zx = np.take(self.zx, rows, axis=0, out=zx_out, mode="wrap")
+        zx += _matmul_rows(delta, self.cell.w_x)
+        self.zx[rows] = zx
         self.z_input[rows] += delta
-        pre = self.zx[rows] + self.zh[rows] + self.cell.bias
-        if isinstance(self.cell, LSTMCell):
-            d = self.cell.hidden_dim
-            i = sigmoid(pre[:, :d])
-            f = sigmoid(pre[:, d : 2 * d])
-            g = tanh(pre[:, 2 * d : 3 * d])
-            o = sigmoid(pre[:, 3 * d :])
-            c = (f * state_prev.c[rows] + i * g).astype(np.float32)
-            h = (o * tanh(c)).astype(np.float32)
-            return h, LSTMState(h, c), nnz
-        if isinstance(self.cell, ElmanCell):
-            h = np.tanh(pre).astype(np.float32)
-            return h, GRUState(h), nnz
-        # GRU
-        d = self.cell.hidden_dim
-        zh = self.zh[rows]
-        r = sigmoid(pre[:, :d])
-        z = sigmoid(pre[:, d : 2 * d])
-        # candidate uses r * recurrent part; pre already contains zh added,
-        # so reconstruct the x-only part for the candidate gate
-        zx_n = self.zx[rows][:, 2 * d :] + self.cell.bias[2 * d :]
-        n_gate = tanh(zx_n + r * zh[:, 2 * d :])
-        h = ((1.0 - z) * n_gate + z * state_prev.h[rows]).astype(np.float32)
-        return h, GRUState(h), nnz
+        zh = np.take(self.zh, rows, axis=0, out=zh_out, mode="wrap")
+        h, state = self.cell.step_pre(zx, zh, state_prev.take(rows))
+        return h, state, nnz

@@ -120,13 +120,15 @@ class TestLSTMCell:
         early_move = np.abs(hs[1] - hs[0]).max()
         assert late_move < 0.05 * max(early_move, 1e-6) or late_move < 1e-3
 
-    def test_state_select_rows(self):
+    def test_state_take_put(self):
         cell = LSTMCell(2, 2, seed=0)
         a = cell.init_state(3)
         b = cell.init_state(3)
         b.h += 5.0
         b.c += 7.0
-        a.select_rows(np.array([1]), b)
+        part = b.take(np.array([1]))
+        assert part.h.shape == part.c.shape == (1, 2)
+        a.put(np.array([1]), part)
         assert a.h[1, 0] == 5.0 and a.c[1, 0] == 7.0
         assert a.h[0, 0] == 0.0
 

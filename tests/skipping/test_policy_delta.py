@@ -1,5 +1,7 @@
 """Tests for the skipping policy and the delta/condense path."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,7 +181,7 @@ def test_partial_step_count_is_the_thresholded_delta_nonzeros(cell_cls):
     assert nnz == np.count_nonzero(want) == condense(want).nnz
 
 
-@pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell])
+@pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell, ElmanCell])
 class TestDeltaCellCache:
     def _setup(self, cell_cls, n=6, din=5, dh=4):
         cell = cell_cls(din, dh, seed=0)
@@ -191,13 +193,19 @@ class TestDeltaCellCache:
 
     def test_partial_step_with_zero_delta_matches_full(self, cell_cls):
         """If the input did not change at all, the partial update must
-        reproduce the full cell update exactly (recurrent path frozen at
-        the cached value, which is also unchanged)."""
+        reproduce the full cell update bit for bit (recurrent path frozen
+        at the cached value, which is also unchanged): the cell's own
+        ``step_pre`` evaluates both."""
         cell, cache, x, state = self._setup(cell_cls)
+        _, state = cell.step(x, state)  # a non-zero recurrent path
         h_full, st_full = cell.step(x, state)
         cache.refresh(np.arange(6), x, state.h)
         h_part, st_part, nnz = cache.partial_step(np.arange(6), x, state)
-        np.testing.assert_allclose(h_part, h_full, rtol=1e-5, atol=1e-6)
+        assert h_part.tobytes() == h_full.tobytes()
+        for f in fields(st_full):
+            assert getattr(st_part, f.name).tobytes() == getattr(
+                st_full, f.name
+            ).tobytes()
         assert nnz == 0
 
     def test_partial_step_tracks_small_changes(self, cell_cls):
