@@ -11,7 +11,7 @@
 * **thresholds** — :math:`(\\theta_s, \\theta_e)` interpolated between
   the paper's defaults and the configured aggressive bounds by an
   *aggressiveness* scalar ``a ∈ [0, 1]``.  ``a`` moves under a
-  drift-probe controller: the engine periodically replays a window at
+  drift-probe controller: the stream periodically replays a window at
   the default thresholds (via carry-state checkpoint/rollback) and
   reports the relative output divergence; drift comfortably under the
   budget raises ``a``, drift over budget slashes it.  The budget is a
@@ -241,11 +241,10 @@ class AdaptivePlanner:
         return plan
 
     def observe(self, plan: ExecutionPlan, seconds: float) -> None:
-        """Record one executed plan's realized latency on its
-        :class:`PlanRecord` (audit only: no decision reads it).  Only the
-        record holding this very ``plan`` object is written, so a drift
-        probe's replay — a copy made by ``dataclasses.replace`` — records
-        nothing."""
+        """Record one executed plan's realized latency — the committed
+        ``step`` call, as the stream timed it — on the :class:`PlanRecord`
+        holding this very ``plan`` object (audit only: no decision reads
+        it)."""
         for rec in reversed(self.records):
             if rec.plan is plan:
                 rec.observed_seconds = float(seconds)

@@ -105,7 +105,7 @@ class Carry:
         return replace(
             self,
             pending=[s.copy() for s in self.pending],
-            metrics=ExecutionMetrics(**self.metrics.as_dict()),
+            metrics=replace(self.metrics),
             state=_copied(self.state),
             cache=_copied(self.cache),
             h_prev=_copied(self.h_prev),

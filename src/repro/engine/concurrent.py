@@ -29,8 +29,6 @@ the bounded approximation the accuracy benches quantify.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..analysis.classify import classify_window
@@ -65,12 +63,11 @@ class ConcurrentEngine:
     enable_skipping:
         The ADSC half (similarity-gated cell updates).  Off = full cell
         update everywhere (ablation WO/ADSC) and the engine is exact.
-    planner:
-        Optional :class:`~repro.adaptive.AdaptivePlanner`.  When set,
-        each window is profiled and executed under the planner's
-        :class:`~repro.adaptive.ExecutionPlan` — kernel and threshold
-        choices per window — with each window's realized latency
-        recorded on the planner's audit trail.
+
+    A window planned at runtime (:mod:`repro.adaptive`) is executed by
+    handing its :class:`~repro.adaptive.ExecutionPlan` to :meth:`step`;
+    the one loop that plans is
+    :class:`~repro.engine.streaming.StreamingInference`.
     """
 
     name = "TaGNN-S"
@@ -85,7 +82,6 @@ class ConcurrentEngine:
         enable_overlap: bool = True,
         enable_skipping: bool = True,
         refresh_each_window: bool = True,
-        planner=None,
     ):
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
@@ -99,34 +95,28 @@ class ConcurrentEngine:
         #: paper's per-batch recalculation that stops error accumulating
         #: over prolonged skipping (ablated by the design benches)
         self.refresh_each_window = refresh_each_window
-        self.planner = planner
 
     # ------------------------------------------------------------------
     def run(self, graph: DynamicGraph) -> EngineResult:
-        """Batch inference: a fold of :meth:`step` over ``graph``'s
-        disjoint K-snapshot windows."""
+        """Batch inference at the static configuration: a fold of
+        :meth:`step` (``plan=None``) over ``graph``'s disjoint
+        K-snapshot windows."""
         m = ExecutionMetrics()
         carry = Carry(window_size=self.window_size)
         outputs: list[np.ndarray] = []
         decisions: list = []
         classifications = []
-        plans = []
         k = self.window_size
         for start in range(0, graph.num_snapshots, k):
             window = graph.window(start, min(k, graph.num_snapshots - start))
             cls = classify_window(window)
-            plan = self.plan_window(m, window, cls)
-            if plan is not None:
-                plans.append(plan)
             classifications.append(cls)
             carry, outs = self.step(
-                carry, window, cls, plan, m, decisions=decisions
+                carry, window, cls, None, m, decisions=decisions
             )
             outputs.extend(outs)
 
         extra = {"decisions": decisions, "classifications": classifications}
-        if self.planner is not None:
-            extra["plans"] = plans
         return EngineResult(outputs, m, extra=extra)
 
     def step(
@@ -147,8 +137,7 @@ class ConcurrentEngine:
         ``overlap`` (``delta-condensed`` keeps the OADL changed-set path,
         ``batched-spmm`` recomputes every snapshot in full — bit-identical
         by construction, tests/adaptive) and ``policy`` (the plan's
-        thresholds).  The elapsed time goes to the planner's audit trail
-        (a drift probe's replayed plan is a copy and matches no record).
+        thresholds).
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
@@ -186,9 +175,7 @@ class ConcurrentEngine:
 
         self._account_overhead(m, window, cls)
 
-        base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
         outputs: list[np.ndarray] = []
-        t0 = time.perf_counter()  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
         with WORKSPACE.lease() as ws:
             zs = self._gnn_window(m, window, cls, overlap, owned, ws)
             for t, snap in enumerate(window):
@@ -218,34 +205,12 @@ class ConcurrentEngine:
                 outputs.append(h_prev.copy())
                 z_prev, snap_prev = zs[t], snap
                 first = False
-        if plan is not None and self.planner is not None:
-            elapsed = time.perf_counter() - t0  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
-            self.planner.observe(plan, elapsed)
-        m.record_window_modes(
-            m.cells_full - base_modes[0],
-            m.cells_delta - base_modes[1],
-            m.cells_skipped - base_modes[2],
-        )
         m.snapshots_processed += len(outputs)
         m.windows_processed += 1
         successor = carry.advance(
             window.snapshots, state, h_prev, z_prev, cache
         )
         return successor, outputs
-
-    # ------------------------------------------------------------------
-    # adaptive planning support (repro.adaptive)
-    # ------------------------------------------------------------------
-    def plan_window(self, m, window, cls):
-        """Profile the window and ask the planner for an
-        :class:`~repro.adaptive.ExecutionPlan` (None without a planner)."""
-        if self.planner is None:
-            return None
-        from ..adaptive import profile_window
-
-        plan = self.planner.plan(profile_window(window, cls, self.model))
-        m.windows_planned += 1
-        return plan
 
     # ------------------------------------------------------------------
     # GNN phase

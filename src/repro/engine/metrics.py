@@ -13,28 +13,26 @@ Engines count the quantities the paper's evaluation is built on:
 * cell-update mode counts (full / delta / skip) and the runtime overhead
   of the topology analysis itself (Fig. 8(a)'s "runtime overhead" bar).
 
-All counters are plain integers in *words* (4 bytes) and *MACs* so
-platform cost models can convert them to seconds/joules with their own
-bandwidth/compute/energy constants.
+Every field is a plain integer, in *words* (4 bytes), *MACs* or
+events, so platform cost models can convert them to seconds/joules with
+their own bandwidth/compute/energy constants, and summing two records
+(:meth:`ExecutionMetrics.merge`) is the whole of combining windows,
+shards or datasets.  A window's own counters are the
+``StreamResult.metrics`` its push returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-__all__ = ["ExecutionMetrics", "SCALAR_FIELDS", "WORD_BYTES"]
+__all__ = ["ExecutionMetrics", "WORD_BYTES"]
 
 WORD_BYTES = 4
-
-#: Scalar (int) counter fields — everything except the per-window lists.
-#: Serialisers (repro.resilience.checkpoint) iterate this instead of
-#: ``fields()`` so the list-valued trajectory fields get special casing.
-SCALAR_FIELDS: tuple[str, ...] = ()  # filled in after the dataclass below
 
 
 @dataclass
 class ExecutionMetrics:
-    """Counter bundle for one engine run."""
+    """Counter bundle for one engine run: a flat record of integers."""
 
     # --- off-chip traffic (words) ------------------------------------
     feature_words: int = 0
@@ -58,13 +56,6 @@ class ExecutionMetrics:
     #: DELTA-mode partial update (the delta-mode MAC accounting reads it).
     delta_nnz: int = 0
 
-    # --- per-window trajectory (one entry per processed window) ---------
-    #: ``(full, delta, skip)`` cell-update counts of each window, in
-    #: processing order — the single source of truth for planner
-    #: decisions and Fig-14-style sensitivity sweeps.  ``merge``
-    #: concatenates trajectories in argument order.
-    window_modes: list = field(default_factory=list)
-
     # --- bookkeeping ---------------------------------------------------
     snapshots_processed: int = 0
     windows_processed: int = 0
@@ -85,7 +76,6 @@ class ExecutionMetrics:
     boundary_words: int = 0  # cross-shard boundary feature re-fetches
 
     # --- adaptive execution (repro.adaptive) -----------------------------
-    windows_planned: int = 0  # windows executed under a planner decision
     drift_probes: int = 0  # exact-replay drift verifications run
 
     # ------------------------------------------------------------------
@@ -128,39 +118,13 @@ class ExecutionMetrics:
         }
 
     # ------------------------------------------------------------------
-    # per-window trajectory
-    # ------------------------------------------------------------------
-    def record_window_modes(self, full: int, delta: int, skip: int) -> None:
-        """Append one window's cell-update mode counts (engines call this
-        once per processed window, after the window's snapshots ran)."""
-        self.window_modes.append((int(full), int(delta), int(skip)))
-
-    def per_window_modes(self) -> list[dict[str, int]]:
-        """The trajectory as dicts — sensitivity sweeps read this."""
-        return [
-            {"full": f, "delta": d, "skip": s}
-            for f, d, s in self.window_modes
-        ]
-
-    # ------------------------------------------------------------------
     def merge(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
-        """Element-wise sum; per-window trajectories concatenate in
-        argument order (combining windows or datasets)."""
+        """Element-wise sum (combining windows, shards or datasets)."""
         out = ExecutionMetrics()
         for f in fields(ExecutionMetrics):
             setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
         return out
 
-    def as_dict(self) -> dict:
-        """Field mapping; list-valued fields come back as fresh copies so
-        ``ExecutionMetrics(**m.as_dict())`` never aliases ``m``."""
-        out = {}
-        for f in fields(ExecutionMetrics):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, list) else value
-        return out
-
-
-SCALAR_FIELDS = tuple(
-    f.name for f in fields(ExecutionMetrics) if f.type == "int"
-)
+    def as_dict(self) -> dict[str, int]:
+        """Field mapping: ``ExecutionMetrics(**m.as_dict())`` is a copy."""
+        return {f.name: getattr(self, f.name) for f in fields(ExecutionMetrics)}

@@ -60,14 +60,10 @@ class ReferenceEngine:
         carry = Carry(window_size=self.window_size)
         outputs: list[np.ndarray] = []
         for start in range(0, len(graph), self.window_size):
-            base_full = m.cells_full
             carry, outs = self.step(
                 carry, graph.snapshots[start : start + self.window_size], m
             )
             outputs.extend(outs)
-            # conventional pattern: every present vertex takes the full
-            # cell update — the trajectory is all-FULL by construction
-            m.record_window_modes(m.cells_full - base_full, 0, 0)
         self._account_redundancy(m, graph)
         return EngineResult(outputs, m)
 

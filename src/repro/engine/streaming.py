@@ -16,14 +16,18 @@ in a push API:
   batch run over the whole sequence.
 
 A complete window is re-packed into a ``DynamicGraph``, classified,
-planned, and handed to :meth:`ConcurrentEngine.step` — the same method
-the batch ``run`` folds over — so all batching semantics live in exactly
-one place, and everything the stream remembers between windows is one
-:class:`~repro.engine.carry.Carry`.
+and handed to :meth:`ConcurrentEngine.step` — the same method the batch
+``run`` folds over — so all batching semantics live in exactly one
+place, and everything the stream remembers between windows is one
+:class:`~repro.engine.carry.Carry`.  A stream built with a ``planner``
+is the one loop that plans windows at runtime (:mod:`repro.adaptive`):
+it profiles each window, asks for a plan, drift-probes it when the
+planner asks, executes it, and records its latency on the audit trail.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +61,9 @@ class StreamingInference:
     computes, and releases valid output for, those rows only — each bit
     for bit the unrestricted stream's (every other released row is zero
     or stale).  The ownership rides in the :class:`Carry`.
+
+    ``planner`` (an :class:`~repro.adaptive.AdaptivePlanner`; None =
+    the static configuration) plans every window this stream executes.
     """
 
     def __init__(
@@ -76,8 +83,8 @@ class StreamingInference:
             window_size=window_size,
             thresholds=thresholds,
             enable_skipping=enable_skipping,
-            planner=planner,
         )
+        self.planner = planner
         if rows is not None:
             rows = np.unique(np.asarray(rows, dtype=np.int64))
             if rows.size and rows[0] < 0:
@@ -114,11 +121,6 @@ class StreamingInference:
     def rows(self) -> np.ndarray | None:
         """Ascending ids of the rows this stream owns (None = all)."""
         return self._carry.rows
-
-    @property
-    def planner(self):
-        """The adaptive planner driving this stream (None when static)."""
-        return self._engine.planner
 
     def push(self, snapshot: CSRSnapshot) -> StreamResult | None:
         """Append one snapshot; returns results when a window completes.
@@ -170,7 +172,13 @@ class StreamingInference:
             s.timestamp = carry.timestamp + off
         m = ExecutionMetrics()
         cls = classify_window(window)
-        plan = engine.plan_window(m, window, cls)
+        planner = self.planner
+        if planner is None:
+            carry, outputs = engine.step(carry, window, cls, None, m)
+            return self._commit(carry, outputs, m)
+        from ..adaptive import profile_window, relative_drift
+
+        plan = planner.plan(profile_window(window, cls, self.model))
 
         # Drift probe: replay this window from a copy of the carry at
         # the *default* thresholds and drop the result, then run the
@@ -179,7 +187,7 @@ class StreamingInference:
         # the controller is still at the defaults the divergence is zero
         # by construction, so the probe is free — that zero is what
         # bootstraps the aggressiveness ramp.
-        probe = plan is not None and engine.planner.wants_probe()
+        probe = planner.wants_probe()
         baseline: list[np.ndarray] | None = None
         if probe and plan.thresholds != SkipThresholds():
             _, baseline = engine.step(
@@ -190,15 +198,15 @@ class StreamingInference:
                 ExecutionMetrics(),
             )
 
+        t0 = time.perf_counter()  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
         carry, outputs = engine.step(carry, window, cls, plan, m)
+        elapsed = time.perf_counter() - t0  # repro: noqa R001 — plan audit latency, recorded on PlanRecord, read by no decision
+        planner.observe(plan, elapsed)
 
         if probe:
-            drift = 0.0
-            if baseline is not None:
-                from ..adaptive import relative_drift
-
-                drift = relative_drift(baseline, outputs)
-            engine.planner.observe_drift(drift)
+            planner.observe_drift(
+                0.0 if baseline is None else relative_drift(baseline, outputs)
+            )
             m.drift_probes += 1
         return self._commit(carry, outputs, m)
 

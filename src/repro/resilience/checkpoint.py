@@ -61,8 +61,7 @@ a zip member; in format 2 the lines marked ``*`` are fields of the
     meta/format                the layout version (always a member)
     meta/{window_size,timestamp,window_index,first,             *
           num_vertices,num_pending,state_kind}
-    metrics/<field>            one int64 per scalar ExecutionMetrics field  *
-    metrics/window_modes       (W, 3) int64 per-window (full, delta, skip)
+    metrics/<field>            one int64 per ExecutionMetrics field  *
     state/h [, state/c]        ``state`` (by meta/state_kind)
     cache/{zx,zh,z_input}      ``cache`` pre-activations (optional)
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)
@@ -70,6 +69,11 @@ a zip member; in format 2 the lines marked ``*`` are fields of the
     snap_prev/<field>          ``snap_prev`` (optional; ``timestamp`` *)
     pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
                                (``timestamp`` *)
+
+An archive written by an earlier build may also hold a
+``metrics/window_modes`` member, a ``(W, 3)`` int64 per-window
+trajectory that is no longer kept, and record fields for counters that
+were retired; the reader skips both, so the format number is unchanged.
 """
 
 from __future__ import annotations
@@ -77,12 +81,13 @@ from __future__ import annotations
 import io
 import os
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from ..engine.carry import Carry
-from ..engine.metrics import SCALAR_FIELDS, ExecutionMetrics
+from ..engine.metrics import ExecutionMetrics
 from ..engine.streaming import StreamingInference
 from ..graphs.snapshot import CSRSnapshot
 from ..models.rnn import GRUState, LSTMState
@@ -140,15 +145,9 @@ def carry_to_arrays(carry: Carry) -> dict:
         "meta/num_vertices": -1 if num_vertices is None else num_vertices,
         "meta/num_pending": len(carry.pending),
     }
-    metrics = carry.metrics
-    for name in SCALAR_FIELDS:
-        scalars[f"metrics/{name}"] = getattr(metrics, name)
-    arrays: dict = {
-        "meta/format": np.int64(CHECKPOINT_FORMAT),
-        "metrics/window_modes": np.asarray(
-            metrics.window_modes, dtype=np.int64
-        ).reshape(-1, 3),
-    }
+    for name, value in carry.metrics.as_dict().items():
+        scalars[f"metrics/{name}"] = value
+    arrays: dict = {"meta/format": np.int64(CHECKPOINT_FORMAT)}
     state = carry.state
     if state is None:
         scalars["meta/state_kind"] = "none"
@@ -183,7 +182,9 @@ def carry_to_arrays(carry: Carry) -> dict:
 def _read_scalars(data, keys: set, fmt: int) -> dict:
     """Every scalar of a checkpoint as ``key -> Python value``: the
     fields of the one record (format 2), or the 0-d members the record
-    replaced (format 1).  Formats 2 and 3 share the record."""
+    replaced (format 1).  Formats 2 and 3 share the record.  An older
+    archive's ``metrics/window_modes`` member (a per-window trajectory
+    this build no longer keeps) is no scalar and is never read."""
     if fmt == 1:
         return {
             key: np.asarray(data[key]).item()
@@ -215,16 +216,14 @@ def arrays_to_carry(data) -> Carry:
             f" formats 1 to {CHECKPOINT_FORMAT})"
         )
     scalars = _read_scalars(data, keys, fmt)
+    # a counter this build retired is skipped, one it added reads 0
     metrics = ExecutionMetrics(
         **{
-            name: int(scalars[f"metrics/{name}"])
-            for name in SCALAR_FIELDS
-            if f"metrics/{name}" in scalars
+            f.name: int(scalars[f"metrics/{f.name}"])
+            for f in fields(ExecutionMetrics)
+            if f"metrics/{f.name}" in scalars
         }
     )
-    if "metrics/window_modes" in keys:
-        modes = np.asarray(data["metrics/window_modes"], dtype=np.int64)
-        metrics.window_modes = list(map(tuple, modes.reshape(-1, 3).tolist()))
     state_kind = scalars["meta/state_kind"]
     if state_kind == "none":
         state = None

@@ -229,5 +229,4 @@ class ResilientStreamingInference:
         carry, outputs = ref.step(saved, window, m)
         m.windows_processed += 1
         m.fallback_windows += 1
-        m.record_window_modes(m.cells_full, 0, 0)  # all-FULL, as run() records
         return self.stream.adopt_window(carry, outputs, m)

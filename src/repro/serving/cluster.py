@@ -428,8 +428,7 @@ class ShardCluster:
         shard's read closure, and the sum says so).  What every shard
         does over the whole replicated snapshot stays **per shard**, so
         the sum is N×: ``snapshots_processed``, ``windows_processed``,
-        ``window_modes`` (one entry per shard-window), classification's
-        ``overhead_ops`` and ``structure_words``.  A model whose cell
+        classification's ``overhead_ops`` and ``structure_words``.  A model whose cell
         reads its neighbours' state (GC-LSTM) runs every row on every
         shard: all of its counters are N×."""
         out = ExecutionMetrics(**self._own.as_dict())
@@ -439,7 +438,7 @@ class ShardCluster:
         return out
 
     def shard_metrics(self) -> list[ExecutionMetrics]:
-        """Per-shard counter trajectories, by shard index."""
+        """Per-shard counters, by shard index."""
         return [worker.metrics for worker in self.workers]
 
     # ------------------------------------------------------------------

@@ -97,6 +97,18 @@ class _FakeClock:
         return self.reads[-1]
 
 
+def run_planned(model, graph, plan, window=4):
+    """A fold of ``ConcurrentEngine.step`` running every window under
+    ``plan``."""
+    engine = ConcurrentEngine(model, window_size=window)
+    carry, m, outs = Carry(window_size=window), ExecutionMetrics(), []
+    for start in range(0, graph.num_snapshots, window):
+        w = graph.window(start, min(window, graph.num_snapshots - start))
+        carry, got = engine.step(carry, w, classify_window(w), plan, m)
+        outs.extend(got)
+    return outs
+
+
 def run_stream(model, graph, planner=None, window=4):
     stream = StreamingInference(model, window_size=window, planner=planner)
     outs = []
@@ -125,7 +137,7 @@ class TestPlanIsWhatTheEngineExecutes:
 
         def counters(kernel, thresholds):
             m = ExecutionMetrics()
-            # an engine without a planner: a plan needs none to execute
+            # a plan is an argument of one step
             ConcurrentEngine(
                 make_model("T-GCN", graph.dim, 8, seed=SEED), window_size=4
             ).step(
@@ -155,23 +167,21 @@ class TestKernelBitIdentity:
     )
     @settings(max_examples=24, deadline=None)
     def test_forced_kernel_matches_static_engine(
-        self, forced_planner, seed, model_name, kernel, churn
+        self, seed, model_name, kernel, churn
     ):
-        """Any kernel the planner can pick yields the static engine's
+        """Any kernel a plan can name yields the static engine's
         outputs bit-for-bit, for arbitrary random workloads."""
         g = random_graph(seed, churn_scale=churn)
         static = ConcurrentEngine(
             make_model(model_name, g.dim, 8, seed=seed), window_size=4
         ).run(g)
-        planner = forced_planner(kernel)
-        adaptive = ConcurrentEngine(
+        planned = run_planned(
             make_model(model_name, g.dim, 8, seed=seed),
-            window_size=4,
-            planner=planner,
-        ).run(g)
-        assert all(rec.plan.kernel is kernel for rec in planner.records)
-        assert len(planner.records) == static.metrics.windows_processed
-        for a, b in zip(static.outputs, adaptive.outputs):
+            g,
+            ExecutionPlan(kernel, SkipThresholds()),
+        )
+        assert len(planned) == len(static.outputs) == g.num_snapshots
+        for a, b in zip(static.outputs, planned):
             np.testing.assert_array_equal(a, b)
 
     @given(
@@ -204,7 +214,7 @@ class TestKernelBitIdentity:
         )
         for a, b in zip(static, adaptive):
             np.testing.assert_array_equal(a, b)
-        assert stream.metrics.windows_planned == len(planner.records)
+        assert len(planner.records) == stream.metrics.windows_processed
 
 
 class TestStorageContentIdentity:
@@ -263,33 +273,28 @@ class TestBoundedDrift:
             make_model("T-GCN", g.dim, 16, seed=SEED), g, planner=planner
         )
         assert stream.metrics.drift_probes == planner.probes_done
-        assert stream.metrics.windows_planned == len(planner.records)
+        assert len(planner.records) == stream.metrics.windows_processed
 
 
 class TestPlanBookkeeping:
     def test_window_mode_trajectory_matches_totals(self):
+        """A window's counters are its push's ``StreamResult.metrics``;
+        merged over the stream's windows they are the stream's totals."""
         g = load_dataset("GT", num_snapshots=8, seed=SEED)
         planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
-        _, stream = run_stream(
-            make_model("T-GCN", g.dim, 16, seed=SEED), g, planner=planner
-        )
-        m = stream.metrics
-        assert len(m.window_modes) == m.windows_processed
-        assert sum(f for f, _, _ in m.window_modes) == m.cells_full
-        assert sum(d for _, d, _ in m.window_modes) == m.cells_delta
-        assert sum(s for _, _, s in m.window_modes) == m.cells_skipped
-
-    def test_engine_result_carries_plans(self):
-        g = load_dataset("GT", num_snapshots=8, seed=SEED)
-        planner = AdaptivePlanner(AdaptiveConfig(drift_budget=0.0))
-        result = ConcurrentEngine(
+        stream = StreamingInference(
             make_model("T-GCN", g.dim, 16, seed=SEED),
             window_size=4,
             planner=planner,
-        ).run(g)
-        plans = result.extra["plans"]
-        assert len(plans) == result.metrics.windows_processed
-        assert all(p.kernel in KernelChoice for p in plans)
+        )
+        results = [r for r in map(stream.push, g) if r is not None]
+        assert len(results) == stream.metrics.windows_processed == 2
+        total = ExecutionMetrics()
+        for r in results:
+            assert r.metrics.windows_processed == 1
+            total = total.merge(r.metrics)
+        assert total == stream.metrics
+        assert total.cells_full + total.cells_delta + total.cells_skipped
 
 
 class TestKernelRule:
@@ -308,7 +313,7 @@ class TestKernelRule:
 class TestPlansIgnoreTheClock:
     def _planned(self, monkeypatch, tick):
         monkeypatch.setattr(
-            "repro.engine.concurrent.time.perf_counter", _FakeClock(tick)
+            "repro.engine.streaming.time.perf_counter", _FakeClock(tick)
         )
         g = churn_step_graph()
         planner = AdaptivePlanner()
@@ -336,11 +341,20 @@ class TestPlansIgnoreTheClock:
             np.testing.assert_array_equal(a, b)
 
     def test_probe_window_records_the_committed_latency(self, monkeypatch):
-        """A probe replays the window before committing it; the record
-        keeps the committed ``step``'s time, not the replay's or the
-        sum — the replay's plan is a copy, so it matches no record."""
+        """A probe replays the window before committing it; only the
+        committed ``step`` is timed, so every window reads the clock
+        twice and its record keeps that interval, not the replay's or
+        the sum."""
         clock = _FakeClock(1e-3)
-        monkeypatch.setattr("repro.engine.concurrent.time.perf_counter", clock)
+        monkeypatch.setattr("repro.engine.streaming.time.perf_counter", clock)
+        steps = []
+        step = ConcurrentEngine.step
+
+        def counted_step(self, *args, **kwargs):
+            steps.append(len(clock.reads))
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConcurrentEngine, "step", counted_step)
         g = churn_step_graph()
         planner = AdaptivePlanner()
         stream = StreamingInference(
@@ -350,19 +364,18 @@ class TestPlansIgnoreTheClock:
         )
         replayed = 0
         for snap in g:
-            before = len(clock.reads)
+            before, calls = len(clock.reads), len(steps)
             if stream.push(snap) is None:
                 continue
             reads = clock.reads[before:]
+            assert len(reads) == 2
             rec = planner.records[-1]
-            committed = reads[-1] - reads[-2]
-            assert rec.observed_seconds == committed
-            if len(reads) == 4:  # the probe's replay ran first
+            assert rec.observed_seconds == reads[1] - reads[0]
+            if len(steps) - calls == 2:  # the probe's replay ran first
                 replayed += 1
                 assert rec.drift is not None
                 assert rec.plan.thresholds != SkipThresholds()
-                replay = reads[1] - reads[0]
-                assert rec.observed_seconds not in (replay, replay + committed)
+                assert steps[-2] == before  # before the clock started
             else:
-                assert len(reads) == 2
+                assert len(steps) - calls == 1
         assert replayed >= 1

@@ -15,7 +15,7 @@ from repro.adaptive import (
 )
 from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis import classify_window
-from repro.engine import ConcurrentEngine, ExecutionMetrics
+from repro.engine import ConcurrentEngine, StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.skipping import SkipThresholds
@@ -178,14 +178,24 @@ class TestKernelSelection:
         planner.plan(_with_changed(profile, 0.1))
         assert planner.kernel_switches == 1
 
-    def test_choice_disabled_is_static(self):
-        """No planner is the static pipeline: no window is planned."""
-        graph = load_dataset("GT", num_snapshots=4, seed=3)
-        window = graph.window(0, 4)
-        engine = ConcurrentEngine(make_model("T-GCN", graph.dim, 16, seed=3))
-        m = ExecutionMetrics()
-        assert engine.plan_window(m, window, classify_window(window)) is None
-        assert m.windows_planned == 0
+    def test_choice_disabled_is_static(self, monkeypatch):
+        """No planner is the static pipeline: no window is profiled,
+        probed or planned, and the stream is ``run`` byte for byte."""
+        graph = load_dataset("GT", num_snapshots=8, seed=3)
+        profiled = []
+        monkeypatch.setattr(
+            "repro.adaptive.profile_window",
+            lambda *args: profiled.append(args),
+        )
+        stream = StreamingInference(make_model("T-GCN", graph.dim, 16, seed=3))
+        outs = [o for r in map(stream.push, graph) if r for o in r.outputs]
+        assert stream.planner is None and not profiled
+        assert stream.metrics.drift_probes == 0
+        ran = ConcurrentEngine(make_model("T-GCN", graph.dim, 16, seed=3)).run(
+            graph
+        )
+        assert stream.metrics == ran.metrics
+        assert [o.tobytes() for o in outs] == [o.tobytes() for o in ran.outputs]
 
 
 class TestAudit:

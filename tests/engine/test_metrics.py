@@ -1,9 +1,10 @@
 """Tests for the execution-metrics counters."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.engine import ExecutionMetrics
-from repro.engine.metrics import SCALAR_FIELDS
 
 
 class TestExecutionMetrics:
@@ -52,40 +53,12 @@ class TestExecutionMetrics:
         assert d["feature_words"] == 7
         assert ExecutionMetrics(**d).feature_words == 7
 
-
-class TestWindowModes:
-    def test_record_and_read_back(self):
+    def test_every_field_is_an_int(self):
+        """A flat record: every counter is an integer that ``merge``
+        sums, so nothing grows with the number of windows."""
         m = ExecutionMetrics()
-        m.record_window_modes(5, 2, 1)
-        m.record_window_modes(0, 0, 8)
-        assert m.window_modes == [(5, 2, 1), (0, 0, 8)]
-        assert m.per_window_modes() == [
-            {"full": 5, "delta": 2, "skip": 1},
-            {"full": 0, "delta": 0, "skip": 8},
-        ]
-
-    def test_merge_concatenates_trajectories(self):
-        a = ExecutionMetrics()
-        a.record_window_modes(1, 0, 0)
-        b = ExecutionMetrics()
-        b.record_window_modes(0, 2, 0)
-        c = a.merge(b)
-        assert c.window_modes == [(1, 0, 0), (0, 2, 0)]
-        # originals untouched (no aliasing through merge)
-        assert a.window_modes == [(1, 0, 0)]
-
-    def test_as_dict_copies_the_list(self):
-        m = ExecutionMetrics()
-        m.record_window_modes(3, 1, 0)
-        d = m.as_dict()
-        d["window_modes"].append((9, 9, 9))
-        assert m.window_modes == [(3, 1, 0)]
-
-    def test_scalar_fields_exclude_lists(self):
-        assert "window_modes" not in SCALAR_FIELDS
-        assert "delta_nnz" in SCALAR_FIELDS
-        assert "windows_planned" in SCALAR_FIELDS
-        assert "drift_probes" in SCALAR_FIELDS
-        m = ExecutionMetrics()
-        for name in SCALAR_FIELDS:
-            assert isinstance(getattr(m, name), int)
+        for f in fields(ExecutionMetrics):
+            assert f.type == "int", f.name
+            assert type(getattr(m, f.name)) is int, f.name
+        ones = ExecutionMetrics(**{f.name: 1 for f in fields(ExecutionMetrics)})
+        assert set(ones.merge(ones).as_dict().values()) == {2}

@@ -3,18 +3,20 @@
 Batch ``run``, the pushed stream, the drift probe, the supervisor's
 rollback and the degraded path are all callers of the two ``step``
 methods, so these tests pin the contracts the callers lean on: a
-hand-written fold equals ``run`` equals the stream byte for byte, a plan
-is an argument (nothing ambient is touched), and replaying a window from
-a copied carry is exact.
+hand-written fold equals ``run`` equals the stream byte for byte, a
+planned stream is the fold of the plans it committed, a plan is an
+argument (nothing ambient is touched), and replaying a window from a
+copied carry is exact.
 """
 
 import dataclasses
 import io
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from repro.adaptive import KernelChoice
+from repro.adaptive import AdaptivePlanner, ExecutionPlan, KernelChoice
 from repro.analysis.classify import classify_window
 from repro.engine import (
     Carry,
@@ -26,7 +28,7 @@ from repro.engine import (
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.resilience import load_checkpoint, save_checkpoint
-from repro.skipping.policy import SkippingPolicy
+from repro.skipping.policy import SkippingPolicy, SkipThresholds
 
 SEED = 3
 WINDOW = 4
@@ -47,17 +49,23 @@ def _windows(graph, k=WINDOW):
         yield graph.window(start, min(k, graph.num_snapshots - start))
 
 
-def _fold(engine, graph):
-    """``ConcurrentEngine.run`` written out by hand."""
+def _fold(engine, graph, plans=None):
+    """``ConcurrentEngine.run`` written out by hand; window ``i`` runs
+    under ``plans[i]`` (None: every window at the static
+    configuration)."""
     m = ExecutionMetrics()
     carry = Carry(window_size=engine.window_size)
     outputs = []
-    for window in _windows(graph, engine.window_size):
+    windows = _windows(graph, engine.window_size)
+    for window, plan in zip(windows, repeat(None) if plans is None else plans):
         cls = classify_window(window)
-        plan = engine.plan_window(m, window, cls)
         carry, outs = engine.step(carry, window, cls, plan, m)
         outputs.extend(outs)
     return outputs, m, carry
+
+
+def _recorded_plans(planner):
+    return [rec.plan for rec in planner.records]
 
 
 def _pushed(stream, graph):
@@ -118,57 +126,92 @@ class TestRunIsAFoldOfStep:
     def test_run_equals_fold_equals_stream(
         self, graph, forced_planner, kernel
     ):
-        def planner():
-            return None if kernel is None else forced_planner(kernel)
-
-        ran = ConcurrentEngine(
-            _model(graph), window_size=WINDOW, planner=planner()
-        ).run(graph)
+        """``run``, a hand fold of ``step`` and the pushed stream agree
+        byte for byte.  A planned stream is the fold fed the plans it
+        recorded; a kernel never changes a result, so ``run`` (static)
+        agrees with it too."""
+        planner = None if kernel is None else forced_planner(kernel)
+        stream = StreamingInference(
+            _model(graph), window_size=WINDOW, planner=planner
+        )
+        pushed = _pushed(stream, graph)
+        plans = None if planner is None else _recorded_plans(planner)
         folded, m, carry = _fold(
-            ConcurrentEngine(
-                _model(graph), window_size=WINDOW, planner=planner()
-            ),
-            graph,
+            ConcurrentEngine(_model(graph), window_size=WINDOW), graph, plans
         )
-        pushed = _pushed(
-            StreamingInference(
-                _model(graph), window_size=WINDOW, planner=planner()
-            ),
-            graph,
-        )
+        ran = ConcurrentEngine(_model(graph), window_size=WINDOW).run(graph)
         assert len(ran.outputs) == graph.num_snapshots
         _assert_bytes_equal(ran.outputs, folded)
         _assert_bytes_equal(ran.outputs, pushed)
-        assert ran.metrics.as_dict() == m.as_dict()
+        probes = 0 if planner is None else planner.probes_done
+        assert stream.metrics == dataclasses.replace(m, drift_probes=probes)
+        if planner is None:
+            assert ran.metrics == m
         assert carry.timestamp == graph.num_snapshots
         assert carry.window_index == 2 and not carry.first
+
+    def test_a_default_planner_stream_is_the_fold_of_its_plans(self):
+        """A default ``AdaptivePlanner()`` drift-probes and moves the
+        thresholds, so the stream's outputs are the fold of ``step`` fed
+        the plans it committed, and not the static ``run``'s.  A batch
+        loop that planned without probing stayed at the default
+        thresholds and disagreed with this stream on 31 of these 40
+        snapshots."""
+        graph = load_dataset("GT", num_snapshots=40, seed=0)
+
+        def model():
+            return make_model("CD-GCN", graph.dim, hidden_dim=8, seed=0)
+
+        planner = AdaptivePlanner()
+        stream = StreamingInference(
+            model(), window_size=WINDOW, planner=planner
+        )
+        pushed = _pushed(stream, graph)
+        plans = _recorded_plans(planner)
+        assert len(plans) == graph.num_snapshots // WINDOW
+        # not vacuous: the probes moved the thresholds mid-stream
+        assert planner.probes_done == 3 and planner.aggressiveness > 0
+        assert len({plan.thresholds for plan in plans}) > 1
+        folded, m, _ = _fold(
+            ConcurrentEngine(model(), window_size=WINDOW), graph, plans
+        )
+        _assert_bytes_equal(pushed, folded)
+        assert stream.metrics == dataclasses.replace(m, drift_probes=3)
+        static = ConcurrentEngine(model(), window_size=WINDOW).run(graph)
+        assert any(
+            a.tobytes() != b.tobytes() for a, b in zip(static.outputs, pushed)
+        )
 
     def test_second_run_on_one_engine_repeats_the_first(
         self, graph, forced_planner
     ):
         """Nothing survives a run on the engine itself (the deleted
-        delta-sparsity probe did): run twice, get the same plans."""
-        engine = ConcurrentEngine(
-            _model(graph),
-            window_size=WINDOW,
-            planner=forced_planner(KernelChoice.DELTA_CONDENSED),
+        delta-sparsity probe did): ``run`` twice, or fold the same plans
+        twice, on one engine and get the same bytes."""
+        planner = forced_planner(KernelChoice.DELTA_CONDENSED)
+        _pushed(
+            StreamingInference(
+                _model(graph), window_size=WINDOW, planner=planner
+            ),
+            graph,
         )
+        plans = _recorded_plans(planner)
+        engine = ConcurrentEngine(_model(graph), window_size=WINDOW)
         a, b = engine.run(graph), engine.run(graph)
         _assert_bytes_equal(a.outputs, b.outputs)
-        assert a.metrics.as_dict() == b.metrics.as_dict()
-        profiles = [rec.profile for rec in engine.planner.records]
-        assert profiles[:2] == profiles[2:]
+        assert a.metrics == b.metrics
+        fa, ma, _ = _fold(engine, graph, plans)
+        fb, mb, _ = _fold(engine, graph, plans)
+        _assert_bytes_equal(fa, fb)
+        assert ma == mb
 
 
 class TestNoAmbientState:
     def test_engine_attributes_untouched_inside_a_planned_window(
-        self, graph, forced_planner, monkeypatch
+        self, graph, monkeypatch
     ):
         engine = ConcurrentEngine(
-            _model(graph),
-            window_size=WINDOW,
-            enable_overlap=True,
-            planner=forced_planner(KernelChoice.BATCHED_SPMM),
+            _model(graph), window_size=WINDOW, enable_overlap=True
         )
         policy = engine.policy
         seen = []
@@ -179,7 +222,8 @@ class TestNoAmbientState:
             return decide(self, scored, theta)
 
         monkeypatch.setattr(SkippingPolicy, "decide", spying_decide)
-        engine.run(graph)
+        plan = ExecutionPlan(KernelChoice.BATCHED_SPMM, SkipThresholds())
+        _fold(engine, graph, repeat(plan))
         assert seen, "the planned windows must have scored something"
         # BATCHED_SPMM disables overlap *for the window*, as a local
         assert all(overlap is True and p is policy for overlap, p in seen)
@@ -232,8 +276,8 @@ class TestReferenceStep:
             assert carry.cache is None
             assert before.window_index + 1 == carry.window_index
         _assert_bytes_equal(ran.outputs, outputs)
-        # run adds only the per-window trajectory and the redundancy
-        # audit on top of the step's counters
+        # run adds only the redundancy audit on top of the step's
+        # counters
         for field in (
             "feature_words",
             "structure_words",

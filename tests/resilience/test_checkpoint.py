@@ -9,12 +9,12 @@ bit-identical to the uninterrupted run.
 import io
 import struct
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.engine import StreamingInference
-from repro.engine.metrics import SCALAR_FIELDS
+from repro.engine import ExecutionMetrics, StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.models.rnn import GRUState, LSTMState
@@ -61,10 +61,17 @@ def _uninterrupted(graph, name="T-GCN"):
     )
 
 
+#: A per-window ``(full, delta, skip)`` trajectory every format-1 writer
+#: stored as an array member; this build neither keeps nor writes it.
+RETIRED_MEMBER = "metrics/window_modes"
+
+
 def _format1_arrays(carry) -> dict:
     """The format-1 flattening, frozen as the parent's writer had it:
-    every scalar a 0-d member of its own.  The compatibility oracle —
-    do not route it through ``carry_to_arrays``."""
+    every scalar a 0-d member of its own, and the retired ``(W, 3)``
+    trajectory member (zeros here: no reader looks inside).
+    The compatibility oracle — do not route it through
+    ``carry_to_arrays``."""
     n = carry.num_vertices
     arrays = {
         "meta/format": np.int64(1),
@@ -75,11 +82,11 @@ def _format1_arrays(carry) -> dict:
         "meta/num_vertices": np.int64(-1 if n is None else n),
         "meta/num_pending": np.int64(len(carry.pending)),
     }
-    for name in SCALAR_FIELDS:
-        arrays[f"metrics/{name}"] = np.int64(getattr(carry.metrics, name))
-    arrays["metrics/window_modes"] = np.asarray(
-        carry.metrics.window_modes, dtype=np.int64
-    ).reshape(-1, 3)
+    for f in fields(ExecutionMetrics):
+        arrays[f"metrics/{f.name}"] = np.int64(getattr(carry.metrics, f.name))
+    arrays[RETIRED_MEMBER] = np.zeros(
+        (carry.metrics.windows_processed, 3), dtype=np.int64
+    )
     state = carry.state
     if state is None:
         arrays["meta/state_kind"] = np.str_("none")
@@ -128,9 +135,9 @@ def _set_scalar(arrays: dict, key: str, value) -> None:
 
 
 def _array_members(carry) -> int:
-    """Members that hold an array: window_modes, the recurrent state,
-    cache, previous outputs, and four per snapshot."""
-    count = 1 + (2 if isinstance(carry.state, LSTMState) else 1)
+    """Members that hold an array: the recurrent state, cache, previous
+    outputs, and four per snapshot."""
+    count = 2 if isinstance(carry.state, LSTMState) else 1
     count -= carry.state is None
     count += 3 * (carry.cache is not None)
     count += (carry.h_prev is not None) + (carry.z_prev is not None)
@@ -205,16 +212,9 @@ class TestCrashConsistency:
         resumed = restore_stream(
             StreamingInference(_model(graph), window_size=WINDOW), buf
         )
-        assert resumed.metrics.as_dict() == stream.metrics.as_dict()
+        assert resumed.metrics == stream.metrics
         assert resumed.pending == stream.pending
-        # the per-window trajectory is list-valued and travels through a
-        # dedicated (W, 3) array — make sure it survives as tuples
-        assert resumed.metrics.window_modes == stream.metrics.window_modes
-        assert stream.metrics.window_modes, "4 pushes must complete a window"
-        assert all(
-            isinstance(t, tuple) and len(t) == 3
-            for t in resumed.metrics.window_modes
-        )
+        assert stream.metrics.windows_processed, "4 pushes complete a window"
 
     def test_file_path_round_trip(self, graph, tmp_path):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -437,7 +437,7 @@ class TestStoredArchive:
         blob = _get_blob(store, store.keys()[-1])
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             infos = zf.infolist()
-        assert len(infos) == 2 + _array_members(carry) == 13 + 4 * 2
+        assert len(infos) == 2 + _array_members(carry) == 12 + 4 * 2
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
         assert len(blob) <= _byte_bound(carry)
 
@@ -508,7 +508,8 @@ class TestFormat2Layout:
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             members = zf.namelist()
         assert len(members) == 2 + _array_members(stream.carry)
-        assert len(members) == 13 + 4 * pending  # the T-GCN carry
+        assert len(members) == 12 + 4 * pending  # the T-GCN carry
+        assert RETIRED_MEMBER + ".npy" not in members
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
     @pytest.mark.parametrize("pushes", [0, 1, WINDOW, WINDOW + 1])
@@ -525,8 +526,9 @@ class TestFormat2Layout:
         ]
         assert lone == ["meta/format"]
         # the record holds exactly the scalars format 1 spread over
-        # members, under the same names
+        # members, under the same names; the retired trajectory is gone
         old = _format1_arrays(stream.carry)
+        del old[RETIRED_MEMBER]
         scalars = {k for k, v in old.items() if np.ndim(v) == 0}
         record = members["meta/scalars"]
         assert record.shape == ()
@@ -549,7 +551,7 @@ class TestFormat2Layout:
         assert list(after) == list(before)
         for key, value in after.items():
             assert np.asarray(value).tobytes() == before[key], key
-            if key != "metrics/window_modes" and np.ndim(value):
+            if key != RETIRED_MEMBER and np.ndim(value):
                 assert value is live[key], key  # same arrays: not replaced
 
 
@@ -573,6 +575,7 @@ class TestParentFormatCompatibility:
         blob = _parent_blob(first.carry_state(), writer)
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             assert "meta/window_size.npy" in zf.namelist()  # format 1
+            assert RETIRED_MEMBER + ".npy" in zf.namelist()
             assert {i.compress_type for i in zf.infolist()} == {
                 zipfile.ZIP_DEFLATED
                 if writer is np.savez_compressed
@@ -614,32 +617,64 @@ class TestParentFormatCompatibility:
     def test_a_record_with_retired_counters_resumes_bit_identically(
         self, graph, model_name, crash_at
     ):
-        """The parent's format-3 record still carries two counters this
-        build dropped (``checkpoints_taken``, ``plan_kernel_switches``):
-        the reader skips fields it does not know."""
-        expected = _uninterrupted(graph, model_name)
+        """An older build's format-3 record still carries counters this
+        build dropped (``checkpoints_taken``, ``plan_kernel_switches``,
+        ``windows_planned``) and the ``(W, 3)`` trajectory member: the
+        reader skips fields and members it does not know."""
+        first = self._pushed(graph, model_name, crash_at)
+        arrays = carry_to_arrays(first.carry_state())
+        record = arrays["meta/scalars"]
+        retired = (
+            "metrics/checkpoints_taken",
+            "metrics/plan_kernel_switches",
+            "metrics/windows_planned",
+        )
+        assert not set(retired) & set(record.dtype.names)
+        assert RETIRED_MEMBER not in arrays
+        arrays["meta/scalars"] = np.array(
+            record.item() + (2, 1, first.window_index),
+            dtype=record.dtype.descr + [(name, "<i8") for name in retired],
+        )
+        arrays[RETIRED_MEMBER] = _format1_arrays(first.carry)[RETIRED_MEMBER]
+        assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
+        self._assert_resumes(graph, model_name, first, arrays)
+
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
+    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
+    def test_a_format_1_archive_with_retired_members_resumes_bit_identically(
+        self, graph, model_name, crash_at
+    ):
+        """Format 1 kept every counter as a member of its own: a retired
+        counter's 0-d member and the trajectory's ``(W, 3)`` member are
+        both skipped."""
+        first = self._pushed(graph, model_name, crash_at)
+        arrays = _format1_arrays(first.carry_state())
+        assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
+        arrays["metrics/windows_planned"] = np.int64(first.window_index)
+        self._assert_resumes(graph, model_name, first, arrays)
+
+    def _pushed(self, graph, model_name, crash_at):
         first = StreamingInference(
             _model(graph, model_name), window_size=WINDOW
         )
         for snap in list(graph)[:crash_at]:
             first.push(snap.copy())
-        arrays = carry_to_arrays(first.carry_state())
-        record = arrays["meta/scalars"]
-        retired = ("metrics/checkpoints_taken", "metrics/plan_kernel_switches")
-        assert not set(retired) & set(record.dtype.names)
-        arrays["meta/scalars"] = np.array(
-            record.item() + (2, 1),
-            dtype=record.dtype.descr + [(name, "<i8") for name in retired],
-        )
+        assert first.window_index == 1
+        return first
+
+    def _assert_resumes(self, graph, model_name, first, arrays):
         buf = io.BytesIO()
         np.savez(buf, **arrays)
+        with zipfile.ZipFile(io.BytesIO(buf.getvalue())) as zf:
+            assert RETIRED_MEMBER + ".npy" in zf.namelist()
         carry = load_checkpoint(io.BytesIO(buf.getvalue()))
         assert carry.metrics == first.carry.metrics
         resumed = StreamingInference(
             _model(graph, model_name), window_size=WINDOW
         )
         resumed.restore_carry(carry)
-        late = _run(resumed, list(graph)[crash_at:])
+        late = _run(resumed, list(graph)[first.timestamp + first.pending:])
+        expected = _uninterrupted(graph, model_name)
         tail = expected[len(expected) - len(late):]
         assert late and len(late) == len(tail)
         for a, b in zip(tail, late):
@@ -688,7 +723,7 @@ class TestOwnedRowCheckpoints:
             blobs.append(buf.getvalue())
         names = [set(zipfile.ZipFile(io.BytesIO(b)).namelist()) for b in blobs]
         assert names[0] - names[1] == {"carry/rows.npy"}
-        assert names[1] <= names[0] and len(names[1]) == 13
+        assert names[1] <= names[0] and len(names[1]) == 12
         assert load_checkpoint(io.BytesIO(blobs[0])).rows.tolist() == self.A.tolist()
         assert load_checkpoint(io.BytesIO(blobs[1])).rows is None
 

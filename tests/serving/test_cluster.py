@@ -642,7 +642,6 @@ class TestOwnedRowShards:
             assert active == SHARDS
             for name in ("snapshots_processed", "windows_processed"):
                 assert getattr(m, name) == SHARDS * getattr(one, name), name
-            assert len(m.window_modes) == SHARDS * len(one.window_modes)
             gnn = m.combination_macs + m.aggregation_macs
             gnn_one = one.combination_macs + one.aggregation_macs
             assert (gnn == gnn_one) == gnn_additive
