@@ -39,10 +39,11 @@ class Carry:
     roll back takes :meth:`copy` first.
 
     ``rows`` is ownership: the ascending ids of the rows this carry's
-    per-vertex arrays are about, which are the rows
-    :meth:`ConcurrentEngine.step` computes (None = every row).  Outside
-    them the arrays hold zeros or stale values that no owned row's
-    update reads.
+    per-vertex arrays are about (None = every row).  A row-local cell
+    computes them alone (:meth:`computed_rows`); outside them the arrays
+    hold zeros or stale values that no owned row's update reads, and a
+    checkpoint, which stores the computed rows only, brings them back
+    as zeros.
     """
 
     window_size: int
@@ -61,6 +62,15 @@ class Carry:
     z_prev: np.ndarray | None = None  # last GNN output (delta baseline)
     snap_prev: CSRSnapshot | None = None
     first: bool = True  # no snapshot executed yet
+
+    def computed_rows(self, model) -> np.ndarray | None:
+        """The rows a window of ``model`` computes from this carry (None
+        = every row): the owned rows, unless the model's cell reads its
+        neighbours' state, which makes every row an input to every
+        owned one.  :meth:`ConcurrentEngine.step` runs on these rows and
+        the checkpoint writer stores these rows, so the two cannot
+        drift apart."""
+        return None if model.cell_reads_neighbours else self.rows
 
     def begin(self, model, n: int):
         """Open this carry's next window on ``model``; returns the

@@ -156,7 +156,7 @@ class ConcurrentEngine:
         """
         model = self.model
         n = window.num_vertices
-        owned = None if model.cell_reads_neighbours else carry.rows
+        owned = carry.computed_rows(model)
         owned_mask = None
         if owned is not None:
             owned_mask = np.zeros(n, dtype=bool)

@@ -114,6 +114,55 @@ def _format1_arrays(carry) -> dict:
     return arrays
 
 
+def _format3_arrays(carry) -> dict:
+    """The format-3 flattening, frozen as the parent's writer had it:
+    every scalar a field of the one ``meta/scalars`` record, every array
+    a member of its own and as tall as the graph, ``carry/rows`` when
+    the carry owns rows.  The compatibility oracle — do not route it
+    through ``carry_to_arrays``."""
+    n = carry.num_vertices
+    scalars = {
+        "meta/window_size": carry.window_size,
+        "meta/timestamp": carry.timestamp,
+        "meta/window_index": carry.window_index,
+        "meta/first": carry.first,
+        "meta/num_vertices": -1 if n is None else n,
+        "meta/num_pending": len(carry.pending),
+    }
+    for f in fields(ExecutionMetrics):
+        scalars[f"metrics/{f.name}"] = getattr(carry.metrics, f.name)
+    arrays = {"meta/format": np.int64(3)}
+    state = carry.state
+    if state is None:
+        scalars["meta/state_kind"] = "none"
+    elif isinstance(state, LSTMState):
+        scalars["meta/state_kind"] = "lstm"
+        arrays["state/h"] = state.h
+        arrays["state/c"] = state.c
+    else:
+        assert isinstance(state, GRUState)
+        scalars["meta/state_kind"] = "gru"
+        arrays["state/h"] = state.h
+    if carry.cache is not None:
+        for name in ("zx", "zh", "z_input"):
+            arrays[f"cache/{name}"] = getattr(carry.cache, name)
+    for name in ("h_prev", "z_prev", "rows"):
+        if getattr(carry, name) is not None:
+            arrays[f"carry/{name}"] = getattr(carry, name)
+    snaps = [("snap_prev", carry.snap_prev)] if carry.snap_prev is not None else []
+    snaps += [(f"pending/{i}", snap) for i, snap in enumerate(carry.pending)]
+    for prefix, snap in snaps:
+        for name in ("indptr", "indices", "features", "present"):
+            arrays[f"{prefix}/{name}"] = getattr(snap, name)
+        scalars[f"{prefix}/timestamp"] = snap.timestamp
+    kinds = {"meta/first": np.bool_, "meta/state_kind": "U4"}
+    arrays["meta/scalars"] = np.array(
+        tuple(scalars.values()),
+        dtype=[(key, kinds.get(key, np.int64)) for key in scalars],
+    )
+    return arrays
+
+
 def _parent_blob(carry, writer=np.savez_compressed) -> bytes:
     """A format-1 archive as a parent build wrote it: deflated before
     the writer stored its members (``np.savez_compressed``), stored
@@ -123,32 +172,90 @@ def _parent_blob(carry, writer=np.savez_compressed) -> bytes:
     return buf.getvalue()
 
 
-def _set_scalar(arrays: dict, key: str, value) -> None:
-    """Overwrite one scalar of a flattened carry, wherever its format
-    keeps it: a member of its own (1) or a field of the record (2)."""
-    if int(arrays["meta/format"]) == 1:
-        arrays[key] = np.asarray(value)
+#: the two members of a format-4 archive
+MEMBERS = ["meta/format.npy", "meta/record.npy"]
+_DROP = object()
+
+
+def _record_fields(record) -> dict:
+    """A structured record's fields, ``key -> array``."""
+    return {name: np.asarray(record[name]) for name in record.dtype.names}
+
+
+def _record(fields_: dict) -> np.ndarray:
+    """The 0-d structured record holding ``fields_`` (a field of shape
+    ``()`` is a scalar)."""
+    return np.array(
+        tuple(fields_.values()),
+        dtype=[(key, v.dtype, v.shape) for key, v in fields_.items()],
+    )
+
+
+def _fields_of(arrays: dict) -> dict:
+    """A flattened carry's entries by key, whatever its format: the
+    record's fields (format 4) or the members."""
+    if "meta/record" in arrays:
+        return _record_fields(arrays["meta/record"])
+    return arrays
+
+
+def _edit(arrays: dict, key: str, value=_DROP) -> None:
+    """Overwrite, add or drop one entry of a flattened carry, wherever
+    its format keeps it: a field of ``meta/record`` (format 4: every
+    entry), a field of ``meta/scalars`` (formats 2-3: a scalar) or a
+    member of its own (format 1, and formats 2-3's arrays)."""
+    if "meta/record" in arrays:
+        holder = "meta/record"
+    elif "meta/scalars" in arrays and (
+        key in arrays["meta/scalars"].dtype.names
+        or (value is not _DROP and np.ndim(value) == 0)
+    ):
+        holder = "meta/scalars"
     else:
-        record = arrays["meta/scalars"].copy()
-        record[key] = value
-        arrays["meta/scalars"] = record
+        if value is _DROP:
+            del arrays[key]
+        else:
+            arrays[key] = np.asarray(value)
+        return
+    fields_ = _record_fields(arrays[holder])
+    if value is _DROP:
+        del fields_[key]
+    else:
+        fields_[key] = np.asarray(value)
+    arrays[holder] = _record(fields_)
 
 
-def _array_members(carry) -> int:
-    """Members that hold an array: the recurrent state, cache, previous
-    outputs, and four per snapshot."""
-    count = 2 if isinstance(carry.state, LSTMState) else 1
-    count -= carry.state is None
-    count += 3 * (carry.cache is not None)
-    count += (carry.h_prev is not None) + (carry.z_prev is not None)
-    count += 4 * ((carry.snap_prev is not None) + len(carry.pending))
-    return count
+def _per_vertex(carry) -> list:
+    """The carry's per-vertex arrays: state, cache, previous outputs."""
+    state = carry.state
+    arrays = [] if state is None else [state.h]
+    if isinstance(state, LSTMState):
+        arrays.append(state.c)
+    if carry.cache is not None:
+        arrays += [carry.cache.zx, carry.cache.zh, carry.cache.z_input]
+    return arrays + [a for a in (carry.h_prev, carry.z_prev) if a is not None]
+
+
+#: zip framing of the two members and the record's ``.npy`` header,
+#: which names every field (≈ 40 B each), plus the scalars themselves
+HEADER_ALLOWANCE = 6 * 1024
 
 
 def _byte_bound(carry) -> int:
-    """Payload bytes plus 400 B of zip + npy framing per member."""
-    arrays = carry_to_arrays(carry)
-    return sum(np.asarray(a).nbytes + 400 for a in arrays.values())
+    """What a format-4 archive of an owned-row carry may hold: its
+    owned rows at their per-row widths (a row id, then one row of each
+    per-vertex array), each snapshot it carries, and a fixed header
+    allowance — never a row it does not own."""
+    per_row = carry.rows.itemsize + sum(
+        a.shape[1] * a.itemsize for a in _per_vertex(carry)
+    )
+    snaps = [carry.snap_prev] if carry.snap_prev is not None else []
+    snapshot_bytes = sum(
+        s.indptr.nbytes + s.indices.nbytes + s.features.nbytes
+        + s.present.nbytes + 8
+        for s in snaps + list(carry.pending)
+    )
+    return len(carry.rows) * per_row + snapshot_bytes + HEADER_ALLOWANCE
 
 
 def _get_blob(store, key) -> bytes:
@@ -164,10 +271,12 @@ def _put_blob(store, key, blob) -> None:
         (store.directory / key).write_bytes(blob)
 
 
-def _without_member(blob: bytes, member: str) -> bytes:
-    """``blob`` re-written as a valid archive that lacks ``member``."""
+def _without_field(blob: bytes, key: str) -> bytes:
+    """``blob`` re-written as a valid archive whose record lacks
+    ``key``."""
     with np.load(io.BytesIO(blob)) as data:
-        arrays = {key: data[key] for key in data.files if key != member}
+        arrays = {name: data[name] for name in data.files}
+    _edit(arrays, key)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
@@ -232,13 +341,18 @@ class TestCrashConsistency:
 def _format2_arrays(carry) -> dict:
     """Format 2 as the parent wrote it: format 3's layout before the
     ownership member existed."""
-    arrays = carry_to_arrays(carry)
+    arrays = _format3_arrays(carry)
     arrays["meta/format"] = np.int64(2)
     arrays.pop("carry/rows", None)
     return arrays
 
 
-FLATTENERS = {1: _format1_arrays, 2: _format2_arrays, 3: carry_to_arrays}
+FLATTENERS = {
+    1: _format1_arrays,
+    2: _format2_arrays,
+    3: _format3_arrays,
+    4: carry_to_arrays,
+}
 
 
 class TestTamperRejection:
@@ -259,7 +373,7 @@ class TestTamperRejection:
     def test_unknown_state_kind_rejected(self, graph):
         for fmt in FLATTENERS:
             arrays = self._arrays(graph, fmt, pushes=4)
-            _set_scalar(arrays, "meta/state_kind", "quantum")
+            _edit(arrays, "meta/state_kind", "quantum")
             with pytest.raises(ValueError, match="state kind"):
                 arrays_to_carry(arrays)
 
@@ -267,15 +381,17 @@ class TestTamperRejection:
         for fmt in FLATTENERS:
             arrays = self._arrays(graph, fmt, pushes=1)  # 1 pending
             assert len(arrays_to_carry(arrays).pending) == 1
-            arrays["pending/0/indices"] = arrays["pending/0/indices"][:-3]
+            indices = _fields_of(arrays)["pending/0/indices"]
+            _edit(arrays, "pending/0/indices", indices[:-3])
             with pytest.raises(ValueError, match="indptr"):
                 arrays_to_carry(arrays)
 
     def test_scalar_record_must_be_a_structured_scalar(self, graph):
-        arrays = self._arrays(graph, 2)
-        arrays["meta/scalars"] = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="structured record"):
-            arrays_to_carry(arrays)
+        for fmt, key in ((2, "meta/scalars"), (4, "meta/record")):
+            arrays = self._arrays(graph, fmt)
+            arrays[key] = np.zeros(4, dtype=np.int64)
+            with pytest.raises(ValueError, match="structured record"):
+                arrays_to_carry(arrays)
 
     def test_window_size_mismatch_rejected(self, graph):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -388,13 +504,14 @@ class TestCheckpointStore:
     def test_archive_lacking_a_member_is_corrupt_not_missing(
         self, graph, tmp_path, backend
     ):
-        """A well-formed zip without ``state/h`` is a corrupt checkpoint
-        (recovery falls back to the older key), not an unknown key."""
+        """A well-formed zip whose record lacks ``state/h`` is a corrupt
+        checkpoint (recovery falls back to the older key), not an
+        unknown key."""
         directory = tmp_path / "ckpts" if backend == "directory" else None
         store, _ = self._filled(graph, keep_last=2, directory=directory)
         newest = store.keys()[-1]
-        _put_blob(store, newest, _without_member(_get_blob(store, newest),
-                                                 "state/h"))
+        _put_blob(store, newest, _without_field(_get_blob(store, newest),
+                                                "state/h"))
         with pytest.raises(CorruptCheckpointError, match="state/h"):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
@@ -406,12 +523,12 @@ class TestCheckpointStore:
         newest = store.keys()[-1]
         with np.load(io.BytesIO(_get_blob(store, newest))) as data:
             arrays = dict(data)
-        arrays["meta/format"] = np.int64(4)
+        arrays["meta/format"] = np.int64(5)
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         _put_blob(store, newest, buf.getvalue())
         with pytest.raises(
-            CorruptCheckpointError, match="unsupported checkpoint format 4"
+            CorruptCheckpointError, match="unsupported checkpoint format 5"
         ):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
@@ -421,12 +538,21 @@ class TestStoredArchive:
     """The archive is stored, not deflated — and loses no safety net:
     size, CRC and torn-write detection are pinned here."""
 
+    @staticmethod
+    def _owned_stream(graph):
+        """A T-GCN stream owning every fourth row, as one of four
+        shards would."""
+        return StreamingInference(
+            _model(graph), window_size=WINDOW,
+            rows=np.arange(0, graph.num_vertices, 4),
+        )
+
     @pytest.fixture(params=["memory", "directory"])
     def saved(self, request, graph, tmp_path):
         """A store holding two checkpoints, and the newest one's carry."""
         directory = tmp_path / "ckpts" if request.param == "directory" else None
         store = CheckpointStore(directory, keep_last=2)
-        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        stream = self._owned_stream(graph)
         for snap in list(graph)[:5]:
             stream.push(snap.copy())
             store.save(stream)
@@ -437,8 +563,9 @@ class TestStoredArchive:
         blob = _get_blob(store, store.keys()[-1])
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             infos = zf.infolist()
-        assert len(infos) == 2 + _array_members(carry) == 12 + 4 * 2
+        assert [i.filename for i in infos] == MEMBERS
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+        assert len(carry.pending) == 2 and len(_per_vertex(carry)) == 6
         assert len(blob) <= _byte_bound(carry)
 
     def test_flipped_payload_byte_fails_the_crc(self, saved):
@@ -446,17 +573,17 @@ class TestStoredArchive:
         key = store.keys()[-1]
         blob = bytearray(_get_blob(store, key))
         with zipfile.ZipFile(io.BytesIO(bytes(blob))) as zf:
-            info = zf.getinfo("state/h.npy")
+            info = zf.getinfo("meta/record.npy")
         name_len, extra_len = struct.unpack_from(
             "<HH", blob, info.header_offset + 26
         )
         payload_end = (
             info.header_offset + 30 + name_len + extra_len + info.compress_size
         )
-        blob[payload_end - 1] ^= 0x01  # last byte of the float data
+        blob[payload_end - 1] ^= 0x01  # last byte of the record's data
         _put_blob(store, key, bytes(blob))
         with pytest.raises(
-            CorruptCheckpointError, match=r"CRC-32 for file 'state/h\.npy'"
+            CorruptCheckpointError, match=r"CRC-32 for file 'meta/record\.npy'"
         ):
             store.load(key)
         assert store.load(store.keys()[-2]).timestamp >= 0
@@ -475,7 +602,7 @@ class TestStoredArchive:
 
     def test_memory_store_is_bounded(self, graph):
         store = CheckpointStore(keep_last=3)
-        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        stream = self._owned_stream(graph)
         for i in range(20):
             stream.push(graph[i % graph.num_snapshots].copy())
             store.save(stream)
@@ -485,7 +612,8 @@ class TestStoredArchive:
 
 
 class TestFormat2Layout:
-    """Members cost, bytes do not: every scalar rides in one record."""
+    """The record layouts: format 2 put every scalar in one record,
+    format 4 puts every field there, so an archive is two members."""
 
     def _saved(self, graph, pushes, name="T-GCN"):
         stream = StreamingInference(_model(graph, name), window_size=WINDOW)
@@ -495,21 +623,24 @@ class TestFormat2Layout:
         save_checkpoint(stream, buf)
         return stream, buf.getvalue()
 
-    def test_writes_format_3(self, graph):
+    def test_writes_format_4(self, graph):
         _, blob = self._saved(graph, WINDOW)
-        assert CHECKPOINT_FORMAT == 3
+        assert CHECKPOINT_FORMAT == 4
         with np.load(io.BytesIO(blob)) as data:
-            assert int(data["meta/format"]) == 3
+            assert int(data["meta/format"]) == 4
 
     @pytest.mark.parametrize("pending", [0, 1, 2])
     def test_member_count_is_two_plus_array_members(self, graph, pending):
+        """Format 4 has no array member: whatever the carry holds, the
+        archive is the format and the record."""
         stream, blob = self._saved(graph, WINDOW + pending)
         assert stream.pending == pending
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
-            members = zf.namelist()
-        assert len(members) == 2 + _array_members(stream.carry)
-        assert len(members) == 12 + 4 * pending  # the T-GCN carry
-        assert RETIRED_MEMBER + ".npy" not in members
+            assert zf.namelist() == MEMBERS
+        with np.load(io.BytesIO(blob)) as data:
+            names = data["meta/record"].dtype.names
+        assert sum(n.startswith("pending/") for n in names) == 5 * pending
+        assert RETIRED_MEMBER not in names
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
     @pytest.mark.parametrize("pushes", [0, 1, WINDOW, WINDOW + 1])
@@ -525,19 +656,40 @@ class TestFormat2Layout:
             if value.ndim == 0 and value.dtype.names is None
         ]
         assert lone == ["meta/format"]
-        # the record holds exactly the scalars format 1 spread over
-        # members, under the same names; the retired trajectory is gone
+        # the record holds exactly the members format 1 wrote, under the
+        # same names and with the same values; the retired trajectory is
+        # gone
         old = _format1_arrays(stream.carry)
-        del old[RETIRED_MEMBER]
-        scalars = {k for k, v in old.items() if np.ndim(v) == 0}
-        record = members["meta/scalars"]
+        del old[RETIRED_MEMBER], old["meta/format"]
+        record = members["meta/record"]
+        assert set(members) == {"meta/format", "meta/record"}
         assert record.shape == ()
-        assert set(record.dtype.names) == scalars - {"meta/format"}
-        for key in record.dtype.names:
-            assert record[key] == old[key], key
-        assert set(members) - {"meta/scalars"} == set(old) - scalars | {
-            "meta/format"
-        }
+        assert set(record.dtype.names) == set(old)
+        for key, value in _record_fields(record).items():
+            assert value.shape == np.shape(old[key]), key
+            assert (value == old[key]).all(), key
+
+    def test_a_long_window_loads(self):
+        """The record's ``.npy`` header names every field, ≈ 190 B per
+        pending snapshot, so a long window outgrows numpy's default
+        10 000 B header cap; the reader lifts the cap and resumes it."""
+        small = load_dataset("GT", scale=0.05, num_snapshots=60, seed=SEED)
+        stream = StreamingInference(_model(small), window_size=64)
+        for snap in small:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        blob = buf.getvalue()
+        with np.load(io.BytesIO(blob)) as data:
+            with pytest.raises(ValueError, match="max_header_size"):
+                data["meta/record"]
+        resumed = StreamingInference(_model(small), window_size=64)
+        resumed.restore_carry(load_checkpoint(io.BytesIO(blob)))
+        assert resumed.pending == 60
+        got, want = resumed.flush().outputs, stream.flush().outputs
+        assert len(got) == len(want) == 60
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_save_leaves_the_live_carry_untouched(self, graph):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -620,24 +772,25 @@ class TestParentFormatCompatibility:
         """An older build's format-3 record still carries counters this
         build dropped (``checkpoints_taken``, ``plan_kernel_switches``,
         ``windows_planned``) and the ``(W, 3)`` trajectory member: the
-        reader skips fields and members it does not know."""
+        reader skips fields and members it does not know, in a format-3
+        or a format-4 record."""
         first = self._pushed(graph, model_name, crash_at)
-        arrays = carry_to_arrays(first.carry_state())
-        record = arrays["meta/scalars"]
-        retired = (
-            "metrics/checkpoints_taken",
-            "metrics/plan_kernel_switches",
-            "metrics/windows_planned",
-        )
-        assert not set(retired) & set(record.dtype.names)
-        assert RETIRED_MEMBER not in arrays
-        arrays["meta/scalars"] = np.array(
-            record.item() + (2, 1, first.window_index),
-            dtype=record.dtype.descr + [(name, "<i8") for name in retired],
-        )
-        arrays[RETIRED_MEMBER] = _format1_arrays(first.carry)[RETIRED_MEMBER]
-        assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
-        self._assert_resumes(graph, model_name, first, arrays)
+        retired = {
+            "metrics/checkpoints_taken": 2,
+            "metrics/plan_kernel_switches": 1,
+            "metrics/windows_planned": first.window_index,
+        }
+        for flatten, record in (
+            (_format3_arrays, "meta/scalars"), (carry_to_arrays, "meta/record")
+        ):
+            arrays = flatten(first.carry_state())
+            assert not set(retired) & set(arrays[record].dtype.names)
+            assert RETIRED_MEMBER not in arrays
+            for key, value in retired.items():
+                _edit(arrays, key, np.int64(value))
+            arrays[RETIRED_MEMBER] = _format1_arrays(first.carry)[RETIRED_MEMBER]
+            assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
+            self._assert_resumes(graph, model_name, first, arrays)
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
     @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
@@ -695,9 +848,9 @@ class TestParentFormatCompatibility:
 
 
 class TestOwnedRowCheckpoints:
-    """Format 3: an owned-row stream's state is valid on its rows only,
-    the archive says which, and a stream resumes only from an archive
-    that covers the rows it owns."""
+    """An owned-row stream's state is valid on the rows it computes
+    only: format 3 said which, format 4 stores those rows alone, and a
+    stream resumes only from an archive that covers the rows it owns."""
 
     A = np.arange(0, 40)
     B = np.arange(30, 60)  # not inside A
@@ -711,21 +864,72 @@ class TestOwnedRowCheckpoints:
         directory = tmp_path / "ckpts" if backend == "directory" else None
         return CheckpointStore(directory, **kwargs)
 
+    def _saved(self, graph, rows, name="T-GCN", pushes=WINDOW):
+        stream = self._stream(graph, rows, name)
+        for snap in list(graph)[:pushes]:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        return stream, buf.getvalue()
+
+    @staticmethod
+    def _fields(blob) -> dict:
+        with np.load(io.BytesIO(blob)) as data:
+            assert data.files == ["meta/format", "meta/record"]
+            return _record_fields(data["meta/record"])
+
     def test_the_ownership_is_one_optional_member(self, graph):
-        owned = self._stream(graph, self.A)
-        whole = self._stream(graph, None)
-        blobs = []
-        for stream in (owned, whole):
-            for snap in list(graph)[:WINDOW]:
-                stream.push(snap.copy())
-            buf = io.BytesIO()
-            save_checkpoint(stream, buf)
-            blobs.append(buf.getvalue())
-        names = [set(zipfile.ZipFile(io.BytesIO(b)).namelist()) for b in blobs]
-        assert names[0] - names[1] == {"carry/rows.npy"}
-        assert names[1] <= names[0] and len(names[1]) == 12
-        assert load_checkpoint(io.BytesIO(blobs[0])).rows.tolist() == self.A.tolist()
-        assert load_checkpoint(io.BytesIO(blobs[1])).rows is None
+        """A row-local cell's archive holds its owned rows alone, and
+        ``carry/rows`` names them; the whole stream's holds every row."""
+        _, owned = self._saved(graph, self.A)
+        _, whole = self._saved(graph, None)
+        owned, whole = self._fields(owned), self._fields(whole)
+        assert set(owned) - set(whole) == {"carry/rows"}
+        assert set(whole) <= set(owned)
+        assert owned["carry/rows"].tolist() == self.A.tolist()
+        per_vertex = [key for key in whole if key.split("/")[0] in (
+            "state", "cache") or key in ("carry/h_prev", "carry/z_prev")]
+        assert len(per_vertex) == 6
+        for key in per_vertex:
+            assert whole[key].shape[0] == graph.num_vertices, key
+            assert owned[key].shape == (len(self.A),) + whole[key].shape[1:]
+        loaded = load_checkpoint(io.BytesIO(self._saved(graph, self.A)[1]))
+        assert loaded.rows.tolist() == self.A.tolist()
+        assert loaded.h_prev.shape == (graph.num_vertices, 16)
+        assert not loaded.h_prev[len(self.A):].any()  # never computed
+
+    def test_a_neighbour_reading_cell_writes_every_row(self, graph):
+        """GC-LSTM's cell convolves the state, so an owned-row stream
+        computes every row: its archive is whole, names no rows, and
+        resumes any stream bit-identically on every row."""
+        stream, blob = self._saved(graph, self.A, "GC-LSTM", WINDOW + 1)
+        assert stream.carry.computed_rows(stream.model) is None
+        saved = self._fields(blob)
+        assert "carry/rows" not in saved
+        assert saved["state/h"].shape[0] == graph.num_vertices
+        assert saved["carry/h_prev"].shape[0] == graph.num_vertices
+        expected = _uninterrupted(graph, "GC-LSTM")
+        for rows in (self.A, None):
+            resumed = self._stream(graph, rows, "GC-LSTM")
+            resumed.restore_carry(load_checkpoint(io.BytesIO(blob)))
+            late = _run(resumed, list(graph)[WINDOW + 1:])
+            tail = expected[len(expected) - len(late):]
+            assert late and len(late) == len(tail)
+            for got, want in zip(late, tail):
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_sliced_array_of_the_wrong_height_is_corrupt(self, graph):
+        _, blob = self._saved(graph, self.A)
+        with np.load(io.BytesIO(blob)) as data:
+            arrays = {key: data[key] for key in data.files}
+        h = _record_fields(arrays["meta/record"])["state/h"]
+        _edit(arrays, "state/h", h[:-1])
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        store = CheckpointStore()
+        _put_blob(store, "ckpt-00000001.npz", buf.getvalue())
+        with pytest.raises(CorruptCheckpointError, match="state/h has shape"):
+            store.load("ckpt-00000001.npz")
 
     @pytest.mark.parametrize(
         "rows",
@@ -739,12 +943,17 @@ class TestOwnedRowCheckpoints:
         ],
     )
     def test_a_tampered_ownership_member_is_rejected(self, graph, rows):
-        stream = self._stream(graph, self.A)
-        stream.push(graph[0].copy())
-        arrays = carry_to_arrays(stream.carry)
-        arrays["carry/rows"] = rows
-        with pytest.raises(ValueError, match="carry/rows"):
-            arrays_to_carry(arrays)
+        for pushes in (1, WINDOW):  # without and with per-vertex arrays
+            stream = self._stream(graph, self.A)
+            for snap in list(graph)[:pushes]:
+                stream.push(snap.copy())
+            for arrays in (
+                _format3_arrays(stream.carry),
+                carry_to_arrays(stream.carry, stream.rows),
+            ):
+                _edit(arrays, "carry/rows", rows)
+                with pytest.raises(ValueError, match="carry/rows"):
+                    arrays_to_carry(arrays)
 
     @pytest.mark.parametrize("backend", ["memory", "directory"])
     def test_an_archive_that_does_not_cover_the_stream_is_refused(
@@ -773,7 +982,7 @@ class TestOwnedRowCheckpoints:
             assert got[inside].tobytes() == want[inside].tobytes()
 
     @pytest.mark.parametrize("backend", ["memory", "directory"])
-    @pytest.mark.parametrize("fmt", [1, 2])
+    @pytest.mark.parametrize("fmt", [1, 2, 3])
     @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
     def test_a_parent_written_archive_resumes_an_owned_row_stream(
         self, graph, tmp_path, backend, fmt, crash_at
@@ -797,6 +1006,75 @@ class TestOwnedRowCheckpoints:
         assert late and len(late) == len(tail)
         for got, want in zip(late, tail):
             assert got[self.B].tobytes() == want[self.B].tobytes()
+
+    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
+    def test_a_format_3_archive_with_rows_resumes_an_owned_row_stream(
+        self, graph, crash_at
+    ):
+        """Format 3 wrote an owned-row stream's arrays whole, beside the
+        ownership member: a stream inside those rows resumes from it."""
+        first = self._stream(graph, self.A)
+        for snap in list(graph)[:crash_at]:
+            first.push(snap.copy())
+        arrays = _format3_arrays(first.carry_state())
+        assert arrays["state/h"].shape[0] == graph.num_vertices
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        inside = self.A[5:20]
+        resumed = self._stream(graph, inside)
+        resumed.restore_carry(load_checkpoint(io.BytesIO(buf.getvalue())))
+        late = _run(resumed, list(graph)[crash_at:])
+        expected = _uninterrupted(graph)
+        tail = expected[len(expected) - len(late):]
+        assert late and len(late) == len(tail)
+        for got, want in zip(late, tail):
+            assert got[inside].tobytes() == want[inside].tobytes()
+
+    def test_restore_after_a_degraded_window(self, graph):
+        """A degraded window runs on the reference engine, which computes
+        every row, so the live carry's unowned rows stop being zeros; a
+        format-4 archive brings them back as zeros.  No owned row reads
+        them, so every later output is the uninterrupted run's on the
+        owned rows."""
+        from repro.resilience import ResilientStreamingInference
+
+        def supervised():
+            sup = ResilientStreamingInference(
+                _model(graph), window_size=WINDOW, rows=self.A
+            )
+            sup.inject_fault(RuntimeError("injected engine fault"))
+            return sup
+
+        def run(sup, snapshots):
+            outs = []
+            for snap in snapshots:
+                result = sup.push(snap.copy())
+                if result is not None:
+                    outs.extend(result.outputs)
+            result = sup.flush()
+            return outs + ([] if result is None else result.outputs)
+
+        expected = run(supervised(), graph)
+        first = supervised()
+        early = run(first, list(graph)[:WINDOW])  # the degraded window
+        crash_at = WINDOW + 1
+        first.push(graph[WINDOW].copy())
+        assert first.metrics.fallback_windows == 1
+        unowned = np.setdiff1d(np.arange(graph.num_vertices), self.A)
+        assert first.stream.carry.state.h[unowned].any()
+        store = CheckpointStore()
+        key = store.save(first.stream)
+        del first  # the crash
+
+        resumed = ResilientStreamingInference(
+            _model(graph), window_size=WINDOW, rows=self.A
+        )
+        carry = store.restore(resumed.stream, key)
+        assert not carry.state.h[unowned].any()
+        late = run(resumed, list(graph)[crash_at:])
+        assert len(early) + len(late) == len(expected) == graph.num_snapshots
+        for got, want in zip(early + late, expected):
+            assert got[self.A].tobytes() == want[self.A].tobytes()
 
     def test_restore_turns_any_mismatch_into_a_corrupt_checkpoint(self, graph):
         store = CheckpointStore()

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.recfunctions import repack_fields
 
 from repro.engine import StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
+from repro.resilience import carry_to_arrays
 from repro.serving import ShardCluster
 
 WINDOW = 3
@@ -203,7 +205,7 @@ class TestRecovery:
         assert torn and torn[0].action in ("rolled-back", "cold-start")
 
     def test_checkpoint_lacking_a_member_rolls_back(self, graph):
-        """A newest checkpoint that is a valid archive without
+        """A newest checkpoint that is a valid archive whose record lacks
         ``state/h`` is skipped like a torn one: the shard resumes from
         the older key instead of dying in recovery."""
         cluster = ShardCluster(
@@ -217,10 +219,17 @@ class TestRecovery:
                 assert len(blobs) >= 2
                 newest = max(blobs)
                 with np.load(io.BytesIO(blobs[newest])) as data:
-                    kept = {k: data[k] for k in data.files if k != "state/h"}
-                assert len(kept) == len(data.files) - 1
-                buf = io.BytesIO()
-                np.savez(buf, **kept)
+                    record = data["meta/record"]
+                    kept = [n for n in record.dtype.names if n != "state/h"]
+                    assert len(kept) == len(record.dtype.names) - 1
+                    buf = io.BytesIO()
+                    np.savez(
+                        buf,
+                        **{
+                            "meta/format": data["meta/format"],
+                            "meta/record": repack_fields(record[kept]),
+                        },
+                    )
                 blobs[newest] = buf.getvalue()
                 cluster.workers[0].crash()
             cluster.push("t0", snap.copy())
@@ -491,6 +500,27 @@ class TestOwnedRowShards:
             with pytest.raises(ValueError, match="fed shard"):
                 worker.own(rows)
         assert (seen == 1).all()
+
+    def test_a_shard_checkpoint_holds_the_rows_it_owns(self, graph):
+        """Every shard's archives store the rows it computes, not the
+        whole graph's: the four stores together hold at most half of
+        what whole-graph archives of the same carries take (a quarter
+        of the rows, plus the snapshots any archive carries)."""
+        cluster = ShardCluster(
+            lambda: make_model("T-GCN", DIM, 32, seed=SEED),
+            num_shards=SHARDS, window_size=WINDOW, seed=SEED,
+        )
+        serve(cluster, "t0", graph)
+        held = whole = 0
+        for worker in cluster.workers:
+            store = worker.stores["t0"]
+            assert store.keys()
+            for key in store.keys():
+                held += len(store._blobs[key])
+                buf = io.BytesIO()
+                np.savez(buf, **carry_to_arrays(store.load(key)))
+                whole += len(buf.getvalue())
+        assert held <= whole / 2
 
     def test_engine_fault_degrades_one_owned_row_window(self, graph):
         cluster = ShardCluster(
