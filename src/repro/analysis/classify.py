@@ -92,7 +92,7 @@ class WindowClassification:
         return np.flatnonzero(self.labels != VertexClass.UNAFFECTED)
 
 
-def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassification:
+def classify_window(window: DynamicGraph) -> WindowClassification:
     """Classify every vertex of a window as unaffected / stable / affected.
 
     Parameters
@@ -100,8 +100,10 @@ def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassif
     window:
         The snapshot window (>= 1 snapshot; a single snapshot makes every
         present vertex unaffected by definition).
-    atol:
-        Feature-comparison tolerance (0 = exact, the paper's definition).
+
+    Features compare exactly (the paper's definition): a tolerance would
+    label changed rows unaffected and break the engine's exactness
+    contract.
     """
     snaps = window.snapshots
     n = window.num_vertices
@@ -116,7 +118,7 @@ def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassif
     presence_changed = present.any(axis=0) & ~present_all
 
     # --- own-feature stability ------------------------------------------
-    feat_stable = _features_stable(snaps, atol) & present_all
+    feat_stable = _features_stable(snaps) & present_all
 
     # --- topology stability via row fingerprints ------------------------
     fps = np.stack([s.row_fingerprints() for s in snaps])
@@ -145,16 +147,12 @@ def classify_window(window: DynamicGraph, *, atol: float = 0.0) -> WindowClassif
     return WindowClassification(labels, len(snaps))
 
 
-def _features_stable(snaps, atol: float) -> np.ndarray:
-    """Rows whose features equal (``atol``: are close to) the previous
-    snapshot's in every consecutive pair of ``snaps``.  Pair by pair,
+def _features_stable(snaps) -> np.ndarray:
+    """Rows whose features equal the previous snapshot's in every
+    consecutive pair of ``snaps``.  Pair by pair,
     these are the booleans of one compare over the stacked ``(K, n, d)``
     features, without the stack."""
     stable = np.ones(len(snaps[0].features), dtype=bool)
     for prev, cur in zip(snaps, snaps[1:]):
-        if atol > 0.0:
-            same = np.isclose(cur.features, prev.features, atol=atol)
-        else:
-            same = cur.features == prev.features
-        stable &= same.all(axis=1)
+        stable &= (cur.features == prev.features).all(axis=1)
     return stable

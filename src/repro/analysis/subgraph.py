@@ -97,12 +97,10 @@ class AffectedSubgraph:
 def extract_affected_subgraph(
     window: DynamicGraph,
     classification: WindowClassification | None = None,
-    *,
-    atol: float = 0.0,
 ) -> AffectedSubgraph:
     """Run the stable-rooted DFS and return the affected subgraph."""
     if classification is None:
-        classification = classify_window(window, atol=atol)
+        classification = classify_window(window)
     labels = classification.labels
     n = window.num_vertices
     indptr, indices = union_adjacency(window)

@@ -61,12 +61,11 @@ def _edge_keys(snap: CSRSnapshot) -> np.ndarray:
     return src * n + snap.indices.astype(np.int64)  # already (src,dst)-sorted
 
 
-def snapshot_delta(a: CSRSnapshot, b: CSRSnapshot, *, atol: float = 0.0) -> SnapshotDelta:
+def snapshot_delta(a: CSRSnapshot, b: CSRSnapshot) -> SnapshotDelta:
     """Compute the :class:`SnapshotDelta` between two snapshots.
 
-    ``atol`` lets callers treat tiny feature perturbations as unchanged
-    (exact comparison by default, matching the paper's definition of an
-    unchanged feature).
+    Features compare exactly, matching the paper's definition of an
+    unchanged feature.
     """
     if a.num_vertices != b.num_vertices:
         raise ValueError("snapshots must share a global id space")
@@ -78,10 +77,7 @@ def snapshot_delta(a: CSRSnapshot, b: CSRSnapshot, *, atol: float = 0.0) -> Snap
     removed_edges = np.stack([removed // n, removed % n], axis=1).astype(np.int64)
 
     both = a.present & b.present
-    if atol > 0.0:
-        feat_diff = ~np.isclose(a.features, b.features, atol=atol).all(axis=1)
-    else:
-        feat_diff = (a.features != b.features).any(axis=1)
+    feat_diff = (a.features != b.features).any(axis=1)
     feature_changed = np.flatnonzero(feat_diff & both)
 
     arrived = np.flatnonzero(~a.present & b.present)

@@ -14,11 +14,14 @@ flat arrays once, validates every event with vectorised alternation and
 point-in-time presence checks, and materialises the successor with a
 single canonical CSR rebuild.  The moment anything is off — an
 undecodable payload or any strict-replay violation — it falls back to
-:func:`apply_events_reference`, the per-event implementation, which
-raises the exact first-violation error (or, for the resilience ingest,
-produces the exact dead-letter sequence).  The batched path is therefore
-bit-identical to the reference on valid streams and indistinguishable
-from it on hostile ones.
+:func:`apply_events_reference`, the one per-event replay, which raises
+the exact first-violation error.  Given a ``reject`` callback instead,
+that same replay hands each violating event and its reason to the
+callback and skips it: the resilience ingest dead-letters through it, so
+the strict-replay rules (:func:`event_violation` plus the state updates
+here) live in this module alone.  The batched path is bit-identical to
+the reference on valid streams and indistinguishable from it on hostile
+ones.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,23 +106,23 @@ def delta_to_events(
     return events
 
 
-@contract("_, int, int, ?(n,) b, _ -> _")
+@contract("_, int, int, (n,) b, _ -> _")
 def event_violation(
     ev,
     *,
     num_vertices: int,
     dim: int,
-    present: np.ndarray | None = None,
-    edge_keys: set[int] | None = None,
+    present: np.ndarray,
+    edge_keys: set[int],
 ) -> str | None:
     """Explain why ``ev`` cannot be applied, or ``None`` when it can.
 
     ``present``/``edge_keys`` carry the replay state at the point the
     event would apply (vertex presence mask and the set of live
-    ``src * num_vertices + dst`` edge keys); passing ``None`` skips the
-    state-dependent checks and validates only kind/shape/range.  This is
-    the single validation authority shared by the strict
-    :func:`apply_events` replay and the resilience ingest guard.
+    ``src * num_vertices + dst`` edge keys).  This is the single
+    validation authority of the strict replay, which
+    :func:`apply_events_reference` runs for both raising and rejecting
+    callers.
     """
     n = num_vertices
     if not isinstance(ev, UpdateEvent):
@@ -131,10 +135,10 @@ def event_violation(
     if not 0 <= v < n:
         return f"vertex id {v} out of range [0, {n})"
     if ev.kind is UpdateKind.VERTEX_DEPART:
-        if present is not None and not present[v]:
+        if not present[v]:
             return f"departure of absent vertex {v}"
     elif ev.kind is UpdateKind.VERTEX_ARRIVE:
-        if present is not None and present[v]:
+        if present[v]:
             return f"arrival of already-present vertex {v}"
     elif ev.kind in (UpdateKind.EDGE_INSERT, UpdateKind.EDGE_DELETE):
         payload = ev.payload
@@ -149,12 +153,12 @@ def event_violation(
             return f"edge endpoint out of range [0, {n}): ({s}, {d})"
         key = s * n + d
         if ev.kind is UpdateKind.EDGE_DELETE:
-            if edge_keys is not None and key not in edge_keys:
+            if key not in edge_keys:
                 return f"deletion of absent edge ({s}, {d})"
         else:
-            if edge_keys is not None and key in edge_keys:
+            if key in edge_keys:
                 return f"duplicate insertion of edge ({s}, {d})"
-            if present is not None and not (present[s] and present[d]):
+            if not (present[s] and present[d]):
                 return f"insertion of edge ({s}, {d}) with absent endpoint"
     else:  # FEATURE_UPDATE
         x = ev.payload
@@ -164,7 +168,7 @@ def event_violation(
             )
         if not bool(np.isfinite(x).all()):
             return f"non-finite feature payload for vertex {v}"
-        if present is not None and not present[v]:
+        if not present[v]:
             return f"feature update for absent vertex {v}"
     return None
 
@@ -446,7 +450,12 @@ def _decoded_apply(
     )
 
 
-def apply_events(snap: CSRSnapshot, events: list[UpdateEvent]) -> CSRSnapshot:
+def apply_events(
+    snap: CSRSnapshot,
+    events: list[UpdateEvent],
+    *,
+    reject: Callable[[object, str], None] | None = None,
+) -> CSRSnapshot:
     """Replay events onto a snapshot, returning the successor snapshot.
 
     The batch is decoded into flat arrays, validated with vectorised
@@ -460,32 +469,40 @@ def apply_events(snap: CSRSnapshot, events: list[UpdateEvent]) -> CSRSnapshot:
     rather than silently corrupting the successor snapshot.  Error
     reporting is delegated to :func:`apply_events_reference`, so messages
     and first-violation ordering match the per-event replay exactly.
-    Callers that want to survive hostile streams should route events
-    through :mod:`repro.resilience.ingest`, which dead-letters poison
-    events instead of raising.
+    With ``reject`` given, that replay calls ``reject(event, reason)``
+    for each violating event and skips it instead of raising;
+    :mod:`repro.resilience.ingest` dead-letters poison events this way.
     """
     dec = _decode_events(events, snap.num_vertices, snap.features.shape[1])
     if dec is not None:
         key0 = _edge_keys_sorted(snap)
         if not _decoded_violation(snap, dec, key0):
             return _decoded_apply(snap, dec, key0)
-    return apply_events_reference(snap, events)
+    return apply_events_reference(snap, events, reject=reject)
 
 
 def apply_events_reference(
-    snap: CSRSnapshot, events: list[UpdateEvent]
+    snap: CSRSnapshot,
+    events: list[UpdateEvent],
+    *,
+    reject: Callable[[object, str], None] | None = None,
 ) -> CSRSnapshot:
-    """Per-event reference replay (the pre-vectorisation semantics).
+    """Per-event replay: the fallback of :func:`apply_events` for any
+    batch the batched validator refuses, and the oracle its property
+    tests compare against.
 
-    Kept as the error-reporting fallback of :func:`apply_events` and the
-    oracle the batched-path property tests compare against.
+    Each event is checked by :func:`event_violation` against the state
+    the events before it left.  With ``reject=None`` the first violation
+    raises :class:`ValueError`; otherwise ``reject(event, reason)`` is
+    called and the event is skipped, so the successor is the replay of
+    the events that apply, in arrival order.
     """
     n = snap.num_vertices
     present = snap.present.copy()
     features = snap.features.copy()
     keys = set(_edge_keys_sorted(snap).tolist())
 
-    for ev in events:  # repro: noqa R006 — reference path, kept for exact errors
+    for ev in events:  # repro: noqa R006 — the one per-event replay: exact errors and dead-letter order
         reason = event_violation(
             ev,
             num_vertices=n,
@@ -494,19 +511,26 @@ def apply_events_reference(
             edge_keys=keys,
         )
         if reason is not None:
-            raise ValueError(f"invalid update event: {reason}")
+            if reject is None:
+                raise ValueError(f"invalid update event: {reason}")
+            reject(ev, reason)
+            continue
+        # Ids are cast with int(): a NumPy integer would compute the edge
+        # key in its own width (an int32 ``s * n`` overflows once
+        # n > 46 341), and a bool would index as a mask.
+        v = int(ev.vertex)
         if ev.kind is UpdateKind.VERTEX_DEPART:
-            present[ev.vertex] = False
+            present[v] = False
         elif ev.kind is UpdateKind.VERTEX_ARRIVE:
-            present[ev.vertex] = True
+            present[v] = True
         elif ev.kind is UpdateKind.EDGE_DELETE:
             s, d = ev.payload  # type: ignore[misc]
-            keys.discard(s * n + d)
+            keys.discard(int(s) * n + int(d))
         elif ev.kind is UpdateKind.EDGE_INSERT:
             s, d = ev.payload  # type: ignore[misc]
-            keys.add(s * n + d)
-        elif ev.kind is UpdateKind.FEATURE_UPDATE:
-            features[ev.vertex] = ev.payload  # type: ignore[assignment]
+            keys.add(int(s) * n + int(d))
+        else:  # FEATURE_UPDATE
+            features[v] = ev.payload  # type: ignore[assignment]
 
     # Departed vertices take their incident edges with them.
     arr = np.fromiter(keys, dtype=np.int64, count=len(keys))

@@ -6,10 +6,11 @@ testable:
 
 * :func:`snapshot_violation` / :func:`repro.graphs.updates.event_violation`
   decide *whether* an artefact may enter the system;
-* :class:`GuardedIngest` filters an event batch against the evolving
-  replay state, applying the valid prefix semantics of
-  :func:`~repro.graphs.updates.apply_events` while diverting poison
-  events to a :class:`DeadLetterQueue` instead of raising;
+* :class:`GuardedIngest` applies an event batch with
+  :func:`~repro.graphs.updates.apply_events`, whose per-event replay
+  hands each poison event to a :class:`DeadLetterQueue` instead of
+  raising — one replay per batch, and the replay rules stay in
+  :mod:`repro.graphs.updates`;
 * :func:`with_retry` wraps transiently-failing callables (storage
   requests) in bounded retry with deterministic exponential backoff plus
   seeded jitter.  Delays are **virtual** — recorded, never slept — so the
@@ -25,15 +26,7 @@ import numpy as np
 
 from ..engine.metrics import ExecutionMetrics
 from ..graphs.snapshot import CSRSnapshot
-from ..graphs.updates import (
-    UpdateEvent,
-    UpdateKind,
-    _decode_events,
-    _decoded_violation,
-    _edge_keys_sorted,
-    apply_events,
-    event_violation,
-)
+from ..graphs.updates import UpdateEvent, UpdateKind, apply_events
 from .faults import TransientStorageError
 
 __all__ = [
@@ -235,89 +228,35 @@ def snapshot_violation(
 # guarded event application
 # ----------------------------------------------------------------------
 class GuardedIngest:
-    """Filter hostile event batches in front of ``apply_events``.
+    """Apply hostile event batches without raising.
 
-    Validation replays the same evolving state (presence mask + live
-    edge-key set) that strict :func:`apply_events` checks against, so an
-    event is quarantined if and only if the strict replay would raise on
-    it; the surviving events are guaranteed to apply cleanly.
+    :meth:`apply` runs the strict :func:`apply_events` with a ``reject``
+    callback, so an event is quarantined if and only if the strict
+    replay would raise on it, and the successor is the replay of the
+    events that survive.
     """
 
     def __init__(self, *, dlq: DeadLetterQueue | None = None):
         self.dlq = dlq if dlq is not None else DeadLetterQueue()
         self.metrics = ExecutionMetrics()
 
-    def filter_events(
-        self, snap: CSRSnapshot, events, *, step: int = 0
-    ) -> tuple[list, list]:
-        """Split ``events`` into (clean, quarantined) against ``snap``."""
-        # Fast path: the batched validator proves the whole batch clean
-        # without replaying it event by event.  Any anomaly — a malformed
-        # payload or any strict-replay violation — drops to the exact
-        # sequential walk, which dead-letters poison events in arrival
-        # order with the same reasons as before.
-        events = list(events)
-        dec = _decode_events(events, snap.num_vertices, snap.dim)
-        if dec is not None and not _decoded_violation(
-            snap, dec, _edge_keys_sorted(snap)
-        ):
-            return events, []
-        return self._walk(snap, events, step)
-
-    def _walk(self, snap: CSRSnapshot, events: list, step: int):
-        """The exact sequential split: replay ``events`` one by one
-        against the evolving state, dead-lettering each one the strict
-        replay would raise on."""
-        n = snap.num_vertices
-        present = snap.present.copy()
-        src = np.repeat(np.arange(n, dtype=np.int64), snap.degrees)
-        keys = set((src * n + snap.indices.astype(np.int64)).tolist())
-        clean: list = []
-        rejected: list = []
-        for ev in events:  # repro: noqa R006 — slow path, exact DLQ order
-            reason = event_violation(
-                ev,
-                num_vertices=n,
-                dim=snap.dim,
-                present=present,
-                edge_keys=keys,
-            )
-            if reason is not None:
-                self.dlq.record(step, reason, payload=ev)
-                self.metrics.dead_letter_events += 1
-                self.metrics.incidents += 1
-                rejected.append(ev)
-                continue
-            clean.append(ev)
-            if ev.kind is UpdateKind.VERTEX_DEPART:
-                present[ev.vertex] = False
-            elif ev.kind is UpdateKind.VERTEX_ARRIVE:
-                present[ev.vertex] = True
-            elif ev.kind is UpdateKind.EDGE_DELETE:
-                s, d = ev.payload  # type: ignore[misc]
-                keys.discard(int(s) * n + int(d))
-            elif ev.kind is UpdateKind.EDGE_INSERT:
-                s, d = ev.payload  # type: ignore[misc]
-                keys.add(int(s) * n + int(d))
-        return clean, rejected
-
     def apply(
         self, snap: CSRSnapshot, events, *, step: int = 0
     ) -> CSRSnapshot:
-        """Quarantine poison events, then apply the clean remainder.
+        """Apply ``events`` to ``snap``, dead-lettering poison events.
 
-        Optimistic: the strict replay *is* the validator, so a clean
-        batch is decoded and validated once, inside ``apply_events``.
-        Only when that raises — it raises exactly when the walk has
-        something to quarantine — is the batch walked and the surviving
-        events applied.
+        A clean batch is decoded and validated once, inside
+        ``apply_events``.  Otherwise the batch is replayed once, event by
+        event: each poison event is recorded at ``step`` with its reason,
+        in arrival order, and the rest apply.
         """
-        events = list(events)
-        try:
-            return apply_events(snap, events)
-        except ValueError:
-            clean, _ = self._walk(snap, events, step)
-            return apply_events(snap, clean)
+
+        def reject(ev, reason: str) -> None:
+            self.dlq.record(step, reason, payload=ev)
+            self.metrics.dead_letter_events += 1
+            self.metrics.incidents += 1
+
+        return apply_events(snap, list(events), reject=reject)
 
 
 # ----------------------------------------------------------------------
@@ -328,12 +267,12 @@ def redrain_dead_letters(
 ) -> tuple[list[DeadLetter], list[DeadLetter]]:
     """Re-validate a capture against ``graph``'s authoritative snapshots.
 
-    Each event-payload letter is pushed back through the guarded-ingest
-    validator at its recorded step (clamped to the graph's last
-    snapshot); letters whose payload is not a replayable event — torn
-    snapshots, opaque artefacts — stay quarantined by definition.
-    Returns ``(readmitted, still_poison)``; the split is deterministic,
-    so running a re-drain twice yields the same verdicts.
+    Each event-payload letter is pushed back through
+    :meth:`GuardedIngest.apply` at its recorded step (clamped to the
+    graph's last snapshot); letters whose payload is not a replayable
+    event — torn snapshots, opaque artefacts — stay quarantined by
+    definition.  Returns ``(readmitted, still_poison)``; the split is
+    deterministic, so running a re-drain twice yields the same verdicts.
     """
     readmitted: list[DeadLetter] = []
     still_poison: list[DeadLetter] = []
@@ -343,11 +282,9 @@ def redrain_dead_letters(
         if not isinstance(payload, UpdateEvent):
             still_poison.append(letter)
             continue
-        snap = graph[min(letter.step, last)]
-        _, rejected = GuardedIngest().filter_events(
-            snap, [payload], step=letter.step
-        )
-        (still_poison if rejected else readmitted).append(letter)
+        guard = GuardedIngest()
+        guard.apply(graph[min(letter.step, last)], [payload], step=letter.step)
+        (still_poison if guard.dlq.letters else readmitted).append(letter)
     return readmitted, still_poison
 
 

@@ -9,8 +9,10 @@ and hostile events these tests assert the two are indistinguishable:
 * the *same* first-violation error message when rejecting,
 * bit-identical resulting snapshots (arrays, dtypes, timestamp) when
   accepting,
-* identical dead-letter traffic (reasons, order, payloads) through
-  :class:`~repro.resilience.ingest.GuardedIngest`.
+* identical dead-letter traffic (reasons, order, payloads), successor
+  and guard metrics through :class:`~repro.resilience.ingest.GuardedIngest`
+  against :func:`frozen_guard`, the guarded ingest as it was before it
+  replayed inside ``apply_events``.
 """
 
 import numpy as np
@@ -18,12 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graphs.updates as updates_mod
+from repro.engine.metrics import ExecutionMetrics
 from repro.graphs import CSRSnapshot
 from repro.graphs.updates import (
     UpdateEvent,
     UpdateKind,
     apply_events,
     apply_events_reference,
+    event_violation,
 )
 from repro.resilience.ingest import DeadLetterQueue, GuardedIngest
 
@@ -108,14 +113,73 @@ def hostile_event(rng):
 
 
 def assert_snapshots_identical(a: CSRSnapshot, b: CSRSnapshot):
-    assert a.indptr.dtype == b.indptr.dtype
-    assert a.indices.dtype == b.indices.dtype
-    assert a.features.dtype == b.features.dtype
-    np.testing.assert_array_equal(a.indptr, b.indptr)
-    np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.present, b.present)
-    np.testing.assert_array_equal(a.features, b.features)
+    for name in ("indptr", "indices", "features", "present"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
     assert a.timestamp == b.timestamp
+
+
+def frozen_guard(snap: CSRSnapshot, events, step: int):
+    """The guarded ingest before it replayed inside ``apply_events``,
+    frozen as the oracle: walk the batch against the evolving replay
+    state, dead-lettering each event the strict replay would raise on,
+    then apply the survivors with ``apply_events``.
+
+    Returns ``(successor, dlq, metrics)``.
+    """
+    dlq, metrics = DeadLetterQueue(), ExecutionMetrics()
+    n = snap.num_vertices
+    present = snap.present.copy()
+    src = np.repeat(np.arange(n, dtype=np.int64), snap.degrees)
+    keys = set((src * n + snap.indices.astype(np.int64)).tolist())
+    clean = []
+    for ev in events:
+        reason = event_violation(
+            ev, num_vertices=n, dim=snap.dim, present=present, edge_keys=keys
+        )
+        if reason is not None:
+            dlq.record(step, reason, payload=ev)
+            metrics.dead_letter_events += 1
+            metrics.incidents += 1
+            continue
+        clean.append(ev)
+        if ev.kind is UpdateKind.VERTEX_DEPART:
+            present[ev.vertex] = False
+        elif ev.kind is UpdateKind.VERTEX_ARRIVE:
+            present[ev.vertex] = True
+        elif ev.kind is UpdateKind.EDGE_DELETE:
+            s, d = ev.payload
+            keys.discard(int(s) * n + int(d))
+        elif ev.kind is UpdateKind.EDGE_INSERT:
+            s, d = ev.payload
+            keys.add(int(s) * n + int(d))
+    return apply_events(snap, clean), dlq, metrics
+
+
+def assert_guard_matches_frozen(snap: CSRSnapshot, events, *, blind: bool):
+    """``GuardedIngest.apply`` against :func:`frozen_guard`: the same
+    successor bytes, the same letters in the same order (step, reason,
+    payload identity) and the same guard metrics.  ``blind`` hides the
+    batched decoder, so every batch, clean ones too, takes the per-event
+    replay."""
+    want, want_dlq, want_metrics = frozen_guard(snap, events, step=7)
+    guard = GuardedIngest(dlq=DeadLetterQueue())
+    # context-manager monkeypatch: hypothesis reruns the test body
+    with pytest.MonkeyPatch.context() as mp:
+        if blind:
+            mp.setattr(updates_mod, "_decode_events", lambda *a, **k: None)
+        got = guard.apply(snap, events, step=7)
+    assert_snapshots_identical(got, want)
+    assert [(x.step, x.reason) for x in guard.dlq.letters] == [
+        (x.step, x.reason) for x in want_dlq.letters
+    ]
+    assert all(
+        a.payload is b.payload
+        for a, b in zip(guard.dlq.letters, want_dlq.letters)
+    )
+    assert guard.metrics.as_dict() == want_metrics.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,38 +209,13 @@ def test_batched_apply_matches_reference(seed, n_events, hostility):
     hostility=st.sampled_from([0.0, 0.2, 0.6]),
 )
 def test_guarded_ingest_dlq_matches_sequential_walk(seed, n_events, hostility):
+    """With the batched decoder blinded, every batch is replayed event by
+    event inside ``apply_events``, and the letters, successor and metrics
+    are the frozen walk's."""
     snap = base_snapshot(seed)
     events = random_events(snap, np.random.default_rng(seed + 2), n_events,
                            hostility)
-
-    fast = GuardedIngest(dlq=DeadLetterQueue())
-    clean_fast, rej_fast = fast.filter_events(snap, events, step=7)
-
-    # force the exact sequential walk by blinding the batched validator
-    # (context-manager monkeypatch: hypothesis reruns the test body)
-    import repro.resilience.ingest as ingest_mod
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest_mod, "_decode_events", lambda *a, **k: None)
-        slow = GuardedIngest(dlq=DeadLetterQueue())
-        clean_slow, rej_slow = slow.filter_events(snap, events, step=7)
-
-    # compare by identity: both paths must keep the same event *objects*
-    # (dataclass == would choke on ndarray payloads)
-    assert len(clean_fast) == len(clean_slow)
-    assert all(a is b for a, b in zip(clean_fast, clean_slow))
-    assert len(rej_fast) == len(rej_slow)
-    assert all(a is b for a, b in zip(rej_fast, rej_slow))
-    assert len(fast.dlq) == len(slow.dlq)
-    assert fast.dlq.by_reason() == slow.dlq.by_reason()
-    for a, b in zip(fast.dlq.letters, slow.dlq.letters):
-        assert (a.step, a.reason) == (b.step, b.reason)
-        assert a.payload is b.payload
-    # and the surviving events apply identically on both paths
-    assert_snapshots_identical(
-        apply_events(snap, clean_fast),
-        apply_events_reference(snap, clean_slow),
-    )
+    assert_guard_matches_frozen(snap, events, blind=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,23 +225,10 @@ def test_guarded_ingest_dlq_matches_sequential_walk(seed, n_events, hostility):
     hostility=st.sampled_from([0.0, 0.2, 0.6]),
 )
 def test_guarded_apply_matches_filter_then_apply(seed, n_events, hostility):
-    """``GuardedIngest.apply`` tries the strict replay first and walks
-    the batch only when it raises; the composition it replaced —
-    ``filter_events`` then ``apply_events`` — is the oracle."""
+    """With the batched decoder live, a clean batch takes the batched
+    path and a hostile one the per-event replay; both match the frozen
+    walk-then-apply composition."""
     snap = base_snapshot(seed)
     events = random_events(snap, np.random.default_rng(seed + 3), n_events,
                            hostility)
-
-    oracle = GuardedIngest(dlq=DeadLetterQueue())
-    clean, _ = oracle.filter_events(snap, events, step=7)
-    expected = apply_events(snap, clean)
-
-    guard = GuardedIngest(dlq=DeadLetterQueue())
-    got = guard.apply(snap, events, step=7)
-
-    assert_snapshots_identical(got, expected)
-    assert len(guard.dlq) == len(oracle.dlq)
-    for a, b in zip(guard.dlq.letters, oracle.dlq.letters):
-        assert (a.step, a.reason) == (b.step, b.reason)
-        assert a.payload is b.payload
-    assert guard.metrics.as_dict() == oracle.metrics.as_dict()
+    assert_guard_matches_frozen(snap, events, blind=False)

@@ -1,11 +1,15 @@
 """Tests for the update-stream (event) view of a dynamic graph."""
 
+from collections import namedtuple
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
+    CSRSnapshot,
     DynamicGraphSpec,
+    UpdateEvent,
     UpdateKind,
     apply_events,
     delta_to_events,
@@ -14,6 +18,7 @@ from repro.graphs import (
     load_dataset,
     snapshot_delta,
 )
+from repro.graphs.updates import apply_events_reference
 
 
 class TestEventRoundTrip:
@@ -39,6 +44,46 @@ class TestEventRoundTrip:
         rebuilt = apply_events(g[0], [])
         assert np.array_equal(rebuilt.indices, g[0].indices)
         assert np.array_equal(rebuilt.present, g[0].present)
+
+
+class TestExoticIds:
+    """Valid events the batched decoder refuses (tuple subclasses, bool
+    ids) take the per-event replay, which must build the successor the
+    same events with plain ``int`` ids build."""
+
+    @staticmethod
+    def assert_same_successor(snap, exotic, plain):
+        want = apply_events(snap, plain)
+        for replay in (apply_events, apply_events_reference):
+            got = replay(snap, exotic)
+            for name in ("indptr", "indices", "features", "present"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_int32_edge_key_does_not_overflow(self):
+        """``49 999 * 50 000`` does not fit in int32."""
+        n = 50_000
+        snap = CSRSnapshot.from_edges(
+            n, np.array([[0, 1]]), np.zeros((n, 1), np.float32),
+            undirected=False,
+        )
+        Pair = namedtuple("Pair", "src dst")
+        s, d = np.int32(49_999), np.int32(3)
+        exotic = [UpdateEvent(UpdateKind.EDGE_INSERT, s, Pair(s, d))]
+        plain = [UpdateEvent(UpdateKind.EDGE_INSERT, 49_999, (49_999, 3))]
+        self.assert_same_successor(snap, exotic, plain)
+        assert apply_events(snap, exotic).indices.tolist() == [1, 3]
+
+    def test_bool_vertex_id_is_one_vertex(self):
+        snap = CSRSnapshot.from_edges(
+            4, np.array([[0, 1], [2, 3]]), np.ones((4, 2), np.float32),
+            undirected=False,
+        )
+        self.assert_same_successor(
+            snap,
+            [UpdateEvent(UpdateKind.VERTEX_DEPART, True)],
+            [UpdateEvent(UpdateKind.VERTEX_DEPART, 1)],
+        )
 
 
 class TestEventStream:

@@ -120,8 +120,9 @@ class TestPoisonFactories:
         plan = FaultPlan([], seed=0)
         snap = graph[1]
         ev = plan.poison_event(FaultSpec(kind, 1), snap)
-        _, rejected = GuardedIngest().filter_events(snap, [ev], step=1)
-        assert rejected == [ev]
+        guard = GuardedIngest()
+        guard.apply(snap, [ev], step=1)
+        assert [letter.payload for letter in guard.dlq.letters] == [ev]
 
     def test_poison_event_rejects_non_event_kind(self, graph):
         plan = FaultPlan([], seed=0)

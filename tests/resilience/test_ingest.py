@@ -26,6 +26,11 @@ from repro.resilience import (
     with_retry,
 )
 
+from ..graphs.test_batched_events_property import (
+    assert_snapshots_identical,
+    frozen_guard,
+)
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -100,54 +105,80 @@ class TestGuardedIngest:
     def test_clean_batch_passes_untouched(self, graph):
         guard = GuardedIngest()
         legit = event_stream(graph)[0]
-        clean, rejected = guard.filter_events(graph[0], legit, step=1)
-        assert clean == legit
-        assert rejected == []
-        assert len(guard.dlq) == 0
+        rebuilt = guard.apply(graph[0], legit, step=1)
+        assert guard.dlq.letters == []
+        assert guard.metrics.dead_letter_events == 0
+        assert_snapshots_identical(rebuilt, apply_events(graph[0], legit))
 
     def test_survivors_apply_strictly(self, graph):
         """Whatever the guard passes must be accepted by strict replay."""
         guard = GuardedIngest()
-        hostile = list(event_stream(graph)[0]) + [
+        legit = list(event_stream(graph)[0])
+        poison = [
             UpdateEvent(UpdateKind.EDGE_DELETE, 0, (0, 0)),
             UpdateEvent("garbage", 0),
         ]
-        clean, _ = guard.filter_events(graph[0], hostile, step=1)
-        apply_events(graph[0], clean)  # must not raise
+        rebuilt = guard.apply(graph[0], legit + poison, step=1)
+        assert len(guard.dlq.letters) == len(poison)
+        assert all(
+            letter.payload is ev
+            for letter, ev in zip(guard.dlq.letters, poison)
+        )
+        # must not raise, and must be what the guard built
+        assert_snapshots_identical(rebuilt, apply_events(graph[0], legit))
 
+    @staticmethod
+    def _counting(calls, mp):
+        """Count calls to the named ``repro.graphs.updates`` functions."""
+        import repro.graphs.updates as updates_mod
+
+        for name in calls:
+            real = getattr(updates_mod, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            mp.setattr(updates_mod, name, wrapper)
 
     def test_clean_batch_is_decoded_and_validated_once(self, graph):
         """``apply`` lets the strict replay be the validator: one decode
         and one validation per clean batch, inside ``apply_events``."""
-        import repro.graphs.updates as updates_mod
-        import repro.resilience.ingest as ingest_mod
-
-        calls = {"_decode_events": 0, "_decoded_violation": 0}
-
-        def counting(name):
-            real = getattr(updates_mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            return wrapper
-
+        calls = {"_decode_events": 0, "_decoded_violation": 0,
+                 "event_violation": 0}
         legit = event_stream(graph)[0]
         guard = GuardedIngest()
         with pytest.MonkeyPatch.context() as mp:
-            for name in calls:
-                wrapper = counting(name)
-                mp.setattr(updates_mod, name, wrapper)
-                mp.setattr(ingest_mod, name, wrapper)
+            self._counting(calls, mp)
             rebuilt = guard.apply(graph[0], iter(legit), step=1)
-        assert calls == {"_decode_events": 1, "_decoded_violation": 1}
+        assert calls == {"_decode_events": 1, "_decoded_violation": 1,
+                         "event_violation": 0}
         assert len(guard.dlq) == 0
         assert np.array_equal(rebuilt.indices, graph[1].indices)
 
+    def test_hostile_batch_is_decoded_once_and_replayed_once(self, graph):
+        """A batch with a poison event is decoded once and replayed once:
+        ``event_violation`` runs once per event, and no second pass
+        applies the survivors."""
+        plan = FaultPlan([], seed=0)
+        legit = list(event_stream(graph)[0])
+        dup = plan.poison_event(FaultSpec(FaultKind.DUPLICATE_EVENT, 1),
+                                graph[0])
+        batch = legit[: len(legit) // 2] + [dup] + legit[len(legit) // 2:]
+        calls = {"_decode_events": 0, "_decoded_violation": 0,
+                 "event_violation": 0}
+        guard = GuardedIngest()
+        with pytest.MonkeyPatch.context() as mp:
+            self._counting(calls, mp)
+            rebuilt = guard.apply(graph[0], batch, step=1)
+        assert calls == {"_decode_events": 1, "_decoded_violation": 1,
+                         "event_violation": len(batch)}
+        assert [x.payload for x in guard.dlq.letters] == [dup]
+        assert_snapshots_identical(rebuilt, apply_events(graph[0], legit))
+
     def test_poison_batch_matches_filter_then_apply(self, graph):
-        """The oracle is the composition ``apply`` used to be: filter the
-        batch, then replay the survivors."""
+        """The oracle is the composition ``apply`` used to be: walk the
+        batch, dead-lettering poison, then apply the survivors."""
         plan = FaultPlan([], seed=0)
         legit = list(event_stream(graph)[0])
         poisons = [
@@ -161,26 +192,23 @@ class TestGuardedIngest:
             + poisons[1:] + legit[2 * third:]
             + [UpdateEvent("garbage", 0), "not an event"]
         )
-        oracle = GuardedIngest()
-        clean, rejected = oracle.filter_events(graph[0], batch, step=4)
-        expected = apply_events(graph[0], clean)
-        assert len(rejected) == len(poisons) + 2
+        expected, oracle_dlq, oracle_metrics = frozen_guard(
+            graph[0], batch, step=4
+        )
+        assert len(oracle_dlq) == len(poisons) + 2
 
         guard = GuardedIngest()
         got = guard.apply(graph[0], batch, step=4)
         assert [(x.step, x.reason) for x in guard.dlq.letters] == [
-            (x.step, x.reason) for x in oracle.dlq.letters
+            (x.step, x.reason) for x in oracle_dlq.letters
         ]
         assert all(
             a.payload is b.payload
-            for a, b in zip(guard.dlq.letters, oracle.dlq.letters)
+            for a, b in zip(guard.dlq.letters, oracle_dlq.letters)
         )
-        assert guard.metrics.as_dict() == oracle.metrics.as_dict()
-        assert guard.metrics.dead_letter_events == len(rejected)
-        assert got.timestamp == expected.timestamp
-        for name in ("indptr", "indices", "features", "present"):
-            a, b = getattr(got, name), getattr(expected, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert guard.metrics.as_dict() == oracle_metrics.as_dict()
+        assert guard.metrics.dead_letter_events == len(oracle_dlq)
+        assert_snapshots_identical(got, expected)
 
 
 class TestRetryPolicy:
