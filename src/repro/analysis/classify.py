@@ -17,10 +17,11 @@ vertices act as DFS roots bounding the affected subgraph; affected
 vertices get full per-snapshot treatment.
 
 Everything is vectorised: feature stability is one comparison per
-consecutive snapshot pair, topology stability uses the order-independent
-row fingerprints from :meth:`CSRSnapshot.row_fingerprints`, and
-neighbour-feature stability is one masked min-scatter over the first
-snapshot's CSR.
+consecutive snapshot pair (kept on the result, so the engine's cell
+phase compares no pair twice), topology stability uses the
+order-independent row fingerprints from
+:meth:`CSRSnapshot.row_fingerprints`, and neighbour-feature stability
+is one masked min-scatter over the first snapshot's CSR.
 
 "Neighbour lists identical" means equal degree and equal 64-bit
 fingerprint; the rows themselves are never compared, so the engine's
@@ -32,6 +33,7 @@ exactness contract").
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +53,18 @@ class VertexClass(enum.IntEnum):
 
 @dataclass(frozen=True)
 class WindowClassification:
-    """Result of :func:`classify_window` for one window."""
+    """Result of :func:`classify_window` for one window.
+
+    ``feature_pairs`` keeps the K − 1 per-pair compares classification
+    makes anyway: ``feature_pairs[t]`` marks the rows whose features
+    snapshot ``t + 1`` left exactly as snapshot ``t`` had them (``()``
+    for a one-snapshot window).  The engine's cell phase reads them
+    instead of comparing the same pairs again.
+    """
 
     labels: np.ndarray  # (n,) VertexClass values
     window_size: int
+    feature_pairs: tuple  # K - 1 (n,) bool masks
 
     @property
     def unaffected_mask(self) -> np.ndarray:
@@ -104,12 +114,35 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     Features compare exactly (the paper's definition): a tolerance would
     label changed rows unaffected and break the engine's exactness
     contract.
+
+    A window of read-only snapshots (:attr:`CSRSnapshot.read_only`: the
+    serving cluster admits one such copy and every shard shares it) is
+    classified once.  The result, its arrays made read-only too, is
+    cached on the window's last snapshot beside the snapshots it
+    covers, and classifying the same snapshots again returns it: the
+    cluster classifies a window once per push, not once per shard.
     """
     snaps = window.snapshots
-    n = window.num_vertices
+    cached = snaps[-1]._classified
+    if (
+        cached is not None
+        and len(cached[0]) == len(snaps)
+        and all(map(operator.is_, cached[0], snaps))
+    ):
+        return cached[1]
+    result = _classify(snaps, window.num_vertices)
+    if all(s.read_only for s in snaps):
+        for array in (result.labels, *result.feature_pairs):
+            array.flags.writeable = False
+        snaps[-1]._classified = (tuple(snaps), result)
+    return result
+
+
+def _classify(snaps, n: int) -> WindowClassification:
+    """:func:`classify_window`'s labels, computed."""
     if len(snaps) == 1:
         return WindowClassification(
-            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1
+            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, ()
         )
 
     # --- presence: any arrival/departure within the window -> affected ---
@@ -118,7 +151,10 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     presence_changed = present.any(axis=0) & ~present_all
 
     # --- own-feature stability ------------------------------------------
-    feat_stable = _features_stable(snaps) & present_all
+    pairs = _feature_pairs(snaps)
+    feat_stable = present_all.copy()
+    for same in pairs:
+        feat_stable &= same
 
     # --- topology stability via row fingerprints ------------------------
     fps = np.stack([s.row_fingerprints() for s in snaps])
@@ -144,15 +180,15 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     labels[unaffected] = VertexClass.UNAFFECTED
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
-    return WindowClassification(labels, len(snaps))
+    return WindowClassification(labels, len(snaps), pairs)
 
 
-def _features_stable(snaps) -> np.ndarray:
-    """Rows whose features equal the previous snapshot's in every
-    consecutive pair of ``snaps``.  Pair by pair,
-    these are the booleans of one compare over the stacked ``(K, n, d)``
-    features, without the stack."""
-    stable = np.ones(len(snaps[0].features), dtype=bool)
-    for prev, cur in zip(snaps, snaps[1:]):
-        stable &= (cur.features == prev.features).all(axis=1)
-    return stable
+def _feature_pairs(snaps) -> tuple:
+    """Per consecutive pair of ``snaps``, the rows whose features equal
+    the previous snapshot's.  Together these are the booleans of one
+    compare over the stacked ``(K, n, d)`` features, without the
+    stack."""
+    return tuple(
+        (cur.features == prev.features).all(axis=1)
+        for prev, cur in zip(snaps, snaps[1:])
+    )

@@ -110,15 +110,20 @@ class Carry:
         )
 
     def copy(self) -> "Carry":
-        """Deep copy, fully detached (every array fresh): installing it
-        later resumes from exactly this point whatever ran in between."""
+        """A rollback point: installing it later resumes from exactly
+        this point whatever ran in between.  The recurrent hand-off
+        (``state``, ``cache``, ``h_prev``, ``z_prev``) and the counters
+        are copied; the snapshots (``pending``, ``snap_prev``) are
+        shared, because no window writes a snapshot's arrays — a
+        serving shard's are read-only copies
+        (:meth:`~repro.graphs.snapshot.CSRSnapshot.frozen_copy`), shared
+        with every other shard.  Only the ``pending`` list is new."""
         return replace(
             self,
-            pending=[s.copy() for s in self.pending],
+            pending=list(self.pending),
             metrics=replace(self.metrics),
             state=_copied(self.state),
             cache=_copied(self.cache),
             h_prev=_copied(self.h_prev),
             z_prev=_copied(self.z_prev),
-            snap_prev=_copied(self.snap_prev),
         )

@@ -198,6 +198,7 @@ class ConcurrentEngine:
                     h_prev,
                     owned_mask,
                     ws,
+                    same_features=cls.feature_pairs[t - 1] if t else None,
                     first=first or (t == 0 and self.refresh_each_window),
                     policy=policy,
                     decisions=decisions,
@@ -358,10 +359,17 @@ class ConcurrentEngine:
         owned_mask,
         ws,
         *,
+        same_features,
         first: bool,
         policy: SkippingPolicy,
         decisions: list,
     ):
+        """One snapshot's cell phase.  ``same_features`` marks the rows
+        whose features ``snap`` left as ``snap_prev`` had them: within a
+        window, the classification's compare of that pair; None for the
+        pair across the window boundary, which is compared here (only
+        when the first snapshot is scored: ``refresh_each_window``
+        off)."""
         model = self.model
         h_out = h_prev.copy()
         # the rows whose cell this window updates, scores or skips
@@ -383,11 +391,11 @@ class ConcurrentEngine:
             scored = np.flatnonzero(scored_mask)
 
             # pairwise feature stability between the two snapshots
-            feat_stable = (
-                (snap.features == snap_prev.features).all(axis=1)
-                & snap.present
-                & snap_prev.present
-            )
+            if same_features is None:
+                same_features = (snap.features == snap_prev.features).all(
+                    axis=1
+                )
+            feat_stable = same_features & snap.present & snap_prev.present
             theta = similarity_scores(
                 z_prev, z, snap_prev, snap, scored, feat_stable
             )

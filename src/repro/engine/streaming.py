@@ -234,8 +234,9 @@ class StreamingInference:
         return self._carry
 
     def carry_state(self) -> Carry:
-        """Deep copy of everything carried across windows, fully
-        detached from the live stream: a rollback point."""
+        """A rollback point (:meth:`Carry.copy`): the recurrent arrays
+        and counters are copied, detached from the live stream; the
+        snapshots, which no window writes, are shared."""
         return self._carry.copy()
 
     def restore_carry(self, carry: Carry) -> None:

@@ -15,6 +15,7 @@ copies).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -36,6 +37,9 @@ __all__ = [
 VID_DTYPE = np.int32  # vertex ids
 PTR_DTYPE = np.int64  # CSR row pointers
 FEAT_DTYPE = np.float32  # vertex features
+
+#: a snapshot's arrays, in field order
+_ARRAYS = ("indptr", "indices", "features", "present")
 
 
 # src/dst carry independent symbols (and any dtype) on purpose: the body
@@ -196,6 +200,14 @@ class CSRSnapshot:
         Boolean mask of vertices that exist at this timestamp.
     timestamp:
         Integer snapshot index within the parent dynamic graph.
+
+    A snapshot whose four arrays are read-only (:meth:`frozen_copy`,
+    :attr:`read_only`) is a value: its cached facts — degrees, row
+    fingerprints, the validator's structural verdict
+    (:func:`repro.resilience.ingest.snapshot_violation`) and the
+    classification of the window it ends
+    (:func:`repro.analysis.classify.classify_window`) — are computed
+    once and hold for every reader that shares it.
     """
 
     indptr: np.ndarray
@@ -206,6 +218,16 @@ class CSRSnapshot:
     _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
     _fingerprints: np.ndarray | None = field(
         default=None, repr=False, compare=False
+    )
+    #: ``snapshot_violation``'s structural verdict on a read-only
+    #: snapshot, with the arrays it judged: ``(arrays, reason)``
+    _verdict: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ``classify_window``'s result for the read-only window this
+    #: snapshot ends, with that window's snapshots: ``(snaps, result)``
+    _classified: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -302,6 +324,29 @@ class CSRSnapshot:
             features=self.features.copy(),
             present=self.present.copy(),
             timestamp=self.timestamp,
+        )
+
+    def frozen_copy(self) -> "CSRSnapshot":
+        """A copy whose arrays are fresh and read-only: a value any
+        number of readers can share, while ``self`` stays writable and
+        unaliased.  The arrays are copied as they are, valid or not
+        (``__post_init__`` does not run), so a torn snapshot copies too
+        and is left to the validator to refuse."""
+        out = copy.copy(self)
+        for name in _ARRAYS:
+            array = np.array(getattr(self, name), order="C")  # as copy()
+            array.flags.writeable = False
+            setattr(out, name, array)
+        out._degrees = out._fingerprints = None
+        out._verdict = out._classified = None
+        return out
+
+    @property
+    def read_only(self) -> bool:
+        """Whether none of the four arrays can be written in place."""
+        return all(
+            isinstance(a, np.ndarray) and not a.flags.writeable
+            for a in (getattr(self, name) for name in _ARRAYS)
         )
 
     # ------------------------------------------------------------------

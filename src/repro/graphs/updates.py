@@ -176,14 +176,16 @@ def event_violation(
 # ----------------------------------------------------------------------
 # batched replay
 # ----------------------------------------------------------------------
-# integer codes for the decode arrays (order is arbitrary but fixed)
+# integer codes for the decode arrays (order is arbitrary but fixed),
+# keyed by the members' string values: a str hashes in C, an Enum member
+# through a Python-level ``__hash__`` (one call per event)
 _INS, _DEL, _FEAT, _ARR, _DEP = range(5)
 _KIND_CODE = {
-    UpdateKind.EDGE_INSERT: _INS,
-    UpdateKind.EDGE_DELETE: _DEL,
-    UpdateKind.FEATURE_UPDATE: _FEAT,
-    UpdateKind.VERTEX_ARRIVE: _ARR,
-    UpdateKind.VERTEX_DEPART: _DEP,
+    UpdateKind.EDGE_INSERT.value: _INS,
+    UpdateKind.EDGE_DELETE.value: _DEL,
+    UpdateKind.FEATURE_UPDATE.value: _FEAT,
+    UpdateKind.VERTEX_ARRIVE.value: _ARR,
+    UpdateKind.VERTEX_DEPART.value: _DEP,
 }
 
 
@@ -208,6 +210,7 @@ class _DecodedEvents:
 
 
 _GET_KIND = operator.attrgetter("kind")
+_GET_VALUE = operator.attrgetter("_value_")
 _GET_VERTEX = operator.attrgetter("vertex")
 _GET_PAYLOAD = operator.attrgetter("payload")
 
@@ -242,9 +245,13 @@ def _decode_events(events, num_vertices: int, dim: int) -> _DecodedEvents | None
     E = len(events)
     if set(map(type, events)) - {UpdateEvent}:
         return None
+    kinds = list(map(_GET_KIND, events))
+    # exactly UpdateKind: a foreign kind with an equal value is refused
+    if set(map(type, kinds)) - {UpdateKind}:
+        return None
     try:
         kind = np.fromiter(
-            map(_KIND_CODE.__getitem__, map(_GET_KIND, events)),
+            map(_KIND_CODE.__getitem__, map(_GET_VALUE, kinds)),
             dtype=np.int64,
             count=E,
         )
@@ -284,7 +291,7 @@ def _decode_events(events, num_vertices: int, dim: int) -> _DecodedEvents | None
                 return None
         else:
             feats = np.empty((0, dim), dtype=np.float32)
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         return None
     if not bool(np.isfinite(feats).all()):
         return None

@@ -20,6 +20,7 @@ testable:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +191,40 @@ def snapshot_violation(
     (torn writes deserialised straight into object fields), non-finite
     feature values, and — when ``num_vertices``/``dim`` are given —
     shape drift against the stream's pinned geometry.
+
+    The structural checks (CSR shape, id ranges, finite features) cost
+    O(n·d + E).  On a read-only snapshot (:attr:`CSRSnapshot.read_only`,
+    which the serving cluster shares between its shards) their verdict
+    is cached with the arrays it judged, so every later call costs O(1);
+    a writable snapshot could change in place, so it is checked in full
+    on every call.  ``num_vertices`` and ``dim`` are checked on every
+    call either way.
     """
     if not isinstance(snap, CSRSnapshot):
         return f"not a CSRSnapshot: {type(snap).__name__}"
+    arrays = (snap.indptr, snap.indices, snap.features, snap.present)
+    cached = snap._verdict
+    if cached is not None and all(map(operator.is_, cached[0], arrays)):
+        reason = cached[1]
+    else:
+        reason = _structure_violation(snap)
+        if snap.read_only:
+            snap._verdict = (arrays, reason)
+    if reason is not None:
+        return reason
+    n = snap.indptr.size - 1
+    if num_vertices is not None and n != num_vertices:
+        return f"vertex count {n} != expected {num_vertices}"
+    if dim is not None and snap.features.shape[1] != dim:
+        return (
+            f"feature dimension {snap.features.shape[1]} != expected {dim}"
+        )
+    return None
+
+
+def _structure_violation(snap: CSRSnapshot) -> str | None:
+    """The checks of :func:`snapshot_violation` that read the arrays'
+    contents: what a read-only snapshot caches."""
     indptr, indices = snap.indptr, snap.indices
     if indptr.ndim != 1 or indptr.size < 1:
         return "indptr is not a 1-d row-pointer array"
@@ -215,12 +247,6 @@ def snapshot_violation(
         )
     if not bool(np.isfinite(snap.features).all()):
         return "non-finite feature values"
-    if num_vertices is not None and n != num_vertices:
-        return f"vertex count {n} != expected {num_vertices}"
-    if dim is not None and snap.features.shape[1] != dim:
-        return (
-            f"feature dimension {snap.features.shape[1]} != expected {dim}"
-        )
     return None
 
 

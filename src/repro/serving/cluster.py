@@ -4,17 +4,22 @@
 
 1. ticks the :class:`~repro.serving.clock.VirtualClock` (one tick per
    request — the only notion of time anywhere in the layer);
-2. validates the snapshot at the boundary
+2. admits one read-only copy of the snapshot
+   (:meth:`~repro.graphs.snapshot.CSRSnapshot.frozen_copy`) and
+   validates it at the boundary
    (:func:`~repro.resilience.ingest.snapshot_violation`; poison is
-   dead-lettered once, cluster-wide);
+   dead-lettered once, cluster-wide, and the verdict is cached on the
+   copy, so each shard's own check of it costs O(1));
 3. runs per-tenant admission control
    (:class:`~repro.serving.tenants.TenantGate`): a full backlog sheds
    the push with a structured
    :class:`~repro.resilience.supervisor.Incident` and the snapshot goes
    to the :class:`~repro.resilience.ingest.DeadLetterQueue` — explicit
    backpressure, never silent loss;
-4. appends the snapshot to the tenant's **history** (the replay log
-   recovery depends on) and every shard's backlog;
+4. appends that one copy to the tenant's **history** (the replay log
+   recovery depends on) and every shard's backlog — shards are isolated
+   by the copy's immutability, not by copies of their own, so its
+   degrees and row fingerprints are computed once per push;
 5. lets the :class:`ShardSupervisor` health-check the workers —
    restarting any shard whose heartbeat went stale from its newest
    loadable checkpoint plus bit-identical catch-up replay — then drains
@@ -47,6 +52,7 @@ from ..accel.partition import PartitionStrategy
 from ..engine.metrics import ExecutionMetrics
 from ..engine.streaming import StreamResult
 from ..graphs.dynamic import DynamicGraph
+from ..graphs.snapshot import CSRSnapshot
 from ..resilience.ingest import (
     DeadLetterQueue,
     GuardedIngest,
@@ -306,8 +312,16 @@ class ShardCluster:
         now = self.clock.tick()
         if not self.gate.known(tenant):
             raise ValueError(f"tenant {tenant!r} is not registered")
+        # one read-only copy is admitted: the history and every shard
+        # share it, its validation and its cached degrees and
+        # fingerprints; the caller's object is neither frozen nor kept
+        admitted = (
+            snapshot.frozen_copy()
+            if isinstance(snapshot, CSRSnapshot)
+            else snapshot
+        )
         reason = snapshot_violation(
-            snapshot, num_vertices=self._num_vertices, dim=self._dim
+            admitted, num_vertices=self._num_vertices, dim=self._dim
         )
         if reason is not None:
             return self._reject(tenant, now, "poison-snapshot", reason,
@@ -325,11 +339,14 @@ class ShardCluster:
             # get health-checked and healthy ones keep draining
             receipt.released = self._advance(now).get(tenant, [])
             return receipt
+        log = self._history[tenant]
+        # the stream position every shard will stamp on it, stamped now
+        admitted.timestamp = len(log)
         if self.shard_map is None:
-            self._pin(snapshot)
-        self._history[tenant].append(snapshot)
+            self._pin(admitted)
+        log.append(admitted)
         for worker in self.workers:
-            worker.enqueue(tenant, snapshot)
+            worker.enqueue(tenant, admitted)
         released = self._advance(now)
         return PushReceipt(
             tenant, now, accepted=True, released=released.get(tenant, [])
@@ -447,7 +464,7 @@ class ShardCluster:
     def _pin(self, snapshot) -> None:
         self._num_vertices = snapshot.num_vertices
         self.shard_map = ShardMap.build(
-            DynamicGraph([snapshot.copy()], name="shard-map-seed"),
+            DynamicGraph([snapshot], name="shard-map-seed"),
             self.num_shards,
             strategy=self.strategy,
         )

@@ -108,8 +108,9 @@ class ShardWorker:
     # feed and drain (virtual time)
     # ------------------------------------------------------------------
     def enqueue(self, tenant: str, snapshot) -> None:
-        # each shard owns its copy: shards share no mutable state
-        self._backlog[tenant].append(snapshot.copy())
+        """Queue an admitted snapshot: the cluster's read-only copy,
+        shared with the history and every other shard."""
+        self._backlog[tenant].append(snapshot)
 
     def depth(self, tenant: str) -> int:
         """Admitted-but-unprocessed snapshots queued for ``tenant``."""
@@ -251,7 +252,7 @@ class ShardWorker:
                 break
             replayed = history.get(name, [])[start:]
             for snap in replayed:
-                result = sup.push(snap.copy())
+                result = sup.push(snap)
                 if result is not None:
                     results.setdefault(name, []).append(result)
             if replayed:

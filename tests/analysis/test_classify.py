@@ -212,3 +212,86 @@ class TestAgainstBruteForce:
         fast = classify_window(g).labels
         slow = brute_force_classify(g)
         np.testing.assert_array_equal(fast, slow)
+
+
+class TestFeaturePairs:
+    """The K − 1 per-pair compares a classification keeps for the
+    engine's cell phase."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        n=st.integers(1, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_pair_is_the_exact_row_compare(self, seed, k, n):
+        """Rows are rewritten with a new value, with their own value, or
+        with ``-0.0`` over ``0.0`` (equal under ``==``, different bits):
+        every mask is ``(cur.features == prev.features).all(axis=1)``."""
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((n, 2)).astype(np.float32)
+        feats[rng.random(n) < 0.3] = 0.0
+        snaps = []
+        for _ in range(k):
+            feats = feats.copy()
+            what = rng.integers(0, 4, size=n)
+            feats[what == 1] += np.float32(1.0)  # a different value
+            feats[what == 2] = feats[what == 2].copy()  # the same value
+            zero = (what == 3)[:, None] & (feats == 0.0)
+            feats[zero] = np.float32(-0.0) if rng.random() < 0.5 else 0.0
+            snaps.append(CSRSnapshot.from_edges(n, np.empty((0, 2)), feats))
+        c = classify_window(DynamicGraph(snaps))
+        assert len(c.feature_pairs) == k - 1
+        for t, same in enumerate(c.feature_pairs):
+            prev, cur = snaps[t], snaps[t + 1]
+            want = (cur.features == prev.features).all(axis=1)
+            assert same.dtype == bool
+            np.testing.assert_array_equal(same, want)
+        stable = np.ones(n, dtype=bool)
+        for same in c.feature_pairs:
+            stable &= same
+        np.testing.assert_array_equal(c.labels != VertexClass.AFFECTED, stable)
+
+    def test_negative_zero_over_zero_is_unchanged(self, base_feats):
+        f0 = base_feats.copy()
+        f0[2] = 0.0
+        f1 = f0.copy()
+        f1[2] = -0.0
+        c = classify_window(build_window([[[0, 1]], [[0, 1]]], [f0, f1]))
+        assert c.feature_pairs[0].all()
+        assert c.labels[2] == VertexClass.UNAFFECTED
+
+
+class TestSharedWindow:
+    """A window of read-only snapshots is classified once."""
+
+    @staticmethod
+    def _frozen(graph, k):
+        return [s.frozen_copy() for s in list(graph)[:k]]
+
+    def test_the_same_snapshots_reuse_one_classification(self):
+        g = load_dataset("GT", scale=0.05, num_snapshots=4, seed=1)
+        snaps = self._frozen(g, 4)
+        first = classify_window(DynamicGraph(list(snaps)))
+        again = classify_window(DynamicGraph(list(snaps)))
+        assert again is first
+        assert not first.labels.flags.writeable
+        assert not any(m.flags.writeable for m in first.feature_pairs)
+        fresh = classify_window(DynamicGraph([s.copy() for s in snaps]))
+        assert fresh is not first
+        np.testing.assert_array_equal(fresh.labels, first.labels)
+        for a, b in zip(fresh.feature_pairs, first.feature_pairs):
+            np.testing.assert_array_equal(a, b)
+
+    def test_other_snapshots_or_writable_ones_are_classified_afresh(self):
+        g = load_dataset("GT", scale=0.05, num_snapshots=4, seed=1)
+        snaps = self._frozen(g, 4)
+        first = classify_window(DynamicGraph(list(snaps)))
+        # an equal but distinct first snapshot, and a shorter window
+        other = [snaps[0].frozen_copy()] + snaps[1:]
+        assert classify_window(DynamicGraph(other)) is not first
+        assert classify_window(DynamicGraph(snaps[1:])) is not first
+        writable = [s.copy() for s in snaps]
+        a = classify_window(DynamicGraph(writable))
+        assert classify_window(DynamicGraph(writable)) is not a
+        assert a.labels.flags.writeable

@@ -15,6 +15,8 @@ and hostile events these tests assert the two are indistinguishable:
   replayed inside ``apply_events``.
 """
 
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,46 @@ def test_guarded_apply_matches_filter_then_apply(seed, n_events, hostility):
     events = random_events(snap, np.random.default_rng(seed + 3), n_events,
                            hostility)
     assert_guard_matches_frozen(snap, events, blind=False)
+
+
+class _ForeignKind(enum.Enum):
+    """Another enum whose member has an UpdateKind's value."""
+
+    EDGE_INSERT = "edge_insert"
+
+
+@pytest.mark.parametrize(
+    "kind", [_ForeignKind.EDGE_INSERT, "edge_insert"], ids=["enum", "str"]
+)
+def test_a_kind_that_only_looks_like_an_update_kind_falls_back(kind):
+    """The decoder keys kinds by their string value, so it admits only
+    ``UpdateKind`` members: a foreign enum member or a plain string with
+    the value ``"edge_insert"`` sends the batch to the per-event replay,
+    which refuses it as an unknown kind."""
+    snap = base_snapshot(0)
+    u, v = next(
+        (u, v) for u in range(N) for v in range(N)
+        if u != v and snap.present[u] and snap.present[v]
+        and not snap.has_edge(u, v)
+    )
+    good = UpdateEvent(UpdateKind.EDGE_INSERT, u, (u, v))
+    foreign = UpdateEvent(kind, u, (u, v))
+    assert updates_mod._decode_events([good], N, DIM) is not None
+    assert updates_mod._decode_events([good, foreign], N, DIM) is None
+    calls = []
+    reference = updates_mod.apply_events_reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            updates_mod, "apply_events_reference",
+            lambda *a, **k: calls.append(a) or reference(*a, **k),
+        )
+        with pytest.raises(ValueError, match="unknown event kind"):
+            apply_events(snap, [good, foreign])
+        rejected = []
+        got = apply_events(
+            snap, [good, foreign],
+            reject=lambda ev, reason: rejected.append((ev, reason)),
+        )
+    assert len(calls) == 2
+    assert [ev for ev, _ in rejected] == [foreign]
+    assert_snapshots_identical(got, apply_events(snap, [good]))

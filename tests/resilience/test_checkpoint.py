@@ -8,12 +8,14 @@ bit-identical to the uninterrupted run.
 
 import io
 import struct
+import warnings
 import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import repro.resilience.checkpoint as checkpoint_mod
 from repro.engine import ExecutionMetrics, StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
@@ -1084,3 +1086,122 @@ class TestOwnedRowCheckpoints:
         other = StreamingInference(_model(graph), window_size=WINDOW + 1)
         with pytest.raises(CorruptCheckpointError, match="window_size"):
             store.restore(other, key)
+
+
+def _numpy_header(array) -> bytes:
+    """The ``.npy`` header ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a version-2.0 header warns
+        np.lib.format.write_array(buf, np.asanyarray(array))
+    blob = buf.getvalue()
+    return blob[: len(blob) - np.asanyarray(array).nbytes]
+
+
+def _members(blob: bytes) -> dict:
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _savez_blob(stream) -> bytes:
+    """The archive the parent's writer made: ``np.savez`` of the two
+    format-4 members."""
+    carry = stream.carry
+    buf = io.BytesIO()
+    np.savez(buf, **carry_to_arrays(carry, carry.computed_rows(stream.model)))
+    return buf.getvalue()
+
+
+class TestArchiveWriter:
+    """``save_checkpoint`` writes each member as its header, built from
+    the record's fields, then the record's buffer.  Its members are
+    ``np.savez``'s byte for byte, so a reader of the parent build reads
+    them."""
+
+    @staticmethod
+    def _saved(stream) -> bytes:
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_members_are_np_savez_members(self, graph, model_name, owned):
+        rows = np.arange(1, graph.num_vertices, 4) if owned else None
+        stream = StreamingInference(
+            _model(graph, model_name), window_size=WINDOW, rows=rows
+        )
+        for snap in [None] + list(graph):
+            if snap is not None:
+                stream.push(snap.copy())
+            blob = self._saved(stream)
+            assert _members(blob) == _members(_savez_blob(stream))
+            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+                assert int(data["meta/format"]) == CHECKPOINT_FORMAT
+            assert load_checkpoint(io.BytesIO(blob)).timestamp == (
+                stream.timestamp
+            )
+
+    def test_the_long_window_header_is_numpys(self):
+        """K = 64 holds 60 pending snapshots: a ≈ 12 kB header, past
+        ``np.load``'s default cap, still numpy's to the byte."""
+        small = load_dataset("GT", scale=0.05, num_snapshots=60, seed=SEED)
+        stream = StreamingInference(_model(small), window_size=64)
+        for snap in small:
+            stream.push(snap.copy())
+        blob = self._saved(stream)
+        assert _members(blob) == _members(_savez_blob(stream))
+        header = _numpy_header(carry_to_arrays(stream.carry)["meta/record"])
+        assert len(header) > 10_000
+        assert _members(blob)["meta/record.npy"].startswith(header)
+
+    def test_a_layout_change_writes_a_fresh_correct_header(self, graph):
+        """One pending snapshot more is five more record fields: the
+        next save's header describes them."""
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        headers = []
+        for snap in list(graph)[:WINDOW]:
+            stream.push(snap.copy())
+            record = carry_to_arrays(stream.carry)["meta/record"]
+            header = _numpy_header(record)
+            member = _members(self._saved(stream))["meta/record.npy"]
+            assert member[: len(header)] == header
+            assert member[len(header):] == record.tobytes()
+            headers.append(header)
+        assert stream.pending == 0  # the third push ran the window
+        assert len(set(headers)) == len(headers)
+
+    def test_the_header_cache_holds_at_most_its_bound(
+        self, graph, monkeypatch
+    ):
+        bound = 16
+        monkeypatch.setattr(checkpoint_mod, "_DESCR_PARTS", {})
+        monkeypatch.setattr(checkpoint_mod, "_DESCR_PARTS_BOUND", bound)
+        for model_name in ("T-GCN", "GC-LSTM"):
+            stream = StreamingInference(
+                _model(graph, model_name), window_size=WINDOW
+            )
+            for snap in graph:
+                stream.push(snap.copy())
+                blob = self._saved(stream)
+                assert len(checkpoint_mod._DESCR_PARTS) <= bound
+                assert _members(blob) == _members(_savez_blob(stream))
+
+    def test_a_path_is_named_as_np_savez_names_it(self, graph, tmp_path):
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        stream.push(graph[0].copy())
+        save_checkpoint(stream, tmp_path / "carry")
+        save_checkpoint(stream, str(tmp_path / "other.npz"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "carry.npz", "other.npz",
+        ]
+        assert load_checkpoint(tmp_path / "carry.npz").pending[0].num_edges
+
+    def test_a_header_past_16_bits_is_version_2(self):
+        dtype = np.dtype(
+            [(f"pending/{i}/features", "<f4", (i % 5 + 1, 3))
+             for i in range(3000)]
+        )
+        header = checkpoint_mod._npy_header(dtype)
+        assert header.startswith(b"\x93NUMPY\x02\x00")
+        assert header == _numpy_header(np.zeros((), dtype))

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+import repro.resilience.ingest as ingest_mod
 from repro.graphs import (
     UpdateEvent,
     UpdateKind,
@@ -65,6 +66,71 @@ class TestSnapshotViolation:
             snap, num_vertices=snap.num_vertices + 1
         )
         assert "feature dimension" in snapshot_violation(snap, dim=snap.dim + 1)
+
+
+class TestCachedVerdict:
+    """A read-only snapshot's structural verdict is computed once; the
+    geometry is still checked on every call, and a writable snapshot is
+    checked in full on every call."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        checked = []
+        structure = ingest_mod._structure_violation
+
+        def spy(snap):
+            checked.append(snap)
+            return structure(snap)
+
+        monkeypatch.setattr(ingest_mod, "_structure_violation", spy)
+        return checked
+
+    def test_a_frozen_snapshot_is_checked_once(self, graph, monkeypatch):
+        checked = self._counting(monkeypatch)
+        frozen = graph[0].frozen_copy()
+        for _ in range(3):
+            assert snapshot_violation(frozen) is None
+        assert checked == [frozen]
+
+    def test_a_cached_verdict_still_checks_the_geometry(self, graph):
+        frozen = graph[0].frozen_copy()
+        n, d = frozen.num_vertices, frozen.dim
+        assert snapshot_violation(frozen, num_vertices=n, dim=d) is None
+        assert snapshot_violation(frozen, num_vertices=n + 1) == (
+            f"vertex count {n} != expected {n + 1}"
+        )
+        assert snapshot_violation(frozen, dim=d + 1) == (
+            f"feature dimension {d} != expected {d + 1}"
+        )
+
+    def test_a_frozen_poison_verdict_is_cached_too(self, graph, monkeypatch):
+        checked = self._counting(monkeypatch)
+        bad = graph[0].copy()
+        bad.features[0, 0] = np.inf
+        frozen = bad.frozen_copy()
+        assert "non-finite" in snapshot_violation(frozen)
+        assert "non-finite" in snapshot_violation(frozen, dim=frozen.dim)
+        assert checked == [frozen]
+
+    def test_a_writable_snapshot_is_checked_on_every_call(
+        self, graph, monkeypatch
+    ):
+        checked = self._counting(monkeypatch)
+        snap = graph[0].copy()
+        assert snapshot_violation(snap) is None
+        snap.features[0, 0] = np.nan  # written in place after a clean check
+        assert "non-finite" in snapshot_violation(snap)
+        assert len(checked) == 2
+
+    def test_a_verdict_covers_only_the_arrays_it_judged(self, graph):
+        """A copy of a frozen snapshot with one array swapped for a torn
+        one carries the verdict along; it no longer applies."""
+        frozen = graph[0].frozen_copy()
+        assert snapshot_violation(frozen) is None
+        torn = copy.copy(frozen)
+        torn.indices = frozen.indices[: frozen.num_edges // 2]
+        assert "truncated CSR" in snapshot_violation(torn)
+        assert snapshot_violation(frozen) is None
 
 
 class TestDeadLetterQueue:
