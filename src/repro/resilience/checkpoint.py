@@ -26,19 +26,17 @@ points:
   from the dtype's fields, then the array's own buffer, streamed into
   the member.  The members' bytes are ``np.savez``'s, so every reader
   of the format, old or new, reads them unchanged.
-* **Members and bytes cost together.**  Format 1 spent ~25 us of
-  ``zipfile`` + ``.npy``-header work per member on 51 members, so
-  format 2 moved every scalar into one record (13 members).  A shard
-  still wrote the whole graph's state, though its windows compute a
-  quarter of the rows.  On a live ``cluster-serve`` shard carry,
-  writing the owned rows alone takes a save from 0.68 to 0.64 ms, and
-  one record alone leaves it at 0.68 ms (writing a structured record
-  costs per byte); format 4 does both and takes it to 0.43 ms, and
-  372 kB to 130 kB.
+* **One record, computed rows only.**  Each zip member costs ~25 us
+  of ``zipfile`` + ``.npy``-header work, so every field but the format
+  lives in one record; a shard's windows compute a quarter of the
+  rows, so only those rows are written.  On a live ``cluster-serve``
+  shard carry the two together take a save from 0.68 to 0.43 ms and
+  372 kB to 130 kB, against one member per whole-height array.
 * **Stored, not deflated.**  float32 state barely compresses (-17 %)
   and deflate cost 13 ms a save against 1-2 ms stored.  Integrity is
   the zip's per-member CRC-32 (flipped byte) and central directory
-  (torn write), not the codec; deflated archives still load.
+  (torn write), not the codec; ``np.load`` reads a deflated archive
+  all the same.
 * **Self-describing.**  ``meta/format`` versions the layout and is
   always its own member, so reading the version never depends on the
   layout it versions; the record's ``.npy`` header names and types
@@ -47,21 +45,21 @@ points:
   window, pending snapshots) are present only when the stream carried
   them.  The header grows ≈ 190 B per pending snapshot, so the reader
   lifts ``np.load``'s 10 000 B header cap (a window of ~40) to 1 MiB.
-* **New reads old.**  This build writes format 4 only and reads 1 to 4
-  (a live store can hold them all across an upgrade); an older build
-  refuses a newer archive with its "unsupported checkpoint format"
-  message.
+* **A build reads the format it writes.**  This build writes and reads
+  format 4 only.  An older or newer archive is refused with an
+  "unsupported checkpoint format" message, which
+  :meth:`CheckpointStore.load` raises as :class:`CorruptCheckpointError`:
+  a shard recovers from it as from a torn archive, by rolling back to
+  an older key or cold-starting, and replays bit-identically.
 * **State is stored where it is computed.**  An owned-row stream (one
   shard) of a row-local cell advances the per-vertex arrays on its
-  ``Carry.rows`` only, so format 4 writes those rows alone — on
+  ``Carry.rows`` only, so the writer writes those rows alone — on
   :meth:`Carry.computed_rows`, the rows the engine computes — and
-  ``carry/rows`` names them (absent = every row, which is all a
-  format-1 or -2 writer could mean; format 3 named the rows but wrote
-  whole arrays).  The reader scatters them into zeros: the rows not
-  stored come back as zeros, which no owned row's update reads.  A
-  stream resumes only from an archive that covers the rows it owns:
-  :meth:`CheckpointStore.restore` refuses any other as it would a torn
-  one.
+  ``carry/rows`` names them (absent = every row).  The reader
+  scatters them into zeros: the rows not stored come back as zeros,
+  which no owned row's update reads.  A stream resumes only from an
+  archive that covers the rows it owns: :meth:`CheckpointStore.restore`
+  refuses any other as it would a torn one.
 * **No model needed to load.**  A loaded ``Carry``'s cache holds bare
   arrays; :meth:`StreamingInference.restore_carry` checks them against
   the model's cell and binds it.
@@ -71,31 +69,25 @@ points:
   ``meta/window_index`` restores the weight trajectory; no weight
   tensors are stored.
 
-The key layout, by ``Carry`` field.  In format 1 every line below is
-a zip member; in formats 2 and 3 the lines marked ``*`` are fields of
-the ``meta/scalars`` record, under the same names, and the rest are
-members; in format 4 every line but ``meta/format`` is a field of the
-``meta/record`` record::
+The key layout, by ``Carry`` field.  Every line but ``meta/format`` is
+a field of the ``meta/record`` record::
 
     meta/format                the layout version (always a member)
-    meta/{window_size,timestamp,window_index,first,             *
+    meta/{window_size,timestamp,window_index,first,
           num_vertices,num_pending,state_kind}
-    metrics/<field>            one int64 per ExecutionMetrics field  *
+    metrics/<field>            one int64 per ExecutionMetrics field
     state/h [, state/c]        ``state`` (by meta/state_kind)       r
     cache/{zx,zh,z_input}      ``cache`` pre-activations (optional) r
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)   r
-    carry/rows                 ``rows`` (format 3: the owned rows;
-                               format 4: the rows of the ``r``
-                               arrays; optional = every row)
-    snap_prev/<field>          ``snap_prev`` (optional; ``timestamp`` *)
+    carry/rows                 ``rows``: the rows of the ``r`` arrays
+                               (optional = every row)
+    snap_prev/<field>          ``snap_prev`` (optional)
     pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
-                               (``timestamp`` *)
 
-``r`` marks the per-vertex arrays: format 4 writes them on
-``carry/rows`` only.  An archive written by an earlier build may also
-hold a ``metrics/window_modes`` member, a ``(W, 3)`` int64 per-window
-trajectory that is no longer kept, and record fields for counters that
-were retired; the reader skips both.
+``r`` marks the per-vertex arrays, written on ``carry/rows`` only.  A
+record written by an earlier build may hold fields for counters that
+were retired; the reader skips them, and a counter the record lacks
+reads 0.
 """
 
 from __future__ import annotations
@@ -129,17 +121,15 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = 4
-_READABLE_FORMATS = (1, 2, 3, 4)
 
 _SNAP_FIELDS = ("indptr", "indices", "features", "present")
 _CACHE_FIELDS = ("zx", "zh", "z_input")
-#: the per-vertex arrays: format 4 writes the computed rows of these only
+#: the per-vertex arrays: written on the computed rows only
 _ROW_KEYS = (
     "state/h", "state/c", "cache/zx", "cache/zh", "cache/z_input",
     "carry/h_prev", "carry/z_prev",
 )
-_SCALARS = "meta/scalars"  # formats 2 and 3
-_RECORD = "meta/record"  # format 4
+_RECORD = "meta/record"
 #: record fields that are not int64
 _SCALAR_DTYPES = {"meta/first": np.bool_, "meta/state_kind": "U4"}
 #: ``np.load``'s default header cap (10 000 B) holds a window of about
@@ -154,13 +144,13 @@ def _put_snapshot(record: dict, prefix: str, snap) -> None:
     record[f"{prefix}/timestamp"] = snap.timestamp
 
 
-def _snapshot_from(data, scalars: dict, prefix: str) -> CSRSnapshot:
+def _snapshot_from(data: dict, prefix: str) -> CSRSnapshot:
     return CSRSnapshot(
         indptr=np.asarray(data[f"{prefix}/indptr"]),
         indices=np.asarray(data[f"{prefix}/indices"]),
         features=np.asarray(data[f"{prefix}/features"]),
         present=np.asarray(data[f"{prefix}/present"]),
-        timestamp=int(scalars[f"{prefix}/timestamp"]),
+        timestamp=int(data[f"{prefix}/timestamp"]),
     )
 
 
@@ -172,7 +162,7 @@ def _field_type(key: str, value) -> tuple:
 
 # ----------------------------------------------------------------------
 def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
-    """Flatten a :class:`Carry` into the two members of format 4:
+    """Flatten a :class:`Carry` into the two members of the format:
     ``meta/format`` and the ``meta/record`` that holds every field of
     the layout documented above.
 
@@ -228,35 +218,12 @@ def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
     }
 
 
-def _structured(data, key: str) -> np.ndarray:
-    record = np.asarray(data[key])
-    if record.ndim != 0 or record.dtype.names is None:
-        raise ValueError(f"{key} is not a 0-d structured record")
-    return record
-
-
-def _read_scalars(data, keys: set, fmt: int) -> dict:
-    """Every scalar of a format-1 to -3 checkpoint as ``key -> Python
-    value``: the fields of the one record (formats 2 and 3), or the 0-d
-    members the record replaced (format 1).  An older archive's
-    ``metrics/window_modes`` member (a per-window trajectory this build
-    no longer keeps) is no scalar and is never read."""
-    if fmt == 1:
-        return {
-            key: np.asarray(data[key]).item()
-            for key in keys
-            if key.startswith("meta/")
-            or key.endswith("/timestamp")
-            or (key.startswith("metrics/") and key != "metrics/window_modes")
-        }
-    record = _structured(data, _SCALARS)
-    return dict(zip(record.dtype.names, record.item()))
-
-
 def _read_record(data) -> dict:
-    """Every field of a format-4 ``meta/record`` as ``key -> value``: a
-    Python value for a scalar, a fresh (aligned) copy for an array."""
-    record = _structured(data, _RECORD)
+    """Every field of ``meta/record`` as ``key -> value``: a Python
+    value for a scalar, a fresh (aligned) copy for an array."""
+    record = np.asarray(data[_RECORD])
+    if record.ndim != 0 or record.dtype.names is None:
+        raise ValueError(f"{_RECORD} is not a 0-d structured record")
     out = {}
     for name in record.dtype.names:
         value = record[name]
@@ -265,7 +232,7 @@ def _read_record(data) -> dict:
 
 
 def _scatter(key: str, sliced: np.ndarray, rows: np.ndarray, n: int):
-    """A format-4 per-vertex array, written for ``rows`` only, back at
+    """A per-vertex array, written for ``rows`` only, back at
     full height: the rows no window computed are zeros."""
     sliced = np.asarray(sliced)
     if sliced.ndim != 2 or sliced.shape[0] != len(rows):
@@ -281,30 +248,25 @@ def _scatter(key: str, sliced: np.ndarray, rows: np.ndarray, n: int):
 
 
 def arrays_to_carry(data) -> Carry:
-    """Rebuild a :class:`Carry` from the flat checkpoint layout, format
-    1, 2, 3 or 4.
+    """Rebuild a :class:`Carry` from the checkpoint layout.
 
-    ``data`` is anything indexable by key with a ``files``/key listing —
-    an :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Snapshots are
-    reconstructed through ``CSRSnapshot.__init__`` so a tampered
-    checkpoint fails validation instead of entering the stream.
+    ``data`` is indexed by ``meta/format`` and ``meta/record`` only — an
+    :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Any format but
+    :data:`CHECKPOINT_FORMAT` is refused.  Snapshots are reconstructed
+    through ``CSRSnapshot.__init__`` so a tampered checkpoint fails
+    validation instead of entering the stream.
     """
     fmt = int(data["meta/format"])
-    if fmt not in _READABLE_FORMATS:
+    if fmt != CHECKPOINT_FORMAT:
         raise ValueError(
             f"unsupported checkpoint format {fmt} (this build reads"
-            f" formats 1 to {CHECKPOINT_FORMAT})"
+            f" format {CHECKPOINT_FORMAT})"
         )
-    if fmt == 4:
-        data = scalars = _read_record(data)
-        keys = set(data)
-    else:
-        keys = set(data.files) if hasattr(data, "files") else set(data)
-        scalars = _read_scalars(data, keys, fmt)
-    raw_n = int(scalars["meta/num_vertices"])
+    data = _read_record(data)
+    raw_n = int(data["meta/num_vertices"])
 
     def optional(key):
-        return np.asarray(data[key]) if key in keys else None
+        return np.asarray(data[key]) if key in data else None
 
     rows = optional("carry/rows")
     if rows is not None:
@@ -320,19 +282,18 @@ def arrays_to_carry(data) -> Carry:
             raise ValueError(
                 "carry/rows is not an ascending list of vertex ids"
             )
-        if fmt == 4:
-            for key in _ROW_KEYS:
-                if key in keys:
-                    data[key] = _scatter(key, data[key], rows, raw_n)
+        for key in _ROW_KEYS:
+            if key in data:
+                data[key] = _scatter(key, data[key], rows, raw_n)
     # a counter this build retired is skipped, one it added reads 0
     metrics = ExecutionMetrics(
         **{
-            f.name: int(scalars[f"metrics/{f.name}"])
+            f.name: int(data[f"metrics/{f.name}"])
             for f in fields(ExecutionMetrics)
-            if f"metrics/{f.name}" in scalars
+            if f"metrics/{f.name}" in data
         }
     )
-    state_kind = scalars["meta/state_kind"]
+    state_kind = data["meta/state_kind"]
     if state_kind == "none":
         state = None
     elif state_kind == "lstm":
@@ -344,19 +305,19 @@ def arrays_to_carry(data) -> Carry:
     else:
         raise ValueError(f"unknown checkpoint state kind {state_kind!r}")
     cache = None
-    if "cache/zx" in keys:
+    if "cache/zx" in data:
         cache = DeltaCellCache.from_arrays(
             *(np.asarray(data[f"cache/{name}"]) for name in _CACHE_FIELDS)
         )
     return Carry(
-        window_size=int(scalars["meta/window_size"]),
+        window_size=int(data["meta/window_size"]),
         rows=rows,
         pending=[
-            _snapshot_from(data, scalars, f"pending/{i}")
-            for i in range(int(scalars["meta/num_pending"]))
+            _snapshot_from(data, f"pending/{i}")
+            for i in range(int(data["meta/num_pending"]))
         ],
-        timestamp=int(scalars["meta/timestamp"]),
-        window_index=int(scalars["meta/window_index"]),
+        timestamp=int(data["meta/timestamp"]),
+        window_index=int(data["meta/window_index"]),
         num_vertices=None if raw_n < 0 else raw_n,
         metrics=metrics,
         state=state,
@@ -364,11 +325,11 @@ def arrays_to_carry(data) -> Carry:
         h_prev=optional("carry/h_prev"),
         z_prev=optional("carry/z_prev"),
         snap_prev=(
-            _snapshot_from(data, scalars, "snap_prev")
-            if "snap_prev/indptr" in keys
+            _snapshot_from(data, "snap_prev")
+            if "snap_prev/indptr" in data
             else None
         ),
-        first=bool(scalars["meta/first"]),
+        first=bool(data["meta/first"]),
     )
 
 
@@ -479,9 +440,9 @@ def restore_stream(stream: StreamingInference, path) -> StreamingInference:
 # ----------------------------------------------------------------------
 class CorruptCheckpointError(RuntimeError):
     """A stored checkpoint cannot be resumed from: it failed to
-    deserialise (torn write, failed CRC, missing member, unknown
-    format) or does not fit the restoring stream (its state does not
-    cover the rows the stream owns)."""
+    deserialise (torn write, failed CRC, missing member, a format other
+    than this build's, older or newer) or does not fit the restoring
+    stream (its state does not cover the rows the stream owns)."""
 
 
 class CheckpointStore:
@@ -515,7 +476,13 @@ class CheckpointStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._blobs: dict[str, bytes] = {}
+        # a reopened directory goes on numbering after its newest key: a
+        # lower key would sort first and be pruned by its own save
         self._seq = 0
+        for key in self.keys():
+            number = key[len(prefix) + 1 : -len(".npz")]
+            if number.isdigit():
+                self._seq = max(self._seq, int(number))
         self._transient_failures = 0
 
     # ------------------------------------------------------------------
@@ -550,9 +517,9 @@ class CheckpointStore:
         Raises :class:`TransientStorageError` when a scheduled transient
         failure is pending (retryable), :class:`KeyError` when the store
         holds no such key, and :class:`CorruptCheckpointError` when the
-        blob does not deserialise — torn, failing a CRC, of an unknown
-        format, or a well-formed archive that lacks a member (permanent
-        for this key).
+        blob does not deserialise — torn, failing a CRC, of any format
+        but this build's, or a well-formed archive that lacks a member
+        (permanent for this key).
         """
         if self._transient_failures > 0:
             self._transient_failures -= 1

@@ -63,20 +63,12 @@ def _uninterrupted(graph, name="T-GCN"):
     )
 
 
-#: A per-window ``(full, delta, skip)`` trajectory every format-1 writer
-#: stored as an array member; this build neither keeps nor writes it.
-RETIRED_MEMBER = "metrics/window_modes"
-
-
-def _format1_arrays(carry) -> dict:
-    """The format-1 flattening, frozen as the parent's writer had it:
-    every scalar a 0-d member of its own, and the retired ``(W, 3)``
-    trajectory member (zeros here: no reader looks inside).
-    The compatibility oracle — do not route it through
-    ``carry_to_arrays``."""
+def _expected_fields(carry) -> dict:
+    """Every field a whole-row record of ``carry`` must hold, by key,
+    taken from the carry itself.  The independent oracle for the
+    layout — do not route it through ``carry_to_arrays``."""
     n = carry.num_vertices
     arrays = {
-        "meta/format": np.int64(1),
         "meta/window_size": np.int64(carry.window_size),
         "meta/timestamp": np.int64(carry.timestamp),
         "meta/window_index": np.int64(carry.window_index),
@@ -86,9 +78,6 @@ def _format1_arrays(carry) -> dict:
     }
     for f in fields(ExecutionMetrics):
         arrays[f"metrics/{f.name}"] = np.int64(getattr(carry.metrics, f.name))
-    arrays[RETIRED_MEMBER] = np.zeros(
-        (carry.metrics.windows_processed, 3), dtype=np.int64
-    )
     state = carry.state
     if state is None:
         arrays["meta/state_kind"] = np.str_("none")
@@ -116,65 +105,7 @@ def _format1_arrays(carry) -> dict:
     return arrays
 
 
-def _format3_arrays(carry) -> dict:
-    """The format-3 flattening, frozen as the parent's writer had it:
-    every scalar a field of the one ``meta/scalars`` record, every array
-    a member of its own and as tall as the graph, ``carry/rows`` when
-    the carry owns rows.  The compatibility oracle — do not route it
-    through ``carry_to_arrays``."""
-    n = carry.num_vertices
-    scalars = {
-        "meta/window_size": carry.window_size,
-        "meta/timestamp": carry.timestamp,
-        "meta/window_index": carry.window_index,
-        "meta/first": carry.first,
-        "meta/num_vertices": -1 if n is None else n,
-        "meta/num_pending": len(carry.pending),
-    }
-    for f in fields(ExecutionMetrics):
-        scalars[f"metrics/{f.name}"] = getattr(carry.metrics, f.name)
-    arrays = {"meta/format": np.int64(3)}
-    state = carry.state
-    if state is None:
-        scalars["meta/state_kind"] = "none"
-    elif isinstance(state, LSTMState):
-        scalars["meta/state_kind"] = "lstm"
-        arrays["state/h"] = state.h
-        arrays["state/c"] = state.c
-    else:
-        assert isinstance(state, GRUState)
-        scalars["meta/state_kind"] = "gru"
-        arrays["state/h"] = state.h
-    if carry.cache is not None:
-        for name in ("zx", "zh", "z_input"):
-            arrays[f"cache/{name}"] = getattr(carry.cache, name)
-    for name in ("h_prev", "z_prev", "rows"):
-        if getattr(carry, name) is not None:
-            arrays[f"carry/{name}"] = getattr(carry, name)
-    snaps = [("snap_prev", carry.snap_prev)] if carry.snap_prev is not None else []
-    snaps += [(f"pending/{i}", snap) for i, snap in enumerate(carry.pending)]
-    for prefix, snap in snaps:
-        for name in ("indptr", "indices", "features", "present"):
-            arrays[f"{prefix}/{name}"] = getattr(snap, name)
-        scalars[f"{prefix}/timestamp"] = snap.timestamp
-    kinds = {"meta/first": np.bool_, "meta/state_kind": "U4"}
-    arrays["meta/scalars"] = np.array(
-        tuple(scalars.values()),
-        dtype=[(key, kinds.get(key, np.int64)) for key in scalars],
-    )
-    return arrays
-
-
-def _parent_blob(carry, writer=np.savez_compressed) -> bytes:
-    """A format-1 archive as a parent build wrote it: deflated before
-    the writer stored its members (``np.savez_compressed``), stored
-    after (``np.savez``)."""
-    buf = io.BytesIO()
-    writer(buf, **_format1_arrays(carry))
-    return buf.getvalue()
-
-
-#: the two members of a format-4 archive
+#: the two members of an archive
 MEMBERS = ["meta/format.npy", "meta/record.npy"]
 _DROP = object()
 
@@ -184,47 +115,19 @@ def _record_fields(record) -> dict:
     return {name: np.asarray(record[name]) for name in record.dtype.names}
 
 
-def _record(fields_: dict) -> np.ndarray:
-    """The 0-d structured record holding ``fields_`` (a field of shape
-    ``()`` is a scalar)."""
-    return np.array(
-        tuple(fields_.values()),
-        dtype=[(key, v.dtype, v.shape) for key, v in fields_.items()],
-    )
-
-
-def _fields_of(arrays: dict) -> dict:
-    """A flattened carry's entries by key, whatever its format: the
-    record's fields (format 4) or the members."""
-    if "meta/record" in arrays:
-        return _record_fields(arrays["meta/record"])
-    return arrays
-
-
 def _edit(arrays: dict, key: str, value=_DROP) -> None:
-    """Overwrite, add or drop one entry of a flattened carry, wherever
-    its format keeps it: a field of ``meta/record`` (format 4: every
-    entry), a field of ``meta/scalars`` (formats 2-3: a scalar) or a
-    member of its own (format 1, and formats 2-3's arrays)."""
-    if "meta/record" in arrays:
-        holder = "meta/record"
-    elif "meta/scalars" in arrays and (
-        key in arrays["meta/scalars"].dtype.names
-        or (value is not _DROP and np.ndim(value) == 0)
-    ):
-        holder = "meta/scalars"
-    else:
-        if value is _DROP:
-            del arrays[key]
-        else:
-            arrays[key] = np.asarray(value)
-        return
-    fields_ = _record_fields(arrays[holder])
+    """Overwrite, add or drop one field of a flattened carry's
+    ``meta/record``; the record is rebuilt from its fields (a field of
+    shape ``()`` is a scalar)."""
+    fields_ = _record_fields(arrays["meta/record"])
     if value is _DROP:
         del fields_[key]
     else:
         fields_[key] = np.asarray(value)
-    arrays[holder] = _record(fields_)
+    arrays["meta/record"] = np.array(
+        tuple(fields_.values()),
+        dtype=[(name, v.dtype, v.shape) for name, v in fields_.items()],
+    )
 
 
 def _per_vertex(carry) -> list:
@@ -244,7 +147,7 @@ HEADER_ALLOWANCE = 6 * 1024
 
 
 def _byte_bound(carry) -> int:
-    """What a format-4 archive of an owned-row carry may hold: its
+    """What the archive of an owned-row carry may hold: its
     owned rows at their per-row widths (a row id, then one row of each
     per-vertex array), each snapshot it carries, and a fixed header
     allowance — never a row it does not own."""
@@ -279,6 +182,17 @@ def _without_field(blob: bytes, key: str) -> bytes:
     with np.load(io.BytesIO(blob)) as data:
         arrays = {name: data[name] for name in data.files}
     _edit(arrays, key)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _with_format(blob: bytes, fmt: int) -> bytes:
+    """``blob`` re-written as a valid archive whose ``meta/format`` is
+    ``fmt``, its record kept."""
+    with np.load(io.BytesIO(blob)) as data:
+        arrays = dict(data)
+    arrays["meta/format"] = np.int64(fmt)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
@@ -340,60 +254,38 @@ class TestCrashConsistency:
             np.testing.assert_array_equal(original[key], restored[key])
 
 
-def _format2_arrays(carry) -> dict:
-    """Format 2 as the parent wrote it: format 3's layout before the
-    ownership member existed."""
-    arrays = _format3_arrays(carry)
-    arrays["meta/format"] = np.int64(2)
-    arrays.pop("carry/rows", None)
-    return arrays
-
-
-FLATTENERS = {
-    1: _format1_arrays,
-    2: _format2_arrays,
-    3: _format3_arrays,
-    4: carry_to_arrays,
-}
-
-
 class TestTamperRejection:
-    def _arrays(self, graph, fmt, pushes=1):
+    def _arrays(self, graph, pushes=1):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in list(graph)[:pushes]:
             stream.push(snap.copy())
-        return FLATTENERS[fmt](stream.carry_state())
+        return carry_to_arrays(stream.carry_state())
 
-    # each tamper is tried on every layout this build reads
     def test_unknown_format_rejected(self, graph):
-        for fmt in FLATTENERS:
-            arrays = self._arrays(graph, fmt)
-            arrays["meta/format"] = np.int64(999)
-            with pytest.raises(ValueError, match="format 999"):
-                arrays_to_carry(arrays)
+        arrays = self._arrays(graph)
+        arrays["meta/format"] = np.int64(999)
+        with pytest.raises(ValueError, match="format 999"):
+            arrays_to_carry(arrays)
 
     def test_unknown_state_kind_rejected(self, graph):
-        for fmt in FLATTENERS:
-            arrays = self._arrays(graph, fmt, pushes=4)
-            _edit(arrays, "meta/state_kind", "quantum")
-            with pytest.raises(ValueError, match="state kind"):
-                arrays_to_carry(arrays)
+        arrays = self._arrays(graph, pushes=4)
+        _edit(arrays, "meta/state_kind", "quantum")
+        with pytest.raises(ValueError, match="state kind"):
+            arrays_to_carry(arrays)
 
     def test_truncated_pending_snapshot_rejected(self, graph):
-        for fmt in FLATTENERS:
-            arrays = self._arrays(graph, fmt, pushes=1)  # 1 pending
-            assert len(arrays_to_carry(arrays).pending) == 1
-            indices = _fields_of(arrays)["pending/0/indices"]
-            _edit(arrays, "pending/0/indices", indices[:-3])
-            with pytest.raises(ValueError, match="indptr"):
-                arrays_to_carry(arrays)
+        arrays = self._arrays(graph, pushes=1)  # 1 pending
+        assert len(arrays_to_carry(arrays).pending) == 1
+        indices = _record_fields(arrays["meta/record"])["pending/0/indices"]
+        _edit(arrays, "pending/0/indices", indices[:-3])
+        with pytest.raises(ValueError, match="indptr"):
+            arrays_to_carry(arrays)
 
     def test_scalar_record_must_be_a_structured_scalar(self, graph):
-        for fmt, key in ((2, "meta/scalars"), (4, "meta/record")):
-            arrays = self._arrays(graph, fmt)
-            arrays[key] = np.zeros(4, dtype=np.int64)
-            with pytest.raises(ValueError, match="structured record"):
-                arrays_to_carry(arrays)
+        arrays = self._arrays(graph)
+        arrays["meta/record"] = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="structured record"):
+            arrays_to_carry(arrays)
 
     def test_window_size_mismatch_rejected(self, graph):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -420,8 +312,6 @@ class TestCheckpointStore:
     """Retention (keep-last-K), pruning, and the chaos seams."""
 
     def _filled(self, graph, *, keep_last=3, directory=None):
-        from repro.resilience import CheckpointStore
-
         store = CheckpointStore(directory, keep_last=keep_last)
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in graph:
@@ -462,8 +352,6 @@ class TestCheckpointStore:
         assert carry.timestamp == stream.carry_state().timestamp
 
     def test_corrupt_latest_falls_back_to_older(self, graph):
-        from repro.resilience import CorruptCheckpointError
-
         store, _ = self._filled(graph, keep_last=3)
         torn = store.corrupt_latest()
         with pytest.raises(CorruptCheckpointError):
@@ -473,7 +361,6 @@ class TestCheckpointStore:
         assert carry.timestamp >= 0
 
     def test_flaked_load_is_retryable(self, graph):
-        from repro.engine import ExecutionMetrics
         from repro.resilience import RetryPolicy, with_retry
 
         store, _ = self._filled(graph)
@@ -490,14 +377,10 @@ class TestCheckpointStore:
         assert m.retries == 2
 
     def test_invalid_keep_last_rejected(self):
-        from repro.resilience import CheckpointStore
-
         with pytest.raises(ValueError):
             CheckpointStore(keep_last=0)
 
     def test_missing_key_raises_key_error(self, graph):
-        from repro.resilience import CheckpointStore
-
         store = CheckpointStore()
         with pytest.raises(KeyError):
             store.load("ckpt-00000001.npz")
@@ -523,17 +406,45 @@ class TestCheckpointStore:
     def test_future_format_is_corrupt_with_the_format_message(self, graph):
         store, _ = self._filled(graph, keep_last=2)
         newest = store.keys()[-1]
-        with np.load(io.BytesIO(_get_blob(store, newest))) as data:
-            arrays = dict(data)
-        arrays["meta/format"] = np.int64(5)
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        _put_blob(store, newest, buf.getvalue())
+        _put_blob(store, newest, _with_format(_get_blob(store, newest), 5))
         with pytest.raises(
             CorruptCheckpointError, match="unsupported checkpoint format 5"
         ):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
+
+    @pytest.mark.parametrize("fmt", [1, 2, 3, 5])
+    def test_any_other_format_is_refused_with_the_format_message(
+        self, graph, fmt
+    ):
+        """A build reads the format it writes: an older archive is
+        refused exactly as a newer one is, from every entry point."""
+        store, _ = self._filled(graph, keep_last=2)
+        newest = store.keys()[-1]
+        blob = _with_format(_get_blob(store, newest), fmt)
+        message = f"unsupported checkpoint format {fmt} "
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(io.BytesIO(blob))
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        with pytest.raises(ValueError, match=message):
+            restore_stream(stream, io.BytesIO(blob))
+        assert stream.timestamp == 0  # nothing was installed
+        _put_blob(store, newest, blob)
+        with pytest.raises(CorruptCheckpointError, match=message):
+            store.load(newest)
+
+    def test_a_reopened_directory_goes_on_numbering(self, graph, tmp_path):
+        """A store opened over a filled directory saves after its newest
+        key: the save survives its own prune and is the newest key."""
+        directory = tmp_path / "ckpts"
+        store, stream = self._filled(graph, keep_last=3, directory=directory)
+        old = store.keys()
+        assert [k[5:13] for k in old] == ["00000005", "00000006", "00000007"]
+        reopened = CheckpointStore(directory, keep_last=3)
+        key = reopened.save(stream)
+        assert key == "ckpt-00000008.npz"
+        assert reopened.keys() == old[1:] + [key]
+        assert reopened.load(key).timestamp == stream.timestamp
 
 
 class TestStoredArchive:
@@ -614,8 +525,8 @@ class TestStoredArchive:
 
 
 class TestFormat2Layout:
-    """The record layouts: format 2 put every scalar in one record,
-    format 4 puts every field there, so an archive is two members."""
+    """The record layout: every field but the format lives in one
+    record, so an archive is two members."""
 
     def _saved(self, graph, pushes, name="T-GCN"):
         stream = StreamingInference(_model(graph, name), window_size=WINDOW)
@@ -642,7 +553,7 @@ class TestFormat2Layout:
         with np.load(io.BytesIO(blob)) as data:
             names = data["meta/record"].dtype.names
         assert sum(n.startswith("pending/") for n in names) == 5 * pending
-        assert RETIRED_MEMBER not in names
+        assert "metrics/window_modes" not in names  # a retired trajectory
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
     @pytest.mark.parametrize("pushes", [0, 1, WINDOW, WINDOW + 1])
@@ -658,11 +569,9 @@ class TestFormat2Layout:
             if value.ndim == 0 and value.dtype.names is None
         ]
         assert lone == ["meta/format"]
-        # the record holds exactly the members format 1 wrote, under the
-        # same names and with the same values; the retired trajectory is
-        # gone
-        old = _format1_arrays(stream.carry)
-        del old[RETIRED_MEMBER], old["meta/format"]
+        # the record holds exactly the carry's fields, under the layout's
+        # names and with the carry's values
+        old = _expected_fields(stream.carry)
         record = members["meta/record"]
         assert set(members) == {"meta/format", "meta/record"}
         assert record.shape == ()
@@ -697,161 +606,68 @@ class TestFormat2Layout:
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in list(graph)[: WINDOW + 1]:
             stream.push(snap.copy())
-        live = _format1_arrays(stream.carry)
+        live = _expected_fields(stream.carry)
         before = {k: np.asarray(v).tobytes() for k, v in live.items()}
         store = CheckpointStore()
         store.save(stream)
-        after = _format1_arrays(stream.carry)
+        after = _expected_fields(stream.carry)
         assert list(after) == list(before)
         for key, value in after.items():
             assert np.asarray(value).tobytes() == before[key], key
-            if key != RETIRED_MEMBER and np.ndim(value):
+            if np.ndim(value):
                 assert value is live[key], key  # same arrays: not replaced
 
 
 class TestParentFormatCompatibility:
-    """Format-1 archives — deflated and stored, as two generations of
-    parent wrote them — resume exactly like this build's own."""
-
-    @pytest.mark.parametrize("writer", [np.savez_compressed, np.savez])
-    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
-    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
-    def test_parent_blob_resumes_bit_identically(
-        self, graph, model_name, crash_at, writer
-    ):
-        expected = _uninterrupted(graph, model_name)
-        first = StreamingInference(
-            _model(graph, model_name), window_size=WINDOW
-        )
-        for snap in list(graph)[:crash_at]:
-            first.push(snap.copy())
-        assert first.pending == crash_at % WINDOW
-        blob = _parent_blob(first.carry_state(), writer)
-        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
-            assert "meta/window_size.npy" in zf.namelist()  # format 1
-            assert RETIRED_MEMBER + ".npy" in zf.namelist()
-            assert {i.compress_type for i in zf.infolist()} == {
-                zipfile.ZIP_DEFLATED
-                if writer is np.savez_compressed
-                else zipfile.ZIP_STORED
-            }
-        store = CheckpointStore()
-        _put_blob(store, "ckpt-00000001.npz", blob)
-        for carry in (
-            load_checkpoint(io.BytesIO(blob)),
-            store.load("ckpt-00000001.npz"),
-        ):
-            resumed = StreamingInference(
-                _model(graph, model_name), window_size=WINDOW
-            )
-            resumed.restore_carry(carry)
-            late = _run(resumed, list(graph)[crash_at:])
-            tail = expected[len(expected) - len(late):]
-            assert late and len(late) == len(tail)
-            for a, b in zip(tail, late):
-                assert a.tobytes() == b.tobytes()
-
-    def test_both_writers_decode_to_equal_arrays(self, graph):
-        stream = StreamingInference(_model(graph), window_size=WINDOW)
-        for snap in list(graph)[:4]:
-            stream.push(snap.copy())
-        buf = io.BytesIO()
-        save_checkpoint(stream, buf)
-        new = carry_to_arrays(load_checkpoint(io.BytesIO(buf.getvalue())))
-        old = carry_to_arrays(
-            load_checkpoint(io.BytesIO(_parent_blob(stream.carry_state())))
-        )
-        assert list(new) == list(old)
-        for key in new:
-            assert new[key].dtype == old[key].dtype, key
-            assert new[key].tobytes() == old[key].tobytes(), key
+    """A format-4 record an earlier build wrote resumes like this
+    build's own."""
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
     @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
     def test_a_record_with_retired_counters_resumes_bit_identically(
         self, graph, model_name, crash_at
     ):
-        """An older build's format-3 record still carries counters this
-        build dropped (``checkpoints_taken``, ``plan_kernel_switches``,
-        ``windows_planned``) and the ``(W, 3)`` trajectory member: the
-        reader skips fields and members it does not know, in a format-3
-        or a format-4 record."""
-        first = self._pushed(graph, model_name, crash_at)
-        retired = {
-            "metrics/checkpoints_taken": 2,
-            "metrics/plan_kernel_switches": 1,
-            "metrics/windows_planned": first.window_index,
-        }
-        for flatten, record in (
-            (_format3_arrays, "meta/scalars"), (carry_to_arrays, "meta/record")
-        ):
-            arrays = flatten(first.carry_state())
-            assert not set(retired) & set(arrays[record].dtype.names)
-            assert RETIRED_MEMBER not in arrays
-            for key, value in retired.items():
-                _edit(arrays, key, np.int64(value))
-            arrays[RETIRED_MEMBER] = _format1_arrays(first.carry)[RETIRED_MEMBER]
-            assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
-            self._assert_resumes(graph, model_name, first, arrays)
-
-    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
-    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
-    def test_a_format_1_archive_with_retired_members_resumes_bit_identically(
-        self, graph, model_name, crash_at
-    ):
-        """Format 1 kept every counter as a member of its own: a retired
-        counter's 0-d member and the trajectory's ``(W, 3)`` member are
-        both skipped."""
-        first = self._pushed(graph, model_name, crash_at)
-        arrays = _format1_arrays(first.carry_state())
-        assert arrays[RETIRED_MEMBER].shape == (first.window_index, 3)
-        arrays["metrics/windows_planned"] = np.int64(first.window_index)
-        self._assert_resumes(graph, model_name, first, arrays)
-
-    def _pushed(self, graph, model_name, crash_at):
+        """An older build's record still carries counters this build
+        dropped (``checkpoints_taken``, ``plan_kernel_switches``,
+        ``windows_planned``), and lacks one this build may add: the
+        reader skips the fields it does not know, and a counter the
+        record lacks reads 0."""
         first = StreamingInference(
             _model(graph, model_name), window_size=WINDOW
         )
         for snap in list(graph)[:crash_at]:
             first.push(snap.copy())
         assert first.window_index == 1
-        return first
-
-    def _assert_resumes(self, graph, model_name, first, arrays):
+        assert first.metrics.drift_probes == 0
+        retired = {
+            "metrics/checkpoints_taken": 2,
+            "metrics/plan_kernel_switches": 1,
+            "metrics/windows_planned": first.window_index,
+        }
+        arrays = carry_to_arrays(first.carry_state())
+        assert not set(retired) & set(arrays["meta/record"].dtype.names)
+        for key, value in retired.items():
+            _edit(arrays, key, np.int64(value))
+        _edit(arrays, "metrics/drift_probes")
         buf = io.BytesIO()
         np.savez(buf, **arrays)
-        with zipfile.ZipFile(io.BytesIO(buf.getvalue())) as zf:
-            assert RETIRED_MEMBER + ".npy" in zf.namelist()
         carry = load_checkpoint(io.BytesIO(buf.getvalue()))
         assert carry.metrics == first.carry.metrics
         resumed = StreamingInference(
             _model(graph, model_name), window_size=WINDOW
         )
         resumed.restore_carry(carry)
-        late = _run(resumed, list(graph)[first.timestamp + first.pending:])
+        late = _run(resumed, list(graph)[crash_at:])
         expected = _uninterrupted(graph, model_name)
         tail = expected[len(expected) - len(late):]
         assert late and len(late) == len(tail)
         for a, b in zip(tail, late):
             assert a.tobytes() == b.tobytes()
 
-    def test_a_store_holding_both_formats_loads_both(self, graph):
-        """Across an upgrade a live store holds old and new archives."""
-        store = CheckpointStore(keep_last=3)
-        stream = StreamingInference(_model(graph), window_size=WINDOW)
-        for snap in list(graph)[:WINDOW]:
-            stream.push(snap.copy())
-        old_key = store.save(stream)
-        _put_blob(store, old_key, _parent_blob(stream.carry_state()))
-        stream.push(graph[WINDOW].copy())
-        new_key = store.save(stream)
-        assert store.load(old_key).timestamp == WINDOW
-        assert len(store.load(new_key).pending) == 1
-
 
 class TestOwnedRowCheckpoints:
     """An owned-row stream's state is valid on the rows it computes
-    only: format 3 said which, format 4 stores those rows alone, and a
+    only: the archive stores those rows alone and names them, and a
     stream resumes only from an archive that covers the rows it owns."""
 
     A = np.arange(0, 40)
@@ -949,13 +765,10 @@ class TestOwnedRowCheckpoints:
             stream = self._stream(graph, self.A)
             for snap in list(graph)[:pushes]:
                 stream.push(snap.copy())
-            for arrays in (
-                _format3_arrays(stream.carry),
-                carry_to_arrays(stream.carry, stream.rows),
-            ):
-                _edit(arrays, "carry/rows", rows)
-                with pytest.raises(ValueError, match="carry/rows"):
-                    arrays_to_carry(arrays)
+            arrays = carry_to_arrays(stream.carry, stream.rows)
+            _edit(arrays, "carry/rows", rows)
+            with pytest.raises(ValueError, match="carry/rows"):
+                arrays_to_carry(arrays)
 
     @pytest.mark.parametrize("backend", ["memory", "directory"])
     def test_an_archive_that_does_not_cover_the_stream_is_refused(
@@ -983,59 +796,10 @@ class TestOwnedRowCheckpoints:
         for got, want in zip(late, expected[WINDOW:]):
             assert got[inside].tobytes() == want[inside].tobytes()
 
-    @pytest.mark.parametrize("backend", ["memory", "directory"])
-    @pytest.mark.parametrize("fmt", [1, 2, 3])
-    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
-    def test_a_parent_written_archive_resumes_an_owned_row_stream(
-        self, graph, tmp_path, backend, fmt, crash_at
-    ):
-        """Every archive an older build wrote holds state for all rows,
-        so any shard may resume from it."""
-        expected = _uninterrupted(graph)
-        whole = self._stream(graph, None)
-        for snap in list(graph)[:crash_at]:
-            whole.push(snap.copy())
-        arrays = FLATTENERS[fmt](whole.carry_state())
-        assert "carry/rows" not in arrays
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        store = self._store(tmp_path, backend)
-        _put_blob(store, "ckpt-00000001.npz", buf.getvalue())
-        resumed = self._stream(graph, self.B)
-        store.restore(resumed, "ckpt-00000001.npz")
-        late = _run(resumed, list(graph)[crash_at:])
-        tail = expected[len(expected) - len(late):]
-        assert late and len(late) == len(tail)
-        for got, want in zip(late, tail):
-            assert got[self.B].tobytes() == want[self.B].tobytes()
-
-    @pytest.mark.parametrize("crash_at", [WINDOW, WINDOW + 1])
-    def test_a_format_3_archive_with_rows_resumes_an_owned_row_stream(
-        self, graph, crash_at
-    ):
-        """Format 3 wrote an owned-row stream's arrays whole, beside the
-        ownership member: a stream inside those rows resumes from it."""
-        first = self._stream(graph, self.A)
-        for snap in list(graph)[:crash_at]:
-            first.push(snap.copy())
-        arrays = _format3_arrays(first.carry_state())
-        assert arrays["state/h"].shape[0] == graph.num_vertices
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        inside = self.A[5:20]
-        resumed = self._stream(graph, inside)
-        resumed.restore_carry(load_checkpoint(io.BytesIO(buf.getvalue())))
-        late = _run(resumed, list(graph)[crash_at:])
-        expected = _uninterrupted(graph)
-        tail = expected[len(expected) - len(late):]
-        assert late and len(late) == len(tail)
-        for got, want in zip(late, tail):
-            assert got[inside].tobytes() == want[inside].tobytes()
-
     def test_restore_after_a_degraded_window(self, graph):
         """A degraded window runs on the reference engine, which computes
-        every row, so the live carry's unowned rows stop being zeros; a
-        format-4 archive brings them back as zeros.  No owned row reads
+        every row, so the live carry's unowned rows stop being zeros; the
+        archive brings them back as zeros.  No owned row reads
         them, so every later output is the uninterrupted run's on the
         owned rows."""
         from repro.resilience import ResilientStreamingInference
@@ -1104,8 +868,7 @@ def _members(blob: bytes) -> dict:
 
 
 def _savez_blob(stream) -> bytes:
-    """The archive the parent's writer made: ``np.savez`` of the two
-    format-4 members."""
+    """The archive an ``np.savez`` writer makes of the two members."""
     carry = stream.carry
     buf = io.BytesIO()
     np.savez(buf, **carry_to_arrays(carry, carry.computed_rows(stream.model)))

@@ -12,7 +12,7 @@ from numpy.lib.recfunctions import repack_fields
 from repro.engine import StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
-from repro.resilience import carry_to_arrays
+from repro.resilience import CorruptCheckpointError, carry_to_arrays
 from repro.serving import ShardCluster
 
 WINDOW = 3
@@ -162,6 +162,42 @@ class TestRecovery:
         assert restarted and all(
             "resumed from ckpt-" in i.detail for i in restarted
         )
+
+    def test_an_older_format_store_cold_starts_bit_identically(self, graph):
+        """A build reads only the format it writes: a shard whose store
+        holds nothing but format-3 archives refuses each as torn,
+        cold-starts, and replays to the same bits."""
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=2,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        for t, snap in enumerate(graph):
+            if t == 5:
+                store = cluster.workers[1].stores["t0"]
+                assert len(store) == 2
+                for key, blob in store._blobs.items():
+                    buf = io.BytesIO()
+                    with np.load(io.BytesIO(blob)) as data:
+                        np.savez(buf, **{**data, "meta/format": np.int64(3)})
+                    store._blobs[key] = buf.getvalue()
+                    with pytest.raises(
+                        CorruptCheckpointError,
+                        match="unsupported checkpoint format 3",
+                    ):
+                        store.load(key)
+                cluster.workers[1].crash()
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        ref = ShardCluster(factory, num_shards=SHARDS, window_size=2, seed=SEED)
+        expected = serve(ref, "t0", graph)
+        got = cluster.released("t0")
+        assert len(got) == len(expected) == graph.num_snapshots
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        torn = [i for i in cluster.incidents if i.kind == "torn-checkpoint"]
+        assert len(torn) == 1 and torn[0].action == "cold-start"
+        assert "2 torn checkpoint(s) skipped" in torn[0].detail
 
     def test_stall_recovery_is_bit_identical(self, graph):
         cluster = ShardCluster(
