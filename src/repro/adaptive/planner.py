@@ -3,11 +3,12 @@
 :class:`AdaptivePlanner` turns a :class:`WindowProfile` into an
 :class:`ExecutionPlan`:
 
-* **kernel** — one rule on the profile (:meth:`AdaptivePlanner.kernel_for`):
-  full recompute (``batched-spmm``) once at least
-  :data:`RECOMPUTE_SHARE` of the window's vertices changed, OADL
-  changed-set reuse (``delta-condensed``) below it.  No clock is read:
-  the same window always gets the same kernel.
+* **kernel** — the engine's kernel rule on the profile
+  (:meth:`AdaptivePlanner.kernel_for`): full recompute
+  (``batched-spmm``) once at least
+  :data:`~repro.engine.concurrent.RECOMPUTE_SHARE` of the window's
+  vertices changed, OADL changed-set reuse (``delta-condensed``) below
+  it.  No clock is read: the same window always gets the same kernel.
 * **thresholds** — :math:`(\\theta_s, \\theta_e)` interpolated between
   the paper's defaults and the configured aggressive bounds by an
   *aggressiveness* scalar ``a ∈ [0, 1]``.  ``a`` moves under a
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..check.shapes import contract
+from ..engine.concurrent import RECOMPUTE_SHARE, recomputes
 from ..skipping.policy import SkipThresholds
 from .costmodel import CostModel
 from .plan import ExecutionPlan, KernelChoice
@@ -42,22 +44,10 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptivePlanner",
     "PlanRecord",
-    "RECOMPUTE_SHARE",
     "relative_drift",
 ]
 
 _DEFAULTS = SkipThresholds()
-
-#: Changed share (``WindowProfile.changed_frac``) at or above which a
-#: window runs ``batched-spmm`` instead of ``delta-condensed``.  Batched
-#: ÷ delta stream time on the GT generator at churn ×0.1 / ×0.25 / ×1 /
-#: ×3 (changed share 0.21 / 0.56 / 0.98 / 1.00), two seeds: CD-GCN
-#: 1.00–1.01 / 0.96–0.97 / 0.93 / 0.94–0.96, GC-LSTM 1.06–1.13 /
-#: 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 / 1.03–1.05 / 0.96–0.97 / 0.96 —
-#: reuse wins only where most rows are reusable, because past layer 1
-#: the changed set's closure is the whole graph (docs/performance.md,
-#: "The kernel is the profile's call", has the method and every cell).
-RECOMPUTE_SHARE = 0.5
 
 
 @contract("_, _ -> float")
@@ -201,9 +191,11 @@ class AdaptivePlanner:
     # planning
     # ------------------------------------------------------------------
     def kernel_for(self, profile: WindowProfile) -> KernelChoice:
-        """The kernel rule: full recompute once the changed share reaches
-        :data:`RECOMPUTE_SHARE`, changed-set reuse below it."""
-        if profile.changed_frac >= RECOMPUTE_SHARE:
+        """The engine's kernel rule,
+        :func:`~repro.engine.concurrent.recomputes`: full recompute once
+        the changed share reaches ``RECOMPUTE_SHARE``, changed-set reuse
+        below it."""
+        if recomputes(profile.changed_frac):
             return KernelChoice.BATCHED_SPMM
         return KernelChoice.DELTA_CONDENSED
 

@@ -21,7 +21,7 @@ consecutive snapshot pair (kept on the result, so the engine's cell
 phase compares no pair twice), topology stability uses the
 order-independent row fingerprints from
 :meth:`CSRSnapshot.row_fingerprints`, and neighbour-feature stability
-is one masked min-scatter over the first snapshot's CSR.
+is one segmented AND over the first snapshot's neighbour lists.
 
 "Neighbour lists identical" means equal degree and equal 64-bit
 fingerprint; the rows themselves are never compared, so the engine's
@@ -166,12 +166,16 @@ def _classify(snaps, n: int) -> WindowClassification:
     # --- neighbour-feature stability -------------------------------------
     # Only meaningful for topo-stable vertices (their rows are identical in
     # every snapshot, so snapshot 0's CSR gives *the* neighbour list).
+    # The non-empty rows' pointers cut the edge array into exactly those
+    # rows' neighbour lists: one segmented AND per row, and an empty row
+    # keeps its True.
     s0 = snaps[0]
-    neigh_ok = np.ones(n, dtype=np.uint8)
-    if s0.num_edges:
-        src = np.repeat(np.arange(n, dtype=np.int64), s0.degrees)
-        np.minimum.at(neigh_ok, src, feat_stable[s0.indices].astype(np.uint8))
-    neigh_feat_stable = neigh_ok.astype(bool)
+    neigh_feat_stable = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(s0.degrees)
+    if rows.size:
+        neigh_feat_stable[rows] = np.logical_and.reduceat(
+            feat_stable[s0.indices], s0.indptr[rows]
+        )
 
     labels = np.full(n, VertexClass.AFFECTED, dtype=np.int64)
     stable = feat_stable & ~presence_changed

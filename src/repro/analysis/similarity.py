@@ -39,15 +39,34 @@ __all__ = [
 ]
 
 
+#: Elements of each side that :func:`cosine_rows` widens to float64 at
+#: once (128 KiB a side).
+_COSINE_BLOCK = 1 << 14
+
+
 @contract("(r,f) f, (r,f) f -> (r,) f64")
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cosine similarity of two equally-shaped matrices.
 
-    Rows with zero norm on either side score 0.
+    Rows with zero norm on either side score 0.  The dot products are
+    float64, widened a block of rows at a time: each row is reduced on
+    its own, so the blocking changes no bit and bounds the float64
+    copies.  The norms are the body ``np.linalg.norm(x, axis=1)`` runs
+    for real input, in the input's dtype, without its dispatch: the
+    same bits.
     """
-    num = np.einsum("ij,ij->i", a.astype(np.float64), b.astype(np.float64))
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    num = np.empty(len(a), dtype=np.float64)
+    step = max(1, _COSINE_BLOCK // max(a.shape[1], 1))
+    for i in range(0, len(a), step):
+        rows = slice(i, i + step)
+        np.einsum(
+            "ij,ij->i",
+            a[rows].astype(np.float64),
+            b[rows].astype(np.float64),
+            out=num[rows],
+        )
+    na = np.sqrt(np.add.reduce(a * a, axis=1))
+    nb = np.sqrt(np.add.reduce(b * b, axis=1))
     denom = na * nb
     out = np.zeros(len(a), dtype=np.float64)
     np.divide(num, denom, out=out, where=denom > 0)
@@ -124,6 +143,9 @@ def _intersection_weights(
     :func:`~repro.graphs.snapshot.build_csr` invariant), so tagging each
     entry with its owner's rank yields two strictly increasing composite
     keys whose common elements fall out of one ``searchsorted`` pass.
+    Each row's common and stable-common neighbours are then two
+    segmented integer sums over its run of ``key_a``; a row with an
+    empty run has no segment and keeps its 0.
     """
     r = vertices.size
     out = np.zeros(r, dtype=np.float64)
@@ -134,17 +156,19 @@ def _intersection_weights(
     if nb_a.size == 0 or nb_b.size == 0:
         return out
     n = np.int64(snap_t.num_vertices)
-    owner_a = np.repeat(np.arange(r, dtype=np.int64), deg_a)
-    key_a = owner_a * n + nb_a
+    key_a = np.repeat(np.arange(r, dtype=np.int64), deg_a) * n + nb_a
     key_b = np.repeat(np.arange(r, dtype=np.int64), deg_b) * n + nb_b
     # a key past the end of key_b clips onto its last, smaller, element
     hit = key_b.take(np.searchsorted(key_b, key_a), mode="clip") == key_a
-    owners = owner_a[hit]
-    cnt = np.bincount(owners, minlength=r)
-    stable = np.bincount(owners[feature_stable[nb_a[hit]]], minlength=r)
+    rows = np.flatnonzero(deg_a)
+    starts = (np.cumsum(deg_a) - deg_a)[rows]
+    cnt = np.add.reduceat(hit, starts, dtype=np.int64)
+    stable = np.add.reduceat(
+        hit & feature_stable.take(nb_a), starts, dtype=np.int64
+    )
     has = cnt > 0
     # integer counts: identical to feature_stable[common].mean()
-    out[has] = stable[has] / cnt[has]
+    out[rows[has]] = stable[has] / cnt[has]
     return out
 
 

@@ -15,7 +15,15 @@ Figs. 8–9):
    snapshots: an unaffected vertex's layer-1 output is provably identical
    across the window, but deeper layers see change leaking in one hop per
    layer.  This makes the GNN phase *exact* while loading/computing
-   unaffected vertices once per layer, as the paper claims.
+   unaffected vertices once per layer, as the paper claims.  On the host
+   the kernel follows the window's own labels (:func:`recomputes`): a
+   whole-graph window whose changed share reaches
+   :data:`RECOMPUTE_SHARE` runs the full-height window kernel instead,
+   because past layer 1 its changed set is the whole graph and the
+   reuse bookkeeping would cost more than it saves (Dynasparse,
+   PAPERS.md, picks the kernel from measured density the same way).
+   Its outputs are the same bits, and the counters still count the
+   changed-set dataflow, which is what the accelerator model prices.
 3. **Similarity-aware cell skipping** — per consecutive snapshot pair,
    stable/affected vertices are scored with :math:`\\theta`; SKIP rows
    reuse the previous final feature, DELTA rows take the condensed
@@ -41,7 +49,28 @@ from .metrics import ExecutionMetrics
 from .reference import EngineResult
 from .workspace import WORKSPACE
 
-__all__ = ["ConcurrentEngine"]
+__all__ = ["ConcurrentEngine", "RECOMPUTE_SHARE", "recomputes"]
+
+#: Changed share (stable + affected vertices over all vertices) at or
+#: above which a window's GNN phase recomputes every row instead of
+#: reusing the representative's.  Batched ÷ delta stream time on the GT
+#: generator at churn ×0.1 / ×0.25 / ×1 / ×3 (changed share 0.21 / 0.56 /
+#: 0.98 / 1.00), two seeds: CD-GCN 1.00–1.01 / 0.96–0.97 / 0.93 /
+#: 0.94–0.96, GC-LSTM 1.06–1.13 / 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 /
+#: 1.03–1.05 / 0.96–0.97 / 0.96 — reuse wins only where most rows are
+#: reusable, because past layer 1 the changed set's closure is the whole
+#: graph (docs/performance.md, "The kernel is the profile's call", has
+#: the method and every cell).
+RECOMPUTE_SHARE = 0.5
+
+
+def recomputes(changed_share: float) -> bool:
+    """The kernel rule: a window whose changed share reaches
+    :data:`RECOMPUTE_SHARE` recomputes every row.
+    :meth:`ConcurrentEngine.step` applies it to every whole-graph
+    window, and :meth:`AdaptivePlanner.kernel_for
+    <repro.adaptive.planner.AdaptivePlanner.kernel_for>` plans by it."""
+    return changed_share >= RECOMPUTE_SHARE
 
 
 class ConcurrentEngine:
@@ -134,10 +163,13 @@ class ConcurrentEngine:
 
         ``plan`` (None = the static configuration) is an argument, never
         ambient state, and reaches the window body as two locals:
-        ``overlap`` (``delta-condensed`` keeps the OADL changed-set path,
+        ``overlap`` (``delta-condensed`` is the OADL changed-set dataflow,
         ``batched-spmm`` recomputes every snapshot in full — bit-identical
         by construction, tests/adaptive) and ``policy`` (the plan's
-        thresholds).
+        thresholds).  ``overlap`` is the dataflow the counters count; the
+        kernel the host runs is :func:`recomputes`' call on the window's
+        changed share, so a whole-graph OADL window at high churn runs
+        the full-height window kernel and still counts as OADL.
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
@@ -167,6 +199,13 @@ class ConcurrentEngine:
 
             overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
             policy = SkippingPolicy(plan.thresholds)
+        # the kernel follows the window's own labels: a whole-graph
+        # window that changed most of its vertices recomputes every row
+        # through the window kernel, whatever dataflow it is counted as
+        changed_share = np.count_nonzero(cls.labels) / max(n, 1)
+        window_kernel = not overlap or (
+            carry.rows is None and recomputes(changed_share)
+        )
         if decisions is None:
             decisions = []
         state, h_prev = carry.begin(model, n)
@@ -177,7 +216,9 @@ class ConcurrentEngine:
 
         outputs: list[np.ndarray] = []
         with WORKSPACE.lease() as ws:
-            zs = self._gnn_window(m, window, cls, overlap, owned, ws)
+            zs = self._gnn_window(
+                m, window, cls, overlap, window_kernel, owned, ws
+            )
             for t, snap in enumerate(window):
                 # The first snapshot of every batch takes the full cell
                 # update: the paper "recalculates similarity scores for
@@ -203,22 +244,33 @@ class ConcurrentEngine:
                     policy=policy,
                     decisions=decisions,
                 )
-                outputs.append(h_prev.copy())
+                # each snapshot's output is a fresh matrix nothing else
+                # holds, except the last one, which the carry copies
+                outputs.append(h_prev)
                 z_prev, snap_prev = zs[t], snap
                 first = False
         m.snapshots_processed += len(outputs)
         m.windows_processed += 1
+        # the carry owns its hand-off: a released output may be written
+        # by its reader, and the window kernel's GNN outputs are views of
+        # one K-snapshot block that a carried view would keep alive
         successor = carry.advance(
-            window.snapshots, state, h_prev, z_prev, cache
+            window.snapshots, state, h_prev.copy(), z_prev.copy(), cache
         )
         return successor, outputs
 
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls, overlap, owned, ws) -> list[np.ndarray]:
+    def _gnn_window(
+        self, m, window, cls, overlap, window_kernel, owned, ws
+    ) -> list[np.ndarray]:
         """Multi-snapshot GNN with changed-set propagation (exact).
 
+        ``overlap`` picks the dataflow the counters count and
+        ``window_kernel`` the kernel that computes it: the full-height
+        window kernel on every row (a superset is exact), or the
+        representative pass plus the changed rows of :meth:`_layer_rows`.
         With ``owned`` (ascending ids) layer ``l`` is computed on
         ``need[l]`` only — :func:`_owned_closure` — and its other rows
         are zeros nothing reads.  At the later snapshots every layer's
@@ -228,20 +280,35 @@ class ConcurrentEngine:
         layers = model.gnn.layers
         n = window.num_vertices
         if not overlap:
-            # ablation WO/OADL: every snapshot fully recomputed through
-            # the window kernel, on every row (a superset is exact)
-            zs = model.gnn_forward_window(window.snapshots, ws=ws)
+            # ablation WO/OADL: every snapshot fully recomputed
             for snap in window:
                 self._account_full_gnn(m, snap, [None] * len(layers))
-            return zs
+            return model.gnn_forward_window(window.snapshots, ws=ws)
 
         need = _owned_closure(window, owned, len(layers))
+        snap0 = window[0]
+        self._account_full_gnn(m, snap0, need)
+        if window.num_snapshots > 1:
+            # stable or affected (VertexClass order)
+            layer_rows = _changed_rows(window, cls.labels != 0, len(layers))
+            if owned is not None:  # of the rows this window computes at all
+                layer_rows = [
+                    np.intersect1d(changed, rows, assume_unique=True)
+                    for changed, rows in zip(layer_rows, need)
+                ]
+            # per later snapshot, the rows whose features churned
+            feature_rows = [
+                np.flatnonzero((snap.features != snap0.features).any(axis=1))
+                for snap in window.snapshots[1:]
+            ]
+            self._account_changed_gnn(m, window, layer_rows, feature_rows)
+        if window_kernel:
+            return model.gnn_forward_window(window.snapshots, ws=ws)
 
         # --- representative pass on snapshot 0 of the window -----------
         # For shrinking layers the combine output (y = xW + b) is stashed:
         # it is reusable verbatim at later snapshots for every row whose
         # input did not change — the core OADL saving.
-        snap0 = window[0]
         rep_inputs: list[np.ndarray] = [snap0.features]
         rep_combined: list[np.ndarray | None] = []
         h = snap0.features
@@ -258,30 +325,15 @@ class ConcurrentEngine:
                 h = layer.forward(snap0, h, rows=need[li])
             h = _spread(h, need[li], n)
             rep_inputs.append(h)
-        self._account_full_gnn(m, snap0, need)
         zs = [rep_inputs[-1]]
-
-        if window.num_snapshots == 1:
-            return zs
-
-        # stable or affected (VertexClass order)
-        layer_rows = _changed_rows(window, cls.labels != 0, len(layers))
-        if owned is not None:  # of the rows this window computes at all
-            layer_rows = [
-                np.intersect1d(changed, rows, assume_unique=True)
-                for changed, rows in zip(layer_rows, need)
-            ]
 
         # --- later snapshots: recompute only the changed rows ----------
         last = len(layers) - 1
         for t in range(1, window.num_snapshots):
             snap = window[t]
             x = ws.take_copy("gnn.x", rep_inputs[0])
-            in_rows = np.flatnonzero(
-                (snap.features != rep_inputs[0]).any(axis=1)
-            )
+            in_rows = feature_rows[t - 1]
             x[in_rows] = snap.features[in_rows]
-            m.feature_words += len(in_rows) * window.dim  # only churned rows
             for li, layer in enumerate(layers):
                 rows = layer_rows[li]
                 rep = rep_inputs[li + 1]
@@ -290,39 +342,50 @@ class ConcurrentEngine:
                 else:  # x, when a layer's input, is the other block
                     out = ws.take_copy(f"gnn.h{li % 2}", rep)
                 out[rows] = self._layer_rows(
-                    m, layer, snap, x, rows, in_rows, rep_combined[li], ws
+                    layer, snap, x, rows, in_rows, rep_combined[li], ws
                 )
                 x = out
                 in_rows = rows  # next layer's inputs changed on `rows`
             zs.append(x)
         return zs
 
-    def _layer_rows(self, m, layer, snap, x, rows, in_rows, rep_y, ws) -> np.ndarray:
+    def _layer_rows(self, layer, snap, x, rows, in_rows, rep_y, ws) -> np.ndarray:
         """One GCN layer restricted to ``rows`` (exact under the
         mean-normalised aggregation, see :meth:`CSRSnapshot.aggregate`).
 
         ``in_rows`` are the rows whose *input* differs from the
         representative; only those rows' combine outputs are recomputed —
-        the rest reuse ``rep_y``.
+        the rest reuse ``rep_y``.  :meth:`_account_changed_gnn` counts
+        the work.
         """
         if layer.out_dim < layer.in_dim:
             y = ws.take_copy("gnn.y", rep_y)
             y[in_rows] = layer.combine(x[in_rows])
-            m.combination_macs += len(in_rows) * layer.in_dim * layer.out_dim
-        else:
-            y = x
-        agg = snap.aggregate(y, rows=rows)
-        gathered = int(snap.degrees[rows].sum())  # edges of the changed rows
-        m.aggregation_macs += gathered * y.shape[1]
-        m.feature_words += gathered * y.shape[1]  # neighbour gathers
-        m.structure_words += len(agg) + gathered
+            return layer.act(snap.aggregate(y, rows=rows))
+        return layer.act(layer.combine(snap.aggregate(x, rows=rows)))
 
-        if layer.out_dim < layer.in_dim:
-            res = agg
-        else:
-            res = layer.combine(agg)
-            m.combination_macs += len(agg) * layer.in_dim * layer.out_dim
-        return layer.act(res)
+    def _account_changed_gnn(self, m, window, layer_rows, feature_rows) -> None:
+        """Accounting of the OADL dataflow's later snapshots, whichever
+        kernel computed them: snapshot ``t`` loads the rows whose
+        features churned (``feature_rows[t - 1]``) and computes layer
+        ``l`` on ``layer_rows[l]``, combining afresh only the rows whose
+        input differs from the representative's — the churned rows at
+        the first layer, the layer below's rows after it."""
+        for snap, in_rows in zip(window.snapshots[1:], feature_rows):
+            m.feature_words += len(in_rows) * window.dim  # only churned rows
+            inputs = len(in_rows)
+            for layer, rows in zip(self.model.gnn.layers, layer_rows):
+                macs = layer.in_dim * layer.out_dim
+                agg_dim = min(layer.in_dim, layer.out_dim)
+                gathered = int(snap.degrees[rows].sum())  # their edges
+                # a shrinking layer combines its changed inputs, then
+                # aggregates; a growing one combines its aggregated rows
+                shrinks = layer.out_dim < layer.in_dim
+                m.combination_macs += (inputs if shrinks else len(rows)) * macs
+                m.aggregation_macs += gathered * agg_dim
+                m.feature_words += gathered * agg_dim  # neighbour gathers
+                m.structure_words += len(rows) + gathered
+                inputs = len(rows)
 
     def _account_full_gnn(self, m, snap, need) -> None:
         """Accounting of one GNN snapshot pass (the representative, or
@@ -371,7 +434,6 @@ class ConcurrentEngine:
         when the first snapshot is scored: ``refresh_each_window``
         off)."""
         model = self.model
-        h_out = h_prev.copy()
         # the rows whose cell this window updates, scores or skips
         present = snap.present if owned_mask is None else snap.present & owned_mask
 
@@ -415,6 +477,8 @@ class ConcurrentEngine:
                 ((cls.labels == 0) & present).sum()
             )
 
+        # copied once the scores are freed: it is this snapshot's output
+        h_out = h_prev.copy()
         parts = []  # (rows, their new state); both modes read the old one
         if len(full_rows):
             h_out[full_rows], st_rows = _full_update(

@@ -32,7 +32,16 @@ WORD_BYTES = 4
 
 @dataclass
 class ExecutionMetrics:
-    """Counter bundle for one engine run: a flat record of integers."""
+    """Counter bundle for one engine run: a flat record of integers.
+
+    The counters count the *configured* dataflow, not the host kernel
+    that computed it.  An OADL window is counted as its representative
+    pass plus its changed rows, also when the host ran the full-height
+    window kernel at high churn
+    (:func:`~repro.engine.concurrent.recomputes`).  The accelerator
+    models price cycles from these counters, so a host-side kernel
+    choice must not move them.
+    """
 
     # --- off-chip traffic (words) ------------------------------------
     feature_words: int = 0

@@ -295,3 +295,66 @@ class TestSharedWindow:
         a = classify_window(DynamicGraph(writable))
         assert classify_window(DynamicGraph(writable)) is not a
         assert a.labels.flags.writeable
+
+
+def _min_scatter_labels(snaps, n):
+    """The labels as classification computed them with a masked
+    min-scatter over snapshot 0's edges, frozen as the oracle of the
+    segmented AND that replaced it."""
+    if len(snaps) == 1:
+        return np.zeros(n, dtype=np.int64)
+    present = np.stack([s.present for s in snaps])
+    present_all = present.all(axis=0)
+    presence_changed = present.any(axis=0) & ~present_all
+    feat_stable = present_all.copy()
+    for prev, cur in zip(snaps, snaps[1:]):
+        feat_stable &= (cur.features == prev.features).all(axis=1)
+    fps = np.stack([s.row_fingerprints() for s in snaps])
+    degs = np.stack([s.degrees for s in snaps])
+    topo_stable = (fps[1:] == fps[:-1]).all(axis=0) & (
+        degs[1:] == degs[:-1]
+    ).all(axis=0)
+    s0 = snaps[0]
+    neigh_ok = np.ones(n, dtype=np.uint8)
+    if s0.num_edges:
+        src = np.repeat(np.arange(n, dtype=np.int64), s0.degrees)
+        np.minimum.at(neigh_ok, src, feat_stable[s0.indices].astype(np.uint8))
+    labels = np.full(n, VertexClass.AFFECTED, dtype=np.int64)
+    stable = feat_stable & ~presence_changed
+    labels[stable] = VertexClass.STABLE
+    labels[stable & topo_stable & neigh_ok.astype(bool)] = VertexClass.UNAFFECTED
+    labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
+    return labels
+
+
+class TestNeighbourFeatureStability:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 24),
+        k=st.integers(2, 4),
+        edgeless=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_labels_equal_min_scatter_oracle(self, seed, n, k, edgeless):
+        """The segmented AND over snapshot 0's neighbour lists labels
+        every vertex as the min-scatter did: empty rows, absent vertices
+        and a snapshot 0 with no edges included."""
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(0, 3, size=(n, 2)).astype(np.float32)
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        snaps = []
+        for t in range(k):
+            # most rows keep their neighbour list, so the neighbours'
+            # features decide between stable and unaffected
+            keep = rng.random(len(edges)) > 0.05
+            edges = np.concatenate([edges[keep], rng.integers(0, n, size=(1, 2))])
+            feats = feats.copy()
+            churn = rng.random(n) < 0.1
+            feats[churn] = rng.integers(0, 3, size=(churn.sum(), 2))
+            present = rng.random(n) < 0.95
+            live = edges[:0] if (edgeless and t == 0) else edges
+            snaps.append(
+                CSRSnapshot.from_edges(n, live, feats, present=present)
+            )
+        got = classify_window(DynamicGraph(snaps)).labels
+        np.testing.assert_array_equal(got, _min_scatter_labels(snaps, n))

@@ -82,3 +82,30 @@ class TestThetaTopologyCoupling:
         lo = similarity_scores(z, z, s0, s1, verts, none_stable)
         assert hi[0] == pytest.approx(1.0)
         assert lo[0] == 0.0
+
+
+def _norm_cosine_rows(a, b):
+    """``cosine_rows`` with its norms from ``np.linalg.norm``, frozen as
+    the oracle of the direct ``sqrt(add.reduce(x * x))`` it runs."""
+    num = np.einsum("ij,ij->i", a.astype(np.float64), b.astype(np.float64))
+    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    out = np.zeros(len(a), dtype=np.float64)
+    np.divide(num, denom, out=out, where=denom > 0)
+    return np.clip(out, -1.0, 1.0)
+
+
+class TestCosineBits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 3, 32, 67])
+    def test_bit_equal_to_linalg_norm(self, dtype, width):
+        # 1 300 rows: several of cosine_rows' float64 blocks at width 32
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((1300, width)).astype(dtype)
+        b = (a + 0.05 * rng.standard_normal((1300, width))).astype(dtype)
+        a[::17] = 0.0  # zero rows on either side, and on both
+        b[::13] = 0.0
+        a[::31] *= dtype(1e-20)  # norms that underflow when squared
+        b[5] = -a[5]
+        got = cosine_rows(a, b)
+        assert got.tobytes() == _norm_cosine_rows(a, b).tobytes()
+        assert (got[::17] == 0.0).all() and (got[::13] == 0.0).all()

@@ -26,6 +26,7 @@ import pytest
 import repro.engine.concurrent as concurrent
 import repro.engine.streaming as streaming
 from repro.adaptive import KernelChoice
+from repro.analysis.classify import classify_window
 from repro.engine import StreamingInference
 from repro.graphs import dataset_spec, generate_dynamic_graph
 from repro.models import make_model
@@ -56,8 +57,10 @@ def budgets(n, k, d, h, layers):
         # representative snapshot, a row-restricted layer's temporaries;
         # each later snapshot's layer inputs are workspace blocks
         "gnn_window": (k + 2 * layers + 3) * block,
-        # recompute path: the K outputs and one snapshot's aggregation;
-        # the stacked blocks of the layers below are workspace blocks
+        # recompute path (a batched-spmm plan, or a window at or above
+        # RECOMPUTE_SHARE): the K outputs and one snapshot's
+        # aggregation; the stacked blocks of the layers below are
+        # workspace blocks
         "forward_window": (k + 5) * block,
     }
 
@@ -119,21 +122,38 @@ def window_marks(stream, snapshots, marks):
     return out
 
 
-@pytest.fixture(scope="module")
-def graph():
+def _graph(scale):
     spec = dataset_spec("GT", num_snapshots=K * WINDOWS, seed=3, dim=D)
     churn = replace(
-        spec.churn.scaled(0.25), vertex_arrival_frac=0.0, vertex_departure_frac=0.0
+        spec.churn.scaled(scale), vertex_arrival_frac=0.0, vertex_departure_frac=0.0
     )
     graph = generate_dynamic_graph(replace(spec, churn=churn))
     assert (graph.num_vertices, graph.dim) == (N, D)
     return graph
 
 
+def changed_shares(graph):
+    return [
+        np.count_nonzero(classify_window(graph.window(t, K)).labels) / N
+        for t in range(0, graph.num_snapshots, K)
+    ]
+
+
 @pytest.mark.parametrize(
-    "kernel", [None, KernelChoice.BATCHED_SPMM], ids=["changed-set", "recompute"]
+    "churn, kernel",
+    [(0.25, None), (0.25, KernelChoice.BATCHED_SPMM), (3.0, None)],
+    ids=["changed-set", "recompute", "high-churn"],
 )
-def test_each_window_stays_in_its_budget(graph, kernel, forced_planner):
+def test_each_window_stays_in_its_budget(churn, kernel, forced_planner):
+    graph = _graph(churn)
+    # an unplanned window takes the changed-set path below the share and
+    # the window kernel at or above it
+    shares = changed_shares(graph)
+    if churn < 1.0:
+        assert max(shares) < concurrent.RECOMPUTE_SHARE, shares
+    else:
+        assert min(shares) >= concurrent.RECOMPUTE_SHARE, shares
+    recompute = kernel is not None or churn >= 1.0
     model = make_model(MODEL, D, H, seed=3)
     stream = StreamingInference(
         model,
@@ -155,7 +175,7 @@ def test_each_window_stays_in_its_budget(graph, kernel, forced_planner):
     assert max(windows) - min(windows) < block / 100, windows
     bounds = budgets(N, K, D, H, len(model.gnn.layers))
     stages = ["window", "full_update", "classify_window"]
-    stages.append("gnn_window" if kernel is None else "forward_window")
+    stages.append("forward_window" if recompute else "gnn_window")
     for name in stages:
         worst = max(m[name] for m in later)
         assert worst <= bounds[name], (name, worst / block, bounds[name] / block)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import WORKSPACE, ConcurrentEngine, ReferenceEngine
-from repro.engine.metrics import ExecutionMetrics
 from repro.graphs import CSRSnapshot, DynamicGraph
 from repro.graphs.snapshot import build_csr, segment_sum
 from repro.models import make_model
@@ -248,7 +247,7 @@ class TestAggregateKernels:
         x = snap.features
         with WORKSPACE.lease() as ws:
             got = engine._layer_rows(
-                ExecutionMetrics(), layer, snap, x, rows,
+                layer, snap, x, rows,
                 np.arange(snap.num_vertices), layer.combine(x), ws,
             )
         if shrink:
