@@ -8,14 +8,19 @@ in the ``present`` mask and have empty adjacency rows.
 
 The paper stores each snapshot in CSR (Section 2.1) and drives both the GNN
 aggregation and the vertex-classification pipelines off this layout, so all
-hot paths here are vectorised NumPy on the raw ``indptr``/``indices`` arrays
-(per the HPC guide: no per-vertex Python loops, contiguous reads, views not
-copies).
+hot paths here run on the raw ``indptr``/``indices`` arrays — vectorised
+NumPy, and SciPy's compiled CSR kernel for the aggregation (no per-vertex
+Python loops, contiguous reads, views not copies).
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -113,6 +118,31 @@ def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
     return np.diff(indptr)
 
 
+def _load_csr_kernel():
+    """SciPy's compiled ``csr_matvecs``, loaded without importing SciPy
+    (``import scipy.sparse`` costs 22 MiB of RSS, this extension alone
+    0.2 MiB), under its canonical name, so that a later ``import
+    scipy.sparse`` reuses this module object."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        root = spec.submodule_search_locations[0] if spec else "(no scipy)"
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+        if not os.path.isfile(path):
+            raise ImportError(f"SciPy's CSR kernel is missing: {path}", path=path)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader)
+        )
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].csr_matvecs
+
+
+_csr_matvecs = _load_csr_kernel()
+
+
 @contract("(n+1,) i, (e,) i, (...) ?, ?(r,) i -> (...) ?")
 def segment_sum(
     indptr: np.ndarray,
@@ -131,56 +161,57 @@ def segment_sum(
     with ``rows`` (vertex ids) only those rows are computed and
     returned, in the order given — ``out[rows]`` of the full result.
 
-    Rows are walked in descending-degree order, so degree slot ``j`` is
-    one contiguous ``sums[a:b] += x[indices[starts[a:b] + j]]`` over the
-    rows that still have a ``j``-th neighbour.  The power-law tail would
-    need one near-empty slot per extra degree, so the few hub rows are
-    finished instead one reduction each; the split minimises
-    ``slots + hub_rows`` (the number of NumPy calls) over the rows' own
-    degree histogram.
-
-    A hub's gather ``x.take(nbrs, axis=0)`` is a fresh C-contiguous
-    ``(deg, d)`` array; for ``d >= 2`` ``np.add.reduce(..., axis=0)``
-    does not reduce along the fast axis, so NumPy adds it row by row —
-    CSR order, ``d`` lanes at a time.  That order is pinned by
-    ``test_segment_sum_property.py``, not by NumPy's documentation.
-    Where the reduced axis *is* the fast one (1-D ``x``, width 1)
-    ``reduce`` sums pairwise, so those keep the strictly sequential
-    ``accumulate``; ``reduceat`` is pairwise everywhere
-    (docs/performance.md).
+    The kernel is SciPy's compiled ``csr_matvecs`` with every edge
+    weight 1, into a zeroed ``out``: for each row in turn, for each of
+    its CSR entries in turn, ``out[r, :] += 1 * x[j, :]``.  That is the
+    scatter's order to the addition, and it is exact: ``1 * v`` is
+    ``v`` for every value (so a fused multiply-add rounds the same as
+    the plain add), and a sum that starts from ``+0`` is never ``-0.0``.
+    Lanes are independent, so vectorising across the row's width cannot
+    reorder a sum.  Given ``rows``, the kernel runs on a gathered
+    sub-CSR of just those rows' edges.  The compiled loop does not
+    bound-check, so a malformed CSR raises ``IndexError`` before it runs.
     """
-    degrees = degrees_from_indptr(indptr)
-    if rows is None:
-        rows = np.arange(len(degrees))
-    deg = degrees[rows]
-    out = np.zeros((len(rows),) + x.shape[1:], dtype=x.dtype)
-    # descending degree, ties in ascending row order; zero-degree rows
-    # sort last and keep their zeros
-    perm = np.argsort(-deg, kind="stable")[: np.count_nonzero(deg)]
-    if not len(perm):
-        return out
-    deg = deg[perm]
-    starts = indptr[rows[perm]]
-    # above[j] = rows with more than j neighbours = rows slot j touches
-    above = len(deg) - np.searchsorted(
-        deg[::-1], np.arange(deg[0] + 1), side="right"
+    return _row_sums(*_kernel_operands(indptr, indices), x, rows)
+
+
+def _kernel_operands(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """``(ptr, idx)`` for ``csr_matvecs``, which reads wherever they point
+    and wants one index dtype: ``indptr`` is cast down to ``int32``
+    indices while they fit, and the indices are never widened."""
+    n, nnz = len(indptr) - 1, len(indices)
+    if indptr[0] or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]) or (
+        nnz and not 0 <= indices.min() <= indices.max() < n
+    ):
+        raise IndexError(f"malformed CSR: {n} vertices, {nnz} edges")
+    itype = np.int32 if indices.dtype == np.int32 and nnz < 2**31 else np.int64
+    return indptr.astype(itype, copy=False), indices.astype(itype, copy=False)
+
+
+#: read-only all-ones edge weights, one per dtype, grown on demand
+_ONES: dict[np.dtype, np.ndarray] = {}
+
+
+def _row_sums(ptr, idx, x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """:func:`segment_sum` on operands from :func:`_kernel_operands`."""
+    if len(x) < len(ptr) - 1:
+        raise ValueError(f"x has {len(x)} rows for {len(ptr) - 1} vertices")
+    if rows is not None:  # the rows' edge ranges, concatenated
+        start = ptr[:-1][rows]
+        deg = ptr[1:][rows] - start
+        sub = np.zeros(len(rows) + 1, dtype=ptr.dtype)
+        np.cumsum(deg, out=sub[1:])
+        idx = idx.take(np.repeat(start - sub[:-1], deg) + np.arange(sub[-1]))
+        ptr = sub
+    ones = _ONES.get(x.dtype)
+    if ones is None or len(ones) < len(idx):
+        ones = _ONES[x.dtype] = np.ones(len(idx), dtype=x.dtype)
+        ones.flags.writeable = False
+    out = np.zeros((len(ptr) - 1,) + x.shape[1:], dtype=x.dtype)
+    _csr_matvecs(
+        len(ptr) - 1, len(x), math.prod(x.shape[1:]), ptr, idx,
+        ones[: len(idx)], x.ravel(), out.ravel(),
     )
-    slots = int(np.argmin(np.arange(len(above)) + above))
-    hubs = int(above[slots])
-    sums = np.zeros((len(deg),) + x.shape[1:], dtype=x.dtype)
-    # a 0-started sum is never -0.0, hence the "+ zero"
-    zero = x.dtype.type(0)
-    lanes = x.ndim == 2 and x.shape[1] >= 2  # reduce(axis=0) is row-by-row
-    for i in range(hubs):  # repro: noqa R006 — one in-order reduction per hub row; the slot/hub split keeps this to the power-law tail
-        g = x.take(indices[starts[i] : starts[i] + deg[i]], axis=0)
-        if lanes:
-            sums[i] = np.add.reduce(g, axis=0) + zero
-        else:
-            sums[i] = np.add.accumulate(g, axis=0)[-1] + zero
-    for j in range(slots):  # repro: noqa R006 — bounded by the slot count; each iteration is one contiguous vector op over all rows of degree > j
-        live = sums[hubs : above[j]]
-        live += x.take(indices.take(starts[hubs : above[j]] + j), axis=0)
-    out[perm] = sums
     return out
 
 
@@ -227,6 +258,11 @@ class CSRSnapshot:
     #: ``classify_window``'s result for the read-only window this
     #: snapshot ends, with that window's snapshots: ``(snaps, result)``
     _classified: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: :meth:`aggregate`'s checked kernel operands and coefficients:
+    #: ``(ptr, idx, {add_self_loops: coeff})``
+    _operands: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -338,7 +374,7 @@ class CSRSnapshot:
             array.flags.writeable = False
             setattr(out, name, array)
         out._degrees = out._fingerprints = None
-        out._verdict = out._classified = None
+        out._verdict = out._classified = out._operands = None
         return out
 
     @property
@@ -393,8 +429,15 @@ class CSRSnapshot:
         the vertex's output, so "compute unaffected vertices once per
         layer" would be an approximation instead of an identity.
         """
-        coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
-        out = segment_sum(self.indptr, self.indices, x, rows)
+        if self._operands is None:
+            self._operands = (*_kernel_operands(self.indptr, self.indices), {})
+        ptr, idx, coeffs = self._operands
+        if add_self_loops not in coeffs:
+            coeffs[add_self_loops] = self.mean_norm_coeffs(
+                add_self_loops=add_self_loops
+            )
+        coeff = coeffs[add_self_loops]
+        out = _row_sums(ptr, idx, x, rows)
         if rows is not None:
             x, coeff = x[rows], coeff[rows]
         if add_self_loops:

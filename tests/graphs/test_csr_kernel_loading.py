@@ -1,0 +1,62 @@
+"""Guard on the private SciPy extension behind ``segment_sum``.
+
+``segment_sum`` runs SciPy's compiled ``csr_matvecs`` from
+``scipy/sparse/_sparsetools`` and loads that one extension by itself:
+``import scipy.sparse`` would add ~22 MiB of RSS to every process.  The
+extension is private SciPy API, so a SciPy that moves or renames it
+fails these tests by name.  Each case runs in a fresh interpreter,
+because what it checks is what gets imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+AGGREGATE = """
+import numpy as np
+from repro.graphs.snapshot import build_csr, segment_sum
+indptr, indices = build_csr(3, np.array([0, 1, 1]), np.array([1, 0, 2]))
+out = segment_sum(indptr, indices, np.arange(6, dtype=np.float32).reshape(3, 2))
+assert out.tolist() == [[2, 3], [4, 6], [0, 0]], out
+"""
+
+
+def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (*path, SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_the_kernel_loads_without_importing_scipy():
+    done = run_python(AGGREGATE + """
+import sys
+import repro.graphs.snapshot as snapshot
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == ["scipy.sparse._sparsetools"], loaded
+kernel = sys.modules["scipy.sparse._sparsetools"]
+assert snapshot._csr_matvecs.__self__ is kernel
+
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is kernel  # reused, not loaded twice
+a = scipy.sparse.csr_matrix(np.eye(3, dtype=np.float32))
+assert (a @ np.ones(3, np.float32)).tolist() == [1, 1, 1]
+""")
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_missing_extension_raises_import_error_naming_the_path(tmp_path):
+    """A SciPy without the extension is refused at import, with the path
+    that was looked for; there is no slower fallback kernel."""
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    done = run_python(AGGREGATE, tmp_path)
+    assert done.returncode != 0
+    assert "ImportError" in done.stderr
+    assert str(tmp_path / "scipy" / "sparse" / "_sparsetools") in done.stderr

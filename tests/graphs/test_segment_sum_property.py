@@ -8,6 +8,8 @@ survives here as the oracle, and every comparison is on ``tobytes()`` —
 starts from zero must never produce the former.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,7 +89,7 @@ class TestSegmentSumMatchesScatter:
     @given(
         seed=st.integers(0, 10_000),
         # small graphs, and hub-heavy ones: star / power-law hubs of
-        # degree in the hundreds run through the lane-wise hub finish
+        # degree in the hundreds
         n=st.one_of(st.integers(1, 60), st.integers(150, 500)),
         shape=st.sampled_from(SHAPES),
         width=st.sampled_from(WIDTHS),
@@ -108,30 +110,33 @@ class TestSegmentSumMatchesScatter:
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("width", [2, 3, 4, 8, 32])
-    def test_numpy_reduces_axis0_of_a_c_contiguous_gather_row_by_row(
-        self, width, dtype
-    ):
-        """The order the hub finish leans on, pinned here because NumPy
-        does not document it: reducing a C-contiguous ``(deg, width)``
-        array over axis 0 (``width >= 2``, so never the fast axis) adds
-        row 0, 1, 2, ... in turn, as ``accumulate`` does by definition.
-        A NumPy that changes this fails *this* test, by name."""
-        rng = np.random.default_rng(width)
+    @pytest.mark.parametrize("width", [None, 1, 2, 32])
+    def test_kernel_adds_each_row_in_csr_order(self, width, dtype):
+        """The order the compiled kernel is trusted to keep, pinned here
+        because SciPy does not document it: a row of degree ``deg`` is
+        ``np.add.accumulate`` over its gathered neighbours (strictly
+        left to right, by definition) plus a typed ``+ 0`` — at every
+        width, 1-D ``x`` included, so no pairwise or lane-reordered sum
+        slips in.  A SciPy that changes this fails *this* test, by name."""
+        rng = np.random.default_rng(0 if width is None else width)
+        zero = dtype(0)
         degrees = list(range(2, 140)) + [255, 256, 257, 511, 512, 999, 1000]
         for deg in degrees:
-            x = rng.standard_normal((deg + 5, width)).astype(dtype)
-            g = x.take(rng.integers(0, len(x), size=deg), axis=0)
-            assert g.flags.c_contiguous
-            assert_same_bytes(
-                np.add.reduce(g, axis=0), np.add.accumulate(g, axis=0)[-1]
-            )
+            shape = deg + 5 if width is None else (deg + 5, width)
+            x = rng.standard_normal(shape).astype(dtype)
+            # row 0 is the star's centre, every other row is empty
+            indptr = np.full(len(x) + 1, deg, dtype=np.int64)
+            indptr[0] = 0
+            nbrs = rng.integers(0, len(x), size=deg).astype(np.int32)
+            got = segment_sum(indptr, nbrs, x)
+            want = np.add.accumulate(x.take(nbrs, axis=0), axis=0)[-1] + zero
+            assert_same_bytes(got[0], want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("width", [None, 1])
     def test_hubs_of_one_lane_do_not_rely_on_reduce_order(self, width, dtype):
-        """1-D ``x`` and width 1 reduce along the fast axis, where NumPy
-        sums pairwise: their hubs must keep the sequential finish."""
+        """1-D ``x`` and width 1, where a NumPy ``reduce`` would sum
+        pairwise: a star's centre must still be summed in CSR order."""
         rng = np.random.default_rng(5)
         indptr, indices = make_csr("star", 400, rng)
         x = rng.standard_normal(400 if width is None else (400, 1)).astype(dtype)
@@ -151,8 +156,8 @@ class TestSegmentSumMatchesScatter:
         )
 
     def test_negative_zero_never_survives_a_zero_started_sum(self):
-        """Both the slot path (degree 2) and the hub path (the star's
-        centre) must return +0.0 for a row of -0.0 neighbours."""
+        """A short row (a leaf, degree 1) and a long one (the star's
+        centre) must both return +0.0 for a row of -0.0 neighbours."""
         indptr, indices = make_csr("star", 12, np.random.default_rng(0))
         x = np.full((12, 2), -0.0, dtype=np.float32)
         out = segment_sum(indptr, indices, x)
@@ -164,6 +169,27 @@ class TestSegmentSumMatchesScatter:
         x = np.ones((5, 3), dtype=np.float32)
         assert_same_bytes(segment_sum(indptr, indices, x), np.zeros_like(x))
         assert segment_sum(indptr, indices, x, np.arange(0)).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 2, 3, 3], [1, 3, 0]),  # an index past the last vertex
+            ([0, 2, 3, 3], [1, -1, 0]),  # a negative index
+            ([0, 2, 1, 3], [1, 2, 0]),  # a decreasing row pointer
+            ([0, 2, 3, 4], [1, 2, 0]),  # a pointer past the edge array
+            ([1, 2, 3, 3], [1, 2, 0]),  # a pointer not starting at 0
+        ],
+    )
+    def test_a_malformed_csr_is_refused_before_the_kernel(self, indptr, indices):
+        """The compiled loop reads wherever the CSR points, unchecked."""
+        indptr, indices = np.array(indptr), np.array(indices, dtype=np.int32)
+        with pytest.raises(IndexError, match="malformed CSR"):
+            segment_sum(indptr, indices, np.ones((3, 2), np.float32))
+
+    def test_x_must_cover_every_vertex(self):
+        indptr, indices = make_csr("star", 12, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="x has 11 rows for 12 vertices"):
+            segment_sum(indptr, indices, np.ones((11, 2), np.float32))
 
 
 class TestRowFingerprints:
@@ -232,6 +258,14 @@ class TestAggregateKernels:
         want = snap.aggregate(x, add_self_loops=loops)[rows]
         assert_same_bytes(got, want)
 
+    def test_a_torn_snapshot_is_refused_not_read(self):
+        """A snapshot whose arrays were swapped past ``__post_init__``
+        (a torn write: indices cut in half) raises before the kernel."""
+        torn = copy.copy(hub_snapshot(3))
+        torn.indices = torn.indices[: torn.num_edges // 2].copy()
+        with pytest.raises(IndexError, match="malformed CSR"):
+            torn.aggregate(torn.features)
+
     @given(seed=st.integers(0, 10_000), shrink=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_layer_rows_equal_rows_of_full_aggregate(self, seed, shrink):
@@ -261,7 +295,7 @@ class TestEngineOnHubHeavyGraph:
     @pytest.mark.parametrize("name", ["T-GCN", "CD-GCN", "GC-LSTM"])
     def test_concurrent_equals_reference(self, name):
         """Changed-set propagation stays an identity when most masked
-        rows' neighbour lists run through the sequential hub path."""
+        rows' neighbour lists are long hub rows."""
         rng = np.random.default_rng(7)
         base = hub_snapshot(7)
         snaps = [base]
