@@ -24,10 +24,12 @@ order-independent row fingerprints from
 is one segmented AND over the first snapshot's neighbour lists.
 
 "Neighbour lists identical" means equal degree and equal 64-bit
-fingerprint; the rows themselves are never compared, so the engine's
-exactness contract rests on that hash (collision bound in
-:meth:`CSRSnapshot.row_fingerprints`; docs/performance.md, "The
-exactness contract").
+fingerprint; the rows themselves are never compared, so the labels —
+and with them the engine's exactness contract — rest on that hash
+(collision bound in :meth:`CSRSnapshot.row_fingerprints`;
+docs/performance.md, "The exactness contract").  This module is its
+only trusting reader: the similarity score's neighbour weight
+intersects every row exactly.
 """
 
 from __future__ import annotations

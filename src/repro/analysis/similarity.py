@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..check.shapes import contract
-from ..graphs.snapshot import CSRSnapshot
+from ..graphs.snapshot import CSRSnapshot, _sparsetools
 
 __all__ = [
     "COSINE_SHARPNESS",
@@ -73,16 +73,6 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def _gather_rows(snap: CSRSnapshot, vertices: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Concatenated neighbour lists of ``vertices`` (each row sorted)."""
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=snap.indices.dtype)
-    # entry j of row i sits at indptr[v_i] + (j - start_i): one repeat
-    shift = snap.indptr[vertices] - (np.cumsum(deg) - deg)
-    return snap.indices.take(np.repeat(shift, deg) + np.arange(total))
-
-
 @contract("_, _, (r,) i, (n,) b -> (r,) f64")
 def neighbor_stability_weights(
     snap_t: CSRSnapshot,
@@ -97,78 +87,54 @@ def neighbor_stability_weights(
     ``feature_stable`` marks vertices whose own features are unchanged
     between the two snapshots (the paper's inclusive stable set).
 
-    A row whose neighbour list is the same in both snapshots — equal
-    degree and equal :meth:`~repro.graphs.snapshot.CSRSnapshot.
-    row_fingerprints`, the test ``classify_window`` trusts — has every
-    neighbour in common, so its weight is the stable share of its own
-    list: one gather and one segmented integer sum.  Only the remaining
-    rows pay for the intersection.
+    Every row is intersected exactly, in one pass of SciPy's compiled
+    ``csr_elmul_csr`` over the two whole snapshots: it merges each
+    row's two sorted neighbour lists and keeps the products of the
+    common entries.  Snapshot ``t`` carries ``1 + feature_stable`` and
+    ``t + 1`` carries 1, so the output's row pointers count each row's
+    common neighbours and its row sums (one compiled ``csr_matvec``)
+    add a second 1 for each stable one.  The rows must be free of
+    duplicates (:func:`~repro.graphs.snapshot.build_csr`'s default):
+    the kernel sums duplicates.  The compiled loops do not bound-check,
+    so they read only each snapshot's checked operands (a torn snapshot
+    raises ``IndexError``), and two snapshots of different sizes raise
+    ``ValueError`` before they run.
     """
+    n = snap_t.num_vertices
+    if snap_t1.num_vertices != n:
+        raise ValueError(f"snapshots of {n} and {snap_t1.num_vertices} vertices")
+    ptr_a, idx_a, _ = snap_t._checked_operands()
+    ptr_b, idx_b, _ = snap_t1._checked_operands()
+    itype = np.result_type(ptr_a, ptr_b)
+    ptr_a, idx_a = ptr_a.astype(itype, copy=False), idx_a.astype(itype, copy=False)
+    ptr_b, idx_b = ptr_b.astype(itype, copy=False), idx_b.astype(itype, copy=False)
+    # int32 data: its row sums are one compiled pass and exact at any
+    # degree (int8 sums would overflow, and an np.cumsum over int8
+    # products costs more than the narrower merge saves).  The unchecked
+    # output holds one entry per common neighbour: at most min(nnz).
+    size = min(len(idx_a), len(idx_b))
+    ptr, idx = np.empty(n + 1, dtype=itype), np.empty(size, dtype=itype)
+    data = np.empty(size, dtype=np.int32)
+    _sparsetools.csr_elmul_csr(
+        n, n,
+        ptr_a, idx_a, np.add(feature_stable, 1, dtype=np.int32).take(idx_a),
+        ptr_b, idx_b, np.ones(len(idx_b), dtype=np.int32),
+        ptr, idx, data,
+    )
+    sums = np.zeros(n, dtype=np.int32)
+    _sparsetools.csr_matvec(n, n, ptr, idx, data, np.ones(n, dtype=np.int32), sums)
     vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    deg = snap_t.degrees[vertices]
-    same = (deg == snap_t1.degrees[vertices]) & (
-        snap_t.row_fingerprints()[vertices]
-        == snap_t1.row_fingerprints()[vertices]
+    cnt = np.subtract(
+        ptr[1:].take(vertices), ptr[:-1].take(vertices), dtype=np.int64
     )
-    out = np.ones(vertices.size, dtype=np.float64)  # kept an empty row
-    kept = same & (deg > 0)
-    kept_deg = deg[kept]
-    stable = feature_stable.take(_gather_rows(snap_t, vertices[kept], kept_deg))
-    # no kept row is empty, so every reduceat segment is a whole row;
-    # integer-valued float64 ratio: identical to the intersection's
-    out[kept] = (
-        np.add.reduceat(stable, np.cumsum(kept_deg) - kept_deg, dtype=np.int64)
-        / kept_deg
-    )
-    if not same.all():
-        out[~same] = _intersection_weights(
-            snap_t, snap_t1, vertices[~same], feature_stable
-        )
-    return out
-
-
-def _intersection_weights(
-    snap_t: CSRSnapshot,
-    snap_t1: CSRSnapshot,
-    vertices: np.ndarray,
-    feature_stable: np.ndarray,
-) -> np.ndarray:
-    """:func:`neighbor_stability_weights` for rows whose neighbour list
-    changed (at least one side is non-empty, so an empty intersection
-    scores 0).
-
-    All rows are intersected at once: neighbour lists are sorted (a
-    :func:`~repro.graphs.snapshot.build_csr` invariant), so tagging each
-    entry with its owner's rank yields two strictly increasing composite
-    keys whose common elements fall out of one ``searchsorted`` pass.
-    Each row's common and stable-common neighbours are then two
-    segmented integer sums over its run of ``key_a``; a row with an
-    empty run has no segment and keeps its 0.
-    """
-    r = vertices.size
-    out = np.zeros(r, dtype=np.float64)
-    deg_a = snap_t.degrees[vertices]
-    deg_b = snap_t1.degrees[vertices]
-    nb_a = _gather_rows(snap_t, vertices, deg_a)
-    nb_b = _gather_rows(snap_t1, vertices, deg_b)
-    if nb_a.size == 0 or nb_b.size == 0:
-        return out
-    n = np.int64(snap_t.num_vertices)
-    key_a = np.repeat(np.arange(r, dtype=np.int64), deg_a) * n + nb_a
-    key_b = np.repeat(np.arange(r, dtype=np.int64), deg_b) * n + nb_b
-    # a key past the end of key_b clips onto its last, smaller, element
-    hit = key_b.take(np.searchsorted(key_b, key_a), mode="clip") == key_a
-    rows = np.flatnonzero(deg_a)
-    starts = (np.cumsum(deg_a) - deg_a)[rows]
-    cnt = np.add.reduceat(hit, starts, dtype=np.int64)
-    stable = np.add.reduceat(
-        hit & feature_stable.take(nb_a), starts, dtype=np.int64
-    )
-    has = cnt > 0
+    # 1 for a row empty on both sides (it stayed isolated), else 0
+    # unless it has a common neighbour
+    out = (
+        (snap_t.degrees.take(vertices) == 0)
+        & (snap_t1.degrees.take(vertices) == 0)
+    ).astype(np.float64)
     # integer counts: identical to feature_stable[common].mean()
-    out[rows[has]] = stable[has] / cnt[has]
+    np.divide(sums.take(vertices) - cnt, cnt, out=out, where=cnt > 0)
     return out
 
 

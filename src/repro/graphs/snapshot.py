@@ -9,8 +9,9 @@ in the ``present`` mask and have empty adjacency rows.
 The paper stores each snapshot in CSR (Section 2.1) and drives both the GNN
 aggregation and the vertex-classification pipelines off this layout, so all
 hot paths here run on the raw ``indptr``/``indices`` arrays — vectorised
-NumPy, and SciPy's compiled CSR kernel for the aggregation (no per-vertex
-Python loops, contiguous reads, views not copies).
+NumPy, and SciPy's compiled CSR kernels for the aggregation and the
+similarity score's neighbour intersection (no per-vertex Python loops,
+contiguous reads, views not copies).
 """
 
 from __future__ import annotations
@@ -119,10 +120,12 @@ def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
 
 
 def _load_csr_kernel():
-    """SciPy's compiled ``csr_matvecs``, loaded without importing SciPy
-    (``import scipy.sparse`` costs 22 MiB of RSS, this extension alone
-    0.2 MiB), under its canonical name, so that a later ``import
-    scipy.sparse`` reuses this module object."""
+    """SciPy's compiled CSR kernels (``csr_matvecs`` for aggregation,
+    ``csr_elmul_csr`` and ``csr_matvec`` for the similarity score's
+    neighbour intersection), loaded without importing SciPy (``import
+    scipy.sparse`` costs 22 MiB of RSS, this extension alone 0.2 MiB),
+    under its canonical name, so that a later ``import scipy.sparse``
+    reuses this module object."""
     name = "scipy.sparse._sparsetools"
     if name not in sys.modules:
         spec = importlib.util.find_spec("scipy")
@@ -137,10 +140,10 @@ def _load_csr_kernel():
         )
         loader.exec_module(module)
         sys.modules[name] = module
-    return sys.modules[name].csr_matvecs
+    return sys.modules[name]
 
 
-_csr_matvecs = _load_csr_kernel()
+_sparsetools = _load_csr_kernel()
 
 
 @contract("(n+1,) i, (e,) i, (...) ?, ?(r,) i -> (...) ?")
@@ -176,8 +179,8 @@ def segment_sum(
 
 
 def _kernel_operands(indptr: np.ndarray, indices: np.ndarray) -> tuple:
-    """``(ptr, idx)`` for ``csr_matvecs``, which reads wherever they point
-    and wants one index dtype: ``indptr`` is cast down to ``int32``
+    """``(ptr, idx)`` for SciPy's CSR kernels, which read wherever they
+    point and want one index dtype: ``indptr`` is cast down to ``int32``
     indices while they fit, and the indices are never widened."""
     n, nnz = len(indptr) - 1, len(indices)
     if indptr[0] or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]) or (
@@ -208,7 +211,7 @@ def _row_sums(ptr, idx, x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         ones = _ONES[x.dtype] = np.ones(len(idx), dtype=x.dtype)
         ones.flags.writeable = False
     out = np.zeros((len(ptr) - 1,) + x.shape[1:], dtype=x.dtype)
-    _csr_matvecs(
+    _sparsetools.csr_matvecs(
         len(ptr) - 1, len(x), math.prod(x.shape[1:]), ptr, idx,
         ones[: len(idx)], x.ravel(), out.ravel(),
     )
@@ -260,8 +263,7 @@ class CSRSnapshot:
     _classified: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: :meth:`aggregate`'s checked kernel operands and coefficients:
-    #: ``(ptr, idx, {add_self_loops: coeff})``
+    #: :meth:`_checked_operands`: ``(ptr, idx, {add_self_loops: coeff})``
     _operands: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -429,9 +431,7 @@ class CSRSnapshot:
         the vertex's output, so "compute unaffected vertices once per
         layer" would be an approximation instead of an identity.
         """
-        if self._operands is None:
-            self._operands = (*_kernel_operands(self.indptr, self.indices), {})
-        ptr, idx, coeffs = self._operands
+        ptr, idx, coeffs = self._checked_operands()
         if add_self_loops not in coeffs:
             coeffs[add_self_loops] = self.mean_norm_coeffs(
                 add_self_loops=add_self_loops
@@ -445,6 +445,16 @@ class CSRSnapshot:
         out *= coeff[:, None]
         return out.astype(x.dtype, copy=False)
 
+    def _checked_operands(self) -> tuple:
+        """The compiled kernels' checked ``(ptr, idx)`` and the mean
+        coefficients per ``add_self_loops`` (cached): what
+        :meth:`aggregate` and
+        :func:`~repro.analysis.similarity.neighbor_stability_weights`
+        hand SciPy's loops, which read wherever the pointers point."""
+        if self._operands is None:
+            self._operands = (*_kernel_operands(self.indptr, self.indices), {})
+        return self._operands
+
     # ------------------------------------------------------------------
     # structural comparisons (used by vertex classification)
     # ------------------------------------------------------------------
@@ -453,16 +463,17 @@ class CSRSnapshot:
 
         Equal degree plus equal fingerprint across two snapshots is
         *the* test for "this vertex kept its neighbour list":
-        :func:`~repro.analysis.classify.classify_window` and
-        :func:`~repro.analysis.similarity.neighbor_stability_weights`
-        both trust it, and no exact row comparison follows
-        (:meth:`same_row` has no hot-path caller).  The exactness
-        contract therefore rests on this hash.  Treating the mixed ids
-        as independent uniform 64-bit values, two different lists of one
-        length collide with probability 2**-64 (5.4e-20) per compared
-        row — a union bound of 1e-8 over a million 4-snapshot windows of
-        a 64 k-vertex graph.  The mix is unkeyed, so this is a bound for
-        benign feeds, not against one crafted to collide.
+        :func:`~repro.analysis.classify.classify_window` trusts it, and
+        no exact row comparison follows (:meth:`same_row` has no
+        hot-path caller).  The exactness contract of vertex
+        classification therefore rests on this hash; the similarity
+        score's weight does not read it (it intersects every row).
+        Treating the mixed ids as independent uniform 64-bit values,
+        two different lists of one length collide with probability
+        2**-64 (5.4e-20) per compared row — a union bound of 1e-8 over a
+        million 4-snapshot windows of a 64 k-vertex graph.  The mix is
+        unkeyed, so this is a bound for benign feeds, not against one
+        crafted to collide.
         """
         if self._fingerprints is not None:
             return self._fingerprints

@@ -1,5 +1,7 @@
 """Tests for affected-subgraph extraction and the similarity score."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,83 @@ class TestNeighborStability:
         assert got.tobytes() == want.tobytes()
         if churn == 0.0:
             assert np.array_equal(s0.indices, s1.indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=300),
+        churn=st.sampled_from([0.0, 0.3, 1.0]),
+        rows=st.sampled_from(["every", "none", "picked"]),
+        stability=st.sampled_from(["all", "none", "random"]),
+        wide=st.booleans(),
+    )
+    def test_directed_rows_match_full_intersection(
+        self, seed, n, churn, rows, stability, wide
+    ):
+        """The compiled merge against the same frozen oracle, bit for
+        bit, on directed graphs (a row's lists differ from its column's)
+        of up to 300 vertices: every row scored, none, or duplicated
+        unsorted picks; all, none or some vertices feature-stable;
+        absent vertices scored too; and, when ``wide``, a pair whose
+        second snapshot holds int64 indices (the kernels want one index
+        dtype)."""
+        rng = np.random.default_rng(seed)
+        present = rng.random(n) < 0.8
+
+        def snapshot(edges):
+            edges = edges[present[edges[:, 0]] & present[edges[:, 1]]]
+            return CSRSnapshot.from_edges(
+                n, edges, present=present, undirected=False
+            )
+
+        edges = rng.integers(0, n, size=(rng.integers(0, 6 * n + 1), 2))
+        keep = rng.random(len(edges)) >= churn
+        fresh = rng.integers(0, n, size=(int((~keep).sum()), 2))
+        s0 = snapshot(edges)
+        s1 = snapshot(np.concatenate([edges[keep], fresh]))
+        if wide:
+            s1 = CSRSnapshot(
+                s1.indptr, s1.indices.astype(np.int64), s1.features, s1.present
+            )
+        stable = {
+            "all": np.ones(n, dtype=bool),
+            "none": np.zeros(n, dtype=bool),
+            "random": rng.random(n) < 0.5,
+        }[stability]
+        vertices = {
+            "every": np.arange(n),
+            "none": np.empty(0, dtype=np.int64),
+            "picked": rng.integers(0, n, size=2 * n),
+        }[rows]
+        got = neighbor_stability_weights(s0, s1, vertices, stable)
+        want = _full_intersection_oracle(s0, s1, vertices, stable)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_torn_snapshot_is_refused_not_read(self):
+        """A snapshot whose arrays were swapped past ``__post_init__`` —
+        an index past the last vertex, or a row pointer that runs
+        backwards — raises before the compiled merge reads it."""
+        s0, s1 = self._pair()
+        past, back = copy.copy(s1), copy.copy(s1)
+        past.indices = s1.indices.copy()
+        past.indices[-1] = s1.num_vertices
+        back.indptr = s1.indptr.copy()
+        back.indptr[1] = back.indptr[2] + 1
+        for torn in (past, back):
+            with pytest.raises(IndexError, match="malformed CSR"):
+                neighbor_stability_weights(
+                    s0, torn, np.arange(6), np.ones(6, dtype=bool)
+                )
+
+    @pytest.mark.parametrize("sizes", [(6, 7), (7, 6)])
+    def test_snapshots_of_different_sizes_are_refused(self, sizes):
+        edges = np.array([[0, 1], [0, 2], [0, 4]])
+        s0, s1 = (CSRSnapshot.from_edges(n, edges) for n in sizes)
+        with pytest.raises(ValueError, match="vertices"):
+            neighbor_stability_weights(
+                s0, s1, np.arange(6), np.ones(sizes[0], dtype=bool)
+            )
 
     def test_fingerprints_are_cached_not_copied(self):
         s0, _ = self._pair()

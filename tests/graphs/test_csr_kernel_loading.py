@@ -1,7 +1,9 @@
-"""Guard on the private SciPy extension behind ``segment_sum``.
+"""Guard on the private SciPy extension behind ``segment_sum`` and the
+similarity score.
 
-``segment_sum`` runs SciPy's compiled ``csr_matvecs`` from
-``scipy/sparse/_sparsetools`` and loads that one extension by itself:
+``segment_sum`` runs SciPy's compiled ``csr_matvecs``, and
+``similarity_scores`` its ``csr_elmul_csr`` and ``csr_matvec``, all
+from ``scipy/sparse/_sparsetools``, which is loaded by itself:
 ``import scipy.sparse`` would add ~22 MiB of RSS to every process.  The
 extension is private SciPy API, so a SciPy that moves or renames it
 fails these tests by name.  Each case runs in a fresh interpreter,
@@ -23,6 +25,18 @@ out = segment_sum(indptr, indices, np.arange(6, dtype=np.float32).reshape(3, 2))
 assert out.tolist() == [[2, 3], [4, 6], [0, 0]], out
 """
 
+SCORE = """
+import numpy as np
+from repro.analysis.similarity import similarity_scores
+from repro.graphs.snapshot import CSRSnapshot
+s0 = CSRSnapshot.from_edges(4, np.array([[0, 1], [0, 2]]), dim=2)
+s1 = CSRSnapshot.from_edges(4, np.array([[0, 1], [0, 3]]), dim=2)
+z = np.ones((4, 2), dtype=np.float32)
+stable = np.array([True, False, True, True])
+theta = similarity_scores(z, z, s0, s1, np.arange(4), stable)
+assert theta.tolist() == [0.0, 1.0, 0.0, 0.0], theta
+"""
+
 
 def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -34,13 +48,17 @@ def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
 
 
 def test_the_kernel_loads_without_importing_scipy():
-    done = run_python(AGGREGATE + """
+    done = run_python(AGGREGATE + SCORE + """
 import sys
+import repro.analysis.similarity as similarity
 import repro.graphs.snapshot as snapshot
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert loaded == ["scipy.sparse._sparsetools"], loaded
 kernel = sys.modules["scipy.sparse._sparsetools"]
-assert snapshot._csr_matvecs.__self__ is kernel
+assert snapshot._sparsetools is similarity._sparsetools is kernel
+for name in ("csr_matvecs", "csr_elmul_csr", "csr_matvec"):  # by name
+    assert getattr(kernel, name).__self__ is kernel
+assert snapshot._load_csr_kernel() is kernel  # once, not per call
 
 import scipy.sparse
 from scipy.sparse import _sparsetools
