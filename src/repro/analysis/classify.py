@@ -27,20 +27,27 @@ is one segmented AND over the first snapshot's neighbour lists.
 fingerprint; the rows themselves are never compared, so the labels —
 and with them the engine's exactness contract — rest on that hash
 (collision bound in :meth:`CSRSnapshot.row_fingerprints`;
-docs/performance.md, "The exactness contract").  This module is its
-only trusting reader: the similarity score's neighbour weight
-intersects every row exactly.
+docs/performance.md, "The exactness contract").  The labels are the
+hash's only trusting reader: θ's neighbour weight, memoised on the
+same result, intersects every row exactly.
+
+Beside the labels, a classification memoises the facts of its window
+that every reader shares — θ's neighbour weights, the churned feature
+rows, the changed-row closure — each computed on first read and kept
+read-only.  A read-only window is classified once, so the shards of a
+cluster push and every recovery replay of that window read one value.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graphs.dynamic import DynamicGraph
+from .similarity import neighbor_stability_weights
 
 __all__ = ["VertexClass", "WindowClassification", "classify_window"]
 
@@ -67,6 +74,11 @@ class WindowClassification:
     labels: np.ndarray  # (n,) VertexClass values
     window_size: int
     feature_pairs: tuple  # K - 1 (n,) bool masks
+    #: the classified snapshots, which the memoised facts are read from
+    snapshots: tuple = field(repr=False, compare=False)
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def unaffected_mask(self) -> np.ndarray:
@@ -103,6 +115,52 @@ class WindowClassification:
         the affected-subgraph candidate set."""
         return np.flatnonzero(self.labels != VertexClass.UNAFFECTED)
 
+    # ------------------------------------------------------------------
+    # facts of the window every reader shares: computed on first read,
+    # read-only, memoised
+    # ------------------------------------------------------------------
+    def neighbor_weights(self, t: int) -> np.ndarray:
+        """θ's neighbour weight of every row for the pair of snapshots
+        ``t`` and ``t + 1``: :func:`neighbor_stability_weights` over all
+        ``n`` rows, with the rows present in both snapshots and left
+        unchanged by the pair (``feature_pairs[t]``) as the stable
+        set."""
+        key = ("weights", t)
+        if key not in self._memo:
+            prev, cur = self.snapshots[t], self.snapshots[t + 1]
+            stable = self.feature_pairs[t] & prev.present & cur.present
+            rows = np.arange(len(self.labels), dtype=np.int64)
+            self._keep(key, neighbor_stability_weights(prev, cur, rows, stable))
+        return self._memo[key]
+
+    def churned_rows(self) -> tuple:
+        """Per later snapshot ``t >= 1``, the ascending ids of the rows
+        whose features differ from snapshot 0's."""
+        key = ("churned",)
+        if key not in self._memo:
+            snap0 = self.snapshots[0]
+            self._keep(key, tuple(
+                np.flatnonzero((snap.features != snap0.features).any(axis=1))
+                for snap in self.snapshots[1:]
+            ))
+        return self._memo[key]
+
+    def changed_rows(self, num_layers: int) -> tuple:
+        """Per GCN layer, the ascending ids of the rows a later
+        snapshot recomputes: the stable and affected rows, grown one
+        hop over the window's edges per layer (:func:`_changed_rows`)."""
+        key = ("changed", num_layers)
+        if key not in self._memo:
+            self._keep(key, tuple(
+                _changed_rows(self.snapshots, self.labels != 0, num_layers)
+            ))
+        return self._memo[key]
+
+    def _keep(self, key, value) -> None:
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        self._memo[key] = value
+
 
 def classify_window(window: DynamicGraph) -> WindowClassification:
     """Classify every vertex of a window as unaffected / stable / affected.
@@ -120,23 +178,24 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     A window of read-only snapshots (:attr:`CSRSnapshot.read_only`: the
     serving cluster admits one such copy and every shard shares it) is
     classified once.  The result, its arrays made read-only too, is
-    cached on the window's last snapshot beside the snapshots it
-    covers, and classifying the same snapshots again returns it: the
-    cluster classifies a window once per push, not once per shard.
+    cached on the window's last snapshot, and classifying the same
+    snapshots again returns it: the cluster classifies a window once
+    per push, not once per shard, and every shard reads the facts it
+    memoises.
     """
     snaps = window.snapshots
     cached = snaps[-1]._classified
     if (
         cached is not None
-        and len(cached[0]) == len(snaps)
-        and all(map(operator.is_, cached[0], snaps))
+        and len(cached.snapshots) == len(snaps)
+        and all(map(operator.is_, cached.snapshots, snaps))
     ):
-        return cached[1]
+        return cached
     result = _classify(snaps, window.num_vertices)
     if all(s.read_only for s in snaps):
         for array in (result.labels, *result.feature_pairs):
             array.flags.writeable = False
-        snaps[-1]._classified = (tuple(snaps), result)
+        snaps[-1]._classified = result
     return result
 
 
@@ -144,7 +203,8 @@ def _classify(snaps, n: int) -> WindowClassification:
     """:func:`classify_window`'s labels, computed."""
     if len(snaps) == 1:
         return WindowClassification(
-            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, ()
+            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, (),
+            tuple(snaps),
         )
 
     # --- presence: any arrival/departure within the window -> affected ---
@@ -186,7 +246,7 @@ def _classify(snaps, n: int) -> WindowClassification:
     labels[unaffected] = VertexClass.UNAFFECTED
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
-    return WindowClassification(labels, len(snaps), pairs)
+    return WindowClassification(labels, len(snaps), pairs, tuple(snaps))
 
 
 def _feature_pairs(snaps) -> tuple:
@@ -198,3 +258,27 @@ def _feature_pairs(snaps) -> tuple:
         (cur.features == prev.features).all(axis=1)
         for prev, cur in zip(snaps, snaps[1:])
     )
+
+
+def _changed_rows(snaps, changed, num_layers) -> list[np.ndarray]:
+    """Ascending ids of the rows each GCN layer recomputes at the
+    window's later snapshots: ``changed`` (a mask) for the first layer,
+    one more hop over the window's edges per layer after it.
+
+    A row joins the next layer's set when any snapshot's row holds a
+    neighbour in the previous one: the same set as one hop over the
+    union of the window's edges, without building it.
+    """
+    layer_rows = [np.flatnonzero(changed)]
+    for _ in range(num_layers - 1):
+        grown = changed.copy()
+        for snap in snaps:
+            # the non-empty rows' pointers cut the edge array into
+            # exactly those rows' neighbour lists
+            rows = np.flatnonzero(snap.degrees)
+            grown[rows] |= np.logical_or.reduceat(
+                changed[snap.indices], snap.indptr[rows]
+            )
+        changed = grown
+        layer_rows.append(np.flatnonzero(changed))
+    return layer_rows

@@ -152,6 +152,7 @@ def similarity_scores(
     feature_stable: np.ndarray,
     *,
     sharpness: float = COSINE_SHARPNESS,
+    weights=None,
 ) -> np.ndarray:
     r"""Full :math:`\theta` for each vertex in ``vertices``.
 
@@ -175,9 +176,22 @@ def similarity_scores(
         the paper's thresholds :math:`[\theta_s, \theta_e] = [-0.5, 0.5]`
         are also the operating point here — pass ``sharpness=1.0`` for the
         raw cosine.
+    weights:
+        None, or a zero-argument callable returning the pair's
+        neighbour weights for every row, as
+        :func:`neighbor_stability_weights` computes them over all ``n``
+        rows with this ``feature_stable`` (a window's memo,
+        :meth:`~repro.analysis.classify.WindowClassification.neighbor_weights`).
+        θ then reads the scored rows from them instead of merging the
+        pair: the same bits, since each row's weight is its own
+        division.  It is called here, so the one merge its first call
+        runs is part of θ's cost.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     cos = cosine_rows(z_t[vertices], z_t1[vertices])
     cos = np.clip(1.0 - sharpness * (1.0 - cos), -1.0, 1.0)
-    w = neighbor_stability_weights(snap_t, snap_t1, vertices, feature_stable)
+    if weights is None:
+        w = neighbor_stability_weights(snap_t, snap_t1, vertices, feature_stable)
+    else:
+        w = weights().take(vertices)
     return np.clip(cos * w, -1.0, 1.0)

@@ -109,12 +109,20 @@ class SanitizerStats:
 _STATS = SanitizerStats()
 _DEPTH = 0
 
+# The flag is read from the dict behind ``os.environ`` (CPython's
+# private ``_data``, which every write to ``os.environ`` updates, keyed
+# and valued in the platform's encoding): one dict lookup.
+# ``os.environ.get`` on an unset variable raises and catches a KeyError
+# inside ``Mapping.get``, 2 µs on every ``@contract`` call.
+# tests/check/test_sanitizer.py fails by name if the private moves.
+_ENV = os.environ._data
+_FLAG = os.environ.encodekey("REPRO_SANITIZE")
+_OFF = tuple(map(os.environ.encodevalue, ("0", "")))
+
 
 def sanitizer_enabled() -> bool:
     """Whether conservation checks are active (env flag or context)."""
-    return _DEPTH > 0 or os.environ.get("REPRO_SANITIZE", "0") not in (
-        "", "0"
-    )
+    return _DEPTH > 0 or _ENV.get(_FLAG, _OFF[0]) not in _OFF
 
 
 @contextmanager

@@ -37,6 +37,8 @@ the bounded approximation the accuracy benches quantify.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..analysis.classify import classify_window
@@ -239,7 +241,7 @@ class ConcurrentEngine:
                     h_prev,
                     owned_mask,
                     ws,
-                    same_features=cls.feature_pairs[t - 1] if t else None,
+                    pair=t - 1 if t else None,
                     first=first or (t == 0 and self.refresh_each_window),
                     policy=policy,
                     decisions=decisions,
@@ -289,18 +291,16 @@ class ConcurrentEngine:
         snap0 = window[0]
         self._account_full_gnn(m, snap0, need)
         if window.num_snapshots > 1:
-            # stable or affected (VertexClass order)
-            layer_rows = _changed_rows(window, cls.labels != 0, len(layers))
+            # stable or affected rows, grown a hop per layer, and per
+            # later snapshot the rows whose features churned: facts of
+            # the window, shared with every shard that classified it
+            layer_rows = cls.changed_rows(len(layers))
             if owned is not None:  # of the rows this window computes at all
                 layer_rows = [
                     np.intersect1d(changed, rows, assume_unique=True)
                     for changed, rows in zip(layer_rows, need)
                 ]
-            # per later snapshot, the rows whose features churned
-            feature_rows = [
-                np.flatnonzero((snap.features != snap0.features).any(axis=1))
-                for snap in window.snapshots[1:]
-            ]
+            feature_rows = cls.churned_rows()
             self._account_changed_gnn(m, window, layer_rows, feature_rows)
         if window_kernel:
             return model.gnn_forward_window(window.snapshots, ws=ws)
@@ -422,16 +422,16 @@ class ConcurrentEngine:
         owned_mask,
         ws,
         *,
-        same_features,
+        pair,
         first: bool,
         policy: SkippingPolicy,
         decisions: list,
     ):
-        """One snapshot's cell phase.  ``same_features`` marks the rows
-        whose features ``snap`` left as ``snap_prev`` had them: within a
-        window, the classification's compare of that pair; None for the
-        pair across the window boundary, which is compared here (only
-        when the first snapshot is scored: ``refresh_each_window``
+        """One snapshot's cell phase.  ``pair`` is the window's index of
+        the pair (``snap_prev``, ``snap``), whose feature compare and θ
+        neighbour weights the classification holds; None for the pair
+        across the window boundary, which is compared and merged here
+        (only when the first snapshot is scored: ``refresh_each_window``
         off)."""
         model = self.model
         # the rows whose cell this window updates, scores or skips
@@ -453,13 +453,18 @@ class ConcurrentEngine:
             scored = np.flatnonzero(scored_mask)
 
             # pairwise feature stability between the two snapshots
-            if same_features is None:
+            if pair is None:
                 same_features = (snap.features == snap_prev.features).all(
                     axis=1
                 )
+                weights = None
+            else:
+                same_features = cls.feature_pairs[pair]
+                weights = partial(cls.neighbor_weights, pair)
             feat_stable = same_features & snap.present & snap_prev.present
             theta = similarity_scores(
-                z_prev, z, snap_prev, snap, scored, feat_stable
+                z_prev, z, snap_prev, snap, scored, feat_stable,
+                weights=weights,
             )
             m.overhead_ops += len(scored) * (z.shape[1] + 8)
             decision = policy.decide(scored, theta)
@@ -581,30 +586,6 @@ def _work(snap, rows) -> tuple[int, int, int]:
         int(np.count_nonzero(snap.present[rows])),
         int(snap.degrees[rows].sum()),
     )
-
-
-def _changed_rows(window, changed, num_layers) -> list[np.ndarray]:
-    """Ascending ids of the rows each GCN layer recomputes at the
-    window's later snapshots: ``changed`` (a mask) for the first layer,
-    one more hop over the window's edges per layer after it.
-
-    A row joins the next layer's set when any snapshot's row holds a
-    neighbour in the previous one: the same set as one hop over the
-    union of the window's edges, without building it.
-    """
-    layer_rows = [np.flatnonzero(changed)]
-    for _ in range(num_layers - 1):
-        grown = changed.copy()
-        for snap in window:
-            # the non-empty rows' pointers cut the edge array into
-            # exactly those rows' neighbour lists
-            rows = np.flatnonzero(snap.degrees)
-            grown[rows] |= np.logical_or.reduceat(
-                changed[snap.indices], snap.indptr[rows]
-            )
-        changed = grown
-        layer_rows.append(np.flatnonzero(changed))
-    return layer_rows
 
 
 def _full_update(model, cache, z, state, rows, snap, ws):

@@ -259,8 +259,8 @@ class CSRSnapshot:
         default=None, init=False, repr=False, compare=False
     )
     #: ``classify_window``'s result for the read-only window this
-    #: snapshot ends, with that window's snapshots: ``(snaps, result)``
-    _classified: tuple | None = field(
+    #: snapshot ends (it holds that window's snapshots)
+    _classified: object | None = field(
         default=None, init=False, repr=False, compare=False
     )
     #: :meth:`_checked_operands`: ``(ptr, idx, {add_self_loops: coeff})``

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import VertexClass, classify_window
+from repro.analysis import VertexClass, classify_window, neighbor_stability_weights
 from repro.graphs import (
     CSRSnapshot,
     DynamicGraph,
@@ -358,3 +358,83 @@ class TestNeighbourFeatureStability:
             )
         got = classify_window(DynamicGraph(snaps)).labels
         np.testing.assert_array_equal(got, _min_scatter_labels(snaps, n))
+
+
+class TestWindowFacts:
+    """The facts a classification memoises for every reader of its
+    window: θ's neighbour weights and the churned feature rows, against
+    the formulas the engine evaluated per call before."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        k=st.integers(1, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_fact_is_the_per_call_formula(self, seed, n, k):
+        """Vertex turnover, feature churn (``-0.0`` over ``0.0``
+        included), edge churn, isolated rows, and now and then edges to
+        absent vertices (whose rows are not stable, whatever their
+        features)."""
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(0, 3, size=(n, 2)).astype(np.float32)
+        edges = rng.integers(0, n, size=(2 * n, 2))
+        snaps = []
+        for _ in range(k):
+            feats = feats.copy()
+            churn = rng.random(n) < 0.2
+            feats[churn] = rng.integers(0, 3, size=(churn.sum(), 2))
+            feats[(rng.random(n) < 0.1)[:, None] & (feats == 0.0)] = -0.0
+            keep = rng.random(len(edges)) > 0.2
+            edges = np.concatenate(
+                [edges[keep], rng.integers(0, n, size=(n // 3 + 1, 2))]
+            )
+            present = rng.random(n) < 0.85
+            live = edges
+            if rng.random() < 0.7:
+                live = edges[present[edges].all(axis=1)]
+            snaps.append(
+                CSRSnapshot.from_edges(
+                    n, live, np.where(present[:, None], feats, 0.0),
+                    present=present,
+                )
+            )
+        cls = classify_window(DynamicGraph(snaps))
+        every = np.arange(n, dtype=np.int64)
+        subset = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        for t in range(k - 1):
+            prev, cur = snaps[t], snaps[t + 1]
+            stable = (
+                (cur.features == prev.features).all(axis=1)
+                & prev.present & cur.present
+            )
+            got = cls.neighbor_weights(t)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            want = neighbor_stability_weights(prev, cur, every, stable)
+            assert got.tobytes() == want.tobytes()
+            want = neighbor_stability_weights(prev, cur, subset, stable)
+            assert got.take(subset).tobytes() == want.tobytes()
+            assert cls.neighbor_weights(t) is got  # memoised
+        churned = cls.churned_rows()
+        assert len(churned) == k - 1
+        for rows, snap in zip(churned, snaps[1:]):
+            want = np.flatnonzero((snap.features != snaps[0].features).any(axis=1))
+            assert rows.dtype == want.dtype
+            np.testing.assert_array_equal(rows, want)
+        assert cls.churned_rows() is churned
+
+    def test_memoised_arrays_refuse_in_place_writes(self):
+        g = load_dataset("GT", scale=0.05, num_snapshots=3, seed=1)
+        cls = classify_window(g.window(0, 3))  # writable snapshots too
+        facts = [
+            cls.neighbor_weights(0),
+            cls.neighbor_weights(1),
+            *cls.churned_rows(),
+            *cls.changed_rows(2),
+        ]
+        assert cls.changed_rows(2) is cls.changed_rows(2)
+        assert cls.changed_rows(1) is not cls.changed_rows(2)
+        for array in facts:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0

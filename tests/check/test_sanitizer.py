@@ -2,6 +2,8 @@
 must not, and the hooks must actually fire inside the instrumented
 subsystems."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ class TestEnablement:
         assert not sanitizer_enabled()
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitizer_enabled()
+
+    def test_the_flag_is_read_from_the_dict_behind_os_environ(
+        self, monkeypatch
+    ):
+        """The one-lookup read rests on CPython's private
+        ``os.environ._data``: an interpreter that moves or stops
+        updating it fails here, by name."""
+        assert isinstance(os.environ._data, dict)
+        assert _san._ENV is os.environ._data
+        monkeypatch.setattr(_san, "_DEPTH", 0)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert _san._ENV[_san._FLAG] == os.environ.encodevalue("1")
+        assert sanitizer_enabled()
+        monkeypatch.setenv("REPRO_SANITIZE", "")
+        assert not sanitizer_enabled()
+        monkeypatch.setenv("REPRO_SANITIZE", "yes")
+        assert sanitizer_enabled()
+        monkeypatch.delenv("REPRO_SANITIZE")
+        assert _san._FLAG not in _san._ENV
+        assert not sanitizer_enabled()
 
     def test_hooks_inert_when_disabled(self, monkeypatch):
         monkeypatch.setattr(_san, "_DEPTH", 0)

@@ -5,7 +5,9 @@ the masks (``WindowClassification.feature_pairs``); the cell phase reads
 them for the window's later snapshots and compares only the pair across
 the window boundary, and only when it scores the first snapshot
 (``refresh_each_window`` off).  The oracle below is the compare the
-cell phase made for every pair before: outputs must not change by a bit.
+cell phase made for every pair before, with θ's neighbour weights
+merged per call instead of read from the classification's memo:
+outputs must not change by a bit.
 """
 
 import numpy as np
@@ -107,8 +109,8 @@ def test_outputs_are_the_compare_every_pair_outputs(
     got = _outputs(model_name, graph, **kwargs)
     step = ConcurrentEngine._rnn_step
 
-    def compare_every_pair(self, *args, same_features, **kw):
-        return step(self, *args, same_features=None, **kw)
+    def compare_every_pair(self, *args, pair, **kw):
+        return step(self, *args, pair=None, **kw)
 
     monkeypatch.setattr(ConcurrentEngine, "_rnn_step", compare_every_pair)
     if how == "planned":

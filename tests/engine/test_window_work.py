@@ -26,7 +26,7 @@ from repro.engine import (
     ExecutionMetrics,
     StreamingInference,
 )
-from repro.engine.concurrent import _changed_rows
+from repro.analysis.classify import _changed_rows
 from repro.graphs import CSRSnapshot, DynamicGraph, load_dataset
 from repro.graphs.snapshot import build_csr
 from repro.models import make_model

@@ -4,8 +4,9 @@
 the history, every shard's backlog, stream window and rollback point
 hold that one object.  These tests pin the isolation (nothing can write
 the shared copy, and the caller's own object is neither frozen nor
-kept), that admission validates a snapshot once, and that sharing
-changes no output bit.
+kept), that admission validates a snapshot once, that a window's
+analysis (θ's neighbour merge) runs once per push and not once per
+shard or replay, and that sharing changes no output bit.
 """
 
 import hashlib
@@ -13,11 +14,15 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.engine.concurrent as concurrent_mod
 import repro.resilience.ingest as ingest_mod
-from repro.graphs import load_dataset
+from repro.analysis import classify_window
+from repro.analysis.similarity import _sparsetools
+from repro.engine import ConcurrentEngine, ExecutionMetrics
+from repro.graphs import DynamicGraph, load_dataset
 from repro.graphs.updates import event_stream
 from repro.models import make_model
-from repro.resilience import FaultPlan
+from repro.resilience import CheckpointStore, FaultPlan, RetryPolicy
 from repro.serving import ShardCluster, run_chaos_campaign
 from repro.serving.worker import ShardWorker
 
@@ -236,3 +241,108 @@ class TestValidatedOnce:
         assert "truncated CSR" in receipt.incident.detail
         assert cluster.dlq.letters[-1].payload is torn  # the caller's object
         assert cluster.history("t0") == []
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """Count θ's neighbour merges (``csr_elmul_csr`` calls)."""
+    calls = []
+    merge = _sparsetools.csr_elmul_csr
+
+    def spy(*args):
+        calls.append(args[0])
+        return merge(*args)
+
+    monkeypatch.setattr(_sparsetools, "csr_elmul_csr", spy)
+    return calls
+
+
+class TestAWindowIsAnalysedOnce:
+    """The four shards of a push, and a shard replaying the window into
+    recovery, read one classification: its θ neighbour weights, churned
+    rows and changed rows are computed once."""
+
+    def test_a_push_merges_each_pair_once_not_once_per_shard(
+        self, graph, merges
+    ):
+        cluster = cluster_of()
+        feed(cluster, graph)
+        cluster.flush("t0")
+        windows = graph.num_snapshots // WINDOW
+        assert graph.num_snapshots == windows * WINDOW
+        assert cluster.metrics.windows_processed == SHARDS * windows
+        assert len(merges) == windows * (WINDOW - 1)  # not SHARDS times
+
+    def test_a_replay_into_recovery_adds_no_merge(self, graph, merges):
+        """A shard that crashes and finds no checkpoint cold-starts and
+        replays every window of the history: it reads the windows' facts
+        from the classifications its peers made."""
+        cluster = cluster_of()
+        feed(cluster, graph)
+        cluster.flush("t0")
+        before = len(merges)
+        worker = cluster.workers[1]
+        worker.crash()
+        worker.stores["t0"] = CheckpointStore()  # nothing survives
+        history = cluster.history("t0")
+        results, (note,) = worker.recover(
+            0, {"t0": history}, policy=RetryPolicy(),
+            metrics=ExecutionMetrics(),
+        )
+        assert note["outcome"] == "cold-start"
+        assert note["replayed"] == len(history)
+        assert len(results["t0"]) == graph.num_snapshots // WINDOW
+        assert len(merges) == before
+
+    def test_the_memoised_facts_refuse_in_place_writes(self, graph, merges):
+        cluster = cluster_of()
+        feed(cluster, graph)
+        history = cluster.history("t0")
+        cls = classify_window(DynamicGraph(history[:WINDOW]))
+        before = len(merges)
+        facts = [cls.neighbor_weights(t) for t in range(WINDOW - 1)]
+        facts += cls.churned_rows()
+        facts += cls.changed_rows(len(factory().gnn.layers))
+        assert len(merges) == before  # the shards' reads, not fresh ones
+        for array in facts:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    def test_theta_and_releases_match_every_shard_count_and_one_engine(
+        self, graph, monkeypatch
+    ):
+        """θ per (snapshot, vertex) and every released matrix are the
+        same bytes at 1, 2 and 4 shards, and an unsharded
+        ``ConcurrentEngine`` over the same graph computes them too."""
+        score = concurrent_mod.similarity_scores
+        thetas = {}
+
+        def recorded(z_t, z_t1, snap_t, snap_t1, vertices, *args, **kw):
+            theta = score(z_t, z_t1, snap_t, snap_t1, vertices, *args, **kw)
+            for v, value in zip(vertices.tolist(), theta):
+                thetas[(snap_t1.timestamp, v)] = value.tobytes()
+            return theta
+
+        monkeypatch.setattr(concurrent_mod, "similarity_scores", recorded)
+        runs = {}
+        for shards in (1, 2, 4):
+            thetas = {}
+            cluster = ShardCluster(
+                factory, num_shards=shards, window_size=WINDOW, seed=SEED
+            )
+            cluster.register_tenant("t0")
+            feed(cluster, graph)
+            cluster.flush("t0")
+            runs[shards] = (thetas, cluster.released("t0"))
+        thetas = {}
+        result = ConcurrentEngine(factory(), window_size=WINDOW).run(graph)
+        runs["engine"] = (thetas, result.outputs)
+        want_theta, want_out = runs["engine"]
+        assert want_theta  # θ was scored
+        assert len(want_out) == graph.num_snapshots
+        for got_theta, got_out in runs.values():
+            assert got_theta == want_theta
+            assert len(got_out) == len(want_out)
+            for a, b in zip(got_out, want_out):
+                assert a.tobytes() == b.tobytes()
