@@ -19,19 +19,26 @@ __all__ = ["sigmoid", "tanh", "relu", "softmax", "ACTIVATIONS"]
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid, computed stably for large |x|.
 
-    Branch-free and in the input's own dtype: with ``e = exp(-|x|)`` the
-    result is ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)``
-    elsewhere, selected by multiplying with the 0/1 mask rather than by
-    gathering each side (``tests/models/test_activations.py`` keeps the
+    Branch-free, and every arithmetic pass in the input's own dtype:
+    with ``e = exp(-|x|)`` the result is ``1 / (1 + e)`` where ``x >= 0``
+    and ``e / (1 + e)`` elsewhere.  The numerator is ``maximum(e, step)``
+    with ``step`` 1 where ``x >= 0`` (-0 included) and 0 elsewhere, and
+    ``1 + e`` and the divide run in place, in the two temporaries
+    ``e`` and the numerator (``tests/models/test_activations.py`` keeps the
     gather/scatter formula as the bit-for-bit oracle).  ``-|x|`` is
-    spelled ``minimum(x, -x)`` because that keeps a NaN's sign bit.
+    spelled ``minimum(x, -x)`` because that keeps a NaN's sign bit, and
+    a NaN's ``e`` is NaN, which ``maximum`` keeps.
 
     Every activation takes ``out`` (``x`` itself included): the result
     is written there, with the same arithmetic.
     """
-    e = np.exp(np.minimum(x, -x))
-    pos = x >= 0
-    return np.divide(e * ~pos + pos, 1 + e, out=out)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    num = np.greater_equal(x, 0).astype(x.dtype)
+    np.maximum(e, num, out=num)
+    e += 1
+    return np.divide(num, e, out=num if out is None else out)
 
 
 @contract("(...) f -> (...) f")

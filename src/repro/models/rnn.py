@@ -85,6 +85,14 @@ class CellOps:
     block once its bias is added.  The defaults, :data:`EXACT_OPS`, are
     the exact cell; the Table 5 approximators (:mod:`repro.skipping.approx`)
     swap some of them.
+
+    All four must act element by element: each output element depends
+    on its own input elements alone, whatever the block's shape.  The
+    cells rely on it: ``sig`` runs on two gates' columns in one call
+    (LSTM's ``i | f``, GRU's ``r | z``), so a primitive that read its
+    neighbours (a row norm, a block-wide scale) would change the gates.
+    ``mul`` returns a fresh array: the cells add into its result in
+    place.
     """
 
     sig: Callable = sigmoid
@@ -140,7 +148,9 @@ class RecurrentCell:
         ``zx`` is scratch: the sums are formed in it; ``zh`` is only
         read.  From :meth:`step` it is the product's own temporary; in
         the engine it is a view of the process's scratch workspace
-        (:mod:`repro.engine.workspace`), so the sums cost no block."""
+        (:mod:`repro.engine.workspace`), so the sums cost no block, and
+        the returned ``h`` and state never share memory with either
+        block."""
         raise NotImplementedError
 
     def flops_per_vertex(self) -> int:
@@ -192,11 +202,12 @@ class LSTMCell(RecurrentCell):
         z += self.bias
         if ops.pre is not None:
             z = ops.pre(z)
-        i = ops.sig(z[:, :d])
-        f = ops.sig(z[:, d : 2 * d])
+        i_f = ops.sig(z[:, : 2 * d])
+        i, f = i_f[:, :d], i_f[:, d:]
         g = ops.th(z[:, 2 * d : 3 * d])
         o = ops.sig(z[:, 3 * d :])
-        c = ops.mul(f, state.c) + ops.mul(i, g)
+        c = ops.mul(f, state.c)
+        c += ops.mul(i, g)
         h = ops.mul(o, ops.th(c))
         return h, LSTMState(h, c)
 
@@ -291,8 +302,9 @@ class GRUCell(RecurrentCell):
         zx += self.bias
         if ops.pre is not None:
             zx, zh = ops.pre(zx), ops.pre(zh)
-        r = ops.sig(zx[:, :d] + zh[:, :d])
-        z = ops.sig(zx[:, d : 2 * d] + zh[:, d : 2 * d])
+        r_z = ops.sig(zx[:, : 2 * d] + zh[:, : 2 * d])
+        r, z = r_z[:, :d], r_z[:, d:]
         n = ops.th(zx[:, 2 * d :] + ops.mul(r, zh[:, 2 * d :]))
-        h = ops.mul(1.0 - z, n) + ops.mul(z, state.h)
+        h = ops.mul(1.0 - z, n)
+        h += ops.mul(z, state.h)
         return h, GRUState(h)

@@ -31,7 +31,7 @@ import abc
 import numpy as np
 
 from ..check.shapes import contract
-from ..models.rnn import CellOps, RecurrentCell
+from ..models.rnn import EXACT_OPS, CellOps, RecurrentCell
 
 __all__ = [
     "hard_sigmoid",
@@ -89,6 +89,9 @@ class RNNApproximator(abc.ABC):
     """A drop-in replacement for the exact cell update across a window."""
 
     name: str = "abstract"
+    #: the primitives it hands the cell's ``step_pre`` (all elementwise,
+    #: as :class:`~repro.models.rnn.CellOps` requires)
+    ops: CellOps = EXACT_OPS
 
     def start(self, cell: RecurrentCell, num_vertices: int) -> None:
         """Reset any per-window caches (called once per window)."""
@@ -151,11 +154,14 @@ class ALSTMApprox(RNNApproximator):
     def __init__(self, quant_step: float = 0.30):
         self.quant_step = quant_step
 
-    def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
-        ops = CellOps(
+    @property
+    def ops(self) -> CellOps:
+        return CellOps(
             hard_sigmoid, hard_tanh, pre=lambda p: quantize(p, self.quant_step)
         )
-        return cell.step_pre(x @ cell.w_x, state.h @ cell.w_h, state, ops)
+
+    def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
+        return cell.step_pre(x @ cell.w_x, state.h @ cell.w_h, state, self.ops)
 
 
 class ATLASApprox(RNNApproximator):
@@ -185,10 +191,14 @@ class ATLASApprox(RNNApproximator):
             np.asarray(a, dtype=np.float32), self.mantissa_bits
         ) * truncate_mantissa(np.asarray(b, dtype=np.float32), self.mantissa_bits)
 
+    @property
+    def ops(self) -> CellOps:
+        return CellOps(mul=self._mul)
+
     def cell_step(self, cell: RecurrentCell, x: np.ndarray, state):
         zx = self._matmul(x, cell.w_x)
         zh = self._matmul(state.h, cell.w_h)
-        return cell.step_pre(zx, zh, state, CellOps(mul=self._mul))
+        return cell.step_pre(zx, zh, state, self.ops)
 
 
 APPROXIMATORS: dict[str, type[RNNApproximator]] = {

@@ -37,22 +37,29 @@ def retained_sigmoid(x: np.ndarray) -> np.ndarray:
 class TestSigmoidMatchesRetainedFormula:
     @given(
         seed=st.integers(0, 10_000),
-        rows=st.integers(1, 40),
+        rows=st.integers(1, 1100),
+        width=st.integers(1, 128),
         exponent=st.integers(-30, 30),
         dtype=st.sampled_from([np.float32, np.float64]),
-        sliced=st.booleans(),
+        gates=st.sampled_from([None, 1, 2]),
+        out=st.sampled_from([None, "fresh", "input"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, seed, rows, exponent, dtype, sliced):
+    def test_bit_identical(self, seed, rows, width, exponent, dtype, gates, out):
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore"):  # 1e30-scale f32 inputs may be inf
-            x = (rng.standard_normal((rows, 16)) * 10.0**exponent).astype(dtype)
-        x.flat[rng.permutation(x.size)[: len(EDGES)]] = EDGES
-        if sliced:  # a gate slice of a wider pre-activation: strided
-            x = x[:, 4:12]
-        with np.errstate(over="raise"):
-            got = sigmoid(x)
+            x = (rng.standard_normal((rows, width)) * 10.0**exponent).astype(dtype)
+        if gates:  # one or two gates' columns of a four-gate block: strided
+            start = rng.integers(0, 5 - gates) * width
+            x = np.hstack([x] * 4)[:, start : start + gates * width]
+        edges = min(len(EDGES), x.size)
+        x.flat[rng.permutation(x.size)[:edges]] = rng.permutation(EDGES)[:edges]
         want = retained_sigmoid(x)
+        out = {None: None, "fresh": np.empty_like(x), "input": x}[out]
+        with np.errstate(over="raise"):
+            got = sigmoid(x, out=out)
+        if out is not None:
+            assert got is out
         assert got.dtype == want.dtype == dtype
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

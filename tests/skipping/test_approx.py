@@ -179,6 +179,38 @@ class TestApproximators:
             DeltaRNNApprox(threshold=-1)
 
 
+OPS = [("exact", EXACT_OPS)] + [
+    (name, approx_cls().ops) for name, approx_cls in sorted(APPROXIMATORS.items())
+]
+
+
+@pytest.mark.parametrize("name, ops", OPS, ids=[name for name, _ in OPS])
+class TestCellOpsAreElementwise:
+    """The cells apply ``sig`` to two gates' columns in one call, so
+    every primitive must give each block what it gives it alone."""
+
+    def _blocks(self, seed=0, rows=300, width=24):
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((rows, 4 * width)).astype(np.float32) * 3
+        both = wide[:, width : 3 * width]  # a strided two-gate block
+        both[0, width - 2 : width + 2] = [0.0, -0.0, 1e-45, -1e-45]
+        return both, both[:, :width], both[:, width:]
+
+    def _same(self, got, first, second):
+        assert got.tobytes() == np.hstack([first, second]).tobytes()
+
+    def test_unary(self, name, ops):
+        both, a, b = self._blocks()
+        unary = [ops.sig, ops.th] + ([ops.pre] if ops.pre is not None else [])
+        for fn in unary:
+            self._same(fn(both), fn(a), fn(b))
+
+    def test_mul(self, name, ops):
+        both, a, b = self._blocks(seed=1)
+        other, c, d = self._blocks(seed=2)
+        self._same(ops.mul(both, other), ops.mul(a, c), ops.mul(b, d))
+
+
 # sha256 of every output and state array over six steps (seeds 0, 1, 2),
 # recorded before the approximators moved their gate arithmetic into
 # ``RecurrentCell.step_pre``: the move changed no bit.
