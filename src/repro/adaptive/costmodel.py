@@ -45,8 +45,8 @@ class CalibrationTable:
     combine_seconds_per_mac: float = 1.6e-11
     #: RNN cell update: one flop of the cell's per-vertex count.
     cell_seconds_per_flop: float = 2.5e-11
-    #: window classification: per vertex per snapshot (fingerprints,
-    #: row compares, feature compares).
+    #: window classification: per vertex per snapshot (neighbour-list
+    #: merges, feature compares).
     classify_seconds_per_vertex: float = 1.1e-8
     #: changed-set masking / task regeneration per vertex per snapshot —
     #: only paid by the delta-condensed (OADL) kernel.

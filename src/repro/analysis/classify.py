@@ -18,18 +18,18 @@ vertices get full per-snapshot treatment.
 
 Everything is vectorised: feature stability is one comparison per
 consecutive snapshot pair (kept on the result, so the engine's cell
-phase compares no pair twice), topology stability uses the
-order-independent row fingerprints from
-:meth:`CSRSnapshot.row_fingerprints`, and neighbour-feature stability
-is one segmented AND over the first snapshot's neighbour lists.
+phase compares no pair twice), topology stability is one exact merge of
+each pair's neighbour lists
+(:func:`~repro.analysis.similarity.common_neighbor_counts`, whose counts
+are kept too: θ's neighbour weight divides them), and neighbour-feature
+stability is one segmented AND over the first snapshot's neighbour
+lists.
 
-"Neighbour lists identical" means equal degree and equal 64-bit
-fingerprint; the rows themselves are never compared, so the labels —
-and with them the engine's exactness contract — rest on that hash
-(collision bound in :meth:`CSRSnapshot.row_fingerprints`;
-docs/performance.md, "The exactness contract").  The labels are the
-hash's only trusting reader: θ's neighbour weight, memoised on the
-same result, intersects every row exactly.
+"Neighbour lists identical" means a row's common-neighbour count equals
+its degree in both snapshots of every pair.  For strictly ascending
+rows — as :func:`~repro.graphs.snapshot.build_csr`, ``apply_events``
+and the generators build them and the ingest validator requires — that
+is exact list equality.
 
 Beside the labels, a classification memoises the facts of its window
 that every reader shares — θ's neighbour weights, the churned feature
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.dynamic import DynamicGraph
-from .similarity import neighbor_stability_weights
+from .similarity import common_neighbor_counts, weights_of_counts
 
 __all__ = ["VertexClass", "WindowClassification", "classify_window"]
 
@@ -68,12 +68,18 @@ class WindowClassification:
     makes anyway: ``feature_pairs[t]`` marks the rows whose features
     snapshot ``t + 1`` left exactly as snapshot ``t`` had them (``()``
     for a one-snapshot window).  The engine's cell phase reads them
-    instead of comparing the same pairs again.
+    instead of comparing the same pairs again.  ``neighbor_counts[t]``
+    keeps the same pair's :func:`common_neighbor_counts` (with the rows
+    present in both snapshots and left unchanged by the pair as the
+    stable set), which the topology test read and θ's neighbour weight
+    divides.
     """
 
     labels: np.ndarray  # (n,) VertexClass values
     window_size: int
     feature_pairs: tuple  # K - 1 (n,) bool masks
+    #: K - 1 (common, stable-common) pairs of (n,) counts
+    neighbor_counts: tuple = field(repr=False, compare=False)
     #: the classified snapshots, which the memoised facts are read from
     snapshots: tuple = field(repr=False, compare=False)
     _memo: dict = field(
@@ -121,16 +127,16 @@ class WindowClassification:
     # ------------------------------------------------------------------
     def neighbor_weights(self, t: int) -> np.ndarray:
         """θ's neighbour weight of every row for the pair of snapshots
-        ``t`` and ``t + 1``: :func:`neighbor_stability_weights` over all
-        ``n`` rows, with the rows present in both snapshots and left
-        unchanged by the pair (``feature_pairs[t]``) as the stable
-        set."""
+        ``t`` and ``t + 1``: the pair's ``neighbor_counts`` divided
+        (:func:`weights_of_counts`), which is what
+        :func:`~repro.analysis.similarity.neighbor_stability_weights`
+        computes over all ``n`` rows, without a second merge."""
         key = ("weights", t)
         if key not in self._memo:
             prev, cur = self.snapshots[t], self.snapshots[t + 1]
-            stable = self.feature_pairs[t] & prev.present & cur.present
-            rows = np.arange(len(self.labels), dtype=np.int64)
-            self._keep(key, neighbor_stability_weights(prev, cur, rows, stable))
+            self._keep(key, weights_of_counts(
+                *self.neighbor_counts[t], prev.degrees, cur.degrees
+            ))
         return self._memo[key]
 
     def churned_rows(self) -> tuple:
@@ -193,7 +199,9 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
         return cached
     result = _classify(snaps, window.num_vertices)
     if all(s.read_only for s in snaps):
-        for array in (result.labels, *result.feature_pairs):
+        for array in (
+            result.labels, *result.feature_pairs, *sum(result.neighbor_counts, ())
+        ):
             array.flags.writeable = False
         snaps[-1]._classified = result
     return result
@@ -203,7 +211,7 @@ def _classify(snaps, n: int) -> WindowClassification:
     """:func:`classify_window`'s labels, computed."""
     if len(snaps) == 1:
         return WindowClassification(
-            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, (),
+            np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, (), (),
             tuple(snaps),
         )
 
@@ -218,12 +226,15 @@ def _classify(snaps, n: int) -> WindowClassification:
     for same in pairs:
         feat_stable &= same
 
-    # --- topology stability via row fingerprints ------------------------
-    fps = np.stack([s.row_fingerprints() for s in snaps])
-    degs = np.stack([s.degrees for s in snaps])
-    topo_stable = (fps[1:] == fps[:-1]).all(axis=0) & (degs[1:] == degs[:-1]).all(
-        axis=0
-    )
+    # --- topology stability: one exact merge per pair ------------------
+    counts = []
+    topo_stable = np.ones(n, dtype=bool)
+    for same, prev, cur in zip(pairs, snaps, snaps[1:]):
+        common, stable_common = common_neighbor_counts(
+            prev, cur, same & prev.present & cur.present
+        )
+        topo_stable &= (common == prev.degrees) & (common == cur.degrees)
+        counts.append((common, stable_common))
 
     # --- neighbour-feature stability -------------------------------------
     # Only meaningful for topo-stable vertices (their rows are identical in
@@ -246,7 +257,9 @@ def _classify(snaps, n: int) -> WindowClassification:
     labels[unaffected] = VertexClass.UNAFFECTED
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
-    return WindowClassification(labels, len(snaps), pairs, tuple(snaps))
+    return WindowClassification(
+        labels, len(snaps), pairs, tuple(counts), tuple(snaps)
+    )
 
 
 def _feature_pairs(snaps) -> tuple:

@@ -33,9 +33,11 @@ from ..graphs.snapshot import CSRSnapshot, _sparsetools
 
 __all__ = [
     "COSINE_SHARPNESS",
+    "common_neighbor_counts",
     "cosine_rows",
     "neighbor_stability_weights",
     "similarity_scores",
+    "weights_of_counts",
 ]
 
 
@@ -73,32 +75,32 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-@contract("_, _, (r,) i, (n,) b -> (r,) f64")
-def neighbor_stability_weights(
+@contract("_, _, (n,) b -> (n,) i, (n,) i")
+def common_neighbor_counts(
     snap_t: CSRSnapshot,
     snap_t1: CSRSnapshot,
-    vertices: np.ndarray,
     feature_stable: np.ndarray,
-) -> np.ndarray:
-    r"""The topological factor
-    :math:`|\mathcal N_{sv}| / |\mathcal N^t \cap \mathcal N^{t+1}|`
-    for each vertex in ``vertices``.
+) -> tuple[np.ndarray, np.ndarray]:
+    r"""Per row of a snapshot pair, the common-neighbour count
+    :math:`|\mathcal N^t \cap \mathcal N^{t+1}|` and how many of those
+    common neighbours ``feature_stable`` marks: two ``(n,)`` integer
+    arrays.
 
-    ``feature_stable`` marks vertices whose own features are unchanged
-    between the two snapshots (the paper's inclusive stable set).
-
-    Every row is intersected exactly, in one pass of SciPy's compiled
-    ``csr_elmul_csr`` over the two whole snapshots: it merges each
-    row's two sorted neighbour lists and keeps the products of the
-    common entries.  Snapshot ``t`` carries ``1 + feature_stable`` and
-    ``t + 1`` carries 1, so the output's row pointers count each row's
-    common neighbours and its row sums (one compiled ``csr_matvec``)
-    add a second 1 for each stable one.  The rows must be free of
-    duplicates (:func:`~repro.graphs.snapshot.build_csr`'s default):
-    the kernel sums duplicates.  The compiled loops do not bound-check,
-    so they read only each snapshot's checked operands (a torn snapshot
-    raises ``IndexError``), and two snapshots of different sizes raise
-    ``ValueError`` before they run.
+    This is the package's one neighbour-list comparison.  Both snapshots
+    are intersected exactly, every row, in one pass of SciPy's compiled
+    ``csr_elmul_csr``: it merges each row's two sorted neighbour lists
+    and keeps the products of the common entries.  Snapshot ``t``
+    carries ``1 + feature_stable`` and ``t + 1`` carries 1, so the
+    output's row pointers count each row's common neighbours and its row
+    sums (one compiled ``csr_matvec``) add a second 1 for each stable
+    one.  The rows must be strictly ascending, as
+    :func:`~repro.graphs.snapshot.build_csr`, ``apply_events`` and the
+    generators build them and the ingest validator requires: the kernel
+    sums duplicates.  A row then kept its neighbour list exactly when
+    its common count equals its degree in both snapshots.  The compiled
+    loops do not bound-check, so they read only each snapshot's checked
+    operands (a torn snapshot raises ``IndexError``), and two snapshots
+    of different sizes raise ``ValueError`` before they run.
     """
     n = snap_t.num_vertices
     if snap_t1.num_vertices != n:
@@ -123,19 +125,45 @@ def neighbor_stability_weights(
     )
     sums = np.zeros(n, dtype=np.int32)
     _sparsetools.csr_matvec(n, n, ptr, idx, data, np.ones(n, dtype=np.int32), sums)
-    vertices = np.asarray(vertices, dtype=np.int64)
-    cnt = np.subtract(
-        ptr[1:].take(vertices), ptr[:-1].take(vertices), dtype=np.int64
-    )
-    # 1 for a row empty on both sides (it stayed isolated), else 0
-    # unless it has a common neighbour
-    out = (
-        (snap_t.degrees.take(vertices) == 0)
-        & (snap_t1.degrees.take(vertices) == 0)
-    ).astype(np.float64)
-    # integer counts: identical to feature_stable[common].mean()
-    np.divide(sums.take(vertices) - cnt, cnt, out=out, where=cnt > 0)
+    common = np.diff(ptr)
+    return common, sums - common
+
+
+@contract("(r,) i, (r,) i, (r,) i, (r,) i -> (r,) f64")
+def weights_of_counts(common, stable_common, deg_t, deg_t1) -> np.ndarray:
+    """θ's neighbour weight of rows from their pair's
+    :func:`common_neighbor_counts` and their degrees in both snapshots
+    (all four aligned): the stable share of the common neighbours, and
+    without a common neighbour 1 for a row empty on both sides (it
+    stayed isolated), else 0.  The counts are integers, so the share is
+    identical to ``feature_stable[common].mean()``."""
+    out = ((deg_t == 0) & (deg_t1 == 0)).astype(np.float64)
+    np.divide(stable_common, common, out=out, where=common > 0)
     return out
+
+
+@contract("_, _, (r,) i, (n,) b -> (r,) f64")
+def neighbor_stability_weights(
+    snap_t: CSRSnapshot,
+    snap_t1: CSRSnapshot,
+    vertices: np.ndarray,
+    feature_stable: np.ndarray,
+) -> np.ndarray:
+    r"""The topological factor
+    :math:`|\mathcal N_{sv}| / |\mathcal N^t \cap \mathcal N^{t+1}|`
+    for each vertex in ``vertices``.
+
+    ``feature_stable`` marks vertices whose own features are unchanged
+    between the two snapshots (the paper's inclusive stable set).  The
+    pair is merged once (:func:`common_neighbor_counts`) and the scored
+    rows' counts divided (:func:`weights_of_counts`).
+    """
+    common, stable_common = common_neighbor_counts(snap_t, snap_t1, feature_stable)
+    vertices = np.asarray(vertices, dtype=np.int64)
+    return weights_of_counts(
+        common.take(vertices), stable_common.take(vertices),
+        snap_t.degrees.take(vertices), snap_t1.degrees.take(vertices),
+    )
 
 
 #: Calibration constant for the cosine term (see similarity_scores).
@@ -184,8 +212,7 @@ def similarity_scores(
         :meth:`~repro.analysis.classify.WindowClassification.neighbor_weights`).
         θ then reads the scored rows from them instead of merging the
         pair: the same bits, since each row's weight is its own
-        division.  It is called here, so the one merge its first call
-        runs is part of θ's cost.
+        division of the counts classification merged.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     cos = cosine_rows(z_t[vertices], z_t1[vertices])

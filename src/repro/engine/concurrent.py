@@ -527,7 +527,7 @@ class ConcurrentEngine:
         computes from per-layer row masks and never reads its order."""
         n = window.num_vertices
         e_total = sum(s.num_edges for s in window)
-        # classification: feature compares + fingerprints + scatter
+        # classification: feature compares + neighbour merges + scatter
         m.overhead_ops += window.num_snapshots * n * window.dim
         m.overhead_ops += e_total
         # DFS traversal of the union adjacency; it reaches every stable

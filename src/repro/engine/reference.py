@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.classify import classify_window
 from ..graphs.dynamic import DynamicGraph
 from ..models.base import DGNNModel
 from .carry import Carry
@@ -138,15 +137,16 @@ class ReferenceEngine:
         k = self.window_size
         model = self.model
         for start in range(0, graph.num_snapshots, k):
-            size = min(k, graph.num_snapshots - start)
-            window = graph.window(start, size)
-            cls = classify_window(window)
-            counts = cls.counts()
-            n_distinct = (
-                counts["unaffected"]
-                + counts["stable"]
-                + counts["affected"] * size
-            )
+            window = graph.snapshots[start : start + k]
+            size = len(window)
+            # a vertex has one version per snapshot when it arrives,
+            # departs or changes its features within the window, else one
+            present = np.stack([s.present for s in window])
+            same = present.all(axis=0)
+            for prev, cur in zip(window, window[1:]):
+                same &= (cur.features == prev.features).all(axis=1)
+            affected = int((present.any(axis=0) & ~same).sum())
+            n_distinct = graph.num_vertices + affected * (size - 1)
             weight_words = sum(
                 l.weight.size + l.bias.size for l in model.gnn.layers
             ) + model.cell.w_x.size + model.cell.w_h.size

@@ -55,7 +55,8 @@ class SnapshotDelta:
 
 
 def _edge_keys(snap: CSRSnapshot) -> np.ndarray:
-    """Directed edges of a snapshot as sorted int64 composite keys."""
+    """Live ``src * n + dst`` keys of a snapshot as int64: sorted and
+    unique, because CSR rows are strictly ascending."""
     n = np.int64(snap.num_vertices)
     src = np.repeat(np.arange(snap.num_vertices, dtype=np.int64), snap.degrees)
     return src * n + snap.indices.astype(np.int64)  # already (src,dst)-sorted

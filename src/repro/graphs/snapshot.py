@@ -10,8 +10,8 @@ The paper stores each snapshot in CSR (Section 2.1) and drives both the GNN
 aggregation and the vertex-classification pipelines off this layout, so all
 hot paths here run on the raw ``indptr``/``indices`` arrays — vectorised
 NumPy, and SciPy's compiled CSR kernels for the aggregation and the
-similarity score's neighbour intersection (no per-vertex Python loops,
-contiguous reads, views not copies).
+neighbour-list merge that classifies rows and weights θ (no per-vertex
+Python loops, contiguous reads, views not copies).
 """
 
 from __future__ import annotations
@@ -50,22 +50,23 @@ _ARRAYS = ("indptr", "indices", "features", "present")
 
 # src/dst carry independent symbols (and any dtype) on purpose: the body
 # owns the equal-length ValueError and the asarray coercion, and the
-# empty-graph idiom passes float64 ``np.array([])``.  dedup can shrink
-# indices below the input edge count, hence the free return dim.
+# empty-graph idiom passes float64 ``np.array([])``.  Dropping duplicate
+# edges can shrink indices below the input edge count, hence the free
+# return dim.
 @contract("n, (e,) ?, (m,) ? -> (n+1,) i64, (*,) i32")
 def build_csr(
     num_vertices: int,
     src: np.ndarray,
     dst: np.ndarray,
-    *,
-    dedup: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build sorted CSR (``indptr``, ``indices``) from an edge list.
 
     Edges are directed ``src -> dst``; callers wanting an undirected graph
-    pass both orientations.  Neighbour lists come out sorted ascending,
-    which the rest of the package relies on for O(deg) set algebra
-    (`np.intersect1d` on sorted rows, vectorised row comparisons).
+    pass both orientations.  Duplicate ``(src, dst)`` pairs are dropped
+    (snapshots are simple graphs in the paper's datasets), so neighbour
+    lists come out strictly ascending, which the rest of the package
+    relies on: the compiled neighbour-list merge that classifies rows
+    and weights θ is exact list equality only on such rows.
 
     Parameters
     ----------
@@ -74,15 +75,13 @@ def build_csr(
     src, dst:
         Equal-length integer arrays of endpoints; ids must lie in
         ``[0, num_vertices)``.
-    dedup:
-        Drop duplicate ``(src, dst)`` pairs (the default; snapshots are
-        simple graphs in the paper's datasets).
 
     Returns
     -------
     (indptr, indices):
         ``indptr`` has length ``num_vertices + 1`` and dtype int64;
-        ``indices`` holds sorted neighbour ids with dtype int32.
+        ``indices`` holds strictly ascending neighbour ids per row with
+        dtype int32.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -99,7 +98,7 @@ def build_csr(
     key = src * np.int64(num_vertices) + dst
     order = np.argsort(key, kind="stable")
     key = key[order]
-    if dedup and key.size:
+    if key.size:
         keep = np.empty(key.shape, dtype=bool)
         keep[0] = True
         np.not_equal(key[1:], key[:-1], out=keep[1:])
@@ -121,11 +120,10 @@ def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
 
 def _load_csr_kernel():
     """SciPy's compiled CSR kernels (``csr_matvecs`` for aggregation,
-    ``csr_elmul_csr`` and ``csr_matvec`` for the similarity score's
-    neighbour intersection), loaded without importing SciPy (``import
-    scipy.sparse`` costs 22 MiB of RSS, this extension alone 0.2 MiB),
-    under its canonical name, so that a later ``import scipy.sparse``
-    reuses this module object."""
+    ``csr_elmul_csr`` and ``csr_matvec`` for the neighbour-list merge),
+    loaded without importing SciPy (``import scipy.sparse`` costs 22 MiB
+    of RSS, this extension alone 0.2 MiB), under its canonical name, so
+    that a later ``import scipy.sparse`` reuses this module object."""
     name = "scipy.sparse._sparsetools"
     if name not in sys.modules:
         spec = importlib.util.find_spec("scipy")
@@ -236,8 +234,8 @@ class CSRSnapshot:
         Integer snapshot index within the parent dynamic graph.
 
     A snapshot whose four arrays are read-only (:meth:`frozen_copy`,
-    :attr:`read_only`) is a value: its cached facts — degrees, row
-    fingerprints, the validator's structural verdict
+    :attr:`read_only`) is a value: its cached facts — degrees, the
+    checked kernel operands, the validator's structural verdict
     (:func:`repro.resilience.ingest.snapshot_violation`) and the
     classification of the window it ends
     (:func:`repro.analysis.classify.classify_window`) — are computed
@@ -250,9 +248,6 @@ class CSRSnapshot:
     present: np.ndarray
     timestamp: int = 0
     _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _fingerprints: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
     #: ``snapshot_violation``'s structural verdict on a read-only
     #: snapshot, with the arrays it judged: ``(arrays, reason)``
     _verdict: tuple | None = field(
@@ -375,7 +370,7 @@ class CSRSnapshot:
             array = np.array(getattr(self, name), order="C")  # as copy()
             array.flags.writeable = False
             setattr(out, name, array)
-        out._degrees = out._fingerprints = None
+        out._degrees = None
         out._verdict = out._classified = out._operands = None
         return out
 
@@ -449,56 +444,11 @@ class CSRSnapshot:
         """The compiled kernels' checked ``(ptr, idx)`` and the mean
         coefficients per ``add_self_loops`` (cached): what
         :meth:`aggregate` and
-        :func:`~repro.analysis.similarity.neighbor_stability_weights`
+        :func:`~repro.analysis.similarity.common_neighbor_counts`
         hand SciPy's loops, which read wherever the pointers point."""
         if self._operands is None:
             self._operands = (*_kernel_operands(self.indptr, self.indices), {})
         return self._operands
-
-    # ------------------------------------------------------------------
-    # structural comparisons (used by vertex classification)
-    # ------------------------------------------------------------------
-    def row_fingerprints(self) -> np.ndarray:
-        """64-bit order-independent hash of each neighbour list (cached).
-
-        Equal degree plus equal fingerprint across two snapshots is
-        *the* test for "this vertex kept its neighbour list":
-        :func:`~repro.analysis.classify.classify_window` trusts it, and
-        no exact row comparison follows (:meth:`same_row` has no
-        hot-path caller).  The exactness contract of vertex
-        classification therefore rests on this hash; the similarity
-        score's weight does not read it (it intersects every row).
-        Treating the mixed ids as independent uniform 64-bit values,
-        two different lists of one length collide with probability
-        2**-64 (5.4e-20) per compared row — a union bound of 1e-8 over a
-        million 4-snapshot windows of a 64 k-vertex graph.  The mix is
-        unkeyed, so this is a bound for benign feeds, not against one
-        crafted to collide.
-        """
-        if self._fingerprints is not None:
-            return self._fingerprints
-        # Mix each vertex id with a splitmix64-style finaliser, then sum
-        # the mixed neighbour ids per row.  uint64 adds are exact modulo
-        # 2**64 in any order, so a row's sum is the difference of one
-        # wrapping prefix sum over the CSR at the row's two pointers.
-        x = np.arange(self.num_vertices, dtype=np.uint64)
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        prefix = np.zeros(self.num_edges + 1, dtype=np.uint64)
-        np.cumsum(x.take(self.indices), out=prefix[1:])
-        out = prefix.take(self.indptr[1:]) - prefix.take(self.indptr[:-1])
-        # Fold the degree in so "empty row" differs from "absent vertex".
-        out += self.degrees.astype(np.uint64) * np.uint64(0xDA942042E4DD58B5)
-        self._fingerprints = out
-        return out
-
-    def same_row(self, other: "CSRSnapshot", v: int) -> bool:
-        """Exact neighbour-list equality for one vertex across snapshots."""
-        a = self.neighbors(v)
-        b = other.neighbors(v)
-        return len(a) == len(b) and bool(np.array_equal(a, b))
 
     # ------------------------------------------------------------------
     # conversions

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..check.shapes import contract
-from .dynamic import SnapshotDelta, snapshot_delta
+from .dynamic import SnapshotDelta, _edge_keys, snapshot_delta
 from .snapshot import CSRSnapshot, build_csr
 
 __all__ = [
@@ -187,14 +187,6 @@ _KIND_CODE = {
     UpdateKind.VERTEX_ARRIVE.value: _ARR,
     UpdateKind.VERTEX_DEPART.value: _DEP,
 }
-
-
-def _edge_keys_sorted(snap: CSRSnapshot) -> np.ndarray:
-    """Live ``src * n + dst`` keys of a snapshot — sorted and unique
-    because CSR rows are sorted and deduplicated."""
-    n = snap.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), snap.degrees)
-    return src * n + snap.indices.astype(np.int64)
 
 
 @dataclass
@@ -482,7 +474,7 @@ def apply_events(
     """
     dec = _decode_events(events, snap.num_vertices, snap.features.shape[1])
     if dec is not None:
-        key0 = _edge_keys_sorted(snap)
+        key0 = _edge_keys(snap)
         if not _decoded_violation(snap, dec, key0):
             return _decoded_apply(snap, dec, key0)
     return apply_events_reference(snap, events, reject=reject)
@@ -507,7 +499,7 @@ def apply_events_reference(
     n = snap.num_vertices
     present = snap.present.copy()
     features = snap.features.copy()
-    keys = set(_edge_keys_sorted(snap).tolist())
+    keys = set(_edge_keys(snap).tolist())
 
     for ev in events:  # repro: noqa R006 — the one per-event replay: exact errors and dead-letter order
         reason = event_violation(

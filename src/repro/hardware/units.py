@@ -95,12 +95,6 @@ class SimilarityCore:
         if self.lanes < 1 or self.count < 1:
             raise ValueError("lanes >= 1 and count >= 1 required")
 
-    def vertex_cycles(self, dim: int, common_neighbors: float) -> float:
-        """Pipeline occupancy of one scored vertex on one core."""
-        vec = dim / self.lanes
-        topo = common_neighbors / self.lanes
-        return max(vec, topo) + 4  # +4: norm/divide/weight pipeline depth
-
     def cycles(self, num_vertices: int, dim: int, avg_common: float) -> float:
         """Busy cycles for a batch of scored vertices across all cores."""
         if num_vertices < 0:

@@ -188,17 +188,18 @@ def snapshot_violation(
     """Explain why ``snap`` must not enter the stream, or ``None``.
 
     Catches artefacts that bypassed :class:`CSRSnapshot.__post_init__`
-    (torn writes deserialised straight into object fields), non-finite
-    feature values, and — when ``num_vertices``/``dim`` are given —
-    shape drift against the stream's pinned geometry.
+    (torn writes deserialised straight into object fields), neighbour
+    lists that are not strictly ascending (unsorted or duplicated),
+    non-finite feature values, and — when ``num_vertices``/``dim`` are
+    given — shape drift against the stream's pinned geometry.
 
-    The structural checks (CSR shape, id ranges, finite features) cost
-    O(n·d + E).  On a read-only snapshot (:attr:`CSRSnapshot.read_only`,
-    which the serving cluster shares between its shards) their verdict
-    is cached with the arrays it judged, so every later call costs O(1);
-    a writable snapshot could change in place, so it is checked in full
-    on every call.  ``num_vertices`` and ``dim`` are checked on every
-    call either way.
+    The structural checks (CSR shape, id ranges, row order, finite
+    features) cost O(n·d + E).  On a read-only snapshot
+    (:attr:`CSRSnapshot.read_only`, which the serving cluster shares
+    between its shards) their verdict is cached with the arrays it
+    judged, so every later call costs O(1); a writable snapshot could
+    change in place, so it is checked in full on every call.
+    ``num_vertices`` and ``dim`` are checked on every call either way.
     """
     if not isinstance(snap, CSRSnapshot):
         return f"not a CSRSnapshot: {type(snap).__name__}"
@@ -238,6 +239,15 @@ def _structure_violation(snap: CSRSnapshot) -> str | None:
         return "indptr is not non-decreasing"
     if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= n):
         return f"neighbour id out of range [0, {n})"
+    # each row strictly ascending (sorted, no duplicate): the neighbour-
+    # list merge is exact list equality only on such rows, and
+    # aggregation sums in CSR order.  A step may fall only where a row
+    # begins.
+    ascending = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not bool(ascending.all()):
+        return "neighbour list not strictly ascending"
     if snap.present.shape != (n,):
         return f"present mask shape {snap.present.shape} != ({n},)"
     if snap.features.ndim != 2 or snap.features.shape[0] != n:

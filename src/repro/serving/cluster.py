@@ -19,7 +19,8 @@
 4. appends that one copy to the tenant's **history** (the replay log
    recovery depends on) and every shard's backlog — shards are isolated
    by the copy's immutability, not by copies of their own, so its
-   degrees and row fingerprints are computed once per push;
+   degrees, checked kernel operands and window classification are
+   computed once per push;
 5. lets the :class:`ShardSupervisor` health-check the workers —
    restarting any shard whose heartbeat went stale from its newest
    loadable checkpoint plus bit-identical catch-up replay — then drains
@@ -313,8 +314,8 @@ class ShardCluster:
         if not self.gate.known(tenant):
             raise ValueError(f"tenant {tenant!r} is not registered")
         # one read-only copy is admitted: the history and every shard
-        # share it, its validation and its cached degrees and
-        # fingerprints; the caller's object is neither frozen nor kept
+        # share it, its validation and its cached degrees and kernel
+        # operands; the caller's object is neither frozen nor kept
         admitted = (
             snapshot.frozen_copy()
             if isinstance(snapshot, CSRSnapshot)

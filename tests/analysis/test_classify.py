@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import VertexClass, classify_window, neighbor_stability_weights
+from repro.engine import ConcurrentEngine, ReferenceEngine
+from repro.engine.concurrent import RECOMPUTE_SHARE
 from repro.graphs import (
     CSRSnapshot,
     DynamicGraph,
@@ -14,6 +16,7 @@ from repro.graphs import (
     generate_dynamic_graph,
     load_dataset,
 )
+from repro.models import make_model
 
 
 def build_window(edge_lists, features_list, present_list=None, n=6, d=2):
@@ -300,7 +303,8 @@ class TestSharedWindow:
 def _min_scatter_labels(snaps, n):
     """The labels as classification computed them with a masked
     min-scatter over snapshot 0's edges, frozen as the oracle of the
-    segmented AND that replaced it."""
+    segmented AND that replaced it; neighbour lists compare exactly,
+    row by row."""
     if len(snaps) == 1:
         return np.zeros(n, dtype=np.int64)
     present = np.stack([s.present for s in snaps])
@@ -309,11 +313,11 @@ def _min_scatter_labels(snaps, n):
     feat_stable = present_all.copy()
     for prev, cur in zip(snaps, snaps[1:]):
         feat_stable &= (cur.features == prev.features).all(axis=1)
-    fps = np.stack([s.row_fingerprints() for s in snaps])
-    degs = np.stack([s.degrees for s in snaps])
-    topo_stable = (fps[1:] == fps[:-1]).all(axis=0) & (
-        degs[1:] == degs[:-1]
-    ).all(axis=0)
+    topo_stable = np.array([
+        all(np.array_equal(prev.neighbors(v), cur.neighbors(v))
+            for prev, cur in zip(snaps, snaps[1:]))
+        for v in range(n)
+    ], dtype=bool)
     s0 = snaps[0]
     neigh_ok = np.ones(n, dtype=np.uint8)
     if s0.num_edges:
@@ -325,6 +329,73 @@ def _min_scatter_labels(snaps, n):
     labels[stable & topo_stable & neigh_ok.astype(bool)] = VertexClass.UNAFFECTED
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
     return labels
+
+
+#: two disjoint 16-id neighbour lists whose splitmix64-mixed ids sum to
+#: the same 64-bit value: a row-hash topology test cannot tell them apart
+COLLIDING_A = [53, 343, 617, 817, 1029, 1330, 1543, 1851, 2109, 2393, 2587,
+               2921, 3092, 3404, 3669, 3937]
+COLLIDING_B = [150, 418, 747, 964, 1154, 1421, 1667, 1992, 2227, 2531, 2698,
+               3015, 3264, 3517, 3733, 4037]
+
+
+def _splitmix_sum(ids):
+    """The order-independent sum of splitmix64-mixed ids, modulo 2**64."""
+    x = np.asarray(ids, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = (x + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        return int(np.add.reduce(x, dtype=np.uint64))
+
+
+class TestExactTopologyTest:
+    """A vertex is unaffected only when its neighbour list is identical
+    in every snapshot: a changed list whose ids hash alike is still a
+    change."""
+
+    @staticmethod
+    def _graph():
+        ring = 4096
+        n = ring + 1
+        feats = np.random.default_rng(0).standard_normal((n, 4)).astype(np.float32)
+        ring_edges = np.stack(
+            [np.arange(ring), (np.arange(ring) + 1) % ring], axis=1
+        )
+        snaps = [
+            CSRSnapshot.from_edges(
+                n,
+                np.concatenate([ring_edges, [[ring, u] for u in row]]),
+                feats.copy(),
+                undirected=False,
+                timestamp=t,
+            )
+            for t, row in enumerate((COLLIDING_A, COLLIDING_B))
+        ]
+        return DynamicGraph(snaps)
+
+    def test_the_pair_still_collides(self):
+        assert not set(COLLIDING_A) & set(COLLIDING_B)
+        assert len(COLLIDING_A) == len(COLLIDING_B)
+        assert _splitmix_sum(COLLIDING_A) == _splitmix_sum(COLLIDING_B)
+
+    def test_a_colliding_row_is_stable_and_matches_the_reference(self):
+        g = self._graph()
+        cls = classify_window(g)
+        assert cls.labels[4096] == VertexClass.STABLE
+        assert (cls.labels == VertexClass.UNAFFECTED).sum() == 4096
+        # below the kernel rule: the changed-set path runs, not the
+        # full recompute that would hide a wrong label
+        share = float((cls.labels != VertexClass.UNAFFECTED).mean())
+        assert 0 < share < RECOMPUTE_SHARE
+        model = make_model("T-GCN", 4, 8, seed=0)
+        ref = ReferenceEngine(model, window_size=2).run(g).outputs
+        got = ConcurrentEngine(
+            model, window_size=2, enable_skipping=False
+        ).run(g).outputs
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestNeighbourFeatureStability:

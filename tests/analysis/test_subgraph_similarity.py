@@ -16,6 +16,7 @@ from repro.analysis import (
     similarity_scores,
     union_adjacency,
 )
+from repro.analysis.similarity import common_neighbor_counts
 from repro.graphs import (
     CSRSnapshot,
     DynamicGraph,
@@ -209,6 +210,31 @@ class TestNeighborStability:
         w = neighbor_stability_weights(s0, s1, np.array([0]), np.ones(n, bool))
         assert w[0] == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 30))
+    def test_counts_are_the_exact_intersection(self, seed, n):
+        """Per row, the common count is the size of the two lists'
+        intersection and the stable count that of its stable part, so a
+        row kept its list exactly when its count is both degrees."""
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(2 * n, 2))
+        keep = rng.random(len(edges)) < 0.7
+        s0 = CSRSnapshot.from_edges(n, edges, undirected=False)
+        s1 = CSRSnapshot.from_edges(
+            n,
+            np.concatenate([edges[keep], rng.integers(0, n, size=(n // 2, 2))]),
+            undirected=False,
+        )
+        stable = rng.random(n) < 0.5
+        common, stable_common = common_neighbor_counts(s0, s1, stable)
+        assert common.shape == stable_common.shape == (n,)
+        for v in range(n):
+            both = np.intersect1d(s0.neighbors(v), s1.neighbors(v))
+            assert common[v] == len(both)
+            assert stable_common[v] == stable[both].sum()
+            same = common[v] == s0.degrees[v] == s1.degrees[v]
+            assert same == np.array_equal(s0.neighbors(v), s1.neighbors(v))
+
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -320,11 +346,6 @@ class TestNeighborStability:
             neighbor_stability_weights(
                 s0, s1, np.arange(6), np.ones(sizes[0], dtype=bool)
             )
-
-    def test_fingerprints_are_cached_not_copied(self):
-        s0, _ = self._pair()
-        assert s0.row_fingerprints() is s0.row_fingerprints()
-        assert s0.copy()._fingerprints is None
 
 
 class TestSimilarityScores:

@@ -192,27 +192,6 @@ class TestSegmentSumMatchesScatter:
             segment_sum(indptr, indices, np.ones((11, 2), np.float32))
 
 
-class TestRowFingerprints:
-    @given(seed=st.integers(0, 10_000), shape=st.sampled_from(SHAPES))
-    @settings(max_examples=30, deadline=None)
-    def test_equal_the_per_edge_scatter(self, seed, shape):
-        """The prefix-sum form keeps every fingerprint the ``np.add.at``
-        form produced (checkpoints and classifications depend on them)."""
-        indptr, indices = make_csr(shape, 40, np.random.default_rng(seed))
-        snap = CSRSnapshot(
-            indptr, indices, np.zeros((40, 1), np.float32), np.ones(40, bool)
-        )
-        x = indices.astype(np.uint64)
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        want = np.zeros(40, dtype=np.uint64)
-        np.add.at(want, np.repeat(np.arange(40), snap.degrees), x)
-        want += snap.degrees.astype(np.uint64) * np.uint64(0xDA942042E4DD58B5)
-        assert_same_bytes(snap.row_fingerprints(), want)
-
-
 def hub_snapshot(seed: int, n: int = 48, dim: int = 5) -> CSRSnapshot:
     """Two hubs over a sparse random background, some vertices absent."""
     rng = np.random.default_rng(seed)

@@ -34,12 +34,6 @@ class TestBuildCSR:
         indptr, indices = build_csr(3, src, dst)
         assert indices.tolist() == [1, 2]
 
-    def test_no_dedup(self):
-        src = np.array([0, 0])
-        dst = np.array([1, 1])
-        indptr, indices = build_csr(3, src, dst, dedup=False)
-        assert indices.tolist() == [1, 1]
-
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError, match="out of range"):
             build_csr(3, np.array([0]), np.array([5]))
@@ -172,34 +166,6 @@ class TestAggregate:
         np.testing.assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
 
 
-class TestFingerprints:
-    def test_identical_rows_equal_fingerprints(self):
-        s1 = small_snapshot()
-        s2 = small_snapshot()
-        np.testing.assert_array_equal(s1.row_fingerprints(), s2.row_fingerprints())
-
-    def test_changed_row_changes_fingerprint(self):
-        s1 = small_snapshot()
-        edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])  # 0-2 -> 0-3
-        s2 = CSRSnapshot.from_edges(5, edges, s1.features)
-        f1, f2 = s1.row_fingerprints(), s2.row_fingerprints()
-        assert f1[0] != f2[0]
-        assert f1[1] == f2[1]
-
-    def test_empty_vs_missing_distinguished_by_degree_mix(self):
-        # vertex with no edges has a deterministic fingerprint
-        s = small_snapshot()
-        f = s.row_fingerprints()
-        assert f[4] == np.uint64(0)  # degree 0, no neighbours
-
-    def test_same_row_helper(self):
-        s1 = small_snapshot()
-        edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        s2 = CSRSnapshot.from_edges(5, edges, s1.features)
-        assert s1.same_row(s2, 1)
-        assert not s1.same_row(s2, 0)
-
-
 @st.composite
 def random_edge_lists(draw):
     n = draw(st.integers(min_value=2, max_value=40))
@@ -243,9 +209,12 @@ class TestSnapshotProperties:
 
     @given(random_edge_lists())
     @settings(max_examples=40, deadline=None)
-    def test_fingerprint_stable_under_rebuild(self, case):
+    def test_csr_stable_under_rebuild(self, case):
+        """The CSR is canonical: any order of the same edges builds the
+        same arrays, so equal neighbour lists are equal rows."""
         n, edges = case
         s1 = CSRSnapshot.from_edges(n, edges, dim=1)
         perm = np.random.default_rng(1).permutation(len(edges))
         s2 = CSRSnapshot.from_edges(n, edges[perm], dim=1)
-        np.testing.assert_array_equal(s1.row_fingerprints(), s2.row_fingerprints())
+        assert s1.indptr.tobytes() == s2.indptr.tobytes()
+        assert s1.indices.tobytes() == s2.indices.tobytes()

@@ -7,12 +7,14 @@ import pytest
 
 import repro.resilience.ingest as ingest_mod
 from repro.graphs import (
+    CSRSnapshot,
     UpdateEvent,
     UpdateKind,
     apply_events,
     event_stream,
     load_dataset,
 )
+from repro.models import make_model
 from repro.resilience import (
     DeadLetter,
     DeadLetterQueue,
@@ -26,6 +28,7 @@ from repro.resilience import (
     snapshot_violation,
     with_retry,
 )
+from repro.serving import ShardCluster
 
 from ..graphs.test_batched_events_property import (
     assert_snapshots_identical,
@@ -66,6 +69,69 @@ class TestSnapshotViolation:
             snap, num_vertices=snap.num_vertices + 1
         )
         assert "feature dimension" in snapshot_violation(snap, dim=snap.dim + 1)
+
+
+def _star(like):
+    """A snapshot of ``like``'s geometry whose row 0 is ``1, 2, …, 29``
+    (directed, every other row empty)."""
+    edges = [[0, v] for v in range(1, 30)]
+    return CSRSnapshot.from_edges(
+        like.num_vertices, edges, like.features.copy(), undirected=False
+    )
+
+
+def _reversed_row(like):
+    """Row 0 is ``29, 28, …, 1``: the same set, not ascending."""
+    bad = _star(like)
+    bad.indices[:29] = bad.indices[:29][::-1].copy()
+    return bad
+
+
+def _duplicated_row(like):
+    """Row 0 is ``1, 1, 3, 4, …``: sorted, with a duplicate."""
+    bad = _star(like)
+    bad.indices[1] = bad.indices[0]
+    return bad
+
+
+class TestCanonicalRows:
+    """The neighbour-list merge is exact list equality only on strictly
+    ascending rows, and aggregation sums in CSR order, so a row that is
+    unsorted or duplicated is refused at the front door."""
+
+    def test_a_descent_between_rows_is_allowed(self, graph):
+        """Undirected, row 0 ends at 29 and every later row holds 0."""
+        edges = [[0, v] for v in range(1, 30)]
+        star = CSRSnapshot.from_edges(
+            graph.num_vertices, edges, graph[0].features.copy()
+        )
+        assert snapshot_violation(star) is None
+
+    @pytest.mark.parametrize("make", [_reversed_row, _duplicated_row])
+    def test_a_non_canonical_row_is_refused(self, graph, make):
+        assert "not strictly ascending" in snapshot_violation(make(graph[0]))
+        assert "not strictly ascending" in snapshot_violation(
+            make(graph[0]).frozen_copy()
+        )
+
+    def test_the_cluster_dead_letters_them(self):
+        small = load_dataset("GT", scale=0.05, num_snapshots=2, seed=3)
+        cluster = ShardCluster(
+            lambda: make_model("T-GCN", small.dim, 8, seed=3),
+            num_shards=2, window_size=2, seed=3,
+        )
+        cluster.register_tenant("t0")
+        assert cluster.push("t0", _star(small[0])).accepted
+        bad = [_reversed_row(small[0]), _duplicated_row(small[0])]
+        for snap in bad:
+            receipt = cluster.push("t0", snap)
+            assert not receipt.accepted
+            assert receipt.shed_reason == "poison-snapshot"
+            assert "not strictly ascending" in receipt.incident.detail
+        letters = cluster.dlq.letters
+        assert len(letters) == 2
+        assert all(l.payload is b for l, b in zip(letters, bad))
+        assert len(cluster.history("t0")) == 1
 
 
 class TestCachedVerdict:
