@@ -16,14 +16,16 @@ Figs. 8–9):
    across the window, but deeper layers see change leaking in one hop per
    layer.  This makes the GNN phase *exact* while loading/computing
    unaffected vertices once per layer, as the paper claims.  On the host
-   the kernel follows the window's own labels (:func:`recomputes`): a
-   whole-graph window whose changed share reaches
-   :data:`RECOMPUTE_SHARE` runs the full-height window kernel instead,
-   because past layer 1 its changed set is the whole graph and the
-   reuse bookkeeping would cost more than it saves (Dynasparse,
-   PAPERS.md, picks the kernel from measured density the same way).
-   Its outputs are the same bits, and the counters still count the
-   changed-set dataflow, which is what the accelerator model prices.
+   each layer's kernel follows its own changed share (:func:`recomputes`):
+   a whole-graph window runs the row path below layer ``top``, the
+   first layer whose changed set reaches :data:`RECOMPUTE_SHARE`, and
+   the stacked window kernel from ``top`` on, because the changed set
+   grows a hop per layer and past layer 1 it is mostly the whole graph,
+   where the reuse bookkeeping costs more than it saves (Dynasparse,
+   PAPERS.md, picks a kernel per operation from its measured density
+   the same way).  The outputs are the same bits, and the counters
+   still count the changed-set dataflow, which is what the accelerator
+   model prices.
 3. **Similarity-aware cell skipping** — per consecutive snapshot pair,
    stable/affected vertices are scored with :math:`\\theta`; SKIP rows
    reuse the previous final feature, DELTA rows take the condensed
@@ -53,25 +55,32 @@ from .workspace import WORKSPACE
 
 __all__ = ["ConcurrentEngine", "RECOMPUTE_SHARE", "recomputes"]
 
-#: Changed share (stable + affected vertices over all vertices) at or
-#: above which a window's GNN phase recomputes every row instead of
-#: reusing the representative's.  Batched ÷ delta stream time on the GT
-#: generator at churn ×0.1 / ×0.25 / ×1 / ×3 (changed share 0.21 / 0.56 /
-#: 0.98 / 1.00), two seeds: CD-GCN 1.00–1.01 / 0.96–0.97 / 0.93 /
-#: 0.94–0.96, GC-LSTM 1.06–1.13 / 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 /
-#: 1.03–1.05 / 0.96–0.97 / 0.96 — reuse wins only where most rows are
-#: reusable, because past layer 1 the changed set's closure is the whole
-#: graph (docs/performance.md, "The kernel is the profile's call", has
-#: the method and every cell).
+#: Changed share (a GCN layer's changed rows over all vertices) at or
+#: above which a whole-graph window recomputes every row of that layer,
+#: and of every deeper one, with the stacked window kernel instead of
+#: reusing the representative's; the row path runs the layers below.
+#: The crossover was measured on the window's label share, the first
+#: layer's: batched ÷ delta stream time on the GT generator at churn
+#: ×0.1 / ×0.25 / ×1 / ×3 (changed share 0.21 / 0.56 / 0.98 / 1.00),
+#: two seeds: CD-GCN 1.00–1.01 / 0.96–0.97 / 0.93 / 0.94–0.96, GC-LSTM
+#: 1.06–1.13 / 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 / 1.03–1.05 /
+#: 0.96–0.97 / 0.96 — reuse wins only where most rows are reusable
+#: (docs/performance.md, "The kernel is the profile's call", has the
+#: method and every cell).  The changed set grows a hop per layer, and
+#: past layer 1 it is 0.93–1.00 of the graph at every churn measured,
+#: so below the rule a multi-layer model's deeper layers run stacked
+#: ("Each layer picks its own kernel").
 RECOMPUTE_SHARE = 0.5
 
 
 def recomputes(changed_share: float) -> bool:
-    """The kernel rule: a window whose changed share reaches
-    :data:`RECOMPUTE_SHARE` recomputes every row.
-    :meth:`ConcurrentEngine.step` applies it to every whole-graph
-    window, and :meth:`AdaptivePlanner.kernel_for
-    <repro.adaptive.planner.AdaptivePlanner.kernel_for>` plans by it."""
+    """The kernel rule: a changed share that reaches
+    :data:`RECOMPUTE_SHARE` recomputes every row.  A whole-graph window
+    applies it per GCN layer (:meth:`ConcurrentEngine._gnn_window`): the
+    row path below the first layer it holds for, ``top``, the stacked
+    window kernel from ``top`` on.  :meth:`AdaptivePlanner.kernel_for
+    <repro.adaptive.planner.AdaptivePlanner.kernel_for>` plans a whole
+    window by it on the label share."""
     return changed_share >= RECOMPUTE_SHARE
 
 
@@ -169,16 +178,17 @@ class ConcurrentEngine:
         ``batched-spmm`` recomputes every snapshot in full — bit-identical
         by construction, tests/adaptive) and ``policy`` (the plan's
         thresholds).  ``overlap`` is the dataflow the counters count; the
-        kernel the host runs is :func:`recomputes`' call on the window's
-        changed share, so a whole-graph OADL window at high churn runs
-        the full-height window kernel and still counts as OADL.
+        kernel the host runs is :func:`recomputes`' call on each GCN
+        layer's changed share, so a whole-graph OADL window runs the row
+        path below layer ``top`` and the stacked window kernel from
+        ``top`` on, and still counts as OADL (:meth:`_gnn_window`).
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
         scores and the delta cache run on them alone, and every bit of
         an owned row is the full engine's (``_owned_closure``).  A model
         whose cell reads its neighbours' state runs every row whatever
-        the carry owns.
+        the carry owns, so its windows are whole-graph ones.
 
         ``carry`` is left as it was except for its delta cache, updated
         **in place** (a copy per window would tax every plain stream): a
@@ -201,13 +211,6 @@ class ConcurrentEngine:
 
             overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
             policy = SkippingPolicy(plan.thresholds)
-        # the kernel follows the window's own labels: a whole-graph
-        # window that changed most of its vertices recomputes every row
-        # through the window kernel, whatever dataflow it is counted as
-        changed_share = np.count_nonzero(cls.labels) / max(n, 1)
-        window_kernel = not overlap or (
-            carry.rows is None and recomputes(changed_share)
-        )
         if decisions is None:
             decisions = []
         state, h_prev = carry.begin(model, n)
@@ -218,9 +221,7 @@ class ConcurrentEngine:
 
         outputs: list[np.ndarray] = []
         with WORKSPACE.lease() as ws:
-            zs = self._gnn_window(
-                m, window, cls, overlap, window_kernel, owned, ws
-            )
+            zs = self._gnn_window(m, window, cls, overlap, owned, ws)
             for t, snap in enumerate(window):
                 # The first snapshot of every batch takes the full cell
                 # update: the paper "recalculates similarity scores for
@@ -264,20 +265,23 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(
-        self, m, window, cls, overlap, window_kernel, owned, ws
-    ) -> list[np.ndarray]:
+    def _gnn_window(self, m, window, cls, overlap, owned, ws) -> list[np.ndarray]:
         """Multi-snapshot GNN with changed-set propagation (exact).
 
-        ``overlap`` picks the dataflow the counters count and
-        ``window_kernel`` the kernel that computes it: the full-height
-        window kernel on every row (a superset is exact), or the
-        representative pass plus the changed rows of :meth:`_layer_rows`.
-        With ``owned`` (ascending ids) layer ``l`` is computed on
-        ``need[l]`` only — :func:`_owned_closure` — and its other rows
-        are zeros nothing reads.  At the later snapshots every layer's
-        input is a workspace block (``ws``); the GNN outputs are kept,
-        so they are allocated."""
+        ``overlap`` picks the dataflow the counters count; the kernel
+        that computes it is picked per layer.  The changed set only
+        grows with depth, so a whole-graph window runs the row path
+        below layer ``top``, the first layer :func:`recomputes` holds
+        for, and the stacked window kernel from ``top`` on (a superset
+        of rows is exact).  The row path is the representative pass
+        plus the changed rows of :meth:`_layer_rows`; the two meet at
+        one workspace block holding the later snapshots' outputs of
+        layer ``top - 1``.  With ``owned`` (ascending ids) every layer
+        takes the row path, and layer ``l`` is computed on ``need[l]``
+        only — :func:`_owned_closure` — its other rows zeros nothing
+        reads.  At the later snapshots every row-path layer's input is a
+        workspace block (``ws``); the GNN outputs are kept, so they are
+        allocated."""
         model = self.model
         layers = model.gnn.layers
         n = window.num_vertices
@@ -290,19 +294,29 @@ class ConcurrentEngine:
         need = _owned_closure(window, owned, len(layers))
         snap0 = window[0]
         self._account_full_gnn(m, snap0, need)
+        top = len(layers)
         if window.num_snapshots > 1:
             # stable or affected rows, grown a hop per layer, and per
             # later snapshot the rows whose features churned: facts of
             # the window, shared with every shard that classified it
             layer_rows = cls.changed_rows(len(layers))
-            if owned is not None:  # of the rows this window computes at all
+            if owned is None:
+                shares = (len(rows) / max(n, 1) for rows in layer_rows)
+                top = next(
+                    (li for li, share in enumerate(shares) if recomputes(share)),
+                    top,
+                )
+            else:
+                # of the rows this window computes at all, every layer on
+                # the row path: the rule applied to need[l] read 0.96–1.03×
+                # on cluster-serve (4 alternating pairs), no gain
                 layer_rows = [
                     np.intersect1d(changed, rows, assume_unique=True)
                     for changed, rows in zip(layer_rows, need)
                 ]
             feature_rows = cls.churned_rows()
             self._account_changed_gnn(m, window, layer_rows, feature_rows)
-        if window_kernel:
+        if top == 0:
             return model.gnn_forward_window(window.snapshots, ws=ws)
 
         # --- representative pass on snapshot 0 of the window -----------
@@ -312,7 +326,7 @@ class ConcurrentEngine:
         rep_inputs: list[np.ndarray] = [snap0.features]
         rep_combined: list[np.ndarray | None] = []
         h = snap0.features
-        for li, layer in enumerate(layers):
+        for li, layer in enumerate(layers[:top]):
             if layer.out_dim < layer.in_dim:
                 # the features are all here, so the first layer combines
                 # every row; a deeper one the rows the layer below made
@@ -325,29 +339,38 @@ class ConcurrentEngine:
                 h = layer.forward(snap0, h, rows=need[li])
             h = _spread(h, need[li], n)
             rep_inputs.append(h)
-        zs = [rep_inputs[-1]]
+        zs = [h]  # layer top - 1's outputs, one per snapshot
+        k = window.num_snapshots - 1
+        if top < len(layers):
+            # the later snapshots' rows of one block, the one the
+            # stacked kernel's layer top - 1 would have written
+            shape = (k * n, h.shape[1])
+            zs += np.split(ws.take(f"gnn.stack{(top - 1) % 2}", shape, h.dtype), k)
+        else:  # the GNN outputs: kept, so allocated
+            zs += [np.empty_like(h) for _ in range(k)]
 
         # --- later snapshots: recompute only the changed rows ----------
-        last = len(layers) - 1
         for t in range(1, window.num_snapshots):
             snap = window[t]
             x = ws.take_copy("gnn.x", rep_inputs[0])
             in_rows = feature_rows[t - 1]
             x[in_rows] = snap.features[in_rows]
-            for li, layer in enumerate(layers):
+            for li, layer in enumerate(layers[:top]):
                 rows = layer_rows[li]
                 rep = rep_inputs[li + 1]
-                if li == last:  # the GNN output: kept, so allocated
-                    out = rep.copy()
-                else:  # x, when a layer's input, is the other block
+                if li < top - 1:  # x, when a layer's input, is the other block
                     out = ws.take_copy(f"gnn.h{li % 2}", rep)
+                else:
+                    out = zs[t]
+                    np.copyto(out, rep)
                 out[rows] = self._layer_rows(
                     layer, snap, x, rows, in_rows, rep_combined[li], ws
                 )
                 x = out
                 in_rows = rows  # next layer's inputs changed on `rows`
-            zs.append(x)
-        return zs
+        if top == len(layers):
+            return zs
+        return model.gnn_forward_window(window.snapshots, zs, ws=ws, start=top)
 
     def _layer_rows(self, layer, snap, x, rows, in_rows, rep_y, ws) -> np.ndarray:
         """One GCN layer restricted to ``rows`` (exact under the

@@ -165,9 +165,15 @@ class GCNStack:
         return h
 
     def forward_window(
-        self, snaps: list[CSRSnapshot], xs: list[np.ndarray], *, ws=None
+        self,
+        snaps: list[CSRSnapshot],
+        xs: list[np.ndarray],
+        *,
+        ws=None,
+        start: int = 0,
     ) -> list[np.ndarray]:
-        """Run every layer over a whole window of snapshots at once.
+        """Run the layers from ``start`` on over a whole window of
+        snapshots at once; ``xs`` are layer ``start``'s inputs.
 
         The elementwise activation runs once per layer on the stacked
         ``(K*n, d)`` block — ufuncs are row-independent, so this is
@@ -181,12 +187,14 @@ class GCNStack:
         of the block, and every layer but the last activates in place.
         With ``ws`` (a leased :class:`~repro.engine.workspace.Workspace`)
         those blocks are two of its blocks used in turn, so only the
-        returned last layer is allocated.
+        returned last layer is allocated.  Layer ``l`` writes block
+        ``l % 2``, so a caller that computed the layers below ``start``
+        itself hands in block ``(start - 1) % 2``'s rows.
         """
         K = len(snaps)
         n = len(xs[0])
         hs = list(xs)
-        for li, layer in enumerate(self.layers):
+        for li, layer in enumerate(self.layers[start:], start):
             if any(h.shape[1] != layer.in_dim for h in hs):
                 raise ValueError(
                     f"input width does not match layer in_dim {layer.in_dim}"
