@@ -3,12 +3,13 @@
 :class:`AdaptivePlanner` turns a :class:`WindowProfile` into an
 :class:`ExecutionPlan`:
 
-* **kernel** — the engine's kernel rule on the profile
+* **kernel** — the kernel rule on the profile
   (:meth:`AdaptivePlanner.kernel_for`): full recompute
-  (``batched-spmm``) once at least
-  :data:`~repro.engine.concurrent.RECOMPUTE_SHARE` of the window's
-  vertices changed, OADL changed-set reuse (``delta-condensed``) below
-  it.  No clock is read: the same window always gets the same kernel.
+  (``batched-spmm``) once at least :data:`RECOMPUTE_SHARE` of the
+  window's vertices changed, OADL changed-set reuse
+  (``delta-condensed``) below it.  No clock is read: the same window
+  always gets the same kernel.  The engine computes either with the
+  same host kernel, so the choice moves only what the counters count.
 * **thresholds** — :math:`(\\theta_s, \\theta_e)` interpolated between
   the paper's defaults and the configured aggressive bounds by an
   *aggressiveness* scalar ``a ∈ [0, 1]``.  ``a`` moves under a
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..check.shapes import contract
-from ..engine.concurrent import RECOMPUTE_SHARE, recomputes
 from ..skipping.policy import SkipThresholds
 from .costmodel import CostModel
 from .plan import ExecutionPlan, KernelChoice
@@ -44,8 +44,27 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptivePlanner",
     "PlanRecord",
+    "RECOMPUTE_SHARE",
+    "recomputes",
     "relative_drift",
 ]
+
+#: Changed share (the window's stable and affected vertices over all
+#: vertices) at or above which a plan recomputes the window in full.
+#: The crossover was measured as batched ÷ delta stream time on the GT
+#: generator at churn ×0.1 / ×0.25 / ×1 / ×3 (changed share 0.21 / 0.56
+#: / 0.98 / 1.00), two seeds: CD-GCN 1.00–1.01 / 0.96–0.97 / 0.93 /
+#: 0.94–0.96, GC-LSTM 1.06–1.13 / 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 /
+#: 1.03–1.05 / 0.96–0.97 / 0.96 (docs/performance.md, "The kernel is
+#: the profile's call").
+RECOMPUTE_SHARE = 0.5
+
+
+def recomputes(changed_share: float) -> bool:
+    """The kernel rule: a changed share that reaches
+    :data:`RECOMPUTE_SHARE` plans a full recompute."""
+    return changed_share >= RECOMPUTE_SHARE
+
 
 _DEFAULTS = SkipThresholds()
 
@@ -191,9 +210,8 @@ class AdaptivePlanner:
     # planning
     # ------------------------------------------------------------------
     def kernel_for(self, profile: WindowProfile) -> KernelChoice:
-        """The engine's kernel rule,
-        :func:`~repro.engine.concurrent.recomputes`: full recompute once
-        the changed share reaches ``RECOMPUTE_SHARE``, changed-set reuse
+        """The kernel rule, :func:`recomputes`: full recompute once the
+        changed share reaches :data:`RECOMPUTE_SHARE`, changed-set reuse
         below it."""
         if recomputes(profile.changed_frac):
             return KernelChoice.BATCHED_SPMM

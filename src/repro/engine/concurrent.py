@@ -14,18 +14,13 @@ Figs. 8–9):
    (i-1)-hop neighbourhood of the stable∪affected set over the window's
    snapshots: an unaffected vertex's layer-1 output is provably identical
    across the window, but deeper layers see change leaking in one hop per
-   layer.  This makes the GNN phase *exact* while loading/computing
-   unaffected vertices once per layer, as the paper claims.  On the host
-   each layer's kernel follows its own changed share (:func:`recomputes`):
-   a whole-graph window runs the row path below layer ``top``, the
-   first layer whose changed set reaches :data:`RECOMPUTE_SHARE`, and
-   the stacked window kernel from ``top`` on, because the changed set
-   grows a hop per layer and past layer 1 it is mostly the whole graph,
-   where the reuse bookkeeping costs more than it saves (Dynasparse,
-   PAPERS.md, picks a kernel per operation from its measured density
-   the same way).  The outputs are the same bits, and the counters
-   still count the changed-set dataflow, which is what the accelerator
-   model prices.
+   layer.  This is the dataflow the counters count and the accelerator
+   model prices: unaffected vertices loaded and computed once per layer.
+   The host computes the same bits with one kernel per window, the
+   stacked window kernel over every row (an owned-row window: each
+   layer on the rows it needs), because past layer 1 the changed set is
+   93–100 % of the graph and its reuse bookkeeping costs more than it
+   saves (docs/performance.md, "One GNN kernel per window").
 3. **Similarity-aware cell skipping** — per consecutive snapshot pair,
    stable/affected vertices are scored with :math:`\\theta`; SKIP rows
    reuse the previous final feature, DELTA rows take the condensed
@@ -53,35 +48,7 @@ from .metrics import ExecutionMetrics
 from .reference import EngineResult
 from .workspace import WORKSPACE
 
-__all__ = ["ConcurrentEngine", "RECOMPUTE_SHARE", "recomputes"]
-
-#: Changed share (a GCN layer's changed rows over all vertices) at or
-#: above which a whole-graph window recomputes every row of that layer,
-#: and of every deeper one, with the stacked window kernel instead of
-#: reusing the representative's; the row path runs the layers below.
-#: The crossover was measured on the window's label share, the first
-#: layer's: batched ÷ delta stream time on the GT generator at churn
-#: ×0.1 / ×0.25 / ×1 / ×3 (changed share 0.21 / 0.56 / 0.98 / 1.00),
-#: two seeds: CD-GCN 1.00–1.01 / 0.96–0.97 / 0.93 / 0.94–0.96, GC-LSTM
-#: 1.06–1.13 / 0.99–1.00 / 0.93 / 0.95, T-GCN 1.18 / 1.03–1.05 /
-#: 0.96–0.97 / 0.96 — reuse wins only where most rows are reusable
-#: (docs/performance.md, "The kernel is the profile's call", has the
-#: method and every cell).  The changed set grows a hop per layer, and
-#: past layer 1 it is 0.93–1.00 of the graph at every churn measured,
-#: so below the rule a multi-layer model's deeper layers run stacked
-#: ("Each layer picks its own kernel").
-RECOMPUTE_SHARE = 0.5
-
-
-def recomputes(changed_share: float) -> bool:
-    """The kernel rule: a changed share that reaches
-    :data:`RECOMPUTE_SHARE` recomputes every row.  A whole-graph window
-    applies it per GCN layer (:meth:`ConcurrentEngine._gnn_window`): the
-    row path below the first layer it holds for, ``top``, the stacked
-    window kernel from ``top`` on.  :meth:`AdaptivePlanner.kernel_for
-    <repro.adaptive.planner.AdaptivePlanner.kernel_for>` plans a whole
-    window by it on the label share."""
-    return changed_share >= RECOMPUTE_SHARE
+__all__ = ["ConcurrentEngine"]
 
 
 class ConcurrentEngine:
@@ -98,8 +65,10 @@ class ConcurrentEngine:
     epsilon:
         Delta-mode zero threshold fed to the Condense Unit.
     enable_overlap:
-        The OADL half (multi-snapshot GNN with changed-set propagation).
-        Off = recompute every vertex per snapshot (ablation WO/OADL).
+        The OADL half (multi-snapshot GNN with changed-set propagation)
+        as the counters count it.  Off = every vertex recomputed per
+        snapshot (ablation WO/OADL).  The host computes the same bits
+        either way.
     enable_skipping:
         The ADSC half (similarity-gated cell updates).  Off = full cell
         update everywhere (ablation WO/ADSC) and the engine is exact.
@@ -177,11 +146,9 @@ class ConcurrentEngine:
         ``overlap`` (``delta-condensed`` is the OADL changed-set dataflow,
         ``batched-spmm`` recomputes every snapshot in full — bit-identical
         by construction, tests/adaptive) and ``policy`` (the plan's
-        thresholds).  ``overlap`` is the dataflow the counters count; the
-        kernel the host runs is :func:`recomputes`' call on each GCN
-        layer's changed share, so a whole-graph OADL window runs the row
-        path below layer ``top`` and the stacked window kernel from
-        ``top`` on, and still counts as OADL (:meth:`_gnn_window`).
+        thresholds).  ``overlap`` is the dataflow the counters count, and
+        nothing else: the host runs one GNN kernel per window whichever
+        it is (:meth:`_gnn_window`).
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
@@ -266,134 +233,58 @@ class ConcurrentEngine:
     # GNN phase
     # ------------------------------------------------------------------
     def _gnn_window(self, m, window, cls, overlap, owned, ws) -> list[np.ndarray]:
-        """Multi-snapshot GNN with changed-set propagation (exact).
+        """The window's GNN outputs, one per snapshot (exact).
 
-        ``overlap`` picks the dataflow the counters count; the kernel
-        that computes it is picked per layer.  The changed set only
-        grows with depth, so a whole-graph window runs the row path
-        below layer ``top``, the first layer :func:`recomputes` holds
-        for, and the stacked window kernel from ``top`` on (a superset
-        of rows is exact).  The row path is the representative pass
-        plus the changed rows of :meth:`_layer_rows`; the two meet at
-        one workspace block holding the later snapshots' outputs of
-        layer ``top - 1``.  With ``owned`` (ascending ids) every layer
-        takes the row path, and layer ``l`` is computed on ``need[l]``
-        only — :func:`_owned_closure` — its other rows zeros nothing
-        reads.  At the later snapshots every row-path layer's input is a
-        workspace block (``ws``); the GNN outputs are kept, so they are
-        allocated."""
+        ``overlap`` picks the dataflow the counters count: the
+        representative pass plus each later snapshot's changed rows
+        (OADL), or every snapshot in full (ablation WO/OADL).  The host
+        computes either with one kernel: a whole-graph window runs the
+        stacked window kernel, and an owned-row window (``owned``,
+        ascending ids) computes layer ``l`` of each snapshot on
+        ``need[l]`` only — :func:`_owned_closure` — its other rows
+        zeros nothing reads."""
         model = self.model
         layers = model.gnn.layers
-        n = window.num_vertices
+        need = _owned_closure(window, owned, len(layers))
         if not overlap:
-            # ablation WO/OADL: every snapshot fully recomputed
             for snap in window:
                 self._account_full_gnn(m, snap, [None] * len(layers))
-            return model.gnn_forward_window(window.snapshots, ws=ws)
-
-        need = _owned_closure(window, owned, len(layers))
-        snap0 = window[0]
-        self._account_full_gnn(m, snap0, need)
-        top = len(layers)
-        if window.num_snapshots > 1:
-            # stable or affected rows, grown a hop per layer, and per
-            # later snapshot the rows whose features churned: facts of
-            # the window, shared with every shard that classified it
-            layer_rows = cls.changed_rows(len(layers))
-            if owned is None:
-                shares = (len(rows) / max(n, 1) for rows in layer_rows)
-                top = next(
-                    (li for li, share in enumerate(shares) if recomputes(share)),
-                    top,
+        else:
+            self._account_full_gnn(m, window[0], need)
+            if window.num_snapshots > 1:
+                # stable or affected rows, grown a hop per layer, and per
+                # later snapshot the rows whose features churned: facts
+                # of the window, shared with every shard that classified it
+                layer_rows = cls.changed_rows(len(layers))
+                if owned is not None:
+                    layer_rows = [
+                        np.intersect1d(changed, rows, assume_unique=True)
+                        for changed, rows in zip(layer_rows, need)
+                    ]
+                self._account_changed_gnn(
+                    m, window, layer_rows, cls.churned_rows()
                 )
-            else:
-                # of the rows this window computes at all, every layer on
-                # the row path: the rule applied to need[l] read 0.96–1.03×
-                # on cluster-serve (4 alternating pairs), no gain
-                layer_rows = [
-                    np.intersect1d(changed, rows, assume_unique=True)
-                    for changed, rows in zip(layer_rows, need)
-                ]
-            feature_rows = cls.churned_rows()
-            self._account_changed_gnn(m, window, layer_rows, feature_rows)
-        if top == 0:
+        if owned is None:
             return model.gnn_forward_window(window.snapshots, ws=ws)
-
-        # --- representative pass on snapshot 0 of the window -----------
-        # For shrinking layers the combine output (y = xW + b) is stashed:
-        # it is reusable verbatim at later snapshots for every row whose
-        # input did not change — the core OADL saving.
-        rep_inputs: list[np.ndarray] = [snap0.features]
-        rep_combined: list[np.ndarray | None] = []
-        h = snap0.features
-        for li, layer in enumerate(layers[:top]):
-            if layer.out_dim < layer.in_dim:
-                # the features are all here, so the first layer combines
-                # every row; a deeper one the rows the layer below made
-                src = need[li - 1] if li else None
-                y = _spread(layer.combine(h if src is None else h[src]), src, n)
-                rep_combined.append(y)
-                h = layer.act(snap0.aggregate(y, rows=need[li]))
-            else:
-                rep_combined.append(None)
-                h = layer.forward(snap0, h, rows=need[li])
-            h = _spread(h, need[li], n)
-            rep_inputs.append(h)
-        zs = [h]  # layer top - 1's outputs, one per snapshot
-        k = window.num_snapshots - 1
-        if top < len(layers):
-            # the later snapshots' rows of one block, the one the
-            # stacked kernel's layer top - 1 would have written
-            shape = (k * n, h.shape[1])
-            zs += np.split(ws.take(f"gnn.stack{(top - 1) % 2}", shape, h.dtype), k)
-        else:  # the GNN outputs: kept, so allocated
-            zs += [np.empty_like(h) for _ in range(k)]
-
-        # --- later snapshots: recompute only the changed rows ----------
-        for t in range(1, window.num_snapshots):
-            snap = window[t]
-            x = ws.take_copy("gnn.x", rep_inputs[0])
-            in_rows = feature_rows[t - 1]
-            x[in_rows] = snap.features[in_rows]
-            for li, layer in enumerate(layers[:top]):
-                rows = layer_rows[li]
-                rep = rep_inputs[li + 1]
-                if li < top - 1:  # x, when a layer's input, is the other block
-                    out = ws.take_copy(f"gnn.h{li % 2}", rep)
-                else:
-                    out = zs[t]
-                    np.copyto(out, rep)
-                out[rows] = self._layer_rows(
-                    layer, snap, x, rows, in_rows, rep_combined[li], ws
-                )
-                x = out
-                in_rows = rows  # next layer's inputs changed on `rows`
-        if top == len(layers):
-            return zs
-        return model.gnn_forward_window(window.snapshots, zs, ws=ws, start=top)
-
-    def _layer_rows(self, layer, snap, x, rows, in_rows, rep_y, ws) -> np.ndarray:
-        """One GCN layer restricted to ``rows`` (exact under the
-        mean-normalised aggregation, see :meth:`CSRSnapshot.aggregate`).
-
-        ``in_rows`` are the rows whose *input* differs from the
-        representative; only those rows' combine outputs are recomputed —
-        the rest reuse ``rep_y``.  :meth:`_account_changed_gnn` counts
-        the work.
-        """
-        if layer.out_dim < layer.in_dim:
-            y = ws.take_copy("gnn.y", rep_y)
-            y[in_rows] = layer.combine(x[in_rows])
-            return layer.act(snap.aggregate(y, rows=rows))
-        return layer.act(layer.combine(snap.aggregate(x, rows=rows)))
+        n = window.num_vertices
+        zs = []
+        for snap in window:
+            h = snap.features
+            for layer, rows in zip(layers, need):
+                # a shrinking layer combines every row of its input, so
+                # each row's product is the full-height one's
+                h = _spread(layer.forward(snap, h, rows=rows), rows, n)
+            zs.append(h)
+        return zs
 
     def _account_changed_gnn(self, m, window, layer_rows, feature_rows) -> None:
-        """Accounting of the OADL dataflow's later snapshots, whichever
-        kernel computed them: snapshot ``t`` loads the rows whose
-        features churned (``feature_rows[t - 1]``) and computes layer
-        ``l`` on ``layer_rows[l]``, combining afresh only the rows whose
-        input differs from the representative's — the churned rows at
-        the first layer, the layer below's rows after it."""
+        """Accounting of the OADL dataflow's later snapshots, which the
+        host computes with the window's one kernel: snapshot ``t`` loads
+        the rows whose features churned (``feature_rows[t - 1]``) and
+        computes layer ``l`` on ``layer_rows[l]``, combining afresh only
+        the rows whose input differs from the representative's — the
+        churned rows at the first layer, the layer below's rows after
+        it."""
         for snap, in_rows in zip(window.snapshots[1:], feature_rows):
             m.feature_words += len(in_rows) * window.dim  # only churned rows
             inputs = len(in_rows)

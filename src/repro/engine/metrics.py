@@ -36,11 +36,9 @@ class ExecutionMetrics:
 
     The counters count the *configured* dataflow, not the host kernel
     that computed it.  An OADL window is counted as its representative
-    pass plus its changed rows, also when the host ran the full-height
-    window kernel at high churn
-    (:func:`~repro.engine.concurrent.recomputes`).  The accelerator
-    models price cycles from these counters, so a host-side kernel
-    choice must not move them.
+    pass plus its changed rows, although the host runs one GNN kernel
+    per window.  The accelerator models price cycles from these
+    counters, so a host-side kernel must not move them.
     """
 
     # --- off-chip traffic (words) ------------------------------------

@@ -75,20 +75,17 @@ class DGNNModel(abc.ABC):
         xs: list[np.ndarray] | None = None,
         *,
         ws=None,
-        start: int = 0,
     ) -> list[np.ndarray]:
         """GNN module over a window of snapshots at once.
 
         Returns ``[Z^t for each snapshot]``, bit-identical to calling
         :meth:`gnn_forward` per snapshot (see
         :meth:`GCNStack.forward_window` for what is and is not batched,
-        and for the scratch workspace ``ws``).  With ``start`` the
-        layers below it are the caller's, and ``xs`` are layer
-        ``start``'s inputs.
+        and for the scratch workspace ``ws``).
         """
         if xs is None:
             xs = [s.features for s in snaps]
-        return self.gnn.forward_window(snaps, xs, ws=ws, start=start)
+        return self.gnn.forward_window(snaps, xs, ws=ws)
 
     def cell_step(self, z: np.ndarray, state, snap: CSRSnapshot | None = None):
         """RNN module cell update: returns ``(H^t, new_state)``.

@@ -165,15 +165,9 @@ class GCNStack:
         return h
 
     def forward_window(
-        self,
-        snaps: list[CSRSnapshot],
-        xs: list[np.ndarray],
-        *,
-        ws=None,
-        start: int = 0,
+        self, snaps: list[CSRSnapshot], xs: list[np.ndarray], *, ws=None
     ) -> list[np.ndarray]:
-        """Run the layers from ``start`` on over a whole window of
-        snapshots at once; ``xs`` are layer ``start``'s inputs.
+        """Run every layer over a whole window of snapshots at once.
 
         The elementwise activation runs once per layer on the stacked
         ``(K*n, d)`` block — ufuncs are row-independent, so this is
@@ -187,14 +181,12 @@ class GCNStack:
         of the block, and every layer but the last activates in place.
         With ``ws`` (a leased :class:`~repro.engine.workspace.Workspace`)
         those blocks are two of its blocks used in turn, so only the
-        returned last layer is allocated.  Layer ``l`` writes block
-        ``l % 2``, so a caller that computed the layers below ``start``
-        itself hands in block ``(start - 1) % 2``'s rows.
+        returned last layer is allocated.
         """
         K = len(snaps)
         n = len(xs[0])
         hs = list(xs)
-        for li, layer in enumerate(self.layers[start:], start):
+        for li, layer in enumerate(self.layers):
             if any(h.shape[1] != layer.in_dim for h in hs):
                 raise ValueError(
                     f"input width does not match layer in_dim {layer.in_dim}"

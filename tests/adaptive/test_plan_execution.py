@@ -32,7 +32,7 @@ from repro.adaptive import (
     KernelChoice,
     relative_drift,
 )
-from repro.engine.concurrent import RECOMPUTE_SHARE
+from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis import classify_window
 from repro.engine import (
     Carry,

@@ -13,7 +13,7 @@ from repro.adaptive import (
     profile_window,
     relative_drift,
 )
-from repro.engine.concurrent import RECOMPUTE_SHARE
+from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis import classify_window
 from repro.engine import ConcurrentEngine, StreamingInference
 from repro.graphs import load_dataset

@@ -26,6 +26,7 @@ import pytest
 import repro.engine.concurrent as concurrent
 import repro.engine.streaming as streaming
 from repro.adaptive import KernelChoice
+from repro.adaptive.planner import RECOMPUTE_SHARE
 from repro.analysis.classify import classify_window
 from repro.engine import StreamingInference
 from repro.graphs import dataset_spec, generate_dynamic_graph
@@ -53,12 +54,10 @@ def budgets(n, k, d, h, layers):
         "full_update": 12 * block,
         # less than the (K, n, d) stack of the window's features
         "classify_window": 4 * k * n * d,
-        # changed-set path: the K outputs, two per layer on the
-        # representative snapshot, a row-restricted layer's temporaries;
-        # each later snapshot's layer inputs are workspace blocks
+        # the GNN phase: the stacked kernel below, plus the changed-set
+        # accounting's row sets
         "gnn_window": (k + 2 * layers + 3) * block,
-        # recompute path (a batched-spmm plan, or a window at or above
-        # RECOMPUTE_SHARE): the K outputs and one snapshot's
+        # the stacked kernel: the K outputs and one snapshot's
         # aggregation; the stacked blocks of the layers below are
         # workspace blocks
         "forward_window": (k + 5) * block,
@@ -146,14 +145,13 @@ def changed_shares(graph):
 )
 def test_each_window_stays_in_its_budget(churn, kernel, forced_planner):
     graph = _graph(churn)
-    # an unplanned window takes the changed-set path below the share and
-    # the window kernel at or above it
+    # an unplanned window is counted as the changed-set dataflow below
+    # the share; every window runs the stacked kernel
     shares = changed_shares(graph)
     if churn < 1.0:
-        assert max(shares) < concurrent.RECOMPUTE_SHARE, shares
+        assert max(shares) < RECOMPUTE_SHARE, shares
     else:
-        assert min(shares) >= concurrent.RECOMPUTE_SHARE, shares
-    recompute = kernel is not None or churn >= 1.0
+        assert min(shares) >= RECOMPUTE_SHARE, shares
     model = make_model(MODEL, D, H, seed=3)
     stream = StreamingInference(
         model,
@@ -174,8 +172,6 @@ def test_each_window_stays_in_its_budget(churn, kernel, forced_planner):
     # moved it by over a kilobyte, depending on what ran before)
     assert max(windows) - min(windows) < block / 100, windows
     bounds = budgets(N, K, D, H, len(model.gnn.layers))
-    stages = ["window", "full_update", "classify_window"]
-    stages.append("forward_window" if recompute else "gnn_window")
-    for name in stages:
+    for name in bounds:
         worst = max(m[name] for m in later)
         assert worst <= bounds[name], (name, worst / block, bounds[name] / block)

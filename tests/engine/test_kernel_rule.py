@@ -1,16 +1,14 @@
-"""The kernel rule: the host's GNN kernel follows each layer's changed
-share.
+"""The kernel rule: one GNN kernel per window, and the OADL dataflow in
+the counters.
 
-A later snapshot recomputes layer ``l`` on the stable and affected rows
-grown ``l`` hops, so the share only grows with depth.  A whole-graph
-window (``Carry.computed_rows`` None) runs the representative pass plus
-``_layer_rows`` below ``top``, the first layer whose share reaches
-``RECOMPUTE_SHARE``, and the stacked window kernel,
-``DGNNModel.gnn_forward_window(..., start=top)``, from ``top`` on; every
-layer of an owned-row window takes ``_layer_rows``.  Either way the
-outputs are the exact engine's, and the counters count the configured
-OADL dataflow: the per-row formulas the changed-rows path once applied
-inline are frozen here as the oracle.
+A whole-graph window (``Carry.computed_rows`` None) makes exactly one
+``DGNNModel.gnn_forward_window`` call, whatever its changed share or
+length.  An owned-row window computes each snapshot layer by layer with
+``GCNLayer.forward(snap, h, rows=need[l])``, ``need`` the rows each
+layer must produce for the owned ones.  Either way the outputs are the
+exact engine's, and the counters count the configured OADL dataflow:
+the per-row formulas the changed-rows path once applied inline are
+frozen here as the oracle.
 """
 
 from collections import Counter
@@ -21,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from repro.adaptive import ExecutionPlan, KernelChoice
+from repro.adaptive.planner import RECOMPUTE_SHARE, recomputes
 from repro.analysis.classify import classify_window
 from repro.engine import (
     Carry,
@@ -29,10 +29,10 @@ from repro.engine import (
     ReferenceEngine,
     StreamingInference,
 )
-from repro.engine.concurrent import RECOMPUTE_SHARE
 from repro.graphs import DynamicGraph, dataset_spec, generate_dynamic_graph
-from repro.models import MODEL_ZOO, DGNNModel, make_model
+from repro.models import MODEL_ZOO, DGNNModel, GCNLayer, make_model
 from repro.serving import ShardCluster
+from repro.skipping import SkipThresholds
 
 from .test_window_work import masks_over_union
 
@@ -40,17 +40,14 @@ SEED, K = 3, 4
 #: 9 snapshots: two full windows and a one-snapshot one
 SNAPSHOTS = 9
 #: churn scale and vertex turnover per graph; "low" and "trickle" stay
-#: below the share at the first layer, the others reach it (the turnover
-#: graph is batch-sim's input)
+#: below the planner's recompute share, the others reach it (the
+#: turnover graph is batch-sim's input)
 GRAPHS = {
     "low": (0.25, False),
     "trickle": (0.004, False),
     "high": (3.0, False),
     "turnover": (1.0, True),
 }
-#: per graph, the first of three layers at or above the share in each
-#: full window: "low" reaches it at layer 2, "trickle" at layer 2 or 3
-TOPS = {"low": {1}, "trickle": {1, 2}, "high": {0}, "turnover": {0}}
 #: every zoo model with a shrinking first layer, and one growing one
 MODELS = [(name, 16) for name in sorted(MODEL_ZOO)] + [("CD-GCN", 64)]
 
@@ -80,73 +77,48 @@ def _share(window):
     return np.count_nonzero(classify_window(window).labels) / window.num_vertices
 
 
-def _top(window, layers):
-    """The first of ``layers`` layers whose changed share reaches the
-    rule (``layers`` if none does), from the union-adjacency oracle."""
-    changed = classify_window(window).labels != 0
-    masks = masks_over_union(window, changed, layers)
-    shares = [np.count_nonzero(mask) / window.num_vertices for mask in masks]
-    return next(
-        (l for l, share in enumerate(shares) if share >= RECOMPUTE_SHARE),
-        layers,
-    )
-
-
-def _want(window, layers) -> Counter:
-    """The kernel calls of one window: K - 1 ``_layer_rows`` calls at
-    each layer below its top, then one stacked call from the top."""
-    if len(window) == 1:  # the representative pass is the whole window
-        return Counter()
-    top = _top(window, layers)
-    want = Counter({("rows", l): len(window) - 1 for l in range(top)})
-    if top < layers:
-        want["stacked", top] = 1
-    return want
+def _need(window, owned, layers):
+    """Per layer, the rows an owned-row window computes: the owned rows
+    at the last layer, each layer below grown one hop over the union of
+    the window's edges (the rows the layer above reads)."""
+    mask = np.zeros(window.num_vertices, dtype=bool)
+    mask[owned] = True
+    return [np.flatnonzero(m) for m in masks_over_union(window, mask, layers)][::-1]
 
 
 @contextmanager
-def kernel_calls(engine):
-    """Counts of the window kernel's and ``_layer_rows``' calls."""
-    calls = Counter()
-
-    def spy(key, fn):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    with pytest.MonkeyPatch.context() as mp:
-        model = engine.model
-        mp.setattr(
-            model, "gnn_forward_window", spy("window", model.gnn_forward_window)
-        )
-        mp.setattr(engine, "_layer_rows", spy("rows", engine._layer_rows))
-        yield calls
-
-
-@contextmanager
-def layer_kernels():
-    """Counts of ``_layer_rows`` calls per layer, ``("rows", l)``, and of
-    stacked-kernel calls per starting layer, ``("stacked", start)``, of
-    every engine and model in the process."""
-    calls = Counter()
-    layer_rows = ConcurrentEngine._layer_rows
+def kernel_calls():
+    """The GNN kernel calls of every engine and model in the process:
+    ``calls["window"]`` counts ``gnn_forward_window`` calls, and
+    ``calls["layer"]`` lists ``(layer, rows)`` per ``GCNLayer.forward``
+    call."""
+    calls = {"window": 0, "layer": []}
     forward_window = DGNNModel.gnn_forward_window
-
-    def rows(self, layer, *args, **kwargs):
-        at = [l for l, it in enumerate(self.model.gnn.layers) if it is layer]
-        calls["rows", *at] += 1
-        return layer_rows(self, layer, *args, **kwargs)
+    forward = GCNLayer.forward
 
     def stacked(self, *args, **kwargs):
-        calls["stacked", kwargs.get("start", 0)] += 1
+        calls["window"] += 1
         return forward_window(self, *args, **kwargs)
 
+    def layer(self, snap, x, rows=None):
+        calls["layer"].append((self, rows))
+        return forward(self, snap, x, rows=rows)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConcurrentEngine, "_layer_rows", rows)
         mp.setattr(DGNNModel, "gnn_forward_window", stacked)
+        mp.setattr(GCNLayer, "forward", layer)
         yield calls
+
+
+def _assert_owned_calls(calls, layers, window, owned):
+    """Every snapshot ran each layer once, on ``need[l]``."""
+    need = _need(window, owned, len(layers))
+    assert calls["window"] == 0
+    assert len(calls["layer"]) == len(window) * len(layers)
+    for i, (layer, rows) in enumerate(calls["layer"]):
+        l = i % len(layers)
+        assert layer is layers[l]
+        np.testing.assert_array_equal(rows, need[l])
 
 
 def _full_counts(model, snap) -> Counter:
@@ -195,41 +167,47 @@ def _changed_counts(model, window) -> Counter:
 class TestTheRule:
     def test_the_graphs_sit_on_both_sides_of_the_share(self):
         for which in GRAPHS:
-            windows = [w for w in _windows(_graph(which)) if len(w) == K]
-            shares = [_share(w) for w in windows]
+            shares = [
+                _share(w) for w in _windows(_graph(which)) if len(w) == K
+            ]
             if which in ("low", "trickle"):
                 assert max(shares) < RECOMPUTE_SHARE, shares
             else:
                 assert min(shares) >= RECOMPUTE_SHARE, shares
-            assert {_top(w, 3) for w in windows} == TOPS[which]
 
     @pytest.mark.parametrize("which", sorted(GRAPHS))
     @pytest.mark.parametrize("name, hidden", MODELS)
     def test_the_share_picks_the_kernel(self, which, name, hidden):
-        """Each layer's share picks its kernel: the row path below the
-        top, the stacked kernel from it on — and a multi-layer model
-        below the rule at layer 1 runs a mixed window."""
+        """The share picks the kernel a plan counts (``recomputes``).
+        Whichever it picks, and unplanned, a whole-graph window is one
+        stacked kernel call and no per-layer call, with the same bits;
+        the trailing one-snapshot window too."""
         graph = _graph(which)
         engine = ConcurrentEngine(_model(graph, name, hidden), window_size=K)
-        carry, m = Carry(window_size=K), ExecutionMetrics()
-        layers = len(engine.model.gnn.layers)
-        tops = set()
+        carry = Carry(window_size=K)
         for window in _windows(graph):
             cls = classify_window(window)
-            with layer_kernels() as calls:
-                carry, _ = engine.step(carry, window, cls, None, m)
-            assert calls == _want(window, layers)
-            if len(window) == K:
-                tops.add(_top(window, layers))
-        # "low" is mixed for every multi-layer model: layer 1 on the row
-        # path, the rest stacked
-        assert tops == {min(top, layers) for top in TOPS[which]}
+            kernel = (
+                KernelChoice.BATCHED_SPMM
+                if recomputes(_share(window))
+                else KernelChoice.DELTA_CONDENSED
+            )
+            outputs = []
+            for plan in (None, ExecutionPlan(kernel, SkipThresholds())):
+                with kernel_calls() as calls:
+                    successor, outs = engine.step(
+                        carry.copy(), window, cls, plan, ExecutionMetrics()
+                    )
+                assert calls == {"window": 1, "layer": []}
+                outputs.append([o.tobytes() for o in outs])
+            assert outputs[0] == outputs[1]
+            carry = successor
 
     @pytest.mark.parametrize("name", ["CD-GCN", "GC-LSTM"])
     @pytest.mark.parametrize("tail", [1, 2])
     def test_a_flushed_window_takes_the_rule(self, name, tail):
         """StreamingInference's trailing window of ``tail`` snapshots
-        goes through the rule and is exact."""
+        is one stacked kernel call and is exact."""
         graph = _graph("low")
         head = graph.snapshots[: K + tail]
         stream = StreamingInference(
@@ -241,13 +219,9 @@ class TestTheRule:
             if result is not None:
                 outputs.extend(result.outputs)
         assert stream.pending == tail
-        window = DynamicGraph(head[K:])
-        with layer_kernels() as calls:
+        with kernel_calls() as calls:
             outputs.extend(stream.flush().outputs)
-        layers = len(stream.model.gnn.layers)
-        assert calls == _want(window, layers)
-        if tail == 2:  # layer 1 below the rule, layer 2 above it
-            assert _top(window, layers) == 1
+        assert calls == {"window": 1, "layer": []}
         ref = ReferenceEngine(_model(graph, name, 16), window_size=K)
         want = ref.run(DynamicGraph(head)).outputs
         assert [o.tobytes() for o in outputs] == [o.tobytes() for o in want]
@@ -256,8 +230,9 @@ class TestTheRule:
     @pytest.mark.parametrize("tail", [1, 2])
     def test_a_cluster_flush_takes_the_rule(self, name, tail):
         """ShardCluster's trailing window: a GC-LSTM shard computes every
-        row (its cell reads its neighbours), so it takes the rule; a
-        CD-GCN shard computes its owned rows on the row path."""
+        row (its cell reads its neighbours), so it makes one stacked
+        call; a CD-GCN shard computes the rows its owned ones need,
+        layer by layer."""
         graph = _graph("low")
         head = graph.snapshots[: K + tail]
         shards = 2
@@ -271,38 +246,43 @@ class TestTheRule:
         for snap in head:
             cluster.push("t", snap)
         cluster.drain_backlogs()
-        with layer_kernels() as calls:
+        with kernel_calls() as calls:
             cluster.flush("t")
         model = _model(graph, name, 16)
-        layers = len(model.gnn.layers)
         if model.cell_reads_neighbours:
-            want = _want(DynamicGraph(head[K:]), layers)
+            assert calls == {"window": shards, "layer": []}
         else:
-            want = Counter({("rows", l): tail - 1 for l in range(layers)})
-        assert calls == Counter({key: shards * c for key, c in want.items()})
+            # the shards flush in turn, each a snapshot's layers at a time
+            window = DynamicGraph(head[K:])
+            each = tail * len(model.gnn.layers)
+            assert len(calls["layer"]) == shards * each
+            for i, worker in enumerate(cluster.workers):
+                mine = calls["layer"][i * each : (i + 1) * each]
+                layers = worker.streams["t"].model.gnn.layers
+                _assert_owned_calls(
+                    {"window": calls["window"], "layer": mine},
+                    layers, window, worker.rows,
+                )
         ref = ReferenceEngine(model, window_size=K).run(DynamicGraph(head))
         assert [o.tobytes() for o in cluster.released("t")] == [
             o.tobytes() for o in ref.outputs
         ]
 
     @pytest.mark.parametrize("name", ["T-GCN", "CD-GCN"])
-    def test_an_owned_row_window_stays_on_the_changed_rows(self, name):
+    def test_an_owned_window_computes_the_rows_it_needs(self, name):
         graph = _graph("high")
         n = graph.num_vertices
         whole = ConcurrentEngine(_model(graph, name, 16), window_size=K).run(graph)
         engine = ConcurrentEngine(_model(graph, name, 16), window_size=K)
         rows = np.arange(0, n, 2)
         carry, m = Carry(window_size=K, rows=rows), ExecutionMetrics()
-        layers = len(engine.model.gnn.layers)
         outputs = []
         for window in _windows(graph):
-            assert len(window) == 1 or _share(window) > 0.99
-            with kernel_calls(engine) as calls:
+            with kernel_calls() as calls:
                 carry, outs = engine.step(
                     carry, window, classify_window(window), None, m
                 )
-            want = (len(window) - 1) * layers
-            assert calls == ({"rows": want} if want else {})
+            _assert_owned_calls(calls, engine.model.gnn.layers, window, rows)
             outputs.extend(outs)
         for got, full in zip(outputs, whole.outputs):
             assert got[rows].tobytes() == full[rows].tobytes()

@@ -61,10 +61,10 @@ def _alloc_combine(layer, x):
     return _alloc_matmul_rows(x, layer.weight) + layer.bias
 
 
-def _alloc_forward_window(self, snaps, xs, *, ws=None, start=0):
+def _alloc_forward_window(self, snaps, xs, *, ws=None):
     K = len(snaps)
     hs = list(xs)
-    for layer in self.layers[start:]:
+    for layer in self.layers:
         if layer.out_dim < layer.in_dim:
             outs = [s.aggregate(_alloc_combine(layer, h)) for s, h in zip(snaps, hs)]
         else:

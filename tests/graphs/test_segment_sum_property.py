@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import WORKSPACE, ConcurrentEngine, ReferenceEngine
+from repro.engine import ConcurrentEngine, ReferenceEngine
 from repro.graphs import CSRSnapshot, DynamicGraph
 from repro.graphs.snapshot import build_csr, segment_sum
 from repro.models import make_model
@@ -248,26 +248,18 @@ class TestAggregateKernels:
     @given(seed=st.integers(0, 10_000), shrink=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_layer_rows_equal_rows_of_full_aggregate(self, seed, shrink):
-        """The engine's row-restricted layer == the same rows of the
-        full one."""
+        """A GCN layer restricted to ``rows`` == the same rows of the
+        full layer: the call an owned-row window makes per layer."""
         snap = hub_snapshot(seed)
         rng = np.random.default_rng(seed + 1)
         layer = GCNLayer.create(snap.dim, 3 if shrink else 7, seed=seed)
+        assert (layer.out_dim < layer.in_dim) == shrink
         mask = rng.random(snap.num_vertices) < 0.5
         mask[0] = True  # always include the big hub
         rows = np.flatnonzero(mask)
-        engine = ConcurrentEngine(make_model("T-GCN", snap.dim, 4))
         x = snap.features
-        with WORKSPACE.lease() as ws:
-            got = engine._layer_rows(
-                layer, snap, x, rows,
-                np.arange(snap.num_vertices), layer.combine(x), ws,
-            )
-        if shrink:
-            want = layer.act(snap.aggregate(layer.combine(x))[rows])
-        else:
-            want = layer.act(layer.combine(snap.aggregate(x)[rows]))
-        assert_same_bytes(got, want)
+        got = layer.forward(snap, x, rows=rows)
+        assert_same_bytes(got, layer.forward(snap, x)[rows])
 
 
 class TestEngineOnHubHeavyGraph:

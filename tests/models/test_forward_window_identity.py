@@ -12,7 +12,6 @@ as window-size-dependent results.
 import numpy as np
 import pytest
 
-from repro.engine import Workspace
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.models.zoo import MODEL_ZOO
@@ -38,47 +37,6 @@ def test_forward_window_matches_per_snapshot(graph, model_name, window):
         assert z.dtype == expected.dtype
         assert z.shape == expected.shape
         np.testing.assert_array_equal(z, expected)
-
-
-#: every zoo model's layers the stacked kernel may start from: the
-#: engine runs the layers below on the row path
-STARTS = [
-    (name, start)
-    for name in sorted(MODEL_ZOO)
-    for start in range(1, len(make_model(name, 4, 4).gnn.layers))
-]
-
-
-@pytest.mark.parametrize("model_name, start", STARTS)
-@pytest.mark.parametrize("window", [2, 4])
-@pytest.mark.parametrize("leased", [False, True])
-def test_forward_window_from_a_start_layer(graph, model_name, start, window, leased):
-    """Given layer ``start``'s per-snapshot inputs, the stacked layers
-    from ``start`` on are the chain of per-snapshot ``GCNLayer.forward``
-    calls, and the inputs are left as they were."""
-    model = make_model(model_name, graph.dim, HIDDEN, seed=SEED)
-    layers = model.gnn.layers
-    snaps = graph.snapshots[:window]
-    xs = []
-    for snap in snaps:
-        h = snap.features
-        for layer in layers[:start]:
-            h = layer.forward(snap, h)
-        xs.append(h)
-    kept = [x.copy() for x in xs]
-    if leased:
-        with Workspace().lease() as ws:
-            got = model.gnn_forward_window(snaps, xs, ws=ws, start=start)
-    else:
-        got = model.gnn_forward_window(snaps, xs, start=start)
-    assert len(got) == window
-    for snap, x, z in zip(snaps, kept, got):
-        for layer in layers[start:]:
-            x = layer.forward(snap, x)
-        assert z.dtype == x.dtype
-        np.testing.assert_array_equal(z, x)
-    for x, k in zip(xs, kept):
-        assert x.tobytes() == k.tobytes()
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_ZOO))
