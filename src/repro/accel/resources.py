@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..models.base import DGNNModel
 from ..models.rnn import GRUCell
-from ..models.zoo import GraphLSTMCell
 from .config import TaGNNConfig
 
 __all__ = ["XCU280", "FPGAResources", "estimate_resources"]
@@ -59,7 +58,7 @@ class FPGAResources:
 
 
 def _cell_kind(model: DGNNModel) -> str:
-    if isinstance(model.cell, GraphLSTMCell):
+    if model.cell_reads_neighbours:
         return "graph-lstm"
     if isinstance(model.cell, GRUCell):
         return "gru"

@@ -1,8 +1,8 @@
 """The planner's output: one :class:`ExecutionPlan` per window.
 
-A plan holds exactly what :meth:`ConcurrentEngine.step
-<repro.engine.concurrent.ConcurrentEngine.step>` executes — the
-propagation kernel and the skip thresholds — plus its audit trail: the
+A plan holds what :meth:`ConcurrentEngine.step
+<repro.engine.concurrent.ConcurrentEngine.step>` reads — the kernel
+its counters count and the skip thresholds — plus its audit trail: the
 cost model's prediction for every kernel candidate and human-readable
 reasons.  The engines execute plans; they never decide.
 """
@@ -18,15 +18,14 @@ __all__ = ["ExecutionPlan", "KernelChoice"]
 
 
 class KernelChoice(str, enum.Enum):
-    """Propagation kernel alternatives — bit-identical by construction
-    (same additions, same order; see tests/adaptive)."""
+    """The GNN dataflow a window's counters count.  The host runs one
+    GNN kernel whichever is chosen, so the choice moves only what is
+    counted, never an output bit."""
 
-    #: OADL changed-set propagation: snapshot 0 computed once as the
-    #: representative, later snapshots recompute only the per-layer
-    #: changed sets (wins when the window is mostly unaffected).
+    #: OADL changed-set propagation: counted as snapshot 0 in full and,
+    #: at each later snapshot, the per-layer changed rows.
     DELTA_CONDENSED = "delta-condensed"
-    #: Full per-snapshot recompute (wins when churn is high and masking
-    #: overhead is wasted work).
+    #: Every snapshot counted in full (ablation WO/OADL).
     BATCHED_SPMM = "batched-spmm"
 
 

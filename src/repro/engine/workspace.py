@@ -73,12 +73,6 @@ class Workspace:
             block = self._blocks[name] = np.empty(nbytes, dtype=np.uint8)
         return block[:nbytes].view(dtype).reshape(shape)
 
-    def take_copy(self, name: str, a: np.ndarray) -> np.ndarray:
-        """``a.copy()`` written into block ``name``."""
-        out = self.take(name, a.shape, a.dtype)
-        np.copyto(out, a)
-        return out
-
     def blocks(self) -> list[np.ndarray]:
         """The blocks held now (their views alias them)."""
         return list(self._blocks.values())

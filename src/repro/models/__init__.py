@@ -30,7 +30,7 @@ from .rnn import (
     LSTMState,
     RecurrentCell,
 )
-from .zoo import CDGCN, GCLSTM, GCRN, MODEL_ZOO, TGCN, EvolveGCN, GraphLSTMCell, make_model
+from .zoo import CDGCN, GCLSTM, GCRN, MODEL_ZOO, TGCN, EvolveGCN, make_model
 
 __all__ = [
     "ACTIVATIONS",
@@ -67,7 +67,6 @@ __all__ = [
     "GCRN",
     "GCLSTM",
     "TGCN",
-    "GraphLSTMCell",
     "MODEL_ZOO",
     "make_model",
 ]

@@ -14,10 +14,9 @@ import abc
 
 import numpy as np
 
-from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import CSRSnapshot
-from .layers import GCNStack
-from .rnn import RecurrentCell
+from .layers import GCNStack, _matmul_rows
+from .rnn import IdentityCell, RecurrentCell
 
 __all__ = ["DGNNModel"]
 
@@ -87,13 +86,21 @@ class DGNNModel(abc.ABC):
             xs = [s.features for s in snaps]
         return self.gnn.forward_window(snaps, xs, ws=ws)
 
-    def cell_step(self, z: np.ndarray, state, snap: CSRSnapshot | None = None):
-        """RNN module cell update: returns ``(H^t, new_state)``.
+    def cell_step(self, z: np.ndarray, state, snap: CSRSnapshot):
+        """RNN module cell update of every row: returns
+        ``(H^t, new_state)``.
 
-        ``snap`` is consulted only by graph-aware cells (GC-LSTM); plain
-        cells ignore it.
+        The recurrent product multiplies :meth:`recurrent_drive`: the
+        hidden state for plain cells, its convolution over ``snap`` for
+        a graph-aware cell (GC-LSTM).
         """
-        return self.cell.step(z, state)
+        cell = self.cell
+        if isinstance(cell, IdentityCell):
+            return cell.step(z, state)
+        drive = self.recurrent_drive(state, snap)
+        return cell.step_pre(
+            _matmul_rows(z, cell.w_x), _matmul_rows(drive, cell.w_h), state
+        )
 
     def init_state(self, num_vertices: int):
         return self.cell.init_state(num_vertices)
@@ -103,7 +110,7 @@ class DGNNModel(abc.ABC):
         z: np.ndarray,
         state,
         rows: np.ndarray,
-        snap: CSRSnapshot | None = None,
+        snap: CSRSnapshot,
         drive: np.ndarray | None = None,
         pre: tuple[np.ndarray, np.ndarray] | None = None,
     ):
@@ -111,48 +118,35 @@ class DGNNModel(abc.ABC):
 
         Returns ``(h_rows, state_rows)`` covering only ``rows`` — the
         engines splice them into the global state.  ``z``/``state`` are
-        full-size.  Graph-aware cells override this (they need the whole
-        state for the recurrent convolution) and take ``drive``, the
-        caller's already-computed ``recurrent_drive(state, snap, rows)``,
-        instead of convolving a second time; plain cells ignore it.
+        full-size.  ``drive`` is the caller's already-computed
+        ``recurrent_drive(state, snap, rows)`` (None = computed here),
+        so a graph-aware cell does not convolve a second time.
         ``pre`` is the caller's already-multiplied
         ``(z[rows] @ w_x, drive @ w_h)`` — what
         :meth:`DeltaCellCache.refresh` just stored — so a FULL update
         that feeds the delta cache multiplies once; the cell uses the
         first block as scratch (:meth:`RecurrentCell.step_pre`).
         """
+        cell = self.cell
         sub = state.take(rows)
+        if isinstance(cell, IdentityCell):
+            return cell.step(z[rows], sub)
         if pre is None:
-            return self.cell.step(z[rows], sub)
-        return self.cell.step_pre(*pre, sub)
+            if drive is None:
+                drive = self.recurrent_drive(state, snap, rows)
+            pre = _matmul_rows(z[rows], cell.w_x), _matmul_rows(drive, cell.w_h)
+        return cell.step_pre(*pre, sub)
 
     def recurrent_drive(
         self,
         state,
-        snap: CSRSnapshot | None = None,
+        snap: CSRSnapshot,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """The tensor actually multiplied by ``w_h`` in the cell — plain
         ``state.h`` for standard cells; graph-aware cells override.
         With ``rows`` (vertex ids) only those rows of it."""
         return state.h if rows is None else state.h[rows]
-
-    # ------------------------------------------------------------------
-    def forward_window(self, window: DynamicGraph, state=None):
-        """Exact snapshot-by-snapshot inference over a window.
-
-        Returns ``(outputs, final_state)`` where ``outputs[t]`` is
-        :math:`H^t` for every vertex.  This is the semantic ground truth
-        the approximate engines are compared against.
-        """
-        if state is None:
-            state = self.init_state(window.num_vertices)
-        outputs: list[np.ndarray] = []
-        for snap in window:
-            z = self.gnn_forward(snap)
-            h, state = self.cell_step(z, state, snap)
-            outputs.append(h)
-        return outputs, state
 
     # ------------------------------------------------------------------
     def gnn_flops(self, num_vertices: int, num_edges: int) -> int:

@@ -20,8 +20,8 @@ import numpy as np
 
 from ..graphs.snapshot import CSRSnapshot
 from .base import DGNNModel
-from .layers import GCNStack, _matmul_rows, glorot
-from .rnn import ElmanCell, GRUCell, IdentityCell, LSTMCell, LSTMState
+from .layers import GCNStack, glorot
+from .rnn import ElmanCell, GRUCell, IdentityCell, LSTMCell
 
 __all__ = [
     "CDGCN",
@@ -29,7 +29,6 @@ __all__ = [
     "GCLSTM",
     "TGCN",
     "EvolveGCN",
-    "GraphLSTMCell",
     "MODEL_ZOO",
     "make_model",
 ]
@@ -46,19 +45,6 @@ class CDGCN(DGNNModel):
         super().__init__(gnn, cell)
 
 
-class GraphLSTMCell(LSTMCell):
-    """LSTM whose recurrent term convolves the hidden state over the
-    current snapshot's adjacency (the "GC" in GC-LSTM)."""
-
-    def step_on_graph(
-        self, x: np.ndarray, state: LSTMState, snap: CSRSnapshot
-    ) -> tuple[np.ndarray, LSTMState]:
-        h_conv = snap.aggregate(state.h)
-        return self.step_pre(
-            _matmul_rows(x, self.w_x), _matmul_rows(h_conv, self.w_h), state
-        )
-
-
 class GCLSTM(DGNNModel):
     """GC-LSTM: 2 GCN layers + graph-convolutional LSTM (three layers)."""
 
@@ -67,33 +53,12 @@ class GCLSTM(DGNNModel):
 
     def __init__(self, in_dim: int, hidden_dim: int = 32, *, seed: int = 0):
         gnn = GCNStack([in_dim, hidden_dim, hidden_dim], seed=seed)
-        cell = GraphLSTMCell(hidden_dim, hidden_dim, seed=seed + 100)
+        cell = LSTMCell(hidden_dim, hidden_dim, seed=seed + 100)
         super().__init__(gnn, cell)
 
-    def cell_step(self, z, state, snap: CSRSnapshot | None = None):
-        if snap is None:
-            # graph-free fallback (used by approximation baselines that
-            # cannot express the recurrent convolution)
-            return self.cell.step(z, state)
-        return self.cell.step_on_graph(z, state, snap)  # type: ignore[attr-defined]
-
-    def cell_step_rows(
-        self, z, state, rows, snap: CSRSnapshot | None = None, drive=None, pre=None
-    ):
-        """Row-restricted GC-LSTM update: the recurrent convolution reads
-        the full hidden state, but only for ``rows``' neighbourhoods."""
-        if snap is None:
-            return super().cell_step_rows(z, state, rows)
-        cell = self.cell
-        if pre is None:
-            if drive is None:
-                drive = self.recurrent_drive(state, snap, rows)
-            pre = _matmul_rows(z[rows], cell.w_x), _matmul_rows(drive, cell.w_h)
-        return cell.step_pre(*pre, state.take(rows))
-
-    def recurrent_drive(self, state, snap: CSRSnapshot | None = None, rows=None):
-        if snap is None:
-            return super().recurrent_drive(state, None, rows)
+    def recurrent_drive(self, state, snap: CSRSnapshot, rows=None):
+        """The hidden state convolved over ``snap``'s adjacency: the
+        cell's recurrent operand (the "GC" in GC-LSTM)."""
         return snap.aggregate(state.h, rows=rows)
 
 

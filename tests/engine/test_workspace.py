@@ -10,9 +10,10 @@ when three things hold, and these tests pin them:
   the delta cache's ``zx`` / ``zh`` / ``z_input``;
 * a lease is never nested, and an exception inside ``step`` gives it
   back;
-* the outputs are the allocating code's, bit for bit.  The oracle is
-  that code, kept below and patched in: the kernels that now write with
-  ``out=`` allocate again, and every block taken is a fresh array.
+* the outputs are the skipping oracle's (``oracle.py``), or with
+  skipping off the reference engine's, and after a window degraded to
+  the reference engine they are those of a run whose every block taken
+  is a fresh array.
 """
 
 from contextlib import contextmanager
@@ -24,67 +25,38 @@ from hypothesis import strategies as st
 
 from repro.adaptive import AdaptivePlanner, KernelChoice
 from repro.analysis.classify import _feature_pairs
-from repro.engine import WORKSPACE, ConcurrentEngine, StreamingInference, Workspace
+from repro.engine import (
+    WORKSPACE,
+    ConcurrentEngine,
+    ReferenceEngine,
+    StreamingInference,
+    Workspace,
+)
 from repro.models import MODEL_ZOO, make_model
 from repro.models.activations import ACTIVATIONS
-from repro.models.layers import GCNLayer, GCNStack, _matmul_rows
+from repro.models.layers import GCNLayer, _matmul_rows
 from repro.resilience import ResilientStreamingInference
-from repro.skipping.delta import DeltaCellCache
 from repro.skipping.policy import SkipThresholds
 
-from .test_owned_rows import owner_map
+from . import oracle
+from .test_owned_rows import owner_map, released
 from .test_window_work import random_window
 
 SNAPSHOTS = 7  # windows of 3 and 4 leave a trailing partial window
 
 
-# ----------------------------------------------------------------------
-# the oracle: the allocating code the workspace replaced
-# ----------------------------------------------------------------------
 def _alloc_matmul_rows(a, w):
     if len(a) == 1:
         return (np.concatenate([a, a]) @ w)[:1]
     return a @ w
 
 
-def _alloc_refresh(self, rows, x, drive, out=None):
-    x_rows = x[rows]
-    zx = _alloc_matmul_rows(x_rows, self.cell.w_x)
-    zh = _alloc_matmul_rows(drive, self.cell.w_h)
-    self.zx[rows] = zx
-    self.zh[rows] = zh
-    self.z_input[rows] = x_rows
-    return zx, zh
-
-
 def _alloc_combine(layer, x):
     return _alloc_matmul_rows(x, layer.weight) + layer.bias
 
 
-def _alloc_forward_window(self, snaps, xs, *, ws=None):
-    K = len(snaps)
-    hs = list(xs)
-    for layer in self.layers:
-        if layer.out_dim < layer.in_dim:
-            outs = [s.aggregate(_alloc_combine(layer, h)) for s, h in zip(snaps, hs)]
-        else:
-            outs = [_alloc_combine(layer, s.aggregate(h)) for s, h in zip(snaps, hs)]
-        hs = np.split(layer.act(np.concatenate(outs, axis=0)), K)
-    return [np.ascontiguousarray(h) for h in hs]
-
-
 def _fresh_take(self, name, shape, dtype=np.float32):
     return np.empty(shape, dtype)
-
-
-@contextmanager
-def allocating():
-    """Run the engine on the allocating code: no block is ever reused."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DeltaCellCache, "refresh", _alloc_refresh)
-        mp.setattr(GCNStack, "forward_window", _alloc_forward_window)
-        mp.setattr(Workspace, "take", _fresh_take)
-        yield
 
 
 # ----------------------------------------------------------------------
@@ -148,18 +120,6 @@ def make_planner(kind, forced_planner):
     return forced_planner(KernelChoice(kind))
 
 
-def released(stream, graph):
-    outs = []
-    for snap in graph:
-        result = stream.push(snap.copy())
-        if result is not None:
-            outs.extend(result.outputs)
-    result = stream.flush()
-    if result is not None:
-        outs.extend(result.outputs)
-    return outs
-
-
 def play(graph, make, owner, shards, **kwargs):
     """One stream per shard (``shards == 0``: one stream owning no rows
     in particular); every stream's released outputs and final carry."""
@@ -189,35 +149,44 @@ class TestNothingEscapes:
         shards=st.sampled_from([0, 1, 4]),
         window=st.sampled_from([1, 3, 4]),
         planner=st.sampled_from(PLANNERS),
-        hidden=st.sampled_from([2, 8]),  # 2 < dim: the first layer shrinks
+        hidden=st.sampled_from([8, 16]),  # 8 < dim: the first layer shrinks
     )
     @settings(max_examples=80, deadline=None)
-    def test_outputs_are_the_allocating_codes_and_alias_no_block(
+    def test_outputs_are_the_oracles_and_alias_no_block(
         self, forced_planner, seed, model_name, skipping, shards, window,
         planner, hidden,
     ):
-        graph = random_window(seed, 24, SNAPSHOTS)
+        graph = random_window(seed, 24, SNAPSHOTS, dim=12)
         owner = owner_map(seed, graph.num_vertices, max(shards, 1))
 
-        def run():
-            return play(
+        def make():
+            return make_model(model_name, graph.dim, hidden, seed=seed)
+
+        with checked_steps() as windows:
+            played = play(
                 graph,
-                lambda: make_model(model_name, graph.dim, hidden, seed=seed),
+                make,
                 owner,
                 shards,
                 window_size=window,
                 enable_skipping=skipping,
                 planner=make_planner(planner, forced_planner),
             )
-
-        with checked_steps() as windows:
-            got = run()
         probes = 2 if planner == "probe" else 1
         streams = max(shards, 1)
         assert windows[0] == streams * probes * -(-SNAPSHOTS // window)
-        with allocating():
-            want = run()
-        assert_same_play(got, want)
+        if skipping:
+            thresholds = (-0.2, 0.2) if planner == "probe" else (-0.5, 0.5)
+            want, _ = oracle.run(
+                make(), graph, window_size=window, thresholds=thresholds
+            )
+        else:
+            want = ReferenceEngine(make(), window_size=window).run(graph).outputs
+        for shard, (outs, _) in enumerate(played):
+            rows = slice(None) if shards == 0 else owner == shard
+            assert [o[rows].tobytes() for o in outs] == [
+                o[rows].tobytes() for o in want
+            ]
 
 
 class TestLease:
@@ -267,7 +236,8 @@ class TestLease:
     def test_a_window_degraded_to_the_reference_engine(self, model_name):
         """A fault inside the second window's body: the supervisor
         degrades it to ``ReferenceEngine``, and the windows after it
-        run on the workspace again, with the allocating code's bits."""
+        run on the workspace again, with the bits of a run whose every
+        block taken is a fresh array."""
         graph = random_window(11, 24, 12)
         real = ConcurrentEngine._rnn_step
         calls = [0]
@@ -292,7 +262,8 @@ class TestLease:
         with checked_steps() as windows:
             got = run()
         assert windows[0] == 2  # the first and the third; the second raised
-        with allocating():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Workspace, "take", _fresh_take)
             want = run()
         assert_same_play(got, want)
 

@@ -1,9 +1,10 @@
 """Tests for DGNNModel base methods: row-restricted cell updates,
-recurrent drives, and stateful window chaining."""
+recurrent drives, and the state handed across windows."""
 
 import numpy as np
 import pytest
 
+from repro.engine import ReferenceEngine
 from repro.graphs import load_dataset
 from repro.models import make_model
 from repro.skipping import DeltaCellCache
@@ -42,17 +43,6 @@ class TestCellStepRows:
         rows = np.array([3, 17, 250, 800])
         h_rows, _ = model.cell_step_rows(z1, state, rows, graph[1])
         np.testing.assert_allclose(h_rows, h_full[rows], rtol=1e-5, atol=1e-6)
-
-    def test_gclstm_rows_without_snap_falls_back(self, graph):
-        model = make_model("GC-LSTM", graph.dim, 16, seed=2)
-        z = model.gnn_forward(graph[0])
-        state = model.init_state(graph.num_vertices)
-        rows = np.arange(10)
-        h_rows, _ = model.cell_step_rows(z, state, rows, None)
-        h_plain, _ = model.cell.step(z[rows], type(state)(
-            h=state.h[rows], c=state.c[rows]
-        ))
-        np.testing.assert_allclose(h_rows, h_plain, rtol=1e-6)
 
     @pytest.mark.parametrize("name", ["CD-GCN", "GC-LSTM", "T-GCN", "GCRN"])
     @pytest.mark.parametrize("rows", [[3, 17, 250, 800], [17]], ids=["rows", "row"])
@@ -99,11 +89,6 @@ class TestRecurrentDrive:
         present = graph[0].present
         np.testing.assert_allclose(drive[present], 1.0, rtol=1e-5)
 
-    def test_gclstm_without_snap(self, graph):
-        model = make_model("GC-LSTM", graph.dim, 16, seed=2)
-        state = model.init_state(graph.num_vertices)
-        assert model.recurrent_drive(state, None) is state.h
-
     @pytest.mark.parametrize("name", ["T-GCN", "GC-LSTM"])
     def test_rows_are_rows_of_the_full_drive(self, graph, name):
         """``rows=`` returns exactly those rows of the full drive — of
@@ -112,11 +97,10 @@ class TestRecurrentDrive:
         state = model.init_state(graph.num_vertices)
         _, state = model.cell_step(model.gnn_forward(graph[0]), state, graph[0])
         rows = np.array([0, 3, 17, 250, 800])
-        for snap in (graph[1], None):
-            got = model.recurrent_drive(state, snap, rows)
-            want = model.recurrent_drive(state, snap)[rows]
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        got = model.recurrent_drive(state, graph[1], rows)
+        want = model.recurrent_drive(state, graph[1])[rows]
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
         if name == "T-GCN":
             assert want.tobytes() == state.h[rows].tobytes()
 
@@ -136,14 +120,16 @@ class TestRecurrentDrive:
 
 class TestForwardWindow:
     def test_state_chaining(self, graph):
-        """forward_window with an explicit state must continue exactly
-        where a previous window stopped."""
-        model = make_model("T-GCN", graph.dim, 16, seed=2)
-        full, _ = model.forward_window(graph)
-        first, state = model.forward_window(graph.window(0, 3))
-        second, _ = model.forward_window(graph.window(3, 3), state=state)
-        for a, b in zip(full, first + second):
-            np.testing.assert_allclose(a, b, rtol=1e-6)
+        """The recurrent state handed across a window boundary continues
+        exactly where the previous window stopped: windows of 3 release
+        the bits one window of 6 does."""
+        whole, split = (
+            ReferenceEngine(make_model("T-GCN", graph.dim, 16, seed=2), window_size=k)
+            .run(graph)
+            .outputs
+            for k in (6, 3)
+        )
+        assert [o.tobytes() for o in whole] == [o.tobytes() for o in split]
 
     def test_flop_helpers(self, graph):
         model = make_model("T-GCN", graph.dim, 16, seed=2)

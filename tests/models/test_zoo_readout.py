@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import ReferenceEngine
 from repro.graphs import load_dataset
 from repro.models import (
     CDGCN,
@@ -42,7 +43,7 @@ class TestZoo:
     @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
     def test_forward_window_shapes(self, graph, name):
         m = make_model(name, graph.dim, 16, seed=0)
-        outs, state = m.forward_window(graph)
+        outs = ReferenceEngine(m).run(graph).outputs
         assert len(outs) == graph.num_snapshots
         for h in outs:
             assert h.shape == (graph.num_vertices, 16)
@@ -50,9 +51,10 @@ class TestZoo:
 
     @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
     def test_deterministic(self, graph, name):
-        a, _ = make_model(name, graph.dim, 16, seed=0).forward_window(graph)
-        b, _ = make_model(name, graph.dim, 16, seed=0).forward_window(graph)
-        for x, y in zip(a, b):
+        def run():
+            return ReferenceEngine(make_model(name, graph.dim, 16, seed=0)).run(graph)
+
+        for x, y in zip(run().outputs, run().outputs):
             np.testing.assert_array_equal(x, y)
 
     def test_gclstm_uses_graph_in_cell(self, graph):
@@ -129,7 +131,7 @@ class TestAccuracyProtocol:
         """The protocol must rank exact inference above heavily-corrupted
         inference — otherwise Table 5 would be meaningless."""
         m = make_model("T-GCN", graph.dim, 48, seed=0)
-        outs, _ = m.forward_window(graph)
+        outs = ReferenceEngine(m).run(graph).outputs
         labels = make_teacher_labels(graph, 4)
         acc_exact = evaluate_accuracy(outs, labels, graph)
         rng = np.random.default_rng(0)
