@@ -135,6 +135,25 @@ class TestExactnessProperty:
         ref = ReferenceEngine(make(), window_size=window)
         assert digests(off.run(graph).outputs) == digests(ref.run(graph).outputs)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=5_000),
+        churn=st.floats(min_value=0.2, max_value=3.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_exact_under_extreme_churn(self, seed, churn):
+        """High- and low-churn regimes alike: with skipping off,
+        exactness does not depend on how much of the graph changes."""
+        g = random_graph(seed, churn_scale=churn)
+        ref = ReferenceEngine(
+            make_model("T-GCN", g.dim, 8, seed=seed), window_size=3
+        ).run(g)
+        conc = ConcurrentEngine(
+            make_model("T-GCN", g.dim, 8, seed=seed),
+            window_size=3,
+            enable_skipping=False,
+        ).run(g)
+        assert digests(conc.outputs) == digests(ref.outputs)
+
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=10, deadline=None)
     def test_skipping_error_bounded(self, seed):
