@@ -97,8 +97,9 @@ def run(
     model, graph, *, window_size, thresholds=(-0.5, 0.5), epsilon=1e-3,
     refresh_each_window=True,
 ):
-    """``(outputs, decisions)``: one output per snapshot, and per scored
-    snapshot its ``(vertices, modes, theta)``."""
+    """``(outputs, decisions, carry)``: one output per snapshot, per
+    scored snapshot its ``(vertices, modes, theta)``, and what the last
+    snapshot hands on (``h_prev``, ``z_prev``, ``state``, ``cache``)."""
     theta_s, theta_e = thresholds
     n, cell = graph.num_vertices, model.cell
     state = model.init_state(n)
@@ -142,4 +143,5 @@ def run(
                 state.put(delta, part)
             outputs.append(h)
             z_prev, prev = z, snap
-    return outputs, decisions
+    carry = SimpleNamespace(h_prev=h, z_prev=z_prev, state=state, cache=cache)
+    return outputs, decisions, carry

@@ -27,7 +27,9 @@ from repro.adaptive import AdaptivePlanner, KernelChoice
 from repro.analysis.classify import _feature_pairs
 from repro.engine import (
     WORKSPACE,
+    Carry,
     ConcurrentEngine,
+    ExecutionMetrics,
     ReferenceEngine,
     StreamingInference,
     Workspace,
@@ -62,11 +64,14 @@ def _fresh_take(self, name, shape, dtype=np.float32):
 # ----------------------------------------------------------------------
 # what a window keeps
 # ----------------------------------------------------------------------
+def state_arrays(carry):
+    return [v for k, v in vars(carry.state).items() if not k.startswith("_")]
+
+
 def carried(carry):
     """The arrays a carry holds: ``h_prev``, ``z_prev``, the state and
     the delta cache."""
-    arrays = [carry.h_prev, carry.z_prev]
-    arrays += [v for k, v in vars(carry.state).items() if not k.startswith("_")]
+    arrays = [carry.h_prev, carry.z_prev] + state_arrays(carry)
     if carry.cache is not None:
         arrays += [carry.cache.zx, carry.cache.zh, carry.cache.z_input]
     return arrays
@@ -131,6 +136,18 @@ def play(graph, make, owner, shards, **kwargs):
     return played
 
 
+def reference(model, graph, window):
+    """``ReferenceEngine.run``'s outputs, and its final carry."""
+    engine = ReferenceEngine(model, window_size=window)
+    carry, outputs = Carry(window_size=window), []
+    for start in range(0, len(graph), window):
+        carry, outs = engine.step(
+            carry, graph.snapshots[start : start + window], ExecutionMetrics()
+        )
+        outputs += outs
+    return outputs, carry
+
+
 def assert_same_play(got, want):
     assert len(got) == len(want)
     for (outs, carry), (outs_w, carry_w) in zip(got, want):
@@ -149,7 +166,7 @@ class TestNothingEscapes:
         shards=st.sampled_from([0, 1, 4]),
         window=st.sampled_from([1, 3, 4]),
         planner=st.sampled_from(PLANNERS),
-        hidden=st.sampled_from([8, 16]),  # 8 < dim: the first layer shrinks
+        hidden=st.sampled_from([2, 8, 16]),  # < dim: the first layer shrinks
     )
     @settings(max_examples=80, deadline=None)
     def test_outputs_are_the_oracles_and_alias_no_block(
@@ -175,17 +192,23 @@ class TestNothingEscapes:
         probes = 2 if planner == "probe" else 1
         streams = max(shards, 1)
         assert windows[0] == streams * probes * -(-SNAPSHOTS // window)
+        if hidden < 8:  # a row-count-dependent product (ROADMAP item 5)
+            return
         if skipping:
             thresholds = (-0.2, 0.2) if planner == "probe" else (-0.5, 0.5)
-            want, _ = oracle.run(
+            want, _, want_carry = oracle.run(
                 make(), graph, window_size=window, thresholds=thresholds
             )
+            kept = carried
         else:
-            want = ReferenceEngine(make(), window_size=window).run(graph).outputs
-        for shard, (outs, _) in enumerate(played):
+            # the reference keeps no delta cache, and an identity
+            # cell's z_prev holds its frozen output in absent rows
+            want, want_carry = reference(make(), graph, window)
+            kept = state_arrays
+        for shard, (outs, carry) in enumerate(played):
             rows = slice(None) if shards == 0 else owner == shard
-            assert [o[rows].tobytes() for o in outs] == [
-                o[rows].tobytes() for o in want
+            assert [a[rows].tobytes() for a in outs + kept(carry)] == [
+                a[rows].tobytes() for a in want + kept(want_carry)
             ]
 
 
