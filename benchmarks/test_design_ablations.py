@@ -124,6 +124,8 @@ def test_sharpness_calibration(benchmark):
         rows,
     )
     save_result("design_sharpness", text)
+    # the patch reaches the engine's θ: each sharpness skips its own share
+    assert len({skip for _, skip, _ in rows}) == 3, rows
     raw, default, steep = rows
     # raw cosine saturates -> over-skips and loses more accuracy
     assert raw[1] > default[1]

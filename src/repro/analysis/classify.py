@@ -17,11 +17,11 @@ vertices act as DFS roots bounding the affected subgraph; affected
 vertices get full per-snapshot treatment.
 
 Everything is vectorised: feature stability is one comparison per
-consecutive snapshot pair (kept on the result, so the engine's cell
-phase compares no pair twice), topology stability is one exact merge of
-each pair's neighbour lists
+consecutive snapshot pair (kept on the result), topology stability is
+one exact merge of each pair's neighbour lists
 (:func:`~repro.analysis.similarity.common_neighbor_counts`, whose counts
-are kept too: θ's neighbour weight divides them), and neighbour-feature
+are kept too: θ's neighbour weight divides them, so the engine's θ
+stage compares no pair inside a window), and neighbour-feature
 stability is one segmented AND over the first snapshot's neighbour
 lists.
 
@@ -67,12 +67,11 @@ class WindowClassification:
     ``feature_pairs`` keeps the K − 1 per-pair compares classification
     makes anyway: ``feature_pairs[t]`` marks the rows whose features
     snapshot ``t + 1`` left exactly as snapshot ``t`` had them (``()``
-    for a one-snapshot window).  The engine's cell phase reads them
-    instead of comparing the same pairs again.  ``neighbor_counts[t]``
-    keeps the same pair's :func:`common_neighbor_counts` (with the rows
-    present in both snapshots and left unchanged by the pair as the
-    stable set), which the topology test read and θ's neighbour weight
-    divides.
+    for a one-snapshot window).  ``neighbor_counts[t]`` keeps the same
+    pair's :func:`common_neighbor_counts` (with the rows present in both
+    snapshots and left unchanged by the pair as the stable set), which
+    the topology test read and θ's neighbour weight divides, so the
+    engine's θ stage compares no pair inside a window.
     """
 
     labels: np.ndarray  # (n,) VertexClass values

@@ -57,6 +57,11 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for real input, in the input's dtype, without its dispatch: the
     same bits.
     """
+    return _cosine(_dots(a, b), _norms(a), _norms(b))
+
+
+def _dots(a, b) -> np.ndarray:
+    """The float64 dot product of each row pair of ``a`` and ``b``."""
     num = np.empty(len(a), dtype=np.float64)
     step = max(1, _COSINE_BLOCK // max(a.shape[1], 1))
     for i in range(0, len(a), step):
@@ -67,10 +72,19 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             b[rows].astype(np.float64),
             out=num[rows],
         )
-    na = np.sqrt(np.add.reduce(a * a, axis=1))
-    nb = np.sqrt(np.add.reduce(b * b, axis=1))
+    return num
+
+
+def _norms(x, square=None) -> np.ndarray:
+    """The norm of each row along the last axis, in ``x``'s dtype; each
+    row is reduced on its own, so stacking rows changes no bit.
+    ``square`` (None = allocated) receives ``x * x``."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=square), axis=-1))
+
+
+def _cosine(num, na, nb) -> np.ndarray:
     denom = na * nb
-    out = np.zeros(len(a), dtype=np.float64)
+    out = np.zeros(len(num), dtype=np.float64)
     np.divide(num, denom, out=out, where=denom > 0)
     return np.clip(out, -1.0, 1.0)
 
@@ -170,31 +184,31 @@ def neighbor_stability_weights(
 COSINE_SHARPNESS = 10.0 / 3.0
 
 
-@contract("(n,f) f, (n,f) f, _, _, (r,) i, (n,) b -> (r,) f64")
+@contract("_, _, (r,) i -> (p,r) f64")
 def similarity_scores(
-    z_t: np.ndarray,
-    z_t1: np.ndarray,
-    snap_t: CSRSnapshot,
-    snap_t1: CSRSnapshot,
+    z,
+    snaps,
     vertices: np.ndarray,
-    feature_stable: np.ndarray,
     *,
-    sharpness: float = COSINE_SHARPNESS,
     weights=None,
+    sharpness: float = COSINE_SHARPNESS,
+    ws=None,
 ) -> np.ndarray:
-    r"""Full :math:`\theta` for each vertex in ``vertices``.
+    r"""Full :math:`\theta` of ``vertices`` for every consecutive pair of
+    ``snaps``: a ``(p, r)`` array for ``p + 1`` snapshots, whose row
+    ``t`` scores the pair (``snaps[t]``, ``snaps[t + 1]``).
 
     Parameters
     ----------
-    z_t, z_t1:
-        GNN-module outputs :math:`Z^t`, :math:`Z^{t+1}` over *all*
-        vertices (rows indexed by global id).
-    snap_t, snap_t1:
-        The two snapshots (for the neighbourhood intersection).
+    z:
+        The ``p + 1`` snapshots' GNN-module outputs :math:`Z^t`, each
+        over *all* vertices (rows indexed by global id), of one dtype.
+    snaps:
+        The ``p + 1`` snapshots (for the neighbourhood intersection).
     vertices:
-        Vertex ids to score (TaGNN scores stable and affected vertices).
-    feature_stable:
-        Boolean per-vertex own-feature stability between the snapshots.
+        Vertex ids scored in every pair (TaGNN scores stable and
+        affected vertices).  A caller keeps the scores of the pairs a
+        vertex is present in on both sides.
     sharpness:
         Calibration of the cosine term: ``cos' = 1 - sharpness*(1 - cos)``.
         Our reservoir models produce consecutive-snapshot cosines packed
@@ -205,20 +219,49 @@ def similarity_scores(
         are also the operating point here — pass ``sharpness=1.0`` for the
         raw cosine.
     weights:
-        None, or a zero-argument callable returning the pair's
-        neighbour weights for every row, as
-        :func:`neighbor_stability_weights` computes them over all ``n``
-        rows with this ``feature_stable`` (a window's memo,
-        :meth:`~repro.analysis.classify.WindowClassification.neighbor_weights`).
-        θ then reads the scored rows from them instead of merging the
-        pair: the same bits, since each row's weight is its own
-        division of the counts classification merged.
+        None, or per pair None or the pair's neighbour weights of every
+        row (a window's memo,
+        :meth:`~repro.analysis.classify.WindowClassification.neighbor_weights`),
+        read at ``vertices``: the same bits as a merge, since each
+        row's weight is its own division of the counts classification
+        merged.  A None pair is merged here
+        (:func:`neighbor_stability_weights`), with the rows present in
+        both snapshots and left unchanged by the pair as the stable set.
+    ws:
+        None, or a leased :class:`~repro.engine.workspace.Workspace`
+        that holds the gathered rows and their squares.
+
+    Each snapshot's rows are gathered once and their norms taken once,
+    though the snapshot sits in two pairs; every row's cosine is its
+    own reduction, so the scores are :func:`cosine_rows`' bits pair by
+    pair.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    cos = cosine_rows(z_t[vertices], z_t1[vertices])
-    cos = np.clip(1.0 - sharpness * (1.0 - cos), -1.0, 1.0)
-    if weights is None:
-        w = neighbor_stability_weights(snap_t, snap_t1, vertices, feature_stable)
+    (n, f), dtype = z[0].shape, z[0].dtype
+    shape = (len(z), len(vertices), f)
+    if ws is None:
+        rows, square = np.empty(shape, dtype), None
     else:
-        w = weights().take(vertices)
-    return np.clip(cos * w, -1.0, 1.0)
+        # the scored rows vary from window to window; every row is the most
+        most = (len(z), n, f)
+        rows = ws.take("theta.rows", shape, dtype, reserve=most)
+        square = ws.take("theta.square", shape, dtype, reserve=most)
+    for block, z_t in zip(rows, z):
+        np.take(z_t, vertices, axis=0, out=block)
+    norms = _norms(rows, square)
+    # the stacked pairs: both sides are views of the one gathered block
+    prev, cur = rows[:-1].reshape(-1, f), rows[1:].reshape(-1, f)
+    cos = _cosine(_dots(prev, cur), norms[:-1].ravel(), norms[1:].ravel())
+    cos = np.clip(1.0 - sharpness * (1.0 - cos), -1.0, 1.0)
+    cos = cos.reshape(len(z) - 1, len(vertices))
+    if weights is None:
+        weights = [None] * len(cos)
+    for t, w in enumerate(weights):
+        if w is None:
+            a, b = snaps[t], snaps[t + 1]
+            stable = (a.features == b.features).all(axis=1) & a.present & b.present
+            w = neighbor_stability_weights(a, b, vertices, stable)
+        else:
+            w = w.take(vertices)
+        cos[t] *= w
+    return np.clip(cos, -1.0, 1.0, out=cos)

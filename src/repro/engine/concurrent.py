@@ -21,11 +21,16 @@ Figs. 8–9):
    layer on the rows it needs), because past layer 1 the changed set is
    93–100 % of the graph and its reuse bookkeeping costs more than it
    saves (docs/performance.md, "One GNN kernel per window").
-3. **Similarity-aware cell skipping** — per consecutive snapshot pair,
-   stable/affected vertices are scored with :math:`\\theta`; SKIP rows
-   reuse the previous final feature, DELTA rows take the condensed
-   partial update, FULL rows run the real cell.  Unaffected vertices are
-   skipped directly without scoring (their :math:`\\theta` is exactly 1).
+3. **Similarity-aware cell skipping** — the paper's similarity unit is
+   a stage of its own between the GNN and RNN units, and so is the
+   host's: once the window's GNN outputs exist, one :math:`\\theta`
+   stage scores the stable/affected vertices of every scored snapshot
+   pair in one call and decides every cell mode of the window at once
+   (:meth:`ConcurrentEngine._theta_window`).  The recurrence then only
+   runs the updates: SKIP rows reuse the previous final feature, DELTA
+   rows take the condensed partial update, FULL rows run the real cell.
+   Unaffected vertices are skipped directly without scoring (their
+   :math:`\\theta` is exactly 1).
 
 With ``enable_skipping=False`` the engine's outputs are bit-comparable to
 the reference engine (a test invariant); with skipping on they differ by
@@ -34,15 +39,18 @@ the bounded approximation the accuracy benches quantify.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
 from ..graphs.dynamic import DynamicGraph
 from ..models.base import DGNNModel
-from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
+from ..skipping.policy import (
+    CellUpdateMode,
+    ModeDecision,
+    SkippingPolicy,
+    SkipThresholds,
+)
 from .carry import Carry
 from .metrics import ExecutionMetrics
 from .reference import EngineResult
@@ -150,6 +158,12 @@ class ConcurrentEngine:
         nothing else: the host runs one GNN kernel per window whichever
         it is (:meth:`_gnn_window`).
 
+        The body has three stages: the GNN outputs of every snapshot
+        (:meth:`_gnn_window`), every cell mode of the window
+        (:meth:`_theta_window`, which reads only those outputs, the
+        snapshots and ``cls``), and the recurrence, which runs each
+        snapshot's FULL and DELTA updates in order (:meth:`_rnn_step`).
+
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
         scores and the delta cache run on them alone, and every bit of
@@ -178,10 +192,7 @@ class ConcurrentEngine:
 
             overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
             policy = SkippingPolicy(plan.thresholds)
-        if decisions is None:
-            decisions = []
         state, h_prev = carry.begin(model, n)
-        z_prev, snap_prev, first = carry.z_prev, carry.snap_prev, carry.first
         cache = carry.delta_cache(model.cell, n)
 
         self._account_overhead(m, window, cls)
@@ -189,43 +200,25 @@ class ConcurrentEngine:
         outputs: list[np.ndarray] = []
         with WORKSPACE.lease() as ws:
             zs = self._gnn_window(m, window, cls, overlap, owned, ws)
+            full, delta, skipped = self._theta_window(
+                m, window, cls, zs, carry, owned_mask, policy, cache, ws,
+                decisions,
+            )
             for t, snap in enumerate(window):
-                # The first snapshot of every batch takes the full cell
-                # update: the paper "recalculates similarity scores for
-                # each vertex in the new batch, rather than reusing
-                # scores and skipping decisions" to stop error
-                # accumulating over prolonged skipping — a periodic
-                # state refresh is what bounds the drift (and what
-                # keeps Table 5's loss < 1%).
                 h_prev, state = self._rnn_step(
-                    m,
-                    snap,
-                    zs[t],
-                    z_prev,
-                    snap_prev,
-                    state,
-                    cache,
-                    cls,
-                    h_prev,
-                    owned_mask,
-                    ws,
-                    pair=t - 1 if t else None,
-                    first=first or (t == 0 and self.refresh_each_window),
-                    policy=policy,
-                    decisions=decisions,
+                    m, snap, zs[t], state, cache, h_prev,
+                    full[t], delta[t], skipped[t], ws,
                 )
                 # each snapshot's output is a fresh matrix nothing else
                 # holds, except the last one, which the carry copies
                 outputs.append(h_prev)
-                z_prev, snap_prev = zs[t], snap
-                first = False
         m.snapshots_processed += len(outputs)
         m.windows_processed += 1
         # the carry owns its hand-off: a released output may be written
         # by its reader, and the window kernel's GNN outputs are views of
         # one K-snapshot block that a carried view would keep alive
         successor = carry.advance(
-            window.snapshots, state, h_prev.copy(), z_prev.copy(), cache
+            window.snapshots, state, h_prev.copy(), zs[-1].copy(), cache
         )
         return successor, outputs
 
@@ -320,83 +313,102 @@ class ConcurrentEngine:
             src_present = n_present
 
     # ------------------------------------------------------------------
+    # θ stage
+    # ------------------------------------------------------------------
+    def _theta_window(
+        self, m, window, cls, zs, carry, owned_mask, policy, cache, ws,
+        decisions,
+    ):
+        """Every cell mode of the window, decided before its recurrence:
+        θ reads only GNN outputs, snapshots and the classification.
+
+        Returns ``(full, delta, skipped)``: per snapshot, the rows that
+        take the FULL and the DELTA update as two ``(K, n)`` masks
+        (workspace blocks), and the count of rows skipped.  A scored
+        pair (``snap_prev``, ``snap``) scores the stable and affected
+        rows present in both with one :func:`similarity_scores` call
+        over every pair and one ``policy.decide``; arrivals have no
+        history and take FULL, unaffected rows are skipped unscored
+        (their θ is exactly 1).  Every other snapshot takes FULL on
+        each present row: all of them with skipping off, else the first
+        of the stream and, with ``refresh_each_window`` on, of each
+        window — the paper "recalculates similarity scores for each
+        vertex in the new batch, rather than reusing scores and
+        skipping decisions" to stop error accumulating over prolonged
+        skipping, and that periodic refresh is what keeps Table 5's
+        loss < 1%.  With refresh off the first snapshot is scored
+        against the carried one, a pair ``similarity_scores`` merges;
+        the classification holds the other pairs' neighbour weights."""
+        snaps = window.snapshots
+        k, n = len(snaps), window.num_vertices
+        full = ws.take("modes.full", (k, n), bool)
+        for mask, snap in zip(full, snaps):
+            np.copyto(mask, snap.present)
+        if owned_mask is not None:
+            full &= owned_mask  # the rows whose cell this window updates
+        delta = ws.take("modes.delta", (k, n), bool)
+        delta.fill(False)
+        skipped = [0] * k
+        # the first scored snapshot: the window's second, unless the
+        # first is scored against the carried one
+        refresh = carry.first or self.refresh_each_window
+        start = 1 if refresh or carry.z_prev is None else 0
+        if not self.enable_skipping:
+            start = k
+        if start >= k:
+            return full, delta, skipped
+        weights = [cls.neighbor_weights(t) for t in range(k - 1)]
+        chain, z = snaps, zs
+        if start == 0:
+            chain, z = (carry.snap_prev, *snaps), (carry.z_prev, *zs)
+            weights.insert(0, None)
+        changed = cls.labels != 0
+        if owned_mask is not None:
+            changed &= owned_mask
+        rows = np.flatnonzero(changed)
+        theta = similarity_scores(z, chain, rows, weights=weights, ws=ws)
+
+        now = full[start:]  # present (owned) rows of the scored snapshots
+        was = ws.take("modes.was", (len(chain), n), bool)[: len(now)]
+        for mask, snap in zip(was, chain):
+            np.copyto(mask, snap.present)
+        present, had = now.take(rows, axis=1), was.take(rows, axis=1)
+        scored = present & had  # present on both sides
+        decision = policy.decide(rows[np.nonzero(scored)[1]], theta[scored])
+        m.overhead_ops += len(decision.vertices) * (z[0].shape[1] + 8)
+        if decisions is not None:  # one per pair, as the pairs run
+            ends = np.cumsum(scored.sum(axis=1)).tolist()
+            for a, b in zip([0] + ends, ends):
+                decisions.append(ModeDecision(
+                    decision.vertices[a:b], decision.theta[a:b],
+                    decision.modes[a:b],
+                ))
+        modes = np.full(theta.shape, -1, dtype=np.int64)
+        modes[scored] = decision.modes
+        # the present rows outside ``rows`` are unaffected: skipped unscored
+        unaffected = now.sum(axis=1) - present.sum(axis=1)
+        skips = (modes == CellUpdateMode.SKIP).sum(axis=1)
+        skipped[start:] = (unaffected + skips).tolist()
+        now &= ~was  # arrivals have no history: FULL
+        now[:, rows] = (present & ~had) | (modes == CellUpdateMode.FULL)
+        delta[start:, rows] = modes == CellUpdateMode.DELTA
+        if cache is None:
+            # identity cell: the "partial" update is the full (free) one
+            full |= delta
+            delta.fill(False)
+        return full, delta, skipped
+
+    # ------------------------------------------------------------------
     # RNN phase
     # ------------------------------------------------------------------
     def _rnn_step(
-        self,
-        m,
-        snap,
-        z,
-        z_prev,
-        snap_prev,
-        state,
-        cache,
-        cls,
-        h_prev,
-        owned_mask,
-        ws,
-        *,
-        pair,
-        first: bool,
-        policy: SkippingPolicy,
-        decisions: list,
+        self, m, snap, z, state, cache, h_prev, full, delta, n_skip, ws
     ):
-        """One snapshot's cell phase.  ``pair`` is the window's index of
-        the pair (``snap_prev``, ``snap``), whose feature compare and θ
-        neighbour weights the classification holds; None for the pair
-        across the window boundary, which is compared and merged here
-        (only when the first snapshot is scored: ``refresh_each_window``
-        off)."""
+        """One snapshot's cell phase: the FULL and DELTA updates of the
+        rows the θ stage gave those modes (``full`` and ``delta``, (n,)
+        masks); ``n_skip`` rows keep their output and state."""
         model = self.model
-        # the rows whose cell this window updates, scores or skips
-        present = snap.present if owned_mask is None else snap.present & owned_mask
-
-        if first or not self.enable_skipping or z_prev is None:
-            # every present row takes the FULL update, none is scored
-            full_rows = np.flatnonzero(present)
-            delta_rows = np.empty(0, dtype=np.int64)
-            n_skip = 0
-        else:
-            # --- scored set: stable + affected vertices present now ------
-            scored_mask = (cls.labels != 0) & present
-            if snap_prev is not None:
-                scored_mask &= snap_prev.present  # arrivals have no history
-            arrivals = present & ~(
-                snap_prev.present if snap_prev is not None else present
-            )
-            scored = np.flatnonzero(scored_mask)
-
-            # pairwise feature stability between the two snapshots
-            if pair is None:
-                same_features = (snap.features == snap_prev.features).all(
-                    axis=1
-                )
-                weights = None
-            else:
-                same_features = cls.feature_pairs[pair]
-                weights = partial(cls.neighbor_weights, pair)
-            feat_stable = same_features & snap.present & snap_prev.present
-            theta = similarity_scores(
-                z_prev, z, snap_prev, snap, scored, feat_stable,
-                weights=weights,
-            )
-            m.overhead_ops += len(scored) * (z.shape[1] + 8)
-            decision = policy.decide(scored, theta)
-            decisions.append(decision)
-
-            full_rows = decision.rows(CellUpdateMode.FULL)
-            full_rows = np.union1d(full_rows, np.flatnonzero(arrivals))
-            delta_rows = decision.rows(CellUpdateMode.DELTA)
-            if cache is None:
-                # identity cell: the "partial" update is the full (free) one
-                full_rows = np.union1d(full_rows, delta_rows)
-                delta_rows = np.empty(0, dtype=np.int64)
-            # skip rows + unaffected vertices: reuse previous output and state
-            n_skip = len(decision.rows(CellUpdateMode.SKIP)) + int(
-                ((cls.labels == 0) & present).sum()
-            )
-
-        # copied once the scores are freed: it is this snapshot's output
+        full_rows, delta_rows = np.flatnonzero(full), np.flatnonzero(delta)
         h_out = h_prev.copy()
         parts = []  # (rows, their new state); both modes read the old one
         if len(full_rows):

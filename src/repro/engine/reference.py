@@ -86,6 +86,8 @@ class ReferenceEngine:
             # vertices)
             absent = np.flatnonzero(~snap.present)
             if absent.size:
+                if np.may_share_memory(h, z):
+                    h = h.copy()  # an identity cell's output is z itself
                 h[absent] = h_out[absent]
                 new_state.put(absent, state.take(absent))
             h_out = h

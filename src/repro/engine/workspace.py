@@ -61,16 +61,26 @@ class Workspace:
         finally:
             self._leased = False
 
-    def take(self, name: str, shape: tuple, dtype=np.float32) -> np.ndarray:
+    def take(
+        self, name: str, shape: tuple, dtype=np.float32, *, reserve=None
+    ) -> np.ndarray:
         """An uninitialised C-contiguous ``shape`` view of block
-        ``name``, which grows to fit it.  Only a lease holder takes."""
+        ``name``, which grows to fit it.  Only a lease holder takes.
+
+        ``reserve`` (None, or a shape no smaller than ``shape``) is the
+        most a take of this name will ask for: a block that grows grows
+        to it at once, so a take whose size moves from window to window
+        allocates in the first window only."""
         if not self._leased:
             raise RuntimeError("workspace blocks are taken under a lease")
         dtype = np.dtype(dtype)
         nbytes = prod(shape) * dtype.itemsize
         block = self._blocks.get(name)
         if block is None or block.nbytes < nbytes:
-            block = self._blocks[name] = np.empty(nbytes, dtype=np.uint8)
+            size = nbytes if reserve is None else prod(reserve) * dtype.itemsize
+            block = self._blocks[name] = np.empty(
+                max(size, nbytes), dtype=np.uint8
+            )
         return block[:nbytes].view(dtype).reshape(shape)
 
     def blocks(self) -> list[np.ndarray]:

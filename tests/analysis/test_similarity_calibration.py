@@ -4,7 +4,12 @@ behaviour under controlled perturbations."""
 import numpy as np
 import pytest
 
-from repro.analysis.similarity import COSINE_SHARPNESS, cosine_rows, similarity_scores
+from repro.analysis.similarity import (
+    COSINE_SHARPNESS,
+    cosine_rows,
+    neighbor_stability_weights,
+    similarity_scores,
+)
 from repro.graphs import CSRSnapshot
 
 
@@ -26,8 +31,7 @@ class TestSharpness:
         z0 = rng.standard_normal((6, 4))
         z1 = z0 + 0.1 * rng.standard_normal((6, 4))
         verts = np.array([3])  # one common neighbour (v4), all stable
-        stable = np.ones(6, dtype=bool)
-        theta = similarity_scores(z0, z1, s0, s1, verts, stable, sharpness=1.0)
+        (theta,) = similarity_scores([z0, z1], [s0, s1], verts, sharpness=1.0)
         raw = cosine_rows(z0[verts], z1[verts])
         np.testing.assert_allclose(theta, raw, atol=1e-12)
 
@@ -39,9 +43,8 @@ class TestSharpness:
         # construct a vector at cos ~0.9 to z0[3]
         z1 = np.zeros((6, 4)); z1[3] = [0.9, np.sqrt(1 - 0.81), 0, 0]
         verts = np.array([3])
-        stable = np.ones(6, dtype=bool)
-        theta_raw = similarity_scores(z0, z1, s0, s1, verts, stable, sharpness=1.0)
-        theta_cal = similarity_scores(z0, z1, s0, s1, verts, stable)
+        (theta_raw,) = similarity_scores([z0, z1], [s0, s1], verts, sharpness=1.0)
+        (theta_cal,) = similarity_scores([z0, z1], [s0, s1], verts)
         assert theta_raw[0] == pytest.approx(0.9, abs=1e-6)
         assert theta_cal[0] == pytest.approx(1 - COSINE_SHARPNESS * 0.1, abs=1e-6)
         assert theta_cal[0] < theta_raw[0]
@@ -52,9 +55,8 @@ class TestSharpness:
         rng = np.random.default_rng(1)
         z = rng.standard_normal((6, 4))
         verts = np.array([3])
-        stable = np.ones(6, dtype=bool)
         for s in (1.0, 10 / 3, 20.0):
-            theta = similarity_scores(z, z, s0, s1, verts, stable, sharpness=s)
+            (theta,) = similarity_scores([z, z], [s0, s1], verts, sharpness=s)
             assert theta[0] == pytest.approx(1.0)
 
     def test_clipped_at_minus_one(self):
@@ -62,8 +64,7 @@ class TestSharpness:
         z0 = np.zeros((6, 4)); z0[3] = [1, 0, 0, 0]
         z1 = np.zeros((6, 4)); z1[3] = [-1, 0, 0, 0]
         verts = np.array([3])
-        theta = similarity_scores(z0, z1, s0, s1, verts, np.ones(6, bool),
-                                  sharpness=20.0)
+        (theta,) = similarity_scores([z0, z1], [s0, s1], verts, sharpness=20.0)
         assert theta[0] >= -1.0
 
 
@@ -76,10 +77,10 @@ class TestThetaTopologyCoupling:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((6, 4))
         verts = np.array([0])  # neighbours {1, 2}
-        all_stable = np.ones(6, dtype=bool)
-        none_stable = np.zeros(6, dtype=bool)
-        hi = similarity_scores(z, z, s0, s1, verts, all_stable)
-        lo = similarity_scores(z, z, s0, s1, verts, none_stable)
+        every = np.arange(6)
+        none_stable = neighbor_stability_weights(s0, s1, every, np.zeros(6, bool))
+        (hi,) = similarity_scores([z, z], [s0, s1], verts)  # all stable
+        (lo,) = similarity_scores([z, z], [s0, s1], verts, weights=[none_stable])
         assert hi[0] == pytest.approx(1.0)
         assert lo[0] == 0.0
 

@@ -356,18 +356,15 @@ class TestSimilarityScores:
         z = rng.standard_normal((window.num_vertices, 8))
         c = classify_window(window.window(0, 2))
         verts = np.flatnonzero(c.unaffected_mask & window[0].present)[:50]
-        theta = similarity_scores(
-            z, z, window[0], window[0], verts, c.feature_stable_mask
-        )
+        (theta,) = similarity_scores([z, z], [window[0], window[0]], verts)
         np.testing.assert_allclose(theta, 1.0, atol=1e-9)
 
     def test_range(self, window):
         rng = np.random.default_rng(0)
         z0 = rng.standard_normal((window.num_vertices, 8))
         z1 = rng.standard_normal((window.num_vertices, 8))
-        stable = classify_window(window.window(0, 2)).feature_stable_mask
         verts = np.arange(0, window.num_vertices, 7)
-        theta = similarity_scores(z0, z1, window[0], window[1], verts, stable)
+        (theta,) = similarity_scores([z0, z1], [window[0], window[1]], verts)
         assert np.all((theta >= -1.0) & (theta <= 1.0))
 
     def test_feature_divergence_lowers_score(self, window):
@@ -375,8 +372,7 @@ class TestSimilarityScores:
         z0 = rng.standard_normal((window.num_vertices, 8))
         z1 = z0 + 0.05 * rng.standard_normal(z0.shape)
         z1_far = -z0
-        stable = classify_window(window.window(0, 2)).feature_stable_mask
         verts = np.arange(0, window.num_vertices, 13)
-        near = similarity_scores(z0, z1, window[0], window[1], verts, stable)
-        far = similarity_scores(z0, z1_far, window[0], window[1], verts, stable)
+        (near,) = similarity_scores([z0, z1], [window[0], window[1]], verts)
+        (far,) = similarity_scores([z0, z1_far], [window[0], window[1]], verts)
         assert near.mean() > far.mean()

@@ -1,10 +1,10 @@
 """Each consecutive pair of a window is compared once.
 
 ``classify_window`` compares every consecutive pair's features and keeps
-the masks (``WindowClassification.feature_pairs``); the cell phase reads
-them for the window's later snapshots and compares only the pair across
-the window boundary, and only when it scores the first snapshot
-(``refresh_each_window`` off).  That the outputs are those of a
+the masks (``WindowClassification.feature_pairs``) and the neighbour
+counts they weigh, which θ's weights divide; the θ stage compares only
+the pair across the window boundary, and only when it scores the first
+snapshot (``refresh_each_window`` off).  That the outputs are those of a
 compare of every pair is the skipping oracle's property
 (``test_engine_properties.py``).
 """

@@ -57,7 +57,7 @@ def _alloc_combine(layer, x):
     return _alloc_matmul_rows(x, layer.weight) + layer.bias
 
 
-def _fresh_take(self, name, shape, dtype=np.float32):
+def _fresh_take(self, name, shape, dtype=np.float32, *, reserve=None):
     return np.empty(shape, dtype)
 
 
@@ -201,10 +201,11 @@ class TestNothingEscapes:
             )
             kept = carried
         else:
-            # the reference keeps no delta cache, and an identity
-            # cell's z_prev holds its frozen output in absent rows
+            # the reference keeps no delta cache
             want, want_carry = reference(make(), graph, window)
-            kept = state_arrays
+
+            def kept(carry):
+                return [carry.z_prev] + state_arrays(carry)
         for shard, (outs, carry) in enumerate(played):
             rows = slice(None) if shards == 0 else owner == shard
             assert [a[rows].tobytes() for a in outs + kept(carry)] == [
@@ -235,6 +236,18 @@ class TestLease:
         assert big.shape == (4, 3) and big.dtype == np.float64
         assert [b.nbytes for b in ws.blocks()] == [4 * 3 * 8]
         assert np.shares_memory(again, ws.blocks()[0])
+
+    def test_a_reserved_block_grows_once(self):
+        ws = Workspace()
+        with ws.lease():
+            small = ws.take("b", (2, 3), reserve=(10, 3))
+            (block,) = ws.blocks()
+            big = ws.take("b", (10, 3), reserve=(10, 3))
+            bigger = ws.take("b", (11, 3), reserve=(10, 3))  # past it: fits
+        assert block.nbytes == 10 * 3 * 4
+        assert np.shares_memory(small, block) and np.shares_memory(big, block)
+        assert bigger.shape == (11, 3)
+        assert [b.nbytes for b in ws.blocks()] == [11 * 3 * 4]
 
     @pytest.mark.parametrize("model_name", ["GC-LSTM", "T-GCN"])
     def test_an_exception_inside_step_gives_the_lease_back(self, model_name):

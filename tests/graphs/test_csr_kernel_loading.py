@@ -30,11 +30,12 @@ import numpy as np
 from repro.analysis.similarity import similarity_scores
 from repro.graphs.snapshot import CSRSnapshot
 s0 = CSRSnapshot.from_edges(4, np.array([[0, 1], [0, 2]]), dim=2)
-s1 = CSRSnapshot.from_edges(4, np.array([[0, 1], [0, 3]]), dim=2)
+features = np.zeros((4, 2), dtype=np.float32)
+features[1] = 1.0  # vertex 1 changes: the one unstable neighbour
+s1 = CSRSnapshot.from_edges(4, np.array([[0, 1], [0, 3]]), features)
 z = np.ones((4, 2), dtype=np.float32)
-stable = np.array([True, False, True, True])
-theta = similarity_scores(z, z, s0, s1, np.arange(4), stable)
-assert theta.tolist() == [0.0, 1.0, 0.0, 0.0], theta
+theta = similarity_scores([z, z], [s0, s1], np.arange(4))  # merged here
+assert theta.tolist() == [[0.0, 1.0, 0.0, 0.0]], theta
 """
 
 

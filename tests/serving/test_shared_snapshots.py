@@ -318,10 +318,12 @@ class TestAWindowIsAnalysedOnce:
         score = concurrent_mod.similarity_scores
         thetas = {}
 
-        def recorded(z_t, z_t1, snap_t, snap_t1, vertices, *args, **kw):
-            theta = score(z_t, z_t1, snap_t, snap_t1, vertices, *args, **kw)
-            for v, value in zip(vertices.tolist(), theta):
-                thetas[(snap_t1.timestamp, v)] = value.tobytes()
+        def recorded(z, snaps, vertices, **kw):
+            theta = score(z, snaps, vertices, **kw)  # every pair at once
+            for pair, prev, cur in zip(theta, snaps, snaps[1:]):
+                scored = prev.present[vertices] & cur.present[vertices]
+                for v, value in zip(vertices[scored].tolist(), pair[scored]):
+                    thetas[(cur.timestamp, v)] = value.tobytes()
             return theta
 
         monkeypatch.setattr(concurrent_mod, "similarity_scores", recorded)
