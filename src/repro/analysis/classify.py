@@ -36,6 +36,13 @@ that every reader shares — θ's neighbour weights, the churned feature
 rows, the changed-row closure — each computed on first read and kept
 read-only.  A read-only window is classified once, so the shards of a
 cluster push and every recovery replay of that window read one value.
+Both row facts are derived from what classification already proved
+rather than from every snapshot again: the churned rows from the
+consecutive pairs' feature compares, and the changed-row closure from
+the first snapshot's edges, because a row outside the changed set
+keeps one neighbour list through the window (the topology test).  The
+one exception, an unaffected row whose list does move (``relinked``),
+is kept on the result and grown over every snapshot.
 """
 
 from __future__ import annotations
@@ -81,6 +88,10 @@ class WindowClassification:
     neighbor_counts: tuple = field(repr=False, compare=False)
     #: the classified snapshots, which the memoised facts are read from
     snapshots: tuple = field(repr=False, compare=False)
+    #: ascending ids of the unaffected rows whose neighbour lists change
+    #: within the window: only a vertex absent throughout that holds
+    #: edges, which the canonical form forbids but no validator rejects
+    relinked: np.ndarray = field(repr=False, compare=False)
     _memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -140,26 +151,41 @@ class WindowClassification:
 
     def churned_rows(self) -> tuple:
         """Per later snapshot ``t >= 1``, the ascending ids of the rows
-        whose features differ from snapshot 0's."""
+        whose features differ from snapshot 0's.
+
+        Read off ``feature_pairs``: snapshot 1's are the rows its pair
+        moved, and a row no pair up to snapshot ``t`` moved still holds
+        snapshot 0's features there, so only the rows some earlier pair
+        moved are compared with snapshot 0 again."""
         key = ("churned",)
         if key not in self._memo:
-            snap0 = self.snapshots[0]
-            self._keep(key, tuple(
-                np.flatnonzero((snap.features != snap0.features).any(axis=1))
-                for snap in self.snapshots[1:]
-            ))
+            churned = []
+            if self.feature_pairs:
+                moved = ~self.feature_pairs[0]
+                churned.append(np.flatnonzero(moved))
+                snap0 = self.snapshots[0].features
+                for same, snap in zip(self.feature_pairs[1:], self.snapshots[2:]):
+                    moved |= ~same
+                    rows = np.flatnonzero(moved)
+                    differ = snap.features[rows] != snap0[rows]
+                    churned.append(rows[differ.any(axis=1)])
+            self._keep(key, tuple(churned))
         return self._memo[key]
 
     def changed_rows(self, num_layers: int) -> tuple:
         """Per GCN layer, the ascending ids of the rows a later
         snapshot recomputes: the stable and affected rows, grown one
-        hop over the window's edges per layer (:func:`_changed_rows`)."""
-        key = ("changed", num_layers)
-        if key not in self._memo:
-            self._keep(key, tuple(
-                _changed_rows(self.snapshots, self.labels != 0, num_layers)
+        hop over the window's edges per layer — over the first
+        snapshot's alone unless ``relinked`` holds a row
+        (:func:`_changed_rows`).  The deepest closure read so far is
+        kept, and a shallower read is its first layers."""
+        rows = self._memo.get(("changed",), ())
+        if len(rows) < num_layers:
+            rows = tuple(_changed_rows(
+                self.snapshots, self.labels != 0, num_layers, self.relinked
             ))
-        return self._memo[key]
+            self._keep(("changed",), rows)
+        return rows if len(rows) == num_layers else rows[:num_layers]
 
     def _keep(self, key, value) -> None:
         for array in value if isinstance(value, tuple) else (value,):
@@ -199,7 +225,8 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     result = _classify(snaps, window.num_vertices)
     if all(s.read_only for s in snaps):
         for array in (
-            result.labels, *result.feature_pairs, *sum(result.neighbor_counts, ())
+            result.labels, result.relinked, *result.feature_pairs,
+            *sum(result.neighbor_counts, ()),
         ):
             array.flags.writeable = False
         snaps[-1]._classified = result
@@ -211,7 +238,7 @@ def _classify(snaps, n: int) -> WindowClassification:
     if len(snaps) == 1:
         return WindowClassification(
             np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, (), (),
-            tuple(snaps),
+            tuple(snaps), np.empty(0, dtype=np.int64),
         )
 
     # --- presence: any arrival/departure within the window -> affected ---
@@ -256,8 +283,9 @@ def _classify(snaps, n: int) -> WindowClassification:
     labels[unaffected] = VertexClass.UNAFFECTED
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
+    relinked = np.flatnonzero((labels == VertexClass.UNAFFECTED) & ~topo_stable)
     return WindowClassification(
-        labels, len(snaps), pairs, tuple(counts), tuple(snaps)
+        labels, len(snaps), pairs, tuple(counts), tuple(snaps), relinked
     )
 
 
@@ -272,15 +300,22 @@ def _feature_pairs(snaps) -> tuple:
     )
 
 
-def _changed_rows(snaps, changed, num_layers) -> list[np.ndarray]:
+def _changed_rows(snaps, changed, num_layers, relinked=None) -> list[np.ndarray]:
     """Ascending ids of the rows each GCN layer recomputes at the
     window's later snapshots: ``changed`` (a mask) for the first layer,
     one more hop over the window's edges per layer after it.
 
     A row joins the next layer's set when any snapshot's row holds a
     neighbour in the previous one: the same set as one hop over the
-    union of the window's edges, without building it.
+    union of the window's edges, without building it.  A row already
+    in the set stays in it, and a row outside ``changed`` keeps one
+    neighbour list through the window, except the ``relinked`` ones
+    (ascending ids; None: any row may move).  So while ``relinked`` is
+    empty, one hop over the first snapshot's edges is the hop over the
+    union; else every snapshot is walked.
     """
+    if relinked is not None and not relinked.size:
+        snaps = snaps[:1]
     layer_rows = [np.flatnonzero(changed)]
     for _ in range(num_layers - 1):
         grown = changed.copy()

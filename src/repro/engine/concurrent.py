@@ -182,10 +182,7 @@ class ConcurrentEngine:
         model = self.model
         n = window.num_vertices
         owned = carry.computed_rows(model)
-        owned_mask = None
-        if owned is not None:
-            owned_mask = np.zeros(n, dtype=bool)
-            owned_mask[owned] = True
+        owned_mask = None if owned is None else _mask(owned, n)
         overlap, policy = self.enable_overlap, self.policy
         if plan is not None:
             from ..adaptive import KernelChoice
@@ -236,7 +233,7 @@ class ConcurrentEngine:
         ascending ids) computes layer ``l`` of each snapshot on
         ``need[l]`` only — :func:`_owned_closure` — its other rows
         zeros nothing reads."""
-        model = self.model
+        model, n = self.model, window.num_vertices
         layers = model.gnn.layers
         need = _owned_closure(window, owned, len(layers))
         if not overlap:
@@ -251,7 +248,7 @@ class ConcurrentEngine:
                 layer_rows = cls.changed_rows(len(layers))
                 if owned is not None:
                     layer_rows = [
-                        np.intersect1d(changed, rows, assume_unique=True)
+                        changed[_mask(rows, n)[changed]]
                         for changed, rows in zip(layer_rows, need)
                     ]
                 self._account_changed_gnn(
@@ -259,7 +256,6 @@ class ConcurrentEngine:
                 )
         if owned is None:
             return model.gnn_forward_window(window.snapshots, ws=ws)
-        n = window.num_vertices
         zs = []
         for snap in window:
             h = snap.features
@@ -277,22 +273,27 @@ class ConcurrentEngine:
         computes layer ``l`` on ``layer_rows[l]``, combining afresh only
         the rows whose input differs from the representative's — the
         churned rows at the first layer, the layer below's rows after
-        it."""
-        for snap, in_rows in zip(window.snapshots[1:], feature_rows):
-            m.feature_words += len(in_rows) * window.dim  # only churned rows
-            inputs = len(in_rows)
-            for layer, rows in zip(self.model.gnn.layers, layer_rows):
-                macs = layer.in_dim * layer.out_dim
-                agg_dim = min(layer.in_dim, layer.out_dim)
-                gathered = int(snap.degrees[rows].sum())  # their edges
-                # a shrinking layer combines its changed inputs, then
-                # aggregates; a growing one combines its aggregated rows
-                shrinks = layer.out_dim < layer.in_dim
-                m.combination_macs += (inputs if shrinks else len(rows)) * macs
-                m.aggregation_macs += gathered * agg_dim
-                m.feature_words += gathered * agg_dim  # neighbour gathers
-                m.structure_words += len(rows) + gathered
-                inputs = len(rows)
+        it.  The counters are sums over those snapshots, so each set
+        enters only through its size and its rows' edges in all of
+        them."""
+        later = window.snapshots[1:]
+        # each row's edges over every later snapshot
+        degrees = sum(snap.degrees for snap in later)
+        inputs = sum(map(len, feature_rows))
+        m.feature_words += inputs * window.dim  # only churned rows
+        for layer, rows in zip(self.model.gnn.layers, layer_rows):
+            macs = layer.in_dim * layer.out_dim
+            agg_dim = min(layer.in_dim, layer.out_dim)
+            computed = len(later) * len(rows)
+            gathered = int(degrees[rows].sum())  # their edges
+            # a shrinking layer combines its changed inputs, then
+            # aggregates; a growing one combines its aggregated rows
+            shrinks = layer.out_dim < layer.in_dim
+            m.combination_macs += (inputs if shrinks else computed) * macs
+            m.aggregation_macs += gathered * agg_dim
+            m.feature_words += gathered * agg_dim  # neighbour gathers
+            m.structure_words += computed + gathered
+            inputs = computed
 
     def _account_full_gnn(self, m, snap, need) -> None:
         """Accounting of one GNN snapshot pass (the representative, or
@@ -362,10 +363,9 @@ class ConcurrentEngine:
         if start == 0:
             chain, z = (carry.snap_prev, *snaps), (carry.z_prev, *zs)
             weights.insert(0, None)
-        changed = cls.labels != 0
+        rows = cls.changed_rows(1)[0]  # the stable and affected rows
         if owned_mask is not None:
-            changed &= owned_mask
-        rows = np.flatnonzero(changed)
+            rows = rows[owned_mask[rows]]
         theta = similarity_scores(z, chain, rows, weights=weights, ws=ws)
 
         now = full[start:]  # present (owned) rows of the scored snapshots
@@ -385,11 +385,13 @@ class ConcurrentEngine:
                 ))
         modes = np.full(theta.shape, -1, dtype=np.int64)
         modes[scored] = decision.modes
-        # the present rows outside ``rows`` are unaffected: skipped unscored
-        unaffected = now.sum(axis=1) - present.sum(axis=1)
+        counted = now.sum(axis=1)
+        now &= ~was  # arrivals have no history: FULL
+        # every other row present on both sides lies outside ``rows``:
+        # unaffected, skipped unscored
+        unaffected = counted - now.sum(axis=1) - scored.sum(axis=1)
         skips = (modes == CellUpdateMode.SKIP).sum(axis=1)
         skipped[start:] = (unaffected + skips).tolist()
-        now &= ~was  # arrivals have no history: FULL
         now[:, rows] = (present & ~had) | (modes == CellUpdateMode.FULL)
         delta[start:, rows] = modes == CellUpdateMode.DELTA
         if cache is None:
@@ -459,7 +461,7 @@ class ConcurrentEngine:
         # DFS traversal of the union adjacency; it reaches every stable
         # or affected vertex and nothing else, so the label count is
         # the affected subgraph's size
-        m.overhead_ops += int((cls.labels != 0).sum()) + e_total
+        m.overhead_ops += len(cls.changed_rows(1)[0]) + e_total
         # structure reads for the analysis
         m.structure_words += e_total + (n + 1) * window.num_snapshots
 
@@ -490,6 +492,13 @@ def _owned_closure(window, owned, num_layers) -> list:
             reads.append(snap.indices[at + np.arange(at.size)])
         need.insert(0, np.unique(np.concatenate(reads)))
     return need
+
+
+def _mask(rows, n):
+    """The ``(n,)`` mask of ``rows``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def _spread(block, rows, n):

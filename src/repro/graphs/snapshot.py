@@ -95,9 +95,7 @@ def build_csr(
                 f"edge endpoint out of range [0, {num_vertices}): min={lo} max={hi}"
             )
     # Sort by (src, dst) via a single composite key — one O(m log m) pass.
-    key = src * np.int64(num_vertices) + dst
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    key = np.sort(src * np.int64(num_vertices) + dst)
     if key.size:
         keep = np.empty(key.shape, dtype=bool)
         keep[0] = True

@@ -29,8 +29,10 @@ from repro.engine import (
 from repro.analysis.classify import _changed_rows
 from repro.graphs import CSRSnapshot, DynamicGraph, load_dataset
 from repro.graphs.snapshot import build_csr
-from repro.models import make_model
+from repro.models import GCNStack, make_model
 from repro.skipping.policy import SkipThresholds
+
+from . import oracle
 
 
 def random_window(seed: int, n: int, k: int, dim: int = 3) -> DynamicGraph:
@@ -90,6 +92,95 @@ def masks_over_union(window, changed0, num_layers):
     return masks
 
 
+#: the counters of a window's GNN dataflow and its analysis reads
+COUNTERS = ("feature_words", "structure_words", "combination_macs", "aggregation_macs")
+
+
+def accounting_oracle(window, layers, owned):
+    """The words and MACs of one OADL step from the replaced formulas:
+    each layer's rows by ``masks_over_union`` from the oracle's labels
+    (cut to the rows an owned-row step computes the layer on), and each
+    later snapshot's churned rows by comparing its features with
+    snapshot 0's."""
+    snaps, n = window.snapshots, window.num_vertices
+    u_indptr, u_indices = union_oracle(window)
+    # the rows each layer runs on: the owned ones at the last layer, and
+    # below a layer its rows and their neighbours in any snapshot
+    need = [np.ones(n, dtype=bool)]
+    if owned is not None:
+        need = [np.isin(np.arange(n), owned)]
+    for _ in range(len(layers) - 1):
+        below = need[0].copy()
+        for v in np.flatnonzero(need[0]):
+            below[u_indices[u_indptr[v] : u_indptr[v + 1]]] = True
+        need.insert(0, below)
+    changed = masks_over_union(
+        window, oracle.labels(snaps) != oracle.UNAFFECTED, len(layers)
+    )
+    edges = sum(s.num_edges for s in snaps)
+    count = dict.fromkeys(COUNTERS, 0)
+    count["structure_words"] += edges + (n + 1) * len(snaps)  # the analysis
+
+    def layer_work(layer, inputs, outputs, rows, snap):
+        """A layer combining ``inputs`` rows when it shrinks, else
+        ``outputs``, and aggregating the edges of ``rows``."""
+        agg_dim = min(layer.in_dim, layer.out_dim)
+        combined = inputs if layer.out_dim < layer.in_dim else outputs
+        gathered = int(snap.degrees[rows].sum())
+        count["combination_macs"] += combined * layer.in_dim * layer.out_dim
+        count["aggregation_macs"] += gathered * agg_dim
+        count["feature_words"] += gathered * agg_dim
+        return combined, gathered
+
+    first = snaps[0]  # the representative: each needed row, in full
+    rows = np.flatnonzero(need[0])
+    count["structure_words"] += len(rows) + 1 + int(first.degrees[rows].sum())
+    inputs = first.num_present
+    for layer, mask in zip(layers, need):
+        rows = np.flatnonzero(mask)
+        present = int(first.present[rows].sum())
+        combined, _ = layer_work(layer, inputs, present, rows, first)
+        count["feature_words"] += combined * layer.in_dim
+        inputs = present
+    for snap in snaps[1:]:  # the changed rows
+        inputs = int((snap.features != first.features).any(axis=1).sum())
+        count["feature_words"] += inputs * window.dim
+        for layer, grown, mask in zip(layers, changed, need):
+            rows = np.flatnonzero(grown & mask)
+            _, gathered = layer_work(layer, inputs, len(rows), rows, snap)
+            count["structure_words"] += len(rows) + gathered
+            inputs = len(rows)
+    return count
+
+
+def step_counts(window, model, owned):
+    m = ExecutionMetrics()
+    ConcurrentEngine(model, window_size=window.num_snapshots).step(
+        Carry(window_size=window.num_snapshots, rows=owned), window,
+        classify_window(window), None, m,
+    )
+    return {key: getattr(m, key) for key in COUNTERS}
+
+
+def relinked_window() -> DynamicGraph:
+    """Vertex 4 is absent throughout, yet holds an edge: to the
+    unaffected vertex 2 at the first snapshot, to vertex 0, whose
+    features change, at the second.  Only that second edge puts it in
+    the next layer's changed rows."""
+    present = np.array([True, True, True, True, False])
+    feats = np.arange(15, dtype=np.float32).reshape(5, 3)
+    moved = feats.copy()
+    moved[0] += 1.0
+    pairs = [(0, 1), (1, 0), (2, 3), (3, 2)]
+    return DynamicGraph([
+        CSRSnapshot.from_edges(
+            5, np.array(pairs + [(4, dst)]), f, present=present.copy(),
+            timestamp=t, undirected=False,
+        )
+        for t, (dst, f) in enumerate([(2, feats), (0, moved)])
+    ])
+
+
 windows = given(
     seed=st.integers(0, 10_000),
     n=st.integers(1, 40),
@@ -109,6 +200,28 @@ class TestChangedRows:
             assert len(got) == layers
             for rows, mask in zip(got, want):
                 assert np.array_equal(rows, np.flatnonzero(mask))
+
+    @windows
+    @settings(max_examples=100, deadline=None)
+    def test_the_memoised_closure_equals_the_masks_grown_over_the_union(
+        self, seed, n, k
+    ):
+        window = random_window(seed, n, k)
+        cls = classify_window(window)
+        assert cls.relinked.size == 0  # canonical: an absent row has no edge
+        for layers in (1, 3, 2):  # grown deeper, then read shallower
+            want = masks_over_union(window, cls.labels != 0, layers)
+            for rows, mask in zip(cls.changed_rows(layers), want):
+                assert np.array_equal(rows, np.flatnonzero(mask))
+
+    def test_a_relinked_row_is_grown_over_every_snapshot(self):
+        window = relinked_window()
+        cls = classify_window(window)
+        assert cls.relinked.tolist() == [4]
+        want = masks_over_union(window, cls.labels != 0, 2)
+        assert want[1][4] and not want[0][4]
+        for rows, mask in zip(cls.changed_rows(2), want):
+            assert np.array_equal(rows, np.flatnonzero(mask))
 
     @windows
     @example(seed=1500, n=6, k=4)  # no stable root, adjacent affected vertices
@@ -131,6 +244,48 @@ class TestChangedRows:
         for got, want in zip(union_adjacency(window), union_oracle(window)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def accounting_model(dim, hidden, layers):
+    """A T-GCN (row-local cell) whose GNN is ``layers`` GCN layers."""
+    model = make_model("T-GCN", dim, hidden, seed=1)
+    model.gnn = GCNStack([dim] + [hidden] * layers, seed=1)
+    return model
+
+
+class TestTheCountersKeepTheirDefinitions:
+    """The step counts the OADL dataflow from its classification's
+    memoised facts; the counts are the ones the definitions give."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        k=st.sampled_from([1, 2, 4]),
+        layers=st.integers(1, 3),
+        hidden=st.sampled_from([2, 8]),  # 2 < dim: the first layer shrinks
+        shards=st.sampled_from([None, 2, 4]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equal_the_accounting_oracle(self, seed, n, k, layers, hidden, shards):
+        window = random_window(seed, n, k)
+        model = accounting_model(window.dim, hidden, layers)
+        owners = [None]
+        if shards is not None:
+            owner = np.random.default_rng(seed).integers(0, shards, n)
+            owners = [np.flatnonzero(owner == s) for s in range(shards)]
+        for owned in owners:
+            want = accounting_oracle(window, model.gnn.layers, owned)
+            assert step_counts(window, model, owned) == want
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_a_relinked_row(self, layers, shards):
+        window = relinked_window()
+        model = accounting_model(window.dim, 8, layers)
+        owners = [None] if shards is None else [np.array([0, 2, 4]), np.array([1, 3])]
+        for owned in owners:
+            want = accounting_oracle(window, model.gnn.layers, owned)
+            assert step_counts(window, model, owned) == want
 
 
 def _raise(*args, **kwargs):
