@@ -40,9 +40,9 @@ Both row facts are derived from what classification already proved
 rather than from every snapshot again: the churned rows from the
 consecutive pairs' feature compares, and the changed-row closure from
 the first snapshot's edges, because a row outside the changed set
-keeps one neighbour list through the window (the topology test).  The
-one exception, an unaffected row whose list does move (``relinked``),
-is kept on the result and grown over every snapshot.
+keeps one neighbour list through the window (the topology test; an
+absent vertex holds no edge, which the canonical form requires and
+:func:`~repro.resilience.ingest.snapshot_violation` enforces).
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class WindowClassification:
     neighbor_counts: tuple = field(repr=False, compare=False)
     #: the classified snapshots, which the memoised facts are read from
     snapshots: tuple = field(repr=False, compare=False)
-    #: ascending ids of the unaffected rows whose neighbour lists change
-    #: within the window: only a vertex absent throughout that holds
-    #: edges, which the canonical form forbids but no validator rejects
-    relinked: np.ndarray = field(repr=False, compare=False)
     _memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -175,14 +171,13 @@ class WindowClassification:
     def changed_rows(self, num_layers: int) -> tuple:
         """Per GCN layer, the ascending ids of the rows a later
         snapshot recomputes: the stable and affected rows, grown one
-        hop over the window's edges per layer — over the first
-        snapshot's alone unless ``relinked`` holds a row
-        (:func:`_changed_rows`).  The deepest closure read so far is
-        kept, and a shallower read is its first layers."""
+        hop over the window's edges per layer, which are the first
+        snapshot's (:func:`_changed_rows`).  The deepest closure read
+        so far is kept, and a shallower read is its first layers."""
         rows = self._memo.get(("changed",), ())
         if len(rows) < num_layers:
             rows = tuple(_changed_rows(
-                self.snapshots, self.labels != 0, num_layers, self.relinked
+                self.snapshots[0], self.labels != 0, num_layers
             ))
             self._keep(("changed",), rows)
         return rows if len(rows) == num_layers else rows[:num_layers]
@@ -225,7 +220,7 @@ def classify_window(window: DynamicGraph) -> WindowClassification:
     result = _classify(snaps, window.num_vertices)
     if all(s.read_only for s in snaps):
         for array in (
-            result.labels, result.relinked, *result.feature_pairs,
+            result.labels, *result.feature_pairs,
             *sum(result.neighbor_counts, ()),
         ):
             array.flags.writeable = False
@@ -238,7 +233,7 @@ def _classify(snaps, n: int) -> WindowClassification:
     if len(snaps) == 1:
         return WindowClassification(
             np.full(n, VertexClass.UNAFFECTED, dtype=np.int64), 1, (), (),
-            tuple(snaps), np.empty(0, dtype=np.int64),
+            tuple(snaps),
         )
 
     # --- presence: any arrival/departure within the window -> affected ---
@@ -283,9 +278,8 @@ def _classify(snaps, n: int) -> WindowClassification:
     labels[unaffected] = VertexClass.UNAFFECTED
     # vertices absent throughout the window never need work: unaffected
     labels[~present.any(axis=0)] = VertexClass.UNAFFECTED
-    relinked = np.flatnonzero((labels == VertexClass.UNAFFECTED) & ~topo_stable)
     return WindowClassification(
-        labels, len(snaps), pairs, tuple(counts), tuple(snaps), relinked
+        labels, len(snaps), pairs, tuple(counts), tuple(snaps)
     )
 
 
@@ -300,32 +294,27 @@ def _feature_pairs(snaps) -> tuple:
     )
 
 
-def _changed_rows(snaps, changed, num_layers, relinked=None) -> list[np.ndarray]:
+def _changed_rows(snap, changed, num_layers) -> list[np.ndarray]:
     """Ascending ids of the rows each GCN layer recomputes at the
     window's later snapshots: ``changed`` (a mask) for the first layer,
     one more hop over the window's edges per layer after it.
 
-    A row joins the next layer's set when any snapshot's row holds a
-    neighbour in the previous one: the same set as one hop over the
-    union of the window's edges, without building it.  A row already
-    in the set stays in it, and a row outside ``changed`` keeps one
-    neighbour list through the window, except the ``relinked`` ones
-    (ascending ids; None: any row may move).  So while ``relinked`` is
-    empty, one hop over the first snapshot's edges is the hop over the
-    union; else every snapshot is walked.
+    ``snap`` is the window's first snapshot.  A row joins the next
+    layer's set when any snapshot's row holds a neighbour in the
+    previous one.  A row already in the set stays in it, and a row
+    outside ``changed`` keeps one neighbour list through the window, so
+    one hop over ``snap``'s edges is the hop over the union of the
+    window's edges, without building it.
     """
-    if relinked is not None and not relinked.size:
-        snaps = snaps[:1]
     layer_rows = [np.flatnonzero(changed)]
+    # the non-empty rows' pointers cut the edge array into exactly those
+    # rows' neighbour lists
+    rows = np.flatnonzero(snap.degrees)
     for _ in range(num_layers - 1):
         grown = changed.copy()
-        for snap in snaps:
-            # the non-empty rows' pointers cut the edge array into
-            # exactly those rows' neighbour lists
-            rows = np.flatnonzero(snap.degrees)
-            grown[rows] |= np.logical_or.reduceat(
-                changed[snap.indices], snap.indptr[rows]
-            )
+        grown[rows] |= np.logical_or.reduceat(
+            changed[snap.indices], snap.indptr[rows]
+        )
         changed = grown
         layer_rows.append(np.flatnonzero(changed))
     return layer_rows

@@ -55,7 +55,7 @@ class Carry:
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
 
     state: object = None  # LSTMState / GRUState
-    #: similarity-cache pre-activations; the concurrent engine's only —
+    #: the Delta Generation baseline; the concurrent engine's only —
     #: the reference path never allocates one
     cache: DeltaCellCache | None = None
     h_prev: np.ndarray | None = None  # last released output
@@ -86,12 +86,12 @@ class Carry:
         return self.state, self.h_prev
 
     def delta_cache(self, cell, n: int) -> DeltaCellCache | None:
-        """The carried delta cache, created on first need.  RNN-free
-        models (IdentityCell) have no delta-cache machinery: their
-        "cell update" is free and always exact."""
+        """The carried delta baseline, created on first need.  RNN-free
+        models (IdentityCell) keep none: their "cell update" is free
+        and always exact, so a DELTA decision is counted as FULL."""
         if self.cache is not None or isinstance(cell, IdentityCell):
             return self.cache
-        return DeltaCellCache(cell, n)
+        return DeltaCellCache.zeros(cell, n)
 
     def advance(self, snaps, state, h_prev, z_prev, cache) -> "Carry":
         """The successor after ``snaps`` executed: position moved on by

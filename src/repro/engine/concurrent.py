@@ -8,27 +8,31 @@ Figs. 8–9):
    The engine's unit of recomputation is the per-layer row mask grown
    from those labels; the stable-rooted DFS order is the O-CSR layout
    order, consumed by the accelerator model only (:mod:`repro.accel`).
-2. **Multi-snapshot GNN** — snapshot 0 of the window is computed once as
-   the *representative*; for later snapshots only the per-layer *changed
-   sets* are recomputed.  The changed set of layer ``i`` is the closed
-   (i-1)-hop neighbourhood of the stable∪affected set over the window's
-   snapshots: an unaffected vertex's layer-1 output is provably identical
-   across the window, but deeper layers see change leaking in one hop per
-   layer.  This is the dataflow the counters count and the accelerator
-   model prices: unaffected vertices loaded and computed once per layer.
-   The host computes the same bits with one kernel per window, the
-   stacked window kernel over every row (an owned-row window: each
-   layer on the rows it needs), because past layer 1 the changed set is
-   93–100 % of the graph and its reuse bookkeeping costs more than it
-   saves (docs/performance.md, "One GNN kernel per window").
+2. **Multi-snapshot GNN** — the counters count, and the accelerator
+   model prices, the OADL dataflow: snapshot 0 of the window is
+   computed once as the *representative*, and later snapshots recompute
+   only the per-layer *changed sets*, so unaffected vertices are loaded
+   and computed once per layer.  The changed set of layer ``i`` is the
+   closed (i-1)-hop neighbourhood of the stable∪affected set over the
+   window's snapshots: an unaffected vertex's layer-1 output is
+   provably identical across the window, but deeper layers see change
+   leaking in one hop per layer.  The host computes the same bits with
+   one kernel per window, the stacked window kernel over every row (an
+   owned-row window: each layer on the rows it needs), because past
+   layer 1 the changed set is 93–100 % of the graph and its reuse
+   bookkeeping costs more than it saves (docs/performance.md, "One GNN
+   kernel per window").
 3. **Similarity-aware cell skipping** — the paper's similarity unit is
    a stage of its own between the GNN and RNN units, and so is the
    host's: once the window's GNN outputs exist, one :math:`\\theta`
    stage scores the stable/affected vertices of every scored snapshot
    pair in one call and decides every cell mode of the window at once
    (:meth:`ConcurrentEngine._theta_window`).  The recurrence then only
-   runs the updates: SKIP rows reuse the previous final feature, DELTA
-   rows take the condensed partial update, FULL rows run the real cell.
+   runs the updates: SKIP rows reuse the previous final feature, and
+   FULL and DELTA rows run the real cell.  DELTA is a decision, a
+   counter and a price: the paper's condensed partial update pays off
+   only in hardware, so the host computes a DELTA row with the FULL
+   update and counts it as the partial one (:mod:`repro.skipping.delta`).
    Unaffected vertices are skipped directly without scoring (their
    :math:`\\theta` is exactly 1).
 
@@ -45,6 +49,8 @@ from ..analysis.classify import classify_window
 from ..analysis.similarity import similarity_scores
 from ..graphs.dynamic import DynamicGraph
 from ..models.base import DGNNModel
+from ..models.layers import _matmul_rows
+from ..models.rnn import IdentityCell
 from ..skipping.policy import (
     CellUpdateMode,
     ModeDecision,
@@ -162,16 +168,17 @@ class ConcurrentEngine:
         (:meth:`_gnn_window`), every cell mode of the window
         (:meth:`_theta_window`, which reads only those outputs, the
         snapshots and ``cls``), and the recurrence, which runs each
-        snapshot's FULL and DELTA updates in order (:meth:`_rnn_step`).
+        snapshot's FULL and DELTA rows through the FULL update in order
+        (:meth:`_rnn_step`).
 
         ``carry.rows`` (None = every row) are the rows this window
         computes: the last GCN layer, the cell update, the similarity
-        scores and the delta cache run on them alone, and every bit of
+        scores and the delta baseline run on them alone, and every bit of
         an owned row is the full engine's (``_owned_closure``).  A model
         whose cell reads its neighbours' state runs every row whatever
         the carry owns, so its windows are whole-graph ones.
 
-        ``carry`` is left as it was except for its delta cache, updated
+        ``carry`` is left as it was except for its delta baseline, updated
         **in place** (a copy per window would tax every plain stream): a
         caller that may roll back takes ``carry.copy()`` first.
 
@@ -395,7 +402,8 @@ class ConcurrentEngine:
         now[:, rows] = (present & ~had) | (modes == CellUpdateMode.FULL)
         delta[start:, rows] = modes == CellUpdateMode.DELTA
         if cache is None:
-            # identity cell: the "partial" update is the full (free) one
+            # identity cell: no baseline, so a DELTA decision counts as
+            # the full (free) update
             full |= delta
             delta.fill(False)
         return full, delta, skipped
@@ -406,43 +414,37 @@ class ConcurrentEngine:
     def _rnn_step(
         self, m, snap, z, state, cache, h_prev, full, delta, n_skip, ws
     ):
-        """One snapshot's cell phase: the FULL and DELTA updates of the
-        rows the θ stage gave those modes (``full`` and ``delta``, (n,)
-        masks); ``n_skip`` rows keep their output and state."""
+        """One snapshot's cell phase: the rows the θ stage gave FULL or
+        DELTA (``full`` and ``delta``, (n,) masks) take the FULL update,
+        one block in ascending id order; ``n_skip`` rows keep their
+        output and state.  A DELTA row is still counted as the paper's
+        partial update: it moves its delta baseline and is charged the
+        MACs of its surviving delta components."""
         model = self.model
         full_rows, delta_rows = np.flatnonzero(full), np.flatnonzero(delta)
+        flops = model.cell.flops_per_vertex() // 2
         h_out = h_prev.copy()
-        parts = []  # (rows, their new state); both modes read the old one
+        new_state = state
+        rows = np.flatnonzero(full | delta)
+        if len(rows):
+            h_out[rows], st_rows = _full_update(model, z, state, rows, snap, ws)
+            new_state = state.copy()
+            new_state.put(rows, st_rows)
         if len(full_rows):
-            h_out[full_rows], st_rows = _full_update(
-                model, cache, z, state, full_rows, snap, ws
-            )
-            parts.append((full_rows, st_rows))
+            if cache is not None:
+                cache.reset(full_rows, z)
             m.cells_full += len(full_rows)
-            m.cell_macs += len(full_rows) * model.cell.flops_per_vertex() // 2
+            m.cell_macs += len(full_rows) * flops
         if len(delta_rows):
-            # the FULL update is done with the two cell blocks
-            shape = (len(delta_rows), cache.zx.shape[1])
-            out = (
-                ws.take("cell.zx", shape, cache.zx.dtype),
-                ws.take("cell.zh", shape, cache.zh.dtype),
-            )
-            h_out[delta_rows], st_rows, nnz = cache.partial_step(
-                delta_rows, z, state, epsilon=self.epsilon, out=out
-            )
-            parts.append((delta_rows, st_rows))
-            full_cost = len(delta_rows) * model.cell.flops_per_vertex() // 2
+            nnz = cache.advance(delta_rows, z, epsilon=self.epsilon)
+            full_cost = len(delta_rows) * flops
             delta_cost = nnz * model.cell.w_x.shape[1]
             m.cells_delta += len(delta_rows)
             m.delta_nnz += nnz
             m.cell_macs += min(delta_cost, full_cost)
             m.cell_macs_saved += max(full_cost - delta_cost, 0)
-        # one fresh state per snapshot, copied once the updates are done
-        new_state = state.copy() if parts else state
-        for rows, part in parts:
-            new_state.put(rows, part)
         m.cells_skipped += n_skip
-        m.cell_macs_saved += n_skip * model.cell.flops_per_vertex() // 2
+        m.cell_macs_saved += n_skip * flops
         m.output_words += (len(full_rows) + len(delta_rows)) * model.out_dim
         return h_out, new_state
 
@@ -523,19 +525,20 @@ def _work(snap, rows) -> tuple[int, int, int]:
     )
 
 
-def _full_update(model, cache, z, state, rows, snap, ws):
-    """FULL cell update of ``rows``: ``(h_rows, state_rows)``.  The
-    delta cache (None for an RNN-free model) records the update's two
-    pre-activation products and the cell evaluates its gates on those
-    very blocks, so each is multiplied once — into two workspace blocks
-    the cell then uses as scratch."""
+def _full_update(model, z, state, rows, snap, ws):
+    """FULL cell update of ``rows``: ``(h_rows, state_rows)``.  The two
+    pre-activation products are multiplied into two workspace blocks
+    and handed to the cell as ``pre``, which it then uses as scratch,
+    so the update allocates no block of its own."""
+    cell = model.cell
+    if isinstance(cell, IdentityCell):
+        return model.cell_step_rows(z, state, rows, snap)
     drive = model.recurrent_drive(state, snap, rows)
-    pre = None
-    if cache is not None:
-        r = len(rows)
-        w_x, w_h = cache.cell.w_x, cache.cell.w_h
-        zx = ws.take("cell.zx", (r, w_x.shape[1]), np.result_type(z, w_x))
-        zh = ws.take("cell.zh", (r, w_h.shape[1]), np.result_type(drive, w_h))
-        pre = cache.refresh(rows, z, drive, out=(zx, zh))
+    w_x, w_h, r = cell.w_x, cell.w_h, len(rows)
+    zx = ws.take("cell.zx", (r, w_x.shape[1]), np.result_type(z, w_x))
+    zh = ws.take("cell.zh", (r, w_h.shape[1]), np.result_type(drive, w_h))
+    pre = (
+        _matmul_rows(z[rows], w_x, out=zx),
+        _matmul_rows(drive, w_h, out=zh),
+    )
     return model.cell_step_rows(z, state, rows, snap, drive, pre)
-

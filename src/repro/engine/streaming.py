@@ -244,12 +244,12 @@ class StreamingInference:
         checkpoint); the stream resumes bit-identically from there.
 
         The stream takes ownership (later windows update the carry's
-        delta cache in place): pass ``carry.copy()`` to restore the same
-        point twice.  The stream keeps its own ``rows``; a carry whose
-        state does not cover them (it was captured by a stream owning
-        other rows) is refused.  The model/config must match the one the
-        carry was captured from; a checkpoint is loaded without a model,
-        so its cache arrays are checked against and bound to the cell
+        delta baseline in place): pass ``carry.copy()`` to restore the
+        same point twice.  The stream keeps its own ``rows``; a carry
+        whose state does not cover them (it was captured by a stream
+        owning other rows) is refused.  The model/config must match the
+        one the carry was captured from; a checkpoint is loaded without
+        a model, so its baseline's width is checked against the cell
         here.
         """
         if carry.window_size != self.window_size:
@@ -272,7 +272,7 @@ class StreamingInference:
                 " only and does not cover the rows this stream owns"
             )
         if carry.cache is not None:
-            carry.cache.bind(self.model.cell)  # an identity cell fits none
+            carry.cache.check(self.model.cell)  # an identity cell fits none
         carry.rows = owned
         self._carry = carry
 
@@ -287,19 +287,14 @@ class StreamingInference:
         The resilience supervisor calls this with the successor carry
         and outputs of :meth:`ReferenceEngine.step` run from the
         rollback point; the stream continues as if it had processed the
-        window itself.  The reference path neither reads nor writes the
-        delta cache, so it is created if need be and refreshed here:
-        later windows' DELTA-mode updates read consistent
-        pre-activations.
+        window itself.  The reference path keeps no delta baseline, so
+        it is created if need be and set to the window's last GNN
+        output on the present rows: later windows' DELTA rows count
+        their deltas against it.
         """
         last = carry.snap_prev
         carry.cache = carry.delta_cache(self.model.cell, last.num_vertices)
         if carry.cache is not None:
-            rows = np.flatnonzero(last.present)
-            carry.cache.refresh(
-                rows,
-                carry.z_prev,
-                self.model.recurrent_drive(carry.state, last, rows),
-            )
+            carry.cache.reset(np.flatnonzero(last.present), carry.z_prev)
         carry.pending = []
         return self._commit(carry, outputs, metrics)

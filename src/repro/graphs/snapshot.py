@@ -34,6 +34,7 @@ __all__ = [
     "FEAT_DTYPE",
     "PTR_DTYPE",
     "VID_DTYPE",
+    "absent_row_violation",
     "build_csr",
     "degrees_from_indptr",
     "segment_sum",
@@ -114,6 +115,18 @@ def build_csr(
 def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
     """Out-degrees as a view-friendly diff of the row-pointer array."""
     return np.diff(indptr)
+
+
+@contract("(n+1,) ?, (n,) ? -> _")
+def absent_row_violation(indptr: np.ndarray, present: np.ndarray) -> str | None:
+    """Why a CSR breaks the canonical form's empty row of an absent
+    vertex, naming the first such vertex; None when none holds an
+    edge."""
+    held = np.flatnonzero((indptr[1:] != indptr[:-1]) & np.logical_not(present))
+    if not held.size:
+        return None
+    v = int(held[0])
+    return f"absent vertex {v} holds {int(indptr[v + 1] - indptr[v])} edge(s)"
 
 
 def _load_csr_kernel():
@@ -330,7 +343,8 @@ class CSRSnapshot:
         """Build a snapshot from an ``(m, 2)`` edge array.
 
         When ``undirected`` (the default, matching the paper's datasets)
-        each edge is stored in both directions.
+        each edge is stored in both directions.  An absent vertex must
+        hold no edge (its row is empty): such edges raise.
         """
         edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if edges.size == 0:
@@ -345,6 +359,9 @@ class CSRSnapshot:
             features = np.ascontiguousarray(features, dtype=FEAT_DTYPE)
         if present is None:
             present = np.ones(num_vertices, dtype=bool)
+        reason = absent_row_violation(indptr, present)
+        if reason is not None:
+            raise ValueError(reason)
         return cls(indptr, indices, features, present, timestamp)
 
     def copy(self) -> "CSRSnapshot":

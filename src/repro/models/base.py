@@ -122,10 +122,11 @@ class DGNNModel(abc.ABC):
         ``recurrent_drive(state, snap, rows)`` (None = computed here),
         so a graph-aware cell does not convolve a second time.
         ``pre`` is the caller's already-multiplied
-        ``(z[rows] @ w_x, drive @ w_h)`` — what
-        :meth:`DeltaCellCache.refresh` just stored — so a FULL update
-        that feeds the delta cache multiplies once; the cell uses the
-        first block as scratch (:meth:`RecurrentCell.step_pre`).
+        ``(z[rows] @ w_x, drive @ w_h)``, which the engine's FULL update
+        writes into workspace blocks; the cell uses the first block as
+        scratch (:meth:`RecurrentCell.step_pre`).  This is the update of
+        FULL and DELTA rows alike: DELTA is a decision, a counter and a
+        price (:mod:`repro.skipping.delta`), and the host runs FULL.
         """
         cell = self.cell
         sub = state.take(rows)

@@ -139,11 +139,10 @@ class RecurrentCell:
         """:meth:`step` from its two pre-activation blocks ``x @ w_x``
         and ``h @ w_h`` (bias not yet added) — the only gate arithmetic
         of the cell.  Every caller multiplies and hands the products
-        here: :meth:`step`, the engine's FULL update (the products it
-        shares with the delta cache's refresh), the delta cache's partial
-        update (its cached blocks, the input one moved by the delta) and
-        the Table 5 approximators, which pass their own primitives as
-        ``ops`` (:class:`CellOps`; the exact ones by default).
+        here: :meth:`step`, the engine's FULL update (which DELTA rows
+        take too) and the Table 5 approximators, which pass their own
+        primitives as ``ops`` (:class:`CellOps`; the exact ones by
+        default).
 
         ``zx`` is scratch: the sums are formed in it; ``zh`` is only
         read.  From :meth:`step` it is the product's own temporary; in

@@ -5,11 +5,11 @@
 position (``pending`` snapshots, ``timestamp``, ``num_vertices``,
 cumulative ``metrics``, ``window_size``), the per-vertex recurrent
 ``state``, the last output, GNN result and snapshot (``h_prev`` /
-``z_prev`` / ``snap_prev`` — the delta baseline), the similarity
-``cache`` pre-activations, the ``first`` flag, and the ``window_index``
-that drives weight evolution.  A crash loses all of it — re-pushing the
-remaining feed from scratch would produce *different* outputs, because
-the recurrent state is path-dependent.
+``z_prev`` / ``snap_prev`` — what θ compares against), the ``cache``
+that DELTA rows count their deltas against, the ``first`` flag, and
+the ``window_index`` that drives weight evolution.  A crash loses all
+of it — re-pushing the remaining feed from scratch would produce
+*different* outputs, because the recurrent state is path-dependent.
 
 This module writes a ``Carry``'s fields out and builds one back, so a
 stream can resume **bit-identically** from any event boundary.  Design
@@ -30,8 +30,9 @@ points:
   of ``zipfile`` + ``.npy``-header work, so every field but the format
   lives in one record; a shard's windows compute a quarter of the
   rows, so only those rows are written.  On a live ``cluster-serve``
-  shard carry the two together take a save from 0.68 to 0.43 ms and
-  372 kB to 130 kB, against one member per whole-height array.
+  shard carry the two together took a save from 0.68 to 0.43 ms and
+  372 kB to 130 kB, against one member per whole-height array; format 5
+  dropped the two pre-activation blocks, 37 % of what was left.
 * **Stored, not deflated.**  float32 state barely compresses (-17 %)
   and deflate cost 13 ms a save against 1-2 ms stored.  Integrity is
   the zip's per-member CRC-32 (flipped byte) and central directory
@@ -46,7 +47,7 @@ points:
   them.  The header grows ≈ 190 B per pending snapshot, so the reader
   lifts ``np.load``'s 10 000 B header cap (a window of ~40) to 1 MiB.
 * **A build reads the format it writes.**  This build writes and reads
-  format 4 only.  An older or newer archive is refused with an
+  format 5 only.  An older or newer archive is refused with an
   "unsupported checkpoint format" message, which
   :meth:`CheckpointStore.load` raises as :class:`CorruptCheckpointError`:
   a shard recovers from it as from a torn archive, by rolling back to
@@ -60,9 +61,9 @@ points:
   which no owned row's update reads.  A stream resumes only from an
   archive that covers the rows it owns: :meth:`CheckpointStore.restore`
   refuses any other as it would a torn one.
-* **No model needed to load.**  A loaded ``Carry``'s cache holds bare
-  arrays; :meth:`StreamingInference.restore_carry` checks them against
-  the model's cell and binds it.
+* **No model needed to load.**  A loaded ``Carry``'s cache is a bare
+  baseline; :meth:`StreamingInference.restore_carry` checks its width
+  against the model's cell.
 * **Weight evolution needs only the window index.**  Evolving models
   (EvolveGCN-style) derive window ``i`` weights from their initial
   weights idempotently via ``advance_window(i)``, so restoring
@@ -77,7 +78,7 @@ a field of the ``meta/record`` record::
           num_vertices,num_pending,state_kind}
     metrics/<field>            one int64 per ExecutionMetrics field
     state/h [, state/c]        ``state`` (by meta/state_kind)       r
-    cache/{zx,zh,z_input}      ``cache`` pre-activations (optional) r
+    cache/z_input              ``cache`` delta baseline (optional)  r
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)   r
     carry/rows                 ``rows``: the rows of the ``r`` arrays
                                (optional = every row)
@@ -120,14 +121,12 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 _SNAP_FIELDS = ("indptr", "indices", "features", "present")
-_CACHE_FIELDS = ("zx", "zh", "z_input")
 #: the per-vertex arrays: written on the computed rows only
 _ROW_KEYS = (
-    "state/h", "state/c", "cache/zx", "cache/zh", "cache/z_input",
-    "carry/h_prev", "carry/z_prev",
+    "state/h", "state/c", "cache/z_input", "carry/h_prev", "carry/z_prev",
 )
 _RECORD = "meta/record"
 #: record fields that are not int64
@@ -196,8 +195,7 @@ def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
             f"cannot checkpoint recurrent state of type {type(state).__name__}"
         )
     if carry.cache is not None:
-        for name in _CACHE_FIELDS:
-            per_vertex[f"cache/{name}"] = getattr(carry.cache, name)
+        per_vertex["cache/z_input"] = carry.cache.z_input
     for name in ("h_prev", "z_prev"):
         if getattr(carry, name) is not None:
             per_vertex[f"carry/{name}"] = getattr(carry, name)
@@ -304,11 +302,9 @@ def arrays_to_carry(data) -> Carry:
         state = GRUState(np.asarray(data["state/h"]))
     else:
         raise ValueError(f"unknown checkpoint state kind {state_kind!r}")
-    cache = None
-    if "cache/zx" in data:
-        cache = DeltaCellCache.from_arrays(
-            *(np.asarray(data[f"cache/{name}"]) for name in _CACHE_FIELDS)
-        )
+    cache = optional("cache/z_input")
+    if cache is not None:
+        cache = DeltaCellCache(cache)
     return Carry(
         window_size=int(data["meta/window_size"]),
         rows=rows,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.metrics import ExecutionMetrics
-from ..graphs.snapshot import CSRSnapshot
+from ..graphs.snapshot import CSRSnapshot, absent_row_violation
 from ..graphs.updates import UpdateEvent, UpdateKind, apply_events
 from .faults import TransientStorageError
 
@@ -189,12 +189,13 @@ def snapshot_violation(
 
     Catches artefacts that bypassed :class:`CSRSnapshot.__post_init__`
     (torn writes deserialised straight into object fields), neighbour
-    lists that are not strictly ascending (unsorted or duplicated),
-    non-finite feature values, and — when ``num_vertices``/``dim`` are
-    given — shape drift against the stream's pinned geometry.
+    lists that are not strictly ascending (unsorted or duplicated), an
+    absent vertex that holds edges (the canonical form gives it an empty
+    row), non-finite feature values, and — when ``num_vertices``/``dim``
+    are given — shape drift against the stream's pinned geometry.
 
-    The structural checks (CSR shape, id ranges, row order, finite
-    features) cost O(n·d + E).  On a read-only snapshot
+    The structural checks (CSR shape, id ranges, row order, empty absent
+    rows, finite features) cost O(n·d + E).  On a read-only snapshot
     (:attr:`CSRSnapshot.read_only`, which the serving cluster shares
     between its shards) their verdict is cached with the arrays it
     judged, so every later call costs O(1); a writable snapshot could
@@ -250,6 +251,9 @@ def _structure_violation(snap: CSRSnapshot) -> str | None:
         return "neighbour list not strictly ascending"
     if snap.present.shape != (n,):
         return f"present mask shape {snap.present.shape} != ({n},)"
+    reason = absent_row_violation(indptr, snap.present)
+    if reason is not None:
+        return reason
     if snap.features.ndim != 2 or snap.features.shape[0] != n:
         return (
             f"features shape {snap.features.shape} does not cover"

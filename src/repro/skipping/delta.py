@@ -1,7 +1,7 @@
-r"""Delta generation, condensing, and the partial cell update.
+r"""Delta generation and condensing: what DELTA mode is on the host.
 
-DELTA-mode vertices (paper Section 4.2) do not re-run the whole RNN cell.
-Instead:
+DELTA-mode vertices (paper Section 4.2, θ_s ≤ θ ≤ θ_e) do not re-run
+the whole RNN cell in hardware.  Instead:
 
 1. the **Delta Generation** module computes
    :math:`\Delta = Z^t - Z^{t-1}` and zeroes near-zero components (the
@@ -13,18 +13,14 @@ Instead:
    pre-activations, the gates are re-evaluated, and the result is merged
    with the previous snapshot's state.
 
-On the host step 3 is the dense ``delta @ w_x`` — the zeros contribute
-nothing — so a window never builds the packing: the engine's accounting
-needs only the surviving count, which :meth:`DeltaCellCache.partial_step`
-returns.  :func:`condense` is for the ablation that studies the packing
-itself and for tests.
-
-The partial update is therefore first-order exact in the input path and
-freezes the recurrent contribution (whose drift is bounded by the
-similarity gate).  :class:`DeltaCellCache` owns the cached
-pre-activations of any recurrent cell; the gates are the cell's own
-:meth:`~repro.models.rnn.RecurrentCell.step_pre`, so with a zero delta a
-DELTA row is the FULL update bit for bit.
+On the host DELTA is a decision, a counter and a price, not a kernel:
+a DELTA row's delta is 56–65 % dense (ε = 1e-3, every zoo model), so a
+condensed update saves no numpy work, and the host computes the row
+with the FULL update.  What stays is the count step 3 is charged by:
+:class:`DeltaCellCache` keeps each row's baseline and counts a DELTA
+row's surviving delta components, which the engine's counters, and
+through them the accelerator model's cycles, read.  :func:`condense`
+is for the ablation that studies the packing itself and for tests.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.shapes import contract
-from ..models.layers import _matmul_rows
-from ..models.rnn import RecurrentCell
+from ..models.rnn import IdentityCell, RecurrentCell
 
 __all__ = ["generate_delta", "CondensedDelta", "condense", "DeltaCellCache"]
 
@@ -103,114 +98,55 @@ def condense(delta: np.ndarray) -> CondensedDelta:
 
 
 class DeltaCellCache:
-    """Cached pre-activations enabling partial (delta-mode) cell updates.
+    """The Delta Generation baseline of every row: ``z_input``, the
+    ``(n, d)`` cell input a DELTA row's delta is taken against.
 
-    After every FULL update of a vertex row the engine refreshes the
-    cache with :meth:`refresh`; DELTA updates then adjust only the input
-    pre-activation by the condensed delta columns and re-evaluate the
-    gates (:meth:`partial_step`).
+    A FULL row sets its baseline to its input (:meth:`reset`); a DELTA
+    row moves it by its ε-thresholded delta (:meth:`advance`), which is
+    what the DCU would add to its cached pre-activations, and counts the
+    delta's survivors.  The host keeps no pre-activations: it computes a
+    DELTA row with the FULL update and keeps this baseline only for the
+    count.
     """
 
-    def __init__(self, cell: RecurrentCell, num_vertices: int):
-        if not isinstance(cell, RecurrentCell):
-            raise TypeError(f"not a RecurrentCell: {type(cell).__name__}")
-        self.cell = cell
-        n = num_vertices
-        width = cell.w_x.shape[1]
-        self.zx = np.zeros((n, width), dtype=np.float32)  # cached x @ w_x
-        self.zh = np.zeros((n, width), dtype=np.float32)  # cached h @ w_h
-        self.z_input = np.zeros((n, cell.input_dim), dtype=np.float32)
+    def __init__(self, z_input: np.ndarray):
+        self.z_input = z_input
 
     @classmethod
-    def from_arrays(
-        cls, zx: np.ndarray, zh: np.ndarray, z_input: np.ndarray, cell=None
-    ) -> "DeltaCellCache":
-        """Wrap existing pre-activation arrays.  A checkpoint is loaded
-        without a model, so ``cell`` may stay None until :meth:`bind`."""
-        cache = cls.__new__(cls)
-        cache.cell, cache.zx, cache.zh, cache.z_input = cell, zx, zh, z_input
-        return cache
+    def zeros(cls, cell: RecurrentCell, num_vertices: int) -> "DeltaCellCache":
+        """An all-zero baseline as wide as ``cell``'s input."""
+        if not isinstance(cell, RecurrentCell):
+            raise TypeError(f"not a RecurrentCell: {type(cell).__name__}")
+        return cls(np.zeros((num_vertices, cell.input_dim), dtype=np.float32))
 
     def copy(self) -> "DeltaCellCache":
-        """Detached cache over the same cell (fresh arrays)."""
-        return DeltaCellCache.from_arrays(
-            self.zx.copy(), self.zh.copy(), self.z_input.copy(), self.cell
-        )
+        """Detached baseline (a fresh array)."""
+        return DeltaCellCache(self.z_input.copy())
 
-    def bind(self, cell: RecurrentCell) -> None:
-        """Attach ``cell`` after checking the cached pre-activations are
-        as wide as its weights make them (``x @ w_x``, ``h @ w_h``)."""
-        widths = (self.zx.shape[1], self.zh.shape[1], self.z_input.shape[1])
-        fits = (cell.w_x.shape[1], cell.w_h.shape[1], cell.w_x.shape[0])
-        if widths != fits:
+    def check(self, cell: RecurrentCell) -> None:
+        """Raise unless ``cell`` is a recurrent cell whose input is as
+        wide as the baseline (an identity cell keeps none)."""
+        width = self.z_input.shape[1]
+        if isinstance(cell, IdentityCell) or width != cell.input_dim:
             raise ValueError(
-                f"delta cache widths {widths} do not fit a"
-                f" {type(cell).__name__} with widths {fits}"
+                f"delta baseline width {width} does not"
+                f" fit a {type(cell).__name__} with input width"
+                f" {cell.input_dim}"
             )
-        self.cell = cell
 
     # ------------------------------------------------------------------
-    @contract("(r,) i, (n, *) f, (r, *) f -> (r, *) f, (r, *) f")
-    def refresh(
-        self,
-        rows: np.ndarray,
-        x: np.ndarray,
-        drive: np.ndarray,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Record the pre-activations of a FULL update for ``rows`` and
-        return them, ``(x[rows] @ w_x, drive @ w_h)``: the same two
-        products the update itself consumes
-        (:meth:`DGNNModel.cell_step_rows` ``pre``).  They are not views
-        of the cache, so the cell may overwrite them: fresh arrays, or
-        with ``out`` the caller's two blocks, written by the same gemms
-        (the engine passes workspace blocks that live until its window
-        ends, :mod:`repro.engine.workspace`).
+    def reset(self, rows: np.ndarray, z: np.ndarray) -> None:
+        """A FULL update of ``rows`` from the ``(n, d)`` input ``z``:
+        their baseline becomes their input."""
+        self.z_input[rows] = z[rows]
 
-        ``x`` is the full (n, d) cell input, read at ``rows`` only;
-        ``drive`` is row-local: ``recurrent_drive(state, snap, rows)``.
-        """
-        zx_out, zh_out = (None, None) if out is None else out
-        x_rows = x[rows]
-        zx = _matmul_rows(x_rows, self.cell.w_x, out=zx_out)
-        zh = _matmul_rows(drive, self.cell.w_h, out=zh_out)
-        self.zx[rows] = zx
-        self.zh[rows] = zh
-        self.z_input[rows] = x_rows
-        return zx, zh
-
-    def partial_step(
-        self,
-        rows: np.ndarray,
-        z_curr: np.ndarray,
-        state_prev,
-        *,
-        epsilon: float = 1e-3,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        """DELTA-mode update for ``rows``.
-
-        Returns ``(h_rows, state_rows, nnz)`` where ``h_rows`` /
-        ``state_rows`` cover only ``rows`` and ``nnz`` counts the delta
-        components that survived the threshold — what the Condense Unit
-        would pack, and what drives the compute-savings accounting.
-
-        The cell evaluates its gates on the two cached blocks of
-        ``rows``, gathered into fresh arrays or, with ``out``, into the
-        caller's two blocks, as in :meth:`refresh`.
-        """
-        if len(rows) == 0:
-            raise ValueError("partial_step needs at least one row")
-        delta = generate_delta(z_curr[rows], self.z_input[rows], epsilon=epsilon)
-        nnz = int(np.count_nonzero(delta))
-        zx_out, zh_out = (None, None) if out is None else out
-        # apply only the surviving delta columns to the cached input path
-        # (``wrap`` indexes as ``[rows]`` does and, unlike ``raise``,
-        # writes into ``out`` without a buffer of its own)
-        zx = np.take(self.zx, rows, axis=0, out=zx_out, mode="wrap")
-        zx += _matmul_rows(delta, self.cell.w_x)
-        self.zx[rows] = zx
+    def advance(
+        self, rows: np.ndarray, z: np.ndarray, *, epsilon: float = 1e-3
+    ) -> int:
+        """A DELTA update of ``rows``: moves their baseline by the
+        ε-thresholded delta of ``z[rows]`` against it and returns the
+        delta's non-zeros — what the Condense Unit would pack, and what
+        the compute-savings accounting charges."""
+        delta = generate_delta(z[rows], self.z_input[rows], epsilon=epsilon)
         self.z_input[rows] += delta
-        zh = np.take(self.zh, rows, axis=0, out=zh_out, mode="wrap")
-        h, state = self.cell.step_pre(zx, zh, state_prev.take(rows))
-        return h, state, nnz
+        return int(np.count_nonzero(delta))

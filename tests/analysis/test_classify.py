@@ -425,7 +425,10 @@ class TestNeighbourFeatureStability:
             churn = rng.random(n) < 0.1
             feats[churn] = rng.integers(0, 3, size=(churn.sum(), 2))
             present = rng.random(n) < 0.95
-            live = edges[:0] if (edgeless and t == 0) else edges
+            # canonical: an absent vertex holds no edge
+            live = edges[present[edges].all(axis=1)]
+            if edgeless and t == 0:
+                live = live[:0]
             snaps.append(
                 CSRSnapshot.from_edges(n, live, feats, present=present)
             )
@@ -446,9 +449,8 @@ class TestWindowFacts:
     @settings(max_examples=120, deadline=None)
     def test_each_fact_is_the_per_call_formula(self, seed, n, k):
         """Vertex turnover, feature churn (``-0.0`` over ``0.0``
-        included), edge churn, isolated rows, and now and then edges to
-        absent vertices (whose rows are not stable, whatever their
-        features)."""
+        included), edge churn, isolated rows, and absent vertices, whose
+        edges the canonical form drops."""
         rng = np.random.default_rng(seed)
         feats = rng.integers(0, 3, size=(n, 2)).astype(np.float32)
         edges = rng.integers(0, n, size=(2 * n, 2))
@@ -463,9 +465,7 @@ class TestWindowFacts:
                 [edges[keep], rng.integers(0, n, size=(n // 3 + 1, 2))]
             )
             present = rng.random(n) < 0.85
-            live = edges
-            if rng.random() < 0.7:
-                live = edges[present[edges].all(axis=1)]
+            live = edges[present[edges].all(axis=1)]  # canonical
             snaps.append(
                 CSRSnapshot.from_edges(
                     n, live, np.where(present[:, None], feats, 0.0),

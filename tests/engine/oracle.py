@@ -13,16 +13,18 @@ Per K-snapshot window, and per snapshot in it:
 * **θ** — the stretched, clipped cosine of the two GNN outputs times the
   stable share of the row's common neighbours (none: 1 if both lists are
   empty, else 0).  θ > θ_e is SKIP, θ_s ≤ θ ≤ θ_e DELTA, else FULL.
-* **updates** — FULL refreshes the cached ``x @ w_x``, ``drive @ w_h``
-  and input; DELTA moves the cached input block by the ε-thresholded
-  delta and keeps the cached ``drive @ w_h``; an identity cell sends
-  DELTA to FULL; SKIP and unaffected rows keep output and state.
+* **updates** — FULL and DELTA rows both take the full cell update;
+  DELTA is a decision and a count, not a kernel.  The delta baseline
+  ``z_input`` is the only cache: FULL sets a row's to its input, DELTA
+  moves it by the ε-thresholded delta (whose non-zeros are the count);
+  an identity cell keeps no baseline and sends DELTA to FULL; SKIP and
+  unaffected rows keep output and state.
 
 It shares only the arithmetic that fixes the bits: the model's
 ``gnn_forward`` and ``recurrent_drive``, ``cosine_rows``,
 ``_matmul_rows``, ``generate_delta`` and the cell's ``step_pre``.  A
-snapshot's FULL rows are multiplied as one block and its DELTA rows as
-another, in ascending id order.
+snapshot's FULL and DELTA rows are multiplied as one block, in
+ascending id order.
 """
 
 from types import SimpleNamespace
@@ -74,41 +76,33 @@ def theta(z_prev, z, prev, cur, rows) -> np.ndarray:
     return np.clip(cos * weight, -1.0, 1.0)
 
 
-def full_update(model, cache, z, state, snap, rows):
-    if cache is None:  # identity cell: the output is the GNN's
+def full_update(model, z, state, snap, rows):
+    cell = model.cell
+    if isinstance(cell, IdentityCell):  # the output is the GNN's
         h = z[rows].astype(np.float32)
         return h, GRUState(h.copy())
-    cell = model.cell
     zx = _matmul_rows(z[rows], cell.w_x)
     zh = _matmul_rows(model.recurrent_drive(state, snap, rows), cell.w_h)
-    cache.zx[rows], cache.zh[rows], cache.z_input[rows] = zx, zh, z[rows]
     return cell.step_pre(zx, zh, state.take(rows))
-
-
-def delta_update(model, cache, z, state, rows, epsilon):
-    delta = generate_delta(z[rows], cache.z_input[rows], epsilon=epsilon)
-    zx = cache.zx[rows] + _matmul_rows(delta, model.cell.w_x)
-    cache.zx[rows] = zx
-    cache.z_input[rows] += delta
-    return model.cell.step_pre(zx, cache.zh[rows], state.take(rows))
 
 
 def run(
     model, graph, *, window_size, thresholds=(-0.5, 0.5), epsilon=1e-3,
     refresh_each_window=True,
 ):
-    """``(outputs, decisions, carry)``: one output per snapshot, per
-    scored snapshot its ``(vertices, modes, theta)``, and what the last
-    snapshot hands on (``h_prev``, ``z_prev``, ``state``, ``cache``)."""
+    """``(outputs, decisions, carry, counts)``: one output per
+    snapshot, per scored snapshot its ``(vertices, modes, theta)``, what
+    the last snapshot hands on (``h_prev``, ``z_prev``, ``state``, and
+    ``cache``, whose ``z_input`` is the delta baseline), and the DELTA
+    counters ``cells_delta`` and ``delta_nnz``."""
     theta_s, theta_e = thresholds
     n, cell = graph.num_vertices, model.cell
     state = model.init_state(n)
     h = np.zeros((n, model.out_dim), dtype=np.float32)
     cache = None if isinstance(cell, IdentityCell) else SimpleNamespace(
-        zx=np.zeros((n, cell.w_x.shape[1]), dtype=np.float32),
-        zh=np.zeros((n, cell.w_h.shape[1]), dtype=np.float32),
         z_input=np.zeros((n, cell.input_dim), dtype=np.float32),
     )
+    counts = SimpleNamespace(cells_delta=0, delta_nnz=0)
     z_prev = prev = None
     outputs, decisions = [], []
     for w, start in enumerate(range(0, graph.num_snapshots, window_size)):
@@ -119,7 +113,8 @@ def run(
         for t, snap in enumerate(snaps):
             z = model.gnn_forward(snap)
             if prev is None or (t == 0 and refresh_each_window):
-                full, delta = np.flatnonzero(snap.present), []
+                full = np.flatnonzero(snap.present)
+                delta = full[:0]
             else:
                 scored = np.flatnonzero(
                     snap.present & prev.present & (window_labels != UNAFFECTED)
@@ -133,15 +128,21 @@ def run(
                 full = np.union1d(scored[modes == FULL], arrivals)
                 delta = scored[modes == DELTA]
                 if cache is None:
-                    full, delta = np.union1d(full, delta), []
+                    full, delta = np.union1d(full, delta), delta[:0]
+            rows = np.union1d(full, delta)
             h, old, state = h.copy(), state, state.copy()
-            if len(full):
-                h[full], part = full_update(model, cache, z, old, snap, full)
-                state.put(full, part)
-            if len(delta):
-                h[delta], part = delta_update(model, cache, z, old, delta, epsilon)
-                state.put(delta, part)
+            if len(rows):
+                h[rows], part = full_update(model, z, old, snap, rows)
+                state.put(rows, part)
+            if cache is not None:
+                cache.z_input[full] = z[full]
+                moved = generate_delta(
+                    z[delta], cache.z_input[delta], epsilon=epsilon
+                )
+                cache.z_input[delta] += moved
+                counts.cells_delta += len(delta)
+                counts.delta_nnz += np.count_nonzero(moved)
             outputs.append(h)
             z_prev, prev = z, snap
     carry = SimpleNamespace(h_prev=h, z_prev=z_prev, state=state, cache=cache)
-    return outputs, decisions, carry
+    return outputs, decisions, carry, counts

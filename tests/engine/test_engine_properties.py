@@ -3,8 +3,8 @@
 With skipping on, every way the engine runs releases the bits of the
 skipping oracle (``oracle.py``), which is written from the paper's
 definitions and shares none of the engine's classification, scoring or
-mode machinery: ``ConcurrentEngine.run`` (its outputs and every
-``ModeDecision``), a pushed ``StreamingInference`` (flush included) and
+mode machinery: ``ConcurrentEngine.run`` (its outputs, every
+``ModeDecision`` and the DELTA counters), a pushed ``StreamingInference`` (flush included) and
 a ``ShardCluster`` at 1, 2 and 4 shards.  With skipping off, the engine
 releases ``ReferenceEngine``'s bits.
 
@@ -109,7 +109,7 @@ class TestExactnessProperty:
         def make():
             return zoo_model(model_name, dim, hidden, layers, seed)
 
-        outputs, decisions, _ = oracle.run(
+        outputs, decisions, _, counts = oracle.run(
             make(), graph, window_size=window, refresh_each_window=refresh
         )
         want = digests(outputs)
@@ -118,6 +118,8 @@ class TestExactnessProperty:
             make(), window_size=window, refresh_each_window=refresh
         ).run(graph)
         assert digests(result.outputs) == want
+        assert result.metrics.cells_delta == counts.cells_delta
+        assert result.metrics.delta_nnz == counts.delta_nnz
         got = result.extra["decisions"]
         assert len(got) == len(decisions)
         for decision, (vertices, modes, theta) in zip(got, decisions):

@@ -88,7 +88,7 @@ def test_a_batch_run_scores_each_window_once(graph, refresh):
     pairs = scored_pairs(refresh)
     assert windows == one_stage_each(pairs)
     # one decision per pair, in pair order, with the oracle's bits
-    _, want, _ = oracle.run(
+    _, want, _, _ = oracle.run(
         make(graph), graph, window_size=K, refresh_each_window=refresh
     )
     got = result.extra["decisions"]

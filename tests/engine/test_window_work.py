@@ -30,6 +30,7 @@ from repro.analysis.classify import _changed_rows
 from repro.graphs import CSRSnapshot, DynamicGraph, load_dataset
 from repro.graphs.snapshot import build_csr
 from repro.models import GCNStack, make_model
+from repro.resilience.ingest import snapshot_violation
 from repro.skipping.policy import SkipThresholds
 
 from . import oracle
@@ -162,23 +163,13 @@ def step_counts(window, model, owned):
     return {key: getattr(m, key) for key in COUNTERS}
 
 
-def relinked_window() -> DynamicGraph:
-    """Vertex 4 is absent throughout, yet holds an edge: to the
-    unaffected vertex 2 at the first snapshot, to vertex 0, whose
-    features change, at the second.  Only that second edge puts it in
-    the next layer's changed rows."""
-    present = np.array([True, True, True, True, False])
-    feats = np.arange(15, dtype=np.float32).reshape(5, 3)
-    moved = feats.copy()
-    moved[0] += 1.0
-    pairs = [(0, 1), (1, 0), (2, 3), (3, 2)]
-    return DynamicGraph([
-        CSRSnapshot.from_edges(
-            5, np.array(pairs + [(4, dst)]), f, present=present.copy(),
-            timestamp=t, undirected=False,
-        )
-        for t, (dst, f) in enumerate([(2, feats), (0, moved)])
-    ])
+#: vertex 4 is absent, yet holds an edge (4 -> 2); the canonical form
+#: gives an absent vertex an empty row
+RELINKED = dict(
+    edges=np.array([(0, 1), (1, 0), (2, 3), (3, 2), (4, 2)]),
+    features=np.arange(15, dtype=np.float32).reshape(5, 3),
+    present=np.array([True, True, True, True, False]),
+)
 
 
 windows = given(
@@ -195,7 +186,7 @@ class TestChangedRows:
         window = random_window(seed, n, k)
         changed = classify_window(window).labels != 0
         for layers in (1, 2, 3):
-            got = _changed_rows(window, changed, layers)
+            got = _changed_rows(window[0], changed, layers)
             want = masks_over_union(window, changed, layers)
             assert len(got) == layers
             for rows, mask in zip(got, want):
@@ -208,20 +199,40 @@ class TestChangedRows:
     ):
         window = random_window(seed, n, k)
         cls = classify_window(window)
-        assert cls.relinked.size == 0  # canonical: an absent row has no edge
         for layers in (1, 3, 2):  # grown deeper, then read shallower
             want = masks_over_union(window, cls.labels != 0, layers)
             for rows, mask in zip(cls.changed_rows(layers), want):
                 assert np.array_equal(rows, np.flatnonzero(mask))
 
-    def test_a_relinked_row_is_grown_over_every_snapshot(self):
-        window = relinked_window()
-        cls = classify_window(window)
-        assert cls.relinked.tolist() == [4]
-        want = masks_over_union(window, cls.labels != 0, 2)
-        assert want[1][4] and not want[0][4]
-        for rows, mask in zip(cls.changed_rows(2), want):
-            assert np.array_equal(rows, np.flatnonzero(mask))
+    def test_an_absent_row_holding_edges_is_not_made(self):
+        """The closure hops over the first snapshot alone because an
+        unaffected row keeps its neighbour list; an absent vertex that
+        held edges would break that, so no snapshot is made with one."""
+        with pytest.raises(ValueError, match="absent vertex 4 holds 1 edge"):
+            CSRSnapshot.from_edges(5, **RELINKED, undirected=False)
+        # an undirected edge to an absent vertex fills its row too
+        with pytest.raises(ValueError, match="absent vertex 4 holds 1 edge"):
+            CSRSnapshot.from_edges(
+                5, RELINKED["edges"][4:], RELINKED["features"],
+                present=RELINKED["present"],
+            )
+
+    def test_an_absent_row_holding_edges_is_refused_at_ingest(self):
+        """The counters hop over the first snapshot's edges alone; a
+        snapshot made past :meth:`CSRSnapshot.from_edges` with an absent
+        row that holds edges does not enter a stream."""
+        edges = RELINKED["edges"]
+        indptr, indices = build_csr(5, edges[:, 0], edges[:, 1])
+        snap = CSRSnapshot(
+            indptr, indices, RELINKED["features"], RELINKED["present"]
+        )
+        assert snapshot_violation(snap) == "absent vertex 4 holds 1 edge(s)"
+        emptied = indptr.copy()
+        emptied[-1] = emptied[-2]  # row 4 is the last: drop its edge
+        canonical = CSRSnapshot(
+            emptied, indices[:-1], RELINKED["features"], RELINKED["present"]
+        )
+        assert snapshot_violation(canonical) is None
 
     @windows
     @example(seed=1500, n=6, k=4)  # no stable root, adjacent affected vertices
@@ -273,16 +284,6 @@ class TestTheCountersKeepTheirDefinitions:
         if shards is not None:
             owner = np.random.default_rng(seed).integers(0, shards, n)
             owners = [np.flatnonzero(owner == s) for s in range(shards)]
-        for owned in owners:
-            want = accounting_oracle(window, model.gnn.layers, owned)
-            assert step_counts(window, model, owned) == want
-
-    @pytest.mark.parametrize("shards", [None, 2])
-    @pytest.mark.parametrize("layers", [2, 3])
-    def test_a_relinked_row(self, layers, shards):
-        window = relinked_window()
-        model = accounting_model(window.dim, 8, layers)
-        owners = [None] if shards is None else [np.array([0, 2, 4]), np.array([1, 3])]
         for owned in owners:
             want = accounting_oracle(window, model.gnn.layers, owned)
             assert step_counts(window, model, owned) == want

@@ -143,13 +143,16 @@ class TestAggregate:
         np.testing.assert_allclose(out1[0], out2[0], rtol=1e-6)
 
     def test_absent_vertices_do_not_contribute(self):
-        edges = np.array([[0, 1], [1, 2]])
+        edges = np.array([[0, 1]])
         x = np.ones((3, 2), dtype=np.float32)
         present = np.array([True, True, False])
         s = CSRSnapshot.from_edges(3, edges, x, present=present)
         out = s.aggregate(x)
         # vertex 2 is absent: its coefficient is zero so its row is zero
         assert np.all(out[2] == 0)
+        # and it holds no edge: the canonical form refuses one
+        with pytest.raises(ValueError, match="absent vertex 2"):
+            CSRSnapshot.from_edges(3, [[0, 1], [1, 2]], x, present=present)
 
     def test_isolated_vertex_self_loop_only(self):
         x = np.array([[2.0, 4.0]], dtype=np.float32)

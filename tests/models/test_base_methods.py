@@ -7,7 +7,7 @@ import pytest
 from repro.engine import ReferenceEngine
 from repro.graphs import load_dataset
 from repro.models import make_model
-from repro.skipping import DeltaCellCache
+from repro.models.layers import _matmul_rows
 
 
 @pytest.fixture(scope="module")
@@ -46,23 +46,21 @@ class TestCellStepRows:
 
     @pytest.mark.parametrize("name", ["CD-GCN", "GC-LSTM", "T-GCN", "GCRN"])
     @pytest.mark.parametrize("rows", [[3, 17, 250, 800], [17]], ids=["rows", "row"])
-    def test_a_full_update_takes_the_products_the_cache_stored(
+    def test_a_full_update_takes_its_products(
         self, graph, name, rows
     ):
-        """``pre`` — what ``DeltaCellCache.refresh`` multiplied, stored
-        and returned — gives the update's bits without multiplying again
-        (a single row goes through ``_matmul_rows``'s two-row product)."""
+        """``pre`` — the two products the engine's FULL update multiplies
+        into its workspace blocks — gives the update's bits without
+        multiplying again (a single row goes through ``_matmul_rows``'s
+        two-row product)."""
         model = make_model(name, graph.dim, 16, seed=2)
         state = model.init_state(graph.num_vertices)
         _, state = model.cell_step(model.gnn_forward(graph[0]), state, graph[0])
         z1 = model.gnn_forward(graph[1])
         rows = np.array(rows)
         drive = model.recurrent_drive(state, graph[1], rows)
-        cache = DeltaCellCache(model.cell, graph.num_vertices)
-        zx, zh = cache.refresh(rows, z1, drive)
-        assert cache.zx[rows].tobytes() == zx.tobytes()
-        assert cache.zh[rows].tobytes() == zh.tobytes()
-        assert cache.z_input[rows].tobytes() == z1[rows].tobytes()
+        zx = _matmul_rows(z1[rows], model.cell.w_x)
+        zh = _matmul_rows(drive, model.cell.w_h)
         want_h, want_st = model.cell_step_rows(z1, state, rows, graph[1], drive)
         got_h, got_st = model.cell_step_rows(
             z1, state, rows, graph[1], drive, (zx, zh)

@@ -32,16 +32,16 @@ class TestElmanCell:
         np.testing.assert_allclose(plain.w_h, damped.w_h * 2.0, rtol=1e-6)
 
     def test_delta_cache_support(self):
+        """An Elman cell keeps a delta baseline as wide as its input: a
+        FULL update sets it, and an unchanged input counts no delta."""
         cell = ElmanCell(5, 4, seed=0)
-        cache = DeltaCellCache(cell, 6)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((6, 5)).astype(np.float32)
-        state = cell.init_state(6)
-        h_full, _ = cell.step(x, state)
-        cache.refresh(np.arange(6), x, state.h)
-        h_part, _, nnz = cache.partial_step(np.arange(6), x, state)
-        np.testing.assert_allclose(h_part, h_full, rtol=1e-5, atol=1e-6)
-        assert nnz == 0
+        cache = DeltaCellCache.zeros(cell, 6)
+        cache.check(cell)
+        assert cache.z_input.shape == (6, 5)
+        x = np.random.default_rng(1).standard_normal((6, 5)).astype(np.float32)
+        cache.reset(np.arange(6), x)
+        assert cache.advance(np.arange(6), x) == 0
+        assert cache.z_input.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("name", ["TaGNN-DR", "TaGNN-AM", "TaGNN-AS"])
     def test_approximators_support_elman(self, name):

@@ -90,8 +90,7 @@ def _expected_fields(carry) -> dict:
         arrays["meta/state_kind"] = np.str_("gru")
         arrays["state/h"] = state.h
     if carry.cache is not None:
-        for name in ("zx", "zh", "z_input"):
-            arrays[f"cache/{name}"] = getattr(carry.cache, name)
+        arrays["cache/z_input"] = carry.cache.z_input
     for name in ("h_prev", "z_prev"):
         if getattr(carry, name) is not None:
             arrays[f"carry/{name}"] = getattr(carry, name)
@@ -131,13 +130,14 @@ def _edit(arrays: dict, key: str, value=_DROP) -> None:
 
 
 def _per_vertex(carry) -> list:
-    """The carry's per-vertex arrays: state, cache, previous outputs."""
+    """The carry's per-vertex arrays: state, delta baseline, previous
+    outputs."""
     state = carry.state
     arrays = [] if state is None else [state.h]
     if isinstance(state, LSTMState):
         arrays.append(state.c)
     if carry.cache is not None:
-        arrays += [carry.cache.zx, carry.cache.zh, carry.cache.z_input]
+        arrays.append(carry.cache.z_input)
     return arrays + [a for a in (carry.h_prev, carry.z_prev) if a is not None]
 
 
@@ -406,14 +406,14 @@ class TestCheckpointStore:
     def test_future_format_is_corrupt_with_the_format_message(self, graph):
         store, _ = self._filled(graph, keep_last=2)
         newest = store.keys()[-1]
-        _put_blob(store, newest, _with_format(_get_blob(store, newest), 5))
+        _put_blob(store, newest, _with_format(_get_blob(store, newest), 6))
         with pytest.raises(
-            CorruptCheckpointError, match="unsupported checkpoint format 5"
+            CorruptCheckpointError, match="unsupported checkpoint format 6"
         ):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
 
-    @pytest.mark.parametrize("fmt", [1, 2, 3, 5])
+    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 6])
     def test_any_other_format_is_refused_with_the_format_message(
         self, graph, fmt
     ):
@@ -478,7 +478,7 @@ class TestStoredArchive:
             infos = zf.infolist()
         assert [i.filename for i in infos] == MEMBERS
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
-        assert len(carry.pending) == 2 and len(_per_vertex(carry)) == 6
+        assert len(carry.pending) == 2 and len(_per_vertex(carry)) == 4
         assert len(blob) <= _byte_bound(carry)
 
     def test_flipped_payload_byte_fails_the_crc(self, saved):
@@ -536,16 +536,29 @@ class TestFormat2Layout:
         save_checkpoint(stream, buf)
         return stream, buf.getvalue()
 
-    def test_writes_format_4(self, graph):
+    def test_writes_format_5(self, graph):
         _, blob = self._saved(graph, WINDOW)
-        assert CHECKPOINT_FORMAT == 4
+        assert CHECKPOINT_FORMAT == 5
         with np.load(io.BytesIO(blob)) as data:
-            assert int(data["meta/format"]) == 4
+            assert int(data["meta/format"]) == 5
+
+    @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
+    def test_the_delta_cache_is_its_baseline_alone(self, graph, model_name):
+        """The record holds the delta baseline ``cache/z_input`` and
+        none of the pre-activation blocks format 4 stored."""
+        stream, blob = self._saved(graph, WINDOW + 1, model_name)
+        with np.load(io.BytesIO(blob)) as data:
+            names = data["meta/record"].dtype.names
+        cache = [n for n in names if n.startswith("cache/")]
+        assert cache == ["cache/z_input"]
+        assert stream.carry.cache.z_input.shape[1] == (
+            stream.model.cell.input_dim
+        )
 
     @pytest.mark.parametrize("pending", [0, 1, 2])
     def test_member_count_is_two_plus_array_members(self, graph, pending):
-        """Format 4 has no array member: whatever the carry holds, the
-        archive is the format and the record."""
+        """The record layout has no array member: whatever the carry
+        holds, the archive is the format and the record."""
         stream, blob = self._saved(graph, WINDOW + pending)
         assert stream.pending == pending
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
@@ -707,7 +720,7 @@ class TestOwnedRowCheckpoints:
         assert owned["carry/rows"].tolist() == self.A.tolist()
         per_vertex = [key for key in whole if key.split("/")[0] in (
             "state", "cache") or key in ("carry/h_prev", "carry/z_prev")]
-        assert len(per_vertex) == 6
+        assert len(per_vertex) == 4
         for key in per_vertex:
             assert whole[key].shape[0] == graph.num_vertices, key
             assert owned[key].shape == (len(self.A),) + whole[key].shape[1:]

@@ -199,6 +199,55 @@ class TestRecovery:
         assert len(torn) == 1 and torn[0].action == "cold-start"
         assert "2 torn checkpoint(s) skipped" in torn[0].detail
 
+    def test_a_format_4_store_cold_starts_bit_identically(self, graph):
+        """Format 4 also stored the delta cache's two pre-activation
+        blocks, ``cache/zx`` and ``cache/zh``, which format 5 dropped.
+        A shard whose store holds nothing but such archives refuses each
+        as corrupt, cold-starts, and replays to the same bits."""
+        cluster = ShardCluster(
+            factory, num_shards=SHARDS, window_size=2,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        width = factory().cell.w_x.shape[1]
+        for t, snap in enumerate(graph):
+            if t == 5:
+                store = cluster.workers[1].stores["t0"]
+                assert len(store) == 2
+                for key, blob in store._blobs.items():
+                    with np.load(io.BytesIO(blob)) as data:
+                        record = data["meta/record"]
+                    fields = {n: record[n] for n in record.dtype.names}
+                    rows = len(fields["cache/z_input"])
+                    for name in ("cache/zx", "cache/zh"):
+                        fields[name] = np.zeros((rows, width), np.float32)
+                    buf = io.BytesIO()
+                    np.savez(buf, **{
+                        "meta/format": np.int64(4),
+                        "meta/record": np.array(
+                            tuple(fields.values()),
+                            dtype=[(n, v.dtype, v.shape) for n, v in fields.items()],
+                        ),
+                    })
+                    store._blobs[key] = buf.getvalue()
+                    with pytest.raises(
+                        CorruptCheckpointError,
+                        match="unsupported checkpoint format 4",
+                    ):
+                        store.load(key)
+                cluster.workers[1].crash()
+            cluster.push("t0", snap.copy())
+        cluster.flush("t0")
+        ref = ShardCluster(factory, num_shards=SHARDS, window_size=2, seed=SEED)
+        expected = serve(ref, "t0", graph)
+        got = cluster.released("t0")
+        assert len(got) == len(expected) == graph.num_snapshots
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        torn = [i for i in cluster.incidents if i.kind == "torn-checkpoint"]
+        assert len(torn) == 1 and torn[0].action == "cold-start"
+        assert "2 torn checkpoint(s) skipped" in torn[0].detail
+
     def test_stall_recovery_is_bit_identical(self, graph):
         cluster = ShardCluster(
             factory, num_shards=SHARDS, window_size=WINDOW,

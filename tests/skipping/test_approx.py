@@ -26,7 +26,6 @@ from repro.skipping import (
     APPROXIMATORS,
     ALSTMApprox,
     ATLASApprox,
-    DeltaCellCache,
     DeltaRNNApprox,
     ExactRNN,
     hard_sigmoid,
@@ -322,17 +321,9 @@ class LeakyCell(RecurrentCell):
 
 
 def test_a_new_cell_runs_everywhere():
-    """No delta cache, approximator or engine asks which cell it has."""
+    """No approximator or engine asks which cell it has."""
     cell = LeakyCell(8, 8)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((6, 8)).astype(np.float32)
-    _, state = cell.step(x, cell.init_state(6))
-
-    cache = DeltaCellCache(cell, 6)
-    cache.refresh(np.arange(6), x, state.h)
-    h_part, _, nnz = cache.partial_step(np.arange(6), x, state)
-    h_full, _ = cell.step(x, state)
-    assert nnz == 0 and h_part.tobytes() == h_full.tobytes()
+    x = np.random.default_rng(0).standard_normal((6, 8)).astype(np.float32)
 
     for name, approx_cls in APPROXIMATORS.items():
         approx, st = approx_cls(), cell.init_state(6)

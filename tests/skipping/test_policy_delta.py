@@ -1,7 +1,5 @@
 """Tests for the skipping policy and the delta/condense path."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,89 +162,61 @@ class TestDeltaGeneration:
 
 @pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell, ElmanCell])
 def test_partial_step_count_is_the_thresholded_delta_nonzeros(cell_cls):
-    """The third return value is what the Condense Unit would pack: the
-    non-zeros of ``generate_delta`` over the asked-for rows, as an int."""
+    """A DELTA (partial) step's count, which the baseline's
+    :meth:`~DeltaCellCache.advance` returns, is what the Condense Unit
+    would pack: the non-zeros of ``generate_delta`` over the asked-for
+    rows, as an int.  The rows' baseline moves by that delta and no
+    other row's does."""
     cell = cell_cls(5, 4, seed=0)
-    cache = DeltaCellCache(cell, 8)
+    cache = DeltaCellCache.zeros(cell, 8)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 5)).astype(np.float32)
-    state = cell.init_state(8)
-    cache.refresh(np.arange(8), x, state.h)
+    cache.reset(np.arange(8), x)
     x2 = x + (rng.standard_normal((8, 5)) * 2e-3).astype(np.float32)
     rows = np.array([1, 2, 5, 7])
     want = generate_delta(x2[rows], x[rows], epsilon=1e-3)
     assert 0 < np.count_nonzero(want) < want.size  # the threshold bites
-    _, _, nnz = cache.partial_step(rows, x2, state, epsilon=1e-3)
+    nnz = cache.advance(rows, x2, epsilon=1e-3)
     assert type(nnz) is int
     assert nnz == np.count_nonzero(want) == condense(want).nnz
+    moved = x.copy()
+    moved[rows] += want
+    assert cache.z_input.tobytes() == moved.tobytes()
 
 
 @pytest.mark.parametrize("cell_cls", [LSTMCell, GRUCell, ElmanCell])
 class TestDeltaCellCache:
     def _setup(self, cell_cls, n=6, din=5, dh=4):
         cell = cell_cls(din, dh, seed=0)
-        cache = DeltaCellCache(cell, n)
+        cache = DeltaCellCache.zeros(cell, n)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((n, din)).astype(np.float32)
-        state = cell.init_state(n)
-        return cell, cache, x, state
-
-    def test_partial_step_with_zero_delta_matches_full(self, cell_cls):
-        """If the input did not change at all, the partial update must
-        reproduce the full cell update bit for bit (recurrent path frozen
-        at the cached value, which is also unchanged): the cell's own
-        ``step_pre`` evaluates both."""
-        cell, cache, x, state = self._setup(cell_cls)
-        _, state = cell.step(x, state)  # a non-zero recurrent path
-        h_full, st_full = cell.step(x, state)
-        cache.refresh(np.arange(6), x, state.h)
-        h_part, st_part, nnz = cache.partial_step(np.arange(6), x, state)
-        assert h_part.tobytes() == h_full.tobytes()
-        for f in fields(st_full):
-            assert getattr(st_part, f.name).tobytes() == getattr(
-                st_full, f.name
-            ).tobytes()
-        assert nnz == 0
-
-    def test_partial_step_tracks_small_changes(self, cell_cls):
-        """Small input deltas above epsilon are applied through the
-        cached path with first-order exactness in the input."""
-        cell, cache, x, state = self._setup(cell_cls)
-        cache.refresh(np.arange(6), x, state.h)
-        x2 = x.copy()
-        x2[:, 0] += 0.5  # one changed column
-        h_ref, _ = cell.step(x2, state)
-        h_part, _, nnz = cache.partial_step(np.arange(6), x2, state, epsilon=1e-4)
-        # input path is exact (recurrent path unchanged from cache):
-        np.testing.assert_allclose(h_part, h_ref, rtol=1e-4, atol=1e-5)
-        assert nnz == 6  # one column per row survived
-
-    def test_partial_step_empty_rows_raises(self, cell_cls):
-        cell, cache, x, state = self._setup(cell_cls)
-        with pytest.raises(ValueError):
-            cache.partial_step(np.array([], dtype=np.int64), x, state)
+        return cell, cache, x
 
     def test_refresh_subset_only(self, cell_cls):
-        cell, cache, x, state = self._setup(cell_cls)
+        """A FULL update sets the baseline of its rows alone."""
+        _, cache, x = self._setup(cell_cls)
         rows = np.array([0, 2])
-        cache.refresh(rows, x, state.h[rows])
+        cache.reset(rows, x)
         assert np.all(cache.z_input[1] == 0)
-        assert np.any(cache.z_input[0] != 0)
+        assert cache.z_input[rows].tobytes() == x[rows].tobytes()
 
     def test_sequential_deltas_accumulate(self, cell_cls):
-        """Two consecutive partial updates equal one partial update with
-        the combined delta (cache consistency)."""
-        cell, cache, x, state = self._setup(cell_cls)
-        cache.refresh(np.arange(6), x, state.h)
+        """Two consecutive DELTA updates move the baseline as one update
+        with the combined delta does."""
+        _, cache, x = self._setup(cell_cls)
+        rows = np.arange(6)
+        cache.reset(rows, x)
         xa = x.copy(); xa[:, 1] += 0.3
         xb = xa.copy(); xb[:, 2] -= 0.4
-        cache.partial_step(np.arange(6), xa, state, epsilon=1e-5)
-        h_two, _, _ = cache.partial_step(np.arange(6), xb, state, epsilon=1e-5)
+        assert cache.advance(rows, xa, epsilon=1e-5) == 6
+        assert cache.advance(rows, xb, epsilon=1e-5) == 6
 
-        cache2 = DeltaCellCache(cell, 6)
-        cache2.refresh(np.arange(6), x, state.h)
-        h_one, _, _ = cache2.partial_step(np.arange(6), xb, state, epsilon=1e-5)
-        np.testing.assert_allclose(h_two, h_one, rtol=1e-4, atol=1e-5)
+        _, once, _ = self._setup(cell_cls)
+        once.reset(rows, x)
+        assert once.advance(rows, xb, epsilon=1e-5) == 12
+        np.testing.assert_allclose(cache.z_input, once.z_input, atol=1e-6)
+        np.testing.assert_allclose(cache.z_input, xb, atol=1e-6)
 
     def test_unsupported_cell_rejected(self, cell_cls):
         class Fake:
@@ -254,4 +224,4 @@ class TestDeltaCellCache:
             hidden_dim = 3
 
         with pytest.raises(TypeError):
-            DeltaCellCache(Fake(), 4)
+            DeltaCellCache.zeros(Fake(), 4)
