@@ -84,7 +84,9 @@ def main() -> None:
     checkpoint.seek(0)
     resumed = StreamingInference(factory(), window_size=WINDOW)
     resumed.restore_carry(load_checkpoint(checkpoint))
-    late = run(resumed, list(graph)[crash_at:])
+    # a checkpoint holds no snapshot: replay the feed from the last
+    # window boundary it recorded
+    late = run(resumed, list(graph)[resumed.timestamp:])
 
     replayed = early + late
     assert len(replayed) == len(uninterrupted)

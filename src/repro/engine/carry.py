@@ -5,7 +5,8 @@ recurrent state on to the next batch; :class:`Carry` is that hand-off,
 explicit.  Both engines' ``step(carry, window, ...)`` take one and return
 its successor, so a batch run is a fold over it, a stream holds exactly
 one, a rollback point is a :meth:`Carry.copy`, and a checkpoint
-(:mod:`repro.resilience.checkpoint`) is its fields written out.
+(:mod:`repro.resilience.checkpoint`) is its fields but the snapshots
+written out: the feed replays those.
 """
 
 from __future__ import annotations

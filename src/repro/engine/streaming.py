@@ -34,7 +34,7 @@ import numpy as np
 
 from ..analysis.classify import classify_window
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import CSRSnapshot
+from ..graphs.snapshot import CSRSnapshot, absent_row_violation
 from ..models.base import DGNNModel
 from ..skipping.policy import SkipThresholds
 from .carry import Carry
@@ -128,7 +128,10 @@ class StreamingInference:
         Shape mismatches fail *here* with a clear message rather than as
         a numpy broadcast error deep inside the window processing: the
         feature dimension must match the model's input width and the
-        vertex count must equal the first pushed snapshot's.
+        vertex count must equal the first pushed snapshot's.  So does a
+        snapshot outside the canonical form, whose absent vertex holds
+        edges: the window's changed-row counters would miss the hop
+        through it.
         """
         carry = self._carry
         if snapshot.dim != self.model.in_dim:
@@ -136,6 +139,9 @@ class StreamingInference:
                 f"snapshot feature dimension {snapshot.dim} does not match"
                 f" model input dimension {self.model.in_dim}"
             )
+        reason = absent_row_violation(snapshot.indptr, snapshot.present)
+        if reason is not None:
+            raise ValueError(reason)
         if carry.num_vertices is None:
             owned = carry.rows
             if owned is not None and owned.size and owned[-1] >= snapshot.num_vertices:

@@ -365,7 +365,8 @@ class CSRSnapshot:
         return cls(indptr, indices, features, present, timestamp)
 
     def copy(self) -> "CSRSnapshot":
-        """Deep copy (fresh arrays) — checkpoint/restore builds on this."""
+        """Deep copy (fresh arrays): a snapshot its receiver may write
+        into without touching this one."""
         return CSRSnapshot(
             indptr=self.indptr.copy(),
             indices=self.indices.copy(),

@@ -1,38 +1,39 @@
 """Checkpoint/replay for the streaming engine's carry state.
 
 :class:`~repro.engine.streaming.StreamingInference` hands one
-:class:`~repro.engine.carry.Carry` from window to window: the stream
-position (``pending`` snapshots, ``timestamp``, ``num_vertices``,
-cumulative ``metrics``, ``window_size``), the per-vertex recurrent
-``state``, the last output, GNN result and snapshot (``h_prev`` /
-``z_prev`` / ``snap_prev`` — what θ compares against), the ``cache``
-that DELTA rows count their deltas against, the ``first`` flag, and
-the ``window_index`` that drives weight evolution.  A crash loses all
-of it — re-pushing the remaining feed from scratch would produce
-*different* outputs, because the recurrent state is path-dependent.
+:class:`~repro.engine.carry.Carry` from window to window.  A checkpoint
+stores what a replay of the feed cannot rebuild: the stream position
+(``timestamp``, ``num_vertices``, cumulative ``metrics``,
+``window_size``), the per-vertex recurrent ``state``, the last output
+and GNN result (``h_prev`` / ``z_prev``), the ``cache`` that DELTA rows
+count their deltas against, the ``first`` flag, and the
+``window_index`` that drives weight evolution.  A crash loses all of
+it — re-pushing the feed from scratch would produce *different*
+outputs, because the recurrent state is path-dependent.
 
-This module writes a ``Carry``'s fields out and builds one back, so a
-stream can resume **bit-identically** from any event boundary.  Design
-points:
+The snapshots a carry holds are not stored: the feed rebuilds them.
+A loaded ``Carry`` comes back at its last window boundary, with no
+``pending`` snapshot and no ``snap_prev`` — no stream reads the carried
+snapshot after a restore, because each window's first snapshot takes
+FULL (``refresh_each_window``) — and the caller replays its feed from
+``carry.timestamp``.  So a stream saved at **any** event boundary
+resumes bit-identically.  Design points:
 
 * **No pickle.**  Every field — scalar or array — is one field of a
   single 0-d structured record; the one string travels as a
   fixed-width unicode field.  Loading a checkpoint never executes code.
 * **Written as** :func:`numpy.savez` **would, without its per-save
-  work.**  ``np.savez`` rebuilt the record's ``.npy`` header from
-  ``dtype.descr`` (a Python walk of every field) and copied the bytes
-  out in chunks.  :func:`save_checkpoint` writes the same two members
-  in one ``zipfile`` pass: each member is its header, built straight
-  from the dtype's fields, then the array's own buffer, streamed into
-  the member.  The members' bytes are ``np.savez``'s, so every reader
-  of the format, old or new, reads them unchanged.
+  work.**  :func:`save_checkpoint` writes the same two members in one
+  ``zipfile`` pass: each member is numpy's own ``.npy`` header, then
+  the array's buffer, streamed into the member.  A stream's record
+  dtype is fixed once its first window ran, so the header is built by
+  :func:`numpy.lib.format.write_array_header_1_0` once per dtype.  The
+  members' bytes are ``np.savez``'s, so every reader of the format
+  reads them unchanged, under ``np.load``'s default header cap.
 * **One record, computed rows only.**  Each zip member costs ~25 us
   of ``zipfile`` + ``.npy``-header work, so every field but the format
   lives in one record; a shard's windows compute a quarter of the
-  rows, so only those rows are written.  On a live ``cluster-serve``
-  shard carry the two together took a save from 0.68 to 0.43 ms and
-  372 kB to 130 kB, against one member per whole-height array; format 5
-  dropped the two pre-activation blocks, 37 % of what was left.
+  rows, so only those rows are written.
 * **Stored, not deflated.**  float32 state barely compresses (-17 %)
   and deflate cost 13 ms a save against 1-2 ms stored.  Integrity is
   the zip's per-member CRC-32 (flipped byte) and central directory
@@ -43,11 +44,9 @@ points:
   layout it versions; the record's ``.npy`` header names and types
   every field; ``meta/state_kind`` records the recurrent-state class
   (``lstm`` / ``gru`` / ``none``); optional sections (cache, previous
-  window, pending snapshots) are present only when the stream carried
-  them.  The header grows ≈ 190 B per pending snapshot, so the reader
-  lifts ``np.load``'s 10 000 B header cap (a window of ~40) to 1 MiB.
+  window) are present only when the stream carried them.
 * **A build reads the format it writes.**  This build writes and reads
-  format 5 only.  An older or newer archive is refused with an
+  format 6 only.  An older or newer archive is refused with an
   "unsupported checkpoint format" message, which
   :meth:`CheckpointStore.load` raises as :class:`CorruptCheckpointError`:
   a shard recovers from it as from a torn archive, by rolling back to
@@ -75,15 +74,13 @@ a field of the ``meta/record`` record::
 
     meta/format                the layout version (always a member)
     meta/{window_size,timestamp,window_index,first,
-          num_vertices,num_pending,state_kind}
+          num_vertices,state_kind}
     metrics/<field>            one int64 per ExecutionMetrics field
     state/h [, state/c]        ``state`` (by meta/state_kind)       r
     cache/z_input              ``cache`` delta baseline (optional)  r
     carry/{h_prev,z_prev}      ``h_prev`` / ``z_prev`` (optional)   r
     carry/rows                 ``rows``: the rows of the ``r`` arrays
                                (optional = every row)
-    snap_prev/<field>          ``snap_prev`` (optional)
-    pending/<i>/<field>        ``pending[i]``, i < meta/num_pending
 
 ``r`` marks the per-vertex arrays, written on ``carry/rows`` only.  A
 record written by an earlier build may hold fields for counters that
@@ -93,9 +90,9 @@ reads 0.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
-import struct
 import zipfile
 from dataclasses import fields
 from pathlib import Path
@@ -105,7 +102,6 @@ import numpy as np
 from ..engine.carry import Carry
 from ..engine.metrics import ExecutionMetrics
 from ..engine.streaming import StreamingInference
-from ..graphs.snapshot import CSRSnapshot
 from ..models.rnn import GRUState, LSTMState
 from ..skipping.delta import DeltaCellCache
 from .faults import TransientStorageError
@@ -121,9 +117,8 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
-_SNAP_FIELDS = ("indptr", "indices", "features", "present")
 #: the per-vertex arrays: written on the computed rows only
 _ROW_KEYS = (
     "state/h", "state/c", "cache/z_input", "carry/h_prev", "carry/z_prev",
@@ -131,26 +126,6 @@ _ROW_KEYS = (
 _RECORD = "meta/record"
 #: record fields that are not int64
 _SCALAR_DTYPES = {"meta/first": np.bool_, "meta/state_kind": "U4"}
-#: ``np.load``'s default header cap (10 000 B) holds a window of about
-#: 40 snapshots: the record's header names every field, ≈ 190 B per
-#: pending snapshot.  Checkpoints are read with room for any window.
-_MAX_HEADER_SIZE = 1 << 20
-
-
-def _put_snapshot(record: dict, prefix: str, snap) -> None:
-    for name in _SNAP_FIELDS:
-        record[f"{prefix}/{name}"] = getattr(snap, name)
-    record[f"{prefix}/timestamp"] = snap.timestamp
-
-
-def _snapshot_from(data: dict, prefix: str) -> CSRSnapshot:
-    return CSRSnapshot(
-        indptr=np.asarray(data[f"{prefix}/indptr"]),
-        indices=np.asarray(data[f"{prefix}/indices"]),
-        features=np.asarray(data[f"{prefix}/features"]),
-        present=np.asarray(data[f"{prefix}/present"]),
-        timestamp=int(data[f"{prefix}/timestamp"]),
-    )
 
 
 def _field_type(key: str, value) -> tuple:
@@ -175,7 +150,6 @@ def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
         "meta/window_index": carry.window_index,
         "meta/first": carry.first,
         "meta/num_vertices": -1 if num_vertices is None else num_vertices,
-        "meta/num_pending": len(carry.pending),
     }
     for name, value in carry.metrics.as_dict().items():
         record[f"metrics/{name}"] = value
@@ -203,10 +177,6 @@ def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
         per_vertex = {key: a[rows] for key, a in per_vertex.items()}
         record["carry/rows"] = rows
     record.update(per_vertex)
-    if carry.snap_prev is not None:
-        _put_snapshot(record, "snap_prev", carry.snap_prev)
-    for i, snap in enumerate(carry.pending):
-        _put_snapshot(record, f"pending/{i}", snap)
     return {
         "meta/format": np.int64(CHECKPOINT_FORMAT),
         _RECORD: np.array(
@@ -250,9 +220,9 @@ def arrays_to_carry(data) -> Carry:
 
     ``data`` is indexed by ``meta/format`` and ``meta/record`` only — an
     :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Any format but
-    :data:`CHECKPOINT_FORMAT` is refused.  Snapshots are reconstructed
-    through ``CSRSnapshot.__init__`` so a tampered checkpoint fails
-    validation instead of entering the stream.
+    :data:`CHECKPOINT_FORMAT` is refused.  The carry comes back at its
+    last window boundary: no ``pending`` snapshot and no ``snap_prev``,
+    so its stream replays the feed from ``timestamp``.
     """
     fmt = int(data["meta/format"])
     if fmt != CHECKPOINT_FORMAT:
@@ -308,10 +278,6 @@ def arrays_to_carry(data) -> Carry:
     return Carry(
         window_size=int(data["meta/window_size"]),
         rows=rows,
-        pending=[
-            _snapshot_from(data, f"pending/{i}")
-            for i in range(int(data["meta/num_pending"]))
-        ],
         timestamp=int(data["meta/timestamp"]),
         window_index=int(data["meta/window_index"]),
         num_vertices=None if raw_n < 0 else raw_n,
@@ -320,68 +286,23 @@ def arrays_to_carry(data) -> Carry:
         cache=cache,
         h_prev=optional("carry/h_prev"),
         z_prev=optional("carry/z_prev"),
-        snap_prev=(
-            _snapshot_from(data, "snap_prev")
-            if "snap_prev/indptr" in data
-            else None
-        ),
         first=bool(data["meta/first"]),
     )
 
 
 # ----------------------------------------------------------------------
-_NPY_MAGIC = b"\x93NUMPY"
-#: the header's ``descr`` entries by ``(field name, field dtype)``.  A
-#: record's dtype is new at every save — it names the edge count of the
-#: snapshots the carry holds — but its other fields keep their layout,
-#: so their entries are built once.  An entry depends on its key alone;
-#: bounded, a full cache is emptied.
-_DESCR_PARTS: dict = {}
-_DESCR_PARTS_BOUND = 1024
-
-
-def _descr(dtype: np.dtype) -> str:
-    """``repr`` of the ``descr`` that ``np.save`` puts in a header: the
-    type string of a plain dtype; for a packed structured one, one
-    ``(name, type[, shape])`` tuple per field, in order, each taken from
-    :data:`_DESCR_PARTS`."""
-    if dtype.names is None:
-        return repr(dtype.str)
-    parts = []
-    for name, (field, _) in dtype.fields.items():
-        part = _DESCR_PARTS.get((name, field))
-        if part is None:
-            if len(_DESCR_PARTS) >= _DESCR_PARTS_BOUND:
-                _DESCR_PARTS.clear()
-            sub = field.subdtype
-            part = _DESCR_PARTS[name, field] = (
-                f"('{name}', '{sub[0].str}', {sub[1]})"
-                if sub
-                else f"('{name}', '{field.str}')"
-            )
-        parts.append(part)
-    return f"[{', '.join(parts)}]"
-
-
+@functools.lru_cache(maxsize=64)
 def _npy_header(dtype: np.dtype) -> bytes:
     """The ``.npy`` header ``np.save`` writes for a 0-d array of
-    ``dtype``: magic, version, length, the header dict, and space
-    padding to a 64-byte boundary — format version 1.0, or 2.0 once the
-    dict outgrows a 16-bit length."""
-    text = (
-        f"{{'descr': {_descr(dtype)}, 'fortran_order': False,"
-        " 'shape': (), }"
-    ).encode("latin1")
-    for version, length in ((b"\x01\x00", "<H"), (b"\x02\x00", "<I")):
-        prefix = len(_NPY_MAGIC) + len(version) + struct.calcsize(length)
-        pad = 64 - (prefix + len(text) + 1) % 64
-        size = len(text) + pad + 1
-        if size < 1 << (8 * struct.calcsize(length)):
-            break
-    return b"".join(
-        (_NPY_MAGIC, version, struct.pack(length, size), text, b" " * pad,
-         b"\n")
-    )
+    ``dtype``, built by numpy once per dtype: a stream's record dtype
+    changes only while its first window runs."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": (),
+    })
+    return buf.getvalue()
 
 
 def save_checkpoint(stream: StreamingInference, path) -> None:
@@ -413,19 +334,18 @@ def save_checkpoint(stream: StreamingInference, path) -> None:
 
 def load_checkpoint(path) -> Carry:
     """Read a checkpoint back into a :class:`Carry` ready for
-    :meth:`StreamingInference.restore_carry`."""
-    with np.load(
-        path, allow_pickle=False, max_header_size=_MAX_HEADER_SIZE
-    ) as data:
+    :meth:`StreamingInference.restore_carry`; its stream replays the
+    feed from ``carry.timestamp``."""
+    with np.load(path, allow_pickle=False) as data:
         return arrays_to_carry(data)
 
 
 def restore_stream(stream: StreamingInference, path) -> StreamingInference:
     """Install the checkpoint at ``path`` into ``stream`` and return it.
 
-    The stream's model/config must match the checkpointed run; the
-    restored stream then reproduces the uninterrupted run bit-identically
-    from the captured boundary.
+    The stream's model/config must match the checkpointed run; fed
+    from its restored ``timestamp`` on, the stream reproduces the
+    uninterrupted run bit-identically.
     """
     stream.restore_carry(load_checkpoint(path))
     return stream
@@ -439,6 +359,10 @@ class CorruptCheckpointError(RuntimeError):
     deserialise (torn write, failed CRC, missing member, a format other
     than this build's, older or newer) or does not fit the restoring
     stream (its state does not cover the rows the stream owns)."""
+
+
+#: the stem of every stored key: ``ckpt-<8-digit sequence>.npz``
+_PREFIX = "ckpt"
 
 
 class CheckpointStore:
@@ -462,12 +386,10 @@ class CheckpointStore:
     :class:`CorruptCheckpointError`.
     """
 
-    def __init__(self, directory=None, *, keep_last: int = 3,
-                 prefix: str = "ckpt"):
+    def __init__(self, directory=None, *, keep_last: int = 3):
         if keep_last < 1:
             raise ValueError(f"keep_last must be >= 1, got {keep_last}")
         self.keep_last = keep_last
-        self.prefix = prefix
         self.directory = None if directory is None else Path(directory)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -476,7 +398,7 @@ class CheckpointStore:
         # lower key would sort first and be pruned by its own save
         self._seq = 0
         for key in self.keys():
-            number = key[len(prefix) + 1 : -len(".npz")]
+            number = key[len(_PREFIX) + 1 : -len(".npz")]
             if number.isdigit():
                 self._seq = max(self._seq, int(number))
         self._transient_failures = 0
@@ -487,7 +409,7 @@ class CheckpointStore:
         if self.directory is None:
             return sorted(self._blobs)
         return sorted(
-            p.name for p in self.directory.glob(f"{self.prefix}-*.npz")
+            p.name for p in self.directory.glob(f"{_PREFIX}-*.npz")
         )
 
     def __len__(self) -> int:
@@ -496,7 +418,7 @@ class CheckpointStore:
     def save(self, stream: StreamingInference) -> str:
         """Checkpoint ``stream`` and prune beyond ``keep_last``."""
         self._seq += 1
-        key = f"{self.prefix}-{self._seq:08d}.npz"
+        key = f"{_PREFIX}-{self._seq:08d}.npz"
         if self.directory is None:
             buf = io.BytesIO()
             save_checkpoint(stream, buf)

@@ -208,9 +208,11 @@ class ShardWorker:
         ones whose state does not cover this shard's rows
         (:class:`CorruptCheckpointError`) and exhausted keys, restore
         the first usable carry, then replay the admitted ``history``
-        from the checkpoint boundary.  When no checkpoint is usable the
-        stream cold-starts and the full history replays.  Either way
-        the recovered stream is bit-identical to one that never failed.
+        from its ``timestamp``: a checkpoint holds no snapshot, so the
+        replay starts at the last window boundary before the save.
+        When no checkpoint is usable the stream cold-starts and the full
+        history replays.  Either way the recovered stream is
+        bit-identical to one that never failed.
 
         Returns the window results produced during replay plus one
         recovery note per tenant (outcome, torn count, replay length,
@@ -247,7 +249,7 @@ class ShardWorker:
                 except RetryExhaustedError:
                     exhausted += 1
                     continue
-                start = carry.timestamp + len(carry.pending)
+                start = carry.timestamp
                 outcome = key
                 break
             replayed = history.get(name, [])[start:]

@@ -298,7 +298,9 @@ class TestCheckpointCoversEveryCarryField:
     def test_round_trip_compares_every_field(self, graph, name, pushes):
         """save → load → restore_carry → carry_state(), compared over
         ``dataclasses.fields(Carry)``: a field added without
-        serialisation comes back at its default and fails here."""
+        serialisation comes back at its default and fails here.  The
+        snapshots are the one exception: a checkpoint stores none, so
+        ``pending`` and ``snap_prev`` come back empty."""
         stream = StreamingInference(_model(graph, name), window_size=WINDOW)
         for snap in list(graph)[:pushes]:
             stream.push(snap.copy())
@@ -307,7 +309,12 @@ class TestCheckpointCoversEveryCarryField:
         buf.seek(0)
         resumed = StreamingInference(_model(graph, name), window_size=WINDOW)
         resumed.restore_carry(load_checkpoint(buf))
-        _assert_carry_equal(stream.carry_state(), resumed.carry_state())
+        loaded = resumed.carry_state()
+        assert loaded.pending == [] and loaded.snap_prev is None
+        _assert_carry_equal(
+            dataclasses.replace(stream.carry_state(), pending=[], snap_prev=None),
+            loaded,
+        )
         if pushes == 5 and name != "EvolveGCN":
             # loaded without a model, then checked against the stream's
             # cell: an identity cell keeps no delta baseline

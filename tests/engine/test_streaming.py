@@ -1,5 +1,7 @@
 """Tests for push-based streaming inference."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,32 @@ class TestStreamingAPI:
                                      np.array([[0, 1]]), dim=graph.dim)
         with pytest.raises(ValueError, match="vertex count"):
             stream.push(bad)
+
+    def test_an_absent_row_holding_edges_is_refused(self, graph):
+        """A snapshot outside the canonical form — a present vertex that
+        holds edges flipped absent — never enters the window, whose
+        changed-row counters would miss the hop through it; the refusal
+        names the rule's one definition."""
+        from repro.graphs import CSRSnapshot
+        from repro.graphs.snapshot import absent_row_violation
+
+        snap = graph[1]
+        held = np.flatnonzero(snap.present & (np.diff(snap.indptr) > 0))
+        present = snap.present.copy()
+        present[held[0]] = False
+        flipped = CSRSnapshot(
+            snap.indptr, snap.indices, snap.features, present, snap.timestamp
+        )
+        reason = absent_row_violation(flipped.indptr, flipped.present)
+        assert reason.startswith(f"absent vertex {held[0]} holds")
+        stream = StreamingInference(
+            make_model("T-GCN", graph.dim, 16, seed=1), window_size=2
+        )
+        stream.push(graph[0])
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            stream.push(flipped)
+        assert stream.pending == 1  # the window did not take it
+        assert stream.push(graph[1]) is not None
 
     def test_invalid_window(self, graph):
         with pytest.raises(ValueError):

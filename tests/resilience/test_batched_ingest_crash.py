@@ -6,8 +6,9 @@ snapshots; here the snapshots are *reconstructed* through the vectorised
 :class:`~repro.resilience.ingest.GuardedIngest`), so a crash/restore
 exercises checkpointing and batched ingestion together: kill the
 pipeline at any event-batch boundary, rebuild the snapshot stream from
-the surviving events on the other side, and the combined outputs must be
-bit-identical to the uninterrupted run.
+the surviving events on the other side — from the restored
+``timestamp``, since a checkpoint holds no snapshot — and the combined
+outputs must be bit-identical to the uninterrupted run.
 """
 
 import io
@@ -84,13 +85,15 @@ def test_crash_at_every_batch_boundary(graph, rebuilt_stream):
         buf.seek(0)
         resumed = StreamingInference(_model(graph), window_size=WINDOW)
         resumed.restore_carry(load_checkpoint(buf))
+        start = resumed.timestamp  # the last window boundary
+        assert start == crash_at - crash_at % WINDOW
         # the post-crash process re-derives its snapshots through the
         # same batched ingest path before replaying the tail
         ingest = GuardedIngest()
         tail = []
-        if crash_at > 0:
-            prev = rebuilt_stream[crash_at - 1]
-            for events in event_stream(graph)[crash_at - 1 :]:
+        if start > 0:
+            prev = rebuilt_stream[start - 1]
+            for events in event_stream(graph)[start - 1 :]:
                 prev = ingest.apply(prev, events)
                 tail.append(prev)
         else:

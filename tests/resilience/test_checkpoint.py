@@ -2,20 +2,20 @@
 
 The headline property: kill the stream at *any* event boundary, restore
 from the checkpoint into a fresh process (fresh model objects, same
-seeds), replay the rest of the feed — and the combined outputs are
-bit-identical to the uninterrupted run.
+seeds), replay the feed from the restored ``timestamp`` — a checkpoint
+holds no snapshot, so that is the last window boundary before the
+crash — and the combined outputs are bit-identical to the
+uninterrupted run.
 """
 
 import io
 import struct
-import warnings
 import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-import repro.resilience.checkpoint as checkpoint_mod
 from repro.engine import ExecutionMetrics, StreamingInference
 from repro.graphs import load_dataset
 from repro.models import make_model
@@ -74,7 +74,6 @@ def _expected_fields(carry) -> dict:
         "meta/window_index": np.int64(carry.window_index),
         "meta/first": np.bool_(carry.first),
         "meta/num_vertices": np.int64(-1 if n is None else n),
-        "meta/num_pending": np.int64(len(carry.pending)),
     }
     for f in fields(ExecutionMetrics):
         arrays[f"metrics/{f.name}"] = np.int64(getattr(carry.metrics, f.name))
@@ -94,13 +93,6 @@ def _expected_fields(carry) -> dict:
     for name in ("h_prev", "z_prev"):
         if getattr(carry, name) is not None:
             arrays[f"carry/{name}"] = getattr(carry, name)
-    snaps = [(f"pending/{i}", snap) for i, snap in enumerate(carry.pending)]
-    if carry.snap_prev is not None:
-        snaps.append(("snap_prev", carry.snap_prev))
-    for prefix, snap in snaps:
-        for name in ("indptr", "indices", "features", "present"):
-            arrays[f"{prefix}/{name}"] = getattr(snap, name)
-        arrays[f"{prefix}/timestamp"] = np.int64(snap.timestamp)
     return arrays
 
 
@@ -149,18 +141,12 @@ HEADER_ALLOWANCE = 6 * 1024
 def _byte_bound(carry) -> int:
     """What the archive of an owned-row carry may hold: its
     owned rows at their per-row widths (a row id, then one row of each
-    per-vertex array), each snapshot it carries, and a fixed header
-    allowance — never a row it does not own."""
+    per-vertex array) and a fixed header allowance — never a row it
+    does not own, and no snapshot."""
     per_row = carry.rows.itemsize + sum(
         a.shape[1] * a.itemsize for a in _per_vertex(carry)
     )
-    snaps = [carry.snap_prev] if carry.snap_prev is not None else []
-    snapshot_bytes = sum(
-        s.indptr.nbytes + s.indices.nbytes + s.features.nbytes
-        + s.present.nbytes + 8
-        for s in snaps + list(carry.pending)
-    )
-    return len(carry.rows) * per_row + snapshot_bytes + HEADER_ALLOWANCE
+    return len(carry.rows) * per_row + HEADER_ALLOWANCE
 
 
 def _get_blob(store, key) -> bytes:
@@ -219,7 +205,11 @@ class TestCrashConsistency:
                 _model(graph, model_name), window_size=WINDOW
             )
             resumed.restore_carry(load_checkpoint(buf))
-            late = _run(resumed, list(graph)[crash_at:])
+            # back at the last window boundary: the snapshots pushed
+            # since then replay with the rest of the feed
+            assert resumed.pending == 0
+            assert resumed.timestamp == crash_at - crash_at % WINDOW
+            late = _run(resumed, list(graph)[resumed.timestamp:])
             replayed = early + late
             assert len(replayed) == len(expected)
             for a, b in zip(expected, replayed):
@@ -238,7 +228,8 @@ class TestCrashConsistency:
             StreamingInference(_model(graph), window_size=WINDOW), buf
         )
         assert resumed.metrics == stream.metrics
-        assert resumed.pending == stream.pending
+        assert resumed.timestamp == stream.timestamp == WINDOW
+        assert (resumed.pending, stream.pending) == (0, 1)
         assert stream.metrics.windows_processed, "4 pushes complete a window"
 
     def test_file_path_round_trip(self, graph, tmp_path):
@@ -271,14 +262,6 @@ class TestTamperRejection:
         arrays = self._arrays(graph, pushes=4)
         _edit(arrays, "meta/state_kind", "quantum")
         with pytest.raises(ValueError, match="state kind"):
-            arrays_to_carry(arrays)
-
-    def test_truncated_pending_snapshot_rejected(self, graph):
-        arrays = self._arrays(graph, pushes=1)  # 1 pending
-        assert len(arrays_to_carry(arrays).pending) == 1
-        indices = _record_fields(arrays["meta/record"])["pending/0/indices"]
-        _edit(arrays, "pending/0/indices", indices[:-3])
-        with pytest.raises(ValueError, match="indptr"):
             arrays_to_carry(arrays)
 
     def test_scalar_record_must_be_a_structured_scalar(self, graph):
@@ -337,8 +320,7 @@ class TestCheckpointStore:
         carry = store.load(store.keys()[0])
         resumed = StreamingInference(_model(graph), window_size=WINDOW)
         resumed.restore_carry(carry)
-        start = carry.timestamp + len(carry.pending)
-        replayed = _run(resumed, list(graph)[start:])
+        replayed = _run(resumed, list(graph)[carry.timestamp:])
         assert replayed
         for a, b in zip(replayed, expected[len(expected) - len(replayed):]):
             assert np.array_equal(a, b)
@@ -406,14 +388,14 @@ class TestCheckpointStore:
     def test_future_format_is_corrupt_with_the_format_message(self, graph):
         store, _ = self._filled(graph, keep_last=2)
         newest = store.keys()[-1]
-        _put_blob(store, newest, _with_format(_get_blob(store, newest), 6))
+        _put_blob(store, newest, _with_format(_get_blob(store, newest), 7))
         with pytest.raises(
-            CorruptCheckpointError, match="unsupported checkpoint format 6"
+            CorruptCheckpointError, match="unsupported checkpoint format 7"
         ):
             store.load(newest)
         assert store.load(store.keys()[-2]).timestamp >= 0
 
-    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 5, 7])
     def test_any_other_format_is_refused_with_the_format_message(
         self, graph, fmt
     ):
@@ -536,11 +518,11 @@ class TestFormat2Layout:
         save_checkpoint(stream, buf)
         return stream, buf.getvalue()
 
-    def test_writes_format_5(self, graph):
+    def test_writes_format_6(self, graph):
         _, blob = self._saved(graph, WINDOW)
-        assert CHECKPOINT_FORMAT == 5
+        assert CHECKPOINT_FORMAT == 6
         with np.load(io.BytesIO(blob)) as data:
-            assert int(data["meta/format"]) == 5
+            assert int(data["meta/format"]) == 6
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM"])
     def test_the_delta_cache_is_its_baseline_alone(self, graph, model_name):
@@ -558,14 +540,19 @@ class TestFormat2Layout:
     @pytest.mark.parametrize("pending", [0, 1, 2])
     def test_member_count_is_two_plus_array_members(self, graph, pending):
         """The record layout has no array member: whatever the carry
-        holds, the archive is the format and the record."""
+        holds, the archive is the format and the record — and the
+        record holds no snapshot, pending or previous."""
         stream, blob = self._saved(graph, WINDOW + pending)
         assert stream.pending == pending
+        assert stream.carry.snap_prev is not None
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             assert zf.namelist() == MEMBERS
         with np.load(io.BytesIO(blob)) as data:
             names = data["meta/record"].dtype.names
-        assert sum(n.startswith("pending/") for n in names) == 5 * pending
+        assert not [
+            n for n in names if n.startswith(("pending/", "snap_prev/"))
+        ]
+        assert "meta/num_pending" not in names
         assert "metrics/window_modes" not in names  # a retired trajectory
 
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
@@ -594,9 +581,9 @@ class TestFormat2Layout:
             assert (value == old[key]).all(), key
 
     def test_a_long_window_loads(self):
-        """The record's ``.npy`` header names every field, ≈ 190 B per
-        pending snapshot, so a long window outgrows numpy's default
-        10 000 B header cap; the reader lifts the cap and resumes it."""
+        """A stream 60 snapshots into a window of 64 saves no snapshot:
+        its record loads under numpy's default header cap, and the
+        resumed stream replays the window from its start."""
         small = load_dataset("GT", scale=0.05, num_snapshots=60, seed=SEED)
         stream = StreamingInference(_model(small), window_size=64)
         for snap in small:
@@ -604,13 +591,13 @@ class TestFormat2Layout:
         buf = io.BytesIO()
         save_checkpoint(stream, buf)
         blob = buf.getvalue()
-        with np.load(io.BytesIO(blob)) as data:
-            with pytest.raises(ValueError, match="max_header_size"):
-                data["meta/record"]
+        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+            assert data["meta/record"].shape == ()
         resumed = StreamingInference(_model(small), window_size=64)
         resumed.restore_carry(load_checkpoint(io.BytesIO(blob)))
-        assert resumed.pending == 60
-        got, want = resumed.flush().outputs, stream.flush().outputs
+        assert (resumed.pending, resumed.timestamp) == (0, 0)
+        got = _run(resumed, list(small)[resumed.timestamp:])
+        want = stream.flush().outputs
         assert len(got) == len(want) == 60
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -650,7 +637,7 @@ class TestParentFormatCompatibility:
         )
         for snap in list(graph)[:crash_at]:
             first.push(snap.copy())
-        assert first.window_index == 1
+        assert first.window_index == 1 and first.timestamp == WINDOW
         assert first.metrics.drift_probes == 0
         retired = {
             "metrics/checkpoints_taken": 2,
@@ -670,7 +657,7 @@ class TestParentFormatCompatibility:
             _model(graph, model_name), window_size=WINDOW
         )
         resumed.restore_carry(carry)
-        late = _run(resumed, list(graph)[crash_at:])
+        late = _run(resumed, list(graph)[resumed.timestamp:])
         expected = _uninterrupted(graph, model_name)
         tail = expected[len(expected) - len(late):]
         assert late and len(late) == len(tail)
@@ -743,7 +730,7 @@ class TestOwnedRowCheckpoints:
         for rows in (self.A, None):
             resumed = self._stream(graph, rows, "GC-LSTM")
             resumed.restore_carry(load_checkpoint(io.BytesIO(blob)))
-            late = _run(resumed, list(graph)[WINDOW + 1:])
+            late = _run(resumed, list(graph)[resumed.timestamp:])
             tail = expected[len(expected) - len(late):]
             assert late and len(late) == len(tail)
             for got, want in zip(late, tail):
@@ -850,7 +837,8 @@ class TestOwnedRowCheckpoints:
         )
         carry = store.restore(resumed.stream, key)
         assert not carry.state.h[unowned].any()
-        late = run(resumed, list(graph)[crash_at:])
+        assert carry.timestamp == crash_at - 1  # the pending one replays
+        late = run(resumed, list(graph)[carry.timestamp:])
         assert len(early) + len(late) == len(expected) == graph.num_snapshots
         for got, want in zip(early + late, expected):
             assert got[self.A].tobytes() == want[self.A].tobytes()
@@ -868,9 +856,7 @@ class TestOwnedRowCheckpoints:
 def _numpy_header(array) -> bytes:
     """The ``.npy`` header ``np.save`` writes for ``array``."""
     buf = io.BytesIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a version-2.0 header warns
-        np.lib.format.write_array(buf, np.asanyarray(array))
+    np.lib.format.write_array(buf, np.asanyarray(array))
     blob = buf.getvalue()
     return blob[: len(blob) - np.asanyarray(array).nbytes]
 
@@ -889,10 +875,9 @@ def _savez_blob(stream) -> bytes:
 
 
 class TestArchiveWriter:
-    """``save_checkpoint`` writes each member as its header, built from
-    the record's fields, then the record's buffer.  Its members are
-    ``np.savez``'s byte for byte, so a reader of the parent build reads
-    them."""
+    """``save_checkpoint`` writes each member as numpy's header for the
+    record's dtype, then the record's buffer.  Its members are
+    ``np.savez``'s byte for byte, so any ``.npy`` reader reads them."""
 
     @staticmethod
     def _saved(stream) -> bytes:
@@ -903,6 +888,8 @@ class TestArchiveWriter:
     @pytest.mark.parametrize("model_name", ["T-GCN", "GC-LSTM", "EvolveGCN"])
     @pytest.mark.parametrize("owned", [False, True])
     def test_members_are_np_savez_members(self, graph, model_name, owned):
+        """At every event boundary; and a plain ``np.load`` — default
+        ``max_header_size``, no pickle — reads both members."""
         rows = np.arange(1, graph.num_vertices, 4) if owned else None
         stream = StreamingInference(
             _model(graph, model_name), window_size=WINDOW, rows=rows
@@ -914,13 +901,15 @@ class TestArchiveWriter:
             assert _members(blob) == _members(_savez_blob(stream))
             with np.load(io.BytesIO(blob), allow_pickle=False) as data:
                 assert int(data["meta/format"]) == CHECKPOINT_FORMAT
+                assert data["meta/record"].shape == ()
             assert load_checkpoint(io.BytesIO(blob)).timestamp == (
                 stream.timestamp
             )
 
     def test_the_long_window_header_is_numpys(self):
-        """K = 64 holds 60 pending snapshots: a ≈ 12 kB header, past
-        ``np.load``'s default cap, still numpy's to the byte."""
+        """K = 64 holding 60 pending snapshots writes the header a
+        window boundary writes: numpy's to the byte, version 1.0, far
+        under ``np.load``'s default cap."""
         small = load_dataset("GT", scale=0.05, num_snapshots=60, seed=SEED)
         stream = StreamingInference(_model(small), window_size=64)
         for snap in small:
@@ -928,15 +917,17 @@ class TestArchiveWriter:
         blob = self._saved(stream)
         assert _members(blob) == _members(_savez_blob(stream))
         header = _numpy_header(carry_to_arrays(stream.carry)["meta/record"])
-        assert len(header) > 10_000
+        assert header.startswith(b"\x93NUMPY\x01\x00")
+        assert len(header) < 10_000
         assert _members(blob)["meta/record.npy"].startswith(header)
 
     def test_a_layout_change_writes_a_fresh_correct_header(self, graph):
-        """One pending snapshot more is five more record fields: the
-        next save's header describes them."""
+        """A pending snapshot adds no field, so the header changes only
+        when the layout does — when the first window adds the state —
+        and each save's header describes its record."""
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         headers = []
-        for snap in list(graph)[:WINDOW]:
+        for snap in list(graph)[: WINDOW + 1]:
             stream.push(snap.copy())
             record = carry_to_arrays(stream.carry)["meta/record"]
             header = _numpy_header(record)
@@ -944,24 +935,8 @@ class TestArchiveWriter:
             assert member[: len(header)] == header
             assert member[len(header):] == record.tobytes()
             headers.append(header)
-        assert stream.pending == 0  # the third push ran the window
-        assert len(set(headers)) == len(headers)
-
-    def test_the_header_cache_holds_at_most_its_bound(
-        self, graph, monkeypatch
-    ):
-        bound = 16
-        monkeypatch.setattr(checkpoint_mod, "_DESCR_PARTS", {})
-        monkeypatch.setattr(checkpoint_mod, "_DESCR_PARTS_BOUND", bound)
-        for model_name in ("T-GCN", "GC-LSTM"):
-            stream = StreamingInference(
-                _model(graph, model_name), window_size=WINDOW
-            )
-            for snap in graph:
-                stream.push(snap.copy())
-                blob = self._saved(stream)
-                assert len(checkpoint_mod._DESCR_PARTS) <= bound
-                assert _members(blob) == _members(_savez_blob(stream))
+        assert stream.pending == 1  # the third push ran the window
+        assert headers[0] == headers[1] != headers[2] == headers[3]
 
     def test_a_path_is_named_as_np_savez_names_it(self, graph, tmp_path):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -971,13 +946,5 @@ class TestArchiveWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "carry.npz", "other.npz",
         ]
-        assert load_checkpoint(tmp_path / "carry.npz").pending[0].num_edges
-
-    def test_a_header_past_16_bits_is_version_2(self):
-        dtype = np.dtype(
-            [(f"pending/{i}/features", "<f4", (i % 5 + 1, 3))
-             for i in range(3000)]
-        )
-        header = checkpoint_mod._npy_header(dtype)
-        assert header.startswith(b"\x93NUMPY\x02\x00")
-        assert header == _numpy_header(np.zeros((), dtype))
+        loaded = load_checkpoint(tmp_path / "carry.npz")
+        assert loaded.num_vertices == graph.num_vertices

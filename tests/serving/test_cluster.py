@@ -199,11 +199,16 @@ class TestRecovery:
         assert len(torn) == 1 and torn[0].action == "cold-start"
         assert "2 torn checkpoint(s) skipped" in torn[0].detail
 
-    def test_a_format_4_store_cold_starts_bit_identically(self, graph):
-        """Format 4 also stored the delta cache's two pre-activation
-        blocks, ``cache/zx`` and ``cache/zh``, which format 5 dropped.
-        A shard whose store holds nothing but such archives refuses each
-        as corrupt, cold-starts, and replays to the same bits."""
+    @pytest.mark.parametrize("fmt", [4, 5])
+    def test_a_format_4_or_5_store_cold_starts_bit_identically(
+        self, graph, fmt
+    ):
+        """Formats 4 and 5 also stored the snapshots a carry holds,
+        ``meta/num_pending`` and ``snap_prev/*``, which format 6
+        dropped; format 4 also stored the delta cache's two
+        pre-activation blocks, ``cache/zx`` and ``cache/zh``.  A shard
+        whose store holds nothing but such archives refuses each as
+        corrupt, cold-starts, and replays to the same bits."""
         cluster = ShardCluster(
             factory, num_shards=SHARDS, window_size=2,
             heartbeat_timeout=1, seed=SEED,
@@ -218,12 +223,18 @@ class TestRecovery:
                     with np.load(io.BytesIO(blob)) as data:
                         record = data["meta/record"]
                     fields = {n: record[n] for n in record.dtype.names}
-                    rows = len(fields["cache/z_input"])
-                    for name in ("cache/zx", "cache/zh"):
-                        fields[name] = np.zeros((rows, width), np.float32)
+                    fields["meta/num_pending"] = np.int64(0)
+                    last = graph[int(fields["meta/timestamp"]) - 1]
+                    for name in ("indptr", "indices", "features", "present"):
+                        fields[f"snap_prev/{name}"] = getattr(last, name)
+                    fields["snap_prev/timestamp"] = np.int64(last.timestamp)
+                    if fmt == 4:
+                        rows = len(fields["cache/z_input"])
+                        for name in ("cache/zx", "cache/zh"):
+                            fields[name] = np.zeros((rows, width), np.float32)
                     buf = io.BytesIO()
                     np.savez(buf, **{
-                        "meta/format": np.int64(4),
+                        "meta/format": np.int64(fmt),
                         "meta/record": np.array(
                             tuple(fields.values()),
                             dtype=[(n, v.dtype, v.shape) for n, v in fields.items()],
@@ -232,7 +243,7 @@ class TestRecovery:
                     store._blobs[key] = buf.getvalue()
                     with pytest.raises(
                         CorruptCheckpointError,
-                        match="unsupported checkpoint format 4",
+                        match=f"unsupported checkpoint format {fmt}",
                     ):
                         store.load(key)
                 cluster.workers[1].crash()
