@@ -3,7 +3,8 @@
 
 Production dynamic-graph systems receive *events* (edge inserts/deletes,
 feature updates), not pre-built snapshots.  This example replays a
-dynamic graph as its event stream, maintains the O-CSR affected-subgraph
+dynamic graph as its stream of event batches (one array row per event),
+maintains the O-CSR affected-subgraph
 store incrementally (the dynamic maintenance the paper claims for O-CSR),
 and verifies the incrementally-maintained store matches a from-scratch
 rebuild at every step.
@@ -36,49 +37,45 @@ def main() -> None:
         f"({100 * store.compression_vs(csr):.1f}% smaller than per-snapshot CSR)"
     )
 
-    # replay the next step's events against the *last* snapshot of the
-    # window, applying the structural ones to the O-CSR in place
-    events = event_stream(graph)[3]  # snapshot 3 -> 4
-    in_sub = set(subgraph.vertices.tolist())
-    applied = {"insert": 0, "delete": 0, "feature": 0, "skipped": 0}
+    # replay the next step's event batch against the *last* snapshot of
+    # the window, applying the structural rows to the O-CSR in place; a
+    # row's kind code is its kind's position in UpdateKind
+    code = {kind: i for i, kind in enumerate(UpdateKind)}
+    batch = event_stream(graph)[3]  # snapshot 3 -> 4
+    in_sub = np.zeros(graph.num_vertices, dtype=bool)
+    in_sub[subgraph.vertices] = True
+    mine = in_sub[batch.vertex]  # an edge row's vertex is its source
+    kind = batch.kind
+    inserts = batch.edge[mine & (kind == code[UpdateKind.EDGE_INSERT])]
+    deletes = batch.edge[mine & (kind == code[UpdateKind.EDGE_DELETE])]
+    updated = in_sub[batch.vertex[batch.feature_rows]]
     last = window.num_snapshots - 1
-    for ev in events:
-        if ev.kind is UpdateKind.EDGE_INSERT and ev.payload[0] in in_sub:
-            store.insert_edge(ev.payload[0], ev.payload[1], last)
-            applied["insert"] += 1
-        elif ev.kind is UpdateKind.EDGE_DELETE and ev.payload[0] in in_sub:
-            if store.delete_edge(ev.payload[0], ev.payload[1], last):
-                applied["delete"] += 1
-        elif ev.kind is UpdateKind.FEATURE_UPDATE and ev.vertex in in_sub:
-            store.update_feature(ev.vertex, last, ev.payload)
-            applied["feature"] += 1
-        else:
-            applied["skipped"] += 1
+    for src, dst in inserts.tolist():
+        store.insert_edge(src, dst, last)
+    deleted = sum(store.delete_edge(s, d, last) for s, d in deletes.tolist())
+    for v, x in zip(
+        batch.vertex[batch.feature_rows][updated], batch.features[updated]
+    ):
+        store.update_feature(int(v), last, x)
+    features = int(updated.sum())
+    applied = {
+        "insert": len(inserts),
+        "delete": deleted,
+        "feature": features,
+        "skipped": len(batch) - len(inserts) - len(deletes) - features,
+    }
     print(f"\napplied events in place: {applied}")
 
     # verify a few touched runs against direct recomputation
-    touched = [
-        ev.payload[0]
-        for ev in events
-        if ev.kind is UpdateKind.EDGE_INSERT and ev.payload[0] in in_sub
-    ][:10]
     checked = 0
-    for v in touched:
+    for v in np.unique(inserts[:, 0])[:10].tolist():
         tgts, ts = store.gather(v)
         at_last = set(tgts[ts == last].tolist())
         # after applying inserts/deletes, the run at `last` must contain
         # the inserted neighbours
-        inserted = {
-            ev.payload[1]
-            for ev in events
-            if ev.kind is UpdateKind.EDGE_INSERT and ev.payload[0] == v
-        }
-        deleted = {
-            ev.payload[1]
-            for ev in events
-            if ev.kind is UpdateKind.EDGE_DELETE and ev.payload[0] == v
-        }
-        assert inserted - deleted <= at_last, (v, inserted, at_last)
+        inserted = set(inserts[inserts[:, 0] == v, 1].tolist())
+        removed = set(deletes[deletes[:, 0] == v, 1].tolist())
+        assert inserted - removed <= at_last, (v, inserted, at_last)
         checked += 1
     print(f"verified {checked} incrementally-updated runs against the event log")
     print("\nstreaming maintenance of O-CSR verified")

@@ -30,6 +30,7 @@ from .datasets import (
 from .io import FORMAT_VERSION, load_dynamic_graph, save_dynamic_graph
 from .real import TemporalEdgeList, load_edge_list, parse_edge_list
 from .updates import (
+    EventBatch,
     UpdateEvent,
     UpdateKind,
     apply_events,
@@ -63,6 +64,7 @@ __all__ = [
     "parse_edge_list",
     "load_dynamic_graph",
     "save_dynamic_graph",
+    "EventBatch",
     "UpdateEvent",
     "UpdateKind",
     "apply_events",

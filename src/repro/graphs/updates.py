@@ -2,45 +2,43 @@
 
 Real systems receive dynamic graphs as a stream of update events rather
 than materialised snapshots.  This module converts between the two views:
-:func:`delta_to_events` flattens a :class:`~repro.graphs.dynamic.SnapshotDelta`
-into ordered :class:`UpdateEvent` records, and :func:`apply_events`
-replays events onto a snapshot to reconstruct its successor.  The round
-trip is exercised by property tests and by the O-CSR dynamic-maintenance
-benches (the paper notes O-CSR "efficiently accommodates dynamic changes,
-such as inserting, updating, and deleting edges and vertices").
+:func:`event_stream` turns each :class:`~repro.graphs.dynamic.SnapshotDelta`
+of a graph into an :class:`EventBatch`, and :func:`apply_events` replays a
+batch onto a snapshot to reconstruct its successor.  The round trip is
+exercised by property tests and by the O-CSR dynamic-maintenance benches
+(the paper notes O-CSR "efficiently accommodates dynamic changes, such as
+inserting, updating, and deleting edges and vertices").
 
-Replay is batched: :func:`apply_events` decodes the whole event list into
-flat arrays once, validates every event with vectorised alternation and
-point-in-time presence checks, and materialises the successor with a
-single canonical CSR rebuild.  The moment anything is off — an
-undecodable payload or any strict-replay violation — it falls back to
-:func:`apply_events_reference`, the one per-event replay, which raises
-the exact first-violation error.  Given a ``reject`` callback instead,
-that same replay hands each violating event and its reason to the
-callback and skips it: the resilience ingest dead-letters through it, so
-the strict-replay rules (:func:`event_violation` plus the state updates
-here) live in this module alone.  The batched path is bit-identical to
-the reference on valid streams and indistinguishable from it on hostile
-ones.
+A batch travels as arrays (a kind code, vertex id and ``(src, dst)`` pair
+per row, plus the stacked feature rows); a list of :class:`UpdateEvent`
+converts at the edge through :meth:`EventBatch.from_events`.
+:func:`apply_events` checks the rows and the strict-replay rules with
+vectorised alternation and presence checks, then assembles the successor's
+CSR directly.  On any violation it falls back to
+:func:`apply_events_reference`, the one per-event replay, which raises the
+exact first-violation error or, given a ``reject`` callback, hands it each
+violating row and skips it: the resilience ingest dead-letters that way, so
+the strict-replay rules live in this module alone.  The batched path is
+bit-identical to the reference on valid streams and indistinguishable from
+it on hostile ones.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..check.shapes import contract
 from .dynamic import SnapshotDelta, _edge_keys, snapshot_delta
-from .snapshot import CSRSnapshot, build_csr
+from .snapshot import CSRSnapshot
 
 __all__ = [
     "UpdateKind",
     "UpdateEvent",
+    "EventBatch",
     "delta_to_events",
     "apply_events",
     "apply_events_reference",
@@ -73,37 +71,177 @@ class UpdateEvent:
     payload: tuple[int, int] | np.ndarray | None = None
 
 
+# a row's kind code is its kind's position in UpdateKind, or _UNKNOWN
+_KINDS = tuple(UpdateKind)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_INS, _DEL, _FEAT, _ARR, _DEP = range(5)
+_UNKNOWN = -1
+
+
+def _is_id(x) -> bool:
+    """Whether ``x`` is an id the replay accepts and an int64 column holds."""
+    return isinstance(x, (int, np.integer)) and 0 <= x < 2**63
+
+
+_NO_FEATURES = np.empty((0, 0), dtype=np.float32)
+_NO_FEATURES.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class EventBatch:
+    """One batch of update events as arrays, one row per event.
+
+    ``edge`` is ``-1`` on non-edge rows, and ``features[j]`` is the
+    payload of feature-update row ``feature_rows[j]``.  ``source`` is
+    the caller's list when the batch was converted from one: the
+    per-event replay then sees those very objects.
+    """
+
+    kind: np.ndarray  # (E,) int64 codes: position in UpdateKind, or -1
+    vertex: np.ndarray  # (E,) int64
+    edge: np.ndarray  # (E, 2) int64
+    feature_rows: np.ndarray  # (F,) int64, ascending
+    features: np.ndarray  # (F, dim)
+    source: list | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        E = len(self.kind)
+        rows = len(self.kind if self.source is None else self.source)
+        if (
+            (self.kind.shape, self.vertex.shape, self.edge.shape, rows)
+            != ((E,), (E,), (E, 2), E)
+            or self.features.ndim != 2
+            or self.feature_rows.shape != self.features.shape[:1]
+        ):
+            raise ValueError("EventBatch columns do not describe one batch")
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    @classmethod
+    def from_delta(
+        cls, delta: SnapshotDelta, new_features: np.ndarray | None = None
+    ) -> EventBatch:
+        """The batch that replays ``delta``: departures, edge deletions,
+        arrivals, edge insertions, then (with ``new_features``) a feature
+        row per arrived or changed vertex — an order that never touches a
+        not-yet-arrived vertex."""
+        touched = np.empty(0, dtype=np.int64)
+        if new_features is not None:
+            touched = np.union1d(delta.feature_changed, delta.arrived)
+        blocks = (
+            (_DEP, delta.departed, None),
+            (_DEL, delta.removed_edges[:, 0], delta.removed_edges),
+            (_ARR, delta.arrived, None),
+            (_INS, delta.added_edges[:, 0], delta.added_edges),
+            (_FEAT, touched, None),
+        )
+        E = sum(ids.size for _, ids, _ in blocks)
+        return cls(
+            kind=np.concatenate([np.full(i.size, c) for c, i, _ in blocks]),
+            vertex=np.concatenate([i for _, i, _ in blocks]).astype(np.int64),
+            edge=np.concatenate([
+                np.full((ids.size, 2), -1) if pairs is None else pairs
+                for _, ids, pairs in blocks
+            ]).astype(np.int64),
+            feature_rows=np.arange(E - touched.size, E),
+            features=(
+                _NO_FEATURES if new_features is None else new_features[touched]
+            ),
+        )
+
+    @classmethod
+    def from_events(cls, events) -> EventBatch:
+        """Convert an iterable of events at the edge.  An item the
+        columns cannot hold exactly (a malformed event, or a feature
+        vector unlike the batch's first) becomes an unknown-code row,
+        which sends the batch to the per-event replay of the kept list.
+        """
+        source = events if isinstance(events, list) else list(events)
+        rows, feature_rows, features = [], [], []
+        for row, ev in enumerate(source):  # repro: noqa R006 — converts a caller's list at the edge, not a hot path
+            code, pair = _UNKNOWN, (-1, -1)
+            if (
+                isinstance(ev, UpdateEvent)
+                and isinstance(ev.kind, UpdateKind)
+                and _is_id(ev.vertex)
+            ):
+                code, x = _CODE[ev.kind], ev.payload
+            if code in (_INS, _DEL):
+                if isinstance(x, tuple) and len(x) == 2 and all(
+                    map(_is_id, x)
+                ):
+                    pair = (int(x[0]), int(x[1]))
+                else:
+                    code = _UNKNOWN
+            elif code == _FEAT:
+                like = features[0] if features else x
+                if (
+                    isinstance(x, np.ndarray)
+                    and x.ndim == 1
+                    and x.dtype.kind in "fiu"
+                    and (x.shape, x.dtype) == (like.shape, like.dtype)
+                ):
+                    feature_rows.append(row)
+                    features.append(x)
+                else:
+                    code = _UNKNOWN
+            vid = -1 if code == _UNKNOWN else int(ev.vertex)
+            rows.append((code, vid, *pair))
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        return cls(
+            kind=cols[:, 0],
+            vertex=cols[:, 1],
+            edge=cols[:, 2:],
+            feature_rows=np.array(feature_rows, dtype=np.int64),
+            features=np.stack(features) if features else _NO_FEATURES,
+            source=source,
+        )
+
+    @classmethod
+    def concat(cls, batches) -> EventBatch:
+        """The rows of one or more ``batches``, in order, as one batch.
+        It keeps a source list when any part has one."""
+        batches = list(batches)
+        offsets = np.cumsum([0] + [len(b) for b in batches])
+        fed = [b.features for b in batches if b.feature_rows.size]
+        source = None
+        if any(b.source is not None for b in batches):
+            source = [ev for b in batches for ev in b.events()]
+        return cls(
+            *(
+                np.concatenate([getattr(b, name) for b in batches])
+                for name in ("kind", "vertex", "edge")
+            ),
+            feature_rows=np.concatenate(
+                [b.feature_rows + o for b, o in zip(batches, offsets)]
+            ),
+            features=np.concatenate(fed) if fed else _NO_FEATURES,
+            source=source,
+        )
+
+    def events(self) -> list:
+        """The batch as one event per row, for the per-event replay: the
+        caller's own list when the batch was converted from one."""
+        if self.source is not None:
+            return self.source
+        payload_at = dict(zip(self.feature_rows.tolist(), self.features))
+        out = []
+        rows = zip(*(a.tolist() for a in (self.kind, self.vertex, self.edge)))
+        for row, (code, v, pair) in enumerate(rows):  # repro: noqa R006 — materialises rows only for the per-event replay
+            kind = _KINDS[code] if 0 <= code < len(_KINDS) else code
+            x = tuple(pair) if code in (_INS, _DEL) else payload_at.get(row)
+            out.append(UpdateEvent(kind, v, x))
+        return out
+
+
 @contract("_, ?(n,f) f -> _")
 def delta_to_events(
     delta: SnapshotDelta, new_features: np.ndarray | None = None
 ) -> list[UpdateEvent]:
-    """Flatten a delta into an ordered event list.
-
-    Ordering is: departures, edge deletions, arrivals, edge insertions,
-    feature updates — the order in which :func:`apply_events` can replay
-    them without referencing not-yet-arrived vertices.
-    """
-    events: list[UpdateEvent] = [
-        UpdateEvent(UpdateKind.VERTEX_DEPART, v) for v in delta.departed.tolist()
-    ]
-    events += [
-        UpdateEvent(UpdateKind.EDGE_DELETE, s, (s, d))
-        for s, d in delta.removed_edges.tolist()
-    ]
-    events += [
-        UpdateEvent(UpdateKind.VERTEX_ARRIVE, v) for v in delta.arrived.tolist()
-    ]
-    events += [
-        UpdateEvent(UpdateKind.EDGE_INSERT, s, (s, d))
-        for s, d in delta.added_edges.tolist()
-    ]
-    if new_features is not None:
-        touched = np.union1d(delta.feature_changed, delta.arrived)
-        events += [
-            UpdateEvent(UpdateKind.FEATURE_UPDATE, v, new_features[v].copy())
-            for v in touched.tolist()
-        ]
-    return events
+    """Flatten a delta into an ordered event list: the rows of
+    :meth:`EventBatch.from_delta`, one :class:`UpdateEvent` each."""
+    return EventBatch.from_delta(delta, new_features).events()
 
 
 @contract("_, int, int, (n,) b, _ -> _")
@@ -163,9 +301,7 @@ def event_violation(
     else:  # FEATURE_UPDATE
         x = ev.payload
         if not isinstance(x, np.ndarray) or x.shape != (dim,):
-            return (
-                f"feature payload {x!r} does not have shape ({dim},)"
-            )
+            return f"feature payload {x!r} does not have shape ({dim},)"
         if not bool(np.isfinite(x).all()):
             return f"non-finite feature payload for vertex {v}"
         if not present[v]:
@@ -176,119 +312,22 @@ def event_violation(
 # ----------------------------------------------------------------------
 # batched replay
 # ----------------------------------------------------------------------
-# integer codes for the decode arrays (order is arbitrary but fixed),
-# keyed by the members' string values: a str hashes in C, an Enum member
-# through a Python-level ``__hash__`` (one call per event)
-_INS, _DEL, _FEAT, _ARR, _DEP = range(5)
-_KIND_CODE = {
-    UpdateKind.EDGE_INSERT.value: _INS,
-    UpdateKind.EDGE_DELETE.value: _DEL,
-    UpdateKind.FEATURE_UPDATE.value: _FEAT,
-    UpdateKind.VERTEX_ARRIVE.value: _ARR,
-    UpdateKind.VERTEX_DEPART.value: _DEP,
-}
-
-
-@dataclass
-class _DecodedEvents:
-    """Flat-array view of an event list (one decode pass, then all
-    validation and application is vectorised)."""
-
-    kind: np.ndarray  # (E,) int64 codes
-    vertex: np.ndarray  # (E,) int64
-    ekey: np.ndarray  # (E,) int64: src*n+dst for edge events, -1 otherwise
-    fidx: np.ndarray  # (F,) int64 event indices of feature updates
-    feats: np.ndarray  # (F, dim) stacked feature payloads
-
-
-_GET_KIND = operator.attrgetter("kind")
-_GET_VALUE = operator.attrgetter("_value_")
-_GET_VERTEX = operator.attrgetter("vertex")
-_GET_PAYLOAD = operator.attrgetter("payload")
-
-
-def _all_plain_ints(types: set) -> bool:
-    """Whether every *type* in the set is ``int`` or a NumPy integer.
-
-    Called on ``set(map(type, values))`` — a handful of distinct types —
-    so value-count-independent.  ``bool`` is deliberately excluded even
-    though it subclasses ``int``: boolean ids are legal but exotic, and
-    sending them down the reference path keeps this predicate trivially
-    sound.
-    """
-    return all(
-        t is int or (t is not bool and issubclass(t, np.integer))
-        for t in types
-    )
-
-
-def _decode_events(events, num_vertices: int, dim: int) -> _DecodedEvents | None:
-    """Decode events into flat arrays; None when anything is malformed
-    (unknown kind, bad payload shape, out-of-range id, non-finite
-    feature) — the caller then falls back to the per-event reference.
-
-    Checks here are deliberately *stricter* than the reference's
-    ``isinstance`` checks (exact ``type`` sets, no bool ids): an exotic
-    but valid event merely drops to the reference path, which is slower
-    but never wrong.  All passes are C-level ``map``/``set`` sweeps; no
-    per-event Python bytecode.
-    """
-    n = num_vertices
-    E = len(events)
-    if set(map(type, events)) - {UpdateEvent}:
-        return None
-    kinds = list(map(_GET_KIND, events))
-    # exactly UpdateKind: a foreign kind with an equal value is refused
-    if set(map(type, kinds)) - {UpdateKind}:
-        return None
-    try:
-        kind = np.fromiter(
-            map(_KIND_CODE.__getitem__, map(_GET_VALUE, kinds)),
-            dtype=np.int64,
-            count=E,
+def _row_violation(batch: EventBatch, n: int, dim: int) -> bool:
+    """Whether any row is malformed on its own: an unknown code, an id
+    out of ``[0, n)``, feature rows that are not exactly the
+    feature-update rows, or a feature row of the wrong width or not
+    finite."""
+    kind, ids, pairs = batch.kind, batch.vertex, batch.edge[batch.kind <= _DEL]
+    feature_rows = np.flatnonzero(kind == _FEAT)
+    return bool(kind.size) and bool(
+        int(kind.min()) < 0 or int(kind.max()) > _DEP
+        or int(ids.min()) < 0 or int(ids.max()) >= n
+        or (pairs.size and (int(pairs.min()) < 0 or int(pairs.max()) >= n))
+        or not np.array_equal(batch.feature_rows, feature_rows)
+        or batch.feature_rows.size and (
+            batch.features.shape[1] != dim
+            or not np.isfinite(batch.features).all()
         )
-        verts = list(map(_GET_VERTEX, events))
-        if not _all_plain_ints(set(map(type, verts))):
-            return None
-        vertex = np.asarray(verts, dtype=np.int64)
-        if E and (int(vertex.min()) < 0 or int(vertex.max()) >= n):
-            return None
-        ekey = np.full(E, -1, dtype=np.int64)
-        eidx = np.flatnonzero((kind == _INS) | (kind == _DEL))
-        if eidx.size:
-            pays = list(
-                map(_GET_PAYLOAD, map(events.__getitem__, eidx.tolist()))
-            )
-            if set(map(type, pays)) - {tuple}:
-                return None
-            if not _all_plain_ints(
-                set(map(type, itertools.chain.from_iterable(pays)))
-            ):
-                return None
-            sd = np.asarray(pays, dtype=np.int64)
-            if sd.shape != (eidx.size, 2):
-                return None
-            if int(sd.min()) < 0 or int(sd.max()) >= n:
-                return None
-            ekey[eidx] = sd[:, 0] * n + sd[:, 1]
-        fidx = np.flatnonzero(kind == _FEAT).astype(np.int64)
-        if fidx.size:
-            fpay = list(
-                map(_GET_PAYLOAD, map(events.__getitem__, fidx.tolist()))
-            )
-            if set(map(type, fpay)) - {np.ndarray}:
-                return None
-            feats = np.stack(fpay)
-            if feats.shape != (fidx.size, dim):
-                return None
-        else:
-            feats = np.empty((0, dim), dtype=np.float32)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-        return None
-    if not bool(np.isfinite(feats).all()):
-        return None
-    return _DecodedEvents(
-        kind=kind, vertex=vertex, ekey=ekey, fidx=fidx, feats=feats
     )
 
 
@@ -306,10 +345,23 @@ def _group_positions(sorted_groups: np.ndarray) -> np.ndarray:
     return idx - starts
 
 
-def _decoded_violation(
-    snap: CSRSnapshot, dec: _DecodedEvents, key0: np.ndarray
+def _member(sorted_keys: np.ndarray, q: np.ndarray):
+    """Where each of ``q`` goes in the sorted ``sorted_keys``, and
+    whether it is there."""
+    at = np.searchsorted(sorted_keys, q)
+    if not sorted_keys.size:
+        return at, np.zeros(q.size, dtype=bool)
+    return at, (at < sorted_keys.size) & (
+        sorted_keys[np.minimum(at, sorted_keys.size - 1)] == q
+    )
+
+
+def _state_violation(
+    snap: CSRSnapshot, batch: EventBatch, ekey: np.ndarray, key0: np.ndarray
 ) -> bool:
-    """Whether *any* event violates the strict-replay state rules.
+    """Whether *any* row of a well-formed batch violates the
+    strict-replay state rules (``ekey``: the ``src * n + dst`` key of
+    each edge row, in row order).
 
     The sequential rules are order-local, which makes them vectorisable:
 
@@ -324,23 +376,19 @@ def _decoded_violation(
     Sound and complete: the batch is clean iff the per-event reference
     replay would accept every event.
     """
-    n = snap.num_vertices
-    E = dec.kind.size
+    E = len(batch)
     p0 = snap.present
-    kind, vertex, ekey = dec.kind, dec.vertex, dec.ekey
+    kind, vertex = batch.kind, batch.vertex
 
     # --- presence toggles must alternate --------------------------------
-    tmask = (kind == _ARR) | (kind == _DEP)
-    tv = vertex[tmask]
-    tidx = np.flatnonzero(tmask).astype(np.int64)
-    t_is_arr = kind[tmask] == _ARR
-    order = np.argsort(tv, kind="stable")
-    sv, sarr = tv[order], t_is_arr[order]
+    tidx = np.flatnonzero(kind >= _ARR)
+    tidx = tidx[np.argsort(vertex[tidx], kind="stable")]  # by vertex, row
+    sv, sarr = vertex[tidx], kind[tidx] == _ARR
     pos = _group_positions(sv)
     if sv.size and bool(np.any(sarr != ((pos % 2 == 0) ^ p0[sv]))):
         return True
     # composite key for point-in-time presence queries (idx < E < E + 1)
-    toggle_keys = sv * np.int64(E + 1) + tidx[order]
+    toggle_keys = sv * np.int64(E + 1) + tidx
 
     def present_at(vq: np.ndarray, iq: np.ndarray) -> np.ndarray:
         base = np.searchsorted(toggle_keys, vq * np.int64(E + 1))
@@ -348,101 +396,65 @@ def _decoded_violation(
         return p0[vq] ^ (cnt % 2 == 1)
 
     # --- edge toggles must alternate ------------------------------------
-    emask = (kind == _INS) | (kind == _DEL)
-    ek = ekey[emask]
-    e_is_ins = kind[emask] == _INS
-    if ek.size:
-        eorder = np.argsort(ek, kind="stable")
-        sk, sins = ek[eorder], e_is_ins[eorder]
+    if ekey.size:
+        eorder = np.argsort(ekey, kind="stable")
+        sk, sins = ekey[eorder], kind[kind <= _DEL][eorder] == _INS
         pos = _group_positions(sk)
-        if key0.size:
-            at = np.searchsorted(key0, sk)
-            at_c = np.minimum(at, key0.size - 1)
-            live0 = (at < key0.size) & (key0[at_c] == sk)
-        else:
-            live0 = np.zeros(sk.size, dtype=bool)
+        live0 = _member(key0, sk)[1]
         if bool(np.any(sins != ((pos % 2 == 0) ^ live0))):
             return True
 
     # --- point-in-time presence requirements ----------------------------
-    ins = kind == _INS
-    if bool(ins.any()):
-        iidx = np.flatnonzero(ins).astype(np.int64)
-        isrc, idst = ekey[ins] // n, ekey[ins] % n
-        if not bool(present_at(isrc, iidx).all()):
-            return True
-        if not bool(present_at(idst, iidx).all()):
-            return True
-    if dec.fidx.size and not bool(
-        present_at(vertex[dec.fidx], dec.fidx).all()
-    ):
-        return True
-    return False
+    # both ends of each insert, the vertex of each feature update
+    ins, fidx = np.flatnonzero(kind == _INS), batch.feature_rows
+    need = np.concatenate([batch.edge[ins].ravel(), vertex[fidx]])
+    at = np.concatenate([np.repeat(ins, 2), fidx])
+    return not bool(present_at(need, at).all())
 
 
-def _decoded_apply(
-    snap: CSRSnapshot, dec: _DecodedEvents, key0: np.ndarray
+def _apply_batch(
+    snap: CSRSnapshot, batch: EventBatch, ekey: np.ndarray, key0: np.ndarray
 ) -> CSRSnapshot:
-    """Materialise the successor of a *validated* decoded batch: toggle
-    parities give the final presence/edge sets, the last feature update
-    per vertex wins, and one canonical :func:`build_csr` pass closes."""
+    """Materialise the successor of a *validated* batch: toggle
+    parities give the final presence/edge sets and the last feature
+    update per vertex wins."""
     n = snap.num_vertices
-    kind, vertex, ekey = dec.kind, dec.vertex, dec.ekey
-
-    tmask = (kind == _ARR) | (kind == _DEP)
-    flips = np.bincount(vertex[tmask], minlength=n) % 2 == 1
-    present = snap.present ^ flips
-
+    flips = np.bincount(batch.vertex[batch.kind >= _ARR], minlength=n) % 2
     features = snap.features.copy()
-    if dec.fidx.size:
-        fv = vertex[dec.fidx]
-        forder = np.argsort(fv, kind="stable")
-        sorted_fv = fv[forder]
-        last = np.empty(sorted_fv.size, dtype=bool)
-        last[-1] = True
-        np.not_equal(sorted_fv[1:], sorted_fv[:-1], out=last[:-1])
-        rows = forder[last]
-        features[fv[rows]] = dec.feats[rows]
-
-    emask = (kind == _INS) | (kind == _DEL)
-    ek = ekey[emask]
-    if ek.size:
-        uk, cnt = np.unique(ek, return_counts=True)
-        toggled = uk[cnt % 2 == 1]  # odd toggle count = membership flips
-        # Sorted-merge symmetric difference: key0 and toggled are both
-        # sorted and unique, so a searchsorted membership split plus one
-        # positional np.insert reproduces np.setxor1d bit for bit at a
-        # fraction of the cost.
-        at = np.searchsorted(key0, toggled)
-        at_c = np.minimum(at, max(key0.size - 1, 0))
-        live0 = (
-            (at < key0.size) & (key0[at_c] == toggled)
-            if key0.size
-            else np.zeros(toggled.size, dtype=bool)
+    if batch.feature_rows.size:
+        # a vertex's first row in reverse order is its last update
+        fv, first = np.unique(
+            batch.vertex[batch.feature_rows][::-1], return_index=True
         )
-        keep = np.ones(key0.size, dtype=bool)
-        keep[at[live0]] = False
-        kept = key0[keep]
-        ins = toggled[~live0]
-        arr = np.insert(kept, np.searchsorted(kept, ins), ins)
-    else:
-        arr = key0
+        features[fv] = batch.features[batch.feature_rows.size - 1 - first]
+    uk, cnt = np.unique(ekey, return_counts=True)
+    toggled = uk[cnt % 2 == 1]  # odd toggle count = membership flips
+    # Sorted-merge symmetric difference: key0 and toggled are both
+    # sorted and unique, so a searchsorted membership split plus one
+    # positional np.insert reproduces np.setxor1d bit for bit at a
+    # fraction of the cost.
+    at, live0 = _member(key0, toggled)
+    kept = np.delete(key0, at[live0])
+    ins = toggled[~live0]
+    keys = np.insert(kept, np.searchsorted(kept, ins), ins)
+    return _successor(snap, snap.present ^ (flips == 1), features, keys)
+
+
+def _successor(snap: CSRSnapshot, present, features, keys) -> CSRSnapshot:
+    """The snapshot after ``snap`` with the final presence mask, the
+    (owned) feature rows and the sorted unique ``src * n + dst`` keys of
+    its live edges."""
+    n = snap.num_vertices
     # Departed vertices take their incident edges with them.
-    if arr.size:
-        srcs = arr // n
-        arr = arr[present[srcs] & present[arr % n]]
-        srcs = arr // n
-    else:
-        srcs = arr
-    # ``arr`` is sorted unique composite keys — exactly the order
-    # build_csr canonicalises into — so the CSR assembles directly.
+    keys = keys[present[keys // n] & present[keys % n]]
+    # sorted composite keys are exactly the order build_csr
+    # canonicalises into, so the CSR assembles directly
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
-    indices = (arr % n).astype(np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     features[~present] = 0.0  # canonical form: absent rows are zero
     return CSRSnapshot(
         indptr=indptr,
-        indices=indices,
+        indices=(keys % n).astype(np.int32),
         features=features,
         present=present,
         timestamp=snap.timestamp + 1,
@@ -451,40 +463,41 @@ def _decoded_apply(
 
 def apply_events(
     snap: CSRSnapshot,
-    events: list[UpdateEvent],
+    batch: EventBatch | list[UpdateEvent],
     *,
-    reject: Callable[[object, str], None] | None = None,
+    reject: Callable[[int, object, str], None] | None = None,
 ) -> CSRSnapshot:
-    """Replay events onto a snapshot, returning the successor snapshot.
-
-    The batch is decoded into flat arrays, validated with vectorised
-    alternation/parity checks, and applied as one splice plus a single
-    O(m log m) :func:`build_csr` pass — the vectorised idiom the HPC
-    guide recommends over per-event Python mutation.
+    """Replay a batch (or a list of events, converted with
+    :meth:`EventBatch.from_events`) onto a snapshot, returning its
+    successor: rows checked, replay rules validated with vectorised
+    alternation/parity checks, and one splice of the sorted edge keys.
 
     Replay is *strict*: an event that cannot apply to the evolving state
-    (duplicate edge insert, delete of an absent edge, out-of-range vertex
-    id, unknown kind, malformed payload, …) raises :class:`ValueError`
-    rather than silently corrupting the successor snapshot.  Error
-    reporting is delegated to :func:`apply_events_reference`, so messages
-    and first-violation ordering match the per-event replay exactly.
-    With ``reject`` given, that replay calls ``reject(event, reason)``
-    for each violating event and skips it instead of raising;
-    :mod:`repro.resilience.ingest` dead-letters poison events this way.
+    (duplicate edge insert, delete of an absent edge, out-of-range id,
+    unknown kind, malformed payload, …) raises :class:`ValueError`.
+    Errors come from :func:`apply_events_reference` over
+    :meth:`EventBatch.events`, so messages and first-violation order are
+    the per-event replay's; with ``reject`` given, it calls
+    ``reject(row, event, reason)`` for each violating row and skips it
+    (:mod:`repro.resilience.ingest` dead-letters this way).
     """
-    dec = _decode_events(events, snap.num_vertices, snap.features.shape[1])
-    if dec is not None:
+    if not isinstance(batch, EventBatch):
+        batch = EventBatch.from_events(batch)
+    n = snap.num_vertices
+    if not _row_violation(batch, n, snap.dim):
+        edges = batch.edge[batch.kind <= _DEL]
+        ekey = edges[:, 0] * n + edges[:, 1]
         key0 = _edge_keys(snap)
-        if not _decoded_violation(snap, dec, key0):
-            return _decoded_apply(snap, dec, key0)
-    return apply_events_reference(snap, events, reject=reject)
+        if not _state_violation(snap, batch, ekey, key0):
+            return _apply_batch(snap, batch, ekey, key0)
+    return apply_events_reference(snap, batch.events(), reject=reject)
 
 
 def apply_events_reference(
     snap: CSRSnapshot,
     events: list[UpdateEvent],
     *,
-    reject: Callable[[object, str], None] | None = None,
+    reject: Callable[[int, object, str], None] | None = None,
 ) -> CSRSnapshot:
     """Per-event replay: the fallback of :func:`apply_events` for any
     batch the batched validator refuses, and the oracle its property
@@ -492,16 +505,15 @@ def apply_events_reference(
 
     Each event is checked by :func:`event_violation` against the state
     the events before it left.  With ``reject=None`` the first violation
-    raises :class:`ValueError`; otherwise ``reject(event, reason)`` is
-    called and the event is skipped, so the successor is the replay of
-    the events that apply, in arrival order.
+    raises :class:`ValueError`; otherwise ``reject(row, event, reason)``
+    is called and the event skipped.
     """
     n = snap.num_vertices
     present = snap.present.copy()
     features = snap.features.copy()
     keys = set(_edge_keys(snap).tolist())
 
-    for ev in events:  # repro: noqa R006 — the one per-event replay: exact errors and dead-letter order
+    for row, ev in enumerate(events):  # repro: noqa R006 — the one per-event replay: exact errors and dead-letter order
         reason = event_violation(
             ev,
             num_vertices=n,
@@ -512,7 +524,7 @@ def apply_events_reference(
         if reason is not None:
             if reject is None:
                 raise ValueError(f"invalid update event: {reason}")
-            reject(ev, reason)
+            reject(row, ev, reason)
             continue
         # Ids are cast with int(): a NumPy integer would compute the edge
         # key in its own width (an int32 ``s * n`` overflows once
@@ -531,32 +543,18 @@ def apply_events_reference(
         else:  # FEATURE_UPDATE
             features[v] = ev.payload  # type: ignore[assignment]
 
-    # Departed vertices take their incident edges with them.
-    arr = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    if arr.size:
-        s, d = arr // n, arr % n
-        arr = arr[present[s] & present[d]]
-        s, d = arr // n, arr % n
-    else:
-        s = d = np.empty(0, dtype=np.int64)
-    indptr, indices = build_csr(n, s, d)
-    features[~present] = 0.0  # canonical form: absent rows are zero
-    return CSRSnapshot(
-        indptr=indptr,
-        indices=indices,
-        features=features,
-        present=present,
-        timestamp=snap.timestamp + 1,
-    )
+    keys = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    return _successor(snap, present, features, keys)
 
 
-def event_stream(graph) -> list[list[UpdateEvent]]:
-    """Per-step event lists for a whole :class:`DynamicGraph`.
+def event_stream(graph) -> list[EventBatch]:
+    """Per-step event batches for a whole :class:`DynamicGraph`.
 
     ``result[t]`` transforms snapshot ``t`` into snapshot ``t + 1``.
     """
-    out: list[list[UpdateEvent]] = []
-    for t in range(len(graph) - 1):
-        delta = snapshot_delta(graph[t], graph[t + 1])
-        out.append(delta_to_events(delta, new_features=graph[t + 1].features))
-    return out
+    return [
+        EventBatch.from_delta(
+            snapshot_delta(graph[t], graph[t + 1]), graph[t + 1].features
+        )
+        for t in range(len(graph) - 1)
+    ]

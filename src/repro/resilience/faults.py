@@ -53,7 +53,7 @@ import numpy as np
 
 from ..check.sanitizer import SanitizerViolation
 from ..graphs.snapshot import CSRSnapshot
-from ..graphs.updates import UpdateEvent, UpdateKind
+from ..graphs.updates import EventBatch, UpdateEvent, UpdateKind
 
 __all__ = [
     "ENGINE_FAULTS",
@@ -92,7 +92,7 @@ class FaultKind(enum.Enum):
     TORN_CHECKPOINT = "torn_checkpoint"
 
 
-#: faults delivered as poison :class:`UpdateEvent`s in the ingest stream
+#: faults delivered as poison rows of the ingest stream's event batches
 EVENT_FAULTS = frozenset(
     {
         FaultKind.CORRUPT_EVENT,
@@ -267,10 +267,15 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # fault factories — each returns one concrete poison artefact
     # ------------------------------------------------------------------
-    def poison_event(self, spec: FaultSpec, snap: CSRSnapshot) -> UpdateEvent:
-        """One event guaranteed to be rejected when validated against the
-        state described by ``snap`` (the snapshot the event stream has
-        fully evolved to by the time this event is seen)."""
+    def poison_event(self, spec: FaultSpec, snap: CSRSnapshot) -> EventBatch:
+        """A one-row batch guaranteed to be rejected when validated
+        against the state described by ``snap`` (the snapshot the event
+        stream has fully evolved to by the time this row is seen): an
+        unknown kind, an id >= n, a NaN or Inf feature row, a duplicate
+        insert, or a delete of an absent edge."""
+        return EventBatch.from_events([self._poison(spec, snap)])
+
+    def _poison(self, spec: FaultSpec, snap: CSRSnapshot) -> UpdateEvent:
         n = snap.num_vertices
         dim = snap.dim
         kind = spec.kind

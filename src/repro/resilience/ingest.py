@@ -48,11 +48,13 @@ class RetryExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeadLetter:
-    """One quarantined artefact: when it arrived and why it was refused."""
+    """One quarantined artefact: when it arrived, why it was refused,
+    and, for an event, its ``row`` in the batch it came in."""
 
     step: int
     reason: str
     payload: object = None
+    row: int | None = None
 
     def __post_init__(self) -> None:
         if self.step < 0:
@@ -70,8 +72,10 @@ class DeadLetterQueue:
     def __init__(self) -> None:
         self.letters: list[DeadLetter] = []
 
-    def record(self, step: int, reason: str, payload=None) -> DeadLetter:
-        letter = DeadLetter(step=step, reason=reason, payload=payload)
+    def record(
+        self, step: int, reason: str, payload=None, row: int | None = None
+    ) -> DeadLetter:
+        letter = DeadLetter(step=step, reason=reason, payload=payload, row=row)
         self.letters.append(letter)
         return letter
 
@@ -92,15 +96,18 @@ class DeadLetterQueue:
         """Write the queue as a pickle-free ``.npz`` capture.
 
         Event payloads are flattened field-by-field (kind / vertex / edge
-        pair / feature vector); snapshot and exotic payloads are recorded
-        as a descriptive marker only — they are not replayable artefacts,
-        and loading a capture never executes code.
+        pair / feature vector), beside the letter's batch row; snapshot
+        and exotic payloads are recorded as a descriptive marker only —
+        they are not replayable artefacts, and loading a capture never
+        executes code.
         """
         arrays: dict = {"meta/count": np.int64(len(self.letters))}
         for i, letter in enumerate(self.letters):
             p = f"letters/{i}"
             arrays[f"{p}/step"] = np.int64(letter.step)
             arrays[f"{p}/reason"] = np.str_(letter.reason)
+            if letter.row is not None:
+                arrays[f"{p}/row"] = np.int64(letter.row)
             payload = letter.payload
             if isinstance(payload, UpdateEvent) and self._encodable(payload):
                 kind = payload.kind
@@ -172,7 +179,8 @@ class DeadLetterQueue:
                     )
                 elif ptype == "opaque":
                     payload = str(np.asarray(data[f"{p}/desc"]).item())
-                queue.record(step, reason, payload=payload)
+                row = int(data[f"{p}/row"]) if f"{p}/row" in keys else None
+                queue.record(step, reason, payload=payload, row=row)
         return queue
 
 
@@ -283,20 +291,21 @@ class GuardedIngest:
     def apply(
         self, snap: CSRSnapshot, events, *, step: int = 0
     ) -> CSRSnapshot:
-        """Apply ``events`` to ``snap``, dead-lettering poison events.
+        """Apply ``events`` (an :class:`~repro.graphs.updates.EventBatch`
+        or a list of events) to ``snap``, dead-lettering poison events.
 
-        A clean batch is decoded and validated once, inside
+        A clean batch is validated once, on its arrays, inside
         ``apply_events``.  Otherwise the batch is replayed once, event by
-        event: each poison event is recorded at ``step`` with its reason,
-        in arrival order, and the rest apply.
+        event: each poison event is recorded at ``step`` with its reason
+        and batch row, in arrival order, and the rest apply.
         """
 
-        def reject(ev, reason: str) -> None:
-            self.dlq.record(step, reason, payload=ev)
+        def reject(row: int, ev, reason: str) -> None:
+            self.dlq.record(step, reason, payload=ev, row=row)
             self.metrics.dead_letter_events += 1
             self.metrics.incidents += 1
 
-        return apply_events(snap, list(events), reject=reject)
+        return apply_events(snap, events, reject=reject)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,7 @@ from ..accel.config import TaGNNConfig
 from ..accel.tagnn import TaGNNSimulator
 from ..engine.metrics import ExecutionMetrics
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.updates import event_stream
+from ..graphs.updates import EventBatch, event_stream
 from ..resilience.faults import ENGINE_FAULTS, FaultKind, FaultPlan, FlakyHBM
 from ..resilience.ingest import RetryPolicy, with_retry
 from ..resilience.supervisor import ResilientStreamingInference
@@ -293,12 +293,13 @@ def run_chaos_campaign(
             if t == 0:
                 cluster.push(name, graph[0].copy())
                 continue
-            batch = list(feeds[name][t - 1])
-            if name == first:
-                batch += [
+            batch = feeds[name][t - 1]
+            if name == first and plan.event_specs(t):
+                poison = [
                     plan.poison_event(spec, graph[t])
                     for spec in plan.event_specs(t)
                 ]
+                batch = EventBatch.concat([batch, *poison])
             cluster.ingest(name, batch, step=t)
     for name in names:
         cluster.flush(name)

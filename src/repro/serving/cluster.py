@@ -354,8 +354,9 @@ class ShardCluster:
         )
 
     def ingest(self, tenant: str, batch, *, step: int | None = None):
-        """Evolve the tenant's latest snapshot by an event batch, then
-        push the result.  Poison events are quarantined by
+        """Evolve the tenant's latest snapshot by an event batch (an
+        :class:`~repro.graphs.updates.EventBatch`, or a list of events),
+        then push the result.  Poison rows are quarantined by
         :class:`~repro.resilience.ingest.GuardedIngest` (shared DLQ) and
         the snapshot is rebuilt from the clean remainder."""
         log = self._history[tenant]

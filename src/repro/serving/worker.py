@@ -253,11 +253,13 @@ class ShardWorker:
                 outcome = key
                 break
             replayed = history.get(name, [])[start:]
+            completed = False
             for snap in replayed:
                 result = sup.push(snap)
                 if result is not None:
                     results.setdefault(name, []).append(result)
-            if replayed:
+                    completed = True
+            if completed:  # else the restored checkpoint is still current
                 store.save(sup.stream)
             self._backlog[name] = []
             notes.append(

@@ -1,14 +1,17 @@
 """Tests for the update-stream (event) view of a dynamic graph."""
 
+import dataclasses
 from collections import namedtuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
     CSRSnapshot,
     DynamicGraphSpec,
+    EventBatch,
     UpdateEvent,
     UpdateKind,
     apply_events,
@@ -47,9 +50,9 @@ class TestEventRoundTrip:
 
 
 class TestExoticIds:
-    """Valid events the batched decoder refuses (tuple subclasses, bool
-    ids) take the per-event replay, which must build the successor the
-    same events with plain ``int`` ids build."""
+    """Valid events with exotic ids (NumPy ints in a tuple subclass, bool
+    ids) must build, batched and in the per-event replay, the successor
+    the same events with plain ``int`` ids build."""
 
     @staticmethod
     def assert_same_successor(snap, exotic, plain):
@@ -94,7 +97,7 @@ class TestEventStream:
 
     def test_event_kinds_present(self):
         g = load_dataset("GT", num_snapshots=5)
-        kinds = {ev.kind for evs in event_stream(g) for ev in evs}
+        kinds = {ev.kind for evs in event_stream(g) for ev in evs.events()}
         assert UpdateKind.EDGE_INSERT in kinds
         assert UpdateKind.EDGE_DELETE in kinds
         assert UpdateKind.FEATURE_UPDATE in kinds
@@ -106,8 +109,47 @@ class TestEventStream:
                 [UpdateKind.VERTEX_DEPART, UpdateKind.EDGE_DELETE,
                  UpdateKind.VERTEX_ARRIVE, UpdateKind.EDGE_INSERT,
                  UpdateKind.FEATURE_UPDATE])}
-            ranks = [order[ev.kind] for ev in evs]
+            ranks = [order[ev.kind] for ev in evs.events()]
             assert ranks == sorted(ranks)
+
+
+class TestEventBatch:
+    def test_stream_batches_hold_the_delta_events(self):
+        """``event_stream`` builds each batch from the delta's arrays;
+        its rows are the events of ``delta_to_events``, and converting
+        those back gives the same columns."""
+        g = load_dataset("GT", num_snapshots=4)
+        for t, batch in enumerate(event_stream(g)):
+            events = delta_to_events(g.delta(t), g[t + 1].features)
+            assert len(batch) == len(events)
+            assert batch.source is None
+            again = EventBatch.from_events(events)
+            for name in ("kind", "vertex", "edge", "feature_rows", "features"):
+                a, b = getattr(batch, name), getattr(again, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert again.events() is events
+
+    def test_concat_offsets_feature_rows_and_keeps_a_source(self):
+        g = load_dataset("GT", num_snapshots=3)
+        a, b = event_stream(g)
+        joined = EventBatch.concat([a, b])
+        assert len(joined) == len(a) + len(b) and joined.source is None
+        assert np.array_equal(
+            joined.feature_rows,
+            np.concatenate([a.feature_rows, b.feature_rows + len(a)]),
+        )
+        extra = UpdateEvent(UpdateKind.VERTEX_DEPART, 0)
+        mixed = EventBatch.concat([a, EventBatch.from_events([extra])])
+        assert mixed.events()[-1] is extra
+        assert len(mixed.events()) == len(a) + 1
+
+    def test_columns_must_describe_one_batch(self):
+        depart = UpdateEvent(UpdateKind.VERTEX_DEPART, 0)
+        batch = EventBatch.from_events([depart])
+        with pytest.raises(ValueError, match="one batch"):
+            dataclasses.replace(batch, vertex=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="one batch"):
+            dataclasses.replace(batch, source=[])
 
 
 class TestEventStreamProperty:

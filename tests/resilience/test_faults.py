@@ -116,13 +116,17 @@ class TestFaultPlan:
 class TestPoisonFactories:
     @pytest.mark.parametrize("kind", sorted(EVENT_FAULTS, key=lambda k: k.value))
     def test_every_poison_event_is_rejected(self, graph, kind):
-        """Each event-level factory yields exactly one invalid event."""
+        """Each event-level factory yields a one-row batch whose row is
+        invalid as an event, not as a list item."""
         plan = FaultPlan([], seed=0)
         snap = graph[1]
-        ev = plan.poison_event(FaultSpec(kind, 1), snap)
+        batch = plan.poison_event(FaultSpec(kind, 1), snap)
+        assert len(batch) == 1
         guard = GuardedIngest()
-        guard.apply(snap, [ev], step=1)
-        assert [letter.payload for letter in guard.dlq.letters] == [ev]
+        guard.apply(snap, batch, step=1)
+        (letter,) = guard.dlq.letters
+        assert (letter.row, letter.payload) == (0, batch.events()[0])
+        assert "not an UpdateEvent" not in letter.reason
 
     def test_poison_event_rejects_non_event_kind(self, graph):
         plan = FaultPlan([], seed=0)

@@ -8,6 +8,7 @@ import pytest
 import repro.resilience.ingest as ingest_mod
 from repro.graphs import (
     CSRSnapshot,
+    EventBatch,
     UpdateEvent,
     UpdateKind,
     apply_events,
@@ -212,6 +213,30 @@ class TestDeadLetterQueue:
         with pytest.raises(ValueError, match="step"):
             DeadLetter(step=-1, reason="x")
 
+    def test_save_load_keeps_each_letters_batch_row(self, graph, tmp_path):
+        """A letter's batch row survives the capture round trip, and a
+        letter without one (a snapshot, an opaque artefact) stays
+        without."""
+        plan = FaultPlan([], seed=0)
+        legit = event_stream(graph)[0]
+        batch = EventBatch.concat([
+            legit,
+            plan.poison_event(FaultSpec(FaultKind.NAN_FEATURE, 1), graph[1]),
+            plan.poison_event(FaultSpec(FaultKind.UNKNOWN_KIND_EVENT, 1),
+                              graph[1]),
+        ])
+        guard = GuardedIngest()
+        guard.apply(graph[0], batch, step=1)
+        guard.dlq.record(2, "opaque", payload=object())
+        assert [x.row for x in guard.dlq.letters] == [
+            len(legit), len(legit) + 1, None
+        ]
+        guard.dlq.save(tmp_path / "capture.npz")
+        loaded = DeadLetterQueue.load(tmp_path / "capture.npz")
+        assert [(x.step, x.row, x.reason) for x in loaded.letters] == [
+            (x.step, x.row, x.reason) for x in guard.dlq.letters
+        ]
+
 
 class TestGuardedIngest:
     def test_quarantines_exactly_the_poison_events(self, graph):
@@ -226,9 +251,14 @@ class TestGuardedIngest:
             )
         ]
         guard = GuardedIngest()
-        rebuilt = guard.apply(graph[0], legit + poisons, step=1)
+        rebuilt = guard.apply(
+            graph[0], EventBatch.concat([legit, *poisons]), step=1
+        )
         # poisons quarantined, clean remainder rebuilds the true successor
         assert len(guard.dlq) == len(poisons)
+        assert [x.row for x in guard.dlq.letters] == [
+            len(legit) + i for i in range(len(poisons))
+        ]
         assert guard.metrics.dead_letter_events == len(poisons)
         assert guard.metrics.incidents == len(poisons)
         assert np.array_equal(rebuilt.indices, graph[1].indices)
@@ -245,7 +275,7 @@ class TestGuardedIngest:
     def test_survivors_apply_strictly(self, graph):
         """Whatever the guard passes must be accepted by strict replay."""
         guard = GuardedIngest()
-        legit = list(event_stream(graph)[0])
+        legit = event_stream(graph)[0].events()
         poison = [
             UpdateEvent(UpdateKind.EDGE_DELETE, 0, (0, 0)),
             UpdateEvent("garbage", 0),
@@ -273,48 +303,58 @@ class TestGuardedIngest:
 
             mp.setattr(updates_mod, name, wrapper)
 
-    def test_clean_batch_is_decoded_and_validated_once(self, graph):
-        """``apply`` lets the strict replay be the validator: one decode
-        and one validation per clean batch, inside ``apply_events``."""
-        calls = {"_decode_events": 0, "_decoded_violation": 0,
-                 "event_violation": 0}
+    def test_clean_batch_is_validated_once_on_its_arrays(self, graph):
+        """``apply`` lets the strict replay be the validator: a clean
+        :class:`EventBatch` has its rows and its replay rules checked
+        once, on its arrays, inside ``apply_events``; no event is
+        validated and nothing is replayed."""
+        calls = dict.fromkeys(
+            ("_row_violation", "_state_violation", "event_violation",
+             "apply_events_reference"), 0
+        )
         legit = event_stream(graph)[0]
         guard = GuardedIngest()
         with pytest.MonkeyPatch.context() as mp:
             self._counting(calls, mp)
-            rebuilt = guard.apply(graph[0], iter(legit), step=1)
-        assert calls == {"_decode_events": 1, "_decoded_violation": 1,
-                         "event_violation": 0}
+            rebuilt = guard.apply(graph[0], legit, step=1)
+        assert calls == {"_row_violation": 1, "_state_violation": 1,
+                         "event_violation": 0, "apply_events_reference": 0}
         assert len(guard.dlq) == 0
+        assert_snapshots_identical(rebuilt, apply_events(graph[0], legit))
         assert np.array_equal(rebuilt.indices, graph[1].indices)
 
-    def test_hostile_batch_is_decoded_once_and_replayed_once(self, graph):
-        """A batch with a poison event is decoded once and replayed once:
-        ``event_violation`` runs once per event, and no second pass
+    def test_hostile_batch_is_checked_once_and_replayed_once(self, graph):
+        """A batch with a poison row is checked once and replayed once:
+        ``event_violation`` runs once per row, and no second pass
         applies the survivors."""
         plan = FaultPlan([], seed=0)
-        legit = list(event_stream(graph)[0])
+        legit = event_stream(graph)[0]
         dup = plan.poison_event(FaultSpec(FaultKind.DUPLICATE_EVENT, 1),
                                 graph[0])
-        batch = legit[: len(legit) // 2] + [dup] + legit[len(legit) // 2:]
-        calls = {"_decode_events": 0, "_decoded_violation": 0,
-                 "event_violation": 0}
+        batch = EventBatch.concat([legit, dup])
+        calls = dict.fromkeys(
+            ("_row_violation", "_state_violation", "event_violation",
+             "apply_events_reference"), 0
+        )
         guard = GuardedIngest()
         with pytest.MonkeyPatch.context() as mp:
             self._counting(calls, mp)
             rebuilt = guard.apply(graph[0], batch, step=1)
-        assert calls == {"_decode_events": 1, "_decoded_violation": 1,
-                         "event_violation": len(batch)}
-        assert [x.payload for x in guard.dlq.letters] == [dup]
+        assert calls == {"_row_violation": 1, "_state_violation": 1,
+                         "event_violation": len(batch),
+                         "apply_events_reference": 1}
+        assert [(x.row, x.payload) for x in guard.dlq.letters] == [
+            (len(legit), dup.events()[0])
+        ]
         assert_snapshots_identical(rebuilt, apply_events(graph[0], legit))
 
     def test_poison_batch_matches_filter_then_apply(self, graph):
         """The oracle is the composition ``apply`` used to be: walk the
         batch, dead-lettering poison, then apply the survivors."""
         plan = FaultPlan([], seed=0)
-        legit = list(event_stream(graph)[0])
+        legit = event_stream(graph)[0].events()
         poisons = [
-            plan.poison_event(FaultSpec(kind, 1), graph[1])
+            plan.poison_event(FaultSpec(kind, 1), graph[1]).events()[0]
             for kind in (FaultKind.NAN_FEATURE, FaultKind.CORRUPT_EVENT,
                          FaultKind.DUPLICATE_EVENT)
         ]
@@ -331,8 +371,8 @@ class TestGuardedIngest:
 
         guard = GuardedIngest()
         got = guard.apply(graph[0], batch, step=4)
-        assert [(x.step, x.reason) for x in guard.dlq.letters] == [
-            (x.step, x.reason) for x in oracle_dlq.letters
+        assert [(x.step, x.row, x.reason) for x in guard.dlq.letters] == [
+            (x.step, x.row, x.reason) for x in oracle_dlq.letters
         ]
         assert all(
             a.payload is b.payload

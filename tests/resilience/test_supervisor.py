@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ReferenceEngine, StreamingInference
-from repro.graphs import load_dataset
+from repro.graphs import CSRSnapshot, UpdateKind, event_stream, load_dataset
 from repro.models import make_model
 from repro.resilience import (
     EVENT_FAULTS,
@@ -214,6 +214,60 @@ class TestChaosCampaign:
         assert m.retries == n_storage
         assert m.incidents == n_event + n_snap + n_engine
         assert len(report.retry_delays) == n_storage
+
+    def test_dead_letters_are_the_seeded_faults_letter_by_letter(
+        self, graph, report_and_plan
+    ):
+        """The seeded campaign quarantines the same artefacts, in the
+        same order, as when faults were list items appended to a list of
+        events: step, fault kind, vertex and reason per letter.  Each
+        event letter names its batch row, past the step's clean rows."""
+        report, _ = report_and_plan
+        n = graph.num_vertices
+
+        def fault_of(payload):
+            if isinstance(payload, CSRSnapshot):
+                return FaultKind.TRUNCATED_SNAPSHOT
+            if not isinstance(payload.kind, UpdateKind):
+                return FaultKind.UNKNOWN_KIND_EVENT
+            if payload.kind is UpdateKind.EDGE_INSERT:
+                return FaultKind.DUPLICATE_EVENT
+            if payload.kind is UpdateKind.EDGE_DELETE:
+                return FaultKind.OUT_OF_ORDER_EVENT
+            if payload.vertex >= n:
+                return FaultKind.CORRUPT_EVENT
+            if np.isnan(payload.payload).any():
+                return FaultKind.NAN_FEATURE
+            return FaultKind.INF_FEATURE
+
+        got = [
+            (x.step, fault_of(x.payload), getattr(x.payload, "vertex", None),
+             x.reason)
+            for x in report.dead_letters
+        ]
+        assert got == [
+            (2, FaultKind.TRUNCATED_SNAPSHOT, None,
+             "poison-snapshot: truncated CSR: indptr spans [0, 15382] but"
+             " indices holds 7691 entries"),
+            (2, FaultKind.INF_FEATURE, 0,
+             "non-finite feature payload for vertex 0"),
+            (4, FaultKind.OUT_OF_ORDER_EVENT, 0,
+             "deletion of absent edge (0, 0)"),
+            (6, FaultKind.NAN_FEATURE, 0,
+             "non-finite feature payload for vertex 0"),
+            (7, FaultKind.CORRUPT_EVENT, 1007,
+             "vertex id 1007 out of range [0, 1000)"),
+            (7, FaultKind.DUPLICATE_EVENT, 0,
+             "duplicate insertion of edge (0, 1)"),
+            (7, FaultKind.UNKNOWN_KIND_EVENT, 0,
+             "unknown event kind '__not_a_kind__'"),
+        ]
+        clean = [len(b) for b in event_stream(graph)]
+        assert [x.row for x in report.dead_letters] == [
+            None, clean[1], clean[3], clean[5],
+            clean[6], clean[6] + 1, clean[6] + 2,
+        ]
+        assert report.lost == 0 and report.identical
 
     def test_campaign_is_deterministic(self, graph, report_and_plan):
         report, plan = report_and_plan

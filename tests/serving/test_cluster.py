@@ -140,6 +140,32 @@ class TestRecovery:
         assert all(i.shard == 1 for i in restarted)
         assert all(i.tenant == "t0" for i in restarted)
 
+    def test_a_replay_that_completes_no_window_saves_nothing(self, graph):
+        """Shard 1 of two crashes at t = 4, after the window ending at
+        t = 2 was checkpointed: recovery restores that checkpoint and
+        replays one snapshot, which completes no window, so the store
+        still holds only the checkpoint it restored."""
+        cluster = ShardCluster(
+            factory, num_shards=2, window_size=WINDOW,
+            heartbeat_timeout=1, seed=SEED,
+        )
+        cluster.register_tenant("t0")
+        worker = cluster.workers[1]
+        for t, snap in enumerate(graph):
+            if t == 4:
+                worker.crash()
+            cluster.push("t0", snap.copy())
+            if t == 4:
+                assert cluster.supervisor.restarts == 1
+                store = worker.stores["t0"]
+                assert [
+                    (key, store.restore(worker._fresh_stream().stream,
+                                        key).timestamp)
+                    for key in store.keys()
+                ] == [("ckpt-00000001.npz", 3)]
+        cluster.flush("t0")
+        assert_identical(cluster.released("t0"), reference_outputs(graph))
+
     def test_recovers_from_parent_format_checkpoints(self, graph):
         """A shard whose store holds deflated archives — what the writer
         produced before it stored its members — recovers from them."""
