@@ -4,9 +4,9 @@ The paper's execution loop runs a K-snapshot window and passes the
 recurrent state on to the next batch; :class:`Carry` is that hand-off,
 explicit.  Both engines' ``step(carry, window, ...)`` take one and return
 its successor, so a batch run is a fold over it, a stream holds exactly
-one, a rollback point is a :meth:`Carry.copy`, and a checkpoint
-(:mod:`repro.resilience.checkpoint`) is its fields but the snapshots
-written out: the feed replays those.
+one, a rollback point is the carry itself (no window writes one), and a
+checkpoint (:mod:`repro.resilience.checkpoint`) is its fields but the
+snapshot written out: the feed replays it.
 """
 
 from __future__ import annotations
@@ -23,21 +23,17 @@ from .metrics import ExecutionMetrics
 __all__ = ["Carry"]
 
 
-def _copied(value):
-    return None if value is None else value.copy()
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Carry:
-    """Everything carried across a window boundary.
+    """Everything carried across a window boundary: a value.
 
-    The first group is the stream position (only
-    :class:`~repro.engine.streaming.StreamingInference` moves
-    ``pending`` and ``metrics``); the second is the recurrent hand-off,
-    all ``None`` until the first window ran.  A ``step`` replaces every
-    array it advances and never writes into its input carry — with one
-    exception: ``cache`` is updated **in place**, so a caller that may
-    roll back takes :meth:`copy` first.
+    The first group is the stream position; the second is the
+    recurrent hand-off, all ``None`` until the first window ran.  A
+    ``step`` builds its successor and never writes into its input
+    carry — not its arrays either (the delta baseline it advances is
+    its own copy, :meth:`delta_cache`) — so a carry kept anywhere
+    resumes from exactly where it was taken, as often as it is
+    installed.
 
     ``rows`` is ownership: the ascending ids of the rows this carry's
     per-vertex arrays are about (None = every row).  A row-local cell
@@ -49,7 +45,6 @@ class Carry:
 
     window_size: int
     rows: np.ndarray | None = None
-    pending: list[CSRSnapshot] = field(default_factory=list)
     timestamp: int = 0  # snapshots executed so far
     window_index: int = 0  # drives weight evolution (advance_window)
     num_vertices: int | None = None  # pinned by the first snapshot
@@ -62,7 +57,6 @@ class Carry:
     h_prev: np.ndarray | None = None  # last released output
     z_prev: np.ndarray | None = None  # last GNN output (delta baseline)
     snap_prev: CSRSnapshot | None = None
-    first: bool = True  # no snapshot executed yet
 
     def computed_rows(self, model) -> np.ndarray | None:
         """The rows a window of ``model`` computes from this carry (None
@@ -78,7 +72,7 @@ class Carry:
         ``(state, h_prev)`` it starts from (the model's initial state
         before the first window).  Weight-evolving (RNN-free) models
         advance per batch — idempotently, so replaying a window from a
-        copied carry leaves nothing behind."""
+        kept carry leaves nothing behind."""
         if hasattr(model, "advance_window"):
             model.advance_window(self.window_index)
         if self.state is None:
@@ -87,11 +81,14 @@ class Carry:
         return self.state, self.h_prev
 
     def delta_cache(self, cell, n: int) -> DeltaCellCache | None:
-        """The carried delta baseline, created on first need.  RNN-free
-        models (IdentityCell) keep none: their "cell update" is free
-        and always exact, so a DELTA decision is counted as FULL."""
-        if self.cache is not None or isinstance(cell, IdentityCell):
-            return self.cache
+        """A delta baseline the window owns and may write: a copy of
+        the carried one, or zeros before the first.  RNN-free models
+        (IdentityCell) keep none: their "cell update" is free and always
+        exact, so a DELTA decision is counted as FULL."""
+        if self.cache is not None:
+            return DeltaCellCache(self.cache.z_input.copy())
+        if isinstance(cell, IdentityCell):
+            return None
         return DeltaCellCache.zeros(cell, n)
 
     def advance(self, snaps, state, h_prev, z_prev, cache) -> "Carry":
@@ -107,24 +104,4 @@ class Carry:
             h_prev=h_prev,
             z_prev=z_prev,
             snap_prev=snaps[-1],
-            first=False,
-        )
-
-    def copy(self) -> "Carry":
-        """A rollback point: installing it later resumes from exactly
-        this point whatever ran in between.  The recurrent hand-off
-        (``state``, ``cache``, ``h_prev``, ``z_prev``) and the counters
-        are copied; the snapshots (``pending``, ``snap_prev``) are
-        shared, because no window writes a snapshot's arrays — a
-        serving shard's are read-only copies
-        (:meth:`~repro.graphs.snapshot.CSRSnapshot.frozen_copy`), shared
-        with every other shard.  Only the ``pending`` list is new."""
-        return replace(
-            self,
-            pending=list(self.pending),
-            metrics=replace(self.metrics),
-            state=_copied(self.state),
-            cache=_copied(self.cache),
-            h_prev=_copied(self.h_prev),
-            z_prev=_copied(self.z_prev),
         )

@@ -178,10 +178,6 @@ class ConcurrentEngine:
         whose cell reads its neighbours' state runs every row whatever
         the carry owns, so its windows are whole-graph ones.
 
-        ``carry`` is left as it was except for its delta baseline, updated
-        **in place** (a copy per window would tax every plain stream): a
-        caller that may roll back takes ``carry.copy()`` first.
-
         The window body holds the lease on the process's scratch
         :data:`~repro.engine.workspace.WORKSPACE`; its large temporaries
         live there, and nothing it returns or carries aliases a block.
@@ -339,9 +335,10 @@ class ConcurrentEngine:
         history and take FULL, unaffected rows are skipped unscored
         (their θ is exactly 1).  Every other snapshot takes FULL on
         each present row: all of them with skipping off, else the first
-        of the stream and, with ``refresh_each_window`` on, of each
-        window — the paper "recalculates similarity scores for each
-        vertex in the new batch, rather than reusing scores and
+        after a carry without a snapshot (the stream's first, or one
+        resumed from a checkpoint) and, with ``refresh_each_window`` on,
+        of each window — the paper "recalculates similarity scores for
+        each vertex in the new batch, rather than reusing scores and
         skipping decisions" to stop error accumulating over prolonged
         skipping, and that periodic refresh is what keeps Table 5's
         loss < 1%.  With refresh off the first snapshot is scored
@@ -359,8 +356,8 @@ class ConcurrentEngine:
         skipped = [0] * k
         # the first scored snapshot: the window's second, unless the
         # first is scored against the carried one
-        refresh = carry.first or self.refresh_each_window
-        start = 1 if refresh or carry.z_prev is None else 0
+        carried = carry.snap_prev is not None
+        start = 0 if carried and not self.refresh_each_window else 1
         if not self.enable_skipping:
             start = k
         if start >= k:

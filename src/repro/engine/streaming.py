@@ -19,7 +19,8 @@ A complete window is re-packed into a ``DynamicGraph``, classified,
 and handed to :meth:`ConcurrentEngine.step` — the same method the batch
 ``run`` folds over — so all batching semantics live in exactly one
 place, and everything the stream remembers between windows is one
-:class:`~repro.engine.carry.Carry`.  A stream built with a ``planner``
+:class:`~repro.engine.carry.Carry` plus the snapshots it has buffered
+towards the next window.  A stream built with a ``planner``
 is the one loop that plans windows at runtime (:mod:`repro.adaptive`):
 it profiles each window, asks for a plan, drift-probes it when the
 planner asks, executes it, and records its latency on the audit trail.
@@ -90,12 +91,13 @@ class StreamingInference:
             if rows.size and rows[0] < 0:
                 raise ValueError(f"owned row ids must be >= 0, got {rows[0]}")
         self._carry = Carry(window_size=window_size, rows=rows)
+        self._buffer: list[CSRSnapshot] = []  # the next window, so far
 
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Snapshots buffered but not yet processed."""
-        return len(self._carry.pending)
+        return len(self._buffer)
 
     @property
     def metrics(self) -> ExecutionMetrics:
@@ -149,31 +151,36 @@ class StreamingInference:
                     f"owned row {owned[-1]} is outside the snapshot's"
                     f" {snapshot.num_vertices} vertices"
                 )
-            carry.num_vertices = snapshot.num_vertices
+            self._carry = replace(carry, num_vertices=snapshot.num_vertices)
         elif snapshot.num_vertices != carry.num_vertices:
             raise ValueError(
                 f"snapshot vertex count changed mid-stream: got"
                 f" {snapshot.num_vertices}, stream carries"
                 f" {carry.num_vertices}"
             )
-        carry.pending.append(snapshot)
-        if len(carry.pending) < self.window_size:
+        self._buffer.append(snapshot)
+        if len(self._buffer) < self.window_size:
             return None
         return self._process_window()
 
     def flush(self) -> StreamResult | None:
         """Process a trailing partial window (end of stream)."""
-        if not self._carry.pending:
+        if not self._buffer:
             return None
         return self._process_window()
+
+    @property
+    def buffered(self) -> list[CSRSnapshot]:
+        """The snapshots buffered towards the next window (a new list)."""
+        return list(self._buffer)
 
     # ------------------------------------------------------------------
     def _process_window(self) -> StreamResult:
         engine, carry = self._engine, self._carry
         window = DynamicGraph(
-            carry.pending, name=f"stream[{carry.timestamp}]"
+            self._buffer, name=f"stream[{carry.timestamp}]"
         )
-        carry.pending = []
+        self._buffer = []
         for off, s in enumerate(window.snapshots):
             s.timestamp = carry.timestamp + off
         m = ExecutionMetrics()
@@ -186,8 +193,8 @@ class StreamingInference:
 
         plan = planner.plan(profile_window(window, cls, self.model))
 
-        # Drift probe: replay this window from a copy of the carry at
-        # the *default* thresholds and drop the result, then run the
+        # Drift probe: run this window from the same carry at the
+        # *default* thresholds and drop the result, then run the
         # tuned plan — the relative divergence between the two output
         # sets is exactly the quantity the drift budget bounds.  While
         # the controller is still at the defaults the divergence is zero
@@ -197,7 +204,7 @@ class StreamingInference:
         baseline: list[np.ndarray] | None = None
         if probe and plan.thresholds != SkipThresholds():
             _, baseline = engine.step(
-                carry.copy(),
+                carry,
                 window,
                 cls,
                 replace(plan, thresholds=SkipThresholds()),
@@ -219,8 +226,7 @@ class StreamingInference:
     def _commit(self, carry: Carry, outputs, m) -> StreamResult:
         """Make ``carry`` the stream's, folding the window's counters
         into the cumulative ones."""
-        carry.metrics = carry.metrics.merge(m)
-        self._carry = carry
+        self._carry = replace(carry, metrics=carry.metrics.merge(m))
         return StreamResult(
             timestamps=list(
                 range(carry.timestamp - len(outputs), carry.timestamp)
@@ -234,29 +240,21 @@ class StreamingInference:
     # ------------------------------------------------------------------
     @property
     def carry(self) -> Carry:
-        """The live carry, for readers that finish with it before the
-        next push (:mod:`repro.resilience.checkpoint` serialises it);
-        anything kept across a push takes :meth:`carry_state`."""
+        """The carry at the last window boundary: a value no later
+        window writes, so it is also a rollback point
+        (:mod:`repro.resilience.checkpoint` serialises it)."""
         return self._carry
 
-    def carry_state(self) -> Carry:
-        """A rollback point (:meth:`Carry.copy`): the recurrent arrays
-        and counters are copied, detached from the live stream; the
-        snapshots, which no window writes, are shared."""
-        return self._carry.copy()
-
     def restore_carry(self, carry: Carry) -> None:
-        """Install ``carry`` (from :meth:`carry_state` or a loaded
-        checkpoint); the stream resumes bit-identically from there.
+        """Install ``carry`` (another stream's :attr:`carry` or a loaded
+        checkpoint) and drop the buffered snapshots; fed from
+        ``carry.timestamp`` on, the stream resumes bit-identically.
 
-        The stream takes ownership (later windows update the carry's
-        delta baseline in place): pass ``carry.copy()`` to restore the
-        same point twice.  The stream keeps its own ``rows``; a carry
-        whose state does not cover them (it was captured by a stream
-        owning other rows) is refused.  The model/config must match the
-        one the carry was captured from; a checkpoint is loaded without
-        a model, so its baseline's width is checked against the cell
-        here.
+        The stream keeps its own ``rows``; a carry whose state does not
+        cover them (it was captured by a stream owning other rows) is
+        refused.  The model/config must match the one the carry was
+        captured from; a checkpoint is loaded without a model, so its
+        baseline's width is checked against the cell here.
         """
         if carry.window_size != self.window_size:
             raise ValueError(
@@ -279,8 +277,8 @@ class StreamingInference:
             )
         if carry.cache is not None:
             carry.cache.check(self.model.cell)  # an identity cell fits none
-        carry.rows = owned
-        self._carry = carry
+        self._carry = replace(carry, rows=owned)
+        self._buffer = []
 
     # ------------------------------------------------------------------
     # graceful degradation (repro.resilience.supervisor)
@@ -292,15 +290,15 @@ class StreamingInference:
 
         The resilience supervisor calls this with the successor carry
         and outputs of :meth:`ReferenceEngine.step` run from the
-        rollback point; the stream continues as if it had processed the
+        stream's carry; the stream continues as if it had processed the
         window itself.  The reference path keeps no delta baseline, so
-        it is created if need be and set to the window's last GNN
-        output on the present rows: later windows' DELTA rows count
-        their deltas against it.
+        the successor carries its own copy (or zeros) set to the
+        window's last GNN output on the present rows: later windows'
+        DELTA rows count their deltas against it.
         """
         last = carry.snap_prev
-        carry.cache = carry.delta_cache(self.model.cell, last.num_vertices)
-        if carry.cache is not None:
-            carry.cache.reset(np.flatnonzero(last.present), carry.z_prev)
-        carry.pending = []
-        return self._commit(carry, outputs, metrics)
+        cache = carry.delta_cache(self.model.cell, last.num_vertices)
+        if cache is not None:
+            cache.reset(np.flatnonzero(last.present), carry.z_prev)
+        self._buffer = []
+        return self._commit(replace(carry, cache=cache), outputs, metrics)

@@ -6,18 +6,18 @@ stores what a replay of the feed cannot rebuild: the stream position
 (``timestamp``, ``num_vertices``, cumulative ``metrics``,
 ``window_size``), the per-vertex recurrent ``state``, the last output
 and GNN result (``h_prev`` / ``z_prev``), the ``cache`` that DELTA rows
-count their deltas against, the ``first`` flag, and the
-``window_index`` that drives weight evolution.  A crash loses all of
-it — re-pushing the feed from scratch would produce *different*
-outputs, because the recurrent state is path-dependent.
+count their deltas against, and the ``window_index`` that drives weight
+evolution.  A crash loses all of it — re-pushing the feed from scratch
+would produce *different* outputs, because the recurrent state is
+path-dependent.
 
-The snapshots a carry holds are not stored: the feed rebuilds them.
-A loaded ``Carry`` comes back at its last window boundary, with no
-``pending`` snapshot and no ``snap_prev`` — no stream reads the carried
-snapshot after a restore, because each window's first snapshot takes
-FULL (``refresh_each_window``) — and the caller replays its feed from
-``carry.timestamp``.  So a stream saved at **any** event boundary
-resumes bit-identically.  Design points:
+The snapshot a carry holds is not stored, nor are the ones its stream
+buffered: the feed rebuilds them.  A loaded ``Carry`` comes back at its
+last window boundary with no ``snap_prev`` — the first snapshot after a
+restore takes FULL on every present row, as the first of a stream does —
+and the caller replays its feed from ``carry.timestamp``.  So a stream
+saved at **any** event boundary resumes bit-identically.  Design
+points:
 
 * **No pickle.**  Every field — scalar or array — is one field of a
   single 0-d structured record; the one string travels as a
@@ -73,8 +73,8 @@ The key layout, by ``Carry`` field.  Every line but ``meta/format`` is
 a field of the ``meta/record`` record::
 
     meta/format                the layout version (always a member)
-    meta/{window_size,timestamp,window_index,first,
-          num_vertices,state_kind}
+    meta/{window_size,timestamp,window_index,num_vertices,
+          state_kind}
     metrics/<field>            one int64 per ExecutionMetrics field
     state/h [, state/c]        ``state`` (by meta/state_kind)       r
     cache/z_input              ``cache`` delta baseline (optional)  r
@@ -83,9 +83,9 @@ a field of the ``meta/record`` record::
                                (optional = every row)
 
 ``r`` marks the per-vertex arrays, written on ``carry/rows`` only.  A
-record written by an earlier build may hold fields for counters that
-were retired; the reader skips them, and a counter the record lacks
-reads 0.
+record written by an earlier build may hold fields that were retired —
+counters, and ``meta/first``, which always said "no window ran yet";
+the reader skips them, and a counter the record lacks reads 0.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ _ROW_KEYS = (
 )
 _RECORD = "meta/record"
 #: record fields that are not int64
-_SCALAR_DTYPES = {"meta/first": np.bool_, "meta/state_kind": "U4"}
+_SCALAR_DTYPES = {"meta/state_kind": "U4"}
 
 
 def _field_type(key: str, value) -> tuple:
@@ -148,7 +148,6 @@ def carry_to_arrays(carry: Carry, rows: np.ndarray | None = None) -> dict:
         "meta/window_size": carry.window_size,
         "meta/timestamp": carry.timestamp,
         "meta/window_index": carry.window_index,
-        "meta/first": carry.first,
         "meta/num_vertices": -1 if num_vertices is None else num_vertices,
     }
     for name, value in carry.metrics.as_dict().items():
@@ -221,8 +220,8 @@ def arrays_to_carry(data) -> Carry:
     ``data`` is indexed by ``meta/format`` and ``meta/record`` only — an
     :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Any format but
     :data:`CHECKPOINT_FORMAT` is refused.  The carry comes back at its
-    last window boundary: no ``pending`` snapshot and no ``snap_prev``,
-    so its stream replays the feed from ``timestamp``.
+    last window boundary with no ``snap_prev``, so its stream replays
+    the feed from ``timestamp``.
     """
     fmt = int(data["meta/format"])
     if fmt != CHECKPOINT_FORMAT:
@@ -253,7 +252,7 @@ def arrays_to_carry(data) -> Carry:
         for key in _ROW_KEYS:
             if key in data:
                 data[key] = _scatter(key, data[key], rows, raw_n)
-    # a counter this build retired is skipped, one it added reads 0
+    # a field this build retired is skipped, a counter it added reads 0
     metrics = ExecutionMetrics(
         **{
             f.name: int(data[f"metrics/{f.name}"])
@@ -286,7 +285,6 @@ def arrays_to_carry(data) -> Carry:
         cache=cache,
         h_prev=optional("carry/h_prev"),
         z_prev=optional("carry/z_prev"),
-        first=bool(data["meta/first"]),
     )
 
 
@@ -308,9 +306,8 @@ def _npy_header(dtype: np.dtype) -> bytes:
 def save_checkpoint(stream: StreamingInference, path) -> None:
     """Write ``stream``'s carry state into a ``.npz`` checkpoint at
     ``path`` (a filesystem path or writable binary file object).  The
-    live carry is serialised as it stands — written out, never written
-    to — so a save costs no second deep copy beside the supervisor's
-    rollback point.  Per-vertex arrays are written for the rows the
+    stream's carry is serialised as it stands — a value, written out and
+    never copied.  Per-vertex arrays are written for the rows the
     stream's windows compute (:meth:`Carry.computed_rows`) only.
 
     The archive is the one ``np.savez`` writes — stored members

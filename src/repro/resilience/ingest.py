@@ -383,14 +383,14 @@ def with_retry(
     fn,
     *,
     policy: RetryPolicy | None = None,
-    retryable: tuple = (TransientStorageError,),
     metrics: ExecutionMetrics | None = None,
 ):
     """Call ``fn`` under bounded retry; returns ``(result, delays)``.
 
     ``delays`` is the list of virtual backoff delays (seconds) the policy
-    scheduled between attempts — recorded, never slept.  Non-retryable
-    exceptions propagate untouched; exhausting the budget raises
+    scheduled between attempts — recorded, never slept.  Only a
+    :class:`TransientStorageError` is retried; any other exception
+    propagates untouched; exhausting the budget raises
     :class:`RetryExhaustedError` chained to the last failure.  When
     ``metrics`` is given, every call attempt bumps
     ``metrics.retry_attempts``, each failed attempt bumps
@@ -406,7 +406,7 @@ def with_retry(
             metrics.retry_attempts += 1
         try:
             return fn(), delays
-        except retryable as exc:
+        except TransientStorageError as exc:
             last = exc
             if metrics is not None:
                 metrics.retries += 1

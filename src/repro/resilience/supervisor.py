@@ -7,12 +7,12 @@ protocol a production serving path needs:
 1. **Admission control** — every pushed snapshot is validated
    (:func:`~repro.resilience.ingest.snapshot_violation`); poison
    snapshots are dead-lettered, never entering the engine.
-2. **Checkpoint before risk** — immediately before a push/flush that
-   will process a window, the carry state is captured in memory, so a
-   mid-window fault can roll the stream back to the exact boundary.
+2. **Nothing to roll back** — no window writes the stream's carry
+   and a window that fails never commits, so after a mid-window fault
+   the stream still stands at the exact boundary before it.
 3. **Graceful degradation** — engine faults and
-   :class:`~repro.check.sanitizer.SanitizerViolation`\\ s are caught, the
-   carry is restored, and the failed window is re-executed with the
+   :class:`~repro.check.sanitizer.SanitizerViolation`\\ s are caught and
+   the failed window is re-executed from the stream's carry with the
    exact :class:`~repro.engine.reference.ReferenceEngine` semantics
    (correct but slower: no batching, no skipping, conventional
    accounting).  The degraded results are spliced back into the stream
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..check.sanitizer import SanitizerViolation
-from ..engine.carry import Carry
 from ..engine.metrics import ExecutionMetrics
 from ..engine.reference import ReferenceEngine
 from ..engine.streaming import StreamingInference, StreamResult
@@ -156,18 +155,18 @@ class ResilientStreamingInference:
         return self._guarded(self.stream.flush)
 
     def _guarded(self, call, *arriving) -> StreamResult:
-        """Run the window-completing ``call(*arriving)`` behind a
-        rollback point.  The copy taken here is the one value stored to
-        recover from a fault: on failure it is installed as is and its
-        pending snapshots (plus the arriving one) are the window to
-        re-execute."""
-        saved = self.stream.carry_state()
+        """Run the window-completing ``call(*arriving)``.  A failed
+        window never committed, so the stream's carry is still the one
+        before it; the window to re-execute from it is noted first —
+        the buffered snapshots plus the arriving one — because a window
+        takes its snapshots out of the buffer before it runs."""
+        window = self.stream.buffered + list(arriving)
         try:
             if self._queued_faults:
                 raise self._queued_faults.pop(0)
             result = call(*arriving)
         except (SanitizerViolation, FloatingPointError, RuntimeError) as exc:
-            return self._recover(saved, saved.pending + list(arriving), exc)
+            return self._recover(window, exc)
         return result
 
     # ------------------------------------------------------------------
@@ -185,10 +184,10 @@ class ResilientStreamingInference:
             )
         )
 
-    def _recover(self, saved: Carry, window, exc: Exception) -> StreamResult:
-        """Roll back to the pre-window carry, then re-execute the window
-        on the reference path."""
-        self.stream.restore_carry(saved)
+    def _recover(self, window, exc: Exception) -> StreamResult:
+        """Re-execute the failed window on the reference path from the
+        pre-window carry, which the stream still holds."""
+        before = self.stream.carry
         self._own.restores += 1
         self._own.incidents += 1
         kind = (
@@ -198,8 +197,8 @@ class ResilientStreamingInference:
         )
         self.incidents.append(
             Incident(
-                window_index=saved.window_index,
-                step=saved.timestamp,
+                window_index=before.window_index,
+                step=before.timestamp,
                 kind=kind,
                 action="degraded",
                 detail=str(exc),
@@ -207,12 +206,12 @@ class ResilientStreamingInference:
                 or type(exc).__name__,
             )
         )
-        return self._degrade(saved, window)
+        return self._degrade(window)
 
-    def _degrade(self, saved: Carry, window) -> StreamResult:
+    def _degrade(self, window) -> StreamResult:
         """Re-execute ``window`` with exact reference-engine semantics.
 
-        :meth:`ReferenceEngine.step` from the rolled-back carry is the
+        :meth:`ReferenceEngine.step` from the pre-window carry is the
         very loop body of :meth:`ReferenceEngine.run`, so a degraded
         window's outputs are bit-identical to what the reference engine
         would have produced at this position in the stream.  Accounting
@@ -222,11 +221,12 @@ class ResilientStreamingInference:
         is exact, and a row-local cell never reads the stale state of
         the rows the stream does not own.
         """
+        before = self.stream.carry
         for off, snap in enumerate(window):
-            snap.timestamp = saved.timestamp + off
+            snap.timestamp = before.timestamp + off
         ref = ReferenceEngine(self.model, window_size=self.stream.window_size)
         m = ExecutionMetrics()
-        carry, outputs = ref.step(saved, window, m)
+        carry, outputs = ref.step(before, window, m)
         m.windows_processed += 1
         m.fallback_windows += 1
         return self.stream.adopt_window(carry, outputs, m)

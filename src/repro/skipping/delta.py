@@ -119,10 +119,6 @@ class DeltaCellCache:
             raise TypeError(f"not a RecurrentCell: {type(cell).__name__}")
         return cls(np.zeros((num_vertices, cell.input_dim), dtype=np.float32))
 
-    def copy(self) -> "DeltaCellCache":
-        """Detached baseline (a fresh array)."""
-        return DeltaCellCache(self.z_input.copy())
-
     def check(self, cell: RecurrentCell) -> None:
         """Raise unless ``cell`` is a recurrent cell whose input is as
         wide as the baseline (an identity cell keeps none)."""

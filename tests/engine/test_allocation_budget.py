@@ -46,8 +46,10 @@ def budgets(n, k, d, h, layers):
     window and of the stages inside it."""
     block = 4 * n * h  # one (n, h) float32 matrix
     return {
-        # the K GNN outputs and a FULL update of every row
-        "window": (k + 13) * block,
+        # the K GNN outputs, a FULL update of every row, and the
+        # successor's delta baseline: the window's own copy of the
+        # carried one, which a carry that is a value cannot share
+        "window": (k + 14) * block,
         # a FULL update of every row: the drive, the row state, the four
         # gates and their temporaries, about a dozen matrices; the two
         # (n, 4h) products are workspace blocks

@@ -196,7 +196,7 @@ class TestTheRule:
             for plan in (None, ExecutionPlan(kernel, SkipThresholds())):
                 with kernel_calls() as calls:
                     successor, outs = engine.step(
-                        carry.copy(), window, cls, plan, ExecutionMetrics()
+                        carry, window, cls, plan, ExecutionMetrics()
                     )
                 assert calls == {"window": 1, "layer": []}
                 outputs.append([o.tobytes() for o in outs])

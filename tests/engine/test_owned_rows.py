@@ -226,14 +226,14 @@ class TestOwnership:
             a.push(snap.copy())
         for rows in (np.arange(6, 18), None):  # not covered by 0..11
             with pytest.raises(ValueError, match="does not cover"):
-                stream(rows).restore_carry(a.carry_state())
+                stream(rows).restore_carry(a.carry)
         # a subset resumes, and so does any ownership from a full carry
         whole = stream(None)
         for snap in head:
             whole.push(snap.copy())
         for source, rows in ((a, np.arange(2, 9)), (whole, np.arange(6, 18))):
             resumed = stream(rows)
-            resumed.restore_carry(source.carry_state())
+            resumed.restore_carry(source.carry)
             assert resumed.rows.tolist() == rows.tolist()
             late = released(resumed, tail)
             for got, want in zip(late, expected[3:]):

@@ -5,8 +5,8 @@ rollback and the degraded path are all callers of the two ``step``
 methods, so these tests pin the contracts the callers lean on: a
 hand-written fold equals ``run`` equals the stream byte for byte, a
 planned stream is the fold of the plans it committed, a plan is an
-argument (nothing ambient is touched), and replaying a window from a
-copied carry is exact.
+argument (nothing ambient is touched), and a carry is a value: no step
+writes it, so running a window from the same carry twice is exact.
 """
 
 import dataclasses
@@ -94,10 +94,6 @@ def _assert_carry_equal(a: Carry, b: Carry):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if x is None or y is None:
             assert x is y, f.name
-        elif f.name == "pending":
-            assert len(x) == len(y)
-            for s, t in zip(x, y):
-                _assert_snapshot_equal(s, t)
         elif f.name == "snap_prev":
             _assert_snapshot_equal(x, y)
         elif f.name == "metrics":
@@ -147,7 +143,8 @@ class TestRunIsAFoldOfStep:
         if planner is None:
             assert ran.metrics == m
         assert carry.timestamp == graph.num_snapshots
-        assert carry.window_index == 2 and not carry.first
+        assert carry.window_index == 2
+        assert carry.snap_prev is graph.snapshots[-1]
 
     def test_a_default_planner_stream_is_the_fold_of_its_plans(self):
         """A default ``AdaptivePlanner()`` drift-probes and moves the
@@ -228,13 +225,42 @@ class TestNoAmbientState:
         assert all(overlap is True and p is policy for overlap, p in seen)
 
 
-class TestRollbackExactness:
+def _carry_bytes(carry: Carry) -> dict:
+    """Every array ``carry`` holds and its counters, by name, as
+    bytes."""
+    out = {"metrics": carry.metrics.as_dict()}
+    for f in dataclasses.fields(Carry):
+        value = getattr(carry, f.name)
+        if isinstance(value, np.ndarray):
+            out[f.name] = value.tobytes()
+        elif f.name == "state" and value is not None:
+            for k, array in vars(value).items():
+                out[f"state.{k}"] = array.tobytes()
+        elif f.name == "cache" and value is not None:
+            out["cache"] = value.z_input.tobytes()
+        elif f.name == "snap_prev" and value is not None:
+            for k in ("indptr", "indices", "features", "present"):
+                out[f"snap_prev.{k}"] = getattr(value, k).tobytes()
+    return out
+
+
+class TestACarryIsAValue:
     @pytest.mark.parametrize("name", ["GC-LSTM", "T-GCN", "EvolveGCN"])
-    def test_replay_from_copied_carry_is_exact(self, graph, name):
-        """LSTM, GRU and identity-cell models: ``c0 = carry.copy()``,
-        run a window from ``carry`` (updating its cache in place), run
-        it again from ``c0`` — equal outputs, equal successors."""
-        engine = ConcurrentEngine(_model(graph, name), window_size=WINDOW)
+    def test_step_writes_no_array_of_its_input(self, graph, name):
+        """LSTM, GRU and identity-cell models, with and without the
+        per-window refresh: after a step every array of its input carry
+        is bit-identical — the delta baseline included — and a second
+        step from the same carry gives equal outputs, counters and
+        successors."""
+        for refresh in (True, False):
+            self._step_twice(graph, name, refresh)
+
+    @staticmethod
+    def _step_twice(graph, name, refresh):
+        engine = ConcurrentEngine(
+            _model(graph, name), window_size=WINDOW,
+            refresh_each_window=refresh,
+        )
         first, second = _windows(graph)
         carry, _ = engine.step(
             Carry(window_size=WINDOW),
@@ -244,18 +270,46 @@ class TestRollbackExactness:
             ExecutionMetrics(),
         )
         assert (carry.cache is None) == (name == "EvolveGCN")
-        c0 = carry.copy()
-        _assert_carry_equal(carry, c0)
+        before = _carry_bytes(carry)
         cls = classify_window(second)
         m_a, m_b = ExecutionMetrics(), ExecutionMetrics()
         succ_a, outs_a = engine.step(carry, second, cls, None, m_a)
-        succ_b, outs_b = engine.step(c0, second, cls, None, m_b)
+        assert _carry_bytes(carry) == before
+        succ_b, outs_b = engine.step(carry, second, cls, None, m_b)
+        assert _carry_bytes(carry) == before
         _assert_bytes_equal(outs_a, outs_b)
         _assert_carry_equal(succ_a, succ_b)
         assert m_a.as_dict() == m_b.as_dict()
         if name != "EvolveGCN":
-            assert succ_a.cache is carry.cache  # updated in place
-            assert succ_b.cache is not succ_a.cache
+            # not vacuous: the window moved the successor's baseline
+            assert _carry_bytes(succ_a)["cache"] != before["cache"]
+            assert succ_a.cache is not succ_b.cache
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            carry.timestamp = 0
+
+    def test_one_loaded_carry_resumes_two_streams_alike(self):
+        """One loaded ``Carry`` restored into two streams, each fed the
+        same snapshots, gives the same bytes and the same counters: the
+        first stream neither advanced its baseline nor buffered its
+        snapshots in the carry the second one resumes from."""
+        graph = load_dataset("GT", num_snapshots=12, seed=SEED)
+        stream = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[: WINDOW + 1]:
+            stream.push(snap.copy())
+        buf = io.BytesIO()
+        save_checkpoint(stream, buf)
+        buf.seek(0)
+        carry = load_checkpoint(buf)
+        runs = []
+        for _ in range(2):
+            resumed = StreamingInference(_model(graph), window_size=WINDOW)
+            resumed.restore_carry(carry)
+            outputs = _pushed(resumed, list(graph)[carry.timestamp:])
+            runs.append((outputs, resumed.metrics))
+        (outs_a, m_a), (outs_b, m_b) = runs
+        assert len(outs_a) == graph.num_snapshots - WINDOW
+        _assert_bytes_equal(outs_a, outs_b)
+        assert m_a == m_b
 
 
 class TestReferenceStep:
@@ -296,11 +350,11 @@ class TestCheckpointCoversEveryCarryField:
     @pytest.mark.parametrize("name", ["GC-LSTM", "T-GCN", "EvolveGCN"])
     @pytest.mark.parametrize("pushes", [0, 2, 5])
     def test_round_trip_compares_every_field(self, graph, name, pushes):
-        """save → load → restore_carry → carry_state(), compared over
+        """save → load → restore_carry → ``carry``, compared over
         ``dataclasses.fields(Carry)``: a field added without
         serialisation comes back at its default and fails here.  The
         snapshots are the one exception: a checkpoint stores none, so
-        ``pending`` and ``snap_prev`` come back empty."""
+        ``snap_prev`` comes back None and the buffer empty."""
         stream = StreamingInference(_model(graph, name), window_size=WINDOW)
         for snap in list(graph)[:pushes]:
             stream.push(snap.copy())
@@ -309,11 +363,10 @@ class TestCheckpointCoversEveryCarryField:
         buf.seek(0)
         resumed = StreamingInference(_model(graph, name), window_size=WINDOW)
         resumed.restore_carry(load_checkpoint(buf))
-        loaded = resumed.carry_state()
-        assert loaded.pending == [] and loaded.snap_prev is None
+        loaded = resumed.carry
+        assert resumed.pending == 0 and loaded.snap_prev is None
         _assert_carry_equal(
-            dataclasses.replace(stream.carry_state(), pending=[], snap_prev=None),
-            loaded,
+            dataclasses.replace(stream.carry, snap_prev=None), loaded
         )
         if pushes == 5 and name != "EvolveGCN":
             # loaded without a model, then checked against the stream's

@@ -72,7 +72,6 @@ def _expected_fields(carry) -> dict:
         "meta/window_size": np.int64(carry.window_size),
         "meta/timestamp": np.int64(carry.timestamp),
         "meta/window_index": np.int64(carry.window_index),
-        "meta/first": np.bool_(carry.first),
         "meta/num_vertices": np.int64(-1 if n is None else n),
     }
     for f in fields(ExecutionMetrics):
@@ -238,7 +237,7 @@ class TestCrashConsistency:
             stream.push(snap.copy())
         path = tmp_path / "carry.npz"
         save_checkpoint(stream, path)
-        original = carry_to_arrays(stream.carry_state())
+        original = carry_to_arrays(stream.carry)
         restored = carry_to_arrays(load_checkpoint(path))
         assert set(original) == set(restored)
         for key in original:
@@ -250,7 +249,7 @@ class TestTamperRejection:
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in list(graph)[:pushes]:
             stream.push(snap.copy())
-        return carry_to_arrays(stream.carry_state())
+        return carry_to_arrays(stream.carry)
 
     def test_unknown_format_rejected(self, graph):
         arrays = self._arrays(graph)
@@ -273,7 +272,7 @@ class TestTamperRejection:
     def test_window_size_mismatch_rejected(self, graph):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         stream.push(graph[0].copy())
-        carry = stream.carry_state()
+        carry = stream.carry
         other = StreamingInference(_model(graph), window_size=WINDOW + 1)
         with pytest.raises(ValueError, match="window"):
             other.restore_carry(carry)
@@ -282,7 +281,7 @@ class TestTamperRejection:
         stream = StreamingInference(_model(graph), window_size=WINDOW)
         for snap in list(graph)[:4]:
             stream.push(snap.copy())
-        carry = stream.carry_state()
+        carry = stream.carry
         narrow = StreamingInference(
             make_model("T-GCN", graph.dim, hidden_dim=8, seed=SEED),
             window_size=WINDOW,
@@ -331,7 +330,7 @@ class TestCheckpointStore:
         )
         assert len(list((tmp_path / "ckpts").glob("ckpt-*.npz"))) == 2
         carry = store.load(store.keys()[-1])
-        assert carry.timestamp == stream.carry_state().timestamp
+        assert carry.timestamp == stream.carry.timestamp
 
     def test_corrupt_latest_falls_back_to_older(self, graph):
         store, _ = self._filled(graph, keep_last=3)
@@ -444,23 +443,25 @@ class TestStoredArchive:
 
     @pytest.fixture(params=["memory", "directory"])
     def saved(self, request, graph, tmp_path):
-        """A store holding two checkpoints, and the newest one's carry."""
+        """A store holding two checkpoints, and the stream that saved
+        them."""
         directory = tmp_path / "ckpts" if request.param == "directory" else None
         store = CheckpointStore(directory, keep_last=2)
         stream = self._owned_stream(graph)
         for snap in list(graph)[:5]:
             stream.push(snap.copy())
             store.save(stream)
-        return store, stream.carry_state()
+        return store, stream
 
     def test_members_stored_within_byte_bound(self, saved):
-        store, carry = saved
+        store, stream = saved
+        carry = stream.carry
         blob = _get_blob(store, store.keys()[-1])
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             infos = zf.infolist()
         assert [i.filename for i in infos] == MEMBERS
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
-        assert len(carry.pending) == 2 and len(_per_vertex(carry)) == 4
+        assert stream.pending == 2 and len(_per_vertex(carry)) == 4
         assert len(blob) <= _byte_bound(carry)
 
     def test_flipped_payload_byte_fails_the_crc(self, saved):
@@ -484,7 +485,7 @@ class TestStoredArchive:
         assert store.load(store.keys()[-2]).timestamp >= 0
 
     def test_every_tear_is_detected(self, saved):
-        store, carry = saved
+        store, stream = saved
         key = store.keys()[-1]
         blob = _get_blob(store, key)
         cuts = [len(blob) * k // 8 for k in range(1, 8)] + [len(blob) - 1]
@@ -493,7 +494,7 @@ class TestStoredArchive:
             with pytest.raises(CorruptCheckpointError):
                 store.load(key)
         _put_blob(store, key, blob)
-        assert store.load(key).timestamp == carry.timestamp
+        assert store.load(key).timestamp == stream.timestamp
 
     def test_memory_store_is_bounded(self, graph):
         store = CheckpointStore(keep_last=3)
@@ -503,7 +504,7 @@ class TestStoredArchive:
             store.save(stream)
         assert len(store._blobs) == store.keep_last
         held = sum(len(b) for b in store._blobs.values())
-        assert held <= store.keep_last * _byte_bound(stream.carry_state())
+        assert held <= store.keep_last * _byte_bound(stream.carry)
 
 
 class TestFormat2Layout:
@@ -644,7 +645,7 @@ class TestParentFormatCompatibility:
             "metrics/plan_kernel_switches": 1,
             "metrics/windows_planned": first.window_index,
         }
-        arrays = carry_to_arrays(first.carry_state())
+        arrays = carry_to_arrays(first.carry)
         assert not set(retired) & set(arrays["meta/record"].dtype.names)
         for key, value in retired.items():
             _edit(arrays, key, np.int64(value))
@@ -662,6 +663,47 @@ class TestParentFormatCompatibility:
         tail = expected[len(expected) - len(late):]
         assert late and len(late) == len(tail)
         for a, b in zip(tail, late):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestRetiredFirstFlag:
+    """An earlier build wrote ``meta/first`` ("no window ran yet") into
+    its format-6 record; this build writes none and skips it on
+    reading."""
+
+    @pytest.mark.parametrize("crash_at", [1, WINDOW, WINDOW + 1])
+    def test_a_record_with_the_first_flag_resumes_bit_identically(
+        self, graph, crash_at
+    ):
+        first = StreamingInference(_model(graph), window_size=WINDOW)
+        for snap in list(graph)[:crash_at]:
+            first.push(snap.copy())
+        arrays = carry_to_arrays(first.carry)
+        fields_ = _record_fields(arrays["meta/record"])
+        assert "meta/first" not in fields_
+        # where the earlier build wrote it: after meta/window_index
+        keys = list(fields_)
+        keys.insert(keys.index("meta/window_index") + 1, "meta/first")
+        fields_["meta/first"] = np.asarray(first.window_index == 0)
+        arrays["meta/record"] = np.array(
+            tuple(fields_[key] for key in keys),
+            dtype=[(key, fields_[key].dtype, fields_[key].shape)
+                   for key in keys],
+        )
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        assert CHECKPOINT_FORMAT == 6
+        resumed = restore_stream(
+            StreamingInference(_model(graph), window_size=WINDOW),
+            io.BytesIO(buf.getvalue()),
+        )
+        assert resumed.metrics == first.metrics
+        start = resumed.timestamp
+        assert start == first.timestamp
+        late = _run(resumed, list(graph)[start:])
+        expected = _uninterrupted(graph)
+        assert late and len(late) == len(expected) - start
+        for a, b in zip(expected[start:], late):
             assert a.tobytes() == b.tobytes()
 
 

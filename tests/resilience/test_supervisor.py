@@ -143,6 +143,49 @@ class TestGracefulDegradation:
         for a, b in zip(ref.outputs, outs):
             np.testing.assert_array_equal(a, b)
 
+    def test_a_fault_inside_the_engine_degrades_as_one_before_it(
+        self, monkeypatch
+    ):
+        """An engine fault at the window's last cell update — after the
+        window took its snapshots out of the buffer and ran its other
+        snapshots' updates — degrades the window from the stream's
+        untouched pre-window carry: the same outputs and counters as a
+        fault raised before the window ran, and the same later
+        windows."""
+        from repro.engine.concurrent import ConcurrentEngine
+
+        graph = load_dataset("GT", num_snapshots=3 * WINDOW, seed=SEED)
+        before = ResilientStreamingInference(_model(graph), window_size=WINDOW)
+        inside = ResilientStreamingInference(_model(graph), window_size=WINDOW)
+        rnn_step = ConcurrentEngine._rnn_step
+        calls = []
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) == 2 * WINDOW:  # the second window's last
+                raise RuntimeError("engine fault mid-window")
+            return rnn_step(self, *args)
+
+        outs = {}
+        for name, sup in (("before", before), ("inside", inside)):
+            if name == "inside":
+                monkeypatch.setattr(ConcurrentEngine, "_rnn_step", failing)
+            got = []
+            for t, snap in enumerate(graph):
+                if name == "before" and t == 2 * WINDOW - 1:
+                    sup.inject_fault(RuntimeError("engine fault before"))
+                result = sup.push(snap.copy())
+                if result is not None:
+                    got.extend(result.outputs)
+            outs[name] = got
+        assert len(calls) == 3 * WINDOW  # the fault fired in the engine
+        assert inside.metrics == before.metrics
+        assert inside.metrics.fallback_windows == 1
+        assert inside.metrics.restores == 1
+        assert len(outs["inside"]) == graph.num_snapshots
+        for a, b in zip(outs["before"], outs["inside"]):
+            assert a.tobytes() == b.tobytes()
+
     def test_degraded_window_records_its_trajectory_entry(self, graph):
         """A degraded window counts what the reference engine does for
         it (all-FULL): its push returns those counters, the stream's
